@@ -57,6 +57,7 @@ from .pipeline import (
     preprocess_recording,
     run_pipeline,
     subject_microstates,
+    _artifact_names,
     _commit_json,
     _commit_text,
     _ordered_map,
@@ -357,7 +358,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
-    names = sorted(f for f in os.listdir(args.maps_dir) if f.endswith(".json"))
+    names = _artifact_names(args.maps_dir, ".json")
     if not names:
         raise InvalidConfig(f"no maps JSON files in {args.maps_dir!r}")
     subj_maps = [
@@ -424,7 +425,7 @@ def _cmd_backfit(args) -> int:
 
 def _cmd_features(args) -> int:
     out = _need(args, "out", "--out")
-    names = sorted(f for f in os.listdir(args.seg_dir) if f.endswith(".json"))
+    names = _artifact_names(args.seg_dir, ".json")
     if not names:
         raise InvalidConfig(f"no segmentation JSON files in {args.seg_dir!r}")
     entries = []

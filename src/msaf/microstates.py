@@ -8,9 +8,18 @@ the dominant eigenvector of its spatial outer-product sum, found by
 power iteration started at the previous map. Both half-steps can only
 increase the global explained variance, so the objective trace is
 non-decreasing up to float rounding.
+
+All restarts of one clustering advance together as a batch, each
+stopping on its own objective gain. Restarts whose final objective lies
+within a relative 1e-12 of the best tie, and the earliest of them wins,
+so the choice among restarts that reached the same partition does not
+depend on the order of float summation.
 """
 from __future__ import annotations
 
+import logging
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +31,7 @@ from .errors import (
     DegenerateMap,
     DegenerateSample,
     EmptyCluster,
+    InvalidConfig,
     MontageMismatch,
     NonFiniteData,
     NoPeaks,
@@ -30,6 +40,8 @@ from .errors import (
     ZeroGfp,
 )
 from .io import Recording, _freeze
+
+logger = logging.getLogger("msaf.microstates")
 
 
 @dataclass(frozen=True)
@@ -250,27 +262,108 @@ def spatial_correlation(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _power_iteration(
-    s: np.ndarray, start: np.ndarray, tol: float = 1e-10, max_iter: int = 1000
-) -> np.ndarray:
-    """Dominant eigenvector of a PSD matrix, monotone in Rayleigh quotient."""
-    v = start / np.linalg.norm(start)
-    for _ in range(max_iter):
-        w = s @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return v
-        w /= norm
-        if np.linalg.norm(w - v) <= tol:
-            return w
+# Restarts whose final GEV lies within this relative distance of the best
+# tie, and the earliest of them wins: restarts that reach the same partition
+# differ only by the order of float summation.
+_GEV_TIE_RTOL = 1e-12
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 1000
+
+
+def _dominant_eigenvectors(s: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Dominant eigenvector of each PSD matrix in an (m, K, K) stack.
+
+    Power iteration started at the rows of `start`, monotone in Rayleigh
+    quotient. Each matrix stops on its own: when an update moves its unit
+    vector by at most _POWER_TOL, or, keeping its current vector, when
+    s @ v vanishes.
+    """
+    out = start / np.linalg.norm(start, axis=1, keepdims=True)
+    live = np.arange(out.shape[0])
+    s_live, v = s, out.copy()
+    for _ in range(_POWER_MAX_ITER):
+        w = np.matmul(s_live, v[:, :, np.newaxis])[:, :, 0]
+        norm = np.linalg.norm(w, axis=1)
+        vanished = norm <= 1e-300
+        w /= np.where(vanished, 1.0, norm)[:, np.newaxis]
+        converged = ~vanished & (np.linalg.norm(w - v, axis=1) <= _POWER_TOL)
+        out[live[vanished]] = v[vanished]
+        out[live[converged]] = w[converged]
+        going = ~(vanished | converged)
+        if not going.all():
+            if not going.any():
+                return out
+            live, s_live, w = live[going], s_live[going], w[going]
         v = w
-    return v
+    out[live] = v
+    return out
 
 
 def _prepare_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center each row spatially, return (centered, row norms)."""
     xc = x - x.mean(axis=1, keepdims=True)
     return xc, np.linalg.norm(xc, axis=1)
+
+
+def _assign(maps: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best squared projection and its map index, per restart and sample.
+
+    maps is (R, k, K), xt the (K, n) transposed samples. Ties go to the
+    lower map index, as with np.argmax.
+    """
+    r, k, n_ch = maps.shape
+    sq = (maps.reshape(r * k, n_ch) @ xt).reshape(r, k, -1)
+    np.square(sq, out=sq)
+    best = sq[:, 0].copy()
+    states = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, k):
+        states[sq[:, c] > best] = c
+        np.maximum(best, sq[:, c], out=best)
+    return best, states
+
+
+def _reseed_empty(
+    maps: np.ndarray,
+    states: np.ndarray,
+    assigned_sq: np.ndarray,
+    xc: np.ndarray,
+    norms: np.ndarray,
+    valid: np.ndarray,
+) -> np.ndarray:
+    """Refill one restart's empty clusters; returns its new states.
+
+    Each round moves the first empty cluster's map (in place) to the
+    worst-explained usable sample and reassigns.
+
+    Raises:
+        EmptyCluster: if a cluster is still empty after k reseeds.
+    """
+    k = maps.shape[0]
+    for attempt in range(k + 1):
+        empties = np.nonzero(np.bincount(states, minlength=k) == 0)[0]
+        if empties.size == 0:
+            return states
+        if attempt == k:
+            raise EmptyCluster(f"cluster went empty and {k} reseeds did not recover")
+        explained = np.full(xc.shape[0], np.inf)
+        explained[valid] = assigned_sq[valid] / (norms[valid] ** 2)
+        worst = explained.argmin()
+        maps[empties[0]] = xc[worst] / norms[worst]
+        proj = xc @ maps.T
+        sq = proj * proj
+        states = np.argmax(sq, axis=1)
+        assigned_sq = sq[np.arange(xc.shape[0]), states]
+
+
+def _check_kmeans_params(n_inits, max_iter, tol) -> None:
+    """Raise InvalidConfig unless the k-means iteration settings are usable."""
+    for name, v in (("n_inits", n_inits), ("max_iter", max_iter)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise InvalidConfig(f"kmeans {name} must be an integer >= 1, got {v!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
+        math.isfinite(tol) and tol >= 0
+    ):
+        raise InvalidConfig(f"kmeans tol must be a finite number >= 0, got {tol!r}")
 
 
 def modified_kmeans(
@@ -285,30 +378,40 @@ def modified_kmeans(
 ) -> MicrostateMaps:
     """Cluster topographies into k polarity-invariant maps.
 
+    All restarts advance together: one projection assigns every restart's
+    samples, one matrix product forms every cluster's scatter matrix and
+    one batched power iteration updates every map. Each restart still
+    stops on its own GEV gain, exactly as if it ran alone.
+
     Args:
         peak_maps: (n, K) matrix of topographies (typically GFP peaks).
         k: Number of microstate maps.
-        n_inits: Independent restarts; the best final objective wins,
-            ties going to the earlier restart.
-        max_iter: Iteration cap per restart.
+        n_inits: Independent restarts; the best final objective wins.
+            Restarts within a relative 1e-12 of the best tie, and the
+            earliest of them wins.
+        max_iter: Iteration cap per restart. Restarts still improving
+            at the cap are reported in one warning.
         tol: Stop a restart when the objective improves by less.
         seed: Master seed; restart r uses the child seed (seed, r).
         channels: Channel names for the result. Defaults to ch00, ch01...
         trace_sink: Optional list; receives one dict per accepted
-            iterate with keys restart, iteration, gev.
+            iterate with keys restart, iteration, gev, restart-major.
 
     Returns:
         MicrostateMaps with default labels "1".."k" and the achieved
         objective in gev_total. Each map's polarity is normalized so its
         largest-magnitude channel is positive.
+
+    Raises:
+        InvalidConfig: n_inits or max_iter not an integer >= 1, or tol
+            not a finite number >= 0.
     """
     x = np.asarray(peak_maps, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch("peak maps must form an (n, K) matrix")
     if k < 1:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
-    if n_inits < 1 or max_iter < 1:
-        raise ShapeMismatch("n_inits and max_iter must be >= 1")
+    _check_kmeans_params(n_inits, max_iter, tol)
     xc, norms = _prepare_rows(x)
     total_power = float(norms @ norms)
     if total_power <= 0.0:
@@ -317,48 +420,63 @@ def modified_kmeans(
     if valid.size < k:
         raise TooFewSamples(f"{valid.size} usable samples cannot seed {k} clusters")
 
-    best_maps = None
-    best_gev = -np.inf
+    n, n_ch = x.shape
+    maps = np.empty((n_inits, k, n_ch))
     for restart in range(n_inits):
-        rng = np.random.default_rng([seed, restart])
-        init = rng.choice(valid, size=k, replace=False)
-        maps = xc[init] / norms[init, np.newaxis]
-        prev = -np.inf
-        for iteration in range(1, max_iter + 1):
-            proj = xc @ maps.T
-            states = np.argmax(proj * proj, axis=1)
-            for attempt in range(k + 1):
-                counts = np.bincount(states, minlength=k)
-                empties = np.nonzero(counts == 0)[0]
-                if empties.size == 0:
-                    break
-                if attempt == k:
-                    raise EmptyCluster(
-                        f"cluster went empty and {k} reseeds did not recover"
-                    )
-                # reseed from the worst-explained usable sample
-                explained = np.full(x.shape[0], np.inf)
-                assigned = proj[np.arange(x.shape[0]), states] ** 2
-                explained[valid] = assigned[valid] / (norms[valid] ** 2)
-                maps[empties[0]] = xc[explained.argmin()] / norms[explained.argmin()]
-                proj = xc @ maps.T
-                states = np.argmax(proj * proj, axis=1)
-            for c in range(k):
-                members = xc[states == c]
-                maps[c] = _power_iteration(members.T @ members, start=maps[c])
-            proj = xc @ maps.T
-            gev_now = float(np.max(proj * proj, axis=1).sum() / total_power)
-            if trace_sink is not None:
-                trace_sink.append(
-                    {"restart": restart, "iteration": iteration, "gev": gev_now}
-                )
-            if gev_now - prev < tol:
-                break
-            prev = gev_now
-        if gev_now > best_gev:
-            best_gev = gev_now
-            best_maps = maps.copy()
+        init = np.random.default_rng([seed, restart]).choice(valid, size=k, replace=False)
+        maps[restart] = xc[init] / norms[init, np.newaxis]
+    xt = np.ascontiguousarray(xc.T)
+    # upper triangle of every sample's outer product: a one-hot matrix
+    # times this gives all scatter matrices of all restarts at once
+    iu, ju = np.triu_indices(n_ch)
+    outer = xc[:, iu] * xc[:, ju]
+    sample = np.arange(n)
 
+    active = np.arange(n_inits)
+    best_sq, states = _assign(maps, xt)
+    prev = np.full(n_inits, -np.inf)
+    gevs: list[list[float]] = [[] for _ in range(n_inits)]
+    for _ in range(max_iter):
+        a = active.size
+        offsets = k * np.arange(a)[:, np.newaxis]
+        counts = np.bincount((states + offsets).ravel(), minlength=a * k)
+        for j in np.nonzero((counts.reshape(a, k) == 0).any(axis=1))[0]:
+            states[j] = _reseed_empty(
+                maps[active[j]], states[j], best_sq[j], xc, norms, valid
+            )
+        onehot = np.zeros((a * k, n))
+        onehot[states + offsets, sample] = 1.0
+        tri = onehot @ outer
+        scatter = np.empty((a * k, n_ch, n_ch))
+        scatter[:, iu, ju] = tri
+        scatter[:, ju, iu] = tri
+        maps[active] = _dominant_eigenvectors(
+            scatter, maps[active].reshape(a * k, n_ch)
+        ).reshape(a, k, n_ch)
+        best_sq, states = _assign(maps[active], xt)
+        gev_now = best_sq.sum(axis=1) / total_power
+        for r, g in zip(active, gev_now):
+            gevs[r].append(float(g))
+        going = ~(gev_now - prev[active] < tol)
+        prev[active] = gev_now
+        if not going.all():
+            active, best_sq, states = active[going], best_sq[going], states[going]
+            if active.size == 0:
+                break
+    if active.size:
+        logger.warning(
+            "modified k-means: %d of %d restarts still improving at max_iter=%d",
+            active.size, n_inits, max_iter,
+        )
+    if trace_sink is not None:
+        for restart, trace in enumerate(gevs):
+            for iteration, g in enumerate(trace, start=1):
+                trace_sink.append({"restart": restart, "iteration": iteration, "gev": g})
+
+    final = np.array([trace[-1] for trace in gevs])
+    top = final.max()
+    winner = int(np.nonzero(final >= top - _GEV_TIE_RTOL * abs(top))[0][0])
+    best_maps = maps[winner].copy()
     # canonical polarity, then re-enforce invariants exactly
     for row in best_maps:
         if row[np.argmax(np.abs(row))] < 0:
@@ -366,12 +484,12 @@ def modified_kmeans(
     best_maps -= best_maps.mean(axis=1, keepdims=True)
     best_maps /= np.linalg.norm(best_maps, axis=1, keepdims=True)
     if channels is None:
-        channels = tuple(f"ch{i:02d}" for i in range(x.shape[1]))
+        channels = tuple(f"ch{i:02d}" for i in range(n_ch))
     return MicrostateMaps(
         channels=tuple(channels),
         maps=best_maps,
         labels=tuple(str(i + 1) for i in range(k)),
-        gev_total=best_gev,
+        gev_total=float(final[winner]),
     )
 
 

@@ -44,6 +44,7 @@ from .io import (
 )
 from .microstates import (
     MicrostateMaps,
+    _check_kmeans_params,
     backfit,
     find_gfp_peaks,
     gfp,
@@ -158,6 +159,7 @@ class PipelineConfig:
             if extra:
                 raise InvalidConfig(f"unknown kmeans keys {sorted(extra)}")
             km.update(self.kmeans)
+        _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
         object.__setattr__(self, "kmeans", km)
         if self.min_peak_distance_ms < 0 or self.min_segment_ms < 0:
             raise InvalidConfig("minimum distances must be >= 0")
@@ -277,13 +279,23 @@ def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _artifact_names(directory: str, suffix: str) -> list[str]:
+    """Sorted names of the files in a directory ending in suffix.
+
+    Leftovers of an interrupted write (``*.partial.*``) are skipped, so
+    they never become inputs.
+    """
+    return sorted(
+        f for f in os.listdir(directory)
+        if f.endswith(suffix) and ".partial." not in f
+    )
+
+
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
 ) -> list[Recording]:
     """All .eegb recordings in a directory, sorted by file name."""
-    names = sorted(
-        f for f in os.listdir(input_dir) if f.endswith(".eegb")
-    )
+    names = _artifact_names(input_dir, ".eegb")
     if not names:
         raise InvalidConfig(f"no .eegb recordings found in {input_dir!r}")
     recs = []

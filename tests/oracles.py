@@ -84,6 +84,100 @@ def features_brute_force(
     return out
 
 
+# --- modified k-means, one restart at a time ---
+
+class EmptyClusterError(RuntimeError):
+    """A cluster stayed empty after k reseeds."""
+
+
+# Relative GEV distance under which restarts tie; the earliest tied one wins.
+GEV_TIE_RTOL = 1e-12
+
+
+def _power_iteration(s, start, tol=1e-10, max_iter=1000):
+    """Dominant eigenvector of a PSD matrix, monotone in Rayleigh quotient."""
+    v = start / np.linalg.norm(start)
+    for _ in range(max_iter):
+        w = s @ v
+        norm = np.linalg.norm(w)
+        if norm <= 1e-300:
+            return v
+        w /= norm
+        if np.linalg.norm(w - v) <= tol:
+            return w
+        v = w
+    return v
+
+
+def modified_kmeans_loop(
+    peak_maps, k, n_inits=20, max_iter=200, tol=1e-8, seed=0
+) -> dict:
+    """Polarity-invariant modified k-means, restarts run one after another.
+
+    Restart r starts from k distinct usable rows drawn with
+    default_rng([seed, r]); each iteration assigns rows by the largest
+    squared projection, refills an empty cluster from the worst-explained
+    usable row (at most k times), replaces each map by the dominant
+    eigenvector of its members' scatter matrix, and stops the restart once
+    the GEV gains less than tol.
+
+    Returns a dict with the winning restart's raw maps ("maps", polarity
+    not normalized), "winner", the final GEV of every restart
+    ("restart_gev") and the trace rows ("trace", restart-major).
+    """
+    x = np.asarray(peak_maps, dtype=np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(xc, axis=1)
+    total_power = float(norms @ norms)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    valid = np.nonzero(norms > 1e-12 * scale)[0]
+    restart_maps, restart_gev, trace = [], [], []
+    for restart in range(n_inits):
+        rng = np.random.default_rng([seed, restart])
+        init = rng.choice(valid, size=k, replace=False)
+        maps = xc[init] / norms[init, np.newaxis]
+        prev = -np.inf
+        for iteration in range(1, max_iter + 1):
+            proj = xc @ maps.T
+            states = np.argmax(proj * proj, axis=1)
+            for attempt in range(k + 1):
+                counts = np.bincount(states, minlength=k)
+                empties = np.nonzero(counts == 0)[0]
+                if empties.size == 0:
+                    break
+                if attempt == k:
+                    raise EmptyClusterError(
+                        f"cluster went empty and {k} reseeds did not recover"
+                    )
+                explained = np.full(x.shape[0], np.inf)
+                assigned = proj[np.arange(x.shape[0]), states] ** 2
+                explained[valid] = assigned[valid] / (norms[valid] ** 2)
+                maps[empties[0]] = xc[explained.argmin()] / norms[explained.argmin()]
+                proj = xc @ maps.T
+                states = np.argmax(proj * proj, axis=1)
+            for c in range(k):
+                members = xc[states == c]
+                maps[c] = _power_iteration(members.T @ members, start=maps[c])
+            proj = xc @ maps.T
+            gev_now = float(np.max(proj * proj, axis=1).sum() / total_power)
+            trace.append({"restart": restart, "iteration": iteration, "gev": gev_now})
+            if gev_now - prev < tol:
+                break
+            prev = gev_now
+        restart_maps.append(maps.copy())
+        restart_gev.append(gev_now)
+    best = max(restart_gev)
+    winner = next(
+        r for r, g in enumerate(restart_gev) if g >= best - GEV_TIE_RTOL * abs(best)
+    )
+    return {
+        "maps": restart_maps[winner],
+        "winner": winner,
+        "restart_gev": restart_gev,
+        "trace": trace,
+    }
+
+
 # --- FIR frequency response, direct DTFT ---
 
 def dtft_magnitude(taps, fs: float, freq: float) -> float:

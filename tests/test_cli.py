@@ -2,12 +2,14 @@
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from msaf import load_feature_table, load_recording, read_json
 from msaf.cli import main
+from msaf.pipeline import load_input_recordings
 
 
 def _write(path, doc):
@@ -72,6 +74,26 @@ def test_backfit_and_features(work):
     assert table.n_rows == 6
     assert len(table.feature_names) == 21
     assert set(table.class_names) == {"NC", "MCI", "DEM"}
+
+
+def test_partial_leftovers_are_not_inputs(work, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("NC_000", "MCI_000"):
+        for ext in (".eegb", ".json"):
+            shutil.copy(work / "data" / (name + ext), data)
+    # what an interrupted write leaves behind
+    for ext in (".eegb", ".json"):
+        shutil.copy(work / "data" / ("DEM_000" + ext), data / ("DEM_000.partial" + ext))
+    assert [r.subject_id for r in load_input_recordings(str(data))] == [
+        "MCI_000", "NC_000"
+    ]
+    for verb, src, out in (("group-maps", "subj", "g.json"),
+                           ("features", "segs", "f.csv")):
+        leftover_dir = tmp_path / src
+        shutil.copytree(work / src, leftover_dir)
+        (leftover_dir / "NC_009.partial.json").write_text('{"trunc')
+        assert main([verb, str(leftover_dir), "--out", str(tmp_path / out)]) == 0
 
 
 def test_train_evaluate_explain_chain(work):
@@ -204,6 +226,29 @@ def test_exit_code_2_on_unknown_config_key(tmp_path, work):
         "bogus_key": 1,
     })
     assert main(["run", "--config", bad]) == 2
+
+
+@pytest.mark.parametrize("verb", ["run", "segment"])
+@pytest.mark.parametrize("kmeans", [
+    {"n_inits": 0}, {"n_inits": 2.5}, {"max_iter": 0}, {"max_iter": "5"},
+    {"tol": -1.0}, {"tol": "1e-8"},
+])
+def test_bad_kmeans_config_fails_before_any_output(verb, kmeans, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {"kmeans": kmeans}
+    if verb == "run":
+        doc.update(input_dir=str(work / "data"), out_dir=str(out))
+        argv = ["run", "--config", _write(tmp_path / "c.json", doc)]
+    else:
+        argv = ["segment", str(work / "data"), "--out", str(out),
+                "--config", _write(tmp_path / "c.json", doc)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidConfig" and err["exit_code"] == 2
+    # nothing was written, preprocessed/ included
+    assert not out.exists()
 
 
 def test_exit_code_3_on_unlabeled_stats(tmp_path, capsys):

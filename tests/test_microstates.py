@@ -7,7 +7,9 @@ import pytest
 
 from msaf import (
     AmbiguousLabels,
+    EmptyCluster,
     GfpSeries,
+    InvalidConfig,
     MicrostateMaps,
     Montage,
     NoPeaks,
@@ -25,6 +27,7 @@ from msaf import (
     spatial_correlation,
     standard_1020_montage,
 )
+from oracles import EmptyClusterError, modified_kmeans_loop
 
 
 def _unit_maps(rng, k, n_ch):
@@ -121,6 +124,97 @@ def test_modified_kmeans_deterministic():
     b = modified_kmeans(x, 3, n_inits=5, seed=42)
     assert np.array_equal(a.maps, b.maps)
     assert a.gev_total == b.gev_total
+
+
+def _final_gevs(trace):
+    final = {}
+    for row in trace:
+        final[row["restart"]] = row["gev"]
+    return [final[r] for r in sorted(final)]
+
+
+def _assert_same_maps(a, b, atol):
+    # rows agree up to polarity
+    for u, v in zip(a, b / np.linalg.norm(b, axis=1, keepdims=True)):
+        assert min(np.abs(u - v).max(), np.abs(u + v).max()) <= atol
+
+
+@pytest.mark.parametrize("n_peaks,seconds", [(2130, 120.0), (146, 8.0)])
+def test_modified_kmeans_matches_loop_reference(n_peaks, seconds):
+    for seed in range(5):
+        rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
+        x = rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+        assert x.shape == (n_peaks, 19)
+        trace: list = []
+        got = modified_kmeans(x, 4, seed=seed, trace_sink=trace)
+        ref = modified_kmeans_loop(x, 4, seed=seed)
+        assert [(r["restart"], r["iteration"]) for r in trace] == [
+            (r["restart"], r["iteration"]) for r in ref["trace"]
+        ]
+        gevs = _final_gevs(trace)
+        assert np.max(np.abs(np.subtract(gevs, ref["restart_gev"]))) <= 1e-12
+        assert got.gev_total == gevs[ref["winner"]]
+        _assert_same_maps(got.maps, ref["maps"], 1e-9)
+
+
+# Exactly representable zero-mean rows (Hadamard signs): every projection,
+# scatter matrix and GEV is exact, so ties between duplicated maps are exact
+# ties on both implementations.
+_HADAMARD = np.array([[1.0, -1.0, 1.0, -1.0],
+                      [1.0, 1.0, -1.0, -1.0],
+                      [1.0, -1.0, -1.0, 1.0]])
+
+
+def test_modified_kmeans_reseeds_empty_cluster():
+    topo = np.array([0, 0, 0, 0, 0, 0, 1, 2])
+    x = _HADAMARD[topo] * np.array([1, -1, 1, 1, -1, 1, 1, -1])[:, None]
+    # most restarts draw two copies of topography 0, so one map goes empty
+    draws = [topo[np.random.default_rng([0, r]).choice(8, size=3, replace=False)]
+             for r in range(20)]
+    assert any(len(set(d)) < 3 for d in draws)
+    trace: list = []
+    got = modified_kmeans(x, 3, seed=0, trace_sink=trace)
+    ref = modified_kmeans_loop(x, 3, seed=0)
+    assert got.gev_total == 1.0
+    assert trace == ref["trace"]
+    _assert_same_maps(got.maps, ref["maps"], 0.0)
+    # each map is one of the three topographies, each topography one map
+    corr = np.abs(got.maps @ _HADAMARD.T) / 2.0
+    assert np.array_equal(np.sort(corr.ravel()), [0.0] * 6 + [1.0] * 3)
+    assert np.array_equal(corr.sum(axis=0), [1.0, 1.0, 1.0])
+
+
+def test_modified_kmeans_empty_cluster_after_k_reseeds():
+    # two distinct topographies cannot fill three clusters
+    x = _HADAMARD[[0, 1, 0, 1, 0, 1]] * np.array([1, 1, -1, 1, 1, -1])[:, None]
+    with pytest.raises(EmptyCluster):
+        modified_kmeans(x, 3, n_inits=3, seed=0)
+    with pytest.raises(EmptyClusterError):
+        modified_kmeans_loop(x, 3, n_inits=3, seed=0)
+
+
+def test_modified_kmeans_warns_at_iteration_cap(caplog):
+    x = np.random.default_rng(4).standard_normal((120, 8))
+    with caplog.at_level("WARNING", logger="msaf.microstates"):
+        modified_kmeans(x, 3, n_inits=5, max_iter=1, seed=0)
+    records = [r for r in caplog.records if r.name == "msaf.microstates"]
+    assert len(records) == 1
+    assert "5 of 5 restarts" in records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="msaf.microstates"):
+        modified_kmeans(x, 3, n_inits=5, seed=0)
+    assert not [r for r in caplog.records if r.name == "msaf.microstates"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_inits": 0}, {"n_inits": 2.5}, {"n_inits": True}, {"max_iter": 0},
+    {"max_iter": "10"}, {"tol": -1e-9}, {"tol": float("nan")},
+    {"tol": float("inf")}, {"tol": "0"},
+])
+def test_modified_kmeans_rejects_bad_iteration_settings(kwargs):
+    x = np.random.default_rng(0).standard_normal((40, 6))
+    with pytest.raises(InvalidConfig):
+        modified_kmeans(x, 2, **kwargs)
 
 
 def test_gev_bounds_and_sum():
