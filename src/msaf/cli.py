@@ -43,6 +43,7 @@ from .microstates import (
 from .models import (
     DEFAULT_GRIDS,
     MODEL_KINDS,
+    check_params,
     make_trainer,
     model_from_json_dict,
     model_to_json_dict,
@@ -53,6 +54,7 @@ from .pipeline import (
     PipelineConfig,
     band_sweep,
     compute_stats,
+    kmeans_settings,
     load_input_recordings,
     preprocess_recording,
     run_pipeline,
@@ -209,6 +211,19 @@ def _load_config(args) -> dict:
     return doc
 
 
+def _verb_config(args, allowed: set, verb: str) -> dict:
+    """The optional --config object of a stage verb, with only allowed keys."""
+    if not args.config:
+        return {}
+    doc = read_json(args.config)
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{args.config!r} must hold a JSON object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise InvalidConfig(f"unknown {verb} config keys {sorted(unknown)}")
+    return doc
+
+
 def _pipeline_config(args) -> PipelineConfig:
     doc = _load_config(args)
     if args.out:
@@ -224,10 +239,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _cmd_preprocess(args) -> int:
     out = _need(args, "out", "--out")
-    doc = read_json(args.config) if args.config else {}
-    unknown = set(doc) - {"montage", "steps", "band", "seed"}
-    if unknown:
-        raise InvalidConfig(f"unknown preprocess config keys {sorted(unknown)}")
+    doc = _verb_config(args, {"montage", "steps", "band", "seed"}, "preprocess")
     cfg = PipelineConfig(
         input_dir=args.input_dir,
         out_dir=out,
@@ -324,24 +336,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _kmeans_cfg(args) -> PipelineConfig:
-    doc = read_json(args.config) if args.config else {}
-    unknown = set(doc) - {"kmeans", "min_peak_distance_ms", "seed"}
-    if unknown:
-        raise InvalidConfig(f"unknown segment config keys {sorted(unknown)}")
-    return PipelineConfig(
+def _cmd_segment(args) -> int:
+    out = _need(args, "out", "--out")
+    doc = _verb_config(args, {"kmeans", "min_peak_distance_ms", "seed"}, "segment")
+    cfg = PipelineConfig(
         input_dir=args.input_dir,
         out_dir="unused",
         k=args.k,
         kmeans=doc.get("kmeans"),
         min_peak_distance_ms=float(doc.get("min_peak_distance_ms", 0.0)),
     )
-
-
-def _cmd_segment(args) -> int:
-    out = _need(args, "out", "--out")
-    cfg = _kmeans_cfg(args)
-    seed = _seed_of(args, read_json(args.config) if args.config else None)
+    seed = _seed_of(args, doc)
     recs = load_input_recordings(args.input_dir)
     os.makedirs(out, exist_ok=True)
 
@@ -358,6 +363,8 @@ def _cmd_segment(args) -> int:
 
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
+    doc = _verb_config(args, {"kmeans", "seed"}, "group-maps")
+    kmeans = kmeans_settings(doc.get("kmeans"))
     names = _artifact_names(args.maps_dir, ".json")
     if not names:
         raise InvalidConfig(f"no maps JSON files in {args.maps_dir!r}")
@@ -366,7 +373,7 @@ def _cmd_group_maps(args) -> int:
         for f in names
     ]
     gmaps = group_cluster(
-        subj_maps, args.k, seed=child_seed(_seed_of(args), 200)
+        subj_maps, args.k, **kmeans, seed=child_seed(_seed_of(args, doc), 200)
     )
     _commit_json(out, gmaps.to_json_dict())
     print(f"group maps (k={args.k}, gev={gmaps.gev_total:.4f}) -> {out}")
@@ -463,9 +470,7 @@ def _parse_params(text: Optional[str]) -> dict:
 
 def _cmd_train(args) -> int:
     out = _need(args, "out", "--out")
-    table = load_feature_table(args.features_csv)
     params = _parse_params(args.params)
-    seed = _seed_of(args)
     grid_doc = None
     if args.grid:
         grid_doc = (
@@ -473,6 +478,10 @@ def _cmd_train(args) -> int:
             if args.grid == "default"
             else _parse_params(args.grid)
         )
+    check_params(args.model, {**params, **(grid_doc or {})})
+    table = load_feature_table(args.features_csv)
+    seed = _seed_of(args)
+    if grid_doc:
         gs = grid_search(
             lambda p: make_trainer(args.model, {**params, **p}),
             table.values,
@@ -498,9 +507,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = _need(args, "out", "--out")
+    trainer = make_trainer(args.model, _parse_params(args.params))
     table = load_feature_table(args.features_csv)
     report = stratified_kfold_cv(
-        make_trainer(args.model, _parse_params(args.params)),
+        trainer,
         table.values,
         table.y,
         n_folds=args.folds,

@@ -41,6 +41,7 @@ from .errors import (
     UnsupportedModel,
 )
 from .models import GbtModel, RfModel, SvmModel, TrainedModel
+from .models._common import child_seed
 
 EXACT_FEATURE_LIMIT = 20
 
@@ -279,18 +280,12 @@ def _collect_leaves(node, bounds: dict, out: list, value_fn):
         hi = np.array([bounds[f][1] for f in feats])
         out.append((feats, lo, hi, value_fn(node)))
         return
-    f = node.feature
+    f, t = node.feature, node.threshold
     lo, hi = bounds.get(f, (-np.inf, np.inf))
-    if lo < node.threshold:
-        bounds[f] = (lo, min(hi, node.threshold))
-        _collect_leaves(node.left, bounds, out, value_fn)
-    if hi > node.threshold:
-        bounds[f] = (max(lo, node.threshold), hi)
-        _collect_leaves(node.right, bounds, out, value_fn)
-    if lo == -np.inf and hi == np.inf:
-        del bounds[f]
-    else:
-        bounds[f] = (lo, hi)
+    if lo < t:
+        _collect_leaves(node.left, {**bounds, f: (lo, min(hi, t))}, out, value_fn)
+    if hi > t:
+        _collect_leaves(node.right, {**bounds, f: (max(lo, t), hi)}, out, value_fn)
 
 
 def _model_leaf_tables(model) -> tuple[list, np.ndarray]:
@@ -356,48 +351,47 @@ def tree_shap(
     Exactly matches exact_shapley on the same background (up to float
     rounding) at a cost linear in leaves and background rows.
     """
+    phi, phi0 = _tree_shap(model, np.atleast_2d(x_row), background)
+    return phi[0], phi0
+
+
+def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
+    """phi (n, d, C) of every row of x (n, d) and phi0, in one pass over the leaves."""
     tables, offset = _model_leaf_tables(model)
-    return _tree_shap_from_tables(
-        tables, offset, model.n_features, len(model.classes), x_row, background
-    )
-
-
-def _tree_shap_from_tables(
-    tables, offset, d, n_classes, x_row, background
-) -> tuple[np.ndarray, np.ndarray]:
+    n = x.shape[0]
     b = background.shape[0]
     max_path = max(
         (len(leaf[0]) for leaves in tables for leaf in leaves), default=1
     )
     w_in, w_out = _factorial_tables(max(max_path, 1))
-    phi = np.zeros((d, n_classes))
-    phi0 = np.zeros(n_classes)
+    phi = np.zeros((n, model.n_features, len(model.classes)))
+    phi0 = np.zeros(len(model.classes))
     for leaves in tables:
         for feats, lo, hi, value in leaves:
             if feats.size == 0:
                 phi0 += value
                 continue
-            x_ok = (x_row[feats] > lo) & (x_row[feats] <= hi)
-            b_ok = (background[:, feats].T > lo[:, np.newaxis]) & (
-                background[:, feats].T <= hi[:, np.newaxis]
-            )
-            alive = ~np.any(~x_ok[:, np.newaxis] & ~b_ok, axis=0)
-            if not alive.any():
-                continue
-            in_mask = x_ok[:, np.newaxis] & ~b_ok
-            out_mask = ~x_ok[:, np.newaxis] & b_ok
-            a_count = in_mask.sum(axis=0)
-            c_count = out_mask.sum(axis=0)
-            base_rows = alive & (a_count == 0)
-            n_base = int(base_rows.sum())
+            bf = background[:, feats].T
+            b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
+            n_base = int(b_ok.all(axis=0).sum())
             if n_base:
                 phi0 += value * (n_base / b)
+            xf = x[:, feats]
+            x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
+            alive = ~np.any(~x_ok & ~b_ok, axis=1)
+            if not alive.any():
+                continue
+            in_mask = x_ok & ~b_ok
+            out_mask = ~x_ok & b_ok
+            a_count = in_mask.sum(axis=1)
+            c_count = out_mask.sum(axis=1)
             win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
             wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
-            in_total = in_mask @ win_rows
-            out_total = out_mask @ wout_rows
+            # a matrix-vector product per row: each row sums as a one-row call
+            in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
+            out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
             contrib = (in_total - out_total) / b
-            phi[feats] += np.outer(contrib, value)
+            phi[:, feats] += contrib * value
     phi0 += offset
     return phi, phi0
 
@@ -440,11 +434,7 @@ def explain(
     meta: dict = {"n_background": int(bg.shape[0])}
     phi0 = None
     if method == "tree":
-        tables, offset = _model_leaf_tables(model)
-        for i in range(n):
-            phi[i], phi0 = _tree_shap_from_tables(
-                tables, offset, d, n_classes, x[i], bg
-            )
+        phi, phi0 = _tree_shap(model, x, bg)
     elif method == "exact":
         score_fn = _score_fn_for(model)
         for i in range(n):
@@ -455,7 +445,7 @@ def explain(
         any_ridge = False
         for i in range(n):
             phi[i], phi0, m = kernel_shap(
-                score_fn, x[i], bg, n_samples=n_samples, seed=_child(seed, i)
+                score_fn, x[i], bg, n_samples=n_samples, seed=child_seed(seed, i)
             )
             any_ridge = any_ridge or m.get("ridge_fallback", False)
             meta["enumerated"] = m.get("enumerated")
@@ -468,10 +458,6 @@ def explain(
         feature_names=(tuple(feature_names) if feature_names else None),
         meta=meta,
     )
-
-
-def _child(seed: int, i: int) -> int:
-    return int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
 
 
 def global_ranking(

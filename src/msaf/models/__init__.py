@@ -7,9 +7,10 @@ used throughout configs and the CLI.
 """
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Union
 
-from ..errors import UnsupportedModel
+from ..errors import InvalidConfig, UnsupportedModel
 from .boosted import GbtModel, train_gbt
 from .evaluate import (
     DEFAULT_GRIDS,
@@ -34,18 +35,28 @@ _TRAINERS: dict[str, Callable] = {
 MODEL_KINDS = tuple(sorted(_TRAINERS))
 
 
-def train_model(kind: str, x, y, params: dict | None = None, seed: int = 0) -> TrainedModel:
-    """Train a classifier by kind name ("svm", "rf", "gbt")."""
+def check_params(kind: str, names) -> None:
+    """Raise a ConfigError unless every name is a hyperparameter of kind."""
     if kind not in _TRAINERS:
         raise UnsupportedModel(f"unknown model kind {kind!r}, expected {MODEL_KINDS}")
-    return _TRAINERS[kind](x, y, **(params or {}), seed=seed)
+    accepted = [
+        p for p in inspect.signature(_TRAINERS[kind]).parameters
+        if p not in ("x", "y", "seed")
+    ]
+    unknown = sorted(set(names) - set(accepted))
+    if unknown:
+        raise InvalidConfig(f"unknown {kind} parameters {unknown}; accepted: {accepted}")
+
+
+def train_model(kind: str, x, y, params: dict | None = None, seed: int = 0) -> TrainedModel:
+    """Train a classifier by kind name ("svm", "rf", "gbt")."""
+    return make_trainer(kind, params)(x, y, seed)
 
 
 def make_trainer(kind: str, params: dict | None = None) -> Callable:
     """Build a (x, y, seed) -> model callable for cross-validation."""
-    if kind not in _TRAINERS:
-        raise UnsupportedModel(f"unknown model kind {kind!r}, expected {MODEL_KINDS}")
     fixed = dict(params or {})
+    check_params(kind, fixed)
 
     def trainer(x, y, seed):
         return _TRAINERS[kind](x, y, **fixed, seed=seed)
@@ -77,6 +88,7 @@ __all__ = [
     "RfModel",
     "SvmModel",
     "TrainedModel",
+    "check_params",
     "evaluate",
     "grid_search",
     "make_trainer",

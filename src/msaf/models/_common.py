@@ -1,4 +1,4 @@
-"""Shared input validation and seed derivation for the classifiers."""
+"""Shared input validation, seed derivation and tree helpers for the classifiers."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,3 +38,35 @@ def validate_x(x, n_features: int) -> np.ndarray:
 def child_seed(*parts: int) -> int:
     """Deterministic child seed from a (master seed, branch...) tuple."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def first_best_split(gains: np.ndarray, sv: np.ndarray) -> tuple[float, int, float]:
+    """(gain, column, midpoint threshold) of the split a scan would keep.
+
+    gains[pos, f] is the gain of cutting sorted column f of sv (m, f)
+    after pos, unless sv repeats there. A feature-major scan keeps the
+    first gain beating the best so far (from 0) by more than 1e-15; only
+    gains above every earlier one can, so it replays over those alone.
+    """
+    flat = np.where(sv[1:] != sv[:-1], gains, -np.inf).T.ravel()
+    running = np.maximum.accumulate(np.concatenate(([0.0], flat[:-1])))
+    best, where = 0.0, -1
+    for i in np.flatnonzero(flat > running):
+        if flat[i] > best + 1e-15:
+            best, where = float(flat[i]), int(i)
+    if where < 0:
+        return 0.0, -1, 0.0
+    col, pos = divmod(where, sv.shape[0] - 1)
+    return best, col, float((sv[pos, col] + sv[pos + 1, col]) / 2.0)
+
+
+def leaf_rows(root, x: np.ndarray):
+    """Yield (leaf, row indices) as the rows of x partition down a tree."""
+    stack = [(root, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            yield node, idx
+        elif idx.size:
+            go_left = x[idx, node.feature] <= node.threshold
+            stack += [(node.right, idx[~go_left]), (node.left, idx[go_left])]

@@ -11,14 +11,13 @@ shuffle, truncating the model to its best round.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..errors import ShapeMismatch, TooFewSamplesForValidation
-from ._common import validate_x, validate_xy
+from ..errors import InvalidConfig, TooFewSamplesForValidation
+from ._common import first_best_split, leaf_rows, validate_x, validate_xy
 
 
 @dataclass
@@ -67,8 +66,8 @@ def _leaf_weight(g_sum: float, h_sum: float, lam: float) -> float:
     return -g_sum / max(h_sum + lam, 1e-12)
 
 
-def _score_term(g_sum: float, h_sum: float, lam: float) -> float:
-    return g_sum * g_sum / max(h_sum + lam, 1e-12)
+def _score_term(g_sum, h_sum, lam):
+    return g_sum * g_sum / np.maximum(h_sum + lam, 1e-12)
 
 
 def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
@@ -76,28 +75,18 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
     h_total = float(h[rows].sum())
     if depth >= max_depth or rows.size < 2:
         return GbNode(weight=_leaf_weight(g_total, h_total, lam))
-    parent_term = _score_term(g_total, h_total, lam)
-    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-    for f in range(x.shape[1]):
-        vals = x[rows, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sg = g[rows][order]
-        sh = h[rows][order]
-        gl = hl = 0.0
-        for pos in range(rows.size - 1):
-            gl += float(sg[pos])
-            hl += float(sh[pos])
-            if sv[pos + 1] == sv[pos]:
-                continue
-            gain = 0.5 * (
-                _score_term(gl, hl, lam)
-                + _score_term(g_total - gl, h_total - hl, lam)
-                - parent_term
-            ) - gamma_leaf
-            if gain > best_gain + 1e-15:
-                best_gain, best_feature = gain, int(f)
-                best_threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
+    # prefix sums over every presorted column at once: cumsum adds in
+    # sorted order, so each left sum is the running sum of a scan
+    order = np.argsort(x[rows], axis=0, kind="stable")
+    sv = np.take_along_axis(x[rows], order, axis=0)
+    gl = np.cumsum(g[rows][order], axis=0)[:-1]
+    hl = np.cumsum(h[rows][order], axis=0)[:-1]
+    gains = 0.5 * (
+        _score_term(gl, hl, lam)
+        + _score_term(g_total - gl, h_total - hl, lam)
+        - _score_term(g_total, h_total, lam)
+    ) - gamma_leaf
+    _, best_feature, best_threshold = first_best_split(gains, sv)
     if best_feature < 0:
         return GbNode(weight=_leaf_weight(g_total, h_total, lam))
     go_left = x[rows, best_feature] <= best_threshold
@@ -111,11 +100,8 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
 
 def _tree_outputs(node: GbNode, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if x[i, cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.weight
+    for leaf, idx in leaf_rows(node, x):
+        out[idx] = leaf.weight
     return out
 
 
@@ -212,9 +198,9 @@ def train_gbt(
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
     if n_rounds < 1 or max_depth < 1:
-        raise ShapeMismatch("n_rounds and max_depth must be >= 1")
+        raise InvalidConfig("n_rounds and max_depth must be >= 1")
     if lam < 0 or gamma_leaf < 0 or learning_rate <= 0:
-        raise ShapeMismatch("need lam >= 0, gamma_leaf >= 0, learning_rate > 0")
+        raise InvalidConfig("need lam >= 0, gamma_leaf >= 0, learning_rate > 0")
     index_of = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
     n_classes = len(classes)

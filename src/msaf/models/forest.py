@@ -15,8 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ShapeMismatch
-from ._common import child_seed, validate_x, validate_xy
+from ..errors import InvalidConfig
+from ._common import (
+    child_seed,
+    first_best_split,
+    leaf_rows,
+    validate_x,
+    validate_xy,
+)
 
 
 @dataclass
@@ -55,12 +61,13 @@ class RfNode:
         )
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n <= 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - p @ p)
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each non-empty count vector along the last axis.
+
+    The stacked matmul takes the same dot product as `p @ p`, bit for bit.
+    """
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - np.matmul(p[..., np.newaxis, :], p[..., :, np.newaxis])[..., 0, 0]
 
 
 def _best_split(x, y_idx, rows, n_classes, mtry, rng):
@@ -69,27 +76,18 @@ def _best_split(x, y_idx, rows, n_classes, mtry, rng):
     feats = np.sort(rng.choice(d, size=mtry, replace=False))
     parent_counts = np.bincount(y_idx[rows], minlength=n_classes).astype(np.float64)
     n = rows.size
-    parent_impurity = _gini(parent_counts)
-    best = (0.0, -1, 0.0)
-    for f in feats:
-        vals = x[rows, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y_idx[rows][order]
-        left = np.zeros(n_classes)
-        right = parent_counts.copy()
-        for pos in range(n - 1):
-            left[sy[pos]] += 1.0
-            right[sy[pos]] -= 1.0
-            if sv[pos + 1] == sv[pos]:
-                continue
-            n_left = pos + 1
-            gain = parent_impurity - (
-                n_left * _gini(left) + (n - n_left) * _gini(right)
-            ) / n
-            if gain > best[0] + 1e-15:
-                best = (gain, int(f), float((sv[pos] + sv[pos + 1]) / 2.0))
-    return best
+    xr = x[np.ix_(rows, feats)]
+    order = np.argsort(xr, axis=0, kind="stable")
+    sv = np.take_along_axis(xr, order, axis=0)
+    # class counts left of every cut of every column, by prefix sums
+    onehot = y_idx[rows][order][..., np.newaxis] == np.arange(n_classes)
+    left = np.cumsum(onehot, axis=0, dtype=np.float64)[:-1]
+    n_left = np.arange(1, n)[:, np.newaxis]
+    gains = _gini(parent_counts) - (
+        n_left * _gini(left) + (n - n_left) * _gini(parent_counts - left)
+    ) / n
+    gain, col, threshold = first_best_split(gains, sv)
+    return gain, (int(feats[col]) if col >= 0 else -1), threshold
 
 
 def _grow(x, y_idx, rows, n_classes, depth, max_depth, min_samples_split, mtry, rng):
@@ -115,12 +113,6 @@ def _grow(x, y_idx, rows, n_classes, depth, max_depth, min_samples_split, mtry, 
     return RfNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def _leaf_for(node: RfNode, row: np.ndarray) -> RfNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
-
-
 @dataclass(frozen=True)
 class RfModel:
     """Trained forest; scores are averaged normalized leaf histograms."""
@@ -133,12 +125,11 @@ class RfModel:
     def decision_scores(self, x) -> np.ndarray:
         x = validate_x(x, self.n_features)
         out = np.zeros((x.shape[0], len(self.classes)))
-        for i in range(x.shape[0]):
-            for tree in self.trees:
-                leaf = _leaf_for(tree, x[i])
+        for tree in self.trees:
+            for leaf, idx in leaf_rows(tree, x):
                 total = leaf.counts.sum()
                 if total > 0:
-                    out[i] += leaf.counts / total
+                    out[idx] += leaf.counts / total
         return out / len(self.trees)
 
     def predict(self, x) -> np.ndarray:
@@ -189,10 +180,10 @@ def train_rf(
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
     if n_trees < 1:
-        raise ShapeMismatch(f"n_trees must be >= 1, got {n_trees}")
+        raise InvalidConfig(f"n_trees must be >= 1, got {n_trees}")
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
     if not 1 <= mtry <= d:
-        raise ShapeMismatch(f"features per split must be in [1, {d}], got {mtry}")
+        raise InvalidConfig(f"features per split must be in [1, {d}], got {mtry}")
     index_of = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
     trees = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import InvalidConfig
 from ._common import validate_x, validate_xy
 
 
@@ -183,7 +183,7 @@ def train_svm_ovr(
     del seed
     x, y, classes = validate_xy(x, y)
     if gamma <= 0 or c <= 0:
-        raise ShapeMismatch(f"c and gamma must be positive, got c={c} gamma={gamma}")
+        raise InvalidConfig(f"c and gamma must be positive, got c={c} gamma={gamma}")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)

@@ -52,7 +52,7 @@ from .microstates import (
     label_maps,
     modified_kmeans,
 )
-from .models import MODEL_KINDS, make_trainer, model_to_json_dict
+from .models import MODEL_KINDS, check_params, make_trainer, model_to_json_dict
 from .models._common import child_seed
 from .models.evaluate import grid_search, stratified_kfold_cv
 from .explain import explain, global_ranking
@@ -88,6 +88,20 @@ _STEP_OPTIONAL = {
 }
 
 _EXPLAIN_METHODS = ("auto", "exact", "kernel", "tree")
+
+
+def kmeans_settings(overrides: Optional[dict]) -> dict:
+    """The k-means settings (n_inits, max_iter, tol) with overrides, checked."""
+    km = {"n_inits": 20, "max_iter": 200, "tol": 1e-8}
+    if overrides is not None:
+        if not isinstance(overrides, dict):
+            raise InvalidConfig(f"kmeans must be an object, got {overrides!r}")
+        extra = set(overrides) - set(km)
+        if extra:
+            raise InvalidConfig(f"unknown kmeans keys {sorted(extra)}")
+        km.update(overrides)
+    _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
+    return km
 
 
 @dataclass(frozen=True)
@@ -153,14 +167,7 @@ class PipelineConfig:
             object.__setattr__(self, "band", (lo, hi))
         if not isinstance(self.k, int) or self.k < 1:
             raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
-        km = {"n_inits": 20, "max_iter": 200, "tol": 1e-8}
-        if self.kmeans is not None:
-            extra = set(self.kmeans) - set(km)
-            if extra:
-                raise InvalidConfig(f"unknown kmeans keys {sorted(extra)}")
-            km.update(self.kmeans)
-        _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
-        object.__setattr__(self, "kmeans", km)
+        object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
         if self.min_peak_distance_ms < 0 or self.min_segment_ms < 0:
             raise InvalidConfig("minimum distances must be >= 0")
         if self.labeling != "template":
@@ -182,6 +189,7 @@ class PipelineConfig:
         if not isinstance(clf.get("params", {}), dict):
             raise InvalidConfig("classifier params must be an object")
         clf.setdefault("params", {})
+        check_params(clf["kind"], clf["params"])
         object.__setattr__(self, "classifier", clf)
         if self.grid is not None:
             if not isinstance(self.grid, dict) or not self.grid:
@@ -189,6 +197,7 @@ class PipelineConfig:
             for key, vals in self.grid.items():
                 if not isinstance(vals, (list, tuple)) or not vals:
                     raise InvalidConfig(f"grid entry {key!r} must be a non-empty list")
+            check_params(clf["kind"], self.grid)
         if not isinstance(self.cv_folds, int) or self.cv_folds < 2:
             raise InvalidConfig(f"cv_folds must be an integer >= 2, got {self.cv_folds!r}")
         ex = {"method": "auto", "n_samples": 2048, "background": 64}
@@ -357,12 +366,7 @@ def _labeled_group_maps(
     cfg: PipelineConfig, subj_maps: list[MicrostateMaps], rec0: Recording
 ) -> MicrostateMaps:
     gmaps = group_cluster(
-        subj_maps,
-        cfg.k,
-        n_inits=cfg.kmeans["n_inits"],
-        max_iter=cfg.kmeans["max_iter"],
-        tol=cfg.kmeans["tol"],
-        seed=child_seed(cfg.seed, 200),
+        subj_maps, cfg.k, **cfg.kmeans, seed=child_seed(cfg.seed, 200)
     )
     if cfg.labeling == "template":
         templates = canonical_templates(rec0.montage)

@@ -332,3 +332,194 @@ def shapley_by_permutations(score_fn, x_row, background) -> tuple[np.ndarray, np
             phi[i] += after - before
     phi /= n_perm
     return phi, phi0
+
+
+# --- tree ensembles, one split position and one row at a time ---
+#
+# Trees are the nested dicts of model.json: an internal node is
+# {"feature", "threshold", "left", "right"}, a leaf {"weight"} (boosting)
+# or {"counts"} (forest). A row goes left when x[feature] <= threshold.
+
+def _newton_score(g_sum, h_sum, lam):
+    return g_sum * g_sum / max(h_sum + lam, 1e-12)
+
+
+def gbt_grow_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf) -> dict:
+    """Newton regression tree by an exhaustive scan of every sorted cut.
+
+    Features in order, cuts in sorted order (stable argsort), skipping
+    cuts between equal values; a cut wins when its gain beats the best
+    so far by more than 1e-15, and its threshold is the midpoint.
+    """
+    g_total = float(g[rows].sum())
+    h_total = float(h[rows].sum())
+    leaf = {"weight": -g_total / max(h_total + lam, 1e-12)}
+    if depth >= max_depth or rows.size < 2:
+        return leaf
+    parent_term = _newton_score(g_total, h_total, lam)
+    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+    for f in range(x.shape[1]):
+        vals = x[rows, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sg = g[rows][order]
+        sh = h[rows][order]
+        gl = hl = 0.0
+        for pos in range(rows.size - 1):
+            gl += float(sg[pos])
+            hl += float(sh[pos])
+            if sv[pos + 1] == sv[pos]:
+                continue
+            gain = 0.5 * (
+                _newton_score(gl, hl, lam)
+                + _newton_score(g_total - gl, h_total - hl, lam)
+                - parent_term
+            ) - gamma_leaf
+            if gain > best_gain + 1e-15:
+                best_gain, best_feature = gain, int(f)
+                best_threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
+    if best_feature < 0:
+        return leaf
+    go_left = x[rows, best_feature] <= best_threshold
+    return {
+        "feature": best_feature,
+        "threshold": best_threshold,
+        "left": gbt_grow_loop(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf),
+        "right": gbt_grow_loop(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf),
+    }
+
+
+def _gini_loop(counts) -> float:
+    n = counts.sum()
+    if n <= 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - p @ p)
+
+
+def rf_best_split_loop(x, y_idx, rows, n_classes, mtry, rng):
+    """(gain, feature, threshold) of the best Gini cut, one cut at a time.
+
+    Draws the feature subset from rng as the forest does, then scans
+    features in sorted order with running class counts, keeping the
+    first cut whose gain beats the best so far by more than 1e-15.
+    """
+    d = x.shape[1]
+    feats = np.sort(rng.choice(d, size=mtry, replace=False))
+    parent_counts = np.bincount(y_idx[rows], minlength=n_classes).astype(np.float64)
+    n = rows.size
+    parent_impurity = _gini_loop(parent_counts)
+    best = (0.0, -1, 0.0)
+    for f in feats:
+        vals = x[rows, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y_idx[rows][order]
+        left = np.zeros(n_classes)
+        right = parent_counts.copy()
+        for pos in range(n - 1):
+            left[sy[pos]] += 1.0
+            right[sy[pos]] -= 1.0
+            if sv[pos + 1] == sv[pos]:
+                continue
+            n_left = pos + 1
+            gain = parent_impurity - (
+                n_left * _gini_loop(left) + (n - n_left) * _gini_loop(right)
+            ) / n
+            if gain > best[0] + 1e-15:
+                best = (gain, int(f), float((sv[pos] + sv[pos + 1]) / 2.0))
+    return best
+
+
+def leaf_of(tree: dict, row) -> dict:
+    """The leaf dict a row reaches."""
+    while "feature" in tree:
+        tree = tree["left"] if row[tree["feature"]] <= tree["threshold"] else tree["right"]
+    return tree
+
+
+def ensemble_scores_loop(model_doc: dict, x) -> np.ndarray:
+    """Forest class scores or boosted margins, row by row, tree by tree."""
+    x = np.asarray(x, dtype=np.float64)
+    n_classes = len(model_doc["classes"])
+    out = np.zeros((x.shape[0], n_classes))
+    for i, row in enumerate(x):
+        if model_doc["kind"] == "rf":
+            for tree in model_doc["trees"]:
+                counts = np.asarray(leaf_of(tree, row)["counts"], dtype=np.float64)
+                if counts.sum() > 0:
+                    out[i] += counts / counts.sum()
+            out[i] /= len(model_doc["trees"])
+        else:
+            out[i] = model_doc["base_scores"]
+            for round_trees in model_doc["trees"]:
+                for c, tree in enumerate(round_trees):
+                    out[i, c] += model_doc["learning_rate"] * leaf_of(tree, row)["weight"]
+    return out
+
+
+def _leaf_boxes(tree: dict, bounds: dict, out: list) -> None:
+    """(features, lo, hi, leaf) for every reachable leaf: lo < x[f] <= hi."""
+    if "feature" not in tree:
+        feats = sorted(bounds)
+        out.append((np.array(feats, dtype=np.int64),
+                    np.array([bounds[f][0] for f in feats]),
+                    np.array([bounds[f][1] for f in feats]), tree))
+        return
+    f, t = tree["feature"], tree["threshold"]
+    lo, hi = bounds.get(f, (-np.inf, np.inf))
+    for child, box in ((tree["left"], (lo, min(hi, t))), (tree["right"], (max(lo, t), hi))):
+        if box[0] < box[1]:
+            _leaf_boxes(child, {**bounds, f: box}, out)
+
+
+def tree_shap_loop(model_doc: dict, x_row, background) -> tuple[np.ndarray, np.ndarray]:
+    """Interventional TreeSHAP of one row from model.json, leaf by leaf.
+
+    For each leaf and background row b, the leaf's value is reached by a
+    coalition S exactly when every path feature in S passes on x_row and
+    every one outside passes on b. With a features passing only on x_row
+    and c only on b (the rest on both), the Shapley weight of such an
+    AND game is (a-1)! c! / (a+c)! for each of the a features and minus
+    a! (c-1)! / (a+c)! for each of the c features. Returns (phi (d, C),
+    phi0 (C,)).
+    """
+    x_row = np.asarray(x_row, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    n_classes = len(model_doc["classes"])
+    if model_doc["kind"] == "rf":
+        n_trees = len(model_doc["trees"])
+        trees = [(t, None) for t in model_doc["trees"]]
+        phi0 = np.zeros(n_classes)
+    else:
+        trees = [(t, c) for row in model_doc["trees"] for c, t in enumerate(row)]
+        phi0 = np.asarray(model_doc["base_scores"], dtype=np.float64).copy()
+    phi = np.zeros((x_row.size, n_classes))
+    b_count = background.shape[0]
+    for tree, cls in trees:
+        leaves: list = []
+        _leaf_boxes(tree, {}, leaves)
+        for feats, lo, hi, leaf in leaves:
+            if cls is None:
+                counts = np.asarray(leaf["counts"], dtype=np.float64)
+                value = counts / counts.sum() / n_trees if counts.sum() > 0 else 0 * counts
+            else:
+                value = np.zeros(n_classes)
+                value[cls] = model_doc["learning_rate"] * leaf["weight"]
+            x_ok = [lo[j] < x_row[f] <= hi[j] for j, f in enumerate(feats)]
+            for brow in background:
+                b_ok = [lo[j] < brow[f] <= hi[j] for j, f in enumerate(feats)]
+                if not all(xo or bo for xo, bo in zip(x_ok, b_ok)):
+                    continue
+                a = sum(xo and not bo for xo, bo in zip(x_ok, b_ok))
+                c = sum(bo and not xo for xo, bo in zip(x_ok, b_ok))
+                if a == 0:
+                    phi0 += value / b_count
+                for j, f in enumerate(feats):
+                    if x_ok[j] and not b_ok[j]:
+                        w = math.factorial(a - 1) * math.factorial(c) / math.factorial(a + c)
+                        phi[f] += w * value / b_count
+                    elif b_ok[j] and not x_ok[j]:
+                        w = math.factorial(a) * math.factorial(c - 1) / math.factorial(a + c)
+                        phi[f] -= w * value / b_count
+    return phi, phi0

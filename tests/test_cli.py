@@ -228,10 +228,20 @@ def test_exit_code_2_on_unknown_config_key(tmp_path, work):
     assert main(["run", "--config", bad]) == 2
 
 
-@pytest.mark.parametrize("verb", ["run", "segment"])
+def _assert_config_error(capsys, out):
+    """One InvalidConfig JSON line on stderr and nothing written at out."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidConfig" and err["exit_code"] == 2
+    # nothing was written, preprocessed/ included
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "segment", "group-maps"])
 @pytest.mark.parametrize("kmeans", [
     {"n_inits": 0}, {"n_inits": 2.5}, {"max_iter": 0}, {"max_iter": "5"},
-    {"tol": -1.0}, {"tol": "1e-8"},
+    {"tol": -1.0}, {"tol": "1e-8"}, {"restarts": 3},
 ])
 def test_bad_kmeans_config_fails_before_any_output(verb, kmeans, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -240,15 +250,74 @@ def test_bad_kmeans_config_fails_before_any_output(verb, kmeans, work, tmp_path,
         doc.update(input_dir=str(work / "data"), out_dir=str(out))
         argv = ["run", "--config", _write(tmp_path / "c.json", doc)]
     else:
-        argv = ["segment", str(work / "data"), "--out", str(out),
+        src = work / ("data" if verb == "segment" else "subj")
+        argv = [verb, str(src), "--out", str(out),
                 "--config", _write(tmp_path / "c.json", doc)]
     assert main(argv) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "InvalidConfig" and err["exit_code"] == 2
-    # nothing was written, preprocessed/ included
-    assert not out.exists()
+    _assert_config_error(capsys, out)
+
+
+def test_group_maps_unknown_config_key(work, tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {"seed": 1, "k": 4})
+    out = tmp_path / "g.json"
+    assert main(["group-maps", str(work / "subj"), "--config", cfg,
+                 "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_group_maps_config_reproduces_run_maps(work, tmp_path):
+    kmeans = {"n_inits": 3, "max_iter": 40, "tol": 1e-6}
+    run_cfg = _write(tmp_path / "run.json", {
+        "input_dir": str(work / "data"), "out_dir": str(tmp_path / "run"),
+        "kmeans": kmeans, "seed": 3, "cv_folds": 2,
+        "classifier": {"kind": "rf", "params": {"n_trees": 4}},
+        "explain": {"method": "tree", "background": 2},
+    })
+    assert main(["run", "--config", run_cfg]) == 0
+    cfg = _write(tmp_path / "gm.json", {"kmeans": kmeans, "seed": 3})
+    assert main(["group-maps", str(tmp_path / "run" / "subject_maps"),
+                 "--config", cfg, "--out", str(tmp_path / "g.json")]) == 0
+    assert main(["label", str(tmp_path / "g.json"),
+                 "--out", str(tmp_path / "labeled.json")]) == 0
+    assert filecmp.cmp(tmp_path / "labeled.json", tmp_path / "run" / "maps.json",
+                       shallow=False)
+
+
+@pytest.mark.parametrize("classifier,grid", [
+    ({"kind": "rf", "params": {"foo": 1}}, None),
+    ({"kind": "gbt", "params": {"n_trees": 5}}, None),
+    ({"kind": "svm"}, {"gamma": [0.1], "depth": [2]}),
+])
+def test_unknown_classifier_params_fail_before_any_output(
+        classifier, grid, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {"input_dir": str(work / "data"), "out_dir": str(out),
+           "classifier": classifier}
+    if grid:
+        doc["grid"] = grid
+    assert main(["run", "--config", _write(tmp_path / "c.json", doc)]) == 2
+    _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize("verb,model,flags", [
+    ("train", "rf", ["--params", '{"foo": 1}']),
+    ("train", "svm", ["--grid", '{"depth": [1, 2]}']),
+    ("evaluate", "gbt", ["--params", '{"n_trees": 3}']),
+    ("train", "svm", ["--params", '{"gamma": -1.0}']),
+    ("evaluate", "svm", ["--params", '{"c": 0}']),
+    ("train", "gbt", ["--params", '{"n_rounds": 0}']),
+    ("train", "gbt", ["--params", '{"max_depth": 0, "valid_fraction": 0}']),
+    ("evaluate", "gbt", ["--params", '{"lam": -1.0}']),
+    ("train", "gbt", ["--params", '{"learning_rate": 0}']),
+    ("train", "rf", ["--params", '{"n_trees": 0}']),
+    ("evaluate", "rf", ["--params", '{"n_features_per_split": 99}']),
+])
+def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    argv = [verb, str(work / "features.csv"), "--model", model, "--folds", "2",
+            "--out", str(out), *flags]
+    assert main(argv) == 2
+    _assert_config_error(capsys, out)
 
 
 def test_exit_code_3_on_unlabeled_stats(tmp_path, capsys):

@@ -17,7 +17,7 @@ from msaf import (
 )
 from msaf.explain import _score_fn_for
 
-from oracles import shapley_by_permutations
+from oracles import shapley_by_permutations, tree_shap_loop
 
 
 def _data(rng, n_per=12, d=5):
@@ -89,6 +89,33 @@ def test_tree_equals_exact_on_gbt():
         phi_t, phi0_t = tree_shap(model, row, background)
         phi_e, phi0_e = exact_shapley(fn, row, background)
         assert np.max(np.abs(phi_t - phi_e)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def test_batched_tree_shap_matches_per_row_and_loop(kind):
+    rng = np.random.default_rng(10)
+    x, y = _data(rng, d=5)
+    x[:, 2] = np.round(x[:, 2])
+    if kind == "rf":
+        model = train_rf(x, y, n_trees=8, max_depth=None, seed=2)
+    else:
+        model = train_gbt(x, y, n_rounds=10, learning_rate=0.3, max_depth=3,
+                          valid_fraction=0.0, seed=2)
+    background = x[::5]
+    expl = explain(model, x, background, method="tree")
+    doc = model.to_json_dict()
+    for i, row in enumerate(x):
+        phi, phi0 = tree_shap(model, row, background)
+        phi_l, phi0_l = tree_shap_loop(doc, row, background)
+        assert np.max(np.abs(expl.phi[i] - phi)) <= 1e-12
+        assert np.max(np.abs(expl.phi[i] - phi_l)) <= 1e-12
+        assert np.max(np.abs(expl.phi0 - phi0)) <= 1e-12
+        assert np.max(np.abs(expl.phi0 - phi0_l)) <= 1e-12
+    fn = _score_fn_for(model)
+    for i in (0, 17, 35):
+        phi_e, phi0_e = exact_shapley(fn, x[i], background)
+        assert np.max(np.abs(expl.phi[i] - phi_e)) < 1e-9
+        assert np.max(np.abs(expl.phi0 - phi0_e)) < 1e-9
 
 
 def test_kernel_full_enumeration_equals_exact():

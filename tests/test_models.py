@@ -16,11 +16,18 @@ from msaf import (
     train_svm_ovr,
 )
 
+from msaf.models import boosted, forest
+from msaf.models._common import first_best_split
+
 from oracles import (
     XOR_X,
     XOR_Y,
     accuracy_by_hand,
+    ensemble_scores_loop,
+    gbt_grow_loop,
+    leaf_of,
     macro_f1_by_hand,
+    rf_best_split_loop,
     xor_alpha_star,
 )
 
@@ -112,6 +119,100 @@ def test_gbt_early_stopping_trace():
                       valid_fraction=0.2, patience=5, seed=0)
     assert model.best_round <= len(model.valid_loss_trace)
     assert len(model.train_loss_trace) >= model.best_round
+
+
+# --- vectorized split search and traversal against the loop references ---
+
+def _tied(seed, n=48, d=6):
+    """Random rows with many tied values and a constant column."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x[:, 1] = np.round(x[:, 1])
+    x[:, 3] = 0.25
+    x[:, 4] = np.round(2.0 * x[:, 4]) / 2.0
+    y = rng.integers(0, 3, n)
+    y[:3] = [0, 1, 2]
+    return x, y
+
+
+def test_split_rule_keeps_first_gain_beating_best_by_1e15():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        m, f = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        sv = np.sort(rng.integers(0, 4, size=(m, f)).astype(float), axis=0)
+        # near-ties within 1e-15, where a plain argmax picks another cut
+        gains = rng.choice([0.1, 0.2], size=(m - 1, f))
+        gains = gains + rng.integers(-3, 4, size=(m - 1, f)) * 4e-16
+        best, want = 0.0, (0.0, -1, 0.0)
+        for col in range(f):
+            for pos in range(m - 1):
+                if sv[pos + 1, col] != sv[pos, col] and gains[pos, col] > best + 1e-15:
+                    best = float(gains[pos, col])
+                    want = (best, col, float((sv[pos, col] + sv[pos + 1, col]) / 2.0))
+        assert first_best_split(gains, sv) == want
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("valid_fraction", [0.25, 0.0])
+def test_gbt_trees_match_loop_reference(monkeypatch, max_depth, valid_fraction):
+    x, y = _tied(max_depth)
+    kw = dict(n_rounds=12, learning_rate=0.4, max_depth=max_depth,
+              valid_fraction=valid_fraction, patience=3, seed=max_depth)
+    fast = train_gbt(x, y, **kw).to_json_dict()
+    monkeypatch.setattr(
+        boosted, "_grow", lambda *a: boosted.GbNode.from_json_dict(gbt_grow_loop(*a)))
+    monkeypatch.setattr(boosted, "_tree_outputs", lambda tree, rows: np.array(
+        [leaf_of(tree.to_json_dict(), r)["weight"] for r in rows]))
+    assert fast == train_gbt(x, y, **kw).to_json_dict()
+    assert any("feature" in t for row in fast["trees"] for t in row)
+    if valid_fraction:
+        assert len(fast["valid_loss_trace"]) < kw["n_rounds"]  # stopped early
+
+
+@pytest.mark.parametrize("bootstrap,max_depth,mtry", [
+    (True, None, 3), (False, None, 2), (True, 3, None), (False, 2, 6),
+])
+def test_rf_trees_match_loop_reference(monkeypatch, bootstrap, max_depth, mtry):
+    x, y = _tied(10 + (max_depth or 0))
+    kw = dict(n_trees=6, max_depth=max_depth, bootstrap=bootstrap, seed=4,
+              n_features_per_split=mtry)
+    fast = train_rf(x, y, **kw).to_json_dict()
+    monkeypatch.setattr(forest, "_best_split", rf_best_split_loop)
+    assert fast == train_rf(x, y, **kw).to_json_dict()
+
+
+def test_rf_split_gain_matches_loop_bit_for_bit():
+    x, y = _tied(40, n=30)
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        rows = rng.integers(0, len(y), size=int(rng.integers(2, 30)))
+        mtry = int(rng.integers(1, x.shape[1] + 1))
+        got = forest._best_split(x, y, rows, 3, mtry, np.random.default_rng(trial))
+        want = rf_best_split_loop(x, y, rows, 3, mtry, np.random.default_rng(trial))
+        assert got == want
+
+
+def test_vectorized_traversal_matches_per_row_walk():
+    x, y = _tied(30)
+    rf = train_rf(x, y, n_trees=8, max_depth=None, seed=1)
+    gbt = train_gbt(x, y, n_rounds=8, learning_rate=0.3, valid_fraction=0.0, seed=1)
+    # query rows: training rows, fresh rows, and rows sitting on thresholds
+    rng = np.random.default_rng(31)
+    on_cut = []
+    for model in (rf, gbt):
+        stack = list(np.ravel(model.to_json_dict()["trees"]))
+        while stack:
+            node = stack.pop()
+            if "feature" in node:
+                row = x[len(on_cut) % len(x)].copy()
+                row[node["feature"]] = node["threshold"]
+                on_cut.append(row)
+                stack += [node["left"], node["right"]]
+    xq = np.vstack([x, rng.standard_normal((20, x.shape[1])), on_cut])
+    assert np.array_equal(rf.decision_scores(xq),
+                          ensemble_scores_loop(rf.to_json_dict(), xq))
+    assert np.array_equal(gbt.margins(xq),
+                          ensemble_scores_loop(gbt.to_json_dict(), xq))
 
 
 # --- JSON round-trips preserve behavior exactly ---
