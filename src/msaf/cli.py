@@ -2,7 +2,8 @@
 
 Every stochastic verb honors --seed, every stage writes file artifacts,
 and failures exit with a machine-readable JSON line on stderr using the
-taxonomy's exit codes: 2 config, 3 data, 4 numeric.
+taxonomy's exit codes: 2 config, 3 data, 4 numeric, and 1 for an
+internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .errors import (
     DataError,
     InvalidConfig,
     MsafError,
-    NumericError,
     UnlabeledData,
 )
 from .explain import ShapExplanation, explain, global_ranking
@@ -48,7 +48,7 @@ from .models import (
     model_from_json_dict,
     model_to_json_dict,
 )
-from .models._common import child_seed
+from .models._common import child_seed, require_int
 from .models.evaluate import grid_search, stratified_kfold_cv
 from .pipeline import (
     PipelineConfig,
@@ -196,11 +196,10 @@ def _need(args, attr: str, flag: str):
 
 
 def _seed_of(args, cfg: Optional[dict] = None) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg and isinstance(cfg.get("seed"), int):
-        return cfg["seed"]
-    return 0
+    """--seed, else the config's seed, else 0; checked as PipelineConfig does."""
+    seed = args.seed if args.seed is not None else (cfg or {}).get("seed", 0)
+    require_int("seed", seed, 0)
+    return seed
 
 
 def _load_config(args) -> dict:
@@ -344,7 +343,7 @@ def _cmd_segment(args) -> int:
         out_dir="unused",
         k=args.k,
         kmeans=doc.get("kmeans"),
-        min_peak_distance_ms=float(doc.get("min_peak_distance_ms", 0.0)),
+        min_peak_distance_ms=doc.get("min_peak_distance_ms", 0.0),
     )
     seed = _seed_of(args, doc)
     recs = load_input_recordings(args.input_dir)
@@ -478,7 +477,7 @@ def _cmd_train(args) -> int:
             if args.grid == "default"
             else _parse_params(args.grid)
         )
-    check_params(args.model, {**params, **(grid_doc or {})})
+    check_params(args.model, params, grid_doc)
     table = load_feature_table(args.features_csv)
     seed = _seed_of(args)
     if grid_doc:
@@ -678,23 +677,30 @@ def main(argv=None) -> int:
             code = 2
         elif isinstance(e, DataError):
             code = 3
-        elif isinstance(e, NumericError):
-            code = 4
         else:
             code = 4
-        print(
-            json.dumps(
-                {
-                    "error": type(e).__name__,
-                    "category": type(e).__mro__[1].__name__,
-                    "message": str(e),
-                    "exit_code": code,
-                },
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return code
+        return _report(e, type(e).__mro__[1].__name__, code)
+    except Exception as e:
+        # last resort: a fault outside the taxonomy (a bug, a broken install)
+        logger.debug("internal error", exc_info=True)
+        return _report(e, "InternalError", 1)
+
+
+def _report(e: Exception, category: str, code: int) -> int:
+    """Print the one JSON error line on stderr and return the exit code."""
+    print(
+        json.dumps(
+            {
+                "error": type(e).__name__,
+                "category": category,
+                "message": str(e),
+                "exit_code": code,
+            },
+            sort_keys=True,
+        ),
+        file=sys.stderr,
+    )
+    return code
 
 
 if __name__ == "__main__":

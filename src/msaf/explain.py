@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedModel,
 )
 from .models import GbtModel, RfModel, SvmModel, TrainedModel
-from .models._common import child_seed
+from .models._common import child_seed, require_int
 
 EXACT_FEATURE_LIMIT = 20
 
@@ -234,6 +234,7 @@ def kernel_shap(
     for any coalition sample. On a singular normal system the solve is
     retried with ridge regularization ridge*I and flagged in meta.
     """
+    require_int("n_samples", n_samples, 1)
     d = x_row.size
     v0 = np.asarray(score_fn(background), dtype=np.float64).mean(axis=0)
     fx = np.asarray(score_fn(x_row[np.newaxis, :]), dtype=np.float64)[0]

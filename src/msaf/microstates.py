@@ -18,20 +18,16 @@ depend on the order of float summation.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     AmbiguousLabels,
     DegenerateMap,
     DegenerateSample,
     EmptyCluster,
-    InvalidConfig,
     MontageMismatch,
     NonFiniteData,
     NoPeaks,
@@ -40,6 +36,7 @@ from .errors import (
     ZeroGfp,
 )
 from .io import Recording, _freeze
+from .models._common import require_int, require_real
 
 logger = logging.getLogger("msaf.microstates")
 
@@ -357,13 +354,9 @@ def _reseed_empty(
 
 def _check_kmeans_params(n_inits, max_iter, tol) -> None:
     """Raise InvalidConfig unless the k-means iteration settings are usable."""
-    for name, v in (("n_inits", n_inits), ("max_iter", max_iter)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise InvalidConfig(f"kmeans {name} must be an integer >= 1, got {v!r}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
-        math.isfinite(tol) and tol >= 0
-    ):
-        raise InvalidConfig(f"kmeans tol must be a finite number >= 0, got {tol!r}")
+    require_int("kmeans n_inits", n_inits, 1)
+    require_int("kmeans max_iter", max_iter, 1)
+    require_real("kmeans tol", tol)
 
 
 def modified_kmeans(
@@ -688,6 +681,9 @@ def label_maps(
         raise AmbiguousLabels(
             f"{templates.k} templates cannot label {maps.k} maps uniquely"
         )
+    # imported here: scipy.optimize costs start-up time in every verb that never labels
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.empty((maps.k, templates.k))
     for i in range(maps.k):
         for j in range(templates.k):

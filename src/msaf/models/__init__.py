@@ -11,6 +11,7 @@ import inspect
 from typing import Callable, Union
 
 from ..errors import InvalidConfig, UnsupportedModel
+from . import boosted, forest, svm
 from .boosted import GbtModel, train_gbt
 from .evaluate import (
     DEFAULT_GRIDS,
@@ -32,20 +33,40 @@ _TRAINERS: dict[str, Callable] = {
     "gbt": train_gbt,
 }
 
+_RANGE_CHECKS: dict[str, Callable] = {
+    "svm": svm.check_hyperparams,
+    "rf": forest.check_hyperparams,
+    "gbt": boosted.check_hyperparams,
+}
+
 MODEL_KINDS = tuple(sorted(_TRAINERS))
 
 
-def check_params(kind: str, names) -> None:
-    """Raise a ConfigError unless every name is a hyperparameter of kind."""
+def check_params(kind: str, params: dict, grid: dict | None = None) -> None:
+    """Raise a ConfigError unless params and every grid value suit kind.
+
+    Names must be hyperparameters of the trainer; values, with the
+    trainer's defaults for the rest, must pass its range check, and so
+    must each grid value in turn. Grid entries are non-empty lists.
+    """
     if kind not in _TRAINERS:
         raise UnsupportedModel(f"unknown model kind {kind!r}, expected {MODEL_KINDS}")
-    accepted = [
-        p for p in inspect.signature(_TRAINERS[kind]).parameters
-        if p not in ("x", "y", "seed")
-    ]
-    unknown = sorted(set(names) - set(accepted))
+    signature = inspect.signature(_TRAINERS[kind]).parameters
+    defaults = {
+        name: p.default for name, p in signature.items() if name not in ("x", "y", "seed")
+    }
+    unknown = sorted((set(params) | set(grid or {})) - set(defaults))
     if unknown:
-        raise InvalidConfig(f"unknown {kind} parameters {unknown}; accepted: {accepted}")
+        raise InvalidConfig(
+            f"unknown {kind} parameters {unknown}; accepted: {list(defaults)}"
+        )
+    settings = {**defaults, **params}
+    _RANGE_CHECKS[kind](**settings)
+    for name, values in (grid or {}).items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise InvalidConfig(f"grid entry {name!r} must be a non-empty list")
+        for value in values:
+            _RANGE_CHECKS[kind](**{**settings, name: value})
 
 
 def train_model(kind: str, x, y, params: dict | None = None, seed: int = 0) -> TrainedModel:

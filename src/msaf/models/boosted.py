@@ -16,8 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import InvalidConfig, TooFewSamplesForValidation
-from ._common import first_best_split, leaf_rows, validate_x, validate_xy
+from ..errors import TooFewSamplesForValidation
+from ._common import (
+    first_best_split,
+    leaf_rows,
+    require_int,
+    require_real,
+    validate_x,
+    validate_xy,
+)
 
 
 @dataclass
@@ -171,6 +178,19 @@ def _cross_entropy(probs: np.ndarray, y_idx: np.ndarray) -> float:
     return float(-np.mean(np.log(picked)))
 
 
+def check_hyperparams(
+    n_rounds, learning_rate, max_depth, lam, gamma_leaf, valid_fraction, patience
+) -> None:
+    """Raise InvalidConfig unless every boosting hyperparameter is in range."""
+    require_int("gbt n_rounds", n_rounds, 1)
+    require_real("gbt learning_rate", learning_rate, strict=True)
+    require_int("gbt max_depth", max_depth, 1)
+    require_real("gbt lam", lam)
+    require_real("gbt gamma_leaf", gamma_leaf)
+    require_real("gbt valid_fraction", valid_fraction)
+    require_int("gbt patience", patience, 0)
+
+
 def train_gbt(
     x,
     y,
@@ -197,10 +217,9 @@ def train_gbt(
     """
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
-    if n_rounds < 1 or max_depth < 1:
-        raise InvalidConfig("n_rounds and max_depth must be >= 1")
-    if lam < 0 or gamma_leaf < 0 or learning_rate <= 0:
-        raise InvalidConfig("need lam >= 0, gamma_leaf >= 0, learning_rate > 0")
+    check_hyperparams(
+        n_rounds, learning_rate, max_depth, lam, gamma_leaf, valid_fraction, patience
+    )
     index_of = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
     n_classes = len(classes)

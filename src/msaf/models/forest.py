@@ -20,6 +20,7 @@ from ._common import (
     child_seed,
     first_best_split,
     leaf_rows,
+    require_int,
     validate_x,
     validate_xy,
 )
@@ -154,6 +155,24 @@ class RfModel:
         )
 
 
+def check_hyperparams(
+    n_trees, max_depth, min_samples_split, bootstrap, n_features_per_split
+) -> None:
+    """Raise InvalidConfig unless every forest hyperparameter is in range.
+
+    The upper bound of n_features_per_split, the table width, is
+    checked when training starts.
+    """
+    require_int("rf n_trees", n_trees, 1)
+    if max_depth is not None:
+        require_int("rf max_depth", max_depth, 1)
+    require_int("rf min_samples_split", min_samples_split, 2)
+    if not isinstance(bootstrap, bool):
+        raise InvalidConfig(f"rf bootstrap must be true or false, got {bootstrap!r}")
+    if n_features_per_split is not None:
+        require_int("rf n_features_per_split", n_features_per_split, 1)
+
+
 def train_rf(
     x,
     y,
@@ -179,10 +198,9 @@ def train_rf(
     """
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
-    if n_trees < 1:
-        raise InvalidConfig(f"n_trees must be >= 1, got {n_trees}")
+    check_hyperparams(n_trees, max_depth, min_samples_split, bootstrap, n_features_per_split)
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
-    if not 1 <= mtry <= d:
+    if mtry > d:
         raise InvalidConfig(f"features per split must be in [1, {d}], got {mtry}")
     index_of = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
@@ -193,7 +211,7 @@ def train_rf(
         trees.append(
             _grow(
                 x, y_idx, rows, len(classes), 0, max_depth,
-                max(2, min_samples_split), mtry, rng,
+                min_samples_split, mtry, rng,
             )
         )
     return RfModel(

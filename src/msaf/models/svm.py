@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig
-from ._common import validate_x, validate_xy
+from ._common import require_int, require_real, validate_x, validate_xy
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -158,6 +157,14 @@ def _smo(
     return alpha, bias, max(gap, 0.0), it
 
 
+def check_hyperparams(c, gamma, tol, max_iter) -> None:
+    """Raise InvalidConfig unless every SVM hyperparameter is in range."""
+    require_real("svm c", c, strict=True)
+    require_real("svm gamma", gamma, strict=True)
+    require_real("svm tol", tol)
+    require_int("svm max_iter", max_iter, 1)
+
+
 def train_svm_ovr(
     x,
     y,
@@ -182,8 +189,7 @@ def train_svm_ovr(
     """
     del seed
     x, y, classes = validate_xy(x, y)
-    if gamma <= 0 or c <= 0:
-        raise InvalidConfig(f"c and gamma must be positive, got c={c} gamma={gamma}")
+    check_hyperparams(c, gamma, tol, max_iter)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)

@@ -53,7 +53,7 @@ from .microstates import (
     modified_kmeans,
 )
 from .models import MODEL_KINDS, check_params, make_trainer, model_to_json_dict
-from .models._common import child_seed
+from .models._common import child_seed, require_int, require_real
 from .models.evaluate import grid_search, stratified_kfold_cv
 from .explain import explain, global_ranking
 from .preprocess import (
@@ -165,11 +165,10 @@ class PipelineConfig:
             if not 0.0 < lo < hi:
                 raise InvalidConfig(f"band must satisfy 0 < low < high, got {self.band!r}")
             object.__setattr__(self, "band", (lo, hi))
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
+        require_int("k", self.k, 1)
         object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
-        if self.min_peak_distance_ms < 0 or self.min_segment_ms < 0:
-            raise InvalidConfig("minimum distances must be >= 0")
+        require_real("min_peak_distance_ms", self.min_peak_distance_ms)
+        require_real("min_segment_ms", self.min_segment_ms)
         if self.labeling != "template":
             if not os.path.isfile(self.labeling):
                 raise InvalidConfig(
@@ -189,17 +188,11 @@ class PipelineConfig:
         if not isinstance(clf.get("params", {}), dict):
             raise InvalidConfig("classifier params must be an object")
         clf.setdefault("params", {})
-        check_params(clf["kind"], clf["params"])
+        if self.grid is not None and (not isinstance(self.grid, dict) or not self.grid):
+            raise InvalidConfig("grid must be a non-empty object of lists")
+        check_params(clf["kind"], clf["params"], self.grid)
         object.__setattr__(self, "classifier", clf)
-        if self.grid is not None:
-            if not isinstance(self.grid, dict) or not self.grid:
-                raise InvalidConfig("grid must be a non-empty object of lists")
-            for key, vals in self.grid.items():
-                if not isinstance(vals, (list, tuple)) or not vals:
-                    raise InvalidConfig(f"grid entry {key!r} must be a non-empty list")
-            check_params(clf["kind"], self.grid)
-        if not isinstance(self.cv_folds, int) or self.cv_folds < 2:
-            raise InvalidConfig(f"cv_folds must be an integer >= 2, got {self.cv_folds!r}")
+        require_int("cv_folds", self.cv_folds, 2)
         ex = {"method": "auto", "n_samples": 2048, "background": 64}
         if self.explain is not None:
             extra = set(self.explain) - set(ex)
@@ -210,11 +203,10 @@ class PipelineConfig:
             raise InvalidConfig(
                 f"explain method must be one of {_EXPLAIN_METHODS}, got {ex['method']!r}"
             )
-        if int(ex["background"]) < 1:
-            raise InvalidConfig("explain background must be >= 1")
+        require_int("explain n_samples", ex["n_samples"], 1)
+        require_int("explain background", ex["background"], 1)
         object.__setattr__(self, "explain", ex)
-        if not isinstance(self.seed, int):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        require_int("seed", self.seed, 0)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PipelineConfig":
@@ -550,7 +542,7 @@ def run_pipeline(
     artifacts.append("eval.json")
 
     logger.info("explaining predictions (%s)", cfg.explain["method"])
-    n_bg = min(int(cfg.explain["background"]), table.n_rows)
+    n_bg = min(cfg.explain["background"], table.n_rows)
     bg_rng = np.random.default_rng([child_seed(cfg.seed, 500)])
     bg_idx = np.sort(bg_rng.choice(table.n_rows, size=n_bg, replace=False))
     expl = explain(
@@ -558,7 +550,7 @@ def run_pipeline(
         table.values,
         table.values[bg_idx],
         method=cfg.explain["method"],
-        n_samples=int(cfg.explain["n_samples"]),
+        n_samples=cfg.explain["n_samples"],
         seed=child_seed(cfg.seed, 501),
         feature_names=table.feature_names,
     )

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     DegenerateChannel,
@@ -157,6 +156,41 @@ def design_fir_notch(freq: float, width: float, fs: float) -> FirFilter:
     return FirFilter(taps=taps, fs=fs, kind="notch", band=(freq, width))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the length scipy.fft.next_fast_len(n, real=True) picks."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Each row of x convolved with taps, centred to x's length ("same" mode).
+
+    The FFT length is the 5-smooth one SciPy's fftconvolve uses, so the
+    output bits equal scipy.signal.fftconvolve(x, taps[None], "same", axes=1).
+    """
+    n, m = x.shape[1], taps.size
+    full = n + m - 1
+    if n == 1 or m == 1:
+        # a length-1 factor: SciPy multiplies directly instead of transforming
+        out = x * taps
+    else:
+        size = _fast_len(full)
+        spec = np.fft.rfft(x, size, axis=1) * np.fft.rfft(taps, size)
+        out = np.fft.irfft(spec, size, axis=1)
+    start = (full - n) // 2
+    return out[:, start:start + n].copy()
+
+
 def apply_fir(rec: Recording, filt: FirFilter) -> Recording:
     """Filter every channel, compensating the group delay.
 
@@ -166,7 +200,7 @@ def apply_fir(rec: Recording, filt: FirFilter) -> Recording:
         raise RateMismatch(
             f"filter designed for fs={filt.fs}, recording has fs={rec.fs}"
         )
-    out = fftconvolve(rec.data, filt.taps[np.newaxis, :], mode="same", axes=1)
+    out = _convolve_same(rec.data, filt.taps)
     note = f"fir_{filt.kind}:" + ",".join(format(b, "g") for b in filt.band)
     return rec.with_data(out, note=note)
 
@@ -274,7 +308,7 @@ def resample(rec: Recording, new_fs: float) -> Recording:
     filt = design_fir_lowpass(0.45 * f_min, fs_up, transition=0.1 * f_min)
     stuffed = np.zeros((rec.n_channels, rec.n_samples * up))
     stuffed[:, ::up] = rec.data
-    smooth = fftconvolve(stuffed, (up * filt.taps)[np.newaxis, :], mode="same", axes=1)
+    smooth = _convolve_same(stuffed, up * filt.taps)
     n_out = round(Fraction(rec.n_samples * up, down))
     out = smooth[:, ::down][:, :n_out]
     if out.shape[1] < n_out:

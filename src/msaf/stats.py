@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .errors import (
     ConstantSample,
@@ -83,6 +82,9 @@ def chi_square_sf(x: float, df: int) -> float:
         raise InvalidDomain(f"df must be a positive integer, got {df!r}")
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
         raise InvalidDomain(f"statistic must be finite and >= 0, got {x!r}")
+    # imported here: scipy.special costs start-up time in every verb without statistics
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
@@ -131,6 +133,9 @@ def shapiro_wilk(sample) -> TestResult:
         raise SampleSizeOutOfRange(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
     if x[0] == x[-1]:
         raise ConstantSample("all observations identical, W undefined")
+
+    # imported here: scipy.special costs start-up time in every verb without statistics
+    from scipy.special import ndtri
 
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     mm = float(m @ m)

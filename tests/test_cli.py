@@ -3,10 +3,14 @@ import filecmp
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import msaf
+import msaf.cli
 from msaf import load_feature_table, load_recording, read_json
 from msaf.cli import main
 from msaf.pipeline import load_input_recordings
@@ -318,6 +322,145 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
             "--out", str(out), *flags]
     assert main(argv) == 2
     _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize("bad", [
+    {"min_peak_distance_ms": "x"},
+    {"min_peak_distance_ms": -1.0},
+    {"min_peak_distance_ms": float("inf")},
+    {"min_segment_ms": "x"},
+    {"min_segment_ms": float("nan")},
+    {"min_segment_ms": -5},
+    {"explain": {"n_samples": 0}},
+    {"explain": {"n_samples": 2.5}},
+    {"explain": {"n_samples": True}},
+    {"explain": {"background": "abc"}},
+    {"explain": {"background": 0}},
+    {"seed": True},
+    {"seed": -1},
+    {"classifier": {"kind": "svm", "params": {"gamma": -1}}},
+    {"classifier": {"kind": "svm", "params": {"c": "1"}}},
+    {"classifier": {"kind": "svm"}, "grid": {"c": [1.0, -1.0]}},
+    {"classifier": {"kind": "svm"}, "grid": {"gamma": 0.1}},
+    {"classifier": {"kind": "rf", "params": {"n_trees": 0}}},
+    {"classifier": {"kind": "rf", "params": {"min_samples_split": 1}}},
+    {"classifier": {"kind": "rf", "params": {"bootstrap": 1}}},
+    {"classifier": {"kind": "rf"}, "grid": {"n_features_per_split": [2, 0]}},
+    {"classifier": {"kind": "gbt", "params": {"learning_rate": "x"}}},
+    {"classifier": {"kind": "gbt", "params": {"patience": -1}}},
+    {"classifier": {"kind": "gbt"}, "grid": {"max_depth": [3, 1.5]}},
+])
+def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {"input_dir": str(work / "data"), "out_dir": str(out), **bad}
+    assert main(["run", "--config", _write(tmp_path / "c.json", doc)]) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_segment_bad_peak_distance(work, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "c.json", {"min_peak_distance_ms": "x"})
+    assert main(["segment", str(work / "data"), "--config", cfg, "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize("seed", ["3", True, 1.5, -2])
+@pytest.mark.parametrize("verb", ["synth", "segment", "group-maps"])
+def test_bad_config_seed_is_config_error(verb, seed, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    if verb == "synth":
+        doc = {"kind": "cohort", "n_per_class": 1, "seed": seed}
+        argv = ["synth"]
+    else:
+        doc = {"seed": seed}
+        argv = [verb, str(work / ("data" if verb == "segment" else "subj"))]
+    argv += ["--config", _write(tmp_path / "c.json", doc), "--out", str(out)]
+    assert main(argv) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_kernel_explain_rejects_zero_samples(work, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert main(["explain", str(work / "model.json"), str(work / "features.csv"),
+                 "--method", "kernel", "--n-samples", "0", "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_unexpected_exception_is_one_internal_error_line(work, tmp_path, capsys, monkeypatch):
+    def broken(table):
+        raise ImportError("No module named 'scipy.special'")
+
+    monkeypatch.setattr(msaf.cli, "compute_stats", broken)
+    out = tmp_path / "s.json"
+    assert main(["stats", str(work / "features.csv"), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ImportError",
+        "category": "InternalError",
+        "message": "No module named 'scipy.special'",
+        "exit_code": 1,
+    }
+    assert not out.exists()
+
+
+def test_interrupt_and_usage_errors_are_not_caught(work, tmp_path, monkeypatch):
+    def interrupted(table):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(msaf.cli, "compute_stats", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["stats", str(work / "features.csv"), "--out", str(tmp_path / "s.json")])
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-verb"])
+    assert exc.value.code == 2
+
+
+# SciPy subpackages that verbs without filtering, labeling or statistics
+# must not import: each costs start-up time in every such process.
+_HEAVY_SCIPY = ("signal", "stats", "optimize", "special", "fft", "interpolate", "linalg")
+
+_IMPORT_PROBE = """
+import json, sys
+import msaf.cli
+for argv in json.loads(sys.argv[1]):
+    assert msaf.cli.main(argv) == 0, argv
+heavy = ["scipy." + m for m in json.loads(sys.argv[2])]
+print(json.dumps(sorted(
+    n for n in sys.modules if any(n == h or n.startswith(h + ".") for h in heavy)
+)))
+"""
+
+
+def _scipy_loaded_after(verbs) -> list:
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(verbs), json.dumps(_HEAVY_SCIPY)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    assert _scipy_loaded_after([]) == []
+
+
+def test_stage_verbs_load_no_heavy_scipy(work, tmp_path):
+    feats, model = str(tmp_path / "f.csv"), str(tmp_path / "m.json")
+    verbs = [
+        ["features", str(work / "segs"), "--out", feats],
+        ["train", feats, "--out", model],
+        ["evaluate", feats, "--model", "gbt", "--folds", "2",
+         "--params", '{"n_rounds": 3, "valid_fraction": 0}',
+         "--out", str(tmp_path / "e.json")],
+        ["explain", model, feats, "--background", "3", "--n-samples", "64",
+         "--out", str(tmp_path / "s.json")],
+    ]
+    assert _scipy_loaded_after(verbs) == []
+    assert read_json(str(tmp_path / "s.json"))["method"] == "kernel"
 
 
 def test_exit_code_3_on_unlabeled_stats(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Filter design against a direct DTFT oracle, plus the deterministic
 reference/normalization/resampling transforms."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.signal import fftconvolve
 
 from msaf import (
     EmptyCrop,
@@ -15,6 +18,7 @@ from msaf import (
     average_reference,
     crop,
     design_fir_bandpass,
+    design_fir_lowpass,
     design_fir_notch,
     is_average_referenced,
     resample,
@@ -23,6 +27,7 @@ from msaf import (
     zscore_channels,
 )
 
+from msaf.preprocess import _convolve_same, _fast_len
 from oracles import db, dtft_magnitude
 
 
@@ -170,3 +175,67 @@ def test_preprocess_is_pure():
     average_reference(rec)
     apply_fir(rec, design_fir_bandpass(4.0, 8.0, rec.fs))
     assert np.array_equal(rec.data, before)
+
+
+def test_fast_len_matches_scipy():
+    assert [_fast_len(n) for n in range(1, 20001)] == [
+        scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)
+    ]
+
+
+def _scipy_same(x, taps):
+    return fftconvolve(x, taps[np.newaxis, :], mode="same", axes=1)
+
+
+@pytest.mark.parametrize("fs", [128.0, 250.0, 500.0])
+@pytest.mark.parametrize("design", ["bandpass", "lowpass", "notch"])
+def test_apply_fir_bit_identical_to_fftconvolve(fs, design):
+    filt = {
+        "bandpass": lambda: design_fir_bandpass(1.0, 30.0, fs),
+        "lowpass": lambda: design_fir_lowpass(20.0, fs),
+        "notch": lambda: design_fir_notch(50.0, 2.0, fs),
+    }[design]()
+    rng = np.random.default_rng(int(fs))
+    m = filt.n_taps
+    # odd and even lengths, shorter than, equal to and longer than the taps
+    for n in (1, 2, 7, 100, m - 1, m, m + 1, 1000, 3001):
+        rec = _rec(rng.standard_normal((3, n)), fs=fs)
+        out = apply_fir(rec, filt)
+        assert np.array_equal(out.data, _scipy_same(rec.data, filt.taps)), n
+
+
+def test_convolve_same_even_and_short_taps():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 4, 9, 64):
+        taps = rng.standard_normal(m)
+        for n in (1, 2, 5, 63, 64, 65, 500):
+            x = rng.standard_normal((2, n))
+            assert np.array_equal(_convolve_same(x, taps), _scipy_same(x, taps)), (m, n)
+
+
+def _scipy_resample(rec, new_fs):
+    """resample() with scipy.signal.fftconvolve as its convolution."""
+    ratio = (
+        Fraction(new_fs).limit_denominator(10**6)
+        / Fraction(rec.fs).limit_denominator(10**6)
+    ).limit_denominator(10**6)
+    up, down = ratio.numerator, ratio.denominator
+    f_min = min(rec.fs, new_fs)
+    filt = design_fir_lowpass(0.45 * f_min, rec.fs * up, transition=0.1 * f_min)
+    stuffed = np.zeros((rec.n_channels, rec.n_samples * up))
+    stuffed[:, ::up] = rec.data
+    smooth = _scipy_same(stuffed, up * filt.taps)
+    n_out = round(Fraction(rec.n_samples * up, down))
+    out = smooth[:, ::down][:, :n_out]
+    return np.pad(out, ((0, 0), (0, n_out - out.shape[1])))
+
+
+@pytest.mark.parametrize("fs,new_fs", [
+    (250.0, 200.0), (250.0, 500.0), (500.0, 128.0), (128.0, 250.0), (250.0, 100.0),
+])
+def test_resample_bit_identical_to_fftconvolve(fs, new_fs):
+    rng = np.random.default_rng(7)
+    for n in (3, 250, 1001):
+        rec = _rec(rng.standard_normal((3, n)), fs=fs)
+        out = resample(rec, new_fs)
+        assert np.array_equal(out.data, _scipy_resample(rec, new_fs)), n
