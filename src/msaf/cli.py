@@ -28,9 +28,9 @@ from .errors import (
 from .explain import ShapExplanation, explain, global_ranking
 from .features import build_feature_table, extract_features
 from .io import (
+    commit_recording,
     load_feature_table,
     read_json,
-    save_recording,
     standard_1020_montage,
 )
 from .microstates import (
@@ -46,9 +46,8 @@ from .models import (
     check_params,
     make_trainer,
     model_from_json_dict,
-    model_to_json_dict,
 )
-from .models._common import child_seed, require_int
+from .models._common import child_seed, require_int, require_real
 from .models.evaluate import grid_search, stratified_kfold_cv
 from .pipeline import (
     PipelineConfig,
@@ -63,6 +62,7 @@ from .pipeline import (
     _commit_json,
     _commit_text,
     _ordered_map,
+    _ranking_csv,
     _segmentation_json,
 )
 from .synth import (
@@ -252,10 +252,7 @@ def _cmd_preprocess(args) -> int:
         lambda r: preprocess_recording(r, cfg), recs, args.threads
     )
     for rec in done:
-        stem = os.path.join(out, rec.subject_id)
-        save_recording(rec, stem + ".partial")
-        os.replace(stem + ".partial.eegb", stem + ".eegb")
-        os.replace(stem + ".partial.json", stem + ".json")
+        commit_recording(rec, os.path.join(out, rec.subject_id))
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0
 
@@ -282,36 +279,41 @@ def _cmd_synth(args) -> int:
     doc = _load_config(args)
     kind = doc.get("kind", "cohort")
     seed = _seed_of(args, doc)
-    os.makedirs(out, exist_ok=True)
-    truth_dir = os.path.join(out, "truth")
-    os.makedirs(truth_dir, exist_ok=True)
+    n_per_class = doc.get("n_per_class", 10)
 
     if kind == "cohort":
         allowed = {"kind", "n_per_class", "seed", "profiles", "base"}
         unknown = set(doc) - allowed
         if unknown:
             raise InvalidConfig(f"unknown synth keys {sorted(unknown)}")
+        require_int("n_per_class", n_per_class, 1)
         profiles = (
             _normalize_profiles(doc["profiles"]) if doc.get("profiles") else None
         )
         pairs = make_cohort(
-            int(doc.get("n_per_class", 10)),
-            profiles=profiles,
-            seed=seed,
-            base=doc.get("base"),
+            n_per_class, profiles=profiles, seed=seed, base=doc.get("base")
         )
     elif kind == "band_cohort":
         allowed = {"kind", "n_per_class", "band", "snr", "duration", "fs", "seed"}
         unknown = set(doc) - allowed
         if unknown:
             raise InvalidConfig(f"unknown synth keys {sorted(unknown)}")
+        require_int("n_per_class", n_per_class, 1)
+        settings = {"snr": 4.0, "duration": 20.0, "fs": 250.0}
+        settings.update((k, doc[k]) for k in settings if k in doc)
+        for name, value in settings.items():
+            if not (name == "snr" and value == float("inf")):  # inf: noiseless
+                require_real(name, value, strict=True)
+        band = doc.get("band", (4.0, 8.0))
+        if not isinstance(band, (list, tuple)) or len(band) != 2:
+            raise InvalidConfig(f"band must be [low, high], got {band!r}")
+        for edge in band:
+            require_real("band edge", edge, strict=True)
         pairs = make_band_cohort(
-            int(doc.get("n_per_class", 10)),
-            band=tuple(doc.get("band", (4.0, 8.0))),
+            n_per_class,
+            band=tuple(band),
             seed=seed,
-            snr=float(doc.get("snr", 4.0)),
-            duration=float(doc.get("duration", 20.0)),
-            fs=float(doc.get("fs", 250.0)),
+            **{name: float(value) for name, value in settings.items()},
         )
     elif kind == "single":
         fields = dict(doc)
@@ -322,11 +324,10 @@ def _cmd_synth(args) -> int:
     else:
         raise InvalidConfig(f"synth kind must be cohort|band_cohort|single, got {kind!r}")
 
+    truth_dir = os.path.join(out, "truth")
+    os.makedirs(truth_dir, exist_ok=True)
     for rec, seg in pairs:
-        stem = os.path.join(out, rec.subject_id)
-        save_recording(rec, stem + ".partial")
-        os.replace(stem + ".partial.eegb", stem + ".eegb")
-        os.replace(stem + ".partial.json", stem + ".json")
+        commit_recording(rec, os.path.join(out, rec.subject_id))
         _commit_json(
             os.path.join(truth_dir, rec.subject_id + ".json"),
             _segmentation_json(rec, seg),
@@ -412,6 +413,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_backfit(args) -> int:
     out = _need(args, "out", "--out")
+    require_real("--min-segment-ms", args.min_segment_ms)
     gmaps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
     recs = load_input_recordings(args.input_dir)
     os.makedirs(out, exist_ok=True)
@@ -494,7 +496,7 @@ def _cmd_train(args) -> int:
     model = make_trainer(args.model, params)(
         table.values, table.y, child_seed(seed, 301)
     )
-    doc = model_to_json_dict(model)
+    doc = model.to_json_dict()
     doc["feature_names"] = list(table.feature_names)
     doc["class_names"] = list(table.class_names)
     if grid_doc:
@@ -577,22 +579,16 @@ def _cmd_explain_rank(args) -> int:
     class_names = [
         str(c) for c in doc.get("class_names", [str(c) for c in expl.classes])
     ]
-    lines = ["scope,rank,feature,mean_abs_shap"]
-    overall = global_ranking(expl)
-    for rank, (feat, score) in enumerate(overall.entries, start=1):
-        lines.append(f"all,{rank},{feat},{repr(float(score))}")
     base = os.path.splitext(out)[0]
     for ci, cname in enumerate(class_names):
         ranked = global_ranking(expl, class_index=ci)
-        for rank, (feat, score) in enumerate(ranked.entries, start=1):
-            lines.append(f"{cname},{rank},{feat},{repr(float(score))}")
         svg = render_bar_chart(
             [n for n, _ in ranked.entries],
             [s for _, s in ranked.entries],
             title=f"mean |attribution|: {cname}",
         )
         _commit_text(f"{base}_{cname}.svg", svg)
-    _commit_text(out, "\n".join(lines) + "\n")
+    _commit_text(out, _ranking_csv(expl, class_names))
     print(f"ranking ({len(class_names)} classes) -> {out}")
     return 0
 

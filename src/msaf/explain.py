@@ -42,6 +42,7 @@ from .errors import (
 )
 from .models import GbtModel, RfModel, SvmModel, TrainedModel
 from .models._common import child_seed, require_int
+from .models.forest import leaf_scores
 
 EXACT_FEATURE_LIMIT = 20
 
@@ -274,74 +275,37 @@ def kernel_shap(
 # --- interventional TreeSHAP ---
 
 
-def _collect_leaves(node, bounds: dict, out: list, value_fn):
-    if node.is_leaf:
-        feats = np.array(sorted(bounds.keys()), dtype=np.int64)
-        lo = np.array([bounds[f][0] for f in feats])
-        hi = np.array([bounds[f][1] for f in feats])
-        out.append((feats, lo, hi, value_fn(node)))
-        return
-    f, t = node.feature, node.threshold
-    lo, hi = bounds.get(f, (-np.inf, np.inf))
-    if lo < t:
-        _collect_leaves(node.left, {**bounds, f: (lo, min(hi, t))}, out, value_fn)
-    if hi > t:
-        _collect_leaves(node.right, {**bounds, f: (max(lo, t), hi)}, out, value_fn)
-
-
 def _model_leaf_tables(model) -> tuple[list, np.ndarray]:
-    """Per-tree leaf constraint tables and the constant score offset."""
-    tables = []
+    """(features, lo, hi, class values) of every reachable leaf, and the score offset."""
     if isinstance(model, RfModel):
-        n_classes = len(model.classes)
-        n_trees = len(model.trees)
-
-        def rf_value(leaf):
-            total = leaf.counts.sum()
-            if total <= 0:
-                return np.zeros(n_classes)
-            return leaf.counts / total / n_trees
-
-        for tree in model.trees:
-            leaves: list = []
-            _collect_leaves(tree, {}, leaves, rf_value)
-            tables.append(leaves)
-        return tables, np.zeros(n_classes)
-    if isinstance(model, GbtModel):
-        n_classes = len(model.classes)
-        lr = model.learning_rate
-        for round_trees in model.trees:
-            for c, tree in enumerate(round_trees):
-                onehot = np.zeros(n_classes)
-                onehot[c] = 1.0
-
-                def gb_value(leaf, _onehot=onehot):
-                    return _onehot * (lr * leaf.weight)
-
-                leaves = []
-                _collect_leaves(tree, {}, leaves, gb_value)
-                tables.append(leaves)
-        return tables, model.base_scores.copy()
-    raise UnsupportedModel(
-        f"tree explanations need a tree ensemble, got {type(model).__name__}"
-    )
+        trees = [(t, leaf_scores(t) / len(model.trees)) for t in model.trees]
+        offset = np.zeros(len(model.classes))
+    elif isinstance(model, GbtModel):
+        onehot = np.eye(len(model.classes))
+        trees = [
+            (t, (model.learning_rate * t.value)[:, np.newaxis] * onehot[c])
+            for round_trees in model.trees
+            for c, t in enumerate(round_trees)
+        ]
+        offset = model.base_scores.copy()
+    else:
+        raise UnsupportedModel(
+            f"tree explanations need a tree ensemble, got {type(model).__name__}"
+        )
+    leaves = [
+        (feats, lo, hi, values[leaf])
+        for tree, values in trees
+        for leaf, feats, lo, hi in tree.leaf_boxes()
+    ]
+    return leaves, offset
 
 
 def _factorial_tables(max_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """W_in[a, c] = (a-1)! c! / (a+c)!; W_out[a, c] = a! (c-1)! / (a+c)!."""
-    w_in = np.zeros((max_n + 1, max_n + 1))
-    w_out = np.zeros((max_n + 1, max_n + 1))
-    for a in range(max_n + 1):
-        for c in range(max_n + 1):
-            if a >= 1:
-                w_in[a, c] = (
-                    math.factorial(a - 1) * math.factorial(c) / math.factorial(a + c)
-                )
-            if c >= 1:
-                w_out[a, c] = (
-                    math.factorial(a) * math.factorial(c - 1) / math.factorial(a + c)
-                )
-    return w_in, w_out
+    """W_in[a, c] = (a-1)! c! / (a+c)!; W_out[a, c] = a! (c-1)! / (a+c)! = W_in[c, a]."""
+    f = math.factorial
+    n = range(max_n + 1)
+    w_in = np.array([[f(a - 1) * f(c) / f(a + c) if a else 0.0 for c in n] for a in n])
+    return w_in, w_in.T
 
 
 def tree_shap(
@@ -358,41 +322,38 @@ def tree_shap(
 
 def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
     """phi (n, d, C) of every row of x (n, d) and phi0, in one pass over the leaves."""
-    tables, offset = _model_leaf_tables(model)
+    leaves, offset = _model_leaf_tables(model)
     n = x.shape[0]
     b = background.shape[0]
-    max_path = max(
-        (len(leaf[0]) for leaves in tables for leaf in leaves), default=1
-    )
+    max_path = max((len(leaf[0]) for leaf in leaves), default=1)
     w_in, w_out = _factorial_tables(max(max_path, 1))
     phi = np.zeros((n, model.n_features, len(model.classes)))
     phi0 = np.zeros(len(model.classes))
-    for leaves in tables:
-        for feats, lo, hi, value in leaves:
-            if feats.size == 0:
-                phi0 += value
-                continue
-            bf = background[:, feats].T
-            b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
-            n_base = int(b_ok.all(axis=0).sum())
-            if n_base:
-                phi0 += value * (n_base / b)
-            xf = x[:, feats]
-            x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
-            alive = ~np.any(~x_ok & ~b_ok, axis=1)
-            if not alive.any():
-                continue
-            in_mask = x_ok & ~b_ok
-            out_mask = ~x_ok & b_ok
-            a_count = in_mask.sum(axis=1)
-            c_count = out_mask.sum(axis=1)
-            win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
-            wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
-            # a matrix-vector product per row: each row sums as a one-row call
-            in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
-            out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
-            contrib = (in_total - out_total) / b
-            phi[:, feats] += contrib * value
+    for feats, lo, hi, value in leaves:
+        if feats.size == 0:
+            phi0 += value
+            continue
+        bf = background[:, feats].T
+        b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
+        n_base = int(b_ok.all(axis=0).sum())
+        if n_base:
+            phi0 += value * (n_base / b)
+        xf = x[:, feats]
+        x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
+        alive = ~np.any(~x_ok & ~b_ok, axis=1)
+        if not alive.any():
+            continue
+        in_mask = x_ok & ~b_ok
+        out_mask = ~x_ok & b_ok
+        a_count = in_mask.sum(axis=1)
+        c_count = out_mask.sum(axis=1)
+        win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
+        wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
+        # a matrix-vector product per row: each row sums as a one-row call
+        in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
+        out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
+        contrib = (in_total - out_total) / b
+        phi[:, feats] += contrib * value
     phi0 += offset
     return phi, phi0
 

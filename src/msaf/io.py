@@ -285,6 +285,12 @@ def save_recording(rec: Recording, path: str) -> tuple[str, str]:
     return bin_path, json_path
 
 
+def commit_recording(rec: Recording, stem: str) -> None:
+    """Save `<stem>.partial.eegb`/`.json`, then rename both into place."""
+    for partial in save_recording(rec, stem + ".partial"):
+        os.replace(partial, stem + os.path.splitext(partial)[1])
+
+
 def load_recording(path: str) -> Recording:
     """Read a recording stored by :func:`save_recording`.
 

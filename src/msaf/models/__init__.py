@@ -85,10 +85,6 @@ def make_trainer(kind: str, params: dict | None = None) -> Callable:
     return trainer
 
 
-def model_to_json_dict(model: TrainedModel) -> dict:
-    return model.to_json_dict()
-
-
 def model_from_json_dict(d: dict) -> TrainedModel:
     kind = d.get("kind")
     if kind == "svm":
@@ -114,7 +110,6 @@ __all__ = [
     "grid_search",
     "make_trainer",
     "model_from_json_dict",
-    "model_to_json_dict",
     "stratified_fold_indices",
     "stratified_kfold_cv",
     "train_gbt",

@@ -1,8 +1,9 @@
-"""Shared input validation, seed derivation and tree helpers for the classifiers."""
+"""Shared input validation, seed derivation and the tree of both ensembles."""
 from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +83,91 @@ def first_best_split(gains: np.ndarray, sv: np.ndarray) -> tuple[float, int, flo
     return best, col, float((sv[pos, col] + sv[pos + 1, col]) / 2.0)
 
 
-def leaf_rows(root, x: np.ndarray):
-    """Yield (leaf, row indices) as the rows of x partition down a tree."""
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            yield node, idx
-        elif idx.size:
-            go_left = x[idx, node.feature] <= node.threshold
-            stack += [(node.right, idx[~go_left]), (node.left, idx[go_left])]
+@dataclass(frozen=True)
+class Tree:
+    """Binary tree in flat arrays, in scikit-learn's ``tree_`` layout.
+
+    Node 0 is the root; a row at node i goes to left[i] when
+    x[feature[i]] <= threshold[i], else to right[i]. left[i] == -1 marks
+    a leaf, whose value[i] holds forest class counts or a boosting weight.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Leaf index of every row of x, all rows descending one level at a time."""
+        at = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        while True:
+            rows = rows[self.left[at[rows]] >= 0]
+            if not rows.size:
+                return at
+            node = at[rows]
+            go_left = x[rows, self.feature[node]] <= self.threshold[node]
+            at[rows] = np.where(go_left, self.left[node], self.right[node])
+
+    def leaf_boxes(self):
+        """Yield (leaf, features, lo, hi) for each leaf a row can reach.
+
+        A row reaches the leaf when lo < x[features] <= hi; features are
+        sorted, and branches whose box is empty are pruned.
+        """
+        stack = [(0, {})]
+        while stack:
+            i, bounds = stack.pop()
+            if self.left[i] < 0:
+                feats = np.array(sorted(bounds), dtype=np.int64)
+                lo, hi = np.array([bounds[f] for f in feats]).reshape(-1, 2).T
+                yield i, feats, lo, hi
+                continue
+            f, t = int(self.feature[i]), float(self.threshold[i])
+            lo, hi = bounds.get(f, (-np.inf, np.inf))
+            if hi > t:
+                stack.append((self.right[i], {**bounds, f: (max(lo, t), hi)}))
+            if lo < t:
+                stack.append((self.left[i], {**bounds, f: (lo, min(hi, t))}))
+
+    def to_json_dict(self, leaf_encoder) -> dict:
+        """model.json's nested form; leaf_encoder(value[i]) gives a leaf's dict."""
+
+        def node(i):
+            if self.left[i] < 0:
+                return leaf_encoder(self.value[i])
+            return {
+                "feature": int(self.feature[i]),
+                "threshold": float(self.threshold[i]),
+                "left": node(self.left[i]),
+                "right": node(self.right[i]),
+            }
+
+        return node(0)
+
+    @classmethod
+    def from_json_dict(cls, d: dict, leaf_key: str) -> "Tree":
+        """Number model.json's nested nodes depth first, left before right."""
+        nodes, children = [], []
+
+        def add(node) -> int:
+            nodes.append(node)
+            children.append([-1, -1])
+            i = len(nodes) - 1
+            if "feature" in node:
+                children[i] = [add(node["left"]), add(node["right"])]
+            return i
+
+        add(d)
+        left, right = np.array(children, dtype=np.intp).T
+        leaves = np.array([n[leaf_key] for n in nodes if leaf_key in n], dtype=np.float64)
+        value = np.zeros((len(nodes),) + leaves.shape[1:])
+        value[left < 0] = leaves
+        return cls(
+            feature=np.array([n.get("feature", -1) for n in nodes], dtype=np.intp),
+            threshold=np.array([n.get("threshold", 0.0) for n in nodes], dtype=np.float64),
+            left=left,
+            right=right,
+            value=value,
+        )

@@ -12,55 +12,17 @@ shuffle, truncating the model to its best round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from ..errors import TooFewSamplesForValidation
 from ._common import (
+    Tree,
     first_best_split,
-    leaf_rows,
     require_int,
     require_real,
     validate_x,
     validate_xy,
 )
-
-
-@dataclass
-class GbNode:
-    """Internal node (feature >= 0) or leaf (weight)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["GbNode"] = None
-    right: Optional["GbNode"] = None
-    weight: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_json_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": self.weight}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GbNode":
-        if "weight" in d:
-            return cls(weight=float(d["weight"]))
-        return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_json_dict(d["left"]),
-            right=cls.from_json_dict(d["right"]),
-        )
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -78,10 +40,12 @@ def _score_term(g_sum, h_sum, lam):
 
 
 def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
+    """The regression tree grown on rows, as model.json's nested dict."""
     g_total = float(g[rows].sum())
     h_total = float(h[rows].sum())
+    leaf = {"weight": _leaf_weight(g_total, h_total, lam)}
     if depth >= max_depth or rows.size < 2:
-        return GbNode(weight=_leaf_weight(g_total, h_total, lam))
+        return leaf
     # prefix sums over every presorted column at once: cumsum adds in
     # sorted order, so each left sum is the running sum of a scan
     order = np.argsort(x[rows], axis=0, kind="stable")
@@ -95,21 +59,14 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
     ) - gamma_leaf
     _, best_feature, best_threshold = first_best_split(gains, sv)
     if best_feature < 0:
-        return GbNode(weight=_leaf_weight(g_total, h_total, lam))
+        return leaf
     go_left = x[rows, best_feature] <= best_threshold
-    return GbNode(
-        feature=best_feature,
-        threshold=best_threshold,
-        left=_grow(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf),
-        right=_grow(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf),
-    )
-
-
-def _tree_outputs(node: GbNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    for leaf, idx in leaf_rows(node, x):
-        out[idx] = leaf.weight
-    return out
+    return {
+        "feature": best_feature,
+        "threshold": best_threshold,
+        "left": _grow(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf),
+        "right": _grow(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf),
+    }
 
 
 @dataclass(frozen=True)
@@ -120,7 +77,7 @@ class GbtModel:
     n_features: int
     base_scores: np.ndarray
     learning_rate: float
-    trees: tuple[tuple[GbNode, ...], ...]
+    trees: tuple[tuple[Tree, ...], ...]
     best_round: int
     train_loss_trace: tuple[float, ...] = ()
     valid_loss_trace: tuple[float, ...] = ()
@@ -132,7 +89,7 @@ class GbtModel:
         out = np.tile(self.base_scores, (x.shape[0], 1))
         for round_trees in self.trees:
             for c, tree in enumerate(round_trees):
-                out[:, c] += self.learning_rate * _tree_outputs(tree, x)
+                out[:, c] += self.learning_rate * tree.value[tree.apply(x)]
         return out
 
     def decision_scores(self, x) -> np.ndarray:
@@ -153,7 +110,10 @@ class GbtModel:
             "train_loss_trace": [float(v) for v in self.train_loss_trace],
             "valid_loss_trace": [float(v) for v in self.valid_loss_trace],
             "params": self.params,
-            "trees": [[t.to_json_dict() for t in row] for row in self.trees],
+            "trees": [
+                [t.to_json_dict(lambda w: {"weight": float(w)}) for t in row]
+                for row in self.trees
+            ],
         }
 
     @classmethod
@@ -164,7 +124,7 @@ class GbtModel:
             base_scores=np.asarray(d["base_scores"], dtype=np.float64),
             learning_rate=float(d["learning_rate"]),
             trees=tuple(
-                tuple(GbNode.from_json_dict(t) for t in row) for row in d["trees"]
+                tuple(Tree.from_json_dict(t, "weight") for t in row) for row in d["trees"]
             ),
             best_round=int(d["best_round"]),
             train_loss_trace=tuple(d.get("train_loss_trace", ())),
@@ -220,8 +180,7 @@ def train_gbt(
     check_hyperparams(
         n_rounds, learning_rate, max_depth, lam, gamma_leaf, valid_fraction, patience
     )
-    index_of = {cls: i for i, cls in enumerate(classes)}
-    y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
+    y_idx = np.searchsorted(classes, y)
     n_classes = len(classes)
 
     early_stopping = valid_fraction > 0.0 and patience > 0
@@ -239,7 +198,7 @@ def train_gbt(
     priors = np.bincount(y_idx, minlength=n_classes) / n
     base = np.log(np.clip(priors, 1e-12, None))
     margins = np.tile(base, (n, 1))
-    all_trees: list[tuple[GbNode, ...]] = []
+    all_trees: list[tuple[Tree, ...]] = []
     train_trace: list[float] = []
     valid_trace: list[float] = []
     best_loss, best_round, since_best = np.inf, 0, 0
@@ -250,9 +209,11 @@ def train_gbt(
         for c in range(n_classes):
             g = probs[:, c] - (y_idx == c)
             h = probs[:, c] * (1.0 - probs[:, c])
-            tree = _grow(x, g, h, train_rows, 0, max_depth, lam, gamma_leaf)
+            tree = Tree.from_json_dict(
+                _grow(x, g, h, train_rows, 0, max_depth, lam, gamma_leaf), "weight"
+            )
             round_trees.append(tree)
-            margins[:, c] += learning_rate * _tree_outputs(tree, x)
+            margins[:, c] += learning_rate * tree.value[tree.apply(x)]
         all_trees.append(tuple(round_trees))
         probs = _softmax(margins)
         train_trace.append(_cross_entropy(probs[train_rows], y_idx[train_rows]))

@@ -18,48 +18,12 @@ import numpy as np
 from ..errors import InvalidConfig
 from ._common import (
     child_seed,
+    Tree,
     first_best_split,
-    leaf_rows,
     require_int,
     validate_x,
     validate_xy,
 )
-
-
-@dataclass
-class RfNode:
-    """Internal node (feature >= 0) or leaf (counts set)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["RfNode"] = None
-    right: Optional["RfNode"] = None
-    counts: Optional[np.ndarray] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_json_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": [int(v) for v in self.counts]}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RfNode":
-        if "counts" in d:
-            return cls(counts=np.asarray(d["counts"], dtype=np.float64))
-        return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_json_dict(d["left"]),
-            right=cls.from_json_dict(d["right"]),
-        )
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
@@ -91,27 +55,36 @@ def _best_split(x, y_idx, rows, n_classes, mtry, rng):
     return gain, (int(feats[col]) if col >= 0 else -1), threshold
 
 
+def _leaf_json(counts: np.ndarray) -> dict:
+    return {"counts": [int(v) for v in counts]}
+
+
 def _grow(x, y_idx, rows, n_classes, depth, max_depth, min_samples_split, mtry, rng):
-    counts = np.bincount(y_idx[rows], minlength=n_classes).astype(np.float64)
+    """The tree grown on rows, as model.json's nested dict."""
+    counts = np.bincount(y_idx[rows], minlength=n_classes)
+    leaf = _leaf_json(counts)
     if (
         rows.size < min_samples_split
         or (max_depth is not None and depth >= max_depth)
         or np.count_nonzero(counts) <= 1
     ):
-        return RfNode(counts=counts)
+        return leaf
     gain, feature, threshold = _best_split(x, y_idx, rows, n_classes, mtry, rng)
     if feature < 0 or gain <= 0.0:
-        return RfNode(counts=counts)
+        return leaf
     go_left = x[rows, feature] <= threshold
-    left = _grow(
-        x, y_idx, rows[go_left], n_classes, depth + 1, max_depth,
-        min_samples_split, mtry, rng,
+    left, right = (
+        _grow(x, y_idx, rows[side], n_classes, depth + 1, max_depth,
+              min_samples_split, mtry, rng)
+        for side in (go_left, ~go_left)
     )
-    right = _grow(
-        x, y_idx, rows[~go_left], n_classes, depth + 1, max_depth,
-        min_samples_split, mtry, rng,
-    )
-    return RfNode(feature=feature, threshold=threshold, left=left, right=right)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
+def leaf_scores(tree: Tree) -> np.ndarray:
+    """Each node's class counts normalized to sum to one; zeros where empty."""
+    total = tree.value.sum(axis=1, keepdims=True)
+    return np.divide(tree.value, total, out=np.zeros_like(tree.value), where=total > 0)
 
 
 @dataclass(frozen=True)
@@ -120,17 +93,14 @@ class RfModel:
 
     classes: tuple[int, ...]
     n_features: int
-    trees: tuple[RfNode, ...]
+    trees: tuple[Tree, ...]
     params: dict = field(default_factory=dict)
 
     def decision_scores(self, x) -> np.ndarray:
         x = validate_x(x, self.n_features)
         out = np.zeros((x.shape[0], len(self.classes)))
         for tree in self.trees:
-            for leaf, idx in leaf_rows(tree, x):
-                total = leaf.counts.sum()
-                if total > 0:
-                    out[idx] += leaf.counts / total
+            out += leaf_scores(tree)[tree.apply(x)]
         return out / len(self.trees)
 
     def predict(self, x) -> np.ndarray:
@@ -142,7 +112,7 @@ class RfModel:
             "classes": list(self.classes),
             "n_features": self.n_features,
             "params": self.params,
-            "trees": [t.to_json_dict() for t in self.trees],
+            "trees": [t.to_json_dict(_leaf_json) for t in self.trees],
         }
 
     @classmethod
@@ -150,7 +120,7 @@ class RfModel:
         return cls(
             classes=tuple(int(c) for c in d["classes"]),
             n_features=int(d["n_features"]),
-            trees=tuple(RfNode.from_json_dict(t) for t in d["trees"]),
+            trees=tuple(Tree.from_json_dict(t, "counts") for t in d["trees"]),
             params=dict(d.get("params", {})),
         )
 
@@ -161,7 +131,7 @@ def check_hyperparams(
     """Raise InvalidConfig unless every forest hyperparameter is in range.
 
     The upper bound of n_features_per_split, the table width, is
-    checked when training starts.
+    checked when training starts (and by PipelineConfig for a run).
     """
     require_int("rf n_trees", n_trees, 1)
     if max_depth is not None:
@@ -202,18 +172,15 @@ def train_rf(
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
     if mtry > d:
         raise InvalidConfig(f"features per split must be in [1, {d}], got {mtry}")
-    index_of = {cls: i for i, cls in enumerate(classes)}
-    y_idx = np.array([index_of[int(v)] for v in y], dtype=np.int64)
+    y_idx = np.searchsorted(classes, y)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(child_seed(seed, t))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(
-            _grow(
-                x, y_idx, rows, len(classes), 0, max_depth,
-                min_samples_split, mtry, rng,
-            )
+        grown = _grow(
+            x, y_idx, rows, len(classes), 0, max_depth, min_samples_split, mtry, rng
         )
+        trees.append(Tree.from_json_dict(grown, "counts"))
     return RfModel(
         classes=classes,
         n_features=d,

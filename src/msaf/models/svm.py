@@ -10,11 +10,14 @@ internally; the scaler is part of the model.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._common import require_int, require_real, validate_x, validate_xy
+
+logger = logging.getLogger("msaf.models.svm")
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -185,7 +188,8 @@ def train_svm_ovr(
         c: Box constraint.
         gamma: RBF width, must be positive.
         tol: KKT stopping tolerance on m(alpha) - M(alpha).
-        max_iter: Cap on pair updates per machine.
+        max_iter: Cap on pair updates per machine; machines that reach
+            it are reported in one warning.
     """
     del seed
     x, y, classes = validate_xy(x, y)
@@ -208,6 +212,13 @@ def train_svm_ovr(
                 kkt_gap=gap,
                 n_iter=n_iter,
             )
+        )
+    capped = [m for m in machines if m.n_iter >= max_iter]
+    if capped:
+        logger.warning(
+            "SMO: %d of %d one-vs-rest machines stopped at max_iter=%d "
+            "with KKT gap up to %.3g > tol=%g",
+            len(capped), len(machines), max_iter, max(m.kkt_gap for m in capped), tol,
         )
     return SvmModel(
         classes=classes,

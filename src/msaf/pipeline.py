@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,13 +34,13 @@ from .errors import (
     MsafError,
     UnlabeledData,
 )
-from .features import build_feature_table, extract_features
+from .features import STATE_METRICS, build_feature_table, extract_features
 from .io import (
     FeatureTable,
     Recording,
+    commit_recording,
     load_feature_table,
     load_recording,
-    save_recording,
     write_json,
 )
 from .microstates import (
@@ -52,7 +53,7 @@ from .microstates import (
     label_maps,
     modified_kmeans,
 )
-from .models import MODEL_KINDS, check_params, make_trainer, model_to_json_dict
+from .models import MODEL_KINDS, check_params, make_trainer
 from .models._common import child_seed, require_int, require_real
 from .models.evaluate import grid_search, stratified_kfold_cv
 from .explain import explain, global_ranking
@@ -88,6 +89,25 @@ _STEP_OPTIONAL = {
 }
 
 _EXPLAIN_METHODS = ("auto", "exact", "kernel", "tree")
+
+
+def _check_step_values(step: dict) -> None:
+    """Raise InvalidConfig unless a step's values suit its kind.
+
+    Limits set by the recording's sampling rate are checked when the step runs.
+    """
+    kind = step["kind"]
+    for key in ("low", "high", "freq", "width", "fs"):
+        if key in step:
+            require_real(f"{kind} {key}", step[key], strict=True)
+    for key in ("t_start", "t_end"):
+        if key in step:
+            require_real(f"{kind} {key}", step[key], low=-math.inf)
+    if "n_neighbors" in step:
+        require_int(f"{kind} n_neighbors", step["n_neighbors"], 1)
+    for lo, hi in (("low", "high"), ("t_start", "t_end")):
+        if lo in step and not step[lo] < step[hi]:
+            raise InvalidConfig(f"step {kind!r} needs {lo} < {hi}, got {step!r}")
 
 
 def kmeans_settings(overrides: Optional[dict]) -> dict:
@@ -155,6 +175,7 @@ class PipelineConfig:
             missing = [k for k in _STEP_REQUIRED[kind] if k not in s]
             if missing:
                 raise InvalidConfig(f"step {kind!r} is missing {missing}")
+            _check_step_values(s)
             steps.append(dict(s))
         object.__setattr__(self, "steps", tuple(steps))
         if self.band is not None:
@@ -191,6 +212,16 @@ class PipelineConfig:
         if self.grid is not None and (not isinstance(self.grid, dict) or not self.grid):
             raise InvalidConfig("grid must be a non-empty object of lists")
         check_params(clf["kind"], clf["params"], self.grid)
+        if clf["kind"] == "rf":
+            # split features are drawn from the table's 5k + 1 columns
+            width = len(STATE_METRICS) * self.k + 1
+            mtry = [clf["params"].get("n_features_per_split")]
+            mtry += (self.grid or {}).get("n_features_per_split", [])
+            for m in mtry:
+                if m is not None and m > width:
+                    raise InvalidConfig(
+                        f"rf n_features_per_split must be <= {width} for k={self.k}, got {m}"
+                    )
         object.__setattr__(self, "classifier", clf)
         require_int("cv_folds", self.cv_folds, 2)
         ex = {"method": "auto", "n_samples": 2048, "background": 64}
@@ -413,7 +444,8 @@ def compute_stats(table: FeatureTable) -> dict:
     return out
 
 
-def _ranking_csv(expl, class_names: Sequence[str], feature_names) -> str:
+def _ranking_csv(expl, class_names: Sequence[str]) -> str:
+    """ranking.csv: features by mean |attribution|, overall, then per class."""
     lines = ["scope,rank,feature,mean_abs_shap"]
     overall = global_ranking(expl)
     for rank, (feat, score) in enumerate(overall.entries, start=1):
@@ -450,10 +482,7 @@ def run_pipeline(
 
     recs = _ordered_map(_pre, recs, threads)
     for rec in recs:
-        stem = os.path.join(pre_dir, rec.subject_id)
-        save_recording(rec, stem + ".partial")
-        os.replace(stem + ".partial.eegb", stem + ".eegb")
-        os.replace(stem + ".partial.json", stem + ".json")
+        commit_recording(rec, os.path.join(pre_dir, rec.subject_id))
         artifacts.append(os.path.join("preprocessed", rec.subject_id + ".eegb"))
 
     logger.info("clustering per-subject microstates (k=%d)", cfg.k)
@@ -520,7 +549,7 @@ def run_pipeline(
     logger.info("training final %s model", kind)
     trainer = make_trainer(kind, params)
     model = trainer(table.values, table.y, child_seed(cfg.seed, 301))
-    model_doc = model_to_json_dict(model)
+    model_doc = model.to_json_dict()
     model_doc["feature_names"] = list(table.feature_names)
     model_doc["class_names"] = list(table.class_names)
     _commit_json(os.path.join(out, "model.json"), model_doc)
@@ -562,7 +591,7 @@ def run_pipeline(
 
     _commit_text(
         os.path.join(out, "ranking.csv"),
-        _ranking_csv(expl, table.class_names, table.feature_names),
+        _ranking_csv(expl, table.class_names),
     )
     artifacts.append("ranking.csv")
 
@@ -606,11 +635,14 @@ def band_sweep(
     if not bands:
         raise InvalidConfig("band sweep needs at least one band")
     out = out_dir or cfg.out_dir
+    # every band's config is checked before the first band runs
+    sub_cfgs = [
+        cfg.replaced(band=[lo, hi], out_dir=os.path.join(out, f"band_{name}"))
+        for name, (lo, hi) in bands
+    ]
     os.makedirs(out, exist_ok=True)
     rows = []
-    for name, (lo, hi) in bands:
-        sub_out = os.path.join(out, f"band_{name}")
-        sub_cfg = cfg.replaced(band=[lo, hi], out_dir=sub_out)
+    for (name, (lo, hi)), sub_cfg in zip(bands, sub_cfgs):
         logger.info("band %s: %.1f-%.1f Hz", name, lo, hi)
         manifest = run_pipeline(sub_cfg, threads=threads)
         rows.append(

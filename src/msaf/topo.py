@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .io import Montage
-from .microstates import MicrostateMaps
 
 # projection angle (degrees from the vertex) mapped to the head rim
 _RIM_DEG = 105.0
@@ -155,16 +154,6 @@ def render_topomap(
         )
     out.append("</svg>")
     return "\n".join(out)
-
-
-def render_maps(maps: MicrostateMaps, montage: Montage, **kwargs) -> dict[str, str]:
-    """Render every template, keyed by its label."""
-    if tuple(maps.channels) != tuple(montage.names):
-        raise ShapeMismatch("map channels do not match the montage")
-    return {
-        label: render_topomap(montage, maps.maps[i], title=str(label), **kwargs)
-        for i, label in enumerate(maps.labels)
-    }
 
 
 def render_bar_chart(

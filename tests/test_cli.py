@@ -349,11 +349,52 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
     {"classifier": {"kind": "gbt", "params": {"learning_rate": "x"}}},
     {"classifier": {"kind": "gbt", "params": {"patience": -1}}},
     {"classifier": {"kind": "gbt"}, "grid": {"max_depth": [3, 1.5]}},
+    {"steps": [{"kind": "bandpass", "low": "x", "high": 30}]},
+    {"steps": [{"kind": "bandpass", "low": 30, "high": 4}]},
+    {"steps": [{"kind": "bandpass", "low": 0, "high": 30}]},
+    {"steps": [{"kind": "notch", "freq": "50"}]},
+    {"steps": [{"kind": "notch", "freq": 50, "width": -1}]},
+    {"steps": [{"kind": "laplacian", "n_neighbors": 2.5}]},
+    {"steps": [{"kind": "crop", "t_start": 2, "t_end": 1}]},
+    {"steps": [{"kind": "crop", "t_start": 0, "t_end": float("nan")}]},
+    {"steps": [{"kind": "resample", "fs": 0}]},
+    {"classifier": {"kind": "rf", "params": {"n_features_per_split": 30}}},
+    {"classifier": {"kind": "rf"}, "grid": {"n_features_per_split": [4, 22]}},
+    {"k": 3, "classifier": {"kind": "rf", "params": {"n_features_per_split": 17}}},
 ])
 def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     out = tmp_path / "o"
     doc = {"input_dir": str(work / "data"), "out_dir": str(out), **bad}
     assert main(["run", "--config", _write(tmp_path / "c.json", doc)]) == 2
+    _assert_config_error(capsys, out)
+
+
+@pytest.mark.parametrize("verb,doc,flags", [
+    ("preprocess", {"steps": [{"kind": "bandpass", "low": "x", "high": 30}]}, []),
+    ("preprocess", {"steps": [{"kind": "resample", "fs": -250}]}, []),
+    ("band-sweep", {"steps": [{"kind": "notch", "freq": None}]}, []),
+    ("band-sweep", {}, ["--bands", "theta,bad=30-4"]),
+    ("synth", {"kind": "cohort", "n_per_class": "abc"}, []),
+    ("synth", {"kind": "cohort", "n_per_class": 0}, []),
+    ("synth", {"kind": "band_cohort", "snr": "x"}, []),
+    ("synth", {"kind": "band_cohort", "n_per_class": 1, "duration": -1}, []),
+    ("synth", {"kind": "band_cohort", "n_per_class": 1, "fs": float("nan")}, []),
+    ("synth", {"kind": "band_cohort", "n_per_class": 1, "band": ["x", 8]}, []),
+    ("backfit", None, ["--min-segment-ms", "-5"]),
+    ("backfit", None, ["--min-segment-ms", "nan"]),
+])
+def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    if verb == "backfit":
+        argv = ["backfit", str(work / "data"), str(work / "maps.json")]
+    elif verb == "band-sweep":
+        doc = {"input_dir": str(work / "data"), "cv_folds": 2, **doc}
+        argv = ["band-sweep"]
+    else:
+        argv = [verb] + ([str(work / "data")] if verb == "preprocess" else [])
+    if doc is not None:
+        argv += ["--config", _write(tmp_path / "c.json", doc)]
+    assert main(argv + ["--out", str(out), *flags]) == 2
     _assert_config_error(capsys, out)
 
 

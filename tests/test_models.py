@@ -1,4 +1,6 @@
 """Classifiers against closed-form and hand-counted oracles."""
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from msaf import (
     grid_search,
     make_trainer,
     model_from_json_dict,
-    model_to_json_dict,
     stratified_fold_indices,
     stratified_kfold_cv,
     train_gbt,
@@ -25,7 +26,6 @@ from oracles import (
     accuracy_by_hand,
     ensemble_scores_loop,
     gbt_grow_loop,
-    leaf_of,
     macro_f1_by_hand,
     rf_best_split_loop,
     xor_alpha_star,
@@ -159,10 +159,7 @@ def test_gbt_trees_match_loop_reference(monkeypatch, max_depth, valid_fraction):
     kw = dict(n_rounds=12, learning_rate=0.4, max_depth=max_depth,
               valid_fraction=valid_fraction, patience=3, seed=max_depth)
     fast = train_gbt(x, y, **kw).to_json_dict()
-    monkeypatch.setattr(
-        boosted, "_grow", lambda *a: boosted.GbNode.from_json_dict(gbt_grow_loop(*a)))
-    monkeypatch.setattr(boosted, "_tree_outputs", lambda tree, rows: np.array(
-        [leaf_of(tree.to_json_dict(), r)["weight"] for r in rows]))
+    monkeypatch.setattr(boosted, "_grow", gbt_grow_loop)
     assert fast == train_gbt(x, y, **kw).to_json_dict()
     assert any("feature" in t for row in fast["trees"] for t in row)
     if valid_fraction:
@@ -226,9 +223,41 @@ def test_model_json_roundtrip(kind, params):
     rng = np.random.default_rng(6)
     x, y = _blobs(rng, n_per=12)
     model = make_trainer(kind, params)(x, y, 3)
-    back = model_from_json_dict(model_to_json_dict(model))
+    back = model_from_json_dict(model.to_json_dict())
     assert np.array_equal(back.decision_scores(x), model.decision_scores(x))
     assert np.array_equal(back.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("rf", {"n_trees": 6, "max_depth": None}),
+    ("gbt", {"n_rounds": 8, "learning_rate": 0.3, "max_depth": 3}),
+])
+def test_tree_model_json_bytes_survive_load_and_save(kind, params):
+    x, y = _tied(50)
+    doc = make_trainer(kind, params)(x, y, 5).to_json_dict()
+    assert json.dumps(model_from_json_dict(doc).to_json_dict()) == json.dumps(doc)
+    # trees that are a single leaf survive too, and score every row from it
+    doc = make_trainer(kind, params)(np.zeros((6, 2)), [0, 1] * 3, 5).to_json_dict()
+    assert all("feature" not in t for t in np.ravel(doc["trees"]))
+    assert json.dumps(model_from_json_dict(doc).to_json_dict()) == json.dumps(doc)
+    stump = model_from_json_dict(doc)
+    score = stump.margins if kind == "gbt" else stump.decision_scores
+    assert np.array_equal(score(x[:, :2]), ensemble_scores_loop(doc, x[:, :2]))
+
+
+def test_svm_warns_when_a_machine_stops_at_max_iter(caplog):
+    rng = np.random.default_rng(12)
+    x, y = _blobs(rng, n_per=10, spread=2.0)
+    with caplog.at_level("WARNING", logger="msaf.models.svm"):
+        model = train_svm_ovr(x, y, c=10.0, gamma=0.5, max_iter=3)
+    records = [r for r in caplog.records if r.name == "msaf.models.svm"]
+    assert len(records) == 1
+    assert "3 of 3 one-vs-rest machines stopped at max_iter=3" in records[0].getMessage()
+    assert all(m.n_iter == 3 for m in model.machines)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="msaf.models.svm"):
+        train_svm_ovr(x, y, c=10.0, gamma=0.5)
+    assert not [r for r in caplog.records if r.name == "msaf.models.svm"]
 
 
 # --- metrics against hand counting ---
