@@ -23,45 +23,34 @@ from .errors import (
     DataError,
     InvalidConfig,
     MsafError,
-    UnlabeledData,
 )
-from .explain import ShapExplanation, explain, global_ranking
-from .features import build_feature_table, extract_features
-from .io import (
-    commit_recording,
-    load_feature_table,
-    read_json,
-    standard_1020_montage,
-)
-from .microstates import (
-    MicrostateMaps,
-    Segmentation,
-    backfit,
-    group_cluster,
-    label_maps,
-)
-from .models import (
-    DEFAULT_GRIDS,
-    MODEL_KINDS,
-    check_params,
-    make_trainer,
-    model_from_json_dict,
-)
-from .models._common import child_seed, require_int, require_real
-from .models.evaluate import grid_search, stratified_kfold_cv
+from .explain import ShapExplanation, global_ranking
+from .io import commit_recording, load_feature_table, read_json, standard_1020_montage
+from .microstates import MicrostateMaps, Segmentation, label_maps
+from .models import DEFAULT_GRIDS, MODEL_KINDS, check_params, model_from_json_dict
+from .models._common import require_int, require_real
 from .pipeline import (
     PipelineConfig,
+    backfit_stage,
     band_sweep,
+    check_band,
+    check_steps,
     compute_stats,
+    cv_stage,
+    explain_settings,
+    explain_stage,
+    feature_stage,
+    fit_stage,
+    group_maps_stage,
     kmeans_settings,
     load_input_recordings,
-    preprocess_recording,
+    preprocess_stage,
     run_pipeline,
-    subject_microstates,
+    subject_maps_stage,
     _artifact_names,
     _commit_json,
+    _commit_subject_json,
     _commit_text,
-    _ordered_map,
     _ranking_csv,
     _segmentation_json,
 )
@@ -210,17 +199,16 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _verb_config(args, allowed: set, verb: str) -> dict:
-    """The optional --config object of a stage verb, with only allowed keys."""
-    if not args.config:
-        return {}
-    doc = read_json(args.config)
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{args.config!r} must hold a JSON object")
+def _known_keys(doc: dict, allowed: set, verb: str) -> dict:
     unknown = set(doc) - allowed
     if unknown:
         raise InvalidConfig(f"unknown {verb} config keys {sorted(unknown)}")
     return doc
+
+
+def _verb_config(args, allowed: set, verb: str) -> dict:
+    """The optional --config object of a stage verb, with only allowed keys."""
+    return _known_keys(_load_config(args) if args.config else {}, allowed, verb)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -239,20 +227,11 @@ def _pipeline_config(args) -> PipelineConfig:
 def _cmd_preprocess(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, {"montage", "steps", "band", "seed"}, "preprocess")
-    cfg = PipelineConfig(
-        input_dir=args.input_dir,
-        out_dir=out,
-        montage=tuple(doc["montage"]) if doc.get("montage") else None,
-        steps=tuple(doc.get("steps", ())),
-        band=tuple(doc["band"]) if doc.get("band") else None,
-    )
-    os.makedirs(out, exist_ok=True)
-    recs = load_input_recordings(cfg.input_dir, cfg.montage)
-    done = _ordered_map(
-        lambda r: preprocess_recording(r, cfg), recs, args.threads
-    )
-    for rec in done:
-        commit_recording(rec, os.path.join(out, rec.subject_id))
+    steps = check_steps(doc.get("steps", ()))
+    band = check_band(doc.get("band") or None)
+    montage = tuple(str(c) for c in doc["montage"]) if doc.get("montage") else None
+    recs = load_input_recordings(args.input_dir, montage)
+    done = preprocess_stage(recs, steps, band, out, args.threads)
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0
 
@@ -282,22 +261,19 @@ def _cmd_synth(args) -> int:
     n_per_class = doc.get("n_per_class", 10)
 
     if kind == "cohort":
-        allowed = {"kind", "n_per_class", "seed", "profiles", "base"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidConfig(f"unknown synth keys {sorted(unknown)}")
+        _known_keys(doc, {"kind", "n_per_class", "seed", "profiles", "base"}, "synth")
         require_int("n_per_class", n_per_class, 1)
         profiles = (
             _normalize_profiles(doc["profiles"]) if doc.get("profiles") else None
         )
-        pairs = make_cohort(
-            n_per_class, profiles=profiles, seed=seed, base=doc.get("base")
-        )
+        base = doc.get("base")
+        if base is not None and not isinstance(base, dict):
+            raise InvalidConfig(f"synth base must be an object, got {base!r}")
+        pairs = make_cohort(n_per_class, profiles=profiles, seed=seed, base=base)
     elif kind == "band_cohort":
-        allowed = {"kind", "n_per_class", "band", "snr", "duration", "fs", "seed"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidConfig(f"unknown synth keys {sorted(unknown)}")
+        _known_keys(
+            doc, {"kind", "n_per_class", "band", "snr", "duration", "fs", "seed"}, "synth"
+        )
         require_int("n_per_class", n_per_class, 1)
         settings = {"snr": 4.0, "duration": 20.0, "fs": 250.0}
         settings.update((k, doc[k]) for k in settings if k in doc)
@@ -319,19 +295,16 @@ def _cmd_synth(args) -> int:
         fields = dict(doc)
         fields.pop("kind", None)
         fields["seed"] = seed
-        rec, seg, _ = generate(SynthConfig(**fields))
+        rec, seg, _ = generate(SynthConfig.from_json_dict(fields))
         pairs = [(rec, seg)]
     else:
         raise InvalidConfig(f"synth kind must be cohort|band_cohort|single, got {kind!r}")
 
-    truth_dir = os.path.join(out, "truth")
-    os.makedirs(truth_dir, exist_ok=True)
-    for rec, seg in pairs:
+    recs = [rec for rec, _ in pairs]
+    truth = [_segmentation_json(rec, seg) for rec, seg in pairs]
+    _commit_subject_json(os.path.join(out, "truth"), recs, truth)
+    for rec in recs:
         commit_recording(rec, os.path.join(out, rec.subject_id))
-        _commit_json(
-            os.path.join(truth_dir, rec.subject_id + ".json"),
-            _segmentation_json(rec, seg),
-        )
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
     return 0
 
@@ -339,24 +312,13 @@ def _cmd_synth(args) -> int:
 def _cmd_segment(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, {"kmeans", "min_peak_distance_ms", "seed"}, "segment")
-    cfg = PipelineConfig(
-        input_dir=args.input_dir,
-        out_dir="unused",
-        k=args.k,
-        kmeans=doc.get("kmeans"),
-        min_peak_distance_ms=doc.get("min_peak_distance_ms", 0.0),
-    )
+    require_int("--k", args.k, 1)
+    kmeans = kmeans_settings(doc.get("kmeans"))
+    min_distance = doc.get("min_peak_distance_ms", 0.0)
+    require_real("min_peak_distance_ms", min_distance)
     seed = _seed_of(args, doc)
     recs = load_input_recordings(args.input_dir)
-    os.makedirs(out, exist_ok=True)
-
-    def _one(item):
-        idx, rec = item
-        return subject_microstates(rec, cfg, seed=child_seed(seed, 100, idx))
-
-    maps = _ordered_map(_one, list(enumerate(recs)), args.threads)
-    for rec, m in zip(recs, maps):
-        _commit_json(os.path.join(out, rec.subject_id + ".json"), m.to_json_dict())
+    subject_maps_stage(recs, args.k, kmeans, min_distance, seed, out, args.threads)
     print(f"segmented {len(recs)} subjects -> {out}")
     return 0
 
@@ -364,18 +326,14 @@ def _cmd_segment(args) -> int:
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, {"kmeans", "seed"}, "group-maps")
+    require_int("--k", args.k, 1)
     kmeans = kmeans_settings(doc.get("kmeans"))
-    names = _artifact_names(args.maps_dir, ".json")
-    if not names:
-        raise InvalidConfig(f"no maps JSON files in {args.maps_dir!r}")
+    seed = _seed_of(args, doc)
     subj_maps = [
         MicrostateMaps.from_json_dict(read_json(os.path.join(args.maps_dir, f)))
-        for f in names
+        for f in _artifact_names(args.maps_dir, ".json")
     ]
-    gmaps = group_cluster(
-        subj_maps, args.k, **kmeans, seed=child_seed(_seed_of(args, doc), 200)
-    )
-    _commit_json(out, gmaps.to_json_dict())
+    gmaps = group_maps_stage(subj_maps, args.k, kmeans, seed, out)
     print(f"group maps (k={args.k}, gev={gmaps.gev_total:.4f}) -> {out}")
     return 0
 
@@ -416,43 +374,24 @@ def _cmd_backfit(args) -> int:
     require_real("--min-segment-ms", args.min_segment_ms)
     gmaps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
     recs = load_input_recordings(args.input_dir)
-    os.makedirs(out, exist_ok=True)
-    segs = _ordered_map(
-        lambda r: backfit(r, gmaps, min_segment_ms=args.min_segment_ms),
-        recs,
-        args.threads,
-    )
-    for rec, seg in zip(recs, segs):
-        _commit_json(
-            os.path.join(out, rec.subject_id + ".json"),
-            _segmentation_json(rec, seg),
-        )
+    backfit_stage(recs, gmaps, args.min_segment_ms, out, args.threads)
     print(f"backfitted {len(recs)} recordings -> {out}")
     return 0
 
 
 def _cmd_features(args) -> int:
     out = _need(args, "out", "--out")
-    names = _artifact_names(args.seg_dir, ".json")
-    if not names:
-        raise InvalidConfig(f"no segmentation JSON files in {args.seg_dir!r}")
-    entries = []
-    for f in names:
-        doc = read_json(os.path.join(args.seg_dir, f))
-        seg = Segmentation.from_json_dict(doc)
-        sid = doc.get("subject_id", os.path.splitext(f)[0])
-        label = doc.get("label")
-        if label is None:
-            raise UnlabeledData(f"segmentation {f!r} has no class label")
-        fv = extract_features(
-            seg,
-            gfp_aggregate=args.gfp_aggregate,
-            trim_edge_runs=args.trim_edge_runs,
-        )
-        entries.append((sid, label, fv))
-    table = build_feature_table(entries)
-    table.to_csv(out + ".partial")
-    os.replace(out + ".partial", out)
+
+    def subjects():
+        for f in _artifact_names(args.seg_dir, ".json"):
+            doc = read_json(os.path.join(args.seg_dir, f))
+            sid = doc.get("subject_id", os.path.splitext(f)[0])
+            yield sid, doc.get("label"), Segmentation.from_json_dict(doc)
+
+    table = feature_stage(
+        subjects(), out,
+        gfp_aggregate=args.gfp_aggregate, trim_edge_runs=args.trim_edge_runs,
+    )
     print(f"{table.n_rows} x {len(table.feature_names)} feature table -> {out}")
     return 0
 
@@ -471,54 +410,27 @@ def _parse_params(text: Optional[str]) -> dict:
 
 def _cmd_train(args) -> int:
     out = _need(args, "out", "--out")
+    require_int("--folds", args.folds, 2)
     params = _parse_params(args.params)
-    grid_doc = None
+    grid = None
     if args.grid:
-        grid_doc = (
-            DEFAULT_GRIDS[args.model]
-            if args.grid == "default"
-            else _parse_params(args.grid)
-        )
-    check_params(args.model, params, grid_doc)
-    table = load_feature_table(args.features_csv)
+        grid = DEFAULT_GRIDS[args.model] if args.grid == "default" else _parse_params(args.grid)
+    check_params(args.model, params, grid)
     seed = _seed_of(args)
-    if grid_doc:
-        gs = grid_search(
-            lambda p: make_trainer(args.model, {**params, **p}),
-            table.values,
-            table.y,
-            grid_doc,
-            n_folds=args.folds,
-            seed=child_seed(seed, 300),
-        )
-        params.update(gs.best_params)
-        logger.info("grid best %s at %.4f", gs.best_params, gs.best_score)
-    model = make_trainer(args.model, params)(
-        table.values, table.y, child_seed(seed, 301)
-    )
-    doc = model.to_json_dict()
-    doc["feature_names"] = list(table.feature_names)
-    doc["class_names"] = list(table.class_names)
-    if grid_doc:
-        doc["grid_best_params"] = {k: params[k] for k in grid_doc}
-    _commit_json(out, doc)
+    table = load_feature_table(args.features_csv)
+    fit_stage(table, args.model, params, grid, args.folds, seed, out, record_grid=True)
     print(f"trained {args.model} on {table.n_rows} rows -> {out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     out = _need(args, "out", "--out")
-    trainer = make_trainer(args.model, _parse_params(args.params))
+    require_int("--folds", args.folds, 2)
+    params = _parse_params(args.params)
+    check_params(args.model, params)
+    seed = _seed_of(args)
     table = load_feature_table(args.features_csv)
-    report = stratified_kfold_cv(
-        trainer,
-        table.values,
-        table.y,
-        n_folds=args.folds,
-        seed=child_seed(_seed_of(args), 400),
-        class_names=table.class_names,
-    )
-    _commit_json(out, report.to_json_dict())
+    report = cv_stage(table, args.model, params, args.folds, seed, out)
     print(report.format_table())
     print(f"eval report -> {out}")
     return 0
@@ -526,41 +438,20 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_explain(args) -> int:
     out = _need(args, "out", "--out")
+    settings = explain_settings(
+        {"method": args.method, "n_samples": args.n_samples, "background": args.background}
+    )
+    seed = _seed_of(args)
     doc = read_json(args.model_json)
     model = model_from_json_dict(doc)
-    table = load_feature_table(args.features_csv)
-    seed = _seed_of(args)
-    n_bg = min(args.background, table.n_rows)
-    if n_bg < 1:
-        raise InvalidConfig("--background must be >= 1")
-    rng = np.random.default_rng([child_seed(seed, 500)])
-    bg_idx = np.sort(rng.choice(table.n_rows, size=n_bg, replace=False))
-    expl = explain(
-        model,
-        table.values,
-        table.values[bg_idx],
-        method=args.method,
-        n_samples=args.n_samples,
-        seed=child_seed(seed, 501),
-        feature_names=table.feature_names,
-    )
     class_names = list(doc.get("class_names", [str(c) for c in model.classes]))
-    payload = expl.to_json_dict()
-    payload["class_names"] = class_names
-    payload["subject_ids"] = list(table.subject_ids)
-    if args.class_name is not None:
-        if args.class_name not in class_names:
-            raise InvalidConfig(
-                f"--class {args.class_name!r} not in {class_names}"
-            )
-        ci = class_names.index(args.class_name)
-        payload["phi"] = [
-            [[feat[ci]] for feat in inst] for inst in payload["phi"]
-        ]
-        payload["phi0"] = [payload["phi0"][ci]]
-        payload["classes"] = [payload["classes"][ci]]
-        payload["class_names"] = [args.class_name]
-    _commit_json(out, payload)
+    if args.class_name is not None and args.class_name not in class_names:
+        raise InvalidConfig(f"--class {args.class_name!r} not in {class_names}")
+    table = load_feature_table(args.features_csv)
+    expl = explain_stage(
+        model, table, settings, seed, out,
+        class_names=class_names, only_class=args.class_name,
+    )
     print(f"{expl.method} attributions for {table.n_rows} instances -> {out}")
     return 0
 
@@ -603,6 +494,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_topo(args) -> int:
     out = _need(args, "out", "--out")
+    require_int("--size", args.size, 1)
     maps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
     montage = standard_1020_montage(maps.channels)
     os.makedirs(out, exist_ok=True)

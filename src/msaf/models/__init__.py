@@ -2,8 +2,8 @@
 
 Three from-scratch classifiers share a minimal interface: a trainer
 function, `predict(x) -> class labels`, and `decision_scores(x) ->
-(n, n_classes)` scores. `train_model` dispatches on the kind string
-used throughout configs and the CLI.
+(n, n_classes)` scores. `make_trainer` builds a trainer from the kind
+string used throughout configs and the CLI.
 """
 from __future__ import annotations
 
@@ -69,11 +69,6 @@ def check_params(kind: str, params: dict, grid: dict | None = None) -> None:
             _RANGE_CHECKS[kind](**{**settings, name: value})
 
 
-def train_model(kind: str, x, y, params: dict | None = None, seed: int = 0) -> TrainedModel:
-    """Train a classifier by kind name ("svm", "rf", "gbt")."""
-    return make_trainer(kind, params)(x, y, seed)
-
-
 def make_trainer(kind: str, params: dict | None = None) -> Callable:
     """Build a (x, y, seed) -> model callable for cross-validation."""
     fixed = dict(params or {})
@@ -113,7 +108,6 @@ __all__ = [
     "stratified_fold_indices",
     "stratified_kfold_cv",
     "train_gbt",
-    "train_model",
     "train_rf",
     "train_svm_ovr",
 ]

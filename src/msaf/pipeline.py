@@ -3,6 +3,8 @@
 Stages execute sequentially as a DAG over files: load, preprocess,
 per-subject clustering, group clustering, labeling, backfitting,
 feature extraction, training, evaluation, explanation, statistics.
+Each stage is one function (``*_stage``) that both `run_pipeline` and
+the CLI's stage verbs call.
 Every artifact is first written under a ".partial" suffix and renamed
 into place on success, so an interrupted or failed stage leaves its
 incomplete output clearly marked instead of masquerading as done.
@@ -14,6 +16,7 @@ can change wall time but never a single output byte.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -22,7 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -39,12 +42,13 @@ from .io import (
     FeatureTable,
     Recording,
     commit_recording,
-    load_feature_table,
     load_recording,
+    read_json,
     write_json,
 )
 from .microstates import (
     MicrostateMaps,
+    Segmentation,
     _check_kmeans_params,
     backfit,
     find_gfp_peaks,
@@ -55,8 +59,8 @@ from .microstates import (
 )
 from .models import MODEL_KINDS, check_params, make_trainer
 from .models._common import child_seed, require_int, require_real
-from .models.evaluate import grid_search, stratified_kfold_cv
-from .explain import explain, global_ranking
+from .models.evaluate import EvalReport, grid_search, stratified_kfold_cv
+from .explain import ShapExplanation, explain, global_ranking
 from .preprocess import (
     apply_fir,
     average_reference,
@@ -110,6 +114,40 @@ def _check_step_values(step: dict) -> None:
             raise InvalidConfig(f"step {kind!r} needs {lo} < {hi}, got {step!r}")
 
 
+def check_steps(steps: Sequence) -> tuple[dict, ...]:
+    """The preprocessing steps, each with a known kind, keys and values."""
+    checked = []
+    for s in steps:
+        if not isinstance(s, dict) or "kind" not in s:
+            raise InvalidConfig(f"each step needs a 'kind', got {s!r}")
+        kind = s["kind"]
+        if kind not in _STEP_REQUIRED:
+            raise InvalidConfig(f"unknown preprocessing step {kind!r}")
+        allowed = {"kind", *_STEP_REQUIRED[kind], *_STEP_OPTIONAL.get(kind, ())}
+        extra = set(s) - allowed
+        if extra:
+            raise InvalidConfig(f"step {kind!r} has unknown keys {sorted(extra)}")
+        missing = [k for k in _STEP_REQUIRED[kind] if k not in s]
+        if missing:
+            raise InvalidConfig(f"step {kind!r} is missing {missing}")
+        _check_step_values(s)
+        checked.append(dict(s))
+    return tuple(checked)
+
+
+def check_band(band) -> Optional[tuple[float, float]]:
+    """The band-selection filter's (low, high), with 0 < low < high."""
+    if band is None:
+        return None
+    try:
+        lo, hi = float(band[0]), float(band[1])
+    except (TypeError, ValueError, IndexError):
+        raise InvalidConfig(f"band must be [low, high], got {band!r}")
+    if not 0.0 < lo < hi:
+        raise InvalidConfig(f"band must satisfy 0 < low < high, got {band!r}")
+    return (lo, hi)
+
+
 def kmeans_settings(overrides: Optional[dict]) -> dict:
     """The k-means settings (n_inits, max_iter, tol) with overrides, checked."""
     km = {"n_inits": 20, "max_iter": 200, "tol": 1e-8}
@@ -122,6 +160,23 @@ def kmeans_settings(overrides: Optional[dict]) -> dict:
         km.update(overrides)
     _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
     return km
+
+
+def explain_settings(overrides: Optional[dict]) -> dict:
+    """The explanation settings (method, n_samples, background), checked."""
+    ex = {"method": "auto", "n_samples": 2048, "background": 64}
+    if overrides is not None:
+        extra = set(overrides) - set(ex)
+        if extra:
+            raise InvalidConfig(f"unknown explain keys {sorted(extra)}")
+        ex.update(overrides)
+    if ex["method"] not in _EXPLAIN_METHODS:
+        raise InvalidConfig(
+            f"explain method must be one of {_EXPLAIN_METHODS}, got {ex['method']!r}"
+        )
+    require_int("explain n_samples", ex["n_samples"], 1)
+    require_int("explain background", ex["background"], 1)
+    return ex
 
 
 @dataclass(frozen=True)
@@ -161,31 +216,8 @@ class PipelineConfig:
             object.__setattr__(
                 self, "montage", tuple(str(c) for c in self.montage)
             )
-        steps = []
-        for s in self.steps:
-            if not isinstance(s, dict) or "kind" not in s:
-                raise InvalidConfig(f"each step needs a 'kind', got {s!r}")
-            kind = s["kind"]
-            if kind not in _STEP_REQUIRED:
-                raise InvalidConfig(f"unknown preprocessing step {kind!r}")
-            allowed = {"kind", *_STEP_REQUIRED[kind], *_STEP_OPTIONAL.get(kind, ())}
-            extra = set(s) - allowed
-            if extra:
-                raise InvalidConfig(f"step {kind!r} has unknown keys {sorted(extra)}")
-            missing = [k for k in _STEP_REQUIRED[kind] if k not in s]
-            if missing:
-                raise InvalidConfig(f"step {kind!r} is missing {missing}")
-            _check_step_values(s)
-            steps.append(dict(s))
-        object.__setattr__(self, "steps", tuple(steps))
-        if self.band is not None:
-            try:
-                lo, hi = float(self.band[0]), float(self.band[1])
-            except (TypeError, ValueError, IndexError):
-                raise InvalidConfig(f"band must be [low, high], got {self.band!r}")
-            if not 0.0 < lo < hi:
-                raise InvalidConfig(f"band must satisfy 0 < low < high, got {self.band!r}")
-            object.__setattr__(self, "band", (lo, hi))
+        object.__setattr__(self, "steps", check_steps(self.steps))
+        object.__setattr__(self, "band", check_band(self.band))
         require_int("k", self.k, 1)
         object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
         require_real("min_peak_distance_ms", self.min_peak_distance_ms)
@@ -224,19 +256,7 @@ class PipelineConfig:
                     )
         object.__setattr__(self, "classifier", clf)
         require_int("cv_folds", self.cv_folds, 2)
-        ex = {"method": "auto", "n_samples": 2048, "background": 64}
-        if self.explain is not None:
-            extra = set(self.explain) - set(ex)
-            if extra:
-                raise InvalidConfig(f"unknown explain keys {sorted(extra)}")
-            ex.update(self.explain)
-        if ex["method"] not in _EXPLAIN_METHODS:
-            raise InvalidConfig(
-                f"explain method must be one of {_EXPLAIN_METHODS}, got {ex['method']!r}"
-            )
-        require_int("explain n_samples", ex["n_samples"], 1)
-        require_int("explain background", ex["background"], 1)
-        object.__setattr__(self, "explain", ex)
+        object.__setattr__(self, "explain", explain_settings(self.explain))
         require_int("seed", self.seed, 0)
 
     @classmethod
@@ -315,24 +335,26 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
     """Sorted names of the files in a directory ending in suffix.
 
     Leftovers of an interrupted write (``*.partial.*``) are skipped, so
-    they never become inputs.
+    they never become inputs. A directory without such files is an error.
     """
-    return sorted(
+    if not os.path.isdir(directory):
+        raise InvalidConfig(f"input directory does not exist: {directory!r}")
+    names = sorted(
         f for f in os.listdir(directory)
         if f.endswith(suffix) and ".partial." not in f
     )
+    if not names:
+        raise InvalidConfig(f"no {suffix} files found in {directory!r}")
+    return names
 
 
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
 ) -> list[Recording]:
     """All .eegb recordings in a directory, sorted by file name."""
-    names = _artifact_names(input_dir, ".eegb")
-    if not names:
-        raise InvalidConfig(f"no .eegb recordings found in {input_dir!r}")
     recs = []
     seen: set[str] = set()
-    for name in names:
+    for name in _artifact_names(input_dir, ".eegb"):
         rec = load_recording(os.path.join(input_dir, name))
         if montage is not None:
             rec = rec.pick(montage)
@@ -343,11 +365,23 @@ def load_input_recordings(
     return recs
 
 
-def preprocess_recording(rec: Recording, cfg: PipelineConfig) -> Recording:
+def _commit_subject_json(out_dir: str, recs: Sequence[Recording], docs) -> None:
+    """Commit one <subject_id>.json per recording under out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for rec, doc in zip(recs, docs):
+        _commit_json(os.path.join(out_dir, rec.subject_id + ".json"), doc)
+
+
+# --- stages: each computes from in-memory inputs and explicit settings,
+# derives its own seeds from the run seed, and writes its artifacts only
+# once every result exists. `run_pipeline` and the stage verbs share them.
+
+
+def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     """Band selection first, then the configured steps in order."""
-    if cfg.band is not None:
-        rec = apply_fir(rec, design_fir_bandpass(cfg.band[0], cfg.band[1], rec.fs))
-    for step in cfg.steps:
+    if band is not None:
+        rec = apply_fir(rec, design_fir_bandpass(band[0], band[1], rec.fs))
+    for step in steps:
         kind = step["kind"]
         if kind == "bandpass":
             rec = apply_fir(rec, design_fir_bandpass(step["low"], step["high"], rec.fs))
@@ -368,36 +402,55 @@ def preprocess_recording(rec: Recording, cfg: PipelineConfig) -> Recording:
     return rec
 
 
-def subject_microstates(
-    rec: Recording, cfg: PipelineConfig, seed: int
+def preprocess_stage(recs, steps, band, out_dir: str, threads: int = 1) -> list[Recording]:
+    """Preprocess every recording, then commit each as <out_dir>/<id>.eegb.
+
+    Limits that depend on a recording (a band edge above fs/2, a crop
+    window past its end) fail before out_dir is created.
+    """
+    done = _ordered_map(lambda r: preprocess_recording(r, steps, band), recs, threads)
+    os.makedirs(out_dir, exist_ok=True)
+    for rec in done:
+        commit_recording(rec, os.path.join(out_dir, rec.subject_id))
+    return done
+
+
+def subject_maps_stage(
+    recs, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int, out_dir: str,
+    threads: int = 1,
+) -> list[MicrostateMaps]:
+    """Each subject's GFP-peak topographies clustered into k maps.
+
+    Subject i (in file-name order) uses seed (seed, 100, i). Commits
+    <out_dir>/<id>.json.
+    """
+
+    def _one(item) -> MicrostateMaps:
+        idx, rec = item
+        peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
+        return modified_kmeans(
+            rec.data[:, peaks].T, k, **kmeans,
+            seed=child_seed(seed, 100, idx), channels=rec.montage.names,
+        )
+
+    maps = _ordered_map(_one, list(enumerate(recs)), threads)
+    _commit_subject_json(out_dir, recs, [m.to_json_dict() for m in maps])
+    return maps
+
+
+def group_maps_stage(
+    subj_maps, k: int, kmeans: dict, seed: int, out_path: str,
+    templates: Optional[MicrostateMaps] = None,
 ) -> MicrostateMaps:
-    """GFP-peak topographies of one subject clustered into k maps."""
-    series = gfp(rec)
-    peaks = find_gfp_peaks(series, min_distance_ms=cfg.min_peak_distance_ms)
-    return modified_kmeans(
-        rec.data[:, peaks].T,
-        cfg.k,
-        n_inits=cfg.kmeans["n_inits"],
-        max_iter=cfg.kmeans["max_iter"],
-        tol=cfg.kmeans["tol"],
-        seed=seed,
-        channels=rec.montage.names,
-    )
+    """The subjects' maps clustered into k group maps with seed (seed, 200).
 
-
-def _labeled_group_maps(
-    cfg: PipelineConfig, subj_maps: list[MicrostateMaps], rec0: Recording
-) -> MicrostateMaps:
-    gmaps = group_cluster(
-        subj_maps, cfg.k, **cfg.kmeans, seed=child_seed(cfg.seed, 200)
-    )
-    if cfg.labeling == "template":
-        templates = canonical_templates(rec0.montage)
-    else:
-        from .io import read_json
-
-        templates = MicrostateMaps.from_json_dict(read_json(cfg.labeling))
-    return label_maps(gmaps, templates=templates)
+    Given templates, the maps are labeled against them before the commit.
+    """
+    gmaps = group_cluster(subj_maps, k, **kmeans, seed=child_seed(seed, 200))
+    if templates is not None:
+        gmaps = label_maps(gmaps, templates=templates)
+    _commit_json(out_path, gmaps.to_json_dict())
+    return gmaps
 
 
 def _segmentation_json(rec: Recording, seg) -> dict:
@@ -405,6 +458,124 @@ def _segmentation_json(rec: Recording, seg) -> dict:
     d["subject_id"] = rec.subject_id
     d["label"] = rec.label
     return d
+
+
+def backfit_stage(
+    recs, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, threads: int = 1
+) -> list[Segmentation]:
+    """Every sample assigned to its best group map; commits <out_dir>/<id>.json."""
+    segs = _ordered_map(
+        lambda r: backfit(r, gmaps, min_segment_ms=min_segment_ms), recs, threads
+    )
+    _commit_subject_json(out_dir, recs, map(_segmentation_json, recs, segs))
+    return segs
+
+
+def feature_stage(
+    subjects: Iterable[tuple[str, Optional[str], Segmentation]], out_path: str,
+    gfp_aggregate: str = "mean", trim_edge_runs: bool = False,
+) -> FeatureTable:
+    """The feature table of (subject_id, label, segmentation) triples, as CSV.
+
+    `subjects` is consumed one at a time, so a generator keeps a single
+    segmentation in memory.
+    """
+    entries = []
+    for sid, label, seg in subjects:
+        if label is None:
+            raise UnlabeledData(f"subject {sid!r} has no class label")
+        fv = extract_features(seg, gfp_aggregate=gfp_aggregate, trim_edge_runs=trim_edge_runs)
+        entries.append((sid, label, fv))
+    table = build_feature_table(entries)
+    table.to_csv(out_path + ".partial")
+    os.replace(out_path + ".partial", out_path)
+    return table
+
+
+def fit_stage(
+    table: FeatureTable, kind: str, params: dict, grid: Optional[dict], n_folds: int,
+    seed: int, out_path: str, record_grid: bool = False,
+) -> tuple:
+    """The final model and its parameters, after a grid search if given.
+
+    The grid search uses seed (seed, 300), the final fit (seed, 301).
+    With record_grid, model.json lists the grid's best values under
+    grid_best_params (a run lists them in eval.json instead).
+    """
+    params = dict(params)
+    if grid:
+        logger.info("grid search over %s", sorted(grid))
+        gs = grid_search(
+            lambda p: make_trainer(kind, {**params, **p}), table.values, table.y, grid,
+            n_folds=n_folds, seed=child_seed(seed, 300),
+        )
+        params.update(gs.best_params)
+        logger.info("grid best %s at %.4f", gs.best_params, gs.best_score)
+    logger.info("training final %s model", kind)
+    model = make_trainer(kind, params)(table.values, table.y, child_seed(seed, 301))
+    doc = model.to_json_dict()
+    doc["feature_names"] = list(table.feature_names)
+    doc["class_names"] = list(table.class_names)
+    if grid and record_grid:
+        doc["grid_best_params"] = {k: params[k] for k in grid}
+    _commit_json(out_path, doc)
+    return model, params
+
+
+def cv_stage(
+    table: FeatureTable, kind: str, params: dict, n_folds: int, seed: int, out_path: str,
+    grid: Optional[dict] = None,
+) -> EvalReport:
+    """Stratified k-fold cross-validation with seed (seed, 400).
+
+    Given the grid, eval.json lists params' values of its keys under
+    grid_best_params.
+    """
+    logger.info("cross-validated evaluation (%d folds)", n_folds)
+    report = stratified_kfold_cv(
+        make_trainer(kind, params), table.values, table.y,
+        n_folds=n_folds, seed=child_seed(seed, 400), class_names=table.class_names,
+    )
+    doc = report.to_json_dict()
+    if grid:
+        doc["grid_best_params"] = {k: params[k] for k in grid}
+    _commit_json(out_path, doc)
+    return report
+
+
+def explain_stage(
+    model, table: FeatureTable, settings: dict, seed: int, out_path: str,
+    class_names: Optional[list[str]] = None, only_class: Optional[str] = None,
+) -> ShapExplanation:
+    """Every row's attributions against background rows drawn from the table.
+
+    The background is drawn with seed (seed, 500), the explainer runs
+    with (seed, 501). shap.json lists the background's subjects, or,
+    given class_names, those names; only_class keeps one class's slice.
+    """
+    logger.info("explaining predictions (%s)", settings["method"])
+    n_bg = min(settings["background"], table.n_rows)
+    bg_rng = np.random.default_rng([child_seed(seed, 500)])
+    bg_idx = np.sort(bg_rng.choice(table.n_rows, size=n_bg, replace=False))
+    expl = explain(
+        model, table.values, table.values[bg_idx],
+        method=settings["method"], n_samples=settings["n_samples"],
+        seed=child_seed(seed, 501), feature_names=table.feature_names,
+    )
+    doc = expl.to_json_dict()
+    doc["subject_ids"] = list(table.subject_ids)
+    if class_names is None:
+        doc["background_subjects"] = [table.subject_ids[i] for i in bg_idx]
+    else:
+        doc["class_names"] = class_names
+    if only_class is not None:
+        ci = class_names.index(only_class)
+        doc["phi"] = [[[feat[ci]] for feat in inst] for inst in doc["phi"]]
+        doc["phi0"] = [doc["phi0"][ci]]
+        doc["classes"] = [doc["classes"][ci]]
+        doc["class_names"] = [only_class]
+    _commit_json(out_path, doc)
+    return expl
 
 
 def compute_stats(table: FeatureTable) -> dict:
@@ -467,138 +638,53 @@ def run_pipeline(
     stats.json, manifest.json under the output directory.
     """
     out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    artifacts: list[str] = []
+    path = functools.partial(os.path.join, out)
 
     logger.info("loading recordings from %s", cfg.input_dir)
     recs = load_input_recordings(cfg.input_dir, cfg.montage)
-
     logger.info("preprocessing %d recordings", len(recs))
-    pre_dir = os.path.join(out, "preprocessed")
-    os.makedirs(pre_dir, exist_ok=True)
-
-    def _pre(rec: Recording) -> Recording:
-        return preprocess_recording(rec, cfg)
-
-    recs = _ordered_map(_pre, recs, threads)
-    for rec in recs:
-        commit_recording(rec, os.path.join(pre_dir, rec.subject_id))
-        artifacts.append(os.path.join("preprocessed", rec.subject_id + ".eegb"))
-
+    recs = preprocess_stage(recs, cfg.steps, cfg.band, path("preprocessed"), threads)
     logger.info("clustering per-subject microstates (k=%d)", cfg.k)
-    maps_dir = os.path.join(out, "subject_maps")
-    os.makedirs(maps_dir, exist_ok=True)
-
-    def _subject(item) -> MicrostateMaps:
-        idx, rec = item
-        return subject_microstates(rec, cfg, seed=child_seed(cfg.seed, 100, idx))
-
-    subj_maps = _ordered_map(_subject, list(enumerate(recs)), threads)
-    for rec, m in zip(recs, subj_maps):
-        path = os.path.join(maps_dir, rec.subject_id + ".json")
-        _commit_json(path, m.to_json_dict())
-        artifacts.append(os.path.join("subject_maps", rec.subject_id + ".json"))
-
+    subj_maps = subject_maps_stage(
+        recs, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed,
+        path("subject_maps"), threads,
+    )
     logger.info("group clustering and labeling")
-    gmaps = _labeled_group_maps(cfg, subj_maps, recs[0])
-    _commit_json(os.path.join(out, "maps.json"), gmaps.to_json_dict())
-    artifacts.append("maps.json")
-
+    if cfg.labeling == "template":
+        templates = canonical_templates(recs[0].montage)
+    else:
+        templates = MicrostateMaps.from_json_dict(read_json(cfg.labeling))
+    gmaps = group_maps_stage(
+        subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
+    )
     logger.info("backfitting")
-    seg_dir = os.path.join(out, "segmentations")
-    os.makedirs(seg_dir, exist_ok=True)
-
-    def _fit(rec: Recording):
-        return backfit(rec, gmaps, min_segment_ms=cfg.min_segment_ms)
-
-    segs = _ordered_map(_fit, recs, threads)
-    for rec, seg in zip(recs, segs):
-        path = os.path.join(seg_dir, rec.subject_id + ".json")
-        _commit_json(path, _segmentation_json(rec, seg))
-        artifacts.append(os.path.join("segmentations", rec.subject_id + ".json"))
-
+    segs = backfit_stage(recs, gmaps, cfg.min_segment_ms, path("segmentations"), threads)
     logger.info("extracting features")
-    entries = []
-    for rec, seg in zip(recs, segs):
-        if rec.label is None:
-            raise UnlabeledData(
-                f"recording {rec.subject_id!r} has no class label"
-            )
-        entries.append((rec.subject_id, rec.label, extract_features(seg)))
-    table = build_feature_table(entries)
-    feat_path = os.path.join(out, "features.csv")
-    table.to_csv(feat_path + ".partial")
-    os.replace(feat_path + ".partial", feat_path)
-    artifacts.append("features.csv")
-
-    kind = cfg.classifier["kind"]
-    params = dict(cfg.classifier["params"])
-    if cfg.grid:
-        logger.info("grid search over %s", sorted(cfg.grid))
-        gs = grid_search(
-            lambda p: make_trainer(kind, {**params, **p}),
-            table.values,
-            table.y,
-            cfg.grid,
-            n_folds=cfg.cv_folds,
-            seed=child_seed(cfg.seed, 300),
-        )
-        params.update(gs.best_params)
-        logger.info("grid best %s at %.4f", gs.best_params, gs.best_score)
-
-    logger.info("training final %s model", kind)
-    trainer = make_trainer(kind, params)
-    model = trainer(table.values, table.y, child_seed(cfg.seed, 301))
-    model_doc = model.to_json_dict()
-    model_doc["feature_names"] = list(table.feature_names)
-    model_doc["class_names"] = list(table.class_names)
-    _commit_json(os.path.join(out, "model.json"), model_doc)
-    artifacts.append("model.json")
-
-    logger.info("cross-validated evaluation (%d folds)", cfg.cv_folds)
-    report = stratified_kfold_cv(
-        trainer,
-        table.values,
-        table.y,
-        n_folds=cfg.cv_folds,
-        seed=child_seed(cfg.seed, 400),
-        class_names=table.class_names,
+    table = feature_stage(
+        [(rec.subject_id, rec.label, seg) for rec, seg in zip(recs, segs)],
+        path("features.csv"),
     )
-    eval_doc = report.to_json_dict()
-    if cfg.grid:
-        eval_doc["grid_best_params"] = {k: params[k] for k in cfg.grid}
-    _commit_json(os.path.join(out, "eval.json"), eval_doc)
-    artifacts.append("eval.json")
-
-    logger.info("explaining predictions (%s)", cfg.explain["method"])
-    n_bg = min(cfg.explain["background"], table.n_rows)
-    bg_rng = np.random.default_rng([child_seed(cfg.seed, 500)])
-    bg_idx = np.sort(bg_rng.choice(table.n_rows, size=n_bg, replace=False))
-    expl = explain(
-        model,
-        table.values,
-        table.values[bg_idx],
-        method=cfg.explain["method"],
-        n_samples=cfg.explain["n_samples"],
-        seed=child_seed(cfg.seed, 501),
-        feature_names=table.feature_names,
+    kind, seed = cfg.classifier["kind"], cfg.seed
+    model, params = fit_stage(
+        table, kind, cfg.classifier["params"], cfg.grid, cfg.cv_folds, seed,
+        path("model.json"),
     )
-    shap_doc = expl.to_json_dict()
-    shap_doc["subject_ids"] = list(table.subject_ids)
-    shap_doc["background_subjects"] = [table.subject_ids[i] for i in bg_idx]
-    _commit_json(os.path.join(out, "shap.json"), shap_doc)
-    artifacts.append("shap.json")
-
-    _commit_text(
-        os.path.join(out, "ranking.csv"),
-        _ranking_csv(expl, table.class_names),
+    report = cv_stage(
+        table, kind, params, cfg.cv_folds, seed, path("eval.json"), grid=cfg.grid
     )
-    artifacts.append("ranking.csv")
-
+    expl = explain_stage(model, table, cfg.explain, seed, path("shap.json"))
+    _commit_text(path("ranking.csv"), _ranking_csv(expl, table.class_names))
     logger.info("group statistics")
-    _commit_json(os.path.join(out, "stats.json"), compute_stats(table))
-    artifacts.append("stats.json")
+    _commit_json(path("stats.json"), compute_stats(table))
 
+    def per_subject(directory: str, ext: str) -> list[str]:
+        return [os.path.join(directory, r.subject_id + ext) for r in recs]
+
+    artifacts = [
+        *per_subject("preprocessed", ".eegb"), *per_subject("subject_maps", ".json"),
+        "maps.json", *per_subject("segmentations", ".json"), "features.csv",
+        "model.json", "eval.json", "shap.json", "ranking.csv", "stats.json",
+    ]
     manifest = {
         "versions": {
             "msaf": _pkg_version,
@@ -614,7 +700,7 @@ def run_pipeline(
         "cv_accuracy": report.accuracy,
         "artifacts": artifacts,
     }
-    _commit_json(os.path.join(out, "manifest.json"), manifest)
+    _commit_json(path("manifest.json"), manifest)
     logger.info("pipeline complete: cv accuracy %.4f", report.accuracy)
     return manifest
 

@@ -12,6 +12,7 @@ sampled, so recovered maps and statistics can be scored against truth.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .io import Montage, Recording, STANDARD_1020_NAMES, standard_1020_montage
 from .microstates import GfpSeries, MicrostateMaps, Segmentation
+from .models._common import require_int, require_real
 
 CANONICAL_LABELS = ("A", "B", "C", "F")
 
@@ -110,39 +112,38 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.fs > 0 and math.isfinite(self.fs)):
-            raise InvalidConfig(f"fs must be positive, got {self.fs}")
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise InvalidConfig(f"duration must be positive, got {self.duration}")
-        if not 1 <= self.n_states <= len(CANONICAL_LABELS):
+        require_real("fs", self.fs, strict=True)
+        require_real("duration", self.duration, strict=True)
+        require_int("n_states", self.n_states, 1)
+        if self.n_states > len(CANONICAL_LABELS):
             raise InvalidConfig(
                 f"n_states must be in [1, {len(CANONICAL_LABELS)}], got {self.n_states}"
             )
         k = self.n_states
-        dw = self.mean_dwell_ms
-        if isinstance(dw, (int, float)):
-            dw = (float(dw),) * k
-        else:
-            dw = tuple(float(v) for v in dw)
-        if len(dw) != k or any(v <= 0 for v in dw):
-            raise InvalidConfig(f"mean_dwell_ms must be {k} positive values")
-        object.__setattr__(self, "mean_dwell_ms", dw)
-        amps = self.amplitudes
-        if isinstance(amps, (int, float)):
-            amps = (float(amps),) * k
-        else:
-            amps = tuple(float(v) for v in amps)
-        if len(amps) != k or any(v <= 0 for v in amps):
-            raise InvalidConfig(f"amplitudes must be {k} positive values")
-        object.__setattr__(self, "amplitudes", amps)
-        if not (self.snr > 0):
-            raise InvalidConfig(f"snr must be positive (or inf), got {self.snr}")
-        if not 0.0 <= self.envelope_depth < 1.0:
+        object.__setattr__(
+            self, "mean_dwell_ms", _per_state("mean_dwell_ms", self.mean_dwell_ms, k)
+        )
+        object.__setattr__(self, "amplitudes", _per_state("amplitudes", self.amplitudes, k))
+        if self.snr != math.inf:  # inf: noiseless
+            require_real("snr", self.snr, strict=True)
+        require_real("envelope_freq", self.envelope_freq, low=-math.inf)
+        require_real("envelope_depth", self.envelope_depth)
+        if not self.envelope_depth < 1.0:
             raise InvalidConfig(
                 f"envelope_depth must be in [0, 1), got {self.envelope_depth}"
             )
+        if self.carrier_hz is not None:
+            require_real("carrier_hz", self.carrier_hz, low=-math.inf)
+        if not isinstance(self.subject_id, str) or not self.subject_id:
+            raise InvalidConfig(
+                f"subject_id must be a non-empty string, got {self.subject_id!r}"
+            )
+        require_int("seed", self.seed, 0)
         if self.transition is not None:
-            t = np.asarray(self.transition, dtype=np.float64)
+            try:
+                t = np.asarray(self.transition, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise InvalidConfig(f"transition must be a matrix, got {self.transition!r}")
             if t.shape != (k, k):
                 raise InvalidConfig(f"transition must be {k}x{k}, got {t.shape}")
             if np.any(t < 0) or np.any(np.abs(np.diag(t)) > 0):
@@ -152,6 +153,24 @@ class SynthConfig:
             object.__setattr__(
                 self, "transition", tuple(tuple(float(v) for v in row) for row in t)
             )
+
+    @classmethod
+    def from_json_dict(cls, fields: dict) -> "SynthConfig":
+        """A config from field names and values; unknown names are rejected."""
+        unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise InvalidConfig(f"unknown synth fields {sorted(unknown)}")
+        return cls(**fields)
+
+
+def _per_state(name: str, value, k: int) -> tuple[float, ...]:
+    """A scalar repeated k times, or k values; each finite and > 0."""
+    values = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * k
+    if len(values) != k:
+        raise InvalidConfig(f"{name} must be {k} positive values, got {value!r}")
+    for v in values:
+        require_real(name, v, strict=True)
+    return tuple(float(v) for v in values)
 
 
 def generate(cfg: SynthConfig) -> tuple[Recording, Segmentation, MicrostateMaps]:
@@ -284,8 +303,8 @@ def make_cohort(
             child = int(
                 np.random.SeedSequence([seed, c_idx, s]).generate_state(1)[0]
             )
-            cfg = SynthConfig(
-                **{
+            cfg = SynthConfig.from_json_dict(
+                {
                     **(base or {}),
                     **overrides,
                     "subject_id": f"{label}_{s:03d}",

@@ -232,12 +232,12 @@ def test_exit_code_2_on_unknown_config_key(tmp_path, work):
     assert main(["run", "--config", bad]) == 2
 
 
-def _assert_config_error(capsys, out):
-    """One InvalidConfig JSON line on stderr and nothing written at out."""
+def _assert_config_error(capsys, out, error="InvalidConfig"):
+    """One `error` JSON line on stderr (exit 2) and nothing written at out."""
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == "InvalidConfig" and err["exit_code"] == 2
+    assert err["error"] == error and err["exit_code"] == 2
     # nothing was written, preprocessed/ included
     assert not out.exists()
 
@@ -285,6 +285,23 @@ def test_group_maps_config_reproduces_run_maps(work, tmp_path):
                  "--out", str(tmp_path / "labeled.json")]) == 0
     assert filecmp.cmp(tmp_path / "labeled.json", tmp_path / "run" / "maps.json",
                        shallow=False)
+    # the remaining stage verbs, on the run's artifacts with its seed and settings
+    run, seed = tmp_path / "run", ["--seed", "3"]
+    rf = ["--model", "rf", "--params", '{"n_trees": 4}']
+    assert main(["features", str(run / "segmentations"),
+                 "--out", str(tmp_path / "features.csv")]) == 0
+    assert main(["train", str(run / "features.csv"), *rf,
+                 "--out", str(tmp_path / "model.json"), *seed]) == 0
+    assert main(["evaluate", str(run / "features.csv"), *rf, "--folds", "2",
+                 "--out", str(tmp_path / "eval.json"), *seed]) == 0
+    for name in ("features.csv", "model.json", "eval.json"):
+        assert filecmp.cmp(tmp_path / name, run / name, shallow=False), name
+    assert main(["explain", str(run / "model.json"), str(run / "features.csv"),
+                 "--method", "tree", "--background", "2",
+                 "--out", str(tmp_path / "shap.json"), *seed]) == 0
+    verb_doc, run_doc = read_json(str(tmp_path / "shap.json")), read_json(str(run / "shap.json"))
+    for key in ("phi", "phi0", "classes", "feature_names", "meta", "method", "subject_ids"):
+        assert verb_doc[key] == run_doc[key], key
 
 
 @pytest.mark.parametrize("classifier,grid", [
@@ -369,6 +386,18 @@ def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     _assert_config_error(capsys, out)
 
 
+# steps whose values pass the config checks but not a 6-s recording at 250 Hz
+_ABOVE_NYQUIST = {"steps": [{"kind": "bandpass", "low": 1.0, "high": 200.0}]}
+_CROP_PAST_END = {"steps": [{"kind": "crop", "t_start": 10.0, "t_end": 20.0}]}
+_RECORDING_LIMITS = ((_ABOVE_NYQUIST["steps"], "InvalidBand"),
+                     (_CROP_PAST_END["steps"], "EmptyCrop"))
+# positional inputs of each verb, in the work fixture
+_STAGE_INPUTS = {
+    "backfit": ("data", "maps.json"), "preprocess": ("data",), "group-maps": ("subj",),
+    "train": ("features.csv",), "evaluate": ("features.csv",), "topo": ("maps.json",),
+}
+
+
 @pytest.mark.parametrize("verb,doc,flags", [
     ("preprocess", {"steps": [{"kind": "bandpass", "low": "x", "high": 30}]}, []),
     ("preprocess", {"steps": [{"kind": "resample", "fs": -250}]}, []),
@@ -382,20 +411,31 @@ def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     ("synth", {"kind": "band_cohort", "n_per_class": 1, "band": ["x", 8]}, []),
     ("backfit", None, ["--min-segment-ms", "-5"]),
     ("backfit", None, ["--min-segment-ms", "nan"]),
+    ("run", _ABOVE_NYQUIST, []),
+    ("run", _CROP_PAST_END, []),
+    ("preprocess", _ABOVE_NYQUIST, []),
+    ("preprocess", _CROP_PAST_END, []),
+    ("synth", {"kind": "single", "foo": 1}, []),
+    ("synth", {"kind": "cohort", "base": {"duration": "x"}}, []),
+    ("synth", {"kind": "single", "fs": "x"}, []),
+    ("train", None, ["--folds", "1"]),
+    ("evaluate", None, ["--folds", "1"]),
+    ("group-maps", None, ["--k", "0"]),
+    ("topo", None, ["--size", "0"]),
+    ("topo", None, ["--size", "-5"]),
 ])
 def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_path, capsys):
     out = tmp_path / "o"
-    if verb == "backfit":
-        argv = ["backfit", str(work / "data"), str(work / "maps.json")]
-    elif verb == "band-sweep":
+    argv = [verb, *(str(work / name) for name in _STAGE_INPUTS.get(verb, ()))]
+    if verb in ("run", "band-sweep"):
         doc = {"input_dir": str(work / "data"), "cv_folds": 2, **doc}
-        argv = ["band-sweep"]
-    else:
-        argv = [verb] + ([str(work / "data")] if verb == "preprocess" else [])
     if doc is not None:
         argv += ["--config", _write(tmp_path / "c.json", doc)]
     assert main(argv + ["--out", str(out), *flags]) == 2
-    _assert_config_error(capsys, out)
+    # limits set by the recording itself raise the step's own ConfigError
+    steps = (doc or {}).get("steps")
+    error = next((e for limit, e in _RECORDING_LIMITS if limit == steps), "InvalidConfig")
+    _assert_config_error(capsys, out, error)
 
 
 def test_segment_bad_peak_distance(work, tmp_path, capsys):

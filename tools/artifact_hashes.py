@@ -1,0 +1,137 @@
+"""sha256 of every artifact of a fixed set of msaf commands.
+
+    python3 tools/artifact_hashes.py SRC_DIR OUT_DIR [--n-per-class N] [--duration S]
+
+SRC_DIR is the directory that holds the ``msaf`` package (a checkout's
+``src/``). Every command runs as a fresh ``python -m msaf.cli`` process
+with SRC_DIR first on PYTHONPATH and OUT_DIR (created, must not exist)
+as its working directory, so all paths are relative and two listings
+made in different directories compare line for line:
+
+- ``msaf synth``: a fixed labeled cohort (``data/``, ``data/truth/``);
+- ``msaf run`` with notch, bandpass and average-reference steps for rf,
+  gbt and svm (the svm run with a grid search);
+- the verb chain over the same cohort, ``preprocess`` through ``stats``,
+  plus ``explain-rank`` and ``topo``.
+
+It prints one ``<sha256>  <path>`` line per file, sorted by path. A
+refactor that must not change behaviour shows the same listing for the
+parent's SRC_DIR and the change's; ``manifest.json`` also records the
+package version and the Python/NumPy/SciPy versions.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+SEED = 7
+STEPS = [
+    {"kind": "notch", "freq": 50.0},
+    {"kind": "bandpass", "low": 1.0, "high": 30.0},
+    {"kind": "average_reference"},
+]
+KMEANS = {"n_inits": 5, "max_iter": 100}
+RUNS = {
+    "rf": {"classifier": {"kind": "rf", "params": {"n_trees": 20}}},
+    "gbt": {"classifier": {"kind": "gbt"}},
+    "svm": {"classifier": {"kind": "svm"}, "grid": {"c": [1.0, 10.0]},
+            "explain": {"n_samples": 256, "background": 8}},
+}
+
+
+def _commands() -> list[list[str]]:
+    """msaf argument lists, in order, relative to the output directory."""
+    seed = ["--seed", str(SEED)]
+    cmds = [["synth", "--config", "synth.json", "--out", "data", *seed]]
+    cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
+    chain = [
+        ["preprocess", "data", "--config", "prep.json", "--out", "chain/pre"],
+        ["segment", "chain/pre", "--config", "kmeans.json", "--out", "chain/subj"],
+        ["group-maps", "chain/subj", "--config", "kmeans.json", "--out", "chain/raw.json"],
+        ["label", "chain/raw.json", "--out", "chain/maps.json"],
+        ["backfit", "chain/pre", "chain/maps.json", "--out", "chain/segs"],
+        ["features", "chain/segs", "--out", "chain/features.csv"],
+        ["train", "chain/features.csv", "--model", "rf", "--params", '{"n_trees": 20}',
+         "--grid", '{"max_depth": [2, null]}', "--folds", "2", "--out", "chain/model.json"],
+        ["evaluate", "chain/features.csv", "--model", "rf", "--params", '{"n_trees": 20}',
+         "--folds", "2", "--out", "chain/eval.json"],
+        ["explain", "chain/model.json", "chain/features.csv", "--background", "8",
+         "--out", "chain/shap.json"],
+        ["explain", "chain/model.json", "chain/features.csv", "--background", "8",
+         "--class", "DEM", "--out", "chain/shap_dem.json"],
+        ["explain-rank", "chain/shap.json", "--out", "chain/ranking.csv"],
+        ["stats", "chain/features.csv", "--out", "chain/stats.json"],
+        ["topo", "chain/maps.json", "--out", "chain/topos"],
+    ]
+    return cmds + [c + seed for c in chain]
+
+
+def _configs(n_per_class: int, duration: float) -> dict:
+    configs = {
+        "synth.json": {"kind": "cohort", "n_per_class": n_per_class,
+                       "base": {"duration": duration}},
+        "prep.json": {"steps": STEPS},
+        "kmeans.json": {"kmeans": KMEANS},
+    }
+    for name, extra in RUNS.items():
+        configs[f"run_{name}.json"] = {
+            "input_dir": "data", "out_dir": f"run_{name}", "steps": STEPS,
+            "kmeans": KMEANS, "cv_folds": 2, **extra,
+        }
+    return configs
+
+
+def _sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("src_dir", help="directory holding the msaf package")
+    p.add_argument("out_dir", help="new directory for the artifacts")
+    p.add_argument("--n-per-class", type=int, default=4)
+    p.add_argument("--duration", type=float, default=10.0, help="seconds per recording")
+    args = p.parse_args(argv)
+
+    src = os.path.abspath(args.src_dir)
+    if not os.path.isfile(os.path.join(src, "msaf", "cli.py")):
+        p.error(f"no msaf package in {src!r}")
+    os.makedirs(args.out_dir)
+    configs = _configs(args.n_per_class, args.duration)
+    for name, doc in configs.items():
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for cmd in _commands():
+        proc = subprocess.run(
+            [sys.executable, "-m", "msaf.cli", *cmd, "--threads", "1"],
+            cwd=args.out_dir, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            print(f"`msaf {' '.join(cmd)}` exited {proc.returncode}: {proc.stderr[-500:]}",
+                  file=sys.stderr)
+            return 1
+
+    lines = []
+    for root, _, files in os.walk(args.out_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, args.out_dir).replace(os.sep, "/")
+            if rel not in configs:
+                lines.append(f"{_sha256(path)}  {rel}")
+    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
