@@ -28,12 +28,13 @@ from .explain import ShapExplanation, global_ranking
 from .io import commit_recording, load_feature_table, read_json, standard_1020_montage
 from .microstates import MicrostateMaps, Segmentation, label_maps
 from .models import DEFAULT_GRIDS, MODEL_KINDS, check_params, model_from_json_dict
-from .models._common import require_int, require_real
+from .models._common import require_int, require_object, require_real
 from .pipeline import (
     PipelineConfig,
     backfit_stage,
     band_sweep,
     check_band,
+    check_montage,
     check_steps,
     compute_stats,
     cv_stage,
@@ -191,32 +192,20 @@ def _seed_of(args, cfg: Optional[dict] = None) -> int:
     return seed
 
 
-def _load_config(args) -> dict:
-    path = _need(args, "config", "--config")
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{path!r} must hold a JSON object")
-    return doc
+def _load_config(args, verb: str, known=None) -> dict:
+    """The --config object, with only known keys (any, if known is None)."""
+    return require_object(f"{verb} config", read_json(_need(args, "config", "--config")), known)
 
 
-def _known_keys(doc: dict, allowed: set, verb: str) -> dict:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidConfig(f"unknown {verb} config keys {sorted(unknown)}")
-    return doc
-
-
-def _verb_config(args, allowed: set, verb: str) -> dict:
-    """The optional --config object of a stage verb, with only allowed keys."""
-    return _known_keys(_load_config(args) if args.config else {}, allowed, verb)
+def _verb_config(args, verb: str, known) -> dict:
+    """The optional --config object of a stage verb, with only known keys."""
+    return _load_config(args, verb, known) if args.config else {}
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    doc = _load_config(args)
+    doc = _load_config(args, "run")
     if args.out:
         doc["out_dir"] = args.out
-    if "out_dir" not in doc or not doc["out_dir"]:
-        raise InvalidConfig("set out_dir in the config or pass --out")
     if args.seed is not None:
         doc["seed"] = args.seed
     return PipelineConfig.from_json_dict(doc)
@@ -226,79 +215,79 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _cmd_preprocess(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, {"montage", "steps", "band", "seed"}, "preprocess")
+    doc = _verb_config(args, "preprocess", {"montage", "steps", "band", "seed"})
     steps = check_steps(doc.get("steps", ()))
-    band = check_band(doc.get("band") or None)
-    montage = tuple(str(c) for c in doc["montage"]) if doc.get("montage") else None
-    recs = load_input_recordings(args.input_dir, montage)
+    band = check_band(doc.get("band"))
+    recs = load_input_recordings(args.input_dir, check_montage(doc.get("montage")))
     done = preprocess_stage(recs, steps, band, out, args.threads)
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0
 
 
-def _normalize_profiles(doc: dict) -> dict:
+_PROFILE_KEYS = ("weights", "transition", "mean_dwell_ms", "amplitudes")
+_SYNTH_KEYS = {
+    "cohort": ("kind", "n_per_class", "seed", "profiles", "base"),
+    "band_cohort": ("kind", "n_per_class", "band", "snr", "duration", "fs", "seed"),
+}
+
+
+def _normalize_profiles(doc) -> dict:
+    """Class label -> SynthConfig overrides, with weights made a transition matrix."""
     profiles = {}
-    for label, fields in doc.items():
-        if not isinstance(fields, dict):
-            raise InvalidConfig(f"profile {label!r} must be an object")
-        unknown = set(fields) - {"weights", "transition", "mean_dwell_ms", "amplitudes"}
-        if unknown:
-            raise InvalidConfig(f"profile {label!r} has unknown keys {sorted(unknown)}")
-        p = dict(fields)
+    for label, fields in require_object("synth profiles", doc).items():
+        p = dict(require_object(f"profile {label!r}", fields, _PROFILE_KEYS))
         if "weights" in p:
             if "transition" in p:
                 raise InvalidConfig(f"profile {label!r}: give weights or transition, not both")
             p["transition"] = transition_from_weights(p.pop("weights"))
-        profiles[str(label)] = p
+        profiles[label] = p
+    if not profiles:
+        raise InvalidConfig("synth profiles must name at least one class")
     return profiles
 
 
 def _cmd_synth(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _load_config(args)
+    doc = _load_config(args, "synth")
     kind = doc.get("kind", "cohort")
+    if kind not in ("cohort", "band_cohort", "single"):
+        raise InvalidConfig(f"synth kind must be cohort|band_cohort|single, got {kind!r}")
     seed = _seed_of(args, doc)
     n_per_class = doc.get("n_per_class", 10)
+    if kind != "single":
+        require_object("synth config", doc, _SYNTH_KEYS[kind])
+        require_int("n_per_class", n_per_class, 1)
 
     if kind == "cohort":
-        _known_keys(doc, {"kind", "n_per_class", "seed", "profiles", "base"}, "synth")
-        require_int("n_per_class", n_per_class, 1)
-        profiles = (
-            _normalize_profiles(doc["profiles"]) if doc.get("profiles") else None
-        )
+        profiles = doc.get("profiles")
         base = doc.get("base")
-        if base is not None and not isinstance(base, dict):
-            raise InvalidConfig(f"synth base must be an object, got {base!r}")
-        pairs = make_cohort(n_per_class, profiles=profiles, seed=seed, base=base)
-    elif kind == "band_cohort":
-        _known_keys(
-            doc, {"kind", "n_per_class", "band", "snr", "duration", "fs", "seed"}, "synth"
+        pairs = make_cohort(
+            n_per_class,
+            profiles=None if profiles is None else _normalize_profiles(profiles),
+            seed=seed,
+            base=None if base is None else require_object("synth base", base),
         )
-        require_int("n_per_class", n_per_class, 1)
+    elif kind == "band_cohort":
         settings = {"snr": 4.0, "duration": 20.0, "fs": 250.0}
         settings.update((k, doc[k]) for k in settings if k in doc)
         for name, value in settings.items():
             if not (name == "snr" and value == float("inf")):  # inf: noiseless
                 require_real(name, value, strict=True)
-        band = doc.get("band", (4.0, 8.0))
-        if not isinstance(band, (list, tuple)) or len(band) != 2:
-            raise InvalidConfig(f"band must be [low, high], got {band!r}")
-        for edge in band:
-            require_real("band edge", edge, strict=True)
+        band = check_band(doc.get("band", STANDARD_BANDS["theta"]))
+        if band is None:
+            raise InvalidConfig("a band_cohort needs a band [low, high]")
         pairs = make_band_cohort(
             n_per_class,
-            band=tuple(band),
+            band=band,
             seed=seed,
             **{name: float(value) for name, value in settings.items()},
         )
-    elif kind == "single":
+    else:
         fields = dict(doc)
         fields.pop("kind", None)
         fields["seed"] = seed
         rec, seg, _ = generate(SynthConfig.from_json_dict(fields))
         pairs = [(rec, seg)]
-    else:
-        raise InvalidConfig(f"synth kind must be cohort|band_cohort|single, got {kind!r}")
 
     recs = [rec for rec, _ in pairs]
     truth = [_segmentation_json(rec, seg) for rec, seg in pairs]
@@ -311,7 +300,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_segment(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, {"kmeans", "min_peak_distance_ms", "seed"}, "segment")
+    doc = _verb_config(args, "segment", {"kmeans", "min_peak_distance_ms", "seed"})
     require_int("--k", args.k, 1)
     kmeans = kmeans_settings(doc.get("kmeans"))
     min_distance = doc.get("min_peak_distance_ms", 0.0)
@@ -325,7 +314,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, {"kmeans", "seed"}, "group-maps")
+    doc = _verb_config(args, "group-maps", {"kmeans", "seed"})
     require_int("--k", args.k, 1)
     kmeans = kmeans_settings(doc.get("kmeans"))
     seed = _seed_of(args, doc)
@@ -403,9 +392,7 @@ def _parse_params(text: Optional[str]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"--params must be a JSON object: {e}")
-    if not isinstance(doc, dict):
-        raise InvalidConfig("--params must be a JSON object")
-    return doc
+    return require_object("--params", doc)
 
 
 def _cmd_train(args) -> int:

@@ -89,9 +89,6 @@ class GlobalRanking:
 
     entries: tuple[tuple[str, float], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"ranking": [{"feature": n, "score": float(s)} for n, s in self.entries]}
-
 
 def _score_fn_for(model: TrainedModel) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(model, GbtModel):

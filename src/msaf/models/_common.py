@@ -29,6 +29,19 @@ def require_real(name: str, value, low: float = 0.0, strict: bool = False) -> No
         raise InvalidConfig(f"{name} must be a finite number {bound} {low:g}, got {value!r}")
 
 
+def require_object(name: str, value, known=None) -> dict:
+    """Raise InvalidConfig unless value is a JSON object whose keys are all known.
+
+    Without `known` any key passes. Returns the object.
+    """
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{name} must be an object, got {value!r}")
+    unknown = set(value) - set(known) if known is not None else ()
+    if unknown:
+        raise InvalidConfig(f"unknown {name} keys {sorted(unknown)}")
+    return value
+
+
 def validate_xy(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Check a training pair and return (x, y, sorted distinct classes)."""
     x = np.asarray(x, dtype=np.float64)

@@ -245,13 +245,6 @@ class GridSearchResult:
     best_score: float
     results: tuple[dict, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "best_params": dict(self.best_params),
-            "best_score": float(self.best_score),
-            "results": [dict(r) for r in self.results],
-        }
-
 
 def grid_search(
     make_trainer: Callable[[dict], Callable],

@@ -16,6 +16,7 @@ can change wall time but never a single output byte.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -58,7 +59,7 @@ from .microstates import (
     modified_kmeans,
 )
 from .models import MODEL_KINDS, check_params, make_trainer
-from .models._common import child_seed, require_int, require_real
+from .models._common import child_seed, require_int, require_object, require_real
 from .models.evaluate import EvalReport, grid_search, stratified_kfold_cv
 from .explain import ShapExplanation, explain, global_ranking
 from .preprocess import (
@@ -114,19 +115,18 @@ def _check_step_values(step: dict) -> None:
             raise InvalidConfig(f"step {kind!r} needs {lo} < {hi}, got {step!r}")
 
 
-def check_steps(steps: Sequence) -> tuple[dict, ...]:
-    """The preprocessing steps, each with a known kind, keys and values."""
+def check_steps(steps) -> tuple[dict, ...]:
+    """The preprocessing steps (a list), each with a known kind, keys and values."""
+    if not isinstance(steps, (list, tuple)):
+        raise InvalidConfig(f"steps must be a list, got {steps!r}")
     checked = []
     for s in steps:
-        if not isinstance(s, dict) or "kind" not in s:
-            raise InvalidConfig(f"each step needs a 'kind', got {s!r}")
-        kind = s["kind"]
-        if kind not in _STEP_REQUIRED:
-            raise InvalidConfig(f"unknown preprocessing step {kind!r}")
-        allowed = {"kind", *_STEP_REQUIRED[kind], *_STEP_OPTIONAL.get(kind, ())}
-        extra = set(s) - allowed
-        if extra:
-            raise InvalidConfig(f"step {kind!r} has unknown keys {sorted(extra)}")
+        kind = s.get("kind") if isinstance(s, dict) else None
+        if not isinstance(kind, str) or kind not in _STEP_REQUIRED:
+            raise InvalidConfig(f"each step needs a known 'kind', got {s!r}")
+        require_object(
+            f"step {kind!r}", s, {"kind", *_STEP_REQUIRED[kind], *_STEP_OPTIONAL.get(kind, ())}
+        )
         missing = [k for k in _STEP_REQUIRED[kind] if k not in s]
         if missing:
             raise InvalidConfig(f"step {kind!r} is missing {missing}")
@@ -136,28 +136,41 @@ def check_steps(steps: Sequence) -> tuple[dict, ...]:
 
 
 def check_band(band) -> Optional[tuple[float, float]]:
-    """The band-selection filter's (low, high), with 0 < low < high."""
+    """The band-selection filter's [low, high], two numbers with 0 < low < high.
+
+    None (no band filter) passes through.
+    """
     if band is None:
         return None
-    try:
-        lo, hi = float(band[0]), float(band[1])
-    except (TypeError, ValueError, IndexError):
-        raise InvalidConfig(f"band must be [low, high], got {band!r}")
-    if not 0.0 < lo < hi:
+    if not isinstance(band, (list, tuple)) or len(band) != 2:
+        raise InvalidConfig(f"band must be [low, high] or null, got {band!r}")
+    for edge in band:
+        require_real("band edge", edge, strict=True)
+    if not band[0] < band[1]:
         raise InvalidConfig(f"band must satisfy 0 < low < high, got {band!r}")
-    return (lo, hi)
+    return (float(band[0]), float(band[1]))
+
+
+def check_montage(montage) -> Optional[tuple[str, ...]]:
+    """The channels to keep: a non-empty list of names, or None for all."""
+    if montage is None:
+        return None
+    if (
+        not isinstance(montage, (list, tuple))
+        or not montage
+        or not all(isinstance(c, str) for c in montage)
+    ):
+        raise InvalidConfig(
+            f"montage must be a non-empty list of channel names or null, got {montage!r}"
+        )
+    return tuple(montage)
 
 
 def kmeans_settings(overrides: Optional[dict]) -> dict:
     """The k-means settings (n_inits, max_iter, tol) with overrides, checked."""
     km = {"n_inits": 20, "max_iter": 200, "tol": 1e-8}
     if overrides is not None:
-        if not isinstance(overrides, dict):
-            raise InvalidConfig(f"kmeans must be an object, got {overrides!r}")
-        extra = set(overrides) - set(km)
-        if extra:
-            raise InvalidConfig(f"unknown kmeans keys {sorted(extra)}")
-        km.update(overrides)
+        km.update(require_object("kmeans", overrides, km))
     _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
     return km
 
@@ -166,10 +179,7 @@ def explain_settings(overrides: Optional[dict]) -> dict:
     """The explanation settings (method, n_samples, background), checked."""
     ex = {"method": "auto", "n_samples": 2048, "background": 64}
     if overrides is not None:
-        extra = set(overrides) - set(ex)
-        if extra:
-            raise InvalidConfig(f"unknown explain keys {sorted(extra)}")
-        ex.update(overrides)
+        ex.update(require_object("explain", overrides, ex))
     if ex["method"] not in _EXPLAIN_METHODS:
         raise InvalidConfig(
             f"explain method must be one of {_EXPLAIN_METHODS}, got {ex['method']!r}"
@@ -181,7 +191,11 @@ def explain_settings(overrides: Optional[dict]) -> dict:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated description of one full pipeline run."""
+    """Validated description of one full pipeline run.
+
+    `dataclasses.asdict` gives its JSON form and `dataclasses.replace`
+    a changed copy, checked again.
+    """
 
     input_dir: str
     out_dir: str
@@ -199,12 +213,6 @@ class PipelineConfig:
     explain: Optional[dict] = None
     seed: int = 0
 
-    _KNOWN = (
-        "input_dir", "out_dir", "montage", "steps", "band", "k", "kmeans",
-        "min_peak_distance_ms", "min_segment_ms", "labeling", "classifier",
-        "grid", "cv_folds", "explain", "seed",
-    )
-
     def __post_init__(self):
         if not isinstance(self.input_dir, str) or not self.input_dir:
             raise InvalidConfig("input_dir must be a non-empty path")
@@ -212,36 +220,28 @@ class PipelineConfig:
             raise InvalidConfig(f"input_dir does not exist: {self.input_dir!r}")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise InvalidConfig("out_dir must be a non-empty path")
-        if self.montage is not None:
-            object.__setattr__(
-                self, "montage", tuple(str(c) for c in self.montage)
-            )
+        object.__setattr__(self, "montage", check_montage(self.montage))
         object.__setattr__(self, "steps", check_steps(self.steps))
         object.__setattr__(self, "band", check_band(self.band))
         require_int("k", self.k, 1)
         object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
         require_real("min_peak_distance_ms", self.min_peak_distance_ms)
         require_real("min_segment_ms", self.min_segment_ms)
-        if self.labeling != "template":
-            if not os.path.isfile(self.labeling):
-                raise InvalidConfig(
-                    f"labeling must be 'template' or an existing maps JSON, "
-                    f"got {self.labeling!r}"
-                )
+        if self.labeling != "template" and not (
+            isinstance(self.labeling, str) and os.path.isfile(self.labeling)
+        ):
+            raise InvalidConfig(
+                f"labeling must be 'template' or an existing maps JSON, got {self.labeling!r}"
+            )
         clf = {"kind": "svm", "params": {}}
         if self.classifier is not None:
-            extra = set(self.classifier) - {"kind", "params"}
-            if extra:
-                raise InvalidConfig(f"unknown classifier keys {sorted(extra)}")
-            clf.update(self.classifier)
+            clf.update(require_object("classifier", self.classifier, clf))
         if clf["kind"] not in MODEL_KINDS:
             raise InvalidConfig(
                 f"classifier kind must be one of {MODEL_KINDS}, got {clf['kind']!r}"
             )
-        if not isinstance(clf.get("params", {}), dict):
-            raise InvalidConfig("classifier params must be an object")
-        clf.setdefault("params", {})
-        if self.grid is not None and (not isinstance(self.grid, dict) or not self.grid):
+        require_object("classifier params", clf["params"])
+        if self.grid is not None and not require_object("grid", self.grid):
             raise InvalidConfig("grid must be a non-empty object of lists")
         check_params(clf["kind"], clf["params"], self.grid)
         if clf["kind"] == "rf":
@@ -261,51 +261,18 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PipelineConfig":
-        if not isinstance(d, dict):
-            raise InvalidConfig("pipeline config must be a JSON object")
-        unknown = set(d) - set(cls._KNOWN)
-        if unknown:
-            raise InvalidConfig(f"unknown config keys {sorted(unknown)}")
-        kw = dict(d)
-        if "montage" in kw and kw["montage"] is not None:
-            kw["montage"] = tuple(kw["montage"])
-        if "steps" in kw:
-            kw["steps"] = tuple(kw["steps"])
-        if "band" in kw and kw["band"] is not None:
-            kw["band"] = tuple(kw["band"])
-        return cls(**kw)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input_dir": self.input_dir,
-            "out_dir": self.out_dir,
-            "montage": list(self.montage) if self.montage else None,
-            "steps": [dict(s) for s in self.steps],
-            "band": list(self.band) if self.band else None,
-            "k": self.k,
-            "kmeans": dict(self.kmeans),
-            "min_peak_distance_ms": self.min_peak_distance_ms,
-            "min_segment_ms": self.min_segment_ms,
-            "labeling": self.labeling,
-            "classifier": {
-                "kind": self.classifier["kind"],
-                "params": dict(self.classifier["params"]),
-            },
-            "grid": dict(self.grid) if self.grid else None,
-            "cv_folds": self.cv_folds,
-            "explain": dict(self.explain),
-            "seed": self.seed,
-        }
-
-    def replaced(self, **changes) -> "PipelineConfig":
-        d = self.to_json_dict()
-        d.update(changes)
-        return PipelineConfig.from_json_dict(d)
+        """A config from a JSON object; unknown and missing required keys fail."""
+        fields = dataclasses.fields(cls)
+        require_object("pipeline config", d, [f.name for f in fields])
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+        if missing:
+            raise InvalidConfig(f"pipeline config is missing {missing}")
+        return cls(**d)
 
 
 def config_hash(cfg: PipelineConfig) -> str:
     """sha256 over the canonical JSON form of the config."""
-    blob = json.dumps(cfg.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -693,7 +660,7 @@ def run_pipeline(
             "scipy": scipy.__version__,
         },
         "seed": cfg.seed,
-        "config": cfg.to_json_dict(),
+        "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
         "n_subjects": len(recs),
         "class_names": list(table.class_names),
@@ -723,7 +690,7 @@ def band_sweep(
     out = out_dir or cfg.out_dir
     # every band's config is checked before the first band runs
     sub_cfgs = [
-        cfg.replaced(band=[lo, hi], out_dir=os.path.join(out, f"band_{name}"))
+        dataclasses.replace(cfg, band=(lo, hi), out_dir=os.path.join(out, f"band_{name}"))
         for name, (lo, hi) in bands
     ]
     os.makedirs(out, exist_ok=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .io import Montage, Recording, STANDARD_1020_NAMES, standard_1020_montage
 from .microstates import GfpSeries, MicrostateMaps, Segmentation
-from .models._common import require_int, require_real
+from .models._common import child_seed, require_int, require_object, require_real
 
 CANONICAL_LABELS = ("A", "B", "C", "F")
 
@@ -61,9 +61,14 @@ def canonical_templates(montage: Montage) -> MicrostateMaps:
 
 def transition_from_weights(weights) -> tuple[tuple[float, ...], ...]:
     """Row-stochastic zero-diagonal matrix with p(i -> j) prop. to w_j."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2 or np.any(w <= 0):
-        raise InvalidConfig("weights must be a 1-D positive vector, length >= 2")
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        w = np.empty(0)
+    if w.ndim != 1 or w.size < 2 or not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise InvalidConfig(
+            f"weights must be a 1-D vector of positive numbers, length >= 2, got {weights!r}"
+        )
     k = w.size
     rows = []
     for i in range(k):
@@ -157,10 +162,7 @@ class SynthConfig:
     @classmethod
     def from_json_dict(cls, fields: dict) -> "SynthConfig":
         """A config from field names and values; unknown names are rejected."""
-        unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise InvalidConfig(f"unknown synth fields {sorted(unknown)}")
-        return cls(**fields)
+        return cls(**require_object("synth", fields, [f.name for f in dataclasses.fields(cls)]))
 
 
 def _per_state(name: str, value, k: int) -> tuple[float, ...]:
@@ -300,16 +302,13 @@ def make_cohort(
     out = []
     for c_idx, (label, overrides) in enumerate(sorted(profiles.items())):
         for s in range(n_per_class):
-            child = int(
-                np.random.SeedSequence([seed, c_idx, s]).generate_state(1)[0]
-            )
             cfg = SynthConfig.from_json_dict(
                 {
                     **(base or {}),
                     **overrides,
                     "subject_id": f"{label}_{s:03d}",
                     "label": label,
-                    "seed": child,
+                    "seed": child_seed(seed, c_idx, s),
                 }
             )
             rec, seg, _ = generate(cfg)
@@ -377,13 +376,6 @@ def make_band_cohort(
     out = []
     for c_idx, (label, overrides) in enumerate(sorted(profiles.items())):
         for s in range(n_per_class):
-            def child(branch: int) -> int:
-                return int(
-                    np.random.SeedSequence(
-                        [seed, c_idx, s, branch]
-                    ).generate_state(1)[0]
-                )
-
             cls_cfg = SynthConfig(
                 fs=fs,
                 duration=duration,
@@ -393,7 +385,7 @@ def make_band_cohort(
                 amplitudes=1.0,
                 subject_id=f"{label}_{s:03d}",
                 label=label,
-                seed=child(0),
+                seed=child_seed(seed, c_idx, s, 0),
                 **overrides,
             )
             rec, seg, _ = generate(cls_cfg)
@@ -407,13 +399,13 @@ def make_band_cohort(
                     carrier_hz=carrier,
                     amplitudes=1.0,
                     mean_dwell_ms=masker_dwell,
-                    seed=child(1 + m),
+                    seed=child_seed(seed, c_idx, s, 1 + m),
                 )
                 bg_rec, _, _ = generate(bg_cfg)
                 mix += bg_rec.data
             if not math.isinf(snr):
                 cls_rms = float(np.sqrt(np.mean(rec.data * rec.data)))
-                noise_rng = np.random.default_rng([child(999)])
+                noise_rng = np.random.default_rng([child_seed(seed, c_idx, s, 999)])
                 raw = noise_rng.standard_normal(mix.shape)
                 raw -= raw.mean(axis=0, keepdims=True)
                 raw_rms = float(np.sqrt(np.mean(raw * raw)))

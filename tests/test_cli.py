@@ -1,4 +1,5 @@
 """End-to-end CLI verb chain plus the exit-code contract."""
+import dataclasses
 import filecmp
 import json
 import os
@@ -13,7 +14,7 @@ import msaf
 import msaf.cli
 from msaf import load_feature_table, load_recording, read_json
 from msaf.cli import main
-from msaf.pipeline import load_input_recordings
+from msaf.pipeline import PipelineConfig, config_hash, load_input_recordings
 
 
 def _write(path, doc):
@@ -378,6 +379,19 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
     {"classifier": {"kind": "rf", "params": {"n_features_per_split": 30}}},
     {"classifier": {"kind": "rf"}, "grid": {"n_features_per_split": [4, 22]}},
     {"k": 3, "classifier": {"kind": "rf", "params": {"n_features_per_split": 17}}},
+    {"steps": 5},
+    {"steps": {}},
+    {"steps": [{"kind": []}]},
+    {"explain": 5},
+    {"explain": []},
+    {"classifier": 5},
+    {"band": 0},
+    {"band": "12"},
+    {"band": [1, 2, 3]},
+    {"montage": 5},
+    {"montage": []},
+    {"montage": "Fz"},
+    {"labeling": None},
 ])
 def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -423,6 +437,15 @@ _STAGE_INPUTS = {
     ("group-maps", None, ["--k", "0"]),
     ("topo", None, ["--size", "0"]),
     ("topo", None, ["--size", "-5"]),
+    ("preprocess", {"band": "12"}, []),
+    ("preprocess", {"band": [1, 2, 3]}, []),
+    ("preprocess", {"band": 0}, []),
+    ("preprocess", {"montage": []}, []),
+    ("preprocess", {"montage": "Fz"}, []),
+    ("preprocess", {"montage": 5}, []),
+    ("synth", {"profiles": 5}, []),
+    ("synth", {"profiles": {"NC": {"weights": "abc"}}}, []),
+    ("synth", {"n_per_class": 1, "profiles": {}}, []),
 ])
 def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -436,6 +459,29 @@ def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_pat
     steps = (doc or {}).get("steps")
     error = next((e for limit, e in _RECORDING_LIMITS if limit == steps), "InvalidConfig")
     _assert_config_error(capsys, out, error)
+
+
+def test_run_config_without_input_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write(tmp_path / "c.json", {"out_dir": str(out)})]) == 2
+    _assert_config_error(capsys, out)
+
+
+def test_config_json_form_is_pinned():
+    """asdict is the config's JSON form; config_hash pins its bytes."""
+    cfg = PipelineConfig.from_json_dict({
+        "input_dir": ".", "out_dir": "out", "montage": ["Fz", "Cz", "Pz", "O1"],
+        "steps": [{"kind": "notch", "freq": 50}, {"kind": "bandpass", "low": 1, "high": 30}],
+        "band": [4, 8], "k": 3, "kmeans": {"n_inits": 5}, "min_peak_distance_ms": 2,
+        "min_segment_ms": 10.0, "classifier": {"kind": "rf", "params": {"n_trees": 7}},
+        "grid": {"max_depth": [2, None]}, "cv_folds": 3, "explain": {"background": 9},
+        "seed": 11,
+    })
+    assert PipelineConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
+    assert dataclasses.replace(cfg, seed=11) == cfg
+    assert config_hash(cfg) == (
+        "8c637ca91a91aee88dc578826217bea851cf1b2d1fc2c0575db6dd14b334c880"
+    )
 
 
 def test_segment_bad_peak_distance(work, tmp_path, capsys):

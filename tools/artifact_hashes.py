@@ -8,10 +8,15 @@ with SRC_DIR first on PYTHONPATH and OUT_DIR (created, must not exist)
 as its working directory, so all paths are relative and two listings
 made in different directories compare line for line:
 
-- ``msaf synth``: a fixed labeled cohort (``data/``, ``data/truth/``);
+- ``msaf synth``: a fixed labeled cohort (``data/``, ``data/truth/``) and
+  a band cohort (``band_data/``);
 - ``msaf run`` with notch, bandpass and average-reference steps for rf,
-  gbt and svm (the svm run with a grid search);
-- the verb chain over the same cohort, ``preprocess`` through ``stats``,
+  gbt and svm (the svm run with a grid search), an rf run on a channel
+  subset with a band filter, and an rf run labeled against the rf run's
+  ``maps.json``;
+- ``msaf preprocess`` on the channel subset with the band filter;
+- ``msaf band-sweep`` over theta and alpha on the band cohort;
+- the verb chain over the labeled cohort, ``preprocess`` through ``stats``,
   plus ``explain-rank`` and ``topo``.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
@@ -35,19 +40,27 @@ STEPS = [
     {"kind": "average_reference"},
 ]
 KMEANS = {"n_inits": 5, "max_iter": 100}
+MONTAGE = ["Fp1", "Fp2", "F3", "F4", "Fz", "C3", "C4", "Cz", "P3", "P4", "Pz", "O1", "O2"]
+BAND = [2.0, 20.0]
+RF = {"classifier": {"kind": "rf", "params": {"n_trees": 20}}}
 RUNS = {
-    "rf": {"classifier": {"kind": "rf", "params": {"n_trees": 20}}},
+    "rf": RF,
     "gbt": {"classifier": {"kind": "gbt"}},
     "svm": {"classifier": {"kind": "svm"}, "grid": {"c": [1.0, 10.0]},
             "explain": {"n_samples": 256, "background": 8}},
+    "subset": {**RF, "montage": MONTAGE, "band": BAND},
+    "labeled": {**RF, "labeling": "run_rf/maps.json"},
 }
 
 
 def _commands() -> list[list[str]]:
     """msaf argument lists, in order, relative to the output directory."""
     seed = ["--seed", str(SEED)]
-    cmds = [["synth", "--config", "synth.json", "--out", "data", *seed]]
+    cmds = [["synth", "--config", "synth.json", "--out", "data", *seed],
+            ["synth", "--config", "synth_band.json", "--out", "band_data", *seed]]
     cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
+    cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
+             ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
     chain = [
         ["preprocess", "data", "--config", "prep.json", "--out", "chain/pre"],
         ["segment", "chain/pre", "--config", "kmeans.json", "--out", "chain/subj"],
@@ -74,8 +87,13 @@ def _configs(n_per_class: int, duration: float) -> dict:
     configs = {
         "synth.json": {"kind": "cohort", "n_per_class": n_per_class,
                        "base": {"duration": duration}},
+        "synth_band.json": {"kind": "band_cohort", "n_per_class": n_per_class,
+                            "duration": duration},
         "prep.json": {"steps": STEPS},
+        "prep_subset.json": {"montage": MONTAGE, "band": BAND, "steps": STEPS},
         "kmeans.json": {"kmeans": KMEANS},
+        "sweep.json": {"input_dir": "band_data", "out_dir": "sweep", "kmeans": KMEANS,
+                       "cv_folds": 2, **RF},
     }
     for name, extra in RUNS.items():
         configs[f"run_{name}.json"] = {
