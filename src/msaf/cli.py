@@ -25,8 +25,15 @@ from .errors import (
     MsafError,
 )
 from .explain import ShapExplanation, global_ranking
-from .io import commit_recording, load_feature_table, read_json, standard_1020_montage
-from .microstates import MicrostateMaps, Segmentation, label_maps
+from .io import (
+    check_montage,
+    commit_recording,
+    load_feature_table,
+    load_segmentation,
+    read_json,
+    standard_1020_montage,
+)
+from .microstates import MicrostateMaps, label_maps
 from .models import DEFAULT_GRIDS, MODEL_KINDS, check_params, model_from_json_dict
 from .models._common import require_int, require_object, require_real
 from .pipeline import (
@@ -34,7 +41,7 @@ from .pipeline import (
     backfit_stage,
     band_sweep,
     check_band,
-    check_montage,
+    check_k,
     check_steps,
     compute_stats,
     cv_stage,
@@ -50,10 +57,9 @@ from .pipeline import (
     subject_maps_stage,
     _artifact_names,
     _commit_json,
-    _commit_subject_json,
+    _commit_segmentations,
     _commit_text,
     _ranking_csv,
-    _segmentation_json,
 )
 from .synth import (
     STANDARD_BANDS,
@@ -123,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_backfit)
 
     q = verb("features", "temporal dynamics features per subject")
-    q.add_argument("seg_dir", help="directory of segmentation JSON files")
+    q.add_argument("seg_dir", help="directory of .seg segmentation files")
     q.add_argument("--gfp-aggregate", default="mean", choices=("mean", "median"))
     q.add_argument("--trim-edge-runs", action="store_true")
     q.set_defaults(func=_cmd_features)
@@ -290,8 +296,7 @@ def _cmd_synth(args) -> int:
         pairs = [(rec, seg)]
 
     recs = [rec for rec, _ in pairs]
-    truth = [_segmentation_json(rec, seg) for rec, seg in pairs]
-    _commit_subject_json(os.path.join(out, "truth"), recs, truth)
+    _commit_segmentations(os.path.join(out, "truth"), recs, [seg for _, seg in pairs])
     for rec in recs:
         commit_recording(rec, os.path.join(out, rec.subject_id))
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
@@ -301,7 +306,7 @@ def _cmd_synth(args) -> int:
 def _cmd_segment(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, "segment", {"kmeans", "min_peak_distance_ms", "seed"})
-    require_int("--k", args.k, 1)
+    check_k("--k", args.k)
     kmeans = kmeans_settings(doc.get("kmeans"))
     min_distance = doc.get("min_peak_distance_ms", 0.0)
     require_real("min_peak_distance_ms", min_distance)
@@ -315,7 +320,7 @@ def _cmd_segment(args) -> int:
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, "group-maps", {"kmeans", "seed"})
-    require_int("--k", args.k, 1)
+    check_k("--k", args.k)
     kmeans = kmeans_settings(doc.get("kmeans"))
     seed = _seed_of(args, doc)
     subj_maps = [
@@ -371,14 +376,12 @@ def _cmd_backfit(args) -> int:
 def _cmd_features(args) -> int:
     out = _need(args, "out", "--out")
 
-    def subjects():
-        for f in _artifact_names(args.seg_dir, ".json"):
-            doc = read_json(os.path.join(args.seg_dir, f))
-            sid = doc.get("subject_id", os.path.splitext(f)[0])
-            yield sid, doc.get("label"), Segmentation.from_json_dict(doc)
-
+    subjects = (
+        load_segmentation(os.path.join(args.seg_dir, f))
+        for f in _artifact_names(args.seg_dir, ".seg")
+    )
     table = feature_stage(
-        subjects(), out,
+        subjects, out,
         gfp_aggregate=args.gfp_aggregate, trim_edge_runs=args.trim_edge_runs,
     )
     print(f"{table.n_rows} x {len(table.feature_names)} feature table -> {out}")

@@ -10,9 +10,10 @@ For each state the five metrics are, in canonical column order:
     meandur     mean run duration in ms, run length computed as
                 (samples/fs)*1000
 
-plus one global column, the GFP aggregate (mean by default). All
-reductions use exactly rounded summation (math.fsum), so results do not
-depend on vectorization or summation order. By construction
+plus one global column, the GFP aggregate (mean by default). Each
+state's samples and runs are selected with boolean masks over the
+sequence, and every sum is exactly rounded (math.fsum), so results do
+not depend on vectorization or summation order. By construction
 occurrence * meandur / 1000 equals timecov for every state. States that
 never occur get 0 for all five metrics.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -83,41 +85,41 @@ def extract_features(
     if gfp_aggregate not in ("mean", "median"):
         raise ShapeMismatch(f"unknown gfp aggregate {gfp_aggregate!r}")
 
-    states = [int(v) for v in seg.states]
-    corr = [float(v) for v in seg.corr]
-    gfp_vals = [float(v) for v in seg.gfp.values]
-    k = seg.maps.k
+    states, corr, gfp_vals = seg.states, seg.corr, seg.gfp.values
     duration_s = t / seg.fs
-    denom = math.fsum(g * g for g in gfp_vals)
+    denom = math.fsum((gfp_vals * gfp_vals).tolist())
+    # squared through Python's pow (C pow), which NumPy's square and SIMD
+    # power do not match in the last bit
+    gev_terms = np.fromiter(map(pow, (gfp_vals * corr).tolist(), repeat(2)), np.float64, t)
 
-    runs = _run_lengths(seg.states)
-    counted_runs = runs[1:-1] if (trim_edge_runs and len(runs) > 2) else runs
+    starts, stops, run_states = _run_lengths(states)
+    if trim_edge_runs and run_states.size > 2:
+        starts, stops, run_states = starts[1:-1], stops[1:-1], run_states[1:-1]
+    durations = ((stops - starts) / seg.fs) * 1000.0
 
     gev_v, meancorr_v, occurrence_v, timecov_v, meandur_v = [], [], [], [], []
-    for c in range(k):
-        sample_idx = [i for i in range(t) if states[i] == c]
-        n_assigned = len(sample_idx)
-        my_runs = [r for r in counted_runs if r[2] == c]
+    for c in range(seg.maps.k):
+        assigned = states == c
+        n_assigned = int(np.count_nonzero(assigned))
+        my_runs = run_states == c
+        n_runs = int(np.count_nonzero(my_runs))
         if denom > 0.0 and n_assigned:
-            num = math.fsum((gfp_vals[i] * corr[i]) ** 2 for i in sample_idx)
-            gev_v.append(num / denom)
+            gev_v.append(math.fsum(gev_terms[assigned].tolist()) / denom)
         else:
             gev_v.append(0.0)
         meancorr_v.append(
-            math.fsum(corr[i] for i in sample_idx) / n_assigned if n_assigned else 0.0
+            math.fsum(corr[assigned].tolist()) / n_assigned if n_assigned else 0.0
         )
-        occurrence_v.append(len(my_runs) / duration_s if my_runs else 0.0)
+        occurrence_v.append(n_runs / duration_s if n_runs else 0.0)
         timecov_v.append(n_assigned / t if n_assigned else 0.0)
-        if my_runs:
-            durations = [((stop - start) / seg.fs) * 1000.0 for start, stop, _ in my_runs]
-            meandur_v.append(math.fsum(durations) / len(durations))
-        else:
-            meandur_v.append(0.0)
+        meandur_v.append(
+            math.fsum(durations[my_runs].tolist()) / n_runs if n_runs else 0.0
+        )
 
     if gfp_aggregate == "mean":
-        gfp_agg = math.fsum(gfp_vals) / t
+        gfp_agg = math.fsum(gfp_vals.tolist()) / t
     else:
-        gfp_agg = float(np.median(np.asarray(gfp_vals)))
+        gfp_agg = float(np.median(gfp_vals))
 
     return FeatureVector(
         state_labels=seg.maps.labels,

@@ -1,4 +1,4 @@
-"""Recording and feature-table I/O.
+"""Recording, segmentation and feature-table I/O.
 
 Binary recordings live in a two-file container:
 
@@ -11,6 +11,12 @@ Binary recordings live in a two-file container:
 
 Values are widened to float64 on load; all in-memory computation happens
 at working precision and only the container narrows to float32.
+
+A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
+the header length as a little-endian uint32, a sorted-key JSON header
+(``fs``, ``label``, ``maps``, ``n_samples``, ``subject_id``), then the
+per-sample ``states`` as uint8 and ``corr`` and ``gfp`` as little-endian
+float64. Nothing is narrowed, so a segmentation reads back bit for bit.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import csv
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +33,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DuplicateSubject,
+    InvalidConfig,
     InvalidRate,
     IoFailure,
     LengthMismatch,
@@ -36,6 +44,10 @@ from .errors import (
 )
 
 MAGIC = b"EEGB0001"
+SEG_MAGIC = b"MSAFSEG1"
+# A segmentation file stores its states as uint8.
+MAX_STATES = 255
+_SEG_HEADER_KEYS = ("fs", "label", "maps", "n_samples", "subject_id")
 
 # Idealized spherical 10-20 coordinates, BESA convention: (theta, phi) in
 # degrees, theta signed toward the right ear, phi counterclockwise from
@@ -156,6 +168,21 @@ def standard_1020_montage(names: Optional[Sequence[str]] = None) -> Montage:
                 )
             )
     return Montage(names=tuple(names), positions=np.array(positions, dtype=np.float64))
+
+
+def check_montage(montage) -> Optional[tuple[str, ...]]:
+    """The channels to keep: a non-empty list of names, or None for all."""
+    if montage is None:
+        return None
+    if (
+        not isinstance(montage, (list, tuple))
+        or not montage
+        or not all(isinstance(c, str) for c in montage)
+    ):
+        raise InvalidConfig(
+            f"montage must be a non-empty list of channel names or null, got {montage!r}"
+        )
+    return tuple(montage)
 
 
 @dataclass(frozen=True)
@@ -339,6 +366,105 @@ def load_recording(path: str) -> Recording:
         label=(str(sidecar["label"]) if sidecar.get("label") is not None else None),
         provenance=tuple(str(p) for p in sidecar.get("provenance", [])),
     )
+
+
+def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -> str:
+    """Write `<stem>.seg` under a .partial name, then rename it into place.
+
+    Args:
+        seg: The Segmentation to store; at most MAX_STATES maps.
+        stem: Target path without the extension.
+        subject_id: Subject the segmentation belongs to.
+        label: Its class label, or None.
+
+    Returns:
+        The committed path.
+    """
+    if seg.maps.k > MAX_STATES:
+        raise ShapeMismatch(f"a .seg file holds at most {MAX_STATES} maps, got {seg.maps.k}")
+    header = json.dumps(
+        {
+            "fs": seg.fs,
+            "label": label,
+            "maps": seg.maps.to_json_dict(),
+            "n_samples": seg.n_samples,
+            "subject_id": subject_id,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    partial, path = stem + ".partial.seg", stem + ".seg"
+    try:
+        with open(partial, "wb") as f:
+            f.write(SEG_MAGIC)
+            f.write(struct.pack("<I", len(header)))
+            f.write(header)
+            f.write(seg.states.astype(np.uint8).tobytes())
+            f.write(seg.corr.astype("<f8").tobytes())
+            f.write(seg.gfp.values.astype("<f8").tobytes())
+    except OSError as e:
+        raise IoFailure(f"could not write {partial!r}: {e}") from e
+    os.replace(partial, path)
+    return path
+
+
+def load_segmentation(path: str):
+    """Read a `.seg` file: (subject_id, label, Segmentation).
+
+    The header plus the decoded arrays pass through
+    ``Segmentation.from_json_dict``.
+
+    Raises:
+        BadMagic: the file does not start with SEG_MAGIC.
+        IoFailure: the header is not the JSON object of a segmentation.
+        ShapeMismatch: the header or payload is cut short or too long.
+    """
+    from .microstates import Segmentation  # microstates imports this module
+
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise IoFailure(f"could not read {path!r}: {e}") from e
+    if blob[: len(SEG_MAGIC)] != SEG_MAGIC:
+        raise BadMagic(f"{path!r} does not start with {SEG_MAGIC!r}")
+    start = len(SEG_MAGIC) + 4
+    if len(blob) < start:
+        raise ShapeMismatch(f"{path!r} ends inside the header length")
+    (header_len,) = struct.unpack_from("<I", blob, len(SEG_MAGIC))
+    body = start + header_len
+    if body > len(blob):
+        raise ShapeMismatch(
+            f"{path!r}: header of {header_len} bytes runs past the end of the file"
+        )
+    try:
+        header = json.loads(blob[start:body])
+    except ValueError as e:
+        raise IoFailure(f"{path!r}: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict) or sorted(header) != list(_SEG_HEADER_KEYS):
+        raise IoFailure(f"{path!r}: header must hold exactly the keys {_SEG_HEADER_KEYS}")
+    n = header["n_samples"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise IoFailure(f"{path!r}: n_samples must be a positive integer, got {n!r}")
+    # one uint8 state and two float64 values per sample
+    if len(blob) - body != 17 * n:
+        raise ShapeMismatch(
+            f"{path!r}: payload is {len(blob) - body} bytes, header declares "
+            f"{n} samples = {17 * n}"
+        )
+    doc = {
+        "fs": header["fs"],
+        "maps": header["maps"],
+        "states": np.frombuffer(blob, np.uint8, n, body),
+        "corr": np.frombuffer(blob, "<f8", n, body + n).astype(np.float64),
+        "gfp": np.frombuffer(blob, "<f8", n, body + 9 * n).astype(np.float64),
+    }
+    try:
+        seg = Segmentation.from_json_dict(doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise IoFailure(f"{path!r}: header does not describe a segmentation: {e!r}") from e
+    label = header["label"]
+    return str(header["subject_id"]), (None if label is None else str(label)), seg
 
 
 @dataclass(frozen=True)

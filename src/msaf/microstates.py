@@ -146,6 +146,8 @@ class MicrostateMaps:
 class Segmentation:
     """Per-sample state assignment of a recording.
 
+    On disk it is one ``.seg`` file (:func:`msaf.io.commit_segmentation`).
+
     Attributes:
         states: (T,) int array of map indices.
         corr: (T,) absolute spatial correlation with the assigned map,
@@ -183,17 +185,14 @@ class Segmentation:
     def n_samples(self) -> int:
         return self.states.size
 
-    def to_json_dict(self) -> dict:
-        return {
-            "fs": self.fs,
-            "states": [int(v) for v in self.states],
-            "corr": [float(v) for v in self.corr],
-            "gfp": [float(v) for v in self.gfp.values],
-            "maps": self.maps.to_json_dict(),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Segmentation":
+        """A segmentation from its dict form.
+
+        Keys: ``fs``, ``states``, ``corr``, ``gfp`` (sequences or arrays)
+        and ``maps`` (the dict form of MicrostateMaps). This is the form
+        :func:`msaf.io.load_segmentation` decodes a ``.seg`` file into.
+        """
         return cls(
             states=np.asarray(d["states"], dtype=np.int64),
             corr=np.asarray(d["corr"], dtype=np.float64),
@@ -611,20 +610,16 @@ def backfit(
 
     min_len = int(round(min_segment_ms / 1000.0 * rec.fs))
     if min_len > 1:
-        runs = _run_lengths(states)
-        if len(runs) > 1:
-            for r, (start, stop, state) in enumerate(runs):
-                if stop - start >= min_len:
-                    continue
-                left = runs[r - 1][2] if r > 0 else None
-                right = runs[r + 1][2] if r + 1 < len(runs) else None
-                for t in range(start, stop):
-                    if left is None:
-                        states[t] = right
-                    elif right is None or c[t, left] >= c[t, right]:
-                        states[t] = left
-                    else:
-                        states[t] = right
+        starts, stops, run_states = _run_lengths(states)
+        if run_states.size > 1:
+            # neighbours of every run, -1 past either edge, taken before any move
+            left = np.concatenate(([-1], run_states[:-1]))
+            right = np.concatenate((run_states[1:], [-1]))
+            run_of = np.repeat(np.arange(run_states.size), stops - starts)
+            t = np.flatnonzero((stops - starts)[run_of] < min_len)
+            lt, rt = left[run_of[t]], right[run_of[t]]
+            to_left = (rt < 0) | ((lt >= 0) & (c[t, lt] >= c[t, rt]))
+            states[t] = np.where(to_left, lt, rt)
     corr = c[np.arange(x.shape[0]), states]
     corr[~live] = 0.0
     return Segmentation(
@@ -636,15 +631,11 @@ def backfit(
     )
 
 
-def _run_lengths(states: np.ndarray) -> list[tuple[int, int, int]]:
-    """Run-length encode: list of (start, stop, state), stop exclusive."""
-    out = []
-    start = 0
-    for t in range(1, states.size + 1):
-        if t == states.size or states[t] != states[start]:
-            out.append((start, t, int(states[start])))
-            start = t
-    return out
+def _run_lengths(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run-length encode a non-empty sequence: (starts, stops, run states), stops exclusive."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(states)) + 1))
+    stops = np.append(starts[1:], states.size)
+    return starts, stops, states[starts]
 
 
 def label_maps(

@@ -40,9 +40,12 @@ from .errors import (
 )
 from .features import STATE_METRICS, build_feature_table, extract_features
 from .io import (
+    MAX_STATES,
     FeatureTable,
     Recording,
+    check_montage,
     commit_recording,
+    commit_segmentation,
     load_recording,
     read_json,
     write_json,
@@ -151,19 +154,14 @@ def check_band(band) -> Optional[tuple[float, float]]:
     return (float(band[0]), float(band[1]))
 
 
-def check_montage(montage) -> Optional[tuple[str, ...]]:
-    """The channels to keep: a non-empty list of names, or None for all."""
-    if montage is None:
-        return None
-    if (
-        not isinstance(montage, (list, tuple))
-        or not montage
-        or not all(isinstance(c, str) for c in montage)
-    ):
-        raise InvalidConfig(
-            f"montage must be a non-empty list of channel names or null, got {montage!r}"
-        )
-    return tuple(montage)
+def check_k(name: str, k) -> None:
+    """Raise InvalidConfig unless k, a number of maps, is an integer in [1, MAX_STATES].
+
+    MAX_STATES (255) is the most a segmentation file's uint8 states hold.
+    """
+    require_int(name, k, 1)
+    if k > MAX_STATES:
+        raise InvalidConfig(f"{name} must be <= {MAX_STATES}, got {k}")
 
 
 def kmeans_settings(overrides: Optional[dict]) -> dict:
@@ -223,7 +221,7 @@ class PipelineConfig:
         object.__setattr__(self, "montage", check_montage(self.montage))
         object.__setattr__(self, "steps", check_steps(self.steps))
         object.__setattr__(self, "band", check_band(self.band))
-        require_int("k", self.k, 1)
+        check_k("k", self.k)
         object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
         require_real("min_peak_distance_ms", self.min_peak_distance_ms)
         require_real("min_segment_ms", self.min_segment_ms)
@@ -339,6 +337,15 @@ def _commit_subject_json(out_dir: str, recs: Sequence[Recording], docs) -> None:
         _commit_json(os.path.join(out_dir, rec.subject_id + ".json"), doc)
 
 
+def _commit_segmentations(out_dir: str, recs: Sequence[Recording], segs) -> None:
+    """Commit one <subject_id>.seg per recording under out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for rec, seg in zip(recs, segs):
+        commit_segmentation(
+            seg, os.path.join(out_dir, rec.subject_id), rec.subject_id, rec.label
+        )
+
+
 # --- stages: each computes from in-memory inputs and explicit settings,
 # derives its own seeds from the run seed, and writes its artifacts only
 # once every result exists. `run_pipeline` and the stage verbs share them.
@@ -420,21 +427,15 @@ def group_maps_stage(
     return gmaps
 
 
-def _segmentation_json(rec: Recording, seg) -> dict:
-    d = seg.to_json_dict()
-    d["subject_id"] = rec.subject_id
-    d["label"] = rec.label
-    return d
-
-
 def backfit_stage(
     recs, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, threads: int = 1
 ) -> list[Segmentation]:
-    """Every sample assigned to its best group map; commits <out_dir>/<id>.json."""
+    """Every sample assigned to its best group map; commits <out_dir>/<id>.seg."""
+    check_k("the number of maps", gmaps.k)
     segs = _ordered_map(
         lambda r: backfit(r, gmaps, min_segment_ms=min_segment_ms), recs, threads
     )
-    _commit_subject_json(out_dir, recs, map(_segmentation_json, recs, segs))
+    _commit_segmentations(out_dir, recs, segs)
     return segs
 
 
@@ -649,7 +650,7 @@ def run_pipeline(
 
     artifacts = [
         *per_subject("preprocessed", ".eegb"), *per_subject("subject_maps", ".json"),
-        "maps.json", *per_subject("segmentations", ".json"), "features.csv",
+        "maps.json", *per_subject("segmentations", ".seg"), "features.csv",
         "model.json", "eval.json", "shap.json", "ranking.csv", "stats.json",
     ]
     manifest = {

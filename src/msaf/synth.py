@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidConfig
-from .io import Montage, Recording, STANDARD_1020_NAMES, standard_1020_montage
+from .io import Montage, Recording, STANDARD_1020_NAMES, check_montage, standard_1020_montage
 from .microstates import GfpSeries, MicrostateMaps, Segmentation
 from .models._common import child_seed, require_int, require_object, require_real
 
@@ -83,7 +83,8 @@ class SynthConfig:
     """Parameters of one synthetic recording.
 
     Attributes:
-        channels: Montage channel names.
+        channels: Montage channel names, a non-empty list (None: the
+            19-channel clinical set).
         fs: Sampling rate, Hz.
         duration: Length in seconds.
         n_states: Number of templates used (prefix of A, B, C, F).
@@ -117,6 +118,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "channels", check_montage(self.channels))
         require_real("fs", self.fs, strict=True)
         require_real("duration", self.duration, strict=True)
         require_int("n_states", self.n_states, 1)

@@ -84,6 +84,46 @@ def features_brute_force(
     return out
 
 
+# --- backfit's short-run pass, one sample at a time ---
+
+def run_lengths_loop(states) -> list[tuple[int, int, int]]:
+    """(start, stop, state) runs by scanning for the next change, stop exclusive."""
+    out = []
+    start = 0
+    for t in range(1, len(states) + 1):
+        if t == len(states) or states[t] != states[start]:
+            out.append((start, t, int(states[start])))
+            start = t
+    return out
+
+
+def absorb_short_runs_loop(states, c, min_len: int) -> list[int]:
+    """Move each sample of a run shorter than min_len to a neighbouring run's state.
+
+    The neighbour whose state correlates better at that sample wins, the
+    left one on ties; the first and last runs have one neighbour. Runs are
+    taken from the sequence before any sample moves.
+    """
+    states = [int(s) for s in states]
+    out = list(states)
+    runs = run_lengths_loop(states)
+    if len(runs) < 2:
+        return out
+    for r, (start, stop, _) in enumerate(runs):
+        if stop - start >= min_len:
+            continue
+        left = runs[r - 1][2] if r > 0 else None
+        right = runs[r + 1][2] if r + 1 < len(runs) else None
+        for t in range(start, stop):
+            if left is None:
+                out[t] = right
+            elif right is None or c[t][left] >= c[t][right]:
+                out[t] = left
+            else:
+                out[t] = right
+    return out
+
+
 # --- modified k-means, one restart at a time ---
 
 class EmptyClusterError(RuntimeError):

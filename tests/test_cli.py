@@ -12,7 +12,14 @@ import pytest
 
 import msaf
 import msaf.cli
-from msaf import load_feature_table, load_recording, read_json
+from msaf import (
+    MicrostateMaps,
+    load_feature_table,
+    load_recording,
+    load_segmentation,
+    read_json,
+    standard_1020_montage,
+)
 from msaf.cli import main
 from msaf.pipeline import PipelineConfig, config_hash, load_input_recordings
 
@@ -40,13 +47,15 @@ def test_synth_wrote_pairs_and_truth(work):
     eegb = [n for n in names if n.endswith(".eegb")]
     assert len(eegb) == 6
     assert sorted(os.listdir(work / "data" / "truth")) == [
-        n.replace(".eegb", ".json") for n in eegb
+        n.replace(".eegb", ".seg") for n in eegb
     ]
     rec = load_recording(str(work / "data" / eegb[0]))
     assert rec.label in ("NC", "MCI", "DEM")
-    truth = read_json(str(work / "data" / "truth" / eegb[0].replace(".eegb", ".json")))
-    assert truth["label"] == rec.label
-    assert len(truth["states"]) == rec.data.shape[1]
+    sid, label, truth = load_segmentation(
+        str(work / "data" / "truth" / eegb[0].replace(".eegb", ".seg"))
+    )
+    assert (sid, label) == (rec.subject_id, rec.label)
+    assert truth.n_samples == rec.data.shape[1]
 
 
 def test_preprocess_verb(work):
@@ -93,11 +102,12 @@ def test_partial_leftovers_are_not_inputs(work, tmp_path):
     assert [r.subject_id for r in load_input_recordings(str(data))] == [
         "MCI_000", "NC_000"
     ]
-    for verb, src, out in (("group-maps", "subj", "g.json"),
-                           ("features", "segs", "f.csv")):
+    for verb, src, ext, out in (("group-maps", "subj", ".json", "g.json"),
+                                ("features", "segs", ".seg", "f.csv")):
         leftover_dir = tmp_path / src
         shutil.copytree(work / src, leftover_dir)
-        (leftover_dir / "NC_009.partial.json").write_text('{"trunc')
+        blob = (work / src / ("NC_000" + ext)).read_bytes()
+        (leftover_dir / ("NC_009.partial" + ext)).write_bytes(blob[: len(blob) // 2])
         assert main([verb, str(leftover_dir), "--out", str(tmp_path / out)]) == 0
 
 
@@ -392,6 +402,7 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
     {"montage": []},
     {"montage": "Fz"},
     {"labeling": None},
+    {"k": 256},
 ])
 def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -408,6 +419,7 @@ _RECORDING_LIMITS = ((_ABOVE_NYQUIST["steps"], "InvalidBand"),
 # positional inputs of each verb, in the work fixture
 _STAGE_INPUTS = {
     "backfit": ("data", "maps.json"), "preprocess": ("data",), "group-maps": ("subj",),
+    "segment": ("data",),
     "train": ("features.csv",), "evaluate": ("features.csv",), "topo": ("maps.json",),
 }
 
@@ -446,6 +458,10 @@ _STAGE_INPUTS = {
     ("synth", {"profiles": 5}, []),
     ("synth", {"profiles": {"NC": {"weights": "abc"}}}, []),
     ("synth", {"n_per_class": 1, "profiles": {}}, []),
+    ("synth", {"kind": "single", "channels": 5}, []),
+    ("synth", {"kind": "single", "channels": "Fz"}, []),
+    ("segment", None, ["--k", "256"]),
+    ("group-maps", None, ["--k", "256"]),
 ])
 def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -459,6 +475,51 @@ def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_pat
     steps = (doc or {}).get("steps")
     error = next((e for limit, e in _RECORDING_LIMITS if limit == steps), "InvalidConfig")
     _assert_config_error(capsys, out, error)
+
+
+def test_backfit_rejects_more_maps_than_uint8_states(work, tmp_path, capsys):
+    montage = standard_1020_montage()
+    maps = np.random.default_rng(0).standard_normal((256, montage.n_channels))
+    maps -= maps.mean(axis=1, keepdims=True)
+    maps /= np.linalg.norm(maps, axis=1, keepdims=True)
+    doc = MicrostateMaps(
+        channels=montage.names, maps=maps, labels=[f"m{i}" for i in range(256)]
+    ).to_json_dict()
+    out = tmp_path / "o"
+    assert main(["backfit", str(work / "data"), _write(tmp_path / "maps.json", doc),
+                 "--out", str(out)]) == 2
+    _assert_config_error(capsys, out)
+
+
+def _bad_magic(blob):
+    return b"XXXXXXXX" + blob[8:]
+
+
+def _header_past_end(blob):
+    return blob[:8] + len(blob).to_bytes(4, "little") + blob[12:]
+
+
+def _truncated_payload(blob):
+    return blob[:-1]
+
+
+@pytest.mark.parametrize("corrupt,error", [
+    (_bad_magic, "BadMagic"),
+    (_header_past_end, "ShapeMismatch"),
+    (_truncated_payload, "ShapeMismatch"),
+])
+def test_corrupt_segmentation_is_one_data_error(corrupt, error, work, tmp_path, capsys):
+    segs = tmp_path / "segs"
+    shutil.copytree(work / "segs", segs)
+    path = segs / "MCI_001.seg"
+    path.write_bytes(corrupt(path.read_bytes()))
+    out = tmp_path / "f.csv"
+    assert main(["features", str(segs), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["category"], err["exit_code"]) == (error, "DataError", 3)
+    assert not out.exists()
 
 
 def test_run_config_without_input_dir(tmp_path, capsys):

@@ -112,6 +112,24 @@ def test_absent_state_gets_zeros():
     assert fv.timecov[i] == fv.meandur[i] == 0.0
 
 
+def _with_states(seg, states):
+    return Segmentation(states=np.asarray(states), corr=seg.corr, gfp=seg.gfp,
+                        fs=seg.fs, maps=seg.maps)
+
+
+@pytest.mark.parametrize("trim", [False, True])
+@pytest.mark.parametrize("aggregate", ["mean", "median"])
+def test_edge_sequences_match_oracle(trim, aggregate):
+    """One run, two runs (nothing left to trim), and a state never used."""
+    seg = _random_segmentation(np.random.default_rng(91), k=4, fs=100.0, n=300)
+    n = seg.n_samples
+    two = np.where(np.arange(n) < 120, 2, 0)
+    for states in (np.full(n, 3), two, np.where(seg.states == 1, 0, seg.states)):
+        seg2 = _with_states(seg, states)
+        kw = {"gfp_aggregate": aggregate, "trim_edge_runs": trim}
+        assert extract_features(seg2, **kw).to_dict() == _oracle_dict(seg2, **kw)
+
+
 def test_too_short_raises():
     rng = np.random.default_rng(5)
     with pytest.raises(TooShort):

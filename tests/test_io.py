@@ -1,4 +1,4 @@
-"""Recording container, .eegb round-trip, montage, feature table CSV."""
+"""Recording container, .eegb and .seg round-trips, montage, feature table CSV."""
 import os
 
 import numpy as np
@@ -10,9 +10,13 @@ from msaf import (
     Montage,
     Recording,
     ShapeMismatch,
+    SynthConfig,
     UnknownChannel,
+    commit_segmentation,
+    generate,
     load_feature_table,
     load_recording,
+    load_segmentation,
     read_json,
     save_recording,
     standard_1020_montage,
@@ -78,6 +82,24 @@ def test_eegb_roundtrip_without_label(tmp_path):
     save_recording(rec, str(tmp_path / "anon"))
     back = load_recording(str(tmp_path / "anon.eegb"))
     assert back.label is None
+
+
+@pytest.mark.parametrize("label", ["NC", None])
+def test_segmentation_roundtrip_exact(tmp_path, label):
+    _, seg, _ = generate(SynthConfig(seed=9, duration=2.0, snr=3.0))
+    path = commit_segmentation(seg, str(tmp_path / "s07"), "s07", label)
+    assert path == str(tmp_path / "s07.seg")
+    assert os.listdir(tmp_path) == ["s07.seg"]
+    sid, back_label, back = load_segmentation(path)
+    assert (sid, back_label) == ("s07", label)
+    assert np.array_equal(back.states, seg.states)
+    # float64 on disk: bit for bit, not merely close
+    assert back.corr.tobytes() == seg.corr.tobytes()
+    assert back.gfp.values.tobytes() == seg.gfp.values.tobytes()
+    assert back.fs == seg.fs and back.gfp.fs == seg.gfp.fs
+    assert back.maps.maps.tobytes() == seg.maps.maps.tobytes()
+    assert (back.maps.labels, back.maps.channels) == (seg.maps.labels, seg.maps.channels)
+    assert back.maps.gev_total == seg.maps.gev_total
 
 
 def test_with_data_appends_provenance():

@@ -27,7 +27,14 @@ from msaf import (
     spatial_correlation,
     standard_1020_montage,
 )
-from oracles import EmptyClusterError, modified_kmeans_loop
+from msaf.microstates import _run_lengths
+from oracles import (
+    EmptyClusterError,
+    absorb_short_runs_loop,
+    modified_kmeans_loop,
+    run_groups,
+    run_lengths_loop,
+)
 
 
 def _unit_maps(rng, k, n_ch):
@@ -284,6 +291,32 @@ def test_backfit_min_segment_absorbs_short_runs():
     assert n_short_after < len(short_samples)
 
 
+def test_run_lengths_match_loop():
+    rng = np.random.default_rng(8)
+    for states in ([2], [0, 0, 0], [1, 0], rng.integers(0, 3, 500), rng.integers(0, 2, 7)):
+        starts, stops, run_states = _run_lengths(np.asarray(states))
+        got = list(zip(starts.tolist(), stops.tolist(), run_states.tolist()))
+        assert got == run_lengths_loop(list(states)) == run_groups(states)
+
+
+# seed 6 also starts and ends with a short run, each with one neighbour
+@pytest.mark.parametrize("seed,min_segment_ms", [(6, 40.0), (7, 24.0), (8, 100.0)])
+def test_backfit_min_segment_matches_loop(seed, min_segment_ms):
+    rec, _, templates = generate(SynthConfig(seed=seed, snr=2.0, duration=4.0))
+    # |spatial correlation| of every sample with every map, by z-scores
+    x = rec.data.T
+    xz = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    m = templates.maps
+    mz = (m - m.mean(axis=1, keepdims=True)) / m.std(axis=1, keepdims=True)
+    c = np.abs(xz @ mz.T) / x.shape[1]
+    raw = backfit(rec, templates)
+    assert np.array_equal(raw.states, np.argmax(c, axis=1))
+    min_len = int(round(min_segment_ms / 1000.0 * rec.fs))
+    assert any(stop - start < min_len for start, stop, _ in run_lengths_loop(raw.states))
+    out = backfit(rec, templates, min_segment_ms=min_segment_ms)
+    assert out.states.tolist() == absorb_short_runs_loop(raw.states, c, min_len)
+
+
 def test_group_cluster_joins_subject_maps():
     rng = np.random.default_rng(3)
     true = _unit_maps(rng, 4, 19)
@@ -327,12 +360,3 @@ def test_label_maps_explicit_mapping_errors():
         label_maps(templates)  # neither argument
     out = label_maps(templates, mapping={0: "P", 1: "Q", 2: "R", 3: "S"})
     assert out.labels == ("P", "Q", "R", "S")
-
-
-def test_segmentation_json_roundtrip():
-    _, seg, _ = generate(SynthConfig(seed=9, duration=2.0))
-    back = type(seg).from_json_dict(seg.to_json_dict())
-    assert np.array_equal(back.states, seg.states)
-    assert np.allclose(back.corr, seg.corr, atol=0)
-    assert back.fs == seg.fs
-    assert back.maps.labels == seg.maps.labels

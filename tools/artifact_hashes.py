@@ -17,7 +17,10 @@ made in different directories compare line for line:
 - ``msaf preprocess`` on the channel subset with the band filter;
 - ``msaf band-sweep`` over theta and alpha on the band cohort;
 - the verb chain over the labeled cohort, ``preprocess`` through ``stats``,
-  plus ``explain-rank`` and ``topo``.
+  plus ``explain-rank`` and ``topo``;
+- ``msaf features`` on the rf run's ``segmentations/``, which must
+  reproduce that run's ``features.csv`` byte for byte (exit 1 otherwise):
+  the segmentation files lose no bit between ``backfit`` and ``features``.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
@@ -43,6 +46,8 @@ KMEANS = {"n_inits": 5, "max_iter": 100}
 MONTAGE = ["Fp1", "Fp2", "F3", "F4", "Fz", "C3", "C4", "Cz", "P3", "P4", "Pz", "O1", "O2"]
 BAND = [2.0, 20.0]
 RF = {"classifier": {"kind": "rf", "params": {"n_trees": 20}}}
+# features of run_rf/segmentations, read back by the features verb
+REREAD_FEATURES = "run_rf_features.csv"
 RUNS = {
     "rf": RF,
     "gbt": {"classifier": {"kind": "gbt"}},
@@ -59,6 +64,7 @@ def _commands() -> list[list[str]]:
     cmds = [["synth", "--config", "synth.json", "--out", "data", *seed],
             ["synth", "--config", "synth_band.json", "--out", "band_data", *seed]]
     cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
+    cmds += [["features", "run_rf/segmentations", "--out", REREAD_FEATURES]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
              ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
     chain = [
@@ -139,6 +145,11 @@ def main(argv=None) -> int:
             print(f"`msaf {' '.join(cmd)}` exited {proc.returncode}: {proc.stderr[-500:]}",
                   file=sys.stderr)
             return 1
+    reread = os.path.join(args.out_dir, REREAD_FEATURES)
+    if _sha256(reread) != _sha256(os.path.join(args.out_dir, "run_rf", "features.csv")):
+        print(f"{REREAD_FEATURES} differs from run_rf/features.csv: the segmentation "
+              "files do not read back exactly", file=sys.stderr)
+        return 1
 
     lines = []
     for root, _, files in os.walk(args.out_dir):
