@@ -14,7 +14,7 @@ Methods:
 * exact    full subset enumeration, feasible to d = 20.
 * kernel   weighted least squares on coalitions; enumerates all
            non-trivial coalitions when the budget allows, otherwise
-           paired-complement sampling. The efficiency constraint is
+           bulk paired-complement sampling. The efficiency constraint is
            eliminated by substituting the last feature's attribution,
            never solved as an extra equation.
 * tree     interventional TreeSHAP for the tree ensembles: for each
@@ -121,7 +121,15 @@ def _validate_inputs(model, x_explain, background):
 def _coalition_values(
     score_fn, x_row: np.ndarray, background: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Mean interventional score per coalition row of z (m, d)."""
+    """Mean interventional score per coalition row of z (m, d).
+
+    For a score function bound to an SvmModel (its decision_scores) the
+    mean comes from SvmModel.coalition_scores without building composite
+    rows; any other score function scores the composite rows in chunks.
+    """
+    model = getattr(score_fn, "__self__", None)
+    if isinstance(model, SvmModel):
+        return model.coalition_scores(x_row, background, z)
     m = z.shape[0]
     b = background.shape[0]
     out = None
@@ -135,8 +143,9 @@ def _coalition_values(
         )
         scores = score_fn(composite.reshape(zc.shape[0] * b, -1))
         scores = np.asarray(scores, dtype=np.float64).reshape(zc.shape[0], b, -1)
-        vals = scores.mean(axis=1)
-        out = vals if out is None else np.vstack([out, vals])
+        if out is None:
+            out = np.empty((m, scores.shape[2]))
+        scores.mean(axis=1, out=out[start : start + zc.shape[0]])
     return out
 
 
@@ -175,16 +184,22 @@ def exact_shapley(
     return phi, v[0].copy()
 
 
+def _kernel_enumerates(d: int, n_samples: int) -> bool:
+    """Whether all 2^d - 2 non-trivial coalitions fit the budget."""
+    return (1 << d) - 2 <= n_samples
+
+
 def _kernel_coalitions(d: int, n_samples: int, seed: int):
     """Coalition matrix and regression weights.
 
     Enumerates all 2^d - 2 non-trivial coalitions with the Shapley
-    kernel weight when they fit the budget; otherwise samples coalition
-    sizes from the kernel's size marginal and draws subsets paired with
-    their complements, weighting by frequency.
+    kernel weight when they fit the budget. Otherwise draws
+    ceil(n_samples / 2) coalition sizes from the kernel's size marginal
+    in one call, takes each subset as the first s positions of an
+    argsort of uniforms, adds its complement (Covert & Lee 2021), and
+    weights each distinct coalition by its count.
     """
-    total = (1 << d) - 2
-    if total <= n_samples:
+    if _kernel_enumerates(d, n_samples):
         masks = np.arange(1, (1 << d) - 1)
         z = ((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(np.float64)
         sizes = z.sum(axis=1).astype(np.int64)
@@ -199,22 +214,17 @@ def _kernel_coalitions(d: int, n_samples: int, seed: int):
     sizes = np.arange(1, d)
     p = (d - 1) / (sizes * (d - sizes))
     p = p / p.sum()
-    counts: dict[int, int] = {}
-    drawn = 0
-    while drawn < n_samples:
-        s = int(rng.choice(sizes, p=p))
-        members = rng.choice(d, size=s, replace=False)
-        mask = 0
-        for f in members:
-            mask |= 1 << int(f)
-        comp = mask ^ ((1 << d) - 1)
-        for m in (mask, comp):
-            counts[m] = counts.get(m, 0) + 1
-            drawn += 1
-    masks = np.array(list(counts.keys()))
-    z = ((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(np.float64)
-    w = np.array([counts[int(m)] for m in masks], dtype=np.float64)
-    return z, w, False
+    n_draws = -(-n_samples // 2)
+    drawn = rng.choice(sizes, size=n_draws, p=p)
+    order = np.argsort(rng.random((n_draws, d)), axis=1)
+    subsets = np.empty((n_draws, d), dtype=bool)
+    np.put_along_axis(subsets, order, np.arange(d) < drawn[:, np.newaxis], axis=1)
+    # count distinct coalitions on packed bytes: unlike int64 bitmasks
+    # they hold any d
+    packed = np.packbits(np.vstack([subsets, ~subsets]), axis=1)
+    rows, counts = np.unique(packed, axis=0, return_counts=True)
+    z = np.unpackbits(rows, axis=1, count=d).astype(np.float64)
+    return z, counts.astype(np.float64), False
 
 
 def kernel_shap(
@@ -399,15 +409,16 @@ def explain(
         for i in range(n):
             phi[i], phi0 = exact_shapley(score_fn, x[i], bg)
     else:
+        require_int("n_samples", n_samples, 1)
         score_fn = _score_fn_for(model)
         meta["n_samples"] = int(n_samples)
+        meta["enumerated"] = _kernel_enumerates(d, n_samples)
         any_ridge = False
         for i in range(n):
             phi[i], phi0, m = kernel_shap(
                 score_fn, x[i], bg, n_samples=n_samples, seed=child_seed(seed, i)
             )
             any_ridge = any_ridge or m.get("ridge_fallback", False)
-            meta["enumerated"] = m.get("enumerated")
         meta["ridge_fallback"] = any_ridge
     return ShapExplanation(
         method=method,

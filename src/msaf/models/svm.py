@@ -19,6 +19,10 @@ from ._common import require_int, require_real, validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
 
+# SvmModel.coalition_scores takes coalitions in chunks whose distance
+# matrix holds at most about this many doubles
+COALITION_CHUNK_DOUBLES = 1 << 20
+
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a_i - b_j||^2) for all pairs."""
@@ -64,6 +68,50 @@ class SvmModel:
         for i, m in enumerate(self.machines):
             k = rbf_kernel(z, m.support_vectors, self.gamma)
             out[:, i] = k @ m.dual_coef + m.bias
+        return out
+
+    def coalition_scores(self, x_row, background, z) -> np.ndarray:
+        """(m, n_classes) decision values averaged over the background rows.
+
+        Row i is the mean of decision_scores over the composites that take
+        feature j from x_row where z[i, j] is 1 and from the background
+        row where it is 0, computed without building them. In standardized
+        space ||c - sv||^2 = ||b - sv||^2 + z . delta[b, sv] with
+        delta_j = (x_j - sv_j)^2 - (b_j - sv_j)^2, so each chunk of
+        coalitions gets its distances to every (background row, support
+        vector of any machine) pair from one matrix product.
+        """
+        d = self.n_features
+        xs = (validate_x(x_row, d)[0] - self.mean) / self.scale
+        bs = (validate_x(background, d) - self.mean) / self.scale
+        sv = np.vstack([m.support_vectors for m in self.machines])
+        # block coefficients: support vector s scores only its own machine
+        sizes = [m.dual_coef.size for m in self.machines]
+        coef = np.zeros((sv.shape[0], len(self.machines)))
+        coef[np.arange(sv.shape[0]), np.repeat(np.arange(len(sizes)), sizes)] = (
+            np.concatenate([m.dual_coef for m in self.machines])
+        )
+        bias = np.array([m.bias for m in self.machines])
+
+        n_bg, n_sv = bs.shape[0], sv.shape[0]
+        delta = bs[:, np.newaxis, :] - sv[np.newaxis, :, :]
+        np.square(delta, out=delta)
+        base = delta.sum(axis=2).ravel()
+        np.subtract(np.square(xs - sv), delta, out=delta)
+        delta = delta.reshape(n_bg * n_sv, d).T
+
+        m_total = z.shape[0]
+        out = np.empty((m_total, len(self.machines)))
+        chunk = max(1, COALITION_CHUNK_DOUBLES // max(1, n_bg * n_sv))
+        for start in range(0, m_total, chunk):
+            zc = np.asarray(z[start : start + chunk], dtype=np.float64)
+            dist = zc @ delta
+            dist += base
+            np.maximum(dist, 0.0, out=dist)
+            dist *= -self.gamma
+            np.exp(dist, out=dist)
+            k = dist.reshape(zc.shape[0], n_bg, n_sv).mean(axis=1)
+            out[start : start + zc.shape[0]] = k @ coef + bias
         return out
 
     def predict(self, x) -> np.ndarray:

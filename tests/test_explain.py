@@ -15,7 +15,8 @@ from msaf import (
     train_svm_ovr,
     tree_shap,
 )
-from msaf.explain import _score_fn_for
+from msaf.explain import _coalition_values, _kernel_coalitions, _score_fn_for
+from msaf.models.svm import COALITION_CHUNK_DOUBLES
 
 from oracles import shapley_by_permutations, tree_shap_loop
 
@@ -132,6 +133,76 @@ def test_kernel_full_enumeration_equals_exact():
         assert meta.get("enumerated", False)
         assert np.max(np.abs(phi_k - phi_e)) < 1e-6
         assert np.max(np.abs(phi0_k - phi0_e)) < 1e-9
+
+
+def test_svm_coalition_scores_match_composite_rows():
+    rng = np.random.default_rng(11)
+    x, y = _data(rng, n_per=30, d=7)
+    model = train_svm_ovr(x, y, c=5.0, gamma=0.2)
+    background = x[::3]
+    n_sv = sum(m.dual_coef.size for m in model.machines)
+    chunk = COALITION_CHUNK_DOUBLES // (background.shape[0] * n_sv)
+    z = (rng.random((2 * chunk + 5, 7)) < 0.5).astype(np.float64)
+    assert z.shape[0] > 2 * chunk  # three chunks
+    got = _coalition_values(model.decision_scores, x[4], background, z)
+    composite = np.where(z.astype(bool)[:, np.newaxis, :], x[4], background[np.newaxis])
+    want = model.decision_scores(composite.reshape(-1, 7))
+    want = want.reshape(z.shape[0], background.shape[0], -1).mean(axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, n_samples", [(9, 200), (9, 201), (70, 500)])
+def test_kernel_sampler_pairs_complements_within_budget(d, n_samples):
+    z, w, enumerated = _kernel_coalitions(d, n_samples, seed=4)
+    assert not enumerated
+    sizes = z.sum(axis=1)
+    assert sizes.min() >= 1 and sizes.max() <= d - 1
+    counts = {tuple(row): c for row, c in zip(z.astype(bool), w)}
+    assert len(counts) == z.shape[0]
+    for row, c in counts.items():
+        assert counts[tuple(not v for v in row)] == c
+    assert w.sum() == 2 * -(-n_samples // 2)
+    z2, w2, _ = _kernel_coalitions(d, n_samples, seed=4)
+    assert np.array_equal(z, z2) and np.array_equal(w, w2)
+    z3, _, _ = _kernel_coalitions(d, n_samples, seed=5)
+    assert z3.shape != z.shape or not np.array_equal(z3, z)
+
+
+def test_kernel_sampler_size_frequencies_follow_shapley_kernel():
+    d, n_samples = 10, 200_000
+    z, w, _ = _kernel_coalitions(d, n_samples, seed=1)
+    sizes = np.arange(1, d)
+    p = (d - 1) / (sizes * (d - sizes))
+    p /= p.sum()
+    freq = np.bincount(z.sum(axis=1).astype(int), weights=w, minlength=d)[1:] / w.sum()
+    # 100k size draws: each frequency's standard error is below 0.0016
+    assert np.max(np.abs(freq - p)) < 0.01
+
+
+def test_kernel_sampled_regime_is_close_to_exact():
+    rng = np.random.default_rng(12)
+    x, y = _data(rng, d=9)
+    model = train_svm_ovr(x, y, c=2.0, gamma=0.2)
+    fn = _score_fn_for(model)
+    background = x[::6]
+    for row in x[::17]:
+        phi_k, _, meta = kernel_shap(fn, row, background, n_samples=200, seed=3)
+        phi_e, _ = exact_shapley(fn, row, background)
+        assert not meta["enumerated"]
+        assert np.max(np.abs(phi_k - phi_e)) <= 0.1 * np.max(np.abs(phi_e))
+
+
+def test_explain_kernel_meta_enumerated():
+    rng = np.random.default_rng(13)
+    x, y = _data(rng, d=5)
+    model = train_svm_ovr(x, y, c=1.0, gamma=0.3)
+    # 2^5 - 2 = 30 non-trivial coalitions
+    for n_samples, enumerated in ((30, True), (29, False)):
+        expl = explain(model, x[:3], x[:6], method="kernel", n_samples=n_samples)
+        assert expl.meta["enumerated"] is enumerated
+    one = train_svm_ovr(x[:, :1], y, c=1.0, gamma=0.3)
+    expl = explain(one, x[:3, :1], x[:6, :1], method="kernel", n_samples=8)
+    assert expl.meta["enumerated"] is True
 
 
 def test_explain_auto_dispatch():

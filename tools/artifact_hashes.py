@@ -18,6 +18,8 @@ made in different directories compare line for line:
 - ``msaf band-sweep`` over theta and alpha on the band cohort;
 - the verb chain over the labeled cohort, ``preprocess`` through ``stats``,
   plus ``explain-rank`` and ``topo``;
+- ``msaf explain --method kernel`` on the rf run's model, which scores
+  composite rows through the generic (non-SVM) coalition path;
 - ``msaf features`` on the rf run's ``segmentations/``, which must
   reproduce that run's ``features.csv`` byte for byte (exit 1 otherwise):
   the segmentation files lose no bit between ``backfit`` and ``features``.
@@ -64,6 +66,9 @@ def _commands() -> list[list[str]]:
     cmds = [["synth", "--config", "synth.json", "--out", "data", *seed],
             ["synth", "--config", "synth_band.json", "--out", "band_data", *seed]]
     cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
+    cmds += [["explain", "run_rf/model.json", "run_rf/features.csv", "--method", "kernel",
+              "--background", "8", "--n-samples", "256", "--out", "run_rf_kernel_shap.json",
+              *seed]]
     cmds += [["features", "run_rf/segmentations", "--out", REREAD_FEATURES]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
              ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
