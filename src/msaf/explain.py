@@ -134,19 +134,36 @@ def _coalition_values(
     b = background.shape[0]
     out = None
     chunk = max(1, 65536 // max(b, 1))
+    buf = np.empty((min(chunk, m), b, x_row.size))
     for start in range(0, m, chunk):
         zc = z[start : start + chunk]
-        composite = np.where(
-            zc.astype(bool)[:, np.newaxis, :],
-            x_row[np.newaxis, np.newaxis, :],
-            background[np.newaxis, :, :],
-        )
+        composite = buf[: zc.shape[0]]
+        composite[...] = background
+        np.copyto(composite, x_row, where=zc.astype(bool)[:, np.newaxis, :])
         scores = score_fn(composite.reshape(zc.shape[0] * b, -1))
         scores = np.asarray(scores, dtype=np.float64).reshape(zc.shape[0], b, -1)
         if out is None:
             out = np.empty((m, scores.shape[2]))
         scores.mean(axis=1, out=out[start : start + zc.shape[0]])
     return out
+
+
+class _SubsetRows:
+    """The (2^d, d) 0/1 matrix whose row s holds the bits of s, built one
+    row slice at a time.
+
+    _coalition_values and SvmModel.coalition_scores only take row slices
+    of their coalition matrix, so exact enumeration holds one chunk of
+    coalitions at a time instead of all 2^d.
+    """
+
+    def __init__(self, d: int):
+        self.shape = (1 << d, d)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        s = np.arange(start, stop, dtype=np.uint32)[:, np.newaxis]
+        return ((s >> np.arange(self.shape[1], dtype=np.uint32)) & 1).astype(np.uint8)
 
 
 def exact_shapley(
@@ -157,17 +174,18 @@ def exact_shapley(
     """Exact Shapley values by full subset enumeration.
 
     Returns (phi (d, C), phi0 (C,)). Cost grows as d * 2^d; refused
-    beyond EXACT_FEATURE_LIMIT features.
+    beyond EXACT_FEATURE_LIMIT features. Memory is the (2^d, C) value
+    table plus O(2^d) indices; coalitions are generated per chunk.
     """
     d = x_row.size
     if d > EXACT_FEATURE_LIMIT:
         raise TooManyFeatures(
             f"exact enumeration supports d <= {EXACT_FEATURE_LIMIT}, got {d}"
         )
-    n_masks = 1 << d
-    bits = (np.arange(n_masks)[:, np.newaxis] >> np.arange(d)) & 1
-    v = _coalition_values(score_fn, x_row, background, bits)
-    popcount = bits.sum(axis=1)
+    v = _coalition_values(score_fn, x_row, background, _SubsetRows(d))
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(d):
+        popcount = np.concatenate([popcount, popcount + 1])
     weights = np.array(
         [
             math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
@@ -175,10 +193,10 @@ def exact_shapley(
         ]
     )
     phi = np.zeros((d, v.shape[1]))
-    masks = np.arange(n_masks)
+    low = np.arange((1 << d) >> 1)
     for i in range(d):
-        without = (masks & (1 << i)) == 0
-        idx = masks[without]
+        # the subsets without feature i, ascending: low with a 0 bit inserted at i
+        idx = low + ((low >> i) << i)
         w = weights[popcount[idx]]
         phi[i] = (v[idx | (1 << i)] - v[idx]).T @ w
     return phi, v[0].copy()

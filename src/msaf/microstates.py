@@ -18,6 +18,7 @@ depend on the order of float summation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -672,15 +673,60 @@ def label_maps(
         raise AmbiguousLabels(
             f"{templates.k} templates cannot label {maps.k} maps uniquely"
         )
-    # imported here: scipy.optimize costs start-up time in every verb that never labels
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.empty((maps.k, templates.k))
     for i in range(maps.k):
         for j in range(templates.k):
             cost[i, j] = -abs(spatial_correlation(maps.maps[i], templates.maps[j]))
-    rows, cols = linear_sum_assignment(cost)
-    labels = [None] * maps.k
-    for i, j in zip(rows, cols):
-        labels[i] = templates.labels[j]
-    return maps.relabeled(labels)
+    cols = _min_cost_assignment(cost)
+    return maps.relabeled([templates.labels[j] for j in cols])
+
+
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """Column of each row of a (k, T) cost matrix, k <= T, at minimum total cost.
+
+    Crouse's (2016) shortest augmenting path, the algorithm and scan order
+    of scipy.optimize.linear_sum_assignment: each search scans a
+    swap-remove list of the remaining columns that starts at the last
+    column and, on equal path cost, prefers an unassigned column, so tied
+    costs resolve to SciPy's assignment.
+    """
+    n_rows, n_cols = cost.shape
+    c = cost.tolist()
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col, path = [-1] * n_rows, [-1] * n_cols, [-1] * n_cols
+    for cur in range(n_rows):
+        dist = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, dist[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

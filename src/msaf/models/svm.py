@@ -103,9 +103,10 @@ class SvmModel:
         m_total = z.shape[0]
         out = np.empty((m_total, len(self.machines)))
         chunk = max(1, COALITION_CHUNK_DOUBLES // max(1, n_bg * n_sv))
+        buf = np.empty((min(chunk, m_total), n_bg * n_sv))
         for start in range(0, m_total, chunk):
             zc = np.asarray(z[start : start + chunk], dtype=np.float64)
-            dist = zc @ delta
+            dist = np.matmul(zc, delta, out=buf[: zc.shape[0]])
             dist += base
             np.maximum(dist, 0.0, out=dist)
             dist *= -self.gamma

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__ as _pkg_version
 from .errors import (
@@ -658,7 +657,6 @@ def run_pipeline(
             "msaf": _pkg_version,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),

@@ -4,13 +4,15 @@ Implements the Shapiro-Wilk normality test following Royston's AS R94
 approximation (Blom plotting positions, polynomial weight corrections,
 n-dependent normalizing transforms), the Kruskal-Wallis omnibus test on
 midranks with tie correction, and Dunn's post-hoc z-tests with
-Bonferroni adjustment. Survival functions are exact library special
-functions; everything else is implemented here.
+Bonferroni adjustment. The normal and chi-square survival functions are
+closed forms over math.erfc and math.exp; the normal quantiles come
+from statistics.NormalDist. Everything else is implemented here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +26,9 @@ from .errors import (
     TooFewGroups,
     TooFewSamples,
 )
+
+# chi_square_sf applies exp(-y) in factors of this size once its sum grows
+_EXP_M690 = math.exp(-690.0)
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,38 @@ def normal_sf(z: float) -> float:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Chi-square survival function P(X > x) with df degrees of freedom."""
+    """Chi-square survival function P(X > x) with df degrees of freedom.
+
+    Closed forms for integer df (Abramowitz & Stegun 26.4.4-26.4.5), with
+    y = x/2: exp(-y) sum_{r < df/2} y^r / r! for even df, and
+    erfc(sqrt(y)) + 2 sqrt(y/pi) exp(-y) sum_{r < (df-1)/2} y^r / (3/2)_r
+    for odd df. exp(-y) is applied in factors of exp(-690): early
+    whenever the partial sum passes 1e300, the rest after the sum, so no
+    intermediate overflows and only a result below the double range
+    underflows to 0.
+    """
     if not (isinstance(df, (int, np.integer)) and df >= 1):
         raise InvalidDomain(f"df must be a positive integer, got {df!r}")
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
         raise InvalidDomain(f"statistic must be finite and >= 0, got {x!r}")
-    # imported here: scipy.special costs start-up time in every verb without statistics
-    from scipy.special import gammaincc
-
-    return float(gammaincc(df / 2.0, x / 2.0))
+    y = 0.5 * x
+    odd = int(df) % 2
+    total, term, exponent = 0.0, 1.0, -y
+    for r in range(int(df) // 2):
+        if r:
+            term *= y / (r + 0.5 * odd)
+        total += term
+        if total > 1e300:
+            total *= _EXP_M690
+            term *= _EXP_M690
+            exponent += 690.0
+    while exponent < -690.0:
+        total *= _EXP_M690
+        exponent += 690.0
+    series = total * math.exp(exponent)
+    if not odd:
+        return series
+    return math.erfc(math.sqrt(y)) + 2.0 * math.sqrt(y / math.pi) * series
 
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -114,7 +142,8 @@ def _midranks(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
 def shapiro_wilk(sample) -> TestResult:
     """Shapiro-Wilk W test of normality, 3 <= n <= 5000.
 
-    The weight vector uses Blom scores m_i = ndtri((i-3/8)/(n+1/4)),
+    The weight vector uses Blom scores m_i = Phi^-1((i-3/8)/(n+1/4)),
+    from statistics.NormalDist.inv_cdf (Wichura 1988, AS241),
     the two largest weights (one for n <= 5) replaced by fifth-order
     polynomials in 1/sqrt(n), and the remainder rescaled so the weights
     stay normalized. n = 3 uses the exact weights (-sqrt(1/2), 0,
@@ -134,10 +163,8 @@ def shapiro_wilk(sample) -> TestResult:
     if x[0] == x[-1]:
         raise ConstantSample("all observations identical, W undefined")
 
-    # imported here: scipy.special costs start-up time in every verb without statistics
-    from scipy.special import ndtri
-
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    inv_cdf = NormalDist().inv_cdf
+    m = np.array([inv_cdf(q) for q in (np.arange(1, n + 1) - 0.375) / (n + 0.25)])
     mm = float(m @ m)
     u = 1.0 / math.sqrt(n)
     if n == 3:

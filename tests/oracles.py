@@ -374,6 +374,33 @@ def shapley_by_permutations(score_fn, x_row, background) -> tuple[np.ndarray, np
     return phi, phi0
 
 
+def exact_shapley_dense(value_fn, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Shapley values from the whole (2^d, d) int64 coalition matrix.
+
+    The package's exact enumeration as it was before it generated its
+    coalitions per chunk: value_fn maps that matrix to the (2^d, C)
+    coalition values. Returns (phi (d, C), phi0 (C,)).
+    """
+    n_masks = 1 << d
+    bits = (np.arange(n_masks)[:, np.newaxis] >> np.arange(d)) & 1
+    v = value_fn(bits)
+    popcount = bits.sum(axis=1)
+    weights = np.array(
+        [
+            math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
+            for s in range(d)
+        ]
+    )
+    phi = np.zeros((d, v.shape[1]))
+    masks = np.arange(n_masks)
+    for i in range(d):
+        without = (masks & (1 << i)) == 0
+        idx = masks[without]
+        w = weights[popcount[idx]]
+        phi[i] = (v[idx | (1 << i)] - v[idx]).T @ w
+    return phi, v[0].copy()
+
+
 # --- tree ensembles, one split position and one row at a time ---
 #
 # Trees are the nested dicts of model.json: an internal node is

@@ -604,51 +604,56 @@ def test_interrupt_and_usage_errors_are_not_caught(work, tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
-# SciPy subpackages that verbs without filtering, labeling or statistics
-# must not import: each costs start-up time in every such process.
-_HEAVY_SCIPY = ("signal", "stats", "optimize", "special", "fft", "interpolate", "linalg")
+# Runs msaf verbs in a fresh interpreter in which `import scipy` fails,
+# then lists the scipy modules loaded: the runtime needs NumPy only.
+_NO_SCIPY_PROBE = """
+import importlib.abc, json, sys
 
-_IMPORT_PROBE = """
-import json, sys
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"import of {name} blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 import msaf.cli
 for argv in json.loads(sys.argv[1]):
     assert msaf.cli.main(argv) == 0, argv
-heavy = ["scipy." + m for m in json.loads(sys.argv[2])]
-print(json.dumps(sorted(
-    n for n in sys.modules if any(n == h or n.startswith(h + ".") for h in heavy)
-)))
+print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_loaded_after(verbs) -> list:
+def test_no_verb_loads_scipy(tmp_path):
+    synth = _write(tmp_path / "synth.json",
+                   {"kind": "cohort", "n_per_class": 3, "base": {"duration": 6.0}})
+    run = _write(tmp_path / "run.json",
+                 {"input_dir": "data", "out_dir": "run", "k": 4, "cv_folds": 2,
+                  "explain": {"background": 4, "n_samples": 64}})
+    verbs = [
+        ["synth", "--config", synth, "--out", "data", "--seed", "3"],
+        ["run", "--config", run, "--seed", "3"],
+        ["stats", "run/features.csv", "--out", "stats.json"],
+        ["group-maps", "run/subject_maps", "--out", "raw.json"],
+        ["label", "raw.json", "--out", "maps.json"],
+        ["features", "run/segmentations", "--out", "features.csv"],
+        ["train", "features.csv", "--out", "model.json"],
+        ["evaluate", "features.csv", "--model", "gbt", "--folds", "2",
+         "--params", '{"n_rounds": 3, "valid_fraction": 0}', "--out", "eval.json"],
+        ["explain", "model.json", "features.csv", "--background", "3",
+         "--n-samples", "64", "--out", "shap.json"],
+    ]
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(verbs), json.dumps(_HEAVY_SCIPY)],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(verbs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr[-300:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def test_cli_import_loads_no_heavy_scipy():
-    assert _scipy_loaded_after([]) == []
-
-
-def test_stage_verbs_load_no_heavy_scipy(work, tmp_path):
-    feats, model = str(tmp_path / "f.csv"), str(tmp_path / "m.json")
-    verbs = [
-        ["features", str(work / "segs"), "--out", feats],
-        ["train", feats, "--out", model],
-        ["evaluate", feats, "--model", "gbt", "--folds", "2",
-         "--params", '{"n_rounds": 3, "valid_fraction": 0}',
-         "--out", str(tmp_path / "e.json")],
-        ["explain", model, feats, "--background", "3", "--n-samples", "64",
-         "--out", str(tmp_path / "s.json")],
-    ]
-    assert _scipy_loaded_after(verbs) == []
-    assert read_json(str(tmp_path / "s.json"))["method"] == "kernel"
+    assert proc.returncode == 0, proc.stderr[-600:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert read_json(str(tmp_path / "maps.json"))["labels"]
+    assert read_json(str(tmp_path / "shap.json"))["method"] == "kernel"
+    assert "kruskal" in read_json(str(tmp_path / "stats.json"))["features"]["A_occurrence"]
 
 
 def test_exit_code_3_on_unlabeled_stats(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Attribution engines against each other and a permutation oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from msaf import (
     tree_shap,
 )
 from msaf.explain import _coalition_values, _kernel_coalitions, _score_fn_for
+import msaf.models.svm
 from msaf.models.svm import COALITION_CHUNK_DOUBLES
 
-from oracles import shapley_by_permutations, tree_shap_loop
+from oracles import exact_shapley_dense, shapley_by_permutations, tree_shap_loop
 
 
 def _data(rng, n_per=12, d=5):
@@ -223,6 +226,44 @@ def test_explain_kernel_is_seed_deterministic():
     a = explain(model, x[:3], x[:6], method="kernel", n_samples=128, seed=9)
     b = explain(model, x[:3], x[:6], method="kernel", n_samples=128, seed=9)
     assert np.array_equal(a.phi, b.phi)
+
+
+@pytest.mark.parametrize("kind", ["svm", "rf", "gbt"])
+def test_exact_is_bit_identical_to_dense_enumeration(kind, monkeypatch):
+    rng = np.random.default_rng(14)
+    x, y = _data(rng, n_per=20, d=12)
+    params = {"svm": {"c": 2.0, "gamma": 0.1}, "rf": {"n_trees": 6},
+              "gbt": {"n_rounds": 5, "valid_fraction": 0.0}}[kind]
+    model = make_trainer(kind, params)(x, y, seed=0)
+    fn = _score_fn_for(model)
+    background = x[::2]
+    # several chunks of coalitions on the SVM path (the generic path takes
+    # 65536 // 30 rows per chunk, two chunks of the 4096 coalitions)
+    monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", 1 << 16)
+    for row in (x[0], x[31]):
+        phi, phi0 = exact_shapley(fn, row, background)
+        phi_d, phi0_d = exact_shapley_dense(
+            lambda z: _coalition_values(fn, row, background, z), 12)
+        assert np.array_equal(phi, phi_d) and np.array_equal(phi0, phi0_d)
+
+
+def test_exact_memory_is_bounded_by_the_value_table(monkeypatch):
+    rng = np.random.default_rng(15)
+    d = 16
+    x, y = _data(rng, n_per=10, d=d)
+    model = train_svm_ovr(x, y, c=2.0, gamma=0.1)
+    monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", 1 << 14)
+    fn = _score_fn_for(model)
+    tracemalloc.start()
+    try:
+        exact_shapley(fn, x[0], x[:4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (2^16, 3) value table is 1.6 MB and one feature's gathers from it
+    # 2.4 MB; the whole int64 coalition matrix alone would be
+    # 2^16 * 16 * 8 B = 8.4 MB
+    assert peak < 6e6, peak
 
 
 def test_exact_refuses_high_dimension():

@@ -27,7 +27,7 @@ from msaf import (
     spatial_correlation,
     standard_1020_montage,
 )
-from msaf.microstates import _run_lengths
+from msaf.microstates import _min_cost_assignment, _run_lengths
 from oracles import (
     EmptyClusterError,
     absorb_short_runs_loop,
@@ -350,6 +350,33 @@ def test_label_maps_template_matching_is_bijective():
     assert sorted(out.labels) == sorted(templates.labels)
     assert out.labels == tuple(reversed(templates.labels))
     assert np.array_equal(out.maps, shuffled.maps)
+
+
+@pytest.mark.parametrize("costs", ["real", "tied"])
+def test_assignment_equals_scipy_linear_sum_assignment(costs):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(21 if costs == "real" else 22)
+    sizes = [(k, t) for t in range(1, 13) for k in range(1, t + 1)]
+    for k, t in sizes * 6:
+        if costs == "real":
+            cost = rng.standard_normal((k, t))
+        else:
+            cost = rng.integers(0, 3, (k, t)).astype(np.float64)
+        rows, cols = linear_sum_assignment(cost)
+        assert list(rows) == list(range(k))
+        assert _min_cost_assignment(cost) == list(cols), (k, t, cost)
+
+
+def test_assignment_total_is_brute_force_minimum():
+    rng = np.random.default_rng(23)
+    for k, t in [(1, 1), (1, 4), (2, 5), (3, 3), (4, 4), (3, 6), (5, 5)]:
+        for _ in range(20):
+            cost = rng.integers(0, 4, (k, t)) + rng.random((k, t)) * (rng.random() < 0.5)
+            cols = _min_cost_assignment(cost)
+            assert sorted(set(cols)) == sorted(cols) and len(cols) == k
+            best = min(sum(cost[i, p[i]] for i in range(k))
+                       for p in itertools.permutations(range(t), k))
+            assert sum(cost[i, cols[i]] for i in range(k)) == pytest.approx(best, abs=1e-12)
 
 
 def test_label_maps_explicit_mapping_errors():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import msaf.stats
+
 from msaf import (
     ConstantSample,
     DegenerateData,
@@ -81,6 +83,50 @@ def test_tail_functions_against_mpmath():
             / mp.gamma(mp.mpf(df) / 2)
         )
         assert chi_square_sf(x, df) == pytest.approx(want, rel=1e-10)
+
+
+def test_chi_square_sf_against_mpmath_gammainc():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(9)
+    xs = [0.0, 1e-300, 1e-8, 0.3, 1.0, 3.6, 7.2, 42.0, 300.0, 999.5, 1000.0]
+    xs += list(rng.uniform(0.0, 1000.0, 12))
+    worst = 0.0
+    for df in range(1, 61):
+        for x in xs:
+            want = float(mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, regularized=True))
+            worst = max(worst, abs(chi_square_sf(float(x), df) - want) / want)
+    assert worst <= 1e-13, worst
+
+
+def test_chi_square_sf_underflow_and_large_df():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    # the true tail is below the smallest double: exactly 0.0, never NaN
+    for x, df in ((1e4, 1), (1e4, 2), (1e4, 60), (1e6, 7), (2000.0, 3)):
+        assert chi_square_sf(x, df) == 0.0
+    # exp(-x/2) alone underflows or the partial sums pass the double range,
+    # the tail does not
+    for x, df in ((1600.0, 60), (2000.0, 2000), (3000.0, 2001), (5000.0, 4000)):
+        want = float(mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, regularized=True))
+        assert chi_square_sf(x, df) == pytest.approx(want, rel=1e-11)
+
+
+def test_shapiro_wilk_equals_scipy_ndtri_blom_scores(monkeypatch):
+    ndtri = pytest.importorskip("scipy.special").ndtri
+
+    class NdtriNormal:
+        inv_cdf = staticmethod(lambda q: float(ndtri(q)))
+
+    rng = np.random.default_rng(10)
+    samples = [rng.standard_normal(n) for n in (3, 4, 5, 6, 11, 12, 50, 400, 5000)]
+    samples += [rng.exponential(size=n) for n in (8, 30, 300)]
+    ours = [shapiro_wilk(x) for x in samples]
+    monkeypatch.setattr(msaf.stats, "NormalDist", NdtriNormal)
+    for x, a in zip(samples, ours):
+        b = shapiro_wilk(x)
+        assert a.statistic == pytest.approx(b.statistic, rel=1e-12, abs=0)
+        assert a.p_value == pytest.approx(b.p_value, rel=1e-12, abs=1e-300)
 
 
 def test_shapiro_wilk_n3_exact():

@@ -27,7 +27,7 @@ made in different directories compare line for line:
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
 parent's SRC_DIR and the change's; ``manifest.json`` also records the
-package version and the Python/NumPy/SciPy versions.
+package version and the Python/NumPy versions.
 """
 from __future__ import annotations
 
