@@ -623,6 +623,37 @@ print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
 
+def _scipy_loaded_after(verbs, cwd) -> list:
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(verbs)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-600:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_heavy_scipy(tmp_path):
+    assert _scipy_loaded_after([], tmp_path) == []
+
+
+def test_stage_verbs_load_no_heavy_scipy(work, tmp_path):
+    feats, model = str(tmp_path / "f.csv"), str(tmp_path / "m.json")
+    verbs = [
+        ["features", str(work / "segs"), "--out", feats],
+        ["train", feats, "--out", model],
+        ["evaluate", feats, "--model", "gbt", "--folds", "2",
+         "--params", '{"n_rounds": 3, "valid_fraction": 0}',
+         "--out", str(tmp_path / "e.json")],
+        ["explain", model, feats, "--background", "3", "--n-samples", "64",
+         "--out", str(tmp_path / "s.json")],
+    ]
+    assert _scipy_loaded_after(verbs, tmp_path) == []
+    assert read_json(str(tmp_path / "s.json"))["method"] == "kernel"
+
+
 def test_no_verb_loads_scipy(tmp_path):
     synth = _write(tmp_path / "synth.json",
                    {"kind": "cohort", "n_per_class": 3, "base": {"duration": 6.0}})
@@ -642,15 +673,7 @@ def test_no_verb_loads_scipy(tmp_path):
         ["explain", "model.json", "features.csv", "--background", "3",
          "--n-samples", "64", "--out", "shap.json"],
     ]
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(verbs)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-600:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert _scipy_loaded_after(verbs, tmp_path) == []
     assert read_json(str(tmp_path / "maps.json"))["labels"]
     assert read_json(str(tmp_path / "shap.json"))["method"] == "kernel"
     assert "kruskal" in read_json(str(tmp_path / "stats.json"))["features"]["A_occurrence"]
