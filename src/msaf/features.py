@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -88,9 +87,8 @@ def extract_features(
     states, corr, gfp_vals = seg.states, seg.corr, seg.gfp.values
     duration_s = t / seg.fs
     denom = math.fsum((gfp_vals * gfp_vals).tolist())
-    # squared through Python's pow (C pow), which NumPy's square and SIMD
-    # power do not match in the last bit
-    gev_terms = np.fromiter(map(pow, (gfp_vals * corr).tolist(), repeat(2)), np.float64, t)
+    gev_terms = gfp_vals * corr
+    gev_terms *= gev_terms
 
     starts, stops, run_states = _run_lengths(states)
     if trim_edge_runs and run_states.size > 2:

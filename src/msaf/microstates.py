@@ -3,11 +3,11 @@
 Topographies are compared through the squared spatial correlation, so a
 map and its negation are the same microstate. Clustering follows the
 modified k-means scheme: samples are assigned to the map maximizing the
-squared normalized projection, and each cluster's map is re-estimated as
-the dominant eigenvector of its spatial outer-product sum, found by
-power iteration started at the previous map. Both half-steps can only
-increase the global explained variance, so the objective trace is
-non-decreasing up to float rounding.
+squared normalized projection, and each cluster's map takes one power
+step on its members' scatter, map <- normalize(sum_i (map . x_i) x_i).
+The scatter is positive semi-definite, so the step cannot lower the
+cluster's explained variance, and neither can the reassignment: the
+objective trace is non-decreasing up to float rounding.
 
 All restarts of one clustering advance together as a batch, each
 stopping on its own objective gain. Restarts whose final objective lies
@@ -263,37 +263,6 @@ def spatial_correlation(a, b) -> float:
 # tie, and the earliest of them wins: restarts that reach the same partition
 # differ only by the order of float summation.
 _GEV_TIE_RTOL = 1e-12
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
-
-
-def _dominant_eigenvectors(s: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Dominant eigenvector of each PSD matrix in an (m, K, K) stack.
-
-    Power iteration started at the rows of `start`, monotone in Rayleigh
-    quotient. Each matrix stops on its own: when an update moves its unit
-    vector by at most _POWER_TOL, or, keeping its current vector, when
-    s @ v vanishes.
-    """
-    out = start / np.linalg.norm(start, axis=1, keepdims=True)
-    live = np.arange(out.shape[0])
-    s_live, v = s, out.copy()
-    for _ in range(_POWER_MAX_ITER):
-        w = np.matmul(s_live, v[:, :, np.newaxis])[:, :, 0]
-        norm = np.linalg.norm(w, axis=1)
-        vanished = norm <= 1e-300
-        w /= np.where(vanished, 1.0, norm)[:, np.newaxis]
-        converged = ~vanished & (np.linalg.norm(w - v, axis=1) <= _POWER_TOL)
-        out[live[vanished]] = v[vanished]
-        out[live[converged]] = w[converged]
-        going = ~(vanished | converged)
-        if not going.all():
-            if not going.any():
-                return out
-            live, s_live, w = live[going], s_live[going], w[going]
-        v = w
-    out[live] = v
-    return out
 
 
 def _prepare_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,31 +272,33 @@ def _prepare_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assign(maps: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best squared projection and its map index, per restart and sample.
+    """Signed projection on the best map and that map's index, per restart and sample.
 
-    maps is (R, k, K), xt the (K, n) transposed samples. Ties go to the
-    lower map index, as with np.argmax.
+    maps is (R, k, K), xt the (K, n) transposed samples. The best map
+    maximizes the squared projection; ties go to the lower map index, as
+    with np.argmax.
     """
     r, k, n_ch = maps.shape
-    sq = (maps.reshape(r * k, n_ch) @ xt).reshape(r, k, -1)
-    np.square(sq, out=sq)
+    proj = (maps.reshape(r * k, n_ch) @ xt).reshape(r, k, -1)
+    sq = proj * proj
     best = sq[:, 0].copy()
     states = np.zeros(best.shape, dtype=np.intp)
     for c in range(1, k):
-        states[sq[:, c] > best] = c
+        # branch-free select; a boolean-masked store is about 3x slower
+        states += (sq[:, c] > best) * (c - states)
         np.maximum(best, sq[:, c], out=best)
-    return best, states
+    return np.take_along_axis(proj, states[:, np.newaxis], axis=1)[:, 0], states
 
 
 def _reseed_empty(
     maps: np.ndarray,
+    proj: np.ndarray,
     states: np.ndarray,
-    assigned_sq: np.ndarray,
     xc: np.ndarray,
     norms: np.ndarray,
     valid: np.ndarray,
-) -> np.ndarray:
-    """Refill one restart's empty clusters; returns its new states.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refill one restart's empty clusters; returns its new (projections, states).
 
     Each round moves the first empty cluster's map (in place) to the
     worst-explained usable sample and reassigns.
@@ -336,20 +307,20 @@ def _reseed_empty(
         EmptyCluster: if a cluster is still empty after k reseeds.
     """
     k = maps.shape[0]
+    rows = np.arange(xc.shape[0])
     for attempt in range(k + 1):
         empties = np.nonzero(np.bincount(states, minlength=k) == 0)[0]
         if empties.size == 0:
-            return states
+            return proj, states
         if attempt == k:
             raise EmptyCluster(f"cluster went empty and {k} reseeds did not recover")
         explained = np.full(xc.shape[0], np.inf)
-        explained[valid] = assigned_sq[valid] / (norms[valid] ** 2)
+        explained[valid] = proj[valid] ** 2 / (norms[valid] ** 2)
         worst = explained.argmin()
         maps[empties[0]] = xc[worst] / norms[worst]
-        proj = xc @ maps.T
-        sq = proj * proj
-        states = np.argmax(sq, axis=1)
-        assigned_sq = sq[np.arange(xc.shape[0]), states]
+        all_proj = xc @ maps.T
+        states = np.argmax(all_proj * all_proj, axis=1)
+        proj = all_proj[rows, states]
 
 
 def _check_kmeans_params(n_inits, max_iter, tol) -> None:
@@ -372,9 +343,11 @@ def modified_kmeans(
     """Cluster topographies into k polarity-invariant maps.
 
     All restarts advance together: one projection assigns every restart's
-    samples, one matrix product forms every cluster's scatter matrix and
-    one batched power iteration updates every map. Each restart still
-    stops on its own GEV gain, exactly as if it ran alone.
+    samples, and one product of the members' signed projections with the
+    samples takes one power step, map <- normalize(sum_i (map . x_i) x_i),
+    for every map at once. A map whose members all project to zero keeps
+    its place. Each restart still stops on its own GEV gain, exactly as if
+    it ran alone.
 
     Args:
         peak_maps: (n, K) matrix of topographies (typically GFP peaks).
@@ -419,14 +392,10 @@ def modified_kmeans(
         init = np.random.default_rng([seed, restart]).choice(valid, size=k, replace=False)
         maps[restart] = xc[init] / norms[init, np.newaxis]
     xt = np.ascontiguousarray(xc.T)
-    # upper triangle of every sample's outer product: a one-hot matrix
-    # times this gives all scatter matrices of all restarts at once
-    iu, ju = np.triu_indices(n_ch)
-    outer = xc[:, iu] * xc[:, ju]
     sample = np.arange(n)
 
     active = np.arange(n_inits)
-    best_sq, states = _assign(maps, xt)
+    proj, states = _assign(maps, xt)
     prev = np.full(n_inits, -np.inf)
     gevs: list[list[float]] = [[] for _ in range(n_inits)]
     for _ in range(max_iter):
@@ -434,26 +403,25 @@ def modified_kmeans(
         offsets = k * np.arange(a)[:, np.newaxis]
         counts = np.bincount((states + offsets).ravel(), minlength=a * k)
         for j in np.nonzero((counts.reshape(a, k) == 0).any(axis=1))[0]:
-            states[j] = _reseed_empty(
-                maps[active[j]], states[j], best_sq[j], xc, norms, valid
+            proj[j], states[j] = _reseed_empty(
+                maps[active[j]], proj[j], states[j], xc, norms, valid
             )
-        onehot = np.zeros((a * k, n))
-        onehot[states + offsets, sample] = 1.0
-        tri = onehot @ outer
-        scatter = np.empty((a * k, n_ch, n_ch))
-        scatter[:, iu, ju] = tri
-        scatter[:, ju, iu] = tri
-        maps[active] = _dominant_eigenvectors(
-            scatter, maps[active].reshape(a * k, n_ch)
-        ).reshape(a, k, n_ch)
-        best_sq, states = _assign(maps[active], xt)
-        gev_now = best_sq.sum(axis=1) / total_power
+        weights = np.zeros((a * k, n))
+        weights[states + offsets, sample] = proj
+        step = weights @ xc
+        step_norm = np.linalg.norm(step, axis=1)
+        moved = step_norm > 0.0
+        flat = maps[active].reshape(a * k, n_ch)
+        flat[moved] = step[moved] / step_norm[moved, np.newaxis]
+        maps[active] = flat.reshape(a, k, n_ch)
+        proj, states = _assign(maps[active], xt)
+        gev_now = (proj * proj).sum(axis=1) / total_power
         for r, g in zip(active, gev_now):
             gevs[r].append(float(g))
         going = ~(gev_now - prev[active] < tol)
         prev[active] = gev_now
         if not going.all():
-            active, best_sq, states = active[going], best_sq[going], states[going]
+            active, proj, states = active[going], proj[going], states[going]
             if active.size == 0:
                 break
     if active.size:

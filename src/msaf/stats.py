@@ -191,7 +191,7 @@ def shapiro_wilk(sample) -> TestResult:
     xc = x - x.mean()
     xc -= xc.mean()
     ssq = float(xc @ xc)
-    w = float(a @ x) ** 2 / ssq
+    w = float(a @ xc) ** 2 / ssq
     w = min(w, 1.0)
 
     if n == 3:

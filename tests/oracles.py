@@ -58,7 +58,7 @@ def features_brute_force(
         n_assigned = len(pairs)
         my_runs = [(a, b) for a, b, s in runs if s == c]
         if denom > 0.0 and n_assigned:
-            gev = math.fsum((g * r) ** 2 for g, r in pairs) / denom
+            gev = math.fsum((g * r) * (g * r) for g, r in pairs) / denom
         else:
             gev = 0.0
         meancorr = (
@@ -134,8 +134,10 @@ class EmptyClusterError(RuntimeError):
 GEV_TIE_RTOL = 1e-12
 
 
-def _power_iteration(s, start, tol=1e-10, max_iter=1000):
-    """Dominant eigenvector of a PSD matrix, monotone in Rayleigh quotient."""
+def _dominant_eigenvector(members, start, tol=1e-10, max_iter=1000):
+    """Dominant eigenvector of the members' scatter matrix, by power
+    iteration from start, monotone in Rayleigh quotient."""
+    s = members.T @ members
     v = start / np.linalg.norm(start)
     for _ in range(max_iter):
         w = s @ v
@@ -149,17 +151,25 @@ def _power_iteration(s, start, tol=1e-10, max_iter=1000):
     return v
 
 
+def _one_power_step(members, start):
+    """normalize(sum_i (start . x_i) x_i) over the member rows x_i;
+    start itself if that sum vanishes."""
+    w = (members @ start) @ members
+    norm = np.linalg.norm(w)
+    return w / norm if norm > 0.0 else start
+
+
 def modified_kmeans_loop(
-    peak_maps, k, n_inits=20, max_iter=200, tol=1e-8, seed=0
+    peak_maps, k, n_inits=20, max_iter=200, tol=1e-8, seed=0, update=_one_power_step
 ) -> dict:
     """Polarity-invariant modified k-means, restarts run one after another.
 
     Restart r starts from k distinct usable rows drawn with
     default_rng([seed, r]); each iteration assigns rows by the largest
     squared projection, refills an empty cluster from the worst-explained
-    usable row (at most k times), replaces each map by the dominant
-    eigenvector of its members' scatter matrix, and stops the restart once
-    the GEV gains less than tol.
+    usable row (at most k times), replaces each map by update(members,
+    map), by default one power step on the members' scatter, and stops the
+    restart once the GEV gains less than tol.
 
     Returns a dict with the winning restart's raw maps ("maps", polarity
     not normalized), "winner", the final GEV of every restart
@@ -196,8 +206,7 @@ def modified_kmeans_loop(
                 proj = xc @ maps.T
                 states = np.argmax(proj * proj, axis=1)
             for c in range(k):
-                members = xc[states == c]
-                maps[c] = _power_iteration(members.T @ members, start=maps[c])
+                maps[c] = update(xc[states == c], maps[c])
             proj = xc @ maps.T
             gev_now = float(np.max(proj * proj, axis=1).sum() / total_power)
             trace.append({"restart": restart, "iteration": iteration, "gev": gev_now})
@@ -216,6 +225,17 @@ def modified_kmeans_loop(
         "restart_gev": restart_gev,
         "trace": trace,
     }
+
+
+def modified_kmeans_eigen_loop(
+    peak_maps, k, n_inits=20, max_iter=200, tol=1e-8, seed=0
+) -> dict:
+    """modified_kmeans_loop with the classic update of Pascual-Marqui et
+    al. (1995): each map becomes the dominant eigenvector of its members'
+    scatter matrix (power iteration from the previous map to a 1e-10 step)."""
+    return modified_kmeans_loop(
+        peak_maps, k, n_inits, max_iter, tol, seed, update=_dominant_eigenvector
+    )
 
 
 # --- FIR frequency response, direct DTFT ---

@@ -31,6 +31,7 @@ from msaf.microstates import _min_cost_assignment, _run_lengths
 from oracles import (
     EmptyClusterError,
     absorb_short_runs_loop,
+    modified_kmeans_eigen_loop,
     modified_kmeans_loop,
     run_groups,
     run_lengths_loop,
@@ -164,6 +165,30 @@ def test_modified_kmeans_matches_loop_reference(n_peaks, seconds):
         _assert_same_maps(got.maps, ref["maps"], 1e-9)
 
 
+def _matched_abs_r(a, b) -> float:
+    """Smallest |r| between paired maps, over the pairing with the largest sum."""
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    r = np.abs(a @ b.T)
+    best = max(
+        itertools.permutations(range(len(a))),
+        key=lambda p: sum(r[i, p[i]] for i in range(len(a))),
+    )
+    return min(r[i, best[i]] for i in range(len(a)))
+
+
+@pytest.mark.parametrize("n_peaks,seconds", [(2130, 120.0), (146, 8.0)])
+def test_modified_kmeans_close_to_eigen_update(n_peaks, seconds):
+    # one power step per iteration ends where the full eigenvector update
+    # ends, up to the bounds below
+    for seed in range(5):
+        rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
+        x = rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+        got = modified_kmeans(x, 4, seed=seed)
+        ref = modified_kmeans_eigen_loop(x, 4, seed=seed)
+        assert got.gev_total >= max(ref["restart_gev"]) - 1e-4
+        assert _matched_abs_r(got.maps, ref["maps"]) >= 0.999
+
+
 # Exactly representable zero-mean rows (Hadamard signs): every projection,
 # scatter matrix and GEV is exact, so ties between duplicated maps are exact
 # ties on both implementations.
@@ -189,6 +214,38 @@ def test_modified_kmeans_reseeds_empty_cluster():
     corr = np.abs(got.maps @ _HADAMARD.T) / 2.0
     assert np.array_equal(np.sort(corr.ravel()), [0.0] * 6 + [1.0] * 3)
     assert np.array_equal(corr.sum(axis=0), [1.0, 1.0, 1.0])
+
+
+def test_modified_kmeans_reseed_recomputes_projections():
+    # 16-channel Hadamard rows f_i / 4 and half-sums of four of them: unit
+    # vectors with dyadic entries. Scaled by powers of two, every projection,
+    # power step and GEV sum stays exact.
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    f = h[1:] / 4.0
+    u = f[0]
+    d1 = (f[0] + f[1] + f[2] + f[3]) / 2.0
+    d2 = (f[0] - f[1] - f[2] - f[3]) / 2.0
+    a = (f[1] + f[4] + f[5] + f[6]) / 2.0
+    x = np.array([a, a, a, a, u, u, d1, d2]) * np.array(
+        [1.0, -2.0, 8.0, -0.5, 4.0, -0.25, 2.0, -2.0])[:, None]
+    # restarts 1 and 3 draw two a-rows: map 1 goes empty and moves to the
+    # first u-row (explained 0); the d-rows (|r| 1/4 with a, 1/2 with u)
+    # follow it. Their new projections make the power step map u to itself;
+    # their stale projections on a would turn it to f[1] + f[2] + f[3].
+    draws = ["".join("aaaauudd"[i]
+                     for i in np.random.default_rng([1, r]).choice(8, 2, replace=False))
+             for r in range(6)]
+    assert draws == ["au", "aa", "ua", "aa", "au", "au"]
+    trace: list = []
+    got = modified_kmeans(x, 2, n_inits=6, seed=1, trace_sink=trace)
+    ref = modified_kmeans_loop(x, 2, n_inits=6, seed=1)
+    assert trace == ref["trace"]
+    # a- and u-rows fully explained, d-rows a quarter
+    assert [r["gev"] for r in trace] == [87.3125 / 93.3125] * 12
+    _assert_same_maps(got.maps, ref["maps"], 0.0)
+    assert np.array_equal(np.abs(got.maps @ np.array([a, u]).T), np.eye(2))
 
 
 def test_modified_kmeans_empty_cluster_after_k_reseeds():

@@ -150,6 +150,35 @@ def test_shapiro_wilk_frozen_references():
     assert r2.p_value < 0.05 < r1.p_value
 
 
+def _shapiro_w_mpmath(mp, sample):
+    """Royston's W with every step in 50-digit arithmetic."""
+    mp.mp.dps = 50
+    x = sorted(mp.mpf(float(v)) for v in sample)
+    n = len(x)
+    assert 4 <= n <= 5
+    m = [mp.sqrt(2) * mp.erfinv(2 * (i - mp.mpf(3) / 8) / (n + mp.mpf(1) / 4) - 1)
+         for i in range(1, n + 1)]
+    mm = mp.fsum(v * v for v in m)
+    coef = [mp.mpf(c) for c in (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157)]
+    a_n = mp.polyval(coef + [m[-1] / mp.sqrt(mm)], 1 / mp.sqrt(n))
+    a = [v / mp.sqrt((mm - 2 * m[-1] ** 2) / (1 - 2 * a_n ** 2)) for v in m]
+    a[0], a[-1] = -a_n, a_n
+    mean = mp.fsum(x) / n
+    xc = [v - mean for v in x]
+    return mp.fsum(ai * vi for ai, vi in zip(a, xc)) ** 2 / mp.fsum(v * v for v in xc)
+
+
+def test_shapiro_wilk_nearly_constant_group_against_mpmath():
+    # n = 4 groups of a *_meancorr feature spread over 0.9453-0.9468: summing
+    # the weights against the uncentered values cancels about three digits
+    mp = pytest.importorskip("mpmath")
+    for sample in ([0.9453, 0.9461, 0.9464, 0.9468],
+                   [0.94531, 0.94577, 0.94612, 0.94679],
+                   [0.9468, 0.9453, 0.94555, 0.94661]):
+        want = float(_shapiro_w_mpmath(mp, sample))
+        assert shapiro_wilk(sample).statistic == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_shapiro_wilk_bounds_and_errors():
     rng = np.random.default_rng(2)
     for n in (3, 10, 50, 200):
