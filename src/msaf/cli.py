@@ -224,8 +224,10 @@ def _cmd_preprocess(args) -> int:
     doc = _verb_config(args, "preprocess", {"montage", "steps", "band", "seed"})
     steps = check_steps(doc.get("steps", ()))
     band = check_band(doc.get("band"))
-    recs = load_input_recordings(args.input_dir, check_montage(doc.get("montage")))
-    done = preprocess_stage(recs, steps, band, out, args.threads)
+    done = preprocess_stage(
+        load_input_recordings(args.input_dir, check_montage(doc.get("montage"))),
+        steps, band, out, args.threads,
+    )
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0
 
@@ -295,9 +297,10 @@ def _cmd_synth(args) -> int:
         rec, seg, _ = generate(SynthConfig.from_json_dict(fields))
         pairs = [(rec, seg)]
 
-    recs = [rec for rec, _ in pairs]
-    _commit_segmentations(os.path.join(out, "truth"), recs, [seg for _, seg in pairs])
-    for rec in recs:
+    _commit_segmentations(
+        os.path.join(out, "truth"), [(rec.subject_id, rec.label, seg) for rec, seg in pairs]
+    )
+    for rec, _ in pairs:
         commit_recording(rec, os.path.join(out, rec.subject_id))
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
     return 0
@@ -311,9 +314,11 @@ def _cmd_segment(args) -> int:
     min_distance = doc.get("min_peak_distance_ms", 0.0)
     require_real("min_peak_distance_ms", min_distance)
     seed = _seed_of(args, doc)
-    recs = load_input_recordings(args.input_dir)
-    subject_maps_stage(recs, args.k, kmeans, min_distance, seed, out, args.threads)
-    print(f"segmented {len(recs)} subjects -> {out}")
+    maps = subject_maps_stage(
+        load_input_recordings(args.input_dir), args.k, kmeans, min_distance, seed, out,
+        args.threads,
+    )
+    print(f"segmented {len(maps)} subjects -> {out}")
     return 0
 
 
@@ -367,9 +372,10 @@ def _cmd_backfit(args) -> int:
     out = _need(args, "out", "--out")
     require_real("--min-segment-ms", args.min_segment_ms)
     gmaps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
-    recs = load_input_recordings(args.input_dir)
-    backfit_stage(recs, gmaps, args.min_segment_ms, out, args.threads)
-    print(f"backfitted {len(recs)} recordings -> {out}")
+    subjects = backfit_stage(
+        load_input_recordings(args.input_dir), gmaps, args.min_segment_ms, out, args.threads
+    )
+    print(f"backfitted {len(subjects)} recordings -> {out}")
     return 0
 
 

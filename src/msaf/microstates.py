@@ -227,12 +227,14 @@ def find_gfp_peaks(series: GfpSeries, min_distance_ms: float = 0.0) -> np.ndarra
         raise NoPeaks("GFP series has no strict local maxima")
     d_min = int(round(min_distance_ms / 1000.0 * series.fs))
     if d_min > 1:
-        order = sorted(range(idx.size), key=lambda i: (-v[idx[i]], idx[i]))
-        kept: list[int] = []
-        for i in order:
-            if all(abs(int(idx[i]) - j) >= d_min for j in kept):
-                kept.append(int(idx[i]))
-        idx = np.array(sorted(kept), dtype=np.int64)
+        # a kept peak blocks every sample closer than d_min to it
+        blocked = np.zeros(v.size, dtype=bool)
+        kept = np.zeros(v.size, dtype=bool)
+        for j in idx[np.lexsort((idx, -v[idx]))].tolist():
+            if not blocked[j]:
+                kept[j] = True
+                blocked[max(j - d_min + 1, 0):j + d_min] = True
+        idx = np.nonzero(kept)[0]
     return idx.astype(np.int64)
 
 

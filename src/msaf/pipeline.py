@@ -13,9 +13,14 @@ Determinism contract: the config seed fully determines every stochastic
 choice (per-subject seeds are derived, never shared), and per-subject
 work runs through an order-preserving thread map, so the thread count
 can change wall time but never a single output byte.
+
+Recordings stream: `load_input_recordings` yields one at a time and the
+thread map keeps at most `threads` of them in flight, so a stage holds
+its results but never the whole cohort's input.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -26,7 +31,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -287,12 +292,41 @@ def _commit_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving input order; thread count never changes results."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+def _call_popped(fn: Callable, box: list):
+    """fn of the box's one item; the item is released when fn returns."""
+    return fn(box.pop())
+
+
+def _ordered_map(fn: Callable, items: Iterable, threads: int) -> list:
+    """Map preserving input order; thread count never changes results.
+
+    Items are drawn from the iterable only while fewer than `threads`
+    are in flight, and each is released once fn returns, so a generator
+    of recordings has at most `threads` of them alive, counting the one
+    being drawn. The error raised is the earliest item's, whether fn or
+    the draw raised it, as with one thread.
+    """
+    out = []
+    if threads <= 1:
+        for item in items:
+            out.append(fn(item))
+            del item
+        return out
+    pending: collections.deque = collections.deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        try:
+            for item in items:
+                pending.append(pool.submit(_call_popped, fn, [item]))
+                del item
+                if len(pending) == threads:
+                    out.append(pending[0].result())
+                    pending.popleft()
+        except Exception:
+            for f in pending:  # items drawn before the failure fail first
+                f.result()
+            raise
+        out.extend(f.result() for f in pending)
+    return out
 
 
 def _artifact_names(directory: str, suffix: str) -> list[str]:
@@ -314,9 +348,12 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
 
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
-) -> list[Recording]:
-    """All .eegb recordings in a directory, sorted by file name."""
-    recs = []
+) -> Iterator[Recording]:
+    """The .eegb recordings in a directory, one at a time, sorted by file name.
+
+    The directory is listed at the first draw. A subject id seen before
+    raises DuplicateSubject when its recording is drawn.
+    """
     seen: set[str] = set()
     for name in _artifact_names(input_dir, ".eegb"):
         rec = load_recording(os.path.join(input_dir, name))
@@ -325,29 +362,40 @@ def load_input_recordings(
         if rec.subject_id in seen:
             raise DuplicateSubject(f"subject id {rec.subject_id!r} appears twice")
         seen.add(rec.subject_id)
-        recs.append(rec)
-    return recs
+        yield rec
+        del rec  # not alive while the next one loads
 
 
-def _commit_subject_json(out_dir: str, recs: Sequence[Recording], docs) -> None:
-    """Commit one <subject_id>.json per recording under out_dir."""
+def _numbered(items: Iterable) -> Iterator[tuple]:
+    """(index, item) pairs; unlike enumerate, no item outlives its draw."""
+    i = 0
+    for item in items:
+        yield i, item
+        del item
+        i += 1
+
+
+def _commit_subject_json(out_dir: str, docs: Iterable[tuple[str, dict]]) -> None:
+    """Commit one <subject_id>.json per (subject_id, document) under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    for rec, doc in zip(recs, docs):
-        _commit_json(os.path.join(out_dir, rec.subject_id + ".json"), doc)
+    for sid, doc in docs:
+        _commit_json(os.path.join(out_dir, sid + ".json"), doc)
 
 
-def _commit_segmentations(out_dir: str, recs: Sequence[Recording], segs) -> None:
-    """Commit one <subject_id>.seg per recording under out_dir."""
+def _commit_segmentations(
+    out_dir: str, subjects: Iterable[tuple[str, Optional[str], Segmentation]]
+) -> None:
+    """Commit one <subject_id>.seg per (subject_id, label, segmentation) under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    for rec, seg in zip(recs, segs):
-        commit_segmentation(
-            seg, os.path.join(out_dir, rec.subject_id), rec.subject_id, rec.label
-        )
+    for sid, label, seg in subjects:
+        commit_segmentation(seg, os.path.join(out_dir, sid), sid, label)
 
 
 # --- stages: each computes from in-memory inputs and explicit settings,
 # derives its own seeds from the run seed, and writes its artifacts only
-# once every result exists. `run_pipeline` and the stage verbs share them.
+# once every result exists. A stage over recordings takes any iterable of
+# them and keeps only its results, so a generator of recordings is never
+# held whole. `run_pipeline` and the stage verbs share them.
 
 
 def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
@@ -375,7 +423,9 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     return rec
 
 
-def preprocess_stage(recs, steps, band, out_dir: str, threads: int = 1) -> list[Recording]:
+def preprocess_stage(
+    recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
+) -> list[Recording]:
     """Preprocess every recording, then commit each as <out_dir>/<id>.eegb.
 
     Limits that depend on a recording (a band edge above fs/2, a crop
@@ -389,8 +439,8 @@ def preprocess_stage(recs, steps, band, out_dir: str, threads: int = 1) -> list[
 
 
 def subject_maps_stage(
-    recs, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int, out_dir: str,
-    threads: int = 1,
+    recs: Iterable[Recording], k: int, kmeans: dict, min_peak_distance_ms: float,
+    seed: int, out_dir: str, threads: int = 1,
 ) -> list[MicrostateMaps]:
     """Each subject's GFP-peak topographies clustered into k maps.
 
@@ -398,17 +448,17 @@ def subject_maps_stage(
     <out_dir>/<id>.json.
     """
 
-    def _one(item) -> MicrostateMaps:
+    def _one(item) -> tuple[str, MicrostateMaps]:
         idx, rec = item
         peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
-        return modified_kmeans(
+        return rec.subject_id, modified_kmeans(
             rec.data[:, peaks].T, k, **kmeans,
             seed=child_seed(seed, 100, idx), channels=rec.montage.names,
         )
 
-    maps = _ordered_map(_one, list(enumerate(recs)), threads)
-    _commit_subject_json(out_dir, recs, [m.to_json_dict() for m in maps])
-    return maps
+    done = _ordered_map(_one, _numbered(recs), threads)
+    _commit_subject_json(out_dir, [(sid, m.to_json_dict()) for sid, m in done])
+    return [m for _, m in done]
 
 
 def group_maps_stage(
@@ -427,15 +477,20 @@ def group_maps_stage(
 
 
 def backfit_stage(
-    recs, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, threads: int = 1
-) -> list[Segmentation]:
-    """Every sample assigned to its best group map; commits <out_dir>/<id>.seg."""
+    recs: Iterable[Recording], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
+    threads: int = 1,
+) -> list[tuple[str, Optional[str], Segmentation]]:
+    """Every sample assigned to its best group map; commits <out_dir>/<id>.seg.
+
+    Returns (subject_id, label, segmentation) triples in input order.
+    """
     check_k("the number of maps", gmaps.k)
-    segs = _ordered_map(
-        lambda r: backfit(r, gmaps, min_segment_ms=min_segment_ms), recs, threads
+    subjects = _ordered_map(
+        lambda r: (r.subject_id, r.label, backfit(r, gmaps, min_segment_ms=min_segment_ms)),
+        recs, threads,
     )
-    _commit_segmentations(out_dir, recs, segs)
-    return segs
+    _commit_segmentations(out_dir, subjects)
+    return subjects
 
 
 def feature_stage(
@@ -607,10 +662,11 @@ def run_pipeline(
     out = out_dir or cfg.out_dir
     path = functools.partial(os.path.join, out)
 
-    logger.info("loading recordings from %s", cfg.input_dir)
-    recs = load_input_recordings(cfg.input_dir, cfg.montage)
-    logger.info("preprocessing %d recordings", len(recs))
-    recs = preprocess_stage(recs, cfg.steps, cfg.band, path("preprocessed"), threads)
+    logger.info("loading and preprocessing recordings from %s", cfg.input_dir)
+    recs = preprocess_stage(
+        load_input_recordings(cfg.input_dir, cfg.montage), cfg.steps, cfg.band,
+        path("preprocessed"), threads,
+    )
     logger.info("clustering per-subject microstates (k=%d)", cfg.k)
     subj_maps = subject_maps_stage(
         recs, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed,
@@ -625,12 +681,9 @@ def run_pipeline(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
     logger.info("backfitting")
-    segs = backfit_stage(recs, gmaps, cfg.min_segment_ms, path("segmentations"), threads)
+    subjects = backfit_stage(recs, gmaps, cfg.min_segment_ms, path("segmentations"), threads)
     logger.info("extracting features")
-    table = feature_stage(
-        [(rec.subject_id, rec.label, seg) for rec, seg in zip(recs, segs)],
-        path("features.csv"),
-    )
+    table = feature_stage(subjects, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed
     model, params = fit_stage(
         table, kind, cfg.classifier["params"], cfg.grid, cfg.cv_folds, seed,

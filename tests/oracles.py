@@ -84,6 +84,23 @@ def features_brute_force(
     return out
 
 
+# --- GFP peaks with a minimum distance, one kept peak at a time ---
+
+def gfp_peaks_min_distance_loop(values, fs: float, min_distance_ms: float) -> list[int]:
+    """Strict local maxima kept greedily by descending value (ties to the
+    earlier sample), each checked against every peak kept so far."""
+    v = [float(x) for x in values]
+    idx = [t for t in range(1, len(v) - 1) if v[t] > v[t - 1] and v[t] > v[t + 1]]
+    d_min = int(round(min_distance_ms / 1000.0 * fs))
+    if d_min <= 1:
+        return idx
+    kept: list[int] = []
+    for t in sorted(idx, key=lambda t: (-v[t], t)):
+        if all(abs(t - j) >= d_min for j in kept):
+            kept.append(t)
+    return sorted(kept)
+
+
 # --- backfit's short-run pass, one sample at a time ---
 
 def run_lengths_loop(states) -> list[tuple[int, int, int]]:

@@ -1,6 +1,7 @@
 """GFP, peak picking, polarity-invariant clustering, backfitting."""
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from msaf.microstates import _min_cost_assignment, _run_lengths
 from oracles import (
     EmptyClusterError,
     absorb_short_runs_loop,
+    gfp_peaks_min_distance_loop,
     modified_kmeans_eigen_loop,
     modified_kmeans_loop,
     run_groups,
@@ -72,6 +74,31 @@ def test_find_peaks_min_distance_keeps_larger():
     # 3 ms at 1 kHz = 3 samples: the peak at 3 is within 2 of the
     # larger peak at 1 and gets dropped; 5 is far enough from 1
     assert list(find_gfp_peaks(series, min_distance_ms=3.0)) == [1, 5]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_peaks_min_distance_matches_greedy_loop(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values: many tied peaks and flat plateaus
+    v = rng.integers(0, 4 + seed, 600).astype(np.float64)
+    v[100:110] = 9.0
+    series = GfpSeries(values=v, fs=250.0)
+    for ms in (0.0, 4.0, 8.0, 10.0, 30.0, 250.0, 5000.0):
+        assert list(find_gfp_peaks(series, min_distance_ms=ms)) == \
+            gfp_peaks_min_distance_loop(v, 250.0, ms)
+
+
+def test_find_peaks_min_distance_on_a_long_recording_is_fast():
+    cfg = SynthConfig(duration=120.0, fs=250.0, seed=3)
+    series = gfp(generate(cfg)[0])
+    expected = gfp_peaks_min_distance_loop(series.values, series.fs, 10.0)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        idx = find_gfp_peaks(series, min_distance_ms=10.0)
+        best = min(best, time.perf_counter() - start)
+    assert list(idx) == expected
+    assert best < 0.05
 
 
 def test_find_peaks_none():

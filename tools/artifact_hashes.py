@@ -1,12 +1,14 @@
 """sha256 of every artifact of a fixed set of msaf commands.
 
     python3 tools/artifact_hashes.py SRC_DIR OUT_DIR [--n-per-class N] [--duration S]
+                                     [--threads N]
 
 SRC_DIR is the directory that holds the ``msaf`` package (a checkout's
 ``src/``). Every command runs as a fresh ``python -m msaf.cli`` process
-with SRC_DIR first on PYTHONPATH and OUT_DIR (created, must not exist)
-as its working directory, so all paths are relative and two listings
-made in different directories compare line for line:
+with SRC_DIR first on PYTHONPATH, ``--threads N`` (default 1) and OUT_DIR
+(created, must not exist) as its working directory, so all paths are
+relative and two listings made in different directories compare line
+for line:
 
 - ``msaf synth``: a fixed labeled cohort (``data/``, ``data/truth/``) and
   a band cohort (``band_data/``);
@@ -27,7 +29,9 @@ made in different directories compare line for line:
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
 parent's SRC_DIR and the change's; ``manifest.json`` also records the
-package version and the Python/NumPy versions.
+package version and the Python/NumPy versions. Listings made with
+different ``--threads`` must also be identical: the thread count never
+changes an output byte.
 """
 from __future__ import annotations
 
@@ -128,6 +132,7 @@ def main(argv=None) -> int:
     p.add_argument("out_dir", help="new directory for the artifacts")
     p.add_argument("--n-per-class", type=int, default=4)
     p.add_argument("--duration", type=float, default=10.0, help="seconds per recording")
+    p.add_argument("--threads", type=int, default=1, help="--threads of every command")
     args = p.parse_args(argv)
 
     src = os.path.abspath(args.src_dir)
@@ -143,7 +148,7 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for cmd in _commands():
         proc = subprocess.run(
-            [sys.executable, "-m", "msaf.cli", *cmd, "--threads", "1"],
+            [sys.executable, "-m", "msaf.cli", *cmd, "--threads", str(args.threads)],
             cwd=args.out_dir, env=env, capture_output=True, text=True,
         )
         if proc.returncode != 0:
