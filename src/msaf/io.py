@@ -10,7 +10,11 @@ Binary recordings live in a two-file container:
   (a list of strings describing the operations applied so far).
 
 Values are widened to float64 on load; all in-memory computation happens
-at working precision and only the container narrows to float32.
+at working precision and only the container narrows to float32. A
+`StoredRecording` holds a recording as its container does, and the two
+conversions are one function each: `narrow_recording`, which
+`save_recording` writes from, and `widen_recording`, which
+`load_recording` reads through.
 
 A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
 the header length as a little-endian uint32, a sorted-key JSON header
@@ -276,34 +280,89 @@ def _split_stem(path: str) -> str:
     return path
 
 
-def save_recording(rec: Recording, path: str) -> tuple[str, str]:
+@dataclass(frozen=True)
+class StoredRecording:
+    """A recording as its `.eegb` container holds it.
+
+    Attributes:
+        montage: Channel names and positions; row order matches payload.
+        fs: Sampling rate in Hz.
+        payload: (K, T) read-only little-endian float32 array, finite:
+            the bytes `save_recording` writes after the magic.
+        subject_id: Subject identifier.
+        label: Optional class label.
+        provenance: Operations applied so far.
+    """
+
+    montage: Montage
+    fs: float
+    payload: np.ndarray
+    subject_id: str
+    label: Optional[str] = None
+    provenance: tuple[str, ...] = ()
+
+
+def narrow_recording(rec: Recording) -> StoredRecording:
+    """The recording with its samples narrowed to float32, as saved.
+
+    Raises:
+        NonFiniteData: a sample overflows float32.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        payload = rec.data.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise NonFiniteData(
+            f"recording {rec.subject_id!r} overflows float32; rescale before saving"
+        )
+    return StoredRecording(
+        montage=rec.montage,
+        fs=rec.fs,
+        payload=_freeze(payload),
+        subject_id=rec.subject_id,
+        label=rec.label,
+        provenance=rec.provenance,
+    )
+
+
+def widen_recording(stored: StoredRecording) -> Recording:
+    """The float64 recording of a stored one; widening is exact."""
+    return Recording(
+        montage=stored.montage,
+        fs=stored.fs,
+        data=stored.payload.astype(np.float64),
+        subject_id=stored.subject_id,
+        label=stored.label,
+        provenance=stored.provenance,
+    )
+
+
+def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, str]:
     """Write `<stem>.eegb` and its JSON sidecar.
 
     Args:
-        rec: Recording to store. Samples are narrowed to float32.
+        rec: Recording to store, narrowed to float32 by
+            `narrow_recording`, or a StoredRecording, written as is.
         path: Target path; an `.eegb`/`.json` extension is stripped.
 
     Returns:
         (binary_path, sidecar_path).
     """
     stem = _split_stem(path)
-    payload = rec.data.astype("<f4")
-    if not np.all(np.isfinite(payload)):
-        raise NonFiniteData("data overflows float32; rescale before saving")
+    stored = rec if isinstance(rec, StoredRecording) else narrow_recording(rec)
     sidecar = {
-        "subject_id": rec.subject_id,
-        "fs": rec.fs,
-        "channels": list(rec.montage.names),
-        "n_samples": rec.n_samples,
-        "provenance": list(rec.provenance),
+        "subject_id": stored.subject_id,
+        "fs": stored.fs,
+        "channels": list(stored.montage.names),
+        "n_samples": stored.payload.shape[1],
+        "provenance": list(stored.provenance),
     }
-    if rec.label is not None:
-        sidecar["label"] = rec.label
+    if stored.label is not None:
+        sidecar["label"] = stored.label
     bin_path, json_path = stem + ".eegb", stem + ".json"
     try:
         with open(bin_path, "wb") as f:
             f.write(MAGIC)
-            f.write(payload.tobytes(order="C"))
+            f.write(stored.payload.tobytes(order="C"))
         with open(json_path, "w", encoding="utf-8") as f:
             json.dump(sidecar, f, sort_keys=True, indent=2)
             f.write("\n")
@@ -312,7 +371,7 @@ def save_recording(rec: Recording, path: str) -> tuple[str, str]:
     return bin_path, json_path
 
 
-def commit_recording(rec: Recording, stem: str) -> None:
+def commit_recording(rec: Recording | StoredRecording, stem: str) -> None:
     """Save `<stem>.partial.eegb`/`.json`, then rename both into place."""
     for partial in save_recording(rec, stem + ".partial"):
         os.replace(partial, stem + os.path.splitext(partial)[1])
@@ -322,7 +381,7 @@ def load_recording(path: str) -> Recording:
     """Read a recording stored by :func:`save_recording`.
 
     Channel order is taken from the sidecar verbatim; nothing is
-    reordered or dropped. Payload floats are widened to float64.
+    reordered or dropped. The payload is widened by `widen_recording`.
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
@@ -354,18 +413,17 @@ def load_recording(path: str) -> Recording:
             f"{bin_path!r}: payload is {len(raw)} bytes, sidecar declares "
             f"{len(channels)}x{n_samples} float32 = {expected}"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(len(channels), n_samples)
-    data = data.astype(np.float64)
-    if not np.all(np.isfinite(data)):
+    payload = np.frombuffer(raw, dtype="<f4").reshape(len(channels), n_samples)
+    if not np.all(np.isfinite(payload)):
         raise NonFiniteData(f"{bin_path!r} contains non-finite samples")
-    return Recording(
+    return widen_recording(StoredRecording(
         montage=standard_1020_montage(channels),
         fs=float(sidecar["fs"]),
-        data=data,
+        payload=payload,
         subject_id=str(sidecar["subject_id"]),
         label=(str(sidecar["label"]) if sidecar.get("label") is not None else None),
         provenance=tuple(str(p) for p in sidecar.get("provenance", [])),
-    )
+    ))
 
 
 def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -> str:

@@ -208,6 +208,15 @@ def gfp(rec: Recording) -> GfpSeries:
     return GfpSeries(values=rec.data.std(axis=0), fs=rec.fs)
 
 
+def _samples_of_ms(ms: float, fs: float) -> int:
+    """The fewest samples at fs that span at least ms milliseconds.
+
+    A ceiling, so a setting is never rounded down below what it asks for;
+    the 1e-9 slack keeps a whole number of samples (10 ms at 200 Hz) whole.
+    """
+    return int(math.ceil(ms / 1000.0 * fs - 1e-9))
+
+
 def find_gfp_peaks(series: GfpSeries, min_distance_ms: float = 0.0) -> np.ndarray:
     """Indices of strict local maxima of the GFP curve.
 
@@ -225,7 +234,7 @@ def find_gfp_peaks(series: GfpSeries, min_distance_ms: float = 0.0) -> np.ndarra
     idx = np.nonzero(inner)[0] + 1
     if idx.size == 0:
         raise NoPeaks("GFP series has no strict local maxima")
-    d_min = int(round(min_distance_ms / 1000.0 * series.fs))
+    d_min = _samples_of_ms(min_distance_ms, series.fs)
     if d_min > 1:
         # a kept peak blocks every sample closer than d_min to it
         blocked = np.zeros(v.size, dtype=bool)
@@ -579,7 +588,7 @@ def backfit(
     for t in np.nonzero(~live)[0]:
         states[t] = states[t - 1]
 
-    min_len = int(round(min_segment_ms / 1000.0 * rec.fs))
+    min_len = _samples_of_ms(min_segment_ms, rec.fs)
     if min_len > 1:
         starts, stops, run_states = _run_lengths(states)
         if run_states.size > 1:

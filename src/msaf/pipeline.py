@@ -16,7 +16,11 @@ can change wall time but never a single output byte.
 
 Recordings stream: `load_input_recordings` yields one at a time and the
 thread map keeps at most `threads` of them in flight, so a stage holds
-its results but never the whole cohort's input.
+its results but never the whole cohort's input. Preprocessed recordings
+are held as the float32 payload their files get (`StoredRecording`), and
+`run_pipeline` widens one at a time for clustering and backfit, exactly
+as `load_recording` does, so the stage verbs on `preprocessed/` compute
+from the same numbers as the run.
 """
 from __future__ import annotations
 
@@ -47,11 +51,14 @@ from .io import (
     MAX_STATES,
     FeatureTable,
     Recording,
+    StoredRecording,
     check_montage,
     commit_recording,
     commit_segmentation,
     load_recording,
+    narrow_recording,
     read_json,
+    widen_recording,
     write_json,
 )
 from .microstates import (
@@ -425,13 +432,17 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
 
 def preprocess_stage(
     recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
-) -> list[Recording]:
+) -> list[StoredRecording]:
     """Preprocess every recording, then commit each as <out_dir>/<id>.eegb.
 
-    Limits that depend on a recording (a band edge above fs/2, a crop
-    window past its end) fail before out_dir is created.
+    Each result is kept only as its file's float32 payload. Limits that
+    depend on a recording (a band edge above fs/2, a crop window past
+    its end, a value that overflows float32) fail before out_dir is
+    created.
     """
-    done = _ordered_map(lambda r: preprocess_recording(r, steps, band), recs, threads)
+    done = _ordered_map(
+        lambda r: narrow_recording(preprocess_recording(r, steps, band)), recs, threads
+    )
     os.makedirs(out_dir, exist_ok=True)
     for rec in done:
         commit_recording(rec, os.path.join(out_dir, rec.subject_id))
@@ -663,25 +674,32 @@ def run_pipeline(
     path = functools.partial(os.path.join, out)
 
     logger.info("loading and preprocessing recordings from %s", cfg.input_dir)
-    recs = preprocess_stage(
+    stored = preprocess_stage(
         load_input_recordings(cfg.input_dir, cfg.montage), cfg.steps, cfg.band,
         path("preprocessed"), threads,
     )
+
+    def recs() -> Iterator[Recording]:
+        """The preprocessed recordings as `load_recording` reads them, one at a time."""
+        return (widen_recording(s) for s in stored)
+
     logger.info("clustering per-subject microstates (k=%d)", cfg.k)
     subj_maps = subject_maps_stage(
-        recs, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed,
+        recs(), cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed,
         path("subject_maps"), threads,
     )
     logger.info("group clustering and labeling")
     if cfg.labeling == "template":
-        templates = canonical_templates(recs[0].montage)
+        templates = canonical_templates(stored[0].montage)
     else:
         templates = MicrostateMaps.from_json_dict(read_json(cfg.labeling))
     gmaps = group_maps_stage(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
     logger.info("backfitting")
-    subjects = backfit_stage(recs, gmaps, cfg.min_segment_ms, path("segmentations"), threads)
+    subjects = backfit_stage(
+        recs(), gmaps, cfg.min_segment_ms, path("segmentations"), threads
+    )
     logger.info("extracting features")
     table = feature_stage(subjects, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed
@@ -698,7 +716,7 @@ def run_pipeline(
     _commit_json(path("stats.json"), compute_stats(table))
 
     def per_subject(directory: str, ext: str) -> list[str]:
-        return [os.path.join(directory, r.subject_id + ext) for r in recs]
+        return [os.path.join(directory, s.subject_id + ext) for s in stored]
 
     artifacts = [
         *per_subject("preprocessed", ".eegb"), *per_subject("subject_maps", ".json"),
@@ -714,7 +732,7 @@ def run_pipeline(
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
-        "n_subjects": len(recs),
+        "n_subjects": len(stored),
         "class_names": list(table.class_names),
         "cv_accuracy": report.accuracy,
         "artifacts": artifacts,

@@ -153,8 +153,10 @@ class SynthConfig:
                 raise InvalidConfig(f"transition must be a matrix, got {self.transition!r}")
             if t.shape != (k, k):
                 raise InvalidConfig(f"transition must be {k}x{k}, got {t.shape}")
-            if np.any(t < 0) or np.any(np.abs(np.diag(t)) > 0):
-                raise InvalidConfig("transition needs non-negative entries, zero diagonal")
+            if not np.all(t >= 0) or np.any(np.abs(np.diag(t)) > 0):
+                raise InvalidConfig(
+                    "transition needs finite non-negative entries, zero diagonal"
+                )
             if k > 1 and np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-9:
                 raise InvalidConfig("transition rows must sum to 1")
             object.__setattr__(
@@ -198,6 +200,12 @@ def generate(cfg: SynthConfig) -> tuple[Recording, Segmentation, MicrostateMaps]
         transition = np.asarray(transition_from_weights(np.ones(k)))
     else:
         transition = np.zeros((1, 1))
+    # Each next state is drawn as Generator.choice(k, p=row) draws it, as
+    # searchsorted(cumsum(row) / cumsum(row)[-1], random(), side="right"),
+    # with every row's normalized cumsum formed once instead of per draw.
+    cdf = transition.cumsum(axis=1)
+    if k > 1:
+        cdf /= cdf[:, -1:]
 
     states = np.empty(n, dtype=np.int64)
     polarity = np.empty(n)
@@ -211,7 +219,7 @@ def generate(cfg: SynthConfig) -> tuple[Recording, Segmentation, MicrostateMaps]
         polarity[t:stop] = 1.0 if rng.integers(2) else -1.0
         t = stop
         if k > 1:
-            state = int(rng.choice(k, p=transition[state]))
+            state = int(cdf[state].searchsorted(rng.random(), side="right"))
 
     times = np.arange(n) / cfg.fs
     envelope = 1.0 + cfg.envelope_depth * np.sin(

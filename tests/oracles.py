@@ -91,7 +91,7 @@ def gfp_peaks_min_distance_loop(values, fs: float, min_distance_ms: float) -> li
     earlier sample), each checked against every peak kept so far."""
     v = [float(x) for x in values]
     idx = [t for t in range(1, len(v) - 1) if v[t] > v[t - 1] and v[t] > v[t + 1]]
-    d_min = int(round(min_distance_ms / 1000.0 * fs))
+    d_min = math.ceil(min_distance_ms * fs / 1000.0 - 1e-9)
     if d_min <= 1:
         return idx
     kept: list[int] = []
@@ -99,6 +99,27 @@ def gfp_peaks_min_distance_loop(values, fs: float, min_distance_ms: float) -> li
         if all(abs(t - j) >= d_min for j in kept):
             kept.append(t)
     return sorted(kept)
+
+
+# --- synthetic state sequences, one Generator.choice per dwell ---
+
+def synth_states_choice_loop(seed: int, n: int, fs: float, mean_dwell_ms, transition):
+    """The states of a generated recording of n samples, each next state
+    drawn with rng.choice(k, p=row) from rng = default_rng([seed])."""
+    rng = np.random.default_rng([seed])
+    k = len(mean_dwell_ms)
+    states = np.empty(n, dtype=np.int64)
+    state = int(rng.integers(k))
+    t = 0
+    while t < n:
+        mean_samples = max(mean_dwell_ms[state] / 1000.0 * fs, 1.0)
+        dwell = int(rng.geometric(min(1.0, 1.0 / mean_samples)))
+        states[t:min(t + dwell, n)] = state
+        rng.integers(2)  # the run's polarity
+        t += dwell
+        if k > 1:
+            state = int(rng.choice(k, p=np.asarray(transition[state], dtype=np.float64)))
+    return states
 
 
 # --- backfit's short-run pass, one sample at a time ---

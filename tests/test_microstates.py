@@ -17,6 +17,7 @@ from msaf import (
     Recording,
     SynthConfig,
     backfit,
+    canonical_templates,
     find_gfp_peaks,
     generate,
     gev,
@@ -74,6 +75,17 @@ def test_find_peaks_min_distance_keeps_larger():
     # 3 ms at 1 kHz = 3 samples: the peak at 3 is within 2 of the
     # larger peak at 1 and gets dropped; 5 is far enough from 1
     assert list(find_gfp_peaks(series, min_distance_ms=3.0)) == [1, 5]
+
+
+def test_find_peaks_min_distance_is_a_ceiling():
+    # at 250 Hz, 10 ms is 2.5 samples: peaks 2 samples (8 ms) apart are too close
+    v = np.array([0.0, 5.0, 0.0, 4.0, 0.0, 0.0, 0.0, 3.0, 0.0])
+    series = GfpSeries(values=v, fs=250.0)
+    assert list(find_gfp_peaks(series, min_distance_ms=8.0)) == [1, 3, 7]
+    assert list(find_gfp_peaks(series, min_distance_ms=10.0)) == [1, 7]
+    # 10 ms at 200 Hz is exactly 2 samples
+    assert list(find_gfp_peaks(GfpSeries(values=v, fs=200.0), min_distance_ms=10.0)) == \
+        [1, 3, 7]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -373,6 +385,18 @@ def test_backfit_min_segment_absorbs_short_runs():
         if stop - start < min_len
     )
     assert n_short_after < len(short_samples)
+
+
+def test_backfit_min_segment_is_a_ceiling():
+    m = standard_1020_montage()
+    templates = canonical_templates(m)
+    # noiseless runs of map 0, a 2-sample (8 ms) run of map 1 and a
+    # 3-sample (12 ms) run of map 2 at 250 Hz
+    truth = np.array([0] * 10 + [1] * 2 + [0] * 10 + [2] * 3 + [0] * 10)
+    rec = Recording(montage=m, fs=250.0, data=templates.maps[truth].T, subject_id="s")
+    assert backfit(rec, templates, min_segment_ms=8.0).states.tolist() == truth.tolist()
+    absorbed = np.where(truth == 1, 0, truth)
+    assert backfit(rec, templates, min_segment_ms=10.0).states.tolist() == absorbed.tolist()
 
 
 def test_run_lengths_match_loop():

@@ -1,12 +1,15 @@
 """Recordings stream through the stages: bounded live inputs, thread
-identity of the streamed verbs, and the error order of a streamed cohort."""
+identity of the streamed verbs, the error order of a streamed cohort, and
+the stage verbs replaying a run from its artifacts."""
 import gc
 import json
 import os
 import shutil
 import time
+import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 import msaf.pipeline
@@ -37,46 +40,69 @@ def cohort(tmp_path_factory):
     return root
 
 
-class _LiveInputs:
-    """Counts the recordings `msaf.pipeline.load_recording` returned that are
-    still alive, the one just loaded included, at each load.
+class _LiveRecordings:
+    """Counts, at each call of the msaf.pipeline functions `counted`, the
+    recordings they returned that are still alive, the one just returned
+    included.
 
-    The per-recording step `slow` (a msaf.pipeline function) is made to
-    take 50 ms, so work still in flight when the next recording loads
+    Each per-recording step in `slow` (msaf.pipeline functions) is made to
+    take 50 ms, so work still in flight when the next recording arrives
     shows in the count.
     """
 
-    def __init__(self, monkeypatch, slow):
+    def __init__(self, monkeypatch, counted, slow):
         self.refs = []
         self.counts = []
-        real = msaf.pipeline.load_recording
-        step = getattr(msaf.pipeline, slow)
+        for name in slow:
+            monkeypatch.setattr(msaf.pipeline, name, self._slowed(getattr(msaf.pipeline, name)))
+        for name in counted:
+            monkeypatch.setattr(msaf.pipeline, name, self._counted(getattr(msaf.pipeline, name)))
 
+    @staticmethod
+    def _slowed(step):
         def slowed(*args, **kwargs):
             time.sleep(0.05)
             return step(*args, **kwargs)
+        return slowed
 
-        def load(path):
+    def _counted(self, fn):
+        def counted(*args, **kwargs):
             gc.collect()
-            rec = real(path)
+            rec = fn(*args, **kwargs)
             self.refs.append(weakref.ref(rec))
             self.counts.append(sum(r() is not None for r in self.refs))
             return rec
+        return counted
 
-        monkeypatch.setattr(msaf.pipeline, "load_recording", load)
-        monkeypatch.setattr(msaf.pipeline, slow, slowed)
+
+def _small_run(cohort, out, **overrides):
+    return PipelineConfig(
+        input_dir=str(cohort / "data"), out_dir=str(out), steps=_STEPS,
+        kmeans={"n_inits": 2, "max_iter": 50}, cv_folds=2,
+        classifier={"kind": "rf", "params": {"n_trees": 5}}, **overrides,
+    )
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, monkeypatch):
-    live = _LiveInputs(monkeypatch, "preprocess_recording")
-    cfg = PipelineConfig(
-        input_dir=str(cohort / "data"), out_dir=str(tmp_path / "run"), steps=_STEPS,
-        kmeans={"n_inits": 2, "max_iter": 50}, cv_folds=2,
-        classifier={"kind": "rf", "params": {"n_trees": 5}},
-    )
-    run_pipeline(cfg, threads=threads)
+    live = _LiveRecordings(monkeypatch, ["load_recording"], ["preprocess_recording"])
+    run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
     assert len(live.counts) == 6
+    assert max(live.counts) <= threads, live.counts
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_holds_at_most_threads_float64_preprocessed_recordings(
+    threads, cohort, tmp_path, monkeypatch
+):
+    # the float64 results of preprocessing, then of widening the held
+    # float32 payloads for clustering and for backfit
+    live = _LiveRecordings(
+        monkeypatch, ["preprocess_recording", "widen_recording"],
+        ["preprocess_recording", "modified_kmeans", "backfit"],
+    )
+    run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
+    assert len(live.counts) == 3 * 6
     assert max(live.counts) <= threads, live.counts
 
 
@@ -85,7 +111,9 @@ def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, mon
 def test_recording_verbs_hold_at_most_threads_recordings(
     verb, threads, cohort, tmp_path, monkeypatch
 ):
-    live = _LiveInputs(monkeypatch, "backfit" if verb == "backfit" else "modified_kmeans")
+    live = _LiveRecordings(
+        monkeypatch, ["load_recording"], ["backfit" if verb == "backfit" else "modified_kmeans"]
+    )
     argv = [verb, str(cohort / "data")]
     if verb == "backfit":
         argv.append(str(cohort / "maps.json"))
@@ -152,7 +180,17 @@ def _short_then_bad_magic(data):
     _bad_magic_last(data)
 
 
+def _overflow_last(data):
+    """Channels of alternating sign near +-3e38: finite in float32, but their
+    surface Laplacian (_LAPLACIAN) is not."""
+    rec = load_recording(str(data / "NC_001.eegb"))
+    sign = np.where(np.arange(rec.n_channels) % 2 == 0, 1.0, -1.0)[:, None]
+    commit_recording(rec.with_data(sign * (3e38 + 1e36 * np.tanh(rec.data))),
+                     str(data / "NC_001"))
+
+
 _CROP = [{"kind": "crop", "t_start": 3.0, "t_end": 5.0}]
+_LAPLACIAN = [{"kind": "laplacian"}]
 
 
 @pytest.mark.parametrize("spoil,steps,error,code", [
@@ -161,6 +199,8 @@ _CROP = [{"kind": "crop", "t_start": 3.0, "t_end": 5.0}]
     (_short_last, _CROP, "EmptyCrop", 2),
     # the earlier recording's fault is reported at any thread count
     (_short_then_bad_magic, _CROP, "EmptyCrop", 2),
+    # narrowed to float32 before anything is committed, without a NumPy warning
+    (_overflow_last, _LAPLACIAN, "NonFiniteData", 3),
 ])
 @pytest.mark.parametrize("verb", ["run", "preprocess"])
 @pytest.mark.parametrize("threads", [1, 3])
@@ -179,10 +219,39 @@ def test_faulty_recording_fails_before_any_output(
                                                             {"steps": steps}),
                 "--out", str(out)]
     capsys.readouterr()
-    assert main(argv + ["--threads", str(threads)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--threads", str(threads)]) == code
+    assert not caught, [str(w.message) for w in caught]
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert (err["error"], err["exit_code"]) == (error, code)
     # neither preprocessed/ nor any other output was written
     assert not out.exists()
+
+
+def test_stage_verbs_replay_a_run_byte_for_byte(cohort, tmp_path):
+    """On a cohort whose files are named by subject id, the verb chain on a
+    run's preprocessed/ reproduces the run's maps, segmentations and features."""
+    run = tmp_path / "run"
+    run_pipeline(_small_run(cohort, run, seed=5, min_peak_distance_ms=10.0,
+                            min_segment_ms=10.0))
+    cfg = _write(tmp_path / "c.json", {"kmeans": {"n_inits": 2, "max_iter": 50},
+                                       "min_peak_distance_ms": 10.0, "seed": 5})
+    cfg_group = _write(tmp_path / "g.json", {"kmeans": {"n_inits": 2, "max_iter": 50}})
+    v = tmp_path / "verbs"
+    for argv in (
+        ["segment", str(run / "preprocessed"), "--config", cfg, "--out", str(v / "subj")],
+        ["group-maps", str(v / "subj"), "--config", cfg_group, "--seed", "5",
+         "--out", str(v / "raw.json")],
+        ["label", str(v / "raw.json"), "--out", str(v / "maps.json")],
+        ["backfit", str(run / "preprocessed"), str(v / "maps.json"), "--min-segment-ms", "10",
+         "--out", str(v / "segs")],
+        ["features", str(v / "segs"), "--out", str(v / "features.csv")],
+    ):
+        assert main(argv) == 0, argv
+    assert _tree_bytes(v / "subj") == _tree_bytes(run / "subject_maps")
+    assert _tree_bytes(v / "segs") == _tree_bytes(run / "segmentations")
+    for name in ("maps.json", "features.csv"):
+        assert (v / name).read_bytes() == (run / name).read_bytes(), name

@@ -20,6 +20,8 @@ from msaf import (
     transition_from_weights,
 )
 
+from oracles import synth_states_choice_loop
+
 
 def test_canonical_templates_are_distinct():
     t = canonical_templates(standard_1020_montage())
@@ -65,6 +67,28 @@ def test_transition_from_weights_rows():
     assert np.all(np.diag(arr) == 0.0)  # dwell handled separately
     with pytest.raises(InvalidConfig):
         transition_from_weights((1.0, -1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("seed,n_states,transition", [
+    (0, 4, None),
+    # zero-probability entries off the diagonal, one row certain
+    (1, 4, [[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0, 0.25, 0, 0.75], [0.2, 0.3, 0.5, 0]]),
+    (2, 3, [[0, 0.1, 0.9], [0.7, 0, 0.3], [0, 1, 0]]),
+])
+def test_generate_draws_states_as_generator_choice(seed, n_states, transition):
+    # 2-sample mean dwells: about 7500 draws in 60 s at 250 Hz
+    cfg = SynthConfig(duration=60.0, n_states=n_states, mean_dwell_ms=8.0,
+                      transition=transition, seed=seed)
+    _, seg, _ = generate(cfg)
+    rows = cfg.transition or transition_from_weights(np.ones(n_states))
+    expected = synth_states_choice_loop(seed, seg.n_samples, cfg.fs, cfg.mean_dwell_ms, rows)
+    assert np.count_nonzero(np.diff(expected)) > 5000
+    assert np.array_equal(seg.states, expected)
+
+
+def test_generate_rejects_a_non_finite_transition():
+    with pytest.raises(InvalidConfig, match="finite"):
+        SynthConfig(n_states=2, transition=[[0.0, math.nan], [math.nan, 0.0]])
 
 
 def test_dwell_times_follow_profile():

@@ -22,9 +22,13 @@ for line:
   plus ``explain-rank`` and ``topo``;
 - ``msaf explain --method kernel`` on the rf run's model, which scores
   composite rows through the generic (non-SVM) coalition path;
-- ``msaf features`` on the rf run's ``segmentations/``, which must
-  reproduce that run's ``features.csv`` byte for byte (exit 1 otherwise):
-  the segmentation files lose no bit between ``backfit`` and ``features``.
+- ``msaf segment`` (with the rf run's k-means settings and seed) and
+  ``msaf backfit`` (against its ``maps.json``) on the rf run's
+  ``preprocessed/``, and ``msaf features`` on its ``segmentations/``,
+  which must reproduce that run's ``subject_maps/``, ``segmentations/``
+  and ``features.csv`` byte for byte (exit 1 otherwise): the run computes
+  from exactly the float32 recordings it commits, and the segmentation
+  files lose no bit between ``backfit`` and ``features``.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
@@ -52,8 +56,12 @@ KMEANS = {"n_inits": 5, "max_iter": 100}
 MONTAGE = ["Fp1", "Fp2", "F3", "F4", "Fz", "C3", "C4", "Cz", "P3", "P4", "Pz", "O1", "O2"]
 BAND = [2.0, 20.0]
 RF = {"classifier": {"kind": "rf", "params": {"n_trees": 20}}}
-# features of run_rf/segmentations, read back by the features verb
-REREAD_FEATURES = "run_rf_features.csv"
+# verb outputs from run_rf's artifacts -> the run_rf artifact each must equal
+REPLAYS = {
+    "run_rf_subject_maps": "run_rf/subject_maps",
+    "run_rf_segmentations": "run_rf/segmentations",
+    "run_rf_features.csv": "run_rf/features.csv",
+}
 RUNS = {
     "rf": RF,
     "gbt": {"classifier": {"kind": "gbt"}},
@@ -73,7 +81,11 @@ def _commands() -> list[list[str]]:
     cmds += [["explain", "run_rf/model.json", "run_rf/features.csv", "--method", "kernel",
               "--background", "8", "--n-samples", "256", "--out", "run_rf_kernel_shap.json",
               *seed]]
-    cmds += [["features", "run_rf/segmentations", "--out", REREAD_FEATURES]]
+    cmds += [["segment", "run_rf/preprocessed", "--config", "kmeans.json",
+              "--out", "run_rf_subject_maps", *seed],
+             ["backfit", "run_rf/preprocessed", "run_rf/maps.json",
+              "--out", "run_rf_segmentations"],
+             ["features", "run_rf/segmentations", "--out", "run_rf_features.csv"]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
              ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
     chain = [
@@ -126,6 +138,16 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _digests(path: str) -> dict:
+    """sha256 of a file, or of every file under a directory by relative path."""
+    if os.path.isfile(path):
+        return {"": _sha256(path)}
+    return {
+        os.path.relpath(os.path.join(root, name), path): _sha256(os.path.join(root, name))
+        for root, _, files in os.walk(path) for name in files
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_dir", help="directory holding the msaf package")
@@ -155,11 +177,13 @@ def main(argv=None) -> int:
             print(f"`msaf {' '.join(cmd)}` exited {proc.returncode}: {proc.stderr[-500:]}",
                   file=sys.stderr)
             return 1
-    reread = os.path.join(args.out_dir, REREAD_FEATURES)
-    if _sha256(reread) != _sha256(os.path.join(args.out_dir, "run_rf", "features.csv")):
-        print(f"{REREAD_FEATURES} differs from run_rf/features.csv: the segmentation "
-              "files do not read back exactly", file=sys.stderr)
-        return 1
+    for replay, original in REPLAYS.items():
+        if _digests(os.path.join(args.out_dir, replay)) != _digests(
+            os.path.join(args.out_dir, original)
+        ):
+            print(f"{replay} differs from {original}: the verbs do not replay the run "
+                  "from its artifacts", file=sys.stderr)
+            return 1
 
     lines = []
     for root, _, files in os.walk(args.out_dir):
