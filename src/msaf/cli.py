@@ -14,8 +14,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     AmbiguousLabels,
@@ -27,11 +25,13 @@ from .errors import (
 from .explain import ShapExplanation, global_ranking
 from .io import (
     check_montage,
-    commit_recording,
     load_feature_table,
+    load_json,
     load_segmentation,
     read_json,
+    save_recording,
     standard_1020_montage,
+    write_json,
 )
 from .microstates import MicrostateMaps, label_maps
 from .models import DEFAULT_GRIDS, MODEL_KINDS, check_params, model_from_json_dict
@@ -56,7 +56,6 @@ from .pipeline import (
     run_pipeline,
     subject_maps_stage,
     _artifact_names,
-    _commit_json,
     _commit_segmentations,
     _commit_text,
     _ranking_csv,
@@ -301,7 +300,7 @@ def _cmd_synth(args) -> int:
         os.path.join(out, "truth"), [(rec.subject_id, rec.label, seg) for rec, seg in pairs]
     )
     for rec, _ in pairs:
-        commit_recording(rec, os.path.join(out, rec.subject_id))
+        save_recording(rec, os.path.join(out, rec.subject_id))
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
     return 0
 
@@ -329,7 +328,7 @@ def _cmd_group_maps(args) -> int:
     kmeans = kmeans_settings(doc.get("kmeans"))
     seed = _seed_of(args, doc)
     subj_maps = [
-        MicrostateMaps.from_json_dict(read_json(os.path.join(args.maps_dir, f)))
+        load_json(os.path.join(args.maps_dir, f), MicrostateMaps.from_json_dict)
         for f in _artifact_names(args.maps_dir, ".json")
     ]
     gmaps = group_maps_stage(subj_maps, args.k, kmeans, seed, out)
@@ -352,7 +351,7 @@ def _parse_mapping(text: str) -> dict[int, str]:
 
 def _cmd_label(args) -> int:
     out = _need(args, "out", "--out")
-    maps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
+    maps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     if args.mapping is not None:
         if args.templates != "auto":
             raise AmbiguousLabels("give --mapping or --templates, not both")
@@ -361,9 +360,9 @@ def _cmd_label(args) -> int:
         montage = standard_1020_montage(maps.channels)
         labeled = label_maps(maps, templates=canonical_templates(montage))
     else:
-        templates = MicrostateMaps.from_json_dict(read_json(args.templates))
+        templates = load_json(args.templates, MicrostateMaps.from_json_dict)
         labeled = label_maps(maps, templates=templates)
-    _commit_json(out, labeled.to_json_dict())
+    write_json(out, labeled.to_json_dict())
     print(f"labels {list(labeled.labels)} -> {out}")
     return 0
 
@@ -371,7 +370,7 @@ def _cmd_label(args) -> int:
 def _cmd_backfit(args) -> int:
     out = _need(args, "out", "--out")
     require_real("--min-segment-ms", args.min_segment_ms)
-    gmaps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
+    gmaps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     subjects = backfit_stage(
         load_input_recordings(args.input_dir), gmaps, args.min_segment_ms, out, args.threads
     )
@@ -432,15 +431,24 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _with_class_names(decode):
+    """decode, and the object's class_names (else its classes as strings)."""
+    def both(doc: dict) -> tuple:
+        obj = decode(doc)
+        names = [str(c) for c in doc.get("class_names", obj.classes)]
+        if len(names) != len(obj.classes):
+            raise ValueError(f"{len(names)} class names for {len(obj.classes)} classes")
+        return obj, names
+    return both
+
+
 def _cmd_explain(args) -> int:
     out = _need(args, "out", "--out")
     settings = explain_settings(
         {"method": args.method, "n_samples": args.n_samples, "background": args.background}
     )
     seed = _seed_of(args)
-    doc = read_json(args.model_json)
-    model = model_from_json_dict(doc)
-    class_names = list(doc.get("class_names", [str(c) for c in model.classes]))
+    model, class_names = load_json(args.model_json, _with_class_names(model_from_json_dict))
     if args.class_name is not None and args.class_name not in class_names:
         raise InvalidConfig(f"--class {args.class_name!r} not in {class_names}")
     table = load_feature_table(args.features_csv)
@@ -454,18 +462,9 @@ def _cmd_explain(args) -> int:
 
 def _cmd_explain_rank(args) -> int:
     out = _need(args, "out", "--out")
-    doc = read_json(args.shap_json)
-    expl = ShapExplanation(
-        method=doc["method"],
-        classes=tuple(doc["classes"]),
-        phi0=np.asarray(doc["phi0"], dtype=np.float64),
-        phi=np.asarray(doc["phi"], dtype=np.float64),
-        feature_names=tuple(doc["feature_names"]) if doc.get("feature_names") else None,
-        meta=doc.get("meta", {}),
+    expl, class_names = load_json(
+        args.shap_json, _with_class_names(ShapExplanation.from_json_dict)
     )
-    class_names = [
-        str(c) for c in doc.get("class_names", [str(c) for c in expl.classes])
-    ]
     base = os.path.splitext(out)[0]
     for ci, cname in enumerate(class_names):
         ranked = global_ranking(expl, class_index=ci)
@@ -483,7 +482,7 @@ def _cmd_explain_rank(args) -> int:
 def _cmd_stats(args) -> int:
     out = _need(args, "out", "--out")
     table = load_feature_table(args.features_csv)
-    _commit_json(out, compute_stats(table))
+    write_json(out, compute_stats(table))
     print(f"group statistics for {len(table.feature_names)} features -> {out}")
     return 0
 
@@ -491,9 +490,8 @@ def _cmd_stats(args) -> int:
 def _cmd_topo(args) -> int:
     out = _need(args, "out", "--out")
     require_int("--size", args.size, 1)
-    maps = MicrostateMaps.from_json_dict(read_json(args.maps_json))
+    maps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     montage = standard_1020_montage(maps.channels)
-    os.makedirs(out, exist_ok=True)
     for i, label in enumerate(maps.labels):
         svg = render_topomap(
             montage, maps.maps[i], title=str(label), size=args.size
@@ -555,6 +553,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        require_int("--threads", args.threads, 1)
         return int(args.func(args) or 0)
     except MsafError as e:
         if isinstance(e, ConfigError):

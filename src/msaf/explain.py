@@ -82,6 +82,18 @@ class ShapExplanation:
             "meta": dict(self.meta),
         }
 
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "ShapExplanation":
+        """The explanation of a `to_json_dict` form; other keys are ignored."""
+        return cls(
+            method=d["method"],
+            classes=tuple(d["classes"]),
+            phi0=np.asarray(d["phi0"], dtype=np.float64),
+            phi=np.asarray(d["phi"], dtype=np.float64),
+            feature_names=tuple(d["feature_names"]) if d.get("feature_names") else None,
+            meta=d.get("meta", {}),
+        )
+
 
 @dataclass(frozen=True)
 class GlobalRanking:

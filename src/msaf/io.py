@@ -21,6 +21,11 @@ the header length as a little-endian uint32, a sorted-key JSON header
 (``fs``, ``label``, ``maps``, ``n_samples``, ``subject_id``), then the
 per-sample ``states`` as uint8 and ``corr`` and ``gfp`` as little-endian
 float64. Nothing is narrowed, so a segmentation reads back bit for bit.
+
+Every file of the package is written by `_commit` (as
+``<stem>.partial<ext>``, renamed into place) and read by `_read`; the
+writers and readers encode and decode around them. An OS fault in
+either, or bytes that do not decode as expected, is an IoFailure.
 """
 from __future__ import annotations
 
@@ -29,8 +34,9 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from io import StringIO
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +101,41 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a)
     out.setflags(write=False)
     return out
+
+
+def _commit(path: str, *parts: bytes) -> str:
+    """Write parts to `<stem>.partial<ext>` (parents created), rename it onto path."""
+    stem, ext = os.path.splitext(path)
+    partial = stem + ".partial" + ext
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(partial, "wb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(partial, path)
+    except OSError as e:
+        raise IoFailure(f"could not write {path!r}: {e}") from e
+    return path
+
+
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise IoFailure(f"could not read {path!r}: {e}") from e
+
+
+def _decode(path: str, decode: Callable, data):
+    """decode(data); data of the wrong encoding or shape is an IoFailure."""
+    try:
+        return decode(data)
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise IoFailure(f"{path!r} does not hold what was expected: {e!r}") from e
+
+
+def _json(blob: bytes):
+    return json.loads(blob.decode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -337,7 +378,10 @@ def widen_recording(stored: StoredRecording) -> Recording:
 
 
 def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, str]:
-    """Write `<stem>.eegb` and its JSON sidecar.
+    """Commit `<stem>.eegb` and its JSON sidecar, the sidecar first.
+
+    Readers list `.eegb` files, so a listed recording always has its
+    sidecar, even if the process dies between the two commits.
 
     Args:
         rec: Recording to store, narrowed to float32 by
@@ -358,23 +402,8 @@ def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, st
     }
     if stored.label is not None:
         sidecar["label"] = stored.label
-    bin_path, json_path = stem + ".eegb", stem + ".json"
-    try:
-        with open(bin_path, "wb") as f:
-            f.write(MAGIC)
-            f.write(stored.payload.tobytes(order="C"))
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(sidecar, f, sort_keys=True, indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise IoFailure(f"could not write {stem!r}: {e}") from e
-    return bin_path, json_path
-
-
-def commit_recording(rec: Recording | StoredRecording, stem: str) -> None:
-    """Save `<stem>.partial.eegb`/`.json`, then rename both into place."""
-    for partial in save_recording(rec, stem + ".partial"):
-        os.replace(partial, stem + os.path.splitext(partial)[1])
+    json_path = write_json(stem + ".json", sidecar)
+    return _commit(stem + ".eegb", MAGIC, stored.payload.tobytes(order="C")), json_path
 
 
 def load_recording(path: str) -> Recording:
@@ -385,27 +414,21 @@ def load_recording(path: str) -> Recording:
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
-    try:
-        with open(bin_path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise IoFailure(f"could not read {bin_path!r}: {e}") from e
+    blob = _read(bin_path)
     if blob[: len(MAGIC)] != MAGIC:
         raise BadMagic(f"{bin_path!r} does not start with {MAGIC!r}")
     if not os.path.exists(json_path):
         raise MissingSidecar(f"no sidecar {json_path!r} for {bin_path!r}")
+    sidecar = _decode(json_path, _json, _read(json_path))
     try:
-        with open(json_path, "r", encoding="utf-8") as f:
-            sidecar = json.load(f)
-    except OSError as e:
-        raise IoFailure(f"could not read {json_path!r}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IoFailure(f"sidecar {json_path!r} is not valid JSON: {e}") from e
-    for key in ("subject_id", "fs", "channels", "n_samples"):
-        if key not in sidecar:
-            raise IoFailure(f"sidecar {json_path!r} missing key {key!r}")
-    channels = [str(c) for c in sidecar["channels"]]
-    n_samples = int(sidecar["n_samples"])
+        channels = [str(c) for c in sidecar["channels"]]
+        n_samples = int(sidecar["n_samples"])
+        fs = float(sidecar["fs"])
+        subject_id = str(sidecar["subject_id"])
+        label = sidecar.get("label")
+        provenance = tuple(str(p) for p in sidecar.get("provenance", []))
+    except (KeyError, TypeError, ValueError) as e:
+        raise IoFailure(f"sidecar {json_path!r} does not describe a recording: {e!r}") from e
     raw = blob[len(MAGIC):]
     expected = len(channels) * n_samples * 4
     if len(raw) != expected:
@@ -418,16 +441,16 @@ def load_recording(path: str) -> Recording:
         raise NonFiniteData(f"{bin_path!r} contains non-finite samples")
     return widen_recording(StoredRecording(
         montage=standard_1020_montage(channels),
-        fs=float(sidecar["fs"]),
+        fs=fs,
         payload=payload,
-        subject_id=str(sidecar["subject_id"]),
-        label=(str(sidecar["label"]) if sidecar.get("label") is not None else None),
-        provenance=tuple(str(p) for p in sidecar.get("provenance", [])),
+        subject_id=subject_id,
+        label=None if label is None else str(label),
+        provenance=provenance,
     ))
 
 
 def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -> str:
-    """Write `<stem>.seg` under a .partial name, then rename it into place.
+    """Commit `<stem>.seg`.
 
     Args:
         seg: The Segmentation to store; at most MAX_STATES maps.
@@ -451,19 +474,11 @@ def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    partial, path = stem + ".partial.seg", stem + ".seg"
-    try:
-        with open(partial, "wb") as f:
-            f.write(SEG_MAGIC)
-            f.write(struct.pack("<I", len(header)))
-            f.write(header)
-            f.write(seg.states.astype(np.uint8).tobytes())
-            f.write(seg.corr.astype("<f8").tobytes())
-            f.write(seg.gfp.values.astype("<f8").tobytes())
-    except OSError as e:
-        raise IoFailure(f"could not write {partial!r}: {e}") from e
-    os.replace(partial, path)
-    return path
+    return _commit(
+        stem + ".seg", SEG_MAGIC, struct.pack("<I", len(header)), header,
+        seg.states.astype(np.uint8).tobytes(), seg.corr.astype("<f8").tobytes(),
+        seg.gfp.values.astype("<f8").tobytes(),
+    )
 
 
 def load_segmentation(path: str):
@@ -479,11 +494,7 @@ def load_segmentation(path: str):
     """
     from .microstates import Segmentation  # microstates imports this module
 
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise IoFailure(f"could not read {path!r}: {e}") from e
+    blob = _read(path)
     if blob[: len(SEG_MAGIC)] != SEG_MAGIC:
         raise BadMagic(f"{path!r} does not start with {SEG_MAGIC!r}")
     start = len(SEG_MAGIC) + 4
@@ -495,10 +506,7 @@ def load_segmentation(path: str):
         raise ShapeMismatch(
             f"{path!r}: header of {header_len} bytes runs past the end of the file"
         )
-    try:
-        header = json.loads(blob[start:body])
-    except ValueError as e:
-        raise IoFailure(f"{path!r}: header is not valid JSON: {e}") from e
+    header = _decode(path, json.loads, blob[start:body])
     if not isinstance(header, dict) or sorted(header) != list(_SEG_HEADER_KEYS):
         raise IoFailure(f"{path!r}: header must hold exactly the keys {_SEG_HEADER_KEYS}")
     n = header["n_samples"]
@@ -517,10 +525,7 @@ def load_segmentation(path: str):
         "corr": np.frombuffer(blob, "<f8", n, body + n).astype(np.float64),
         "gfp": np.frombuffer(blob, "<f8", n, body + 9 * n).astype(np.float64),
     }
-    try:
-        seg = Segmentation.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as e:
-        raise IoFailure(f"{path!r}: header does not describe a segmentation: {e!r}") from e
+    seg = _decode(path, Segmentation.from_json_dict, doc)
     label = header["label"]
     return str(header["subject_id"]), (None if label is None else str(label)), seg
 
@@ -575,17 +580,15 @@ class FeatureTable:
         return self.values.shape[0]
 
     def to_csv(self, path: str) -> None:
-        """Write `subject_id,label,<features...>` with round-trip floats."""
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(["subject_id", "label", *self.feature_names])
-                for i, sid in enumerate(self.subject_ids):
-                    row = [sid, self.class_names[self.y[i]]]
-                    row.extend(repr(float(v)) for v in self.values[i])
-                    w.writerow(row)
-        except OSError as e:
-            raise IoFailure(f"could not write {path!r}: {e}") from e
+        """Commit `subject_id,label,<features...>` with round-trip floats."""
+        text = StringIO(newline="")
+        w = csv.writer(text, lineterminator="\n")
+        w.writerow(["subject_id", "label", *self.feature_names])
+        for i, sid in enumerate(self.subject_ids):
+            row = [sid, self.class_names[self.y[i]]]
+            row.extend(repr(float(v)) for v in self.values[i])
+            w.writerow(row)
+        _commit(path, text.getvalue().encode("utf-8"))
 
 
 def load_feature_table(path: str) -> FeatureTable:
@@ -594,21 +597,20 @@ def load_feature_table(path: str) -> FeatureTable:
     Class names are the sorted distinct label strings.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(f))
-    except OSError as e:
-        raise IoFailure(f"could not read {path!r}: {e}") from e
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["subject_id", "label"]:
-        raise ShapeMismatch(f"{path!r} is not a feature table (bad header)")
-    feature_names = tuple(rows[0][2:])
-    ids, labels, values = [], [], []
-    for r in rows[1:]:
-        if len(r) != 2 + len(feature_names):
-            raise ShapeMismatch(f"{path!r}: row with {len(r)} fields, expected "
-                                f"{2 + len(feature_names)}")
-        ids.append(r[0])
-        labels.append(r[1])
-        values.append([float(v) for v in r[2:]])
+        rows = list(csv.reader(StringIO(_read(path).decode("utf-8"), newline="")))
+        if not rows or len(rows[0]) < 3 or rows[0][:2] != ["subject_id", "label"]:
+            raise ShapeMismatch(f"{path!r} is not a feature table (bad header)")
+        feature_names = tuple(rows[0][2:])
+        ids, labels, values = [], [], []
+        for r in rows[1:]:
+            if len(r) != 2 + len(feature_names):
+                raise ShapeMismatch(f"{path!r}: row with {len(r)} fields, expected "
+                                    f"{2 + len(feature_names)}")
+            ids.append(r[0])
+            labels.append(r[1])
+            values.append([float(v) for v in r[2:]])
+    except (csv.Error, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise IoFailure(f"{path!r} is not a UTF-8 table of numbers: {e}") from e
     class_names = tuple(sorted(set(labels)))
     lut = {c: i for i, c in enumerate(class_names)}
     return FeatureTable(
@@ -620,21 +622,18 @@ def load_feature_table(path: str) -> FeatureTable:
     )
 
 
-def write_json(path: str, obj) -> None:
-    """Serialize deterministically: sorted keys, fixed separators."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise IoFailure(f"could not write {path!r}: {e}") from e
+def write_json(path: str, obj) -> str:
+    """Commit obj as JSON with sorted keys and a two-space indent; returns path."""
+    return _commit(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as e:
-        raise IoFailure(f"could not read {path!r}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IoFailure(f"{path!r} is not valid JSON: {e}") from e
+    return _decode(path, _json, _read(path))
+
+
+def load_json(path: str, decode: Callable):
+    """decode of the JSON object at path; an object it cannot take apart is an IoFailure."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise IoFailure(f"{path!r} does not hold a JSON object")
+    return _decode(path, decode, doc)

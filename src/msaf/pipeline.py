@@ -5,9 +5,12 @@ per-subject clustering, group clustering, labeling, backfitting,
 feature extraction, training, evaluation, explanation, statistics.
 Each stage is one function (``*_stage``) that both `run_pipeline` and
 the CLI's stage verbs call.
-Every artifact is first written under a ".partial" suffix and renamed
-into place on success, so an interrupted or failed stage leaves its
-incomplete output clearly marked instead of masquerading as done.
+Every artifact is committed by `msaf.io`: written as
+``<stem>.partial<ext>`` (parent directories created as needed) and
+renamed into place on success, so an interrupted or failed stage leaves
+its incomplete output clearly marked instead of masquerading as done,
+and listings of stage inputs skip such leftovers. A write fault is an
+IoFailure (exit 3).
 
 Determinism contract: the config seed fully determines every stochastic
 choice (per-subject seeds are derived, never shared), and per-subject
@@ -52,12 +55,13 @@ from .io import (
     FeatureTable,
     Recording,
     StoredRecording,
+    _commit,
     check_montage,
-    commit_recording,
     commit_segmentation,
+    load_json,
     load_recording,
     narrow_recording,
-    read_json,
+    save_recording,
     widen_recording,
     write_json,
 )
@@ -285,18 +289,8 @@ def config_hash(cfg: PipelineConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _commit_json(path: str, obj) -> None:
-    """Write JSON under a .partial name, then rename into place."""
-    tmp = path + ".partial"
-    write_json(tmp, obj)
-    os.replace(tmp, path)
-
-
 def _commit_text(path: str, text: str) -> None:
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    _commit(path, text.encode("utf-8"))
 
 
 def _call_popped(fn: Callable, box: list):
@@ -382,18 +376,10 @@ def _numbered(items: Iterable) -> Iterator[tuple]:
         i += 1
 
 
-def _commit_subject_json(out_dir: str, docs: Iterable[tuple[str, dict]]) -> None:
-    """Commit one <subject_id>.json per (subject_id, document) under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    for sid, doc in docs:
-        _commit_json(os.path.join(out_dir, sid + ".json"), doc)
-
-
 def _commit_segmentations(
     out_dir: str, subjects: Iterable[tuple[str, Optional[str], Segmentation]]
 ) -> None:
     """Commit one <subject_id>.seg per (subject_id, label, segmentation) under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     for sid, label, seg in subjects:
         commit_segmentation(seg, os.path.join(out_dir, sid), sid, label)
 
@@ -443,9 +429,8 @@ def preprocess_stage(
     done = _ordered_map(
         lambda r: narrow_recording(preprocess_recording(r, steps, band)), recs, threads
     )
-    os.makedirs(out_dir, exist_ok=True)
     for rec in done:
-        commit_recording(rec, os.path.join(out_dir, rec.subject_id))
+        save_recording(rec, os.path.join(out_dir, rec.subject_id))
     return done
 
 
@@ -468,7 +453,8 @@ def subject_maps_stage(
         )
 
     done = _ordered_map(_one, _numbered(recs), threads)
-    _commit_subject_json(out_dir, [(sid, m.to_json_dict()) for sid, m in done])
+    for sid, m in done:
+        write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
     return [m for _, m in done]
 
 
@@ -483,7 +469,7 @@ def group_maps_stage(
     gmaps = group_cluster(subj_maps, k, **kmeans, seed=child_seed(seed, 200))
     if templates is not None:
         gmaps = label_maps(gmaps, templates=templates)
-    _commit_json(out_path, gmaps.to_json_dict())
+    write_json(out_path, gmaps.to_json_dict())
     return gmaps
 
 
@@ -520,8 +506,7 @@ def feature_stage(
         fv = extract_features(seg, gfp_aggregate=gfp_aggregate, trim_edge_runs=trim_edge_runs)
         entries.append((sid, label, fv))
     table = build_feature_table(entries)
-    table.to_csv(out_path + ".partial")
-    os.replace(out_path + ".partial", out_path)
+    table.to_csv(out_path)
     return table
 
 
@@ -551,7 +536,7 @@ def fit_stage(
     doc["class_names"] = list(table.class_names)
     if grid and record_grid:
         doc["grid_best_params"] = {k: params[k] for k in grid}
-    _commit_json(out_path, doc)
+    write_json(out_path, doc)
     return model, params
 
 
@@ -572,19 +557,20 @@ def cv_stage(
     doc = report.to_json_dict()
     if grid:
         doc["grid_best_params"] = {k: params[k] for k in grid}
-    _commit_json(out_path, doc)
+    write_json(out_path, doc)
     return report
 
 
 def explain_stage(
     model, table: FeatureTable, settings: dict, seed: int, out_path: str,
-    class_names: Optional[list[str]] = None, only_class: Optional[str] = None,
+    class_names: Sequence[str], only_class: Optional[str] = None,
 ) -> ShapExplanation:
     """Every row's attributions against background rows drawn from the table.
 
     The background is drawn with seed (seed, 500), the explainer runs
-    with (seed, 501). shap.json lists the background's subjects, or,
-    given class_names, those names; only_class keeps one class's slice.
+    with (seed, 501). shap.json lists the class names of the model's
+    classes and the background's subjects; only_class keeps one class's
+    slice.
     """
     logger.info("explaining predictions (%s)", settings["method"])
     n_bg = min(settings["background"], table.n_rows)
@@ -597,17 +583,15 @@ def explain_stage(
     )
     doc = expl.to_json_dict()
     doc["subject_ids"] = list(table.subject_ids)
-    if class_names is None:
-        doc["background_subjects"] = [table.subject_ids[i] for i in bg_idx]
-    else:
-        doc["class_names"] = class_names
+    doc["background_subjects"] = [table.subject_ids[i] for i in bg_idx]
+    doc["class_names"] = list(class_names)
     if only_class is not None:
-        ci = class_names.index(only_class)
+        ci = doc["class_names"].index(only_class)
         doc["phi"] = [[[feat[ci]] for feat in inst] for inst in doc["phi"]]
         doc["phi0"] = [doc["phi0"][ci]]
         doc["classes"] = [doc["classes"][ci]]
         doc["class_names"] = [only_class]
-    _commit_json(out_path, doc)
+    write_json(out_path, doc)
     return expl
 
 
@@ -692,7 +676,7 @@ def run_pipeline(
     if cfg.labeling == "template":
         templates = canonical_templates(stored[0].montage)
     else:
-        templates = MicrostateMaps.from_json_dict(read_json(cfg.labeling))
+        templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
     gmaps = group_maps_stage(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
@@ -710,10 +694,12 @@ def run_pipeline(
     report = cv_stage(
         table, kind, params, cfg.cv_folds, seed, path("eval.json"), grid=cfg.grid
     )
-    expl = explain_stage(model, table, cfg.explain, seed, path("shap.json"))
+    expl = explain_stage(
+        model, table, cfg.explain, seed, path("shap.json"), table.class_names
+    )
     _commit_text(path("ranking.csv"), _ranking_csv(expl, table.class_names))
     logger.info("group statistics")
-    _commit_json(path("stats.json"), compute_stats(table))
+    write_json(path("stats.json"), compute_stats(table))
 
     def per_subject(directory: str, ext: str) -> list[str]:
         return [os.path.join(directory, s.subject_id + ext) for s in stored]
@@ -737,7 +723,7 @@ def run_pipeline(
         "cv_accuracy": report.accuracy,
         "artifacts": artifacts,
     }
-    _commit_json(path("manifest.json"), manifest)
+    write_json(path("manifest.json"), manifest)
     logger.info("pipeline complete: cv accuracy %.4f", report.accuracy)
     return manifest
 
@@ -757,13 +743,15 @@ def band_sweep(
     """
     if not bands:
         raise InvalidConfig("band sweep needs at least one band")
+    names = [name for name, _ in bands]
+    if len(set(names)) != len(names):
+        raise InvalidConfig(f"band names must be unique, got {names}")
     out = out_dir or cfg.out_dir
     # every band's config is checked before the first band runs
     sub_cfgs = [
         dataclasses.replace(cfg, band=(lo, hi), out_dir=os.path.join(out, f"band_{name}"))
         for name, (lo, hi) in bands
     ]
-    os.makedirs(out, exist_ok=True)
     rows = []
     for (name, (lo, hi)), sub_cfg in zip(bands, sub_cfgs):
         logger.info("band %s: %.1f-%.1f Hz", name, lo, hi)
@@ -788,7 +776,7 @@ def band_sweep(
             f"{repr(float(row['cv_accuracy']))},{row['rank']}"
         )
     _commit_text(os.path.join(out, "band_sweep.csv"), "\n".join(csv_lines) + "\n")
-    _commit_json(os.path.join(out, "band_sweep.json"), {"bands": ranked})
+    write_json(os.path.join(out, "band_sweep.json"), {"bands": ranked})
 
     in_order = [r["band"] for r in rows]
     accs = [r["cv_accuracy"] for r in rows]

@@ -709,3 +709,100 @@ def test_synth_single_kind(tmp_path):
     rec = load_recording(str(tmp_path / "d" / "solo.eegb"))
     assert rec.subject_id == "solo"
     assert rec.data.shape == (19, 500)
+
+
+def _not_utf8(path):
+    """Copy path's file into a scratch name with a byte no UTF-8 text holds."""
+    spoiled = path.parent / ("spoiled_" + path.name)
+    spoiled.write_bytes(b"\xff" + path.read_bytes())
+    return spoiled
+
+
+def _one_recording(work, tmp_path, spoil_sidecar=False):
+    """A directory holding NC_000 of the work cohort."""
+    data = tmp_path / "one"
+    data.mkdir()
+    for ext in (".eegb", ".json"):
+        shutil.copy(work / "data" / ("NC_000" + ext), data)
+    if spoil_sidecar:
+        sidecar = data / "NC_000.json"
+        sidecar.write_bytes(b"\xff" + sidecar.read_bytes())
+    return str(data)
+
+
+def _blocked(tmp_path):
+    """An --out path under a regular file, which no directory can be made at."""
+    (tmp_path / "file").write_text("x")
+    return str(tmp_path / "file" / "o")
+
+
+# (argv given the work fixture, a scratch dir and an --out path) -> error, exit code
+_IO_FAULTS = {
+    "topo-unwritable": (lambda w, t, o: ["topo", str(w / "maps.json"), "--out", _blocked(t)],
+                        "IoFailure", 3),
+    "segment-unwritable": (lambda w, t, o: ["segment", _one_recording(w, t), "--k", "2",
+                                            "--out", _blocked(t)], "IoFailure", 3),
+    "synth-unwritable": (lambda w, t, o: ["synth", "--config", _write(
+        t / "c.json", {"kind": "single", "duration": 2.0}), "--out", _blocked(t)],
+        "IoFailure", 3),
+    "explain-rank-unwritable": (lambda w, t, o: ["explain-rank", str(w / "shap.json"),
+                                                 "--out", _blocked(t) + ".csv"],
+                                "IoFailure", 3),
+    "stats-csv-not-utf8": (lambda w, t, o: ["stats", str(_not_utf8(w / "features.csv")),
+                                            "--out", o], "IoFailure", 3),
+    "topo-json-not-utf8": (lambda w, t, o: ["topo", str(_not_utf8(w / "maps.json")),
+                                            "--out", o], "IoFailure", 3),
+    "segment-sidecar-not-utf8": (lambda w, t, o: ["segment", _one_recording(w, t, True),
+                                                  "--out", o], "IoFailure", 3),
+    "explain-rank-bad-shap": (lambda w, t, o: ["explain-rank", _write(
+        t / "s.json", {"method": "kernel"}), "--out", o], "IoFailure", 3),
+    "explain-rank-class-names-mismatch": (lambda w, t, o: ["explain-rank", _write(
+        t / "s.json", {**read_json(str(w / "shap.json")), "class_names": ["NC"]}),
+        "--out", o], "IoFailure", 3),
+    "topo-bad-maps": (lambda w, t, o: ["topo", _write(t / "m.json", {"k": 2}), "--out", o],
+                      "IoFailure", 3),
+    "label-maps-not-object": (lambda w, t, o: ["label", _write(t / "m.json", [1, 2]),
+                                               "--out", o], "IoFailure", 3),
+    "explain-bad-model": (lambda w, t, o: ["explain", _write(t / "m.json", {"kind": "svm"}),
+                                           str(w / "features.csv"), "--out", o],
+                          "IoFailure", 3),
+    # checked before any input is read: the features file does not exist
+    "threads-0": (lambda w, t, o: ["stats", str(t / "none.csv"), "--threads", "0",
+                                   "--out", o], "InvalidConfig", 2),
+    "threads-negative": (lambda w, t, o: ["stats", str(t / "none.csv"), "--threads", "-1",
+                                          "--out", o], "InvalidConfig", 2),
+    "duplicate-band-names": (lambda w, t, o: ["band-sweep", "--config", _write(
+        t / "c.json", {"input_dir": str(w / "data"), "out_dir": o}),
+        "--bands", "a=4-8,a=8-12"], "InvalidConfig", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IO_FAULTS))
+def test_io_and_decode_faults_are_one_error_line(case, work, tmp_path, capsys):
+    argv, error, code = _IO_FAULTS[case]
+    out = tmp_path / "o"
+    assert main(argv(work, tmp_path, str(out))) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["exit_code"]) == (error, code)
+    assert not out.exists()
+
+
+def test_explain_rank_replays_run_ranking(work, tmp_path):
+    run = tmp_path / "run"
+    cfg = _write(tmp_path / "run.json", {
+        "input_dir": str(work / "data"), "out_dir": str(run), "seed": 3, "cv_folds": 2,
+        "kmeans": {"n_inits": 3, "max_iter": 40},
+        "classifier": {"kind": "rf", "params": {"n_trees": 4}},
+        "explain": {"method": "tree", "background": 2},
+    })
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["explain-rank", str(run / "shap.json"),
+                 "--out", str(tmp_path / "ranking.csv")]) == 0
+    assert filecmp.cmp(tmp_path / "ranking.csv", run / "ranking.csv", shallow=False)
+    # the explain verb writes the run's shap.json, class names included
+    assert main(["explain", str(run / "model.json"), str(run / "features.csv"),
+                 "--method", "tree", "--background", "2", "--seed", "3",
+                 "--out", str(tmp_path / "shap.json")]) == 0
+    assert filecmp.cmp(tmp_path / "shap.json", run / "shap.json", shallow=False)

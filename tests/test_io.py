@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import msaf.io
 from msaf import (
     DuplicateSubject,
     FeatureTable,
+    IoFailure,
     Montage,
     Recording,
     ShapeMismatch,
@@ -22,6 +24,7 @@ from msaf import (
     standard_1020_montage,
     write_json,
 )
+from msaf.pipeline import load_input_recordings
 
 
 def _rec(n_ch=4, n_t=50, fs=100.0, **kw):
@@ -145,3 +148,30 @@ def test_write_json_deterministic(tmp_path):
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
     assert read_json(p1) == {"a": [1.5, 2], "b": 1}
+
+
+def test_failed_recording_commit_leaves_no_listed_eegb_without_sidecar(tmp_path, monkeypatch):
+    save_recording(_rec(subject_id="a"), str(tmp_path / "a"))
+    real_replace, calls = os.replace, []
+
+    def replace_once(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(msaf.io.os, "replace", replace_once)
+    with pytest.raises(IoFailure):
+        save_recording(_rec(subject_id="b"), str(tmp_path / "b"))
+    monkeypatch.undo()
+    # the sidecar is committed first, so no .eegb is listed without one
+    assert calls == [str(tmp_path / "b.json"), str(tmp_path / "b.eegb")]
+    assert (tmp_path / "b.json").exists() and not (tmp_path / "b.eegb").exists()
+    assert [r.subject_id for r in load_input_recordings(str(tmp_path))] == ["a"]
+
+
+def test_write_json_creates_parents_and_leaves_no_partial(tmp_path):
+    path = tmp_path / "new" / "dir" / "x.json"
+    assert write_json(str(path), {"a": 1}) == str(path)
+    assert read_json(str(path)) == {"a": 1}
+    assert os.listdir(path.parent) == ["x.json"]

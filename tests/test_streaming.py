@@ -15,7 +15,7 @@ import pytest
 import msaf.pipeline
 from msaf import canonical_templates, load_recording, standard_1020_montage
 from msaf.cli import main
-from msaf.io import commit_recording
+from msaf.io import save_recording
 from msaf.pipeline import PipelineConfig, run_pipeline
 
 # every step yields a new recording, so no output is a loaded input itself
@@ -167,7 +167,7 @@ def _repeated_id_last(data):
 def _shorten(data, name):
     """Cut a recording to 2 s, so it ends before the window of _CROP."""
     rec = load_recording(str(data / (name + ".eegb")))
-    commit_recording(rec.with_data(rec.data[:, :500]), str(data / name))
+    save_recording(rec.with_data(rec.data[:, :500]), str(data / name))
 
 
 def _short_last(data):
@@ -185,8 +185,8 @@ def _overflow_last(data):
     surface Laplacian (_LAPLACIAN) is not."""
     rec = load_recording(str(data / "NC_001.eegb"))
     sign = np.where(np.arange(rec.n_channels) % 2 == 0, 1.0, -1.0)[:, None]
-    commit_recording(rec.with_data(sign * (3e38 + 1e36 * np.tanh(rec.data))),
-                     str(data / "NC_001"))
+    save_recording(rec.with_data(sign * (3e38 + 1e36 * np.tanh(rec.data))),
+                   str(data / "NC_001"))
 
 
 _CROP = [{"kind": "crop", "t_start": 3.0, "t_end": 5.0}]

@@ -24,11 +24,13 @@ for line:
   composite rows through the generic (non-SVM) coalition path;
 - ``msaf segment`` (with the rf run's k-means settings and seed) and
   ``msaf backfit`` (against its ``maps.json``) on the rf run's
-  ``preprocessed/``, and ``msaf features`` on its ``segmentations/``,
-  which must reproduce that run's ``subject_maps/``, ``segmentations/``
-  and ``features.csv`` byte for byte (exit 1 otherwise): the run computes
-  from exactly the float32 recordings it commits, and the segmentation
-  files lose no bit between ``backfit`` and ``features``.
+  ``preprocessed/``, ``msaf features`` on its ``segmentations/`` and
+  ``msaf explain-rank`` on its ``shap.json``, which must reproduce that
+  run's ``subject_maps/``, ``segmentations/``, ``features.csv`` and
+  ``ranking.csv`` byte for byte (exit 1 otherwise): the run computes
+  from exactly the float32 recordings it commits, the segmentation
+  files lose no bit between ``backfit`` and ``features``, and
+  ``shap.json`` names the run's classes.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
@@ -61,6 +63,7 @@ REPLAYS = {
     "run_rf_subject_maps": "run_rf/subject_maps",
     "run_rf_segmentations": "run_rf/segmentations",
     "run_rf_features.csv": "run_rf/features.csv",
+    "run_rf_ranking.csv": "run_rf/ranking.csv",
 }
 RUNS = {
     "rf": RF,
@@ -85,7 +88,8 @@ def _commands() -> list[list[str]]:
               "--out", "run_rf_subject_maps", *seed],
              ["backfit", "run_rf/preprocessed", "run_rf/maps.json",
               "--out", "run_rf_segmentations"],
-             ["features", "run_rf/segmentations", "--out", "run_rf_features.csv"]]
+             ["features", "run_rf/segmentations", "--out", "run_rf_features.csv"],
+             ["explain-rank", "run_rf/shap.json", "--out", "run_rf_ranking.csv"]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
              ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
     chain = [
