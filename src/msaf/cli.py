@@ -15,16 +15,13 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import (
-    AmbiguousLabels,
-    ConfigError,
-    DataError,
-    InvalidConfig,
-    MsafError,
+from .config import (
+    CLASSIFIER, EXPLAIN, FLAGS, KMEANS, NAME, OBJECT, PROFILE, RUN, SYNTH_KIND, SYNTH_KINDS,
+    VERBS, check, check_value, require,
 )
+from .errors import AmbiguousLabels, ConfigError, DataError, InvalidConfig, MsafError
 from .explain import ShapExplanation, global_ranking
 from .io import (
-    check_montage,
     load_feature_table,
     load_json,
     load_segmentation,
@@ -35,22 +32,18 @@ from .io import (
 )
 from .microstates import MicrostateMaps, label_maps
 from .models import DEFAULT_GRIDS, MODEL_KINDS, check_params, model_from_json_dict
-from .models._common import require_int, require_object, require_real
 from .pipeline import (
     PipelineConfig,
     backfit_stage,
     band_sweep,
     check_band,
-    check_k,
     check_steps,
     compute_stats,
     cv_stage,
-    explain_settings,
     explain_stage,
     feature_stage,
     fit_stage,
     group_maps_stage,
-    kmeans_settings,
     load_input_recordings,
     preprocess_stage,
     run_pipeline,
@@ -80,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed overriding any config seed (default 0)")
     common.add_argument("--out", help="output file or directory")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=int, default=FLAGS["--threads"].default,
                         help="worker threads; never changes output bytes")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))
@@ -105,12 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = verb("segment", "cluster each subject's GFP-peak maps")
     q.add_argument("input_dir")
-    q.add_argument("--k", type=int, default=4)
+    q.add_argument("--k", type=int, default=FLAGS["--k"].default)
     q.set_defaults(func=_cmd_segment)
 
     q = verb("group-maps", "cluster per-subject maps into group maps")
     q.add_argument("maps_dir", help="directory of per-subject maps JSON")
-    q.add_argument("--k", type=int, default=4)
+    q.add_argument("--k", type=int, default=FLAGS["--k"].default)
     q.set_defaults(func=_cmd_group_maps)
 
     q = verb("label", "assign A/B/C/F labels to maps")
@@ -124,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = verb("backfit", "assign every sample to its best group map")
     q.add_argument("input_dir")
     q.add_argument("maps_json")
-    q.add_argument("--min-segment-ms", type=float, default=0.0)
+    q.add_argument("--min-segment-ms", type=float, default=FLAGS["--min-segment-ms"].default)
     q.set_defaults(func=_cmd_backfit)
 
     q = verb("features", "temporal dynamics features per subject")
@@ -135,29 +128,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = verb("train", "fit a classifier on a feature table")
     q.add_argument("features_csv")
-    q.add_argument("--model", default="svm", choices=MODEL_KINDS)
+    q.add_argument("--model", default=CLASSIFIER["kind"].default, choices=MODEL_KINDS)
     q.add_argument("--params", default=None, help="JSON object of parameters")
     q.add_argument("--grid", default=None,
                    help="'default' or a JSON object of parameter lists")
-    q.add_argument("--folds", type=int, default=5)
+    q.add_argument("--folds", type=int, default=FLAGS["--folds"].default)
     q.set_defaults(func=_cmd_train)
 
     q = verb("evaluate", "stratified k-fold cross-validation report")
     q.add_argument("features_csv")
-    q.add_argument("--model", default="svm", choices=MODEL_KINDS)
+    q.add_argument("--model", default=CLASSIFIER["kind"].default, choices=MODEL_KINDS)
     q.add_argument("--params", default=None)
-    q.add_argument("--folds", type=int, default=5)
+    q.add_argument("--folds", type=int, default=FLAGS["--folds"].default)
     q.set_defaults(func=_cmd_evaluate)
 
     q = verb("explain", "per-feature attribution of model scores")
     q.add_argument("model_json")
     q.add_argument("features_csv")
-    q.add_argument("--method", default="auto",
-                   choices=("auto", "exact", "kernel", "tree"))
+    q.add_argument("--method", default=EXPLAIN["method"].default,
+                   choices=EXPLAIN["method"].range)
     q.add_argument("--class", dest="class_name", default=None,
                    help="restrict stored attributions to one class")
-    q.add_argument("--background", type=int, default=64)
-    q.add_argument("--n-samples", type=int, default=2048)
+    q.add_argument("--background", type=int, default=EXPLAIN["background"].default)
+    q.add_argument("--n-samples", type=int, default=EXPLAIN["n_samples"].default)
     q.set_defaults(func=_cmd_explain)
 
     q = verb("explain-rank", "global feature ranking from attributions")
@@ -170,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = verb("topo", "render scalp topography SVGs for maps")
     q.add_argument("maps_json")
-    q.add_argument("--size", type=int, default=360)
+    q.add_argument("--size", type=int, default=FLAGS["--size"].default)
     q.set_defaults(func=_cmd_topo)
 
     q = verb("band-sweep", "run the pipeline once per frequency band")
@@ -185,26 +178,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _need(args, attr: str, flag: str):
     v = getattr(args, attr, None)
-    if not v:
-        raise InvalidConfig(f"this verb requires {flag}")
+    require(v, f"this verb requires {flag}")
     return v
 
 
 def _seed_of(args, cfg: Optional[dict] = None) -> int:
-    """--seed, else the config's seed, else 0; checked as PipelineConfig does."""
-    seed = args.seed if args.seed is not None else (cfg or {}).get("seed", 0)
-    require_int("seed", seed, 0)
-    return seed
+    """--seed, checked as a config seed, else the checked config's seed, else the default."""
+    if args.seed is None:
+        return (cfg or {}).get("seed", RUN["seed"].default)
+    return check_value("--seed", RUN["seed"], args.seed)
 
 
-def _load_config(args, verb: str, known=None) -> dict:
-    """The --config object, with only known keys (any, if known is None)."""
-    return require_object(f"{verb} config", read_json(_need(args, "config", "--config")), known)
+def _load_config(args, verb: str) -> dict:
+    """The --config object."""
+    return check_value(f"{verb} config", OBJECT, read_json(_need(args, "config", "--config")))
 
 
-def _verb_config(args, verb: str, known) -> dict:
-    """The optional --config object of a stage verb, with only known keys."""
-    return _load_config(args, verb, known) if args.config else {}
+def _verb_config(args, verb: str) -> dict:
+    """A stage verb's optional --config object, checked, with its defaults filled in."""
+    return check(f"{verb} config", VERBS[verb], read_json(args.config) if args.config else {})
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -220,80 +212,53 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _cmd_preprocess(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, "preprocess", {"montage", "steps", "band", "seed"})
-    steps = check_steps(doc.get("steps", ()))
-    band = check_band(doc.get("band"))
+    doc = _verb_config(args, "preprocess")
+    steps, band = check_steps(doc["steps"]), check_band(doc["band"])
     done = preprocess_stage(
-        load_input_recordings(args.input_dir, check_montage(doc.get("montage"))),
-        steps, band, out, args.threads,
+        load_input_recordings(args.input_dir, doc["montage"]), steps, band, out, args.threads,
     )
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0
 
 
-_PROFILE_KEYS = ("weights", "transition", "mean_dwell_ms", "amplitudes")
-_SYNTH_KEYS = {
-    "cohort": ("kind", "n_per_class", "seed", "profiles", "base"),
-    "band_cohort": ("kind", "n_per_class", "band", "snr", "duration", "fs", "seed"),
-}
-
-
 def _normalize_profiles(doc) -> dict:
     """Class label -> SynthConfig overrides, with weights made a transition matrix."""
     profiles = {}
-    for label, fields in require_object("synth profiles", doc).items():
-        p = dict(require_object(f"profile {label!r}", fields, _PROFILE_KEYS))
+    for label, fields in check_value("synth profiles", OBJECT, doc).items():
+        check_value("synth profile label", NAME, label)
+        p = check(f"profile {label!r}", PROFILE, fields)
+        require(not ("weights" in p and "transition" in p),
+                f"profile {label!r}: give weights or transition, not both")
         if "weights" in p:
-            if "transition" in p:
-                raise InvalidConfig(f"profile {label!r}: give weights or transition, not both")
             p["transition"] = transition_from_weights(p.pop("weights"))
         profiles[label] = p
-    if not profiles:
-        raise InvalidConfig("synth profiles must name at least one class")
+    require(profiles, "synth profiles must name at least one class")
     return profiles
 
 
 def _cmd_synth(args) -> int:
     out = _need(args, "out", "--out")
     doc = _load_config(args, "synth")
-    kind = doc.get("kind", "cohort")
-    if kind not in ("cohort", "band_cohort", "single"):
-        raise InvalidConfig(f"synth kind must be cohort|band_cohort|single, got {kind!r}")
+    kind = check_value("synth kind", SYNTH_KIND, doc.get("kind", SYNTH_KIND.default))
+    doc = check(f"synth {kind} config", SYNTH_KINDS[kind], doc)
     seed = _seed_of(args, doc)
-    n_per_class = doc.get("n_per_class", 10)
-    if kind != "single":
-        require_object("synth config", doc, _SYNTH_KEYS[kind])
-        require_int("n_per_class", n_per_class, 1)
-
     if kind == "cohort":
         profiles = doc.get("profiles")
-        base = doc.get("base")
         pairs = make_cohort(
-            n_per_class,
+            doc["n_per_class"],
             profiles=None if profiles is None else _normalize_profiles(profiles),
             seed=seed,
-            base=None if base is None else require_object("synth base", base),
+            base=doc.get("base"),
         )
     elif kind == "band_cohort":
-        settings = {"snr": 4.0, "duration": 20.0, "fs": 250.0}
-        settings.update((k, doc[k]) for k in settings if k in doc)
-        for name, value in settings.items():
-            if not (name == "snr" and value == float("inf")):  # inf: noiseless
-                require_real(name, value, strict=True)
-        band = check_band(doc.get("band", STANDARD_BANDS["theta"]))
-        if band is None:
-            raise InvalidConfig("a band_cohort needs a band [low, high]")
-        pairs = make_band_cohort(
-            n_per_class,
-            band=band,
-            seed=seed,
-            **{name: float(value) for name, value in settings.items()},
-        )
+        # the given settings; make_band_cohort's signature holds the defaults
+        settings = {k: float(doc[k]) for k in ("snr", "duration", "fs") if k in doc}
+        if "band" in doc:
+            settings["band"] = doc["band"]
+        pairs = make_band_cohort(doc["n_per_class"], seed=seed, **settings)
     else:
-        fields = dict(doc)
-        fields.pop("kind", None)
-        fields["seed"] = seed
-        rec, seg, _ = generate(SynthConfig.from_json_dict(fields))
+        del doc["kind"]
+        rec, seg, _ = generate(SynthConfig.from_json_dict({**doc, "seed": seed}))
         pairs = [(rec, seg)]
 
     _commit_segmentations(
@@ -307,15 +272,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_segment(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, "segment", {"kmeans", "min_peak_distance_ms", "seed"})
-    check_k("--k", args.k)
-    kmeans = kmeans_settings(doc.get("kmeans"))
-    min_distance = doc.get("min_peak_distance_ms", 0.0)
-    require_real("min_peak_distance_ms", min_distance)
+    doc = _verb_config(args, "segment")
+    kmeans = check("kmeans", KMEANS, doc["kmeans"] or {})
     seed = _seed_of(args, doc)
     maps = subject_maps_stage(
-        load_input_recordings(args.input_dir), args.k, kmeans, min_distance, seed, out,
-        args.threads,
+        load_input_recordings(args.input_dir), args.k, kmeans, doc["min_peak_distance_ms"],
+        seed, out, args.threads,
     )
     print(f"segmented {len(maps)} subjects -> {out}")
     return 0
@@ -323,9 +285,8 @@ def _cmd_segment(args) -> int:
 
 def _cmd_group_maps(args) -> int:
     out = _need(args, "out", "--out")
-    doc = _verb_config(args, "group-maps", {"kmeans", "seed"})
-    check_k("--k", args.k)
-    kmeans = kmeans_settings(doc.get("kmeans"))
+    doc = _verb_config(args, "group-maps")
+    kmeans = check("kmeans", KMEANS, doc["kmeans"] or {})
     seed = _seed_of(args, doc)
     subj_maps = [
         load_json(os.path.join(args.maps_dir, f), MicrostateMaps.from_json_dict)
@@ -343,7 +304,7 @@ def _parse_mapping(text: str) -> dict[int, str]:
             raise InvalidConfig(f"mapping entries look like index=LABEL, got {part!r}")
         idx, label = part.split("=", 1)
         try:
-            mapping[int(idx.strip())] = label.strip()
+            mapping[int(idx.strip())] = check_value("--mapping label", NAME, label.strip())
         except ValueError:
             raise InvalidConfig(f"map index must be an integer, got {idx!r}")
     return mapping
@@ -369,7 +330,6 @@ def _cmd_label(args) -> int:
 
 def _cmd_backfit(args) -> int:
     out = _need(args, "out", "--out")
-    require_real("--min-segment-ms", args.min_segment_ms)
     gmaps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     subjects = backfit_stage(
         load_input_recordings(args.input_dir), gmaps, args.min_segment_ms, out, args.threads
@@ -400,12 +360,11 @@ def _parse_params(text: Optional[str]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"--params must be a JSON object: {e}")
-    return require_object("--params", doc)
+    return check_value("--params", OBJECT, doc)
 
 
 def _cmd_train(args) -> int:
     out = _need(args, "out", "--out")
-    require_int("--folds", args.folds, 2)
     params = _parse_params(args.params)
     grid = None
     if args.grid:
@@ -420,7 +379,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = _need(args, "out", "--out")
-    require_int("--folds", args.folds, 2)
     params = _parse_params(args.params)
     check_params(args.model, params)
     seed = _seed_of(args)
@@ -432,10 +390,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _with_class_names(decode):
-    """decode, and the object's class_names (else its classes as strings)."""
+    """decode, and the object's class_names (else its classes as strings).
+
+    A name that is no file name is a ValueError, as a length mismatch is.
+    """
     def both(doc: dict) -> tuple:
         obj = decode(doc)
-        names = [str(c) for c in doc.get("class_names", obj.classes)]
+        names = [
+            check_value("class name", NAME, str(c), ValueError)
+            for c in doc.get("class_names", obj.classes)
+        ]
         if len(names) != len(obj.classes):
             raise ValueError(f"{len(names)} class names for {len(obj.classes)} classes")
         return obj, names
@@ -444,13 +408,14 @@ def _with_class_names(decode):
 
 def _cmd_explain(args) -> int:
     out = _need(args, "out", "--out")
-    settings = explain_settings(
-        {"method": args.method, "n_samples": args.n_samples, "background": args.background}
+    settings = check(
+        "explain", EXPLAIN,
+        {"method": args.method, "n_samples": args.n_samples, "background": args.background},
     )
     seed = _seed_of(args)
     model, class_names = load_json(args.model_json, _with_class_names(model_from_json_dict))
-    if args.class_name is not None and args.class_name not in class_names:
-        raise InvalidConfig(f"--class {args.class_name!r} not in {class_names}")
+    require(args.class_name is None or args.class_name in class_names,
+            f"--class {args.class_name!r} not in {class_names}")
     table = load_feature_table(args.features_csv)
     expl = explain_stage(
         model, table, settings, seed, out,
@@ -489,7 +454,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_topo(args) -> int:
     out = _need(args, "out", "--out")
-    require_int("--size", args.size, 1)
     maps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     montage = standard_1020_montage(maps.channels)
     for i, label in enumerate(maps.labels):
@@ -520,8 +484,7 @@ def _parse_bands(text: str) -> list[tuple[str, tuple[float, float]]]:
             raise InvalidConfig(
                 f"unknown band {part!r}; standard bands: {sorted(STANDARD_BANDS)}"
             )
-    if not bands:
-        raise InvalidConfig("--bands selected nothing")
+    require(bands, "--bands selected nothing")
     return bands
 
 
@@ -553,7 +516,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        require_int("--threads", args.threads, 1)
+        for flag, key in FLAGS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:  # the verb has the flag
+                check_value(flag, key, value)
         return int(args.func(args) or 0)
     except MsafError as e:
         if isinstance(e, ConfigError):

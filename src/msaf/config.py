@@ -1,0 +1,294 @@
+"""Every setting's type, range and default: one table per settings block.
+
+A table maps each key of a block to its `Key`. `check` checks a whole
+block against its table and `check_value` one value against one Key;
+both raise InvalidConfig (exit 2). A rule that spans several keys
+(``low < high``) stays one `require` call in the block that owns it.
+
+A table holds the defaults its block fills in. Where a Python signature
+takes the key (the trainers, `SynthConfig`, `make_band_cohort`), the
+signature holds the default and the table only the type and range;
+`PipelineConfig`'s fields take their defaults from RUN.
+"""
+from __future__ import annotations
+
+import copy
+import enum
+import functools
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Any, Union
+
+from .errors import InvalidConfig
+
+# A segmentation file stores its states as uint8.
+MAX_STATES = 255
+
+
+class Absent(enum.Enum):
+    """The default of a key without one: it must be given, or it stays out."""
+
+    REQUIRED = "required"
+    OPTIONAL = "optional"
+
+
+REQUIRED, OPTIONAL = Absent.REQUIRED, Absent.OPTIONAL
+_NUMERIC = ("int", "real", "reals")
+
+
+def _number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _sequence(v, item=None) -> bool:
+    """A list, tuple or array (no string or object); with item, non-empty, all passing it."""
+    if isinstance(v, (str, bytes, dict)) or not hasattr(v, "__len__"):
+        return False
+    return hasattr(v, "__getitem__") and (item is None or (len(v) > 0 and all(map(item, v))))
+
+
+def _name(v) -> bool:
+    """A string that is one file name, and one that `_artifact_names` lists."""
+    return (isinstance(v, str) and v not in ("", ".", "..") and ".partial" not in v
+            and not any(c in v for c in "/\\\0"))
+
+
+_TYPES = {  # type -> (test, what a value of it is)
+    "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "real": (_number, "a number"),
+    "reals": (lambda v: _number(v) or _sequence(v, _number), "a number or a list of numbers"),
+    "band": (lambda v: _sequence(v, lambda e: _number(e) and 0 < e < math.inf) and len(v) == 2,
+             "[low, high], two positive numbers"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
+    "name": (_name, "a file name (not '', '.' or '..'; no '/', '\\', NUL or '.partial')"),
+    "names": (lambda v: _sequence(v, lambda c: isinstance(c, str)), "a non-empty list of names"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (_sequence, "a list"),
+}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One setting: its type, range and default, and whether null passes.
+
+    type names an entry of `_TYPES`. range is, for "int", "real" and
+    each number of "reals", an interval such as "[0, 1)" or "(0, inf]",
+    each end closed or open (None: any finite number); for "str", the
+    tuple of allowed values. default is a value, REQUIRED or OPTIONAL.
+    """
+
+    type: str
+    range: Union[str, tuple, None] = None
+    default: Any = OPTIONAL
+    nullable: bool = False
+
+    @functools.cached_property
+    def bounds(self) -> tuple:
+        """(low, high, low end open, high end open) of a numeric range."""
+        text = self.range or "(-inf, inf)"
+        low, high = (float(end) for end in text[1:-1].split(","))
+        return low, high, text[0] == "(", text[-1] == ")"
+
+    def holds(self, value) -> bool:
+        """Whether value, of the key's type, lies in its range."""
+        if isinstance(self.range, tuple):
+            return value in self.range
+        if self.type not in _NUMERIC:
+            return True
+        low, high, open_low, open_high = self.bounds
+        return all(
+            (low < v if open_low else low <= v) and (v < high if open_high else v <= high)
+            for v in (value if _sequence(value) else (value,))
+        )
+
+    def describe(self) -> str:
+        """What a value of the key is, as error messages say it."""
+        what = _TYPES[self.type][1]
+        if isinstance(self.range, tuple):
+            what += f" in {list(self.range)}"
+        elif self.type in _NUMERIC:
+            what += f" in {self.range or '(-inf, inf)'}"
+        return what + (" or null" if self.nullable else "")
+
+
+def check_value(name: str, key: Key, value, error: type = InvalidConfig):
+    """value if it suits key, else error; "names" and "band" values become tuples."""
+    if value is None and key.nullable:
+        return None
+    if not (_TYPES[key.type][0](value) and key.holds(value)):
+        raise error(f"{name} must be {key.describe()}, got {value!r}")
+    if key.type == "names":
+        return tuple(value)
+    if key.type == "band":
+        return (float(value[0]), float(value[1]))
+    return value
+
+
+def check(name: str, table: dict, doc) -> dict:
+    """doc, an object of table's keys, checked, with the table's defaults filled in.
+
+    A non-object, an unknown key, a missing required key or a bad value
+    raises InvalidConfig. Values come back as `check_value` returns them.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{name} must be an object, got {doc!r}")
+    unknown = [k for k in doc if k not in table]
+    if unknown:
+        raise InvalidConfig(f"unknown {name} keys {unknown}; accepted: {list(table)}")
+    out = {k: check_value(f"{name} {k}", table[k], v) for k, v in doc.items()}
+    missing = [k for k, key in table.items() if k not in out and key.default is REQUIRED]
+    if missing:
+        raise InvalidConfig(f"{name} is missing {missing}")
+    for k, key in table.items():
+        if k not in out and not isinstance(key.default, Absent):
+            out[k] = copy.copy(key.default)
+    return out
+
+
+def require(ok, message: str) -> None:
+    """Raise InvalidConfig(message) unless ok: a rule over several keys."""
+    if not ok:
+        raise InvalidConfig(message)
+
+
+OBJECT = Key("object")
+NAME = Key("name")
+LABEL = Key("name", nullable=True)
+
+KMEANS = {
+    "n_inits": Key("int", "[1, inf)", 20),
+    "max_iter": Key("int", "[1, inf)", 200),
+    "tol": Key("real", "[0, inf)", 1e-8),
+}
+
+EXPLAIN = {
+    "method": Key("str", ("auto", "exact", "kernel", "tree"), "auto"),
+    "n_samples": Key("int", "[1, inf)", 2048),
+    "background": Key("int", "[1, inf)", 64),
+}
+
+PARAMS = {  # trainer hyperparameters by model kind
+    "svm": {
+        "c": Key("real", "(0, inf)"),
+        "gamma": Key("real", "(0, inf)"),
+        "tol": Key("real", "[0, inf)"),
+        "max_iter": Key("int", "[1, inf)"),
+    },
+    "rf": {
+        "n_trees": Key("int", "[1, inf)"),
+        "max_depth": Key("int", "[1, inf)", nullable=True),
+        "min_samples_split": Key("int", "[2, inf)"),
+        "bootstrap": Key("bool"),
+        # at most the table width, checked when training starts
+        "n_features_per_split": Key("int", "[1, inf)", nullable=True),
+    },
+    "gbt": {
+        "n_rounds": Key("int", "[1, inf)"),
+        "learning_rate": Key("real", "(0, inf)"),
+        "max_depth": Key("int", "[1, inf)"),
+        "lam": Key("real", "[0, inf)"),
+        "gamma_leaf": Key("real", "[0, inf)"),
+        "valid_fraction": Key("real", "[0, 1)"),
+        "patience": Key("int", "[0, inf)"),
+    },
+}
+
+CLASSIFIER = {
+    "kind": Key("str", tuple(sorted(PARAMS)), "svm"),
+    "params": Key("object", default={}),
+}
+
+# preprocessing steps by kind (besides "kind"); limits set by the
+# recording's sampling rate are checked when the step runs
+_HZ = Key("real", "(0, inf)", REQUIRED)
+_SECONDS = Key("real", default=REQUIRED)
+STEPS = {
+    "bandpass": {"low": _HZ, "high": _HZ},
+    "notch": {"freq": _HZ, "width": Key("real", "(0, inf)")},
+    "zscore": {},
+    "average_reference": {},
+    "laplacian": {"n_neighbors": Key("int", "[1, inf)")},
+    "crop": {"t_start": _SECONDS, "t_end": _SECONDS},
+    "resample": {"fs": _HZ},
+}
+STEP_KIND = Key("str", tuple(STEPS))
+
+RUN = {
+    "input_dir": Key("path", default=REQUIRED),
+    "out_dir": Key("path", default=REQUIRED),
+    "montage": Key("names", default=None, nullable=True),
+    "steps": Key("list", default=()),
+    "band": Key("band", default=None, nullable=True),
+    "k": Key("int", f"[1, {MAX_STATES}]", 4),
+    "kmeans": Key("object", default=None, nullable=True),
+    "min_peak_distance_ms": Key("real", "[0, inf)", 0.0),
+    "min_segment_ms": Key("real", "[0, inf)", 0.0),
+    # "template" or an existing maps JSON
+    "labeling": Key("path", default="template"),
+    "classifier": Key("object", default=None, nullable=True),
+    "grid": Key("object", default=None, nullable=True),
+    "cv_folds": Key("int", "[2, inf)", 5),
+    "explain": Key("object", default=None, nullable=True),
+    "seed": Key("int", "[0, inf)", 0),
+}
+
+VERBS = {  # the --config block of each stage verb
+    "preprocess": {key: RUN[key] for key in ("montage", "steps", "band", "seed")},
+    "segment": {key: RUN[key] for key in ("kmeans", "min_peak_distance_ms", "seed")},
+    "group-maps": {key: RUN[key] for key in ("kmeans", "seed")},
+}
+
+FLAGS = {
+    "--k": RUN["k"],
+    "--folds": RUN["cv_folds"],
+    "--min-segment-ms": RUN["min_segment_ms"],
+    "--size": Key("int", "[1, inf)", 360),
+    "--threads": Key("int", "[1, inf)", 1),
+}
+
+SYNTH = {  # SynthConfig's fields
+    "channels": Key("names", nullable=True),
+    "fs": Key("real", "(0, inf)"),
+    "duration": Key("real", "(0, inf)"),
+    # one state per canonical template: A, B, C, F
+    "n_states": Key("int", "[1, 4]"),
+    "mean_dwell_ms": Key("reals", "(0, inf)"),
+    "transition": Key("list", nullable=True),
+    "amplitudes": Key("reals", "(0, inf)"),
+    # inf: noiseless
+    "snr": Key("real", "(0, inf]"),
+    "envelope_freq": Key("real"),
+    "envelope_depth": Key("real", "[0, 1)"),
+    "carrier_hz": Key("real", nullable=True),
+    "subject_id": NAME,
+    "label": LABEL,
+    "seed": RUN["seed"],
+}
+
+PROFILE = {  # a cohort profile's overrides of SynthConfig fields
+    "weights": Key("reals", "(0, inf)"),
+    **{key: SYNTH[key] for key in ("transition", "mean_dwell_ms", "amplitudes")},
+}
+
+# the synth verb's --config block by kind
+SYNTH_KIND = Key("str", ("cohort", "band_cohort", "single"), "cohort")
+COHORT = {
+    "kind": SYNTH_KIND,
+    "n_per_class": Key("int", "[1, inf)", 10),
+    "seed": RUN["seed"],
+    "profiles": Key("object", nullable=True),
+    "base": Key("object", nullable=True),
+}
+BAND_COHORT = {
+    "kind": SYNTH_KIND,
+    "n_per_class": COHORT["n_per_class"],
+    "band": Key("band"),
+    **{key: SYNTH[key] for key in ("snr", "duration", "fs")},
+    "seed": RUN["seed"],
+}
+SYNTH_KINDS = {
+    "cohort": COHORT, "band_cohort": BAND_COHORT, "single": {"kind": SYNTH_KIND, **SYNTH},
+}

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import EXPLAIN, check_value
 from .errors import (
     DimensionMismatch,
     EmptyBackground,
@@ -41,7 +42,7 @@ from .errors import (
     UnsupportedModel,
 )
 from .models import GbtModel, RfModel, SvmModel, TrainedModel
-from .models._common import child_seed, require_int
+from .models._common import child_seed
 from .models.forest import leaf_scores
 
 EXACT_FEATURE_LIMIT = 20
@@ -272,7 +273,7 @@ def kernel_shap(
     for any coalition sample. On a singular normal system the solve is
     retried with ridge regularization ridge*I and flagged in meta.
     """
-    require_int("n_samples", n_samples, 1)
+    check_value("n_samples", EXPLAIN["n_samples"], n_samples)
     d = x_row.size
     v0 = np.asarray(score_fn(background), dtype=np.float64).mean(axis=0)
     fx = np.asarray(score_fn(x_row[np.newaxis, :]), dtype=np.float64)[0]
@@ -421,7 +422,7 @@ def explain(
     x, bg = _validate_inputs(model, x_explain, background)
     if method == "auto":
         method = "tree" if isinstance(model, (RfModel, GbtModel)) else "kernel"
-    if method not in ("exact", "kernel", "tree"):
+    if method not in EXPLAIN["method"].range:
         raise ShapeMismatch(f"unknown explanation method {method!r}")
     if feature_names is not None and len(feature_names) != x.shape[1]:
         raise DimensionMismatch(
@@ -439,7 +440,7 @@ def explain(
         for i in range(n):
             phi[i], phi0 = exact_shapley(score_fn, x[i], bg)
     else:
-        require_int("n_samples", n_samples, 1)
+        check_value("n_samples", EXPLAIN["n_samples"], n_samples)
         score_fn = _score_fn_for(model)
         meta["n_samples"] = int(n_samples)
         meta["enumerated"] = _kernel_enumerates(d, n_samples)

@@ -40,10 +40,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import LABEL, MAX_STATES, NAME, check_value
 from .errors import (
     BadMagic,
     DuplicateSubject,
-    InvalidConfig,
     InvalidRate,
     IoFailure,
     LengthMismatch,
@@ -55,8 +55,6 @@ from .errors import (
 
 MAGIC = b"EEGB0001"
 SEG_MAGIC = b"MSAFSEG1"
-# A segmentation file stores its states as uint8.
-MAX_STATES = 255
 _SEG_HEADER_KEYS = ("fs", "label", "maps", "n_samples", "subject_id")
 
 # Idealized spherical 10-20 coordinates, BESA convention: (theta, phi) in
@@ -138,6 +136,14 @@ def _json(blob: bytes):
     return json.loads(blob.decode("utf-8"))
 
 
+def _subject(doc: dict) -> tuple[str, Optional[str]]:
+    """The subject_id and label of a sidecar or .seg header; a ValueError unless file names."""
+    return (
+        check_value("subject_id", NAME, doc["subject_id"], ValueError),
+        check_value("label", LABEL, doc.get("label"), ValueError),
+    )
+
+
 @dataclass(frozen=True)
 class Montage:
     """Named electrode set with unit-sphere positions.
@@ -213,21 +219,6 @@ def standard_1020_montage(names: Optional[Sequence[str]] = None) -> Montage:
                 )
             )
     return Montage(names=tuple(names), positions=np.array(positions, dtype=np.float64))
-
-
-def check_montage(montage) -> Optional[tuple[str, ...]]:
-    """The channels to keep: a non-empty list of names, or None for all."""
-    if montage is None:
-        return None
-    if (
-        not isinstance(montage, (list, tuple))
-        or not montage
-        or not all(isinstance(c, str) for c in montage)
-    ):
-        raise InvalidConfig(
-            f"montage must be a non-empty list of channel names or null, got {montage!r}"
-        )
-    return tuple(montage)
 
 
 @dataclass(frozen=True)
@@ -411,6 +402,7 @@ def load_recording(path: str) -> Recording:
 
     Channel order is taken from the sidecar verbatim; nothing is
     reordered or dropped. The payload is widened by `widen_recording`.
+    A subject_id or label that is no file name is an IoFailure.
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
@@ -424,8 +416,7 @@ def load_recording(path: str) -> Recording:
         channels = [str(c) for c in sidecar["channels"]]
         n_samples = int(sidecar["n_samples"])
         fs = float(sidecar["fs"])
-        subject_id = str(sidecar["subject_id"])
-        label = sidecar.get("label")
+        subject_id, label = _subject(sidecar)
         provenance = tuple(str(p) for p in sidecar.get("provenance", []))
     except (KeyError, TypeError, ValueError) as e:
         raise IoFailure(f"sidecar {json_path!r} does not describe a recording: {e!r}") from e
@@ -444,7 +435,7 @@ def load_recording(path: str) -> Recording:
         fs=fs,
         payload=payload,
         subject_id=subject_id,
-        label=None if label is None else str(label),
+        label=label,
         provenance=provenance,
     ))
 
@@ -489,7 +480,8 @@ def load_segmentation(path: str):
 
     Raises:
         BadMagic: the file does not start with SEG_MAGIC.
-        IoFailure: the header is not the JSON object of a segmentation.
+        IoFailure: the header is not the JSON object of a segmentation,
+            or its subject_id or label is no file name.
         ShapeMismatch: the header or payload is cut short or too long.
     """
     from .microstates import Segmentation  # microstates imports this module
@@ -525,9 +517,7 @@ def load_segmentation(path: str):
         "corr": np.frombuffer(blob, "<f8", n, body + n).astype(np.float64),
         "gfp": np.frombuffer(blob, "<f8", n, body + 9 * n).astype(np.float64),
     }
-    seg = _decode(path, Segmentation.from_json_dict, doc)
-    label = header["label"]
-    return str(header["subject_id"]), (None if label is None else str(label)), seg
+    return (*_decode(path, _subject, header), _decode(path, Segmentation.from_json_dict, doc))
 
 
 @dataclass(frozen=True)
@@ -594,7 +584,8 @@ class FeatureTable:
 def load_feature_table(path: str) -> FeatureTable:
     """Read a CSV written by :meth:`FeatureTable.to_csv`.
 
-    Class names are the sorted distinct label strings.
+    Class names are the sorted distinct label strings; one that is no
+    file name is an IoFailure.
     """
     try:
         rows = list(csv.reader(StringIO(_read(path).decode("utf-8"), newline="")))
@@ -611,7 +602,9 @@ def load_feature_table(path: str) -> FeatureTable:
             values.append([float(v) for v in r[2:]])
     except (csv.Error, ValueError) as e:  # UnicodeDecodeError is a ValueError
         raise IoFailure(f"{path!r} is not a UTF-8 table of numbers: {e}") from e
-    class_names = tuple(sorted(set(labels)))
+    class_names = tuple(
+        check_value(f"{path!r} label", NAME, c, IoFailure) for c in sorted(set(labels))
+    )
     lut = {c: i for i, c in enumerate(class_names)}
     return FeatureTable(
         subject_ids=tuple(ids),

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import KMEANS, NAME, check, check_value
 from .errors import (
     AmbiguousLabels,
     DegenerateMap,
@@ -37,7 +38,6 @@ from .errors import (
     ZeroGfp,
 )
 from .io import Recording, _freeze
-from .models._common import require_int, require_real
 
 logger = logging.getLogger("msaf.microstates")
 
@@ -135,10 +135,12 @@ class MicrostateMaps:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MicrostateMaps":
+        """The maps of a `to_json_dict` form; a label that is no file name is a ValueError."""
+        labels = [check_value("map label", NAME, label, ValueError) for label in d["labels"]]
         return cls(
             channels=tuple(d["channels"]),
             maps=np.asarray(d["maps"], dtype=np.float64),
-            labels=tuple(d["labels"]),
+            labels=tuple(labels),
             gev_total=d.get("gev_total"),
         )
 
@@ -334,13 +336,6 @@ def _reseed_empty(
         proj = all_proj[rows, states]
 
 
-def _check_kmeans_params(n_inits, max_iter, tol) -> None:
-    """Raise InvalidConfig unless the k-means iteration settings are usable."""
-    require_int("kmeans n_inits", n_inits, 1)
-    require_int("kmeans max_iter", max_iter, 1)
-    require_real("kmeans tol", tol)
-
-
 def modified_kmeans(
     peak_maps: np.ndarray,
     k: int,
@@ -380,15 +375,15 @@ def modified_kmeans(
         largest-magnitude channel is positive.
 
     Raises:
-        InvalidConfig: n_inits or max_iter not an integer >= 1, or tol
-            not a finite number >= 0.
+        InvalidConfig: n_inits, max_iter or tol outside its
+            `msaf.config.KMEANS` entry.
     """
     x = np.asarray(peak_maps, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch("peak maps must form an (n, K) matrix")
     if k < 1:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
-    _check_kmeans_params(n_inits, max_iter, tol)
+    check("kmeans", KMEANS, {"n_inits": n_inits, "max_iter": max_iter, "tol": tol})
     xc, norms = _prepare_rows(x)
     total_power = float(norms @ norms)
     if total_power <= 0.0:

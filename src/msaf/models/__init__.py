@@ -7,11 +7,10 @@ string used throughout configs and the CLI.
 """
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Union
 
-from ..errors import InvalidConfig, UnsupportedModel
-from . import boosted, forest, svm
+from ..config import PARAMS, check, require
+from ..errors import UnsupportedModel
 from .boosted import GbtModel, train_gbt
 from .evaluate import (
     DEFAULT_GRIDS,
@@ -33,40 +32,23 @@ _TRAINERS: dict[str, Callable] = {
     "gbt": train_gbt,
 }
 
-_RANGE_CHECKS: dict[str, Callable] = {
-    "svm": svm.check_hyperparams,
-    "rf": forest.check_hyperparams,
-    "gbt": boosted.check_hyperparams,
-}
-
 MODEL_KINDS = tuple(sorted(_TRAINERS))
 
 
 def check_params(kind: str, params: dict, grid: dict | None = None) -> None:
     """Raise a ConfigError unless params and every grid value suit kind.
 
-    Names must be hyperparameters of the trainer; values, with the
-    trainer's defaults for the rest, must pass its range check, and so
-    must each grid value in turn. Grid entries are non-empty lists.
+    Each given key, and each value of a grid entry (a non-empty list),
+    is checked against the kind's `msaf.config.PARAMS` table.
     """
     if kind not in _TRAINERS:
         raise UnsupportedModel(f"unknown model kind {kind!r}, expected {MODEL_KINDS}")
-    signature = inspect.signature(_TRAINERS[kind]).parameters
-    defaults = {
-        name: p.default for name, p in signature.items() if name not in ("x", "y", "seed")
-    }
-    unknown = sorted((set(params) | set(grid or {})) - set(defaults))
-    if unknown:
-        raise InvalidConfig(
-            f"unknown {kind} parameters {unknown}; accepted: {list(defaults)}"
-        )
-    settings = {**defaults, **params}
-    _RANGE_CHECKS[kind](**settings)
+    check(f"{kind} parameters", PARAMS[kind], params)
     for name, values in (grid or {}).items():
-        if not isinstance(values, (list, tuple)) or not values:
-            raise InvalidConfig(f"grid entry {name!r} must be a non-empty list")
+        require(isinstance(values, (list, tuple)) and values,
+                f"grid entry {name!r} must be a non-empty list, got {values!r}")
         for value in values:
-            _RANGE_CHECKS[kind](**{**settings, name: value})
+            check(f"{kind} grid", PARAMS[kind], {name: value})
 
 
 def make_trainer(kind: str, params: dict | None = None) -> Callable:

@@ -1,45 +1,11 @@
 """Shared input validation, seed derivation and the tree of both ensembles."""
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidConfig, LengthMismatch, NonFinite, SingleClass
-
-
-def require_int(name: str, value, low: int) -> None:
-    """Raise InvalidConfig unless value is an integer (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def require_real(name: str, value, low: float = 0.0, strict: bool = False) -> None:
-    """Raise InvalidConfig unless value is a finite number >= low (> low if strict)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or value < low
-        or (strict and value == low)
-    ):
-        bound = ">" if strict else ">="
-        raise InvalidConfig(f"{name} must be a finite number {bound} {low:g}, got {value!r}")
-
-
-def require_object(name: str, value, known=None) -> dict:
-    """Raise InvalidConfig unless value is a JSON object whose keys are all known.
-
-    Without `known` any key passes. Returns the object.
-    """
-    if not isinstance(value, dict):
-        raise InvalidConfig(f"{name} must be an object, got {value!r}")
-    unknown = set(value) - set(known) if known is not None else ()
-    if unknown:
-        raise InvalidConfig(f"unknown {name} keys {sorted(unknown)}")
-    return value
+from ..errors import DimensionMismatch, LengthMismatch, NonFinite, SingleClass
 
 
 def validate_xy(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:

@@ -14,15 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
+from ..config import PARAMS, check
 from ..errors import TooFewSamplesForValidation
-from ._common import (
-    Tree,
-    first_best_split,
-    require_int,
-    require_real,
-    validate_x,
-    validate_xy,
-)
+from ._common import Tree, first_best_split, validate_x, validate_xy
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -138,19 +132,6 @@ def _cross_entropy(probs: np.ndarray, y_idx: np.ndarray) -> float:
     return float(-np.mean(np.log(picked)))
 
 
-def check_hyperparams(
-    n_rounds, learning_rate, max_depth, lam, gamma_leaf, valid_fraction, patience
-) -> None:
-    """Raise InvalidConfig unless every boosting hyperparameter is in range."""
-    require_int("gbt n_rounds", n_rounds, 1)
-    require_real("gbt learning_rate", learning_rate, strict=True)
-    require_int("gbt max_depth", max_depth, 1)
-    require_real("gbt lam", lam)
-    require_real("gbt gamma_leaf", gamma_leaf)
-    require_real("gbt valid_fraction", valid_fraction)
-    require_int("gbt patience", patience, 0)
-
-
 def train_gbt(
     x,
     y,
@@ -177,9 +158,12 @@ def train_gbt(
     """
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
-    check_hyperparams(
-        n_rounds, learning_rate, max_depth, lam, gamma_leaf, valid_fraction, patience
-    )
+    params = {
+        "n_rounds": n_rounds, "learning_rate": learning_rate, "max_depth": max_depth,
+        "lam": lam, "gamma_leaf": gamma_leaf, "valid_fraction": valid_fraction,
+        "patience": patience,
+    }
+    check("gbt", PARAMS["gbt"], params)
     y_idx = np.searchsorted(classes, y)
     n_classes = len(classes)
 
@@ -240,14 +224,5 @@ def train_gbt(
         best_round=best_round,
         train_loss_trace=tuple(train_trace),
         valid_loss_trace=tuple(valid_trace),
-        params={
-            "n_rounds": n_rounds,
-            "learning_rate": learning_rate,
-            "max_depth": max_depth,
-            "lam": lam,
-            "gamma_leaf": gamma_leaf,
-            "valid_fraction": valid_fraction,
-            "patience": patience,
-            "seed": seed,
-        },
+        params={**params, "seed": seed},
     )

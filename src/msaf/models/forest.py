@@ -15,15 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import InvalidConfig
-from ._common import (
-    child_seed,
-    Tree,
-    first_best_split,
-    require_int,
-    validate_x,
-    validate_xy,
-)
+from ..config import PARAMS, check, require
+from ._common import Tree, child_seed, first_best_split, validate_x, validate_xy
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
@@ -125,24 +118,6 @@ class RfModel:
         )
 
 
-def check_hyperparams(
-    n_trees, max_depth, min_samples_split, bootstrap, n_features_per_split
-) -> None:
-    """Raise InvalidConfig unless every forest hyperparameter is in range.
-
-    The upper bound of n_features_per_split, the table width, is
-    checked when training starts (and by PipelineConfig for a run).
-    """
-    require_int("rf n_trees", n_trees, 1)
-    if max_depth is not None:
-        require_int("rf max_depth", max_depth, 1)
-    require_int("rf min_samples_split", min_samples_split, 2)
-    if not isinstance(bootstrap, bool):
-        raise InvalidConfig(f"rf bootstrap must be true or false, got {bootstrap!r}")
-    if n_features_per_split is not None:
-        require_int("rf n_features_per_split", n_features_per_split, 1)
-
-
 def train_rf(
     x,
     y,
@@ -168,10 +143,13 @@ def train_rf(
     """
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
-    check_hyperparams(n_trees, max_depth, min_samples_split, bootstrap, n_features_per_split)
+    params = {
+        "n_trees": n_trees, "max_depth": max_depth, "min_samples_split": min_samples_split,
+        "bootstrap": bootstrap, "n_features_per_split": n_features_per_split,
+    }
+    check("rf", PARAMS["rf"], params)
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
-    if mtry > d:
-        raise InvalidConfig(f"features per split must be in [1, {d}], got {mtry}")
+    require(mtry <= d, f"features per split must be in [1, {d}], got {mtry}")
     y_idx = np.searchsorted(classes, y)
     trees = []
     for t in range(n_trees):
@@ -185,12 +163,5 @@ def train_rf(
         classes=classes,
         n_features=d,
         trees=tuple(trees),
-        params={
-            "n_trees": n_trees,
-            "max_depth": max_depth,
-            "min_samples_split": min_samples_split,
-            "seed": seed,
-            "bootstrap": bootstrap,
-            "n_features_per_split": n_features_per_split,
-        },
+        params={**params, "seed": seed},
     )

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import require_int, require_real, validate_x, validate_xy
+from ..config import PARAMS, check
+from ._common import validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
 
@@ -209,14 +210,6 @@ def _smo(
     return alpha, bias, max(gap, 0.0), it
 
 
-def check_hyperparams(c, gamma, tol, max_iter) -> None:
-    """Raise InvalidConfig unless every SVM hyperparameter is in range."""
-    require_real("svm c", c, strict=True)
-    require_real("svm gamma", gamma, strict=True)
-    require_real("svm tol", tol)
-    require_int("svm max_iter", max_iter, 1)
-
-
 def train_svm_ovr(
     x,
     y,
@@ -242,7 +235,7 @@ def train_svm_ovr(
     """
     del seed
     x, y, classes = validate_xy(x, y)
-    check_hyperparams(c, gamma, tol, max_iter)
+    check("svm", PARAMS["svm"], {"c": c, "gamma": gamma, "tol": tol, "max_iter": max_iter})
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)

@@ -12,6 +12,11 @@ its incomplete output clearly marked instead of masquerading as done,
 and listings of stage inputs skip such leftovers. A write fault is an
 IoFailure (exit 3).
 
+A run's settings are checked before any stage runs: `PipelineConfig`
+checks each block against its `msaf.config` table (types, ranges and
+defaults live there, cross-key rules here), and `run_pipeline` decodes a
+labeling maps file before the first stage writes anything.
+
 Determinism contract: the config seed fully determines every stochastic
 choice (per-subject seeds are derived, never shared), and per-subject
 work runs through an order-preserving thread map, so the thread count
@@ -33,7 +38,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -43,20 +47,16 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .errors import (
-    DuplicateSubject,
-    InvalidConfig,
-    MsafError,
-    UnlabeledData,
+from .config import (
+    CLASSIFIER, EXPLAIN, KMEANS, NAME, OBJECT, RUN, STEP_KIND, STEPS, check, check_value, require,
 )
+from .errors import DuplicateSubject, MsafError, UnlabeledData
 from .features import STATE_METRICS, build_feature_table, extract_features
 from .io import (
-    MAX_STATES,
     FeatureTable,
     Recording,
     StoredRecording,
     _commit,
-    check_montage,
     commit_segmentation,
     load_json,
     load_recording,
@@ -68,7 +68,6 @@ from .io import (
 from .microstates import (
     MicrostateMaps,
     Segmentation,
-    _check_kmeans_params,
     backfit,
     find_gfp_peaks,
     gfp,
@@ -76,8 +75,8 @@ from .microstates import (
     label_maps,
     modified_kmeans,
 )
-from .models import MODEL_KINDS, check_params, make_trainer
-from .models._common import child_seed, require_int, require_object, require_real
+from .models import check_params, make_trainer
+from .models._common import child_seed
 from .models.evaluate import EvalReport, grid_search, stratified_kfold_cv
 from .explain import ShapExplanation, explain, global_ranking
 from .preprocess import (
@@ -96,110 +95,26 @@ from .topo import render_bar_chart
 
 logger = logging.getLogger("msaf.pipeline")
 
-_STEP_REQUIRED = {
-    "bandpass": ("low", "high"),
-    "notch": ("freq",),
-    "zscore": (),
-    "average_reference": (),
-    "laplacian": (),
-    "crop": ("t_start", "t_end"),
-    "resample": ("fs",),
-}
 
-_STEP_OPTIONAL = {
-    "notch": ("width",),
-    "laplacian": ("n_neighbors",),
-}
-
-_EXPLAIN_METHODS = ("auto", "exact", "kernel", "tree")
-
-
-def _check_step_values(step: dict) -> None:
-    """Raise InvalidConfig unless a step's values suit its kind.
+def check_steps(steps) -> tuple[dict, ...]:
+    """The steps of a preprocessing list, each with a known kind, keys and values.
 
     Limits set by the recording's sampling rate are checked when the step runs.
     """
-    kind = step["kind"]
-    for key in ("low", "high", "freq", "width", "fs"):
-        if key in step:
-            require_real(f"{kind} {key}", step[key], strict=True)
-    for key in ("t_start", "t_end"):
-        if key in step:
-            require_real(f"{kind} {key}", step[key], low=-math.inf)
-    if "n_neighbors" in step:
-        require_int(f"{kind} n_neighbors", step["n_neighbors"], 1)
-    for lo, hi in (("low", "high"), ("t_start", "t_end")):
-        if lo in step and not step[lo] < step[hi]:
-            raise InvalidConfig(f"step {kind!r} needs {lo} < {hi}, got {step!r}")
-
-
-def check_steps(steps) -> tuple[dict, ...]:
-    """The preprocessing steps (a list), each with a known kind, keys and values."""
-    if not isinstance(steps, (list, tuple)):
-        raise InvalidConfig(f"steps must be a list, got {steps!r}")
-    checked = []
     for s in steps:
-        kind = s.get("kind") if isinstance(s, dict) else None
-        if not isinstance(kind, str) or kind not in _STEP_REQUIRED:
-            raise InvalidConfig(f"each step needs a known 'kind', got {s!r}")
-        require_object(
-            f"step {kind!r}", s, {"kind", *_STEP_REQUIRED[kind], *_STEP_OPTIONAL.get(kind, ())}
-        )
-        missing = [k for k in _STEP_REQUIRED[kind] if k not in s]
-        if missing:
-            raise InvalidConfig(f"step {kind!r} is missing {missing}")
-        _check_step_values(s)
-        checked.append(dict(s))
-    return tuple(checked)
+        kind = check_value("step kind", STEP_KIND, check_value("step", OBJECT, s).get("kind"))
+        values = check(f"step {kind!r}", STEPS[kind], {k: v for k, v in s.items() if k != "kind"})
+        for lo, hi in (("low", "high"), ("t_start", "t_end")):
+            require(lo not in values or values[lo] < values[hi],
+                    f"step {kind!r} needs {lo} < {hi}, got {s!r}")
+    return tuple(dict(s) for s in steps)
 
 
 def check_band(band) -> Optional[tuple[float, float]]:
-    """The band-selection filter's [low, high], two numbers with 0 < low < high.
-
-    None (no band filter) passes through.
-    """
-    if band is None:
-        return None
-    if not isinstance(band, (list, tuple)) or len(band) != 2:
-        raise InvalidConfig(f"band must be [low, high] or null, got {band!r}")
-    for edge in band:
-        require_real("band edge", edge, strict=True)
-    if not band[0] < band[1]:
-        raise InvalidConfig(f"band must satisfy 0 < low < high, got {band!r}")
-    return (float(band[0]), float(band[1]))
-
-
-def check_k(name: str, k) -> None:
-    """Raise InvalidConfig unless k, a number of maps, is an integer in [1, MAX_STATES].
-
-    MAX_STATES (255) is the most a segmentation file's uint8 states hold.
-    """
-    require_int(name, k, 1)
-    if k > MAX_STATES:
-        raise InvalidConfig(f"{name} must be <= {MAX_STATES}, got {k}")
-
-
-def kmeans_settings(overrides: Optional[dict]) -> dict:
-    """The k-means settings (n_inits, max_iter, tol) with overrides, checked."""
-    km = {"n_inits": 20, "max_iter": 200, "tol": 1e-8}
-    if overrides is not None:
-        km.update(require_object("kmeans", overrides, km))
-    _check_kmeans_params(km["n_inits"], km["max_iter"], km["tol"])
-    return km
-
-
-def explain_settings(overrides: Optional[dict]) -> dict:
-    """The explanation settings (method, n_samples, background), checked."""
-    ex = {"method": "auto", "n_samples": 2048, "background": 64}
-    if overrides is not None:
-        ex.update(require_object("explain", overrides, ex))
-    if ex["method"] not in _EXPLAIN_METHODS:
-        raise InvalidConfig(
-            f"explain method must be one of {_EXPLAIN_METHODS}, got {ex['method']!r}"
-        )
-    require_int("explain n_samples", ex["n_samples"], 1)
-    require_int("explain background", ex["background"], 1)
-    return ex
+    """The band-selection filter's (low, high) with 0 < low < high, or None for none."""
+    band = check_value("band", RUN["band"], band)
+    require(band is None or band[0] < band[1], f"band must satisfy low < high, got {band!r}")
+    return band
 
 
 @dataclass(frozen=True)
@@ -212,75 +127,50 @@ class PipelineConfig:
 
     input_dir: str
     out_dir: str
-    montage: Optional[tuple[str, ...]] = None
-    steps: tuple[dict, ...] = ()
-    band: Optional[tuple[float, float]] = None
-    k: int = 4
-    kmeans: Optional[dict] = None
-    min_peak_distance_ms: float = 0.0
-    min_segment_ms: float = 0.0
-    labeling: str = "template"
-    classifier: Optional[dict] = None
-    grid: Optional[dict] = None
-    cv_folds: int = 5
-    explain: Optional[dict] = None
-    seed: int = 0
+    montage: Optional[tuple[str, ...]] = RUN["montage"].default
+    steps: tuple[dict, ...] = RUN["steps"].default
+    band: Optional[tuple[float, float]] = RUN["band"].default
+    k: int = RUN["k"].default
+    kmeans: Optional[dict] = RUN["kmeans"].default
+    min_peak_distance_ms: float = RUN["min_peak_distance_ms"].default
+    min_segment_ms: float = RUN["min_segment_ms"].default
+    labeling: str = RUN["labeling"].default
+    classifier: Optional[dict] = RUN["classifier"].default
+    grid: Optional[dict] = RUN["grid"].default
+    cv_folds: int = RUN["cv_folds"].default
+    explain: Optional[dict] = RUN["explain"].default
+    seed: int = RUN["seed"].default
 
     def __post_init__(self):
-        if not isinstance(self.input_dir, str) or not self.input_dir:
-            raise InvalidConfig("input_dir must be a non-empty path")
-        if not os.path.isdir(self.input_dir):
-            raise InvalidConfig(f"input_dir does not exist: {self.input_dir!r}")
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise InvalidConfig("out_dir must be a non-empty path")
-        object.__setattr__(self, "montage", check_montage(self.montage))
-        object.__setattr__(self, "steps", check_steps(self.steps))
-        object.__setattr__(self, "band", check_band(self.band))
-        check_k("k", self.k)
-        object.__setattr__(self, "kmeans", kmeans_settings(self.kmeans))
-        require_real("min_peak_distance_ms", self.min_peak_distance_ms)
-        require_real("min_segment_ms", self.min_segment_ms)
-        if self.labeling != "template" and not (
-            isinstance(self.labeling, str) and os.path.isfile(self.labeling)
-        ):
-            raise InvalidConfig(
-                f"labeling must be 'template' or an existing maps JSON, got {self.labeling!r}"
-            )
-        clf = {"kind": "svm", "params": {}}
-        if self.classifier is not None:
-            clf.update(require_object("classifier", self.classifier, clf))
-        if clf["kind"] not in MODEL_KINDS:
-            raise InvalidConfig(
-                f"classifier kind must be one of {MODEL_KINDS}, got {clf['kind']!r}"
-            )
-        require_object("classifier params", clf["params"])
-        if self.grid is not None and not require_object("grid", self.grid):
-            raise InvalidConfig("grid must be a non-empty object of lists")
-        check_params(clf["kind"], clf["params"], self.grid)
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        cfg = check("run config", RUN, fields)
+        require(os.path.isdir(cfg["input_dir"]), f"input_dir does not exist: {cfg['input_dir']!r}")
+        cfg["steps"] = check_steps(cfg["steps"])
+        check_band(cfg["band"])
+        cfg["kmeans"] = check("kmeans", KMEANS, cfg["kmeans"] or {})
+        require(
+            cfg["labeling"] == "template" or os.path.isfile(cfg["labeling"]),
+            f"labeling must be 'template' or an existing maps JSON, got {cfg['labeling']!r}",
+        )
+        clf = cfg["classifier"] = check("classifier", CLASSIFIER, cfg["classifier"] or {})
+        grid = cfg["grid"]
+        require(grid != {}, "grid must be a non-empty object of lists")
+        check_params(clf["kind"], clf["params"], grid)
         if clf["kind"] == "rf":
             # split features are drawn from the table's 5k + 1 columns
-            width = len(STATE_METRICS) * self.k + 1
-            mtry = [clf["params"].get("n_features_per_split")]
-            mtry += (self.grid or {}).get("n_features_per_split", [])
-            for m in mtry:
-                if m is not None and m > width:
-                    raise InvalidConfig(
-                        f"rf n_features_per_split must be <= {width} for k={self.k}, got {m}"
-                    )
-        object.__setattr__(self, "classifier", clf)
-        require_int("cv_folds", self.cv_folds, 2)
-        object.__setattr__(self, "explain", explain_settings(self.explain))
-        require_int("seed", self.seed, 0)
+            width = len(STATE_METRICS) * cfg["k"] + 1
+            for m in [clf["params"].get("n_features_per_split"),
+                      *(grid or {}).get("n_features_per_split", [])]:
+                require(m is None or m <= width,
+                        f"rf n_features_per_split must be <= {width} for k={cfg['k']}, got {m}")
+        cfg["explain"] = check("explain", EXPLAIN, cfg["explain"] or {})
+        for name, value in cfg.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PipelineConfig":
         """A config from a JSON object; unknown and missing required keys fail."""
-        fields = dataclasses.fields(cls)
-        require_object("pipeline config", d, [f.name for f in fields])
-        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
-        if missing:
-            raise InvalidConfig(f"pipeline config is missing {missing}")
-        return cls(**d)
+        return cls(**check("run config", RUN, d))
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -336,14 +226,12 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
     Leftovers of an interrupted write (``*.partial.*``) are skipped, so
     they never become inputs. A directory without such files is an error.
     """
-    if not os.path.isdir(directory):
-        raise InvalidConfig(f"input directory does not exist: {directory!r}")
+    require(os.path.isdir(directory), f"input directory does not exist: {directory!r}")
     names = sorted(
         f for f in os.listdir(directory)
         if f.endswith(suffix) and ".partial." not in f
     )
-    if not names:
-        raise InvalidConfig(f"no {suffix} files found in {directory!r}")
+    require(names, f"no {suffix} files found in {directory!r}")
     return names
 
 
@@ -481,7 +369,7 @@ def backfit_stage(
 
     Returns (subject_id, label, segmentation) triples in input order.
     """
-    check_k("the number of maps", gmaps.k)
+    check_value("the number of maps", RUN["k"], gmaps.k)
     subjects = _ordered_map(
         lambda r: (r.subject_id, r.label, backfit(r, gmaps, min_segment_ms=min_segment_ms)),
         recs, threads,
@@ -656,6 +544,10 @@ def run_pipeline(
     """
     out = out_dir or cfg.out_dir
     path = functools.partial(os.path.join, out)
+    # a labeling file that does not decode fails before any output
+    templates = None
+    if cfg.labeling != "template":
+        templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
 
     logger.info("loading and preprocessing recordings from %s", cfg.input_dir)
     stored = preprocess_stage(
@@ -673,10 +565,8 @@ def run_pipeline(
         path("subject_maps"), threads,
     )
     logger.info("group clustering and labeling")
-    if cfg.labeling == "template":
+    if templates is None:
         templates = canonical_templates(stored[0].montage)
-    else:
-        templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
     gmaps = group_maps_stage(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
@@ -741,11 +631,9 @@ def band_sweep(
     live in a band_<name>/ subdirectory. Returns the result rows sorted
     by descending accuracy.
     """
-    if not bands:
-        raise InvalidConfig("band sweep needs at least one band")
-    names = [name for name, _ in bands]
-    if len(set(names)) != len(names):
-        raise InvalidConfig(f"band names must be unique, got {names}")
+    require(bands, "band sweep needs at least one band")
+    names = [check_value("band name", NAME, name) for name, _ in bands]
+    require(len(set(names)) == len(names), f"band names must be unique, got {names}")
     out = out_dir or cfg.out_dir
     # every band's config is checked before the first band runs
     sub_cfgs = [

@@ -19,10 +19,11 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import COHORT, SYNTH, check, check_value, require
 from .errors import InvalidConfig
-from .io import Montage, Recording, STANDARD_1020_NAMES, check_montage, standard_1020_montage
+from .io import Montage, Recording, STANDARD_1020_NAMES, standard_1020_montage
 from .microstates import GfpSeries, MicrostateMaps, Segmentation
-from .models._common import child_seed, require_int, require_object, require_real
+from .models._common import child_seed
 
 CANONICAL_LABELS = ("A", "B", "C", "F")
 
@@ -65,10 +66,8 @@ def transition_from_weights(weights) -> tuple[tuple[float, ...], ...]:
         w = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError):
         w = np.empty(0)
-    if w.ndim != 1 or w.size < 2 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise InvalidConfig(
-            f"weights must be a 1-D vector of positive numbers, length >= 2, got {weights!r}"
-        )
+    require(w.ndim == 1 and w.size >= 2 and np.all(np.isfinite(w)) and np.all(w > 0),
+            f"weights must be a 1-D vector of positive numbers, length >= 2, got {weights!r}")
     k = w.size
     rows = []
     for i in range(k):
@@ -118,47 +117,23 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", check_montage(self.channels))
-        require_real("fs", self.fs, strict=True)
-        require_real("duration", self.duration, strict=True)
-        require_int("n_states", self.n_states, 1)
-        if self.n_states > len(CANONICAL_LABELS):
-            raise InvalidConfig(
-                f"n_states must be in [1, {len(CANONICAL_LABELS)}], got {self.n_states}"
-            )
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        object.__setattr__(self, "channels", check("synth", SYNTH, fields)["channels"])
         k = self.n_states
         object.__setattr__(
             self, "mean_dwell_ms", _per_state("mean_dwell_ms", self.mean_dwell_ms, k)
         )
         object.__setattr__(self, "amplitudes", _per_state("amplitudes", self.amplitudes, k))
-        if self.snr != math.inf:  # inf: noiseless
-            require_real("snr", self.snr, strict=True)
-        require_real("envelope_freq", self.envelope_freq, low=-math.inf)
-        require_real("envelope_depth", self.envelope_depth)
-        if not self.envelope_depth < 1.0:
-            raise InvalidConfig(
-                f"envelope_depth must be in [0, 1), got {self.envelope_depth}"
-            )
-        if self.carrier_hz is not None:
-            require_real("carrier_hz", self.carrier_hz, low=-math.inf)
-        if not isinstance(self.subject_id, str) or not self.subject_id:
-            raise InvalidConfig(
-                f"subject_id must be a non-empty string, got {self.subject_id!r}"
-            )
-        require_int("seed", self.seed, 0)
         if self.transition is not None:
             try:
                 t = np.asarray(self.transition, dtype=np.float64)
             except (TypeError, ValueError):
                 raise InvalidConfig(f"transition must be a matrix, got {self.transition!r}")
-            if t.shape != (k, k):
-                raise InvalidConfig(f"transition must be {k}x{k}, got {t.shape}")
-            if not np.all(t >= 0) or np.any(np.abs(np.diag(t)) > 0):
-                raise InvalidConfig(
-                    "transition needs finite non-negative entries, zero diagonal"
-                )
-            if k > 1 and np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-9:
-                raise InvalidConfig("transition rows must sum to 1")
+            require(t.shape == (k, k), f"transition must be {k}x{k}, got {t.shape}")
+            require(np.all(t >= 0) and not np.any(np.abs(np.diag(t)) > 0),
+                    "transition needs finite non-negative entries, zero diagonal")
+            require(k == 1 or np.max(np.abs(t.sum(axis=1) - 1.0)) <= 1e-9,
+                    "transition rows must sum to 1")
             object.__setattr__(
                 self, "transition", tuple(tuple(float(v) for v in row) for row in t)
             )
@@ -166,16 +141,13 @@ class SynthConfig:
     @classmethod
     def from_json_dict(cls, fields: dict) -> "SynthConfig":
         """A config from field names and values; unknown names are rejected."""
-        return cls(**require_object("synth", fields, [f.name for f in dataclasses.fields(cls)]))
+        return cls(**check("synth", SYNTH, fields))
 
 
 def _per_state(name: str, value, k: int) -> tuple[float, ...]:
-    """A scalar repeated k times, or k values; each finite and > 0."""
+    """A checked scalar repeated k times, or k checked values."""
     values = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else (value,) * k
-    if len(values) != k:
-        raise InvalidConfig(f"{name} must be {k} positive values, got {value!r}")
-    for v in values:
-        require_real(name, v, strict=True)
+    require(len(values) == k, f"{name} must be {k} positive values, got {value!r}")
     return tuple(float(v) for v in values)
 
 
@@ -191,8 +163,7 @@ def generate(cfg: SynthConfig) -> tuple[Recording, Segmentation, MicrostateMaps]
         labels=all_templates.labels[:k],
     )
     n = int(round(cfg.duration * cfg.fs))
-    if n < 2:
-        raise InvalidConfig("duration too short for the sampling rate")
+    require(n >= 2, "duration too short for the sampling rate")
 
     if cfg.transition is not None:
         transition = np.asarray(cfg.transition)
@@ -305,8 +276,7 @@ def make_cohort(
     (seed, class index, s); ids are "<label>_<s>". Profile dicts
     override SynthConfig fields on top of `base`.
     """
-    if n_per_class < 1:
-        raise InvalidConfig(f"n_per_class must be >= 1, got {n_per_class}")
+    check_value("n_per_class", COHORT["n_per_class"], n_per_class)
     if profiles is None:
         profiles = default_cohort_profiles()
     out = []
@@ -371,11 +341,9 @@ def make_band_cohort(
     Band-resolved features are therefore informative inside `band` and
     near chance elsewhere. Returns the class-process ground truth.
     """
-    if n_per_class < 1:
-        raise InvalidConfig(f"n_per_class must be >= 1, got {n_per_class}")
+    check_value("n_per_class", COHORT["n_per_class"], n_per_class)
     lo, hi = float(band[0]), float(band[1])
-    if not 0.0 < lo < hi < fs / 2.0:
-        raise InvalidConfig(f"band must satisfy 0 < low < high < fs/2, got {band}")
+    require(0.0 < lo < hi < fs / 2.0, f"band must satisfy 0 < low < high < fs/2, got {band}")
     center = 0.5 * (lo + hi)
     maskers = [
         c for name, c in sorted(_BAND_CARRIERS.items())

@@ -403,6 +403,8 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
     {"montage": "Fz"},
     {"labeling": None},
     {"k": 256},
+    {"classifier": {"kind": "gbt", "params": {"valid_fraction": 1.0}}},
+    {"classifier": {"kind": "gbt"}, "grid": {"valid_fraction": [0.2, 5.0]}},
 ])
 def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -421,6 +423,7 @@ _STAGE_INPUTS = {
     "backfit": ("data", "maps.json"), "preprocess": ("data",), "group-maps": ("subj",),
     "segment": ("data",),
     "train": ("features.csv",), "evaluate": ("features.csv",), "topo": ("maps.json",),
+    "label": ("maps.json",),
 }
 
 
@@ -462,6 +465,18 @@ _STAGE_INPUTS = {
     ("synth", {"kind": "single", "channels": "Fz"}, []),
     ("segment", None, ["--k", "256"]),
     ("group-maps", None, ["--k", "256"]),
+    ("train", None, ["--model", "gbt", "--params", '{"valid_fraction": 1.0}']),
+    ("evaluate", None, ["--model", "gbt", "--params", '{"valid_fraction": 5.0, "patience": 3}']),
+    # names that would become file names outside, or unlisted under, --out
+    ("synth", {"kind": "single", "subject_id": "../escape", "duration": 2.0}, []),
+    ("synth", {"kind": "single", "subject_id": "sub/one", "duration": 2.0}, []),
+    ("synth", {"kind": "single", "subject_id": "..", "duration": 2.0}, []),
+    ("synth", {"kind": "single", "subject_id": "a.partial", "duration": 2.0}, []),
+    ("synth", {"kind": "single", "label": "a\\b", "duration": 2.0}, []),
+    ("synth", {"n_per_class": 1, "base": {"duration": 2.0},
+               "profiles": {"a/b": {"weights": [1, 1, 1, 1]}}}, []),
+    ("band-sweep", {}, ["--bands", "../../bx=4-8"]),
+    ("label", None, ["--mapping", "0=A,1=B,2=C,3=../F"]),
 ])
 def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -736,6 +751,39 @@ def _blocked(tmp_path):
     return str(tmp_path / "file" / "o")
 
 
+def _sidecar_id(work, tmp_path, subject_id):
+    """A directory holding NC_000 of the work cohort under another subject id."""
+    data = _one_recording(work, tmp_path)
+    sidecar = os.path.join(data, "NC_000.json")
+    _write(sidecar, {**read_json(sidecar), "subject_id": subject_id})
+    return data
+
+
+def _seg_id(work, tmp_path, subject_id):
+    """A directory holding NC_000's .seg of the work cohort under another subject id."""
+    blob = (work / "segs" / "NC_000.seg").read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.dumps({**json.loads(blob[12:12 + n]), "subject_id": subject_id},
+                        sort_keys=True, separators=(",", ":")).encode()
+    segs = tmp_path / "segs"
+    segs.mkdir()
+    (segs / "NC_000.seg").write_bytes(
+        blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:])
+    return str(segs)
+
+
+def _changed(path, tmp_path, **changes):
+    """A copy of the JSON object at path, with some keys changed."""
+    return _write(tmp_path / ("changed_" + path.name), {**read_json(str(path)), **changes})
+
+
+def _relabeled_table(work, tmp_path, label):
+    """A copy of the work feature table whose NC rows carry another label."""
+    path = tmp_path / "relabeled.csv"
+    path.write_text((work / "features.csv").read_text().replace(",NC,", f",{label},"))
+    return str(path)
+
+
 # (argv given the work fixture, a scratch dir and an --out path) -> error, exit code
 _IO_FAULTS = {
     "topo-unwritable": (lambda w, t, o: ["topo", str(w / "maps.json"), "--out", _blocked(t)],
@@ -774,6 +822,28 @@ _IO_FAULTS = {
     "duplicate-band-names": (lambda w, t, o: ["band-sweep", "--config", _write(
         t / "c.json", {"input_dir": str(w / "data"), "out_dir": o}),
         "--bands", "a=4-8,a=8-12"], "InvalidConfig", 2),
+    # a labeling file that is no maps JSON fails before any stage writes
+    "run-labeling-not-maps": (lambda w, t, o: ["run", "--config", _write(
+        t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2,
+                       "labeling": _write(t / "k3.json", {"k": 3})})], "IoFailure", 3),
+    "band-sweep-labeling-not-maps": (lambda w, t, o: ["band-sweep", "--bands", "theta",
+        "--config", _write(t / "c.json", {"input_dir": str(w / "data"), "out_dir": o,
+                                          "labeling": _write(t / "k3.json", {"k": 3})})],
+        "IoFailure", 3),
+    # names read from files that would become file names
+    "segment-sidecar-id-with-slash": (lambda w, t, o: ["segment", _sidecar_id(w, t, "a/b"),
+                                                       "--out", o], "IoFailure", 3),
+    "features-seg-id-with-slash": (lambda w, t, o: ["features", _seg_id(w, t, "../x"),
+                                                    "--out", o], "IoFailure", 3),
+    "topo-map-label-with-slash": (lambda w, t, o: ["topo", _changed(
+        w / "maps.json", t, labels=["A", "B", "C", "../F"]), "--out", o], "IoFailure", 3),
+    "explain-class-name-with-slash": (lambda w, t, o: ["explain", _changed(
+        w / "model.json", t, class_names=["DEM", "MCI", "N/C"]), str(w / "features.csv"),
+        "--out", o], "IoFailure", 3),
+    "explain-rank-class-name-with-slash": (lambda w, t, o: ["explain-rank", _changed(
+        w / "shap.json", t, class_names=["DEM", "MCI", ".."]), "--out", o], "IoFailure", 3),
+    "train-label-with-slash": (lambda w, t, o: ["train", _relabeled_table(w, t, "N/C"),
+                                                "--out", o], "IoFailure", 3),
 }
 
 
