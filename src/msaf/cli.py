@@ -22,6 +22,7 @@ from .config import (
 from .errors import AmbiguousLabels, ConfigError, DataError, InvalidConfig, MsafError
 from .explain import ShapExplanation, global_ranking
 from .io import (
+    commit_segmentation,
     load_feature_table,
     load_json,
     load_segmentation,
@@ -47,9 +48,9 @@ from .pipeline import (
     load_input_recordings,
     preprocess_stage,
     run_pipeline,
+    subject_features,
     subject_maps_stage,
     _artifact_names,
-    _commit_segmentations,
     _commit_text,
     _ranking_csv,
 )
@@ -261,9 +262,9 @@ def _cmd_synth(args) -> int:
         rec, seg, _ = generate(SynthConfig.from_json_dict({**doc, "seed": seed}))
         pairs = [(rec, seg)]
 
-    _commit_segmentations(
-        os.path.join(out, "truth"), [(rec.subject_id, rec.label, seg) for rec, seg in pairs]
-    )
+    for rec, seg in pairs:
+        commit_segmentation(seg, os.path.join(out, "truth", rec.subject_id), rec.subject_id,
+                            rec.label)
     for rec, _ in pairs:
         save_recording(rec, os.path.join(out, rec.subject_id))
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
@@ -341,14 +342,12 @@ def _cmd_backfit(args) -> int:
 def _cmd_features(args) -> int:
     out = _need(args, "out", "--out")
 
-    subjects = (
-        load_segmentation(os.path.join(args.seg_dir, f))
+    entries = (
+        subject_features(*load_segmentation(os.path.join(args.seg_dir, f)),
+                         gfp_aggregate=args.gfp_aggregate, trim_edge_runs=args.trim_edge_runs)
         for f in _artifact_names(args.seg_dir, ".seg")
     )
-    table = feature_stage(
-        subjects, out,
-        gfp_aggregate=args.gfp_aggregate, trim_edge_runs=args.trim_edge_runs,
-    )
+    table = feature_stage(entries, out)
     print(f"{table.n_rows} x {len(table.feature_names)} feature table -> {out}")
     return 0
 

@@ -22,21 +22,26 @@ the header length as a little-endian uint32, a sorted-key JSON header
 per-sample ``states`` as uint8 and ``corr`` and ``gfp`` as little-endian
 float64. Nothing is narrowed, so a segmentation reads back bit for bit.
 
-Every file of the package is written by `_commit` (as
-``<stem>.partial<ext>``, renamed into place) and read by `_read`; the
-writers and readers encode and decode around them. An OS fault in
-either, or bytes that do not decode as expected, is an IoFailure.
+Every file of the package is written through a `Stage` (as
+``<stem>.partial<ext>``) and renamed into place when its `staged` block
+succeeds; `_commit` is the one-file case. On a failure the block removes
+its partial files and the directories it created. Every file is read by
+`_read`; the writers and readers encode and decode around these. An OS
+fault in either, or bytes that do not decode as expected, is an
+IoFailure.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,18 +106,80 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _commit(path: str, *parts: bytes) -> str:
-    """Write parts to `<stem>.partial<ext>` (parents created), rename it onto path."""
-    stem, ext = os.path.splitext(path)
-    partial = stem + ".partial" + ext
+class Stage:
+    """Files written as `<stem>.partial<ext>`, to be renamed into place by `staged`.
+
+    `write` may be called from several threads at once.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._written: list[tuple[str, str]] = []  # (partial, path), in write order
+        self._made: list[str] = []  # directories created, parents first
+
+    def write(self, path: str, *parts: bytes) -> str:
+        """Write parts to path's partial file, parents created; returns the partial's path."""
+        stem, ext = os.path.splitext(path)
+        partial = stem + ".partial" + ext
+        try:
+            with self._lock:
+                missing = []
+                parent = os.path.dirname(path)
+                while parent and not os.path.isdir(parent):
+                    missing.append(parent)
+                    parent = os.path.dirname(parent)
+                for parent in reversed(missing):
+                    os.mkdir(parent)
+                    self._made.append(parent)
+                self._written.append((partial, path))
+            with open(partial, "wb") as f:
+                for part in parts:
+                    f.write(part)
+        except OSError as e:
+            raise IoFailure(f"could not write {path!r}: {e}") from e
+        return partial
+
+    def _publish(self) -> None:
+        for partial, path in self._written:
+            try:
+                os.replace(partial, path)
+            except OSError as e:
+                raise IoFailure(f"could not write {path!r}: {e}") from e
+
+    def _discard(self) -> None:
+        for partial, _ in self._written:
+            with contextlib.suppress(OSError):
+                os.unlink(partial)
+        for parent in reversed(self._made):
+            with contextlib.suppress(OSError):  # not empty: someone else wrote there
+                os.rmdir(parent)
+
+
+@contextlib.contextmanager
+def staged() -> Iterator[Stage]:
+    """A Stage whose files are renamed into place, in write order, when the block succeeds.
+
+    If the block raises, its partial files and the directories it created
+    are removed, so it leaves no output.
+    """
+    stage = Stage()
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(partial, "wb") as f:
-            for part in parts:
-                f.write(part)
-        os.replace(partial, path)
-    except OSError as e:
-        raise IoFailure(f"could not write {path!r}: {e}") from e
+        yield stage
+        stage._publish()
+    except BaseException:
+        stage._discard()
+        raise
+
+
+def _commit(path: str, *parts: bytes, stage: Optional[Stage] = None) -> str:
+    """Write parts to path through `stage`, or commit them alone; returns the path written.
+
+    Within a stage that is the partial file's path.
+    """
+    if stage is not None:
+        return stage.write(path, *parts)
+    with staged() as one:
+        one.write(path, *parts)
     return path
 
 
@@ -368,7 +435,9 @@ def widen_recording(stored: StoredRecording) -> Recording:
     )
 
 
-def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, str]:
+def save_recording(
+    rec: Recording | StoredRecording, path: str, stage: Optional[Stage] = None
+) -> tuple[str, str]:
     """Commit `<stem>.eegb` and its JSON sidecar, the sidecar first.
 
     Readers list `.eegb` files, so a listed recording always has its
@@ -378,9 +447,10 @@ def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, st
         rec: Recording to store, narrowed to float32 by
             `narrow_recording`, or a StoredRecording, written as is.
         path: Target path; an `.eegb`/`.json` extension is stripped.
+        stage: Stage to write through instead of committing now.
 
     Returns:
-        (binary_path, sidecar_path).
+        (binary_path, sidecar_path) as written (see `_commit`).
     """
     stem = _split_stem(path)
     stored = rec if isinstance(rec, StoredRecording) else narrow_recording(rec)
@@ -393,8 +463,9 @@ def save_recording(rec: Recording | StoredRecording, path: str) -> tuple[str, st
     }
     if stored.label is not None:
         sidecar["label"] = stored.label
-    json_path = write_json(stem + ".json", sidecar)
-    return _commit(stem + ".eegb", MAGIC, stored.payload.tobytes(order="C")), json_path
+    json_path = write_json(stem + ".json", sidecar, stage)
+    payload = stored.payload.tobytes(order="C")
+    return _commit(stem + ".eegb", MAGIC, payload, stage=stage), json_path
 
 
 def load_recording(path: str) -> Recording:
@@ -440,7 +511,9 @@ def load_recording(path: str) -> Recording:
     ))
 
 
-def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -> str:
+def commit_segmentation(
+    seg, stem: str, subject_id: str, label: Optional[str], stage: Optional[Stage] = None
+) -> str:
     """Commit `<stem>.seg`.
 
     Args:
@@ -448,9 +521,10 @@ def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -
         stem: Target path without the extension.
         subject_id: Subject the segmentation belongs to.
         label: Its class label, or None.
+        stage: Stage to write through instead of committing now.
 
     Returns:
-        The committed path.
+        The path written (see `_commit`).
     """
     if seg.maps.k > MAX_STATES:
         raise ShapeMismatch(f"a .seg file holds at most {MAX_STATES} maps, got {seg.maps.k}")
@@ -468,7 +542,7 @@ def commit_segmentation(seg, stem: str, subject_id: str, label: Optional[str]) -
     return _commit(
         stem + ".seg", SEG_MAGIC, struct.pack("<I", len(header)), header,
         seg.states.astype(np.uint8).tobytes(), seg.corr.astype("<f8").tobytes(),
-        seg.gfp.values.astype("<f8").tobytes(),
+        seg.gfp.values.astype("<f8").tobytes(), stage=stage,
     )
 
 
@@ -615,9 +689,10 @@ def load_feature_table(path: str) -> FeatureTable:
     )
 
 
-def write_json(path: str, obj) -> str:
-    """Commit obj as JSON with sorted keys and a two-space indent; returns path."""
-    return _commit(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+def write_json(path: str, obj, stage: Optional[Stage] = None) -> str:
+    """Commit obj as JSON with sorted keys and a two-space indent; returns the path written."""
+    blob = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return _commit(path, blob, stage=stage)
 
 
 def read_json(path: str):

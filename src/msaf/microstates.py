@@ -284,56 +284,38 @@ def _prepare_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, np.linalg.norm(xc, axis=1)
 
 
-def _assign(maps: np.ndarray, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed projection on the best map and that map's index, per restart and sample.
-
-    maps is (R, k, K), xt the (K, n) transposed samples. The best map
-    maximizes the squared projection; ties go to the lower map index, as
-    with np.argmax.
-    """
-    r, k, n_ch = maps.shape
-    proj = (maps.reshape(r * k, n_ch) @ xt).reshape(r, k, -1)
-    sq = proj * proj
-    best = sq[:, 0].copy()
-    states = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, k):
-        # branch-free select; a boolean-masked store is about 3x slower
-        states += (sq[:, c] > best) * (c - states)
-        np.maximum(best, sq[:, c], out=best)
-    return np.take_along_axis(proj, states[:, np.newaxis], axis=1)[:, 0], states
-
-
 def _reseed_empty(
     maps: np.ndarray,
     proj: np.ndarray,
-    states: np.ndarray,
+    hit: np.ndarray,
     xc: np.ndarray,
     norms: np.ndarray,
     valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refill one restart's empty clusters; returns its new (projections, states).
+) -> None:
+    """Refill one restart's empty clusters, updating its (k, n) projections and hits in place.
 
-    Each round moves the first empty cluster's map (in place) to the
-    worst-explained usable sample and reassigns.
+    hit marks each sample's best map, one per sample. Each round moves the
+    first empty cluster's map (in place) to the worst-explained usable
+    sample and reassigns.
 
     Raises:
         EmptyCluster: if a cluster is still empty after k reseeds.
     """
-    k = maps.shape[0]
-    rows = np.arange(xc.shape[0])
+    k, n = proj.shape
     for attempt in range(k + 1):
-        empties = np.nonzero(np.bincount(states, minlength=k) == 0)[0]
+        empties = np.nonzero(~hit.any(axis=1))[0]
         if empties.size == 0:
-            return proj, states
+            return
         if attempt == k:
             raise EmptyCluster(f"cluster went empty and {k} reseeds did not recover")
-        explained = np.full(xc.shape[0], np.inf)
-        explained[valid] = proj[valid] ** 2 / (norms[valid] ** 2)
+        assigned = proj[hit.argmax(axis=0), np.arange(n)]
+        explained = np.full(n, np.inf)
+        explained[valid] = assigned[valid] ** 2 / (norms[valid] ** 2)
         worst = explained.argmin()
         maps[empties[0]] = xc[worst] / norms[worst]
         all_proj = xc @ maps.T
-        states = np.argmax(all_proj * all_proj, axis=1)
-        proj = all_proj[rows, states]
+        proj[...] = all_proj.T
+        hit[...] = np.argmax(all_proj * all_proj, axis=1) == np.arange(k)[:, np.newaxis]
 
 
 def modified_kmeans(
@@ -348,12 +330,13 @@ def modified_kmeans(
 ) -> MicrostateMaps:
     """Cluster topographies into k polarity-invariant maps.
 
-    All restarts advance together: one projection assigns every restart's
-    samples, and one product of the members' signed projections with the
-    samples takes one power step, map <- normalize(sum_i (map . x_i) x_i),
-    for every map at once. A map whose members all project to zero keeps
-    its place. Each restart still stops on its own GEV gain, exactly as if
-    it ran alone.
+    All restarts advance together: one projection of the samples on every
+    restart's maps marks each sample's best map (the lower index on an
+    exact tie), and one product of those projections, zeroed off the
+    marks, with the samples takes one power step,
+    map <- normalize(sum_i (map . x_i) x_i), for every map at once. A map
+    whose members all project to zero keeps its place. Each restart still
+    stops on its own GEV gain, exactly as if it ran alone.
 
     Args:
         peak_maps: (n, K) matrix of topographies (typically GFP peaks).
@@ -375,12 +358,15 @@ def modified_kmeans(
         largest-magnitude channel is positive.
 
     Raises:
+        NonFiniteData: a peak map holds NaN or infinity.
         InvalidConfig: n_inits, max_iter or tol outside its
             `msaf.config.KMEANS` entry.
     """
     x = np.asarray(peak_maps, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch("peak maps must form an (n, K) matrix")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteData("peak maps contain non-finite values")
     if k < 1:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
     check("kmeans", KMEANS, {"n_inits": n_inits, "max_iter": max_iter, "tol": tol})
@@ -398,38 +384,40 @@ def modified_kmeans(
         init = np.random.default_rng([seed, restart]).choice(valid, size=k, replace=False)
         maps[restart] = xc[init] / norms[init, np.newaxis]
     xt = np.ascontiguousarray(xc.T)
-    sample = np.arange(n)
+    map_index = np.arange(k)[:, np.newaxis]
 
     active = np.arange(n_inits)
-    proj, states = _assign(maps, xt)
     prev = np.full(n_inits, -np.inf)
     gevs: list[list[float]] = [[] for _ in range(n_inits)]
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         a = active.size
-        offsets = k * np.arange(a)[:, np.newaxis]
-        counts = np.bincount((states + offsets).ravel(), minlength=a * k)
-        for j in np.nonzero((counts.reshape(a, k) == 0).any(axis=1))[0]:
-            proj[j], states[j] = _reseed_empty(
-                maps[active[j]], proj[j], states[j], xc, norms, valid
-            )
-        weights = np.zeros((a * k, n))
-        weights[states + offsets, sample] = proj
-        step = weights @ xc
+        proj = (maps[active].reshape(a * k, n_ch) @ xt).reshape(a, k, n)
+        sq = proj * proj
+        best = sq.max(axis=1)
+        hit = sq == best[:, np.newaxis]
+        if np.count_nonzero(hit) != a * n:  # an exact tie: the lower map index wins
+            hit = sq.argmax(axis=1)[:, np.newaxis] == map_index
+        if iteration:
+            gev_now = best.sum(axis=1) / total_power
+            for r, g in zip(active, gev_now):
+                gevs[r].append(float(g))
+            going = ~(gev_now - prev[active] < tol)
+            prev[active] = gev_now
+            if not going.all():
+                active, proj, hit = active[going], proj[going], hit[going]
+                a = active.size
+            if a == 0 or iteration == max_iter:
+                break
+        for j in np.nonzero(~hit.any(axis=2).all(axis=1))[0]:  # a cluster went empty
+            _reseed_empty(maps[active[j]], proj[j], hit[j], xc, norms, valid)
+        # each map's members weighted by their signed projections, all others by 0
+        np.multiply(proj, hit, out=proj)
+        step = proj.reshape(a * k, n) @ xc
         step_norm = np.linalg.norm(step, axis=1)
         moved = step_norm > 0.0
         flat = maps[active].reshape(a * k, n_ch)
         flat[moved] = step[moved] / step_norm[moved, np.newaxis]
         maps[active] = flat.reshape(a, k, n_ch)
-        proj, states = _assign(maps[active], xt)
-        gev_now = (proj * proj).sum(axis=1) / total_power
-        for r, g in zip(active, gev_now):
-            gevs[r].append(float(g))
-        going = ~(gev_now - prev[active] < tol)
-        prev[active] = gev_now
-        if not going.all():
-            active, proj, states = active[going], proj[going], states[going]
-            if active.size == 0:
-                break
     if active.size:
         logger.warning(
             "modified k-means: %d of %d restarts still improving at max_iter=%d",

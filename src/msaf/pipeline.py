@@ -3,8 +3,8 @@
 Stages execute sequentially as a DAG over files: load, preprocess,
 per-subject clustering, group clustering, labeling, backfitting,
 feature extraction, training, evaluation, explanation, statistics.
-Each stage is one function (``*_stage``) that both `run_pipeline` and
-the CLI's stage verbs call.
+Each stage is one function (``*_stage``) that the CLI's stage verbs
+call; `run_pipeline` shares their per-recording functions.
 Every artifact is committed by `msaf.io`: written as
 ``<stem>.partial<ext>`` (parent directories created as needed) and
 renamed into place on success, so an interrupted or failed stage leaves
@@ -22,13 +22,19 @@ choice (per-subject seeds are derived, never shared), and per-subject
 work runs through an order-preserving thread map, so the thread count
 can change wall time but never a single output byte.
 
-Recordings stream: `load_input_recordings` yields one at a time and the
-thread map keeps at most `threads` of them in flight, so a stage holds
-its results but never the whole cohort's input. Preprocessed recordings
-are held as the float32 payload their files get (`StoredRecording`), and
-`run_pipeline` widens one at a time for clustering and backfit, exactly
-as `load_recording` does, so the stage verbs on `preprocessed/` compute
-from the same numbers as the run.
+Recordings stream: `load_input_recordings` yields one at a time, the
+thread map keeps at most `threads` of them in flight, and each
+recording's work is done while it is in memory, so a stage holds one
+recording per worker plus small per-subject results, never the cohort.
+`run_pipeline` makes two passes. The first preprocesses each recording,
+stages its float32 file, widens that payload exactly as `load_recording`
+does and clusters its GFP peaks, keeping only the maps. The second
+reads each published preprocessed file back, backfits it, stages its
+segmentation and keeps only its feature vector. A pass's files are
+staged (`msaf.io.staged`) and renamed into place only once every
+recording has passed, and a failed pass removes them, so a faulty
+recording still leaves no output of its pass. The stage verbs on
+`preprocessed/` compute from the same numbers as the run.
 """
 from __future__ import annotations
 
@@ -50,11 +56,12 @@ from . import __version__ as _pkg_version
 from .config import (
     CLASSIFIER, EXPLAIN, KMEANS, NAME, OBJECT, RUN, STEP_KIND, STEPS, check, check_value, require,
 )
-from .errors import DuplicateSubject, MsafError, UnlabeledData
-from .features import STATE_METRICS, build_feature_table, extract_features
+from .errors import AmbiguousLabels, DuplicateSubject, MsafError, UnlabeledData
+from .features import STATE_METRICS, FeatureVector, build_feature_table, extract_features
 from .io import (
     FeatureTable,
     Recording,
+    Stage,
     StoredRecording,
     _commit,
     commit_segmentation,
@@ -62,6 +69,8 @@ from .io import (
     load_recording,
     narrow_recording,
     save_recording,
+    staged,
+    standard_1020_montage,
     widen_recording,
     write_json,
 )
@@ -78,7 +87,7 @@ from .microstates import (
 from .models import check_params, make_trainer
 from .models._common import child_seed
 from .models.evaluate import EvalReport, grid_search, stratified_kfold_cv
-from .explain import ShapExplanation, explain, global_ranking
+from .explain import EXACT_FEATURE_LIMIT, ShapExplanation, explain, global_ranking
 from .preprocess import (
     apply_fir,
     average_reference,
@@ -90,7 +99,7 @@ from .preprocess import (
     zscore_channels,
 )
 from .stats import dunn_posthoc, kruskal_wallis, shapiro_wilk
-from .synth import canonical_templates
+from .synth import CANONICAL_LABELS, canonical_templates
 from .topo import render_bar_chart
 
 logger = logging.getLogger("msaf.pipeline")
@@ -156,14 +165,22 @@ class PipelineConfig:
         grid = cfg["grid"]
         require(grid != {}, "grid must be a non-empty object of lists")
         check_params(clf["kind"], clf["params"], grid)
+        # the feature table has 5k + 1 columns
+        k, width = cfg["k"], len(STATE_METRICS) * cfg["k"] + 1
         if clf["kind"] == "rf":
-            # split features are drawn from the table's 5k + 1 columns
-            width = len(STATE_METRICS) * cfg["k"] + 1
             for m in [clf["params"].get("n_features_per_split"),
                       *(grid or {}).get("n_features_per_split", [])]:
                 require(m is None or m <= width,
-                        f"rf n_features_per_split must be <= {width} for k={cfg['k']}, got {m}")
+                        f"rf n_features_per_split must be <= {width} for k={k}, got {m}")
+        require(cfg["labeling"] != "template" or k <= len(CANONICAL_LABELS),
+                f"template labeling names at most {len(CANONICAL_LABELS)} maps, got k={k}")
         cfg["explain"] = check("explain", EXPLAIN, cfg["explain"] or {})
+        method = cfg["explain"]["method"]
+        require(method != "tree" or clf["kind"] in ("rf", "gbt"),
+                f"explain method 'tree' needs an rf or gbt classifier, got {clf['kind']!r}")
+        require(method != "exact" or width <= EXACT_FEATURE_LIMIT,
+                f"explain method 'exact' enumerates at most {EXACT_FEATURE_LIMIT} features, "
+                f"k={k} gives {width}")
         for name, value in cfg.items():
             object.__setattr__(self, name, value)
 
@@ -264,19 +281,13 @@ def _numbered(items: Iterable) -> Iterator[tuple]:
         i += 1
 
 
-def _commit_segmentations(
-    out_dir: str, subjects: Iterable[tuple[str, Optional[str], Segmentation]]
-) -> None:
-    """Commit one <subject_id>.seg per (subject_id, label, segmentation) under out_dir."""
-    for sid, label, seg in subjects:
-        commit_segmentation(seg, os.path.join(out_dir, sid), sid, label)
-
-
-# --- stages: each computes from in-memory inputs and explicit settings,
-# derives its own seeds from the run seed, and writes its artifacts only
-# once every result exists. A stage over recordings takes any iterable of
-# them and keeps only its results, so a generator of recordings is never
-# held whole. `run_pipeline` and the stage verbs share them.
+# --- stages: each computes from in-memory inputs and explicit settings
+# and derives its own seeds from the run seed. A stage over recordings
+# takes any iterable of them, does each recording's work while that
+# recording is in memory and keeps only small results; its files are
+# staged as they are written and renamed into place when every recording
+# has passed. `run_pipeline` and the stage verbs share the per-recording
+# functions below.
 
 
 def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
@@ -304,22 +315,63 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     return rec
 
 
+def _preprocessed(rec: Recording, steps, band, out_dir: str, stage: Stage) -> StoredRecording:
+    """rec preprocessed and narrowed to its file's payload, staged as <out_dir>/<id>.eegb."""
+    stored = narrow_recording(preprocess_recording(rec, steps, band))
+    save_recording(stored, os.path.join(out_dir, stored.subject_id), stage)
+    return stored
+
+
+def _subject_maps(
+    idx: int, rec: Recording, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int
+) -> MicrostateMaps:
+    """Subject idx's GFP-peak topographies clustered into k maps with seed (seed, 100, idx)."""
+    peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
+    return modified_kmeans(
+        rec.data[:, peaks].T, k, **kmeans,
+        seed=child_seed(seed, 100, idx), channels=rec.montage.names,
+    )
+
+
+def _segmented(
+    rec: Recording, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, stage: Stage
+) -> Segmentation:
+    """rec backfitted to gmaps, staged as <out_dir>/<id>.seg."""
+    seg = backfit(rec, gmaps, min_segment_ms=min_segment_ms)
+    commit_segmentation(seg, os.path.join(out_dir, rec.subject_id), rec.subject_id, rec.label,
+                        stage)
+    return seg
+
+
+def subject_features(
+    sid: str, label: Optional[str], seg: Segmentation, gfp_aggregate: str = "mean",
+    trim_edge_runs: bool = False,
+) -> tuple[str, str, FeatureVector]:
+    """A subject's (subject_id, label, features) entry of the feature table."""
+    if label is None:
+        raise UnlabeledData(f"subject {sid!r} has no class label")
+    return sid, label, extract_features(
+        seg, gfp_aggregate=gfp_aggregate, trim_edge_runs=trim_edge_runs
+    )
+
+
 def preprocess_stage(
     recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
-) -> list[StoredRecording]:
-    """Preprocess every recording, then commit each as <out_dir>/<id>.eegb.
+) -> list[str]:
+    """Preprocess every recording and commit it as <out_dir>/<id>.eegb; returns the ids.
 
-    Each result is kept only as its file's float32 payload. Limits that
-    depend on a recording (a band edge above fs/2, a crop window past
-    its end, a value that overflows float32) fail before out_dir is
-    created.
+    Limits that depend on a recording (a band edge above fs/2, a crop
+    window past its end, a value that overflows float32) leave no output.
     """
-    done = _ordered_map(
-        lambda r: narrow_recording(preprocess_recording(r, steps, band)), recs, threads
-    )
-    for rec in done:
-        save_recording(rec, os.path.join(out_dir, rec.subject_id))
-    return done
+    with staged() as stage:
+        return _ordered_map(
+            lambda r: _preprocessed(r, steps, band, out_dir, stage).subject_id, recs, threads
+        )
+
+
+def _commit_subject_maps(out_dir: str, subjects: Iterable[tuple[str, MicrostateMaps]]) -> None:
+    for sid, m in subjects:
+        write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
 
 
 def subject_maps_stage(
@@ -332,17 +384,12 @@ def subject_maps_stage(
     <out_dir>/<id>.json.
     """
 
-    def _one(item) -> tuple[str, MicrostateMaps]:
+    def one(item) -> tuple[str, MicrostateMaps]:
         idx, rec = item
-        peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
-        return rec.subject_id, modified_kmeans(
-            rec.data[:, peaks].T, k, **kmeans,
-            seed=child_seed(seed, 100, idx), channels=rec.montage.names,
-        )
+        return rec.subject_id, _subject_maps(idx, rec, k, kmeans, min_peak_distance_ms, seed)
 
-    done = _ordered_map(_one, _numbered(recs), threads)
-    for sid, m in done:
-        write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
+    done = _ordered_map(one, _numbered(recs), threads)
+    _commit_subject_maps(out_dir, done)
     return [m for _, m in done]
 
 
@@ -364,36 +411,26 @@ def group_maps_stage(
 def backfit_stage(
     recs: Iterable[Recording], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
     threads: int = 1,
-) -> list[tuple[str, Optional[str], Segmentation]]:
+) -> list[str]:
     """Every sample assigned to its best group map; commits <out_dir>/<id>.seg.
 
-    Returns (subject_id, label, segmentation) triples in input order.
+    Returns the subject ids in input order.
     """
     check_value("the number of maps", RUN["k"], gmaps.k)
-    subjects = _ordered_map(
-        lambda r: (r.subject_id, r.label, backfit(r, gmaps, min_segment_ms=min_segment_ms)),
-        recs, threads,
-    )
-    _commit_segmentations(out_dir, subjects)
-    return subjects
+
+    def one(rec: Recording) -> str:
+        _segmented(rec, gmaps, min_segment_ms, out_dir, stage)
+        return rec.subject_id
+
+    with staged() as stage:
+        return _ordered_map(one, recs, threads)
 
 
 def feature_stage(
-    subjects: Iterable[tuple[str, Optional[str], Segmentation]], out_path: str,
-    gfp_aggregate: str = "mean", trim_edge_runs: bool = False,
+    entries: Iterable[tuple[str, str, FeatureVector]], out_path: str
 ) -> FeatureTable:
-    """The feature table of (subject_id, label, segmentation) triples, as CSV.
-
-    `subjects` is consumed one at a time, so a generator keeps a single
-    segmentation in memory.
-    """
-    entries = []
-    for sid, label, seg in subjects:
-        if label is None:
-            raise UnlabeledData(f"subject {sid!r} has no class label")
-        fv = extract_features(seg, gfp_aggregate=gfp_aggregate, trim_edge_runs=trim_edge_runs)
-        entries.append((sid, label, fv))
-    table = build_feature_table(entries)
+    """The feature table of `subject_features` entries, committed as CSV."""
+    table = build_feature_table(list(entries))
     table.to_csv(out_path)
     return table
 
@@ -544,38 +581,47 @@ def run_pipeline(
     """
     out = out_dir or cfg.out_dir
     path = functools.partial(os.path.join, out)
-    # a labeling file that does not decode fails before any output
+    # a labeling file that does not decode or has too few maps fails before any output
     templates = None
     if cfg.labeling != "template":
         templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
+        if templates.k < cfg.k:
+            raise AmbiguousLabels(f"{templates.k} templates cannot label {cfg.k} maps uniquely")
 
-    logger.info("loading and preprocessing recordings from %s", cfg.input_dir)
-    stored = preprocess_stage(
-        load_input_recordings(cfg.input_dir, cfg.montage), cfg.steps, cfg.band,
-        path("preprocessed"), threads,
-    )
+    pre = path("preprocessed")
 
-    def recs() -> Iterator[Recording]:
-        """The preprocessed recordings as `load_recording` reads them, one at a time."""
-        return (widen_recording(s) for s in stored)
+    def cluster(item) -> tuple[str, MicrostateMaps]:
+        idx, raw = item
+        rec = widen_recording(_preprocessed(raw, cfg.steps, cfg.band, pre, stage))
+        return rec.subject_id, _subject_maps(
+            idx, rec, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed
+        )
 
-    logger.info("clustering per-subject microstates (k=%d)", cfg.k)
-    subj_maps = subject_maps_stage(
-        recs(), cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed,
-        path("subject_maps"), threads,
-    )
+    logger.info("preprocessing and clustering (k=%d) recordings from %s", cfg.k, cfg.input_dir)
+    with staged() as stage:
+        subjects = _ordered_map(
+            cluster, _numbered(load_input_recordings(cfg.input_dir, cfg.montage)), threads
+        )
+    _commit_subject_maps(path("subject_maps"), subjects)
+    sids = [sid for sid, _ in subjects]
+    subj_maps = [m for _, m in subjects]
     logger.info("group clustering and labeling")
     if templates is None:
-        templates = canonical_templates(stored[0].montage)
+        templates = canonical_templates(standard_1020_montage(subj_maps[0].channels))
     gmaps = group_maps_stage(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
-    logger.info("backfitting")
-    subjects = backfit_stage(
-        recs(), gmaps, cfg.min_segment_ms, path("segmentations"), threads
-    )
-    logger.info("extracting features")
-    table = feature_stage(subjects, path("features.csv"))
+
+    def segment(rec: Recording) -> tuple[str, str, FeatureVector]:
+        seg = _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
+        return subject_features(rec.subject_id, rec.label, seg)
+
+    logger.info("backfitting and extracting features")
+    with staged() as stage:
+        entries = _ordered_map(
+            segment, (load_recording(os.path.join(pre, sid)) for sid in sids), threads
+        )
+    table = feature_stage(entries, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed
     model, params = fit_stage(
         table, kind, cfg.classifier["params"], cfg.grid, cfg.cv_folds, seed,
@@ -592,7 +638,7 @@ def run_pipeline(
     write_json(path("stats.json"), compute_stats(table))
 
     def per_subject(directory: str, ext: str) -> list[str]:
-        return [os.path.join(directory, s.subject_id + ext) for s in stored]
+        return [os.path.join(directory, sid + ext) for sid in sids]
 
     artifacts = [
         *per_subject("preprocessed", ".eegb"), *per_subject("subject_maps", ".json"),
@@ -608,7 +654,7 @@ def run_pipeline(
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
-        "n_subjects": len(stored),
+        "n_subjects": len(sids),
         "class_names": list(table.class_names),
         "cv_accuracy": report.accuracy,
         "artifacts": artifacts,

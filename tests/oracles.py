@@ -276,6 +276,104 @@ def modified_kmeans_eigen_loop(
     )
 
 
+def _assign_states(maps, xt):
+    """Signed projection on the best map and that map's index, per restart and
+    sample; ties go to the lower map index."""
+    r, k, n_ch = maps.shape
+    proj = (maps.reshape(r * k, n_ch) @ xt).reshape(r, k, -1)
+    sq = proj * proj
+    best = sq[:, 0].copy()
+    states = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, k):
+        states += (sq[:, c] > best) * (c - states)
+        np.maximum(best, sq[:, c], out=best)
+    return np.take_along_axis(proj, states[:, np.newaxis], axis=1)[:, 0], states
+
+
+def _reseed_states(maps, proj, states, xc, norms, valid):
+    k = maps.shape[0]
+    rows = np.arange(xc.shape[0])
+    for attempt in range(k + 1):
+        empties = np.nonzero(np.bincount(states, minlength=k) == 0)[0]
+        if empties.size == 0:
+            return proj, states
+        if attempt == k:
+            raise EmptyClusterError(f"cluster went empty and {k} reseeds did not recover")
+        explained = np.full(xc.shape[0], np.inf)
+        explained[valid] = proj[valid] ** 2 / (norms[valid] ** 2)
+        worst = explained.argmin()
+        maps[empties[0]] = xc[worst] / norms[worst]
+        all_proj = xc @ maps.T
+        states = np.argmax(all_proj * all_proj, axis=1)
+        proj = all_proj[rows, states]
+
+
+def modified_kmeans_state_batch(peak_maps, k, n_inits=20, max_iter=200, tol=1e-8, seed=0):
+    """Batched modified k-means on integer states: the restarts advance together,
+    each sample's best-map index is found by a select loop, and the power step
+    scatters the signed projections into a zeroed (restarts * k, n) weight
+    matrix by state index.
+
+    Returns the finished maps ("maps": polarity normalized, average
+    referenced, unit norm), "gev_total" and the trace rows ("trace",
+    restart-major).
+    """
+    x = np.asarray(peak_maps, dtype=np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(xc, axis=1)
+    total_power = float(norms @ norms)
+    valid = np.nonzero(norms > 1e-12 * max(1.0, float(np.max(np.abs(x)))))[0]
+    n, n_ch = x.shape
+    maps = np.empty((n_inits, k, n_ch))
+    for restart in range(n_inits):
+        init = np.random.default_rng([seed, restart]).choice(valid, size=k, replace=False)
+        maps[restart] = xc[init] / norms[init, np.newaxis]
+    xt = np.ascontiguousarray(xc.T)
+    sample = np.arange(n)
+    active = np.arange(n_inits)
+    proj, states = _assign_states(maps, xt)
+    prev = np.full(n_inits, -np.inf)
+    gevs = [[] for _ in range(n_inits)]
+    for _ in range(max_iter):
+        a = active.size
+        offsets = k * np.arange(a)[:, np.newaxis]
+        counts = np.bincount((states + offsets).ravel(), minlength=a * k)
+        for j in np.nonzero((counts.reshape(a, k) == 0).any(axis=1))[0]:
+            proj[j], states[j] = _reseed_states(
+                maps[active[j]], proj[j], states[j], xc, norms, valid
+            )
+        weights = np.zeros((a * k, n))
+        weights[states + offsets, sample] = proj
+        step = weights @ xc
+        step_norm = np.linalg.norm(step, axis=1)
+        moved = step_norm > 0.0
+        flat = maps[active].reshape(a * k, n_ch)
+        flat[moved] = step[moved] / step_norm[moved, np.newaxis]
+        maps[active] = flat.reshape(a, k, n_ch)
+        proj, states = _assign_states(maps[active], xt)
+        gev_now = (proj * proj).sum(axis=1) / total_power
+        for r, g in zip(active, gev_now):
+            gevs[r].append(float(g))
+        going = ~(gev_now - prev[active] < tol)
+        prev[active] = gev_now
+        if not going.all():
+            active, proj, states = active[going], proj[going], states[going]
+            if active.size == 0:
+                break
+    trace = [{"restart": r, "iteration": i, "gev": g}
+             for r, rows in enumerate(gevs) for i, g in enumerate(rows, start=1)]
+    final = np.array([rows[-1] for rows in gevs])
+    top = final.max()
+    winner = int(np.nonzero(final >= top - GEV_TIE_RTOL * abs(top))[0][0])
+    best = maps[winner].copy()
+    for row in best:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    best -= best.mean(axis=1, keepdims=True)
+    best /= np.linalg.norm(best, axis=1, keepdims=True)
+    return {"maps": best, "gev_total": float(final[winner]), "trace": trace}
+
+
 # --- FIR frequency response, direct DTFT ---
 
 def dtft_magnitude(taps, fs: float, freq: float) -> float:

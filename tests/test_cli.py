@@ -405,6 +405,11 @@ def test_bad_classifier_params_are_config_errors(verb, model, flags, work, tmp_p
     {"k": 256},
     {"classifier": {"kind": "gbt", "params": {"valid_fraction": 1.0}}},
     {"classifier": {"kind": "gbt"}, "grid": {"valid_fraction": [0.2, 5.0]}},
+    # rules across keys: 4 canonical templates, TreeSHAP needs a tree
+    # ensemble, exact Shapley values enumerate at most 20 of the 5k + 1 features
+    {"k": 5},
+    {"explain": {"method": "tree"}},
+    {"explain": {"method": "exact"}},
 ])
 def test_bad_run_values_fail_before_any_output(bad, work, tmp_path, capsys):
     out = tmp_path / "o"
@@ -826,6 +831,11 @@ _IO_FAULTS = {
     "run-labeling-not-maps": (lambda w, t, o: ["run", "--config", _write(
         t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2,
                        "labeling": _write(t / "k3.json", {"k": 3})})], "IoFailure", 3),
+    # and so does one with fewer maps than k
+    "run-labeling-too-few-maps": (lambda w, t, o: ["run", "--config", _write(
+        t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2, "k": 5,
+                       "labeling": _write(t / "m.json", msaf.canonical_templates(
+                           standard_1020_montage()).to_json_dict())})], "AmbiguousLabels", 2),
     "band-sweep-labeling-not-maps": (lambda w, t, o: ["band-sweep", "--bands", "theta",
         "--config", _write(t / "c.json", {"input_dir": str(w / "data"), "out_dir": o,
                                           "labeling": _write(t / "k3.json", {"k": 3})})],

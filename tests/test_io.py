@@ -1,5 +1,6 @@
 """Recording container, .eegb and .seg round-trips, montage, feature table CSV."""
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import msaf.io
 from msaf import (
     DuplicateSubject,
     FeatureTable,
+    InvalidConfig,
     IoFailure,
     Montage,
     Recording,
@@ -24,6 +26,7 @@ from msaf import (
     standard_1020_montage,
     write_json,
 )
+from msaf.io import staged
 from msaf.pipeline import load_input_recordings
 
 
@@ -175,3 +178,41 @@ def test_write_json_creates_parents_and_leaves_no_partial(tmp_path):
     assert write_json(str(path), {"a": 1}) == str(path)
     assert read_json(str(path)) == {"a": 1}
     assert os.listdir(path.parent) == ["x.json"]
+
+
+def test_staged_renames_every_file_in_write_order_on_success(tmp_path, monkeypatch):
+    real_replace, calls = os.replace, []
+    monkeypatch.setattr(msaf.io.os, "replace",
+                        lambda src, dst: (calls.append(dst), real_replace(src, dst)))
+    out = tmp_path / "out"
+    with staged() as stage:
+        written = [save_recording(_rec(subject_id=s), str(out / s), stage) for s in "ab"]
+        # nothing is in place yet, and listings skip the partial files
+        assert sorted(os.listdir(out)) == ["a.partial.eegb", "a.partial.json",
+                                           "b.partial.eegb", "b.partial.json"]
+        with pytest.raises(InvalidConfig, match="no .eegb files"):
+            list(load_input_recordings(str(out)))
+    assert written[0] == (str(out / "a.partial.eegb"), str(out / "a.partial.json"))
+    assert calls == [str(out / n) for n in ("a.json", "a.eegb", "b.json", "b.eegb")]
+    assert [r.subject_id for r in load_input_recordings(str(out))] == ["a", "b"]
+
+
+def test_staged_failure_removes_its_partials_and_only_the_directories_it_made(tmp_path):
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    write_json(str(keep / "old.json"), {"a": 1})
+    with pytest.raises(RuntimeError):
+        with staged() as stage:
+            write_json(str(keep / "x.json"), {"b": 2}, stage)
+            write_json(str(tmp_path / "new" / "sub" / "y.json"), {"c": 3}, stage)
+            raise RuntimeError("a later recording failed")
+    assert sorted(os.listdir(tmp_path)) == ["keep"]
+    assert os.listdir(keep) == ["old.json"]
+
+
+def test_staged_writes_from_threads(tmp_path):
+    paths = [str(tmp_path / "out" / str(i % 3) / f"f{i}.json") for i in range(24)]
+    with staged() as stage, ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(lambda p: write_json(p, {"p": p}, stage), paths))
+    assert all(read_json(p) == {"p": p} for p in paths)
+    assert sorted(os.listdir(tmp_path / "out")) == ["0", "1", "2"]

@@ -2,6 +2,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from msaf import (
     InvalidConfig,
     MicrostateMaps,
     Montage,
+    NonFiniteData,
     NoPeaks,
     Recording,
     SynthConfig,
@@ -36,6 +38,7 @@ from oracles import (
     gfp_peaks_min_distance_loop,
     modified_kmeans_eigen_loop,
     modified_kmeans_loop,
+    modified_kmeans_state_batch,
     run_groups,
     run_lengths_loop,
 )
@@ -255,10 +258,10 @@ def test_modified_kmeans_reseeds_empty_cluster():
     assert np.array_equal(corr.sum(axis=0), [1.0, 1.0, 1.0])
 
 
-def test_modified_kmeans_reseed_recomputes_projections():
-    # 16-channel Hadamard rows f_i / 4 and half-sums of four of them: unit
-    # vectors with dyadic entries. Scaled by powers of two, every projection,
-    # power step and GEV sum stays exact.
+def _dyadic_rows():
+    """(x, a, u): 16-channel Hadamard rows f_i / 4 and half-sums of four of
+    them, unit vectors with dyadic entries. Scaled by powers of two, every
+    projection, power step and GEV sum stays exact."""
     h = np.array([[1.0]])
     for _ in range(4):
         h = np.block([[h, h], [h, -h]])
@@ -269,6 +272,11 @@ def test_modified_kmeans_reseed_recomputes_projections():
     a = (f[1] + f[4] + f[5] + f[6]) / 2.0
     x = np.array([a, a, a, a, u, u, d1, d2]) * np.array(
         [1.0, -2.0, 8.0, -0.5, 4.0, -0.25, 2.0, -2.0])[:, None]
+    return x, a, u
+
+
+def test_modified_kmeans_reseed_recomputes_projections():
+    x, a, u = _dyadic_rows()
     # restarts 1 and 3 draw two a-rows: map 1 goes empty and moves to the
     # first u-row (explained 0); the d-rows (|r| 1/4 with a, 1/2 with u)
     # follow it. Their new projections make the power step map u to itself;
@@ -307,6 +315,51 @@ def test_modified_kmeans_warns_at_iteration_cap(caplog):
     with caplog.at_level("WARNING", logger="msaf.microstates"):
         modified_kmeans(x, 3, n_inits=5, seed=0)
     assert not [r for r in caplog.records if r.name == "msaf.microstates"]
+
+
+def _synth_peaks(n_peaks, seconds, seed):
+    rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
+    return rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+
+
+# (rows, k, settings): synthetic GFP peaks, exact Hadamard ties, reseeds
+_IDENTITY_CASES = {
+    **{f"synth2130-seed{s}": (lambda s=s: _synth_peaks(2130, 120.0, s), 4, {"seed": s})
+       for s in range(3)},
+    **{f"synth146-seed{s}": (lambda s=s: _synth_peaks(146, 8.0, s), 4, {"seed": s})
+       for s in range(3)},
+    "hadamard-ties": (
+        lambda: _HADAMARD[[0, 0, 0, 0, 0, 0, 1, 2]]
+        * np.array([1, -1, 1, 1, -1, 1, 1, -1])[:, None], 3, {"seed": 0}),
+    "dyadic-reseed": (lambda: _dyadic_rows()[0], 2, {"n_inits": 6, "seed": 1}),
+    "k1": (lambda: _synth_peaks(146, 8.0, 0), 1, {"seed": 2}),
+    "one-restart": (lambda: _synth_peaks(146, 8.0, 1), 4, {"n_inits": 1, "seed": 3}),
+    "iteration-cap": (lambda: _synth_peaks(146, 8.0, 2), 4, {"max_iter": 1, "seed": 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+def test_modified_kmeans_equals_integer_state_batch(case):
+    # the hit-mask step computes the same products of the same values as
+    # the integer-state loop, so maps, GEV and trace agree bit for bit
+    rows, k, settings = _IDENTITY_CASES[case]
+    x = rows()
+    trace: list = []
+    got = modified_kmeans(x, k, trace_sink=trace, **settings)
+    ref = modified_kmeans_state_batch(x, k, **settings)
+    assert got.maps.tobytes() == ref["maps"].tobytes()
+    assert got.gev_total == ref["gev_total"]
+    assert trace == ref["trace"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modified_kmeans_rejects_non_finite_peak_maps(bad):
+    x = np.random.default_rng(3).standard_normal((120, 8))
+    x[17, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteData):
+            modified_kmeans(x, 3, n_inits=20, seed=0)
 
 
 @pytest.mark.parametrize("kwargs", [

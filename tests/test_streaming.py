@@ -1,10 +1,13 @@
 """Recordings stream through the stages: bounded live inputs, thread
 identity of the streamed verbs, the error order of a streamed cohort, and
 the stage verbs replaying a run from its artifacts."""
+import dataclasses
 import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 import weakref
@@ -12,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+import msaf
 import msaf.pipeline
 from msaf import canonical_templates, load_recording, standard_1020_montage
 from msaf.cli import main
@@ -85,9 +89,11 @@ def _small_run(cohort, out, **overrides):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, monkeypatch):
-    live = _LiveRecordings(monkeypatch, ["load_recording"], ["preprocess_recording"])
+    # the raw recordings of the first pass, then the preprocessed ones the
+    # second pass reads back from preprocessed/
+    live = _LiveRecordings(monkeypatch, ["load_recording"], ["preprocess_recording", "backfit"])
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
-    assert len(live.counts) == 6
+    assert len(live.counts) == 2 * 6
     assert max(live.counts) <= threads, live.counts
 
 
@@ -95,14 +101,14 @@ def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, mon
 def test_run_holds_at_most_threads_float64_preprocessed_recordings(
     threads, cohort, tmp_path, monkeypatch
 ):
-    # the float64 results of preprocessing, then of widening the held
-    # float32 payloads for clustering and for backfit
+    # the float64 results of preprocessing, then of widening each one's
+    # float32 payload for clustering in the same pass
     live = _LiveRecordings(
         monkeypatch, ["preprocess_recording", "widen_recording"],
-        ["preprocess_recording", "modified_kmeans", "backfit"],
+        ["preprocess_recording", "modified_kmeans"],
     )
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
-    assert len(live.counts) == 3 * 6
+    assert len(live.counts) == 2 * 6
     assert max(live.counts) <= threads, live.counts
 
 
@@ -122,6 +128,50 @@ def test_recording_verbs_hold_at_most_threads_recordings(
     assert main(argv + ["--out", str(tmp_path / "o"), "--threads", str(threads)]) == 0
     assert len(live.counts) == 6
     assert max(live.counts) <= threads, live.counts
+
+
+# A child's peak resident memory counts the memory of the process it was
+# forked from, so `msaf run` is started and waited for (os.wait4) by a fresh
+# interpreter, not by this test process, whose size grows as tests run.
+_LAUNCH = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+           "_, status, usage = os.wait4(p.pid, 0); "
+           "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _run_peak_rss_mb(root, n_per_class):
+    """Peak resident memory (MB) of `msaf run` as a child process on a cohort
+    of two classes, n_per_class recordings of 30 s each."""
+    _write(root / f"synth{n_per_class}.json", {
+        "kind": "cohort", "n_per_class": n_per_class, "seed": 1,
+        "profiles": {"A": {}, "B": {}}, "base": {"duration": 30.0},
+    })
+    assert main(["synth", "--config", str(root / f"synth{n_per_class}.json"),
+                 "--out", str(root / f"data{n_per_class}")]) == 0
+    cfg = _write(root / f"run{n_per_class}.json", {
+        "input_dir": str(root / f"data{n_per_class}"), "out_dir": str(root / f"o{n_per_class}"),
+        "kmeans": {"n_inits": 2, "max_iter": 20}, "cv_folds": 2,
+        "classifier": {"kind": "rf", "params": {"n_trees": 5}},
+    })
+    src = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, sys.executable, "-m", "msaf.cli", "run", "--config", cfg],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, max_rss_kb = proc.stdout.split()[-2:]  # kilobytes on Linux
+    assert code == "0", proc.stderr
+    return int(max_rss_kb) / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB is Linux's")
+def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
+    # a run that held the cohort's float32 payloads (4 bytes per channel and
+    # sample) and segmentations (24 bytes per sample) would grow by about
+    # 9 MB for 12 more recordings; one that holds one recording per worker
+    # does not grow
+    small, large = (_run_peak_rss_mb(tmp_path, n) for n in (2, 8))
+    assert large - small < 4.0, (small, large)
 
 
 def _tree_bytes(root):
@@ -229,6 +279,25 @@ def test_faulty_recording_fails_before_any_output(
     assert (err["error"], err["exit_code"]) == (error, code)
     # neither preprocessed/ nor any other output was written
     assert not out.exists()
+
+
+def test_second_pass_fault_keeps_the_first_pass_and_leaves_no_segmentation(
+    cohort, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+    rec = load_recording(str(data / "NC_001.eegb"))
+    save_recording(dataclasses.replace(rec, label=None), str(data / "NC_001"))
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "c.json", {"input_dir": str(data), "out_dir": str(out),
+                                       "steps": _STEPS, "cv_folds": 2})
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--threads", "3"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "UnlabeledData"
+    # the first pass and the group maps were published, the second pass not at all
+    assert sorted(os.listdir(out)) == ["maps.json", "preprocessed", "subject_maps"]
+    assert len(os.listdir(out / "preprocessed")) == 2 * 6
+    assert not [f for _, _, files in os.walk(out) for f in files if ".partial." in f]
 
 
 def test_stage_verbs_replay_a_run_byte_for_byte(cohort, tmp_path):

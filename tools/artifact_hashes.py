@@ -30,7 +30,9 @@ for line:
   ``ranking.csv`` byte for byte (exit 1 otherwise): the run computes
   from exactly the float32 recordings it commits, the segmentation
   files lose no bit between ``backfit`` and ``features``, and
-  ``shap.json`` names the run's classes.
+  ``shap.json`` names the run's classes. The chain's ``msaf preprocess``
+  (the rf run's steps on ``data/``) must likewise reproduce the rf run's
+  ``preprocessed/``, which the run writes in the same pass that clusters.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
@@ -58,8 +60,9 @@ KMEANS = {"n_inits": 5, "max_iter": 100}
 MONTAGE = ["Fp1", "Fp2", "F3", "F4", "Fz", "C3", "C4", "Cz", "P3", "P4", "Pz", "O1", "O2"]
 BAND = [2.0, 20.0]
 RF = {"classifier": {"kind": "rf", "params": {"n_trees": 20}}}
-# verb outputs from run_rf's artifacts -> the run_rf artifact each must equal
+# verb outputs (from run_rf's inputs or artifacts) -> the run_rf artifact each must equal
 REPLAYS = {
+    "chain/pre": "run_rf/preprocessed",
     "run_rf_subject_maps": "run_rf/subject_maps",
     "run_rf_segmentations": "run_rf/segmentations",
     "run_rf_features.csv": "run_rf/features.csv",
@@ -185,8 +188,8 @@ def main(argv=None) -> int:
         if _digests(os.path.join(args.out_dir, replay)) != _digests(
             os.path.join(args.out_dir, original)
         ):
-            print(f"{replay} differs from {original}: the verbs do not replay the run "
-                  "from its artifacts", file=sys.stderr)
+            print(f"{replay} differs from {original}: the verbs do not reproduce the "
+                  "run's artifacts", file=sys.stderr)
             return 1
 
     lines = []
