@@ -14,7 +14,8 @@ Methods:
 * exact    full subset enumeration, feasible to d = 20.
 * kernel   weighted least squares on coalitions; enumerates all
            non-trivial coalitions when the budget allows, otherwise
-           bulk paired-complement sampling. The efficiency constraint is
+           bulk paired-complement sampling. One coalition sample and one
+           solve serve every explained row. The efficiency constraint is
            eliminated by substituting the last feature's attribution,
            never solved as an extra equation.
 * tree     interventional TreeSHAP for the tree ensembles: for each
@@ -132,33 +133,38 @@ def _validate_inputs(model, x_explain, background):
 
 
 def _coalition_values(
-    score_fn, x_row: np.ndarray, background: np.ndarray, z: np.ndarray
+    score_fn, x: np.ndarray, background: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Mean interventional score per coalition row of z (m, d).
 
-    For a score function bound to an SvmModel (its decision_scores) the
-    mean comes from SvmModel.coalition_scores without building composite
-    rows; any other score function scores the composite rows in chunks.
+    Returns (n, m, C) for the rows of x (n, d), or (m, C) for one row x
+    (d,). For a score function bound to an SvmModel (its decision_scores)
+    the mean comes from SvmModel.coalition_scores without building
+    composite rows; any other score function scores the composite rows of
+    each row of x in chunks.
     """
+    rows = np.atleast_2d(x)
     model = getattr(score_fn, "__self__", None)
     if isinstance(model, SvmModel):
-        return model.coalition_scores(x_row, background, z)
+        out = model.coalition_scores(rows, background, z)
+        return out if x.ndim > 1 else out[0]
     m = z.shape[0]
     b = background.shape[0]
     out = None
     chunk = max(1, 65536 // max(b, 1))
-    buf = np.empty((min(chunk, m), b, x_row.size))
+    buf = np.empty((min(chunk, m), b, rows.shape[1]))
     for start in range(0, m, chunk):
-        zc = z[start : start + chunk]
+        zc = z[start : start + chunk].astype(bool)[:, np.newaxis, :]
         composite = buf[: zc.shape[0]]
-        composite[...] = background
-        np.copyto(composite, x_row, where=zc.astype(bool)[:, np.newaxis, :])
-        scores = score_fn(composite.reshape(zc.shape[0] * b, -1))
-        scores = np.asarray(scores, dtype=np.float64).reshape(zc.shape[0], b, -1)
-        if out is None:
-            out = np.empty((m, scores.shape[2]))
-        scores.mean(axis=1, out=out[start : start + zc.shape[0]])
-    return out
+        for i, row in enumerate(rows):
+            composite[...] = background
+            np.copyto(composite, row, where=zc)
+            scores = score_fn(composite.reshape(zc.shape[0] * b, -1))
+            scores = np.asarray(scores, dtype=np.float64).reshape(zc.shape[0], b, -1)
+            if out is None:
+                out = np.empty((rows.shape[0], m, scores.shape[2]))
+            scores.mean(axis=1, out=out[i, start : start + zc.shape[0]])
+    return out if x.ndim > 1 else out[0]
 
 
 class _SubsetRows:
@@ -271,26 +277,52 @@ def kernel_shap(
     Returns (phi (d, C), phi0 (C,), meta). The efficiency constraint is
     built in by substituting the last feature, so local accuracy holds
     for any coalition sample. On a singular normal system the solve is
-    retried with ridge regularization ridge*I and flagged in meta.
+    retried with ridge regularization ridge*I and flagged in meta. This
+    is the one-row case of explain(method="kernel"), which explains
+    every row from the coalition sample drawn with child_seed(seed, 0).
+    """
+    phi, phi0, meta = _kernel_rows(
+        score_fn, x_row[np.newaxis, :], background, n_samples, seed, ridge
+    )
+    return phi[0], phi0, meta
+
+
+def _kernel_rows(
+    score_fn, x: np.ndarray, background: np.ndarray, n_samples: int, seed: int,
+    ridge: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """KernelSHAP (phi (n, d, C), phi0 (C,), meta) of every row of x (n, d).
+
+    All rows share one coalition sample, drawn with seed, so one normal
+    matrix and one solve over all n * C right-hand sides serve them; each
+    row's estimate has the distribution of a one-row call with that seed.
     """
     check_value("n_samples", EXPLAIN["n_samples"], n_samples)
-    d = x_row.size
+    n, d = x.shape
     v0 = np.asarray(score_fn(background), dtype=np.float64).mean(axis=0)
-    fx = np.asarray(score_fn(x_row[np.newaxis, :]), dtype=np.float64)[0]
-    delta = fx - v0
-    meta = {"n_background": int(background.shape[0]), "ridge_fallback": False}
-    if d == 1:
-        return delta[np.newaxis, :].copy(), v0, meta
-    z, w, enumerated = _kernel_coalitions(d, n_samples, seed)
-    meta["enumerated"] = bool(enumerated)
+    delta = np.asarray(score_fn(x), dtype=np.float64) - v0
+    meta = {
+        "n_background": int(background.shape[0]),
+        "n_samples": int(n_samples),
+        "enumerated": _kernel_enumerates(d, n_samples),
+        "n_coalitions": 0,
+        "ridge_fallback": False,
+    }
+    if d == 1 or n == 0:  # one feature takes all of delta; no rows, no attributions
+        return np.repeat(delta[:, np.newaxis, :], d, axis=1), v0, meta
+    z, w, _ = _kernel_coalitions(d, n_samples, seed)
     meta["n_coalitions"] = int(z.shape[0])
-    v = _coalition_values(score_fn, x_row, background, z)
-    # substitute phi_{d-1} = delta - sum(others) into the weighted LS
+    v = _coalition_values(score_fn, x, background, z)
+    # substitute phi_{d-1} = delta - sum(others) into the weighted LS; the
+    # target v - v0 - z_{d-1} delta is projected on aw without forming it
+    v -= v0
     a = z[:, :-1] - z[:, -1:]
-    t = v - v0[np.newaxis, :] - np.outer(z[:, -1], delta)
     aw = a * w[:, np.newaxis]
     lhs = aw.T @ a
-    rhs = aw.T @ t
+    rhs = np.matmul(aw.T, v)
+    rhs -= (aw.T @ z[:, -1])[np.newaxis, :, np.newaxis] * delta[:, np.newaxis, :]
+    # one solve: the (d-1, n * C) right-hand sides side by side
+    rhs = rhs.transpose(1, 0, 2).reshape(d - 1, -1)
     try:
         sol = np.linalg.solve(lhs, rhs)
         if not np.all(np.isfinite(sol)):
@@ -306,7 +338,8 @@ def kernel_shap(
             ) from e
         if not np.all(np.isfinite(sol)):
             raise SingularSystem(f"kernel regression singular even with ridge {ridge}")
-    phi = np.vstack([sol, delta - sol.sum(axis=0)])
+    sol = sol.reshape(d - 1, n, -1).transpose(1, 0, 2)
+    phi = np.concatenate([sol, (delta - sol.sum(axis=1))[:, np.newaxis, :]], axis=1)
     return phi, v0, meta
 
 
@@ -415,8 +448,9 @@ def explain(
         method: "auto" (tree for ensembles, kernel otherwise),
             "exact", "kernel", or "tree".
         n_samples: Coalition budget for the kernel method.
-        seed: Seed for kernel coalition sampling; instance i uses the
-            child seed (seed, i).
+        seed: Seed for kernel coalition sampling: every instance is
+            explained from the one coalition sample drawn with the child
+            seed (seed, 0), so row i equals kernel_shap with that seed.
         feature_names: Optional names, length d.
     """
     x, bg = _validate_inputs(model, x_explain, background)
@@ -428,29 +462,19 @@ def explain(
         raise DimensionMismatch(
             f"{len(feature_names)} feature names for {x.shape[1]} features"
         )
-    n, d = x.shape
-    n_classes = len(model.classes)
-    phi = np.empty((n, d, n_classes))
     meta: dict = {"n_background": int(bg.shape[0])}
     phi0 = None
     if method == "tree":
         phi, phi0 = _tree_shap(model, x, bg)
     elif method == "exact":
         score_fn = _score_fn_for(model)
-        for i in range(n):
-            phi[i], phi0 = exact_shapley(score_fn, x[i], bg)
+        phi = np.empty(x.shape + (len(model.classes),))
+        for i, row in enumerate(x):
+            phi[i], phi0 = exact_shapley(score_fn, row, bg)
     else:
-        check_value("n_samples", EXPLAIN["n_samples"], n_samples)
-        score_fn = _score_fn_for(model)
-        meta["n_samples"] = int(n_samples)
-        meta["enumerated"] = _kernel_enumerates(d, n_samples)
-        any_ridge = False
-        for i in range(n):
-            phi[i], phi0, m = kernel_shap(
-                score_fn, x[i], bg, n_samples=n_samples, seed=child_seed(seed, i)
-            )
-            any_ridge = any_ridge or m.get("ridge_fallback", False)
-        meta["ridge_fallback"] = any_ridge
+        phi, phi0, meta = _kernel_rows(
+            _score_fn_for(model), x, bg, n_samples, child_seed(seed, 0)
+        )
     return ShapExplanation(
         method=method,
         classes=tuple(model.classes),

@@ -20,9 +20,9 @@ from ._common import validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
 
-# SvmModel.coalition_scores takes coalitions in chunks whose distance
-# matrix holds at most about this many doubles
-COALITION_CHUNK_DOUBLES = 1 << 20
+# SvmModel.coalition_scores takes coalitions in chunks, and rows in blocks,
+# whose kernel buffers hold at most about this many doubles each
+COALITION_CHUNK_DOUBLES = 1 << 17
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -71,19 +71,22 @@ class SvmModel:
             out[:, i] = k @ m.dual_coef + m.bias
         return out
 
-    def coalition_scores(self, x_row, background, z) -> np.ndarray:
-        """(m, n_classes) decision values averaged over the background rows.
+    def coalition_scores(self, x, background, z) -> np.ndarray:
+        """(n, m, n_classes) decision values averaged over the background rows.
 
-        Row i is the mean of decision_scores over the composites that take
-        feature j from x_row where z[i, j] is 1 and from the background
-        row where it is 0, computed without building them. In standardized
-        space ||c - sv||^2 = ||b - sv||^2 + z . delta[b, sv] with
-        delta_j = (x_j - sv_j)^2 - (b_j - sv_j)^2, so each chunk of
-        coalitions gets its distances to every (background row, support
-        vector of any machine) pair from one matrix product.
+        Entry [i, j] is the mean of decision_scores over the composites that
+        take feature f from row i of x where z[j, f] is 1 and from the
+        background row where it is 0, computed without building them. In
+        standardized space ||c - sv||^2 = z . (x - sv)^2 + (1 - z) . (b - sv)^2,
+        so the background mean of the kernel is
+        exp(-gamma z . (x - sv)^2) * G[z, sv] with
+        G[z, sv] = mean_b exp(-gamma (1 - z) . (b - sv)^2), which no row of x
+        enters. Each chunk of coalitions builds G once from one matrix product
+        over every (background row, support vector of any machine) pair; a
+        row then costs one product over the support vectors.
         """
         d = self.n_features
-        xs = (validate_x(x_row, d)[0] - self.mean) / self.scale
+        xs = (validate_x(x, d) - self.mean) / self.scale
         bs = (validate_x(background, d) - self.mean) / self.scale
         sv = np.vstack([m.support_vectors for m in self.machines])
         # block coefficients: support vector s scores only its own machine
@@ -94,26 +97,37 @@ class SvmModel:
         )
         bias = np.array([m.bias for m in self.machines])
 
-        n_bg, n_sv = bs.shape[0], sv.shape[0]
-        delta = bs[:, np.newaxis, :] - sv[np.newaxis, :, :]
-        np.square(delta, out=delta)
-        base = delta.sum(axis=2).ravel()
-        np.subtract(np.square(xs - sv), delta, out=delta)
-        delta = delta.reshape(n_bg * n_sv, d).T
+        def squares(rows):  # (d, rows * n_sv): (row - sv)^2 per feature
+            diff = rows[:, np.newaxis, :] - sv[np.newaxis, :, :]
+            np.square(diff, out=diff)
+            return diff.reshape(-1, d).T
 
+        n, n_bg, n_sv = xs.shape[0], bs.shape[0], sv.shape[0]
+        xsq, bsq = squares(xs), squares(bs)
         m_total = z.shape[0]
-        out = np.empty((m_total, len(self.machines)))
-        chunk = max(1, COALITION_CHUNK_DOUBLES // max(1, n_bg * n_sv))
-        buf = np.empty((min(chunk, m_total), n_bg * n_sv))
+        out = np.empty((n, m_total, len(self.machines)))
+        chunk = max(1, min(m_total, COALITION_CHUNK_DOUBLES // max(1, n_bg * n_sv)))
+        block = max(1, min(n, COALITION_CHUNK_DOUBLES // max(1, chunk * n_sv)))
+        g_buf = np.empty((chunk, n_bg * n_sv))
+        k_buf = np.empty(chunk * block * n_sv)
         for start in range(0, m_total, chunk):
             zc = np.asarray(z[start : start + chunk], dtype=np.float64)
-            dist = np.matmul(zc, delta, out=buf[: zc.shape[0]])
-            dist += base
-            np.maximum(dist, 0.0, out=dist)
-            dist *= -self.gamma
-            np.exp(dist, out=dist)
-            k = dist.reshape(zc.shape[0], n_bg, n_sv).mean(axis=1)
-            out[start : start + zc.shape[0]] = k @ coef + bias
+            mc = zc.shape[0]
+            g = np.matmul(1.0 - zc, bsq, out=g_buf[:mc])
+            g *= -self.gamma
+            np.exp(g, out=g)
+            g = g.reshape(mc, n_bg, n_sv).mean(axis=1)
+            for r in range(0, n, block):
+                nb = min(block, n - r)
+                k = k_buf[: mc * nb * n_sv].reshape(mc, nb * n_sv)
+                np.matmul(zc, xsq[:, r * n_sv : (r + nb) * n_sv], out=k)
+                k *= -self.gamma
+                np.exp(k, out=k)
+                k = k.reshape(mc, nb, n_sv)
+                k *= g[:, np.newaxis, :]
+                scores = k @ coef
+                scores += bias
+                out[r : r + nb, start : start + mc] = scores.transpose(1, 0, 2)
         return out
 
     def predict(self, x) -> np.ndarray:

@@ -56,7 +56,9 @@ from . import __version__ as _pkg_version
 from .config import (
     CLASSIFIER, EXPLAIN, KMEANS, NAME, OBJECT, RUN, STEP_KIND, STEPS, check, check_value, require,
 )
-from .errors import AmbiguousLabels, DuplicateSubject, MsafError, UnlabeledData
+from .errors import (
+    AmbiguousLabels, DuplicateSubject, MontageMismatch, MsafError, UnlabeledData,
+)
 from .features import STATE_METRICS, FeatureVector, build_feature_table, extract_features
 from .io import (
     FeatureTable,
@@ -581,7 +583,8 @@ def run_pipeline(
     """
     out = out_dir or cfg.out_dir
     path = functools.partial(os.path.join, out)
-    # a labeling file that does not decode or has too few maps fails before any output
+    # a labeling file that does not decode or has too few maps fails before any
+    # output, one for other channels fails pass 1
     templates = None
     if cfg.labeling != "template":
         templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
@@ -593,6 +596,11 @@ def run_pipeline(
     def cluster(item) -> tuple[str, MicrostateMaps]:
         idx, raw = item
         rec = widen_recording(_preprocessed(raw, cfg.steps, cfg.band, pre, stage))
+        if templates is not None and templates.channels != rec.montage.names:
+            raise MontageMismatch(
+                f"labeling maps have channels {list(templates.channels)}, recording "
+                f"{rec.subject_id!r} has {list(rec.montage.names)}"
+            )
         return rec.subject_id, _subject_maps(
             idx, rec, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed
         )

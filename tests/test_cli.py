@@ -836,6 +836,14 @@ _IO_FAULTS = {
         t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2, "k": 5,
                        "labeling": _write(t / "m.json", msaf.canonical_templates(
                            standard_1020_montage()).to_json_dict())})], "AmbiguousLabels", 2),
+    # and one for other channels than the recordings' (19 against 13) fails
+    # in the first pass, before its files are committed
+    "run-labeling-other-channels": (lambda w, t, o: ["run", "--config", _write(
+        t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2,
+                       "montage": list(standard_1020_montage().names[:13]),
+                       "labeling": _write(t / "m.json", msaf.canonical_templates(
+                           standard_1020_montage()).to_json_dict())})],
+        "MontageMismatch", 3),
     "band-sweep-labeling-not-maps": (lambda w, t, o: ["band-sweep", "--bands", "theta",
         "--config", _write(t / "c.json", {"input_dir": str(w / "data"), "out_dir": o,
                                           "labeling": _write(t / "k3.json", {"k": 3})})],

@@ -18,6 +18,7 @@ from msaf import (
     tree_shap,
 )
 from msaf.explain import _coalition_values, _kernel_coalitions, _score_fn_for
+from msaf.models._common import child_seed
 import msaf.models.svm
 from msaf.models.svm import COALITION_CHUNK_DOUBLES
 
@@ -152,6 +153,75 @@ def test_svm_coalition_scores_match_composite_rows():
     want = model.decision_scores(composite.reshape(-1, 7))
     want = want.reshape(z.shape[0], background.shape[0], -1).mean(axis=1)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_svm_batched_coalition_scores_match_composite_rows():
+    rng = np.random.default_rng(16)
+    x, y = _data(rng, n_per=30, d=7)
+    model = train_svm_ovr(x, y, c=5.0, gamma=0.2)
+    background = x[::3]
+    rows = x[[4, 40, 77]]
+    n_sv = sum(m.dual_coef.size for m in model.machines)
+    chunk = COALITION_CHUNK_DOUBLES // (background.shape[0] * n_sv)
+    z = (rng.random((2 * chunk + 5, 7)) < 0.5).astype(np.float64)
+    assert z.shape[0] > 2 * chunk  # three chunks
+    got = model.coalition_scores(rows, background, z)
+    assert got.shape == (3, z.shape[0], 3)
+    for i, row in enumerate(rows):
+        composite = np.where(z.astype(bool)[:, np.newaxis, :], row, background[np.newaxis])
+        want = model.decision_scores(composite.reshape(-1, 7))
+        want = want.reshape(z.shape[0], background.shape[0], -1).mean(axis=1)
+        assert np.max(np.abs(got[i] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["svm", "rf", "gbt"])
+def test_explain_kernel_rows_equal_one_row_kernel_shap(kind):
+    rng = np.random.default_rng(17)
+    x, y = _data(rng, d=9)
+    params = {"svm": {"c": 2.0, "gamma": 0.2}, "rf": {"n_trees": 6},
+              "gbt": {"n_rounds": 5, "valid_fraction": 0.0}}[kind]
+    model = make_trainer(kind, params)(x, y, seed=0)
+    fn = _score_fn_for(model)
+    background = x[::5]
+    expl = explain(model, x[:6], background, method="kernel", n_samples=200, seed=5)
+    for i in range(6):
+        phi, phi0, meta = kernel_shap(fn, x[i], background, n_samples=200,
+                                      seed=child_seed(5, 0))
+        assert np.max(np.abs(expl.phi[i] - phi)) <= 1e-12
+        assert np.max(np.abs(expl.phi0 - phi0)) <= 1e-12
+    assert expl.meta["n_coalitions"] == meta["n_coalitions"]
+    z, _, _ = _kernel_coalitions(9, 200, child_seed(5, 0))
+    assert expl.meta["n_coalitions"] == z.shape[0]
+
+
+def test_explain_kernel_does_not_depend_on_the_chunk_size(monkeypatch):
+    rng = np.random.default_rng(18)
+    x, y = _data(rng, n_per=20, d=9)
+    model = train_svm_ovr(x, y, c=2.0, gamma=0.2)
+    runs = []
+    # 1 << 10 doubles: chunks of a few coalitions and blocks of a few rows
+    for doubles in (COALITION_CHUNK_DOUBLES, 1 << 10):
+        monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", doubles)
+        runs.append(explain(model, x[:12], x[::4], method="kernel", n_samples=300, seed=1))
+    assert np.max(np.abs(runs[0].phi - runs[1].phi)) <= 1e-12
+    assert np.max(np.abs(runs[0].phi0 - runs[1].phi0)) <= 1e-12
+
+
+def test_explain_kernel_memory_on_piecewise_shapes():
+    rng = np.random.default_rng(19)
+    # the piecewise workload's shapes: 30 rows of 21 features (k = 4),
+    # 3 classes and a background of all 30 rows
+    x, y = _data(rng, n_per=10, d=21)
+    model = train_svm_ovr(x, y, c=1.0, gamma=0.05)
+    tracemalloc.start()
+    try:
+        explain(model, x, x, method="kernel", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one coalition sample per row took 9.7 MB: its (chunk, B * SV)
+    # distance buffer alone was 8 MB
+    assert peak < 4.8e6, peak
 
 
 @pytest.mark.parametrize("d, n_samples", [(9, 200), (9, 201), (70, 500)])

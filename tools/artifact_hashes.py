@@ -21,7 +21,11 @@ for line:
 - the verb chain over the labeled cohort, ``preprocess`` through ``stats``,
   plus ``explain-rank`` and ``topo``;
 - ``msaf explain --method kernel`` on the rf run's model, which scores
-  composite rows through the generic (non-SVM) coalition path;
+  composite rows through the generic (non-SVM) coalition path, and
+  ``msaf explain`` on the svm run's model with that run's explain
+  settings, which must reproduce its ``shap.json`` byte for byte (exit 1
+  otherwise): the verb and the run explain through the same KernelSHAP
+  path;
 - ``msaf segment`` (with the rf run's k-means settings and seed) and
   ``msaf backfit`` (against its ``maps.json``) on the rf run's
   ``preprocessed/``, ``msaf features`` on its ``segmentations/`` and
@@ -67,6 +71,7 @@ REPLAYS = {
     "run_rf_segmentations": "run_rf/segmentations",
     "run_rf_features.csv": "run_rf/features.csv",
     "run_rf_ranking.csv": "run_rf/ranking.csv",
+    "run_svm_shap.json": "run_svm/shap.json",
 }
 RUNS = {
     "rf": RF,
@@ -86,7 +91,9 @@ def _commands() -> list[list[str]]:
     cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
     cmds += [["explain", "run_rf/model.json", "run_rf/features.csv", "--method", "kernel",
               "--background", "8", "--n-samples", "256", "--out", "run_rf_kernel_shap.json",
-              *seed]]
+              *seed],
+             ["explain", "run_svm/model.json", "run_svm/features.csv", "--background", "8",
+              "--n-samples", "256", "--out", "run_svm_shap.json", *seed]]
     cmds += [["segment", "run_rf/preprocessed", "--config", "kmeans.json",
               "--out", "run_rf_subject_maps", *seed],
              ["backfit", "run_rf/preprocessed", "run_rf/maps.json",
