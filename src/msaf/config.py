@@ -25,6 +25,13 @@ from .errors import InvalidConfig
 # A segmentation file stores its states as uint8.
 MAX_STATES = 255
 
+# The working-set budget of the numeric kernels, in float64 values (1 MB):
+# FIR filtering, GFP and backfitting walk a recording in blocks of about this
+# many values, and SvmModel.coalition_scores sizes its kernel buffers to it,
+# so their temporaries do not grow with a recording's length or a coalition
+# count.
+BLOCK_DOUBLES = 1 << 17
+
 
 class Absent(enum.Enum):
     """The default of a key without one: it must be given, or it stays out."""

@@ -463,7 +463,6 @@ def explain(
             f"{len(feature_names)} feature names for {x.shape[1]} features"
         )
     meta: dict = {"n_background": int(bg.shape[0])}
-    phi0 = None
     if method == "tree":
         phi, phi0 = _tree_shap(model, x, bg)
     elif method == "exact":
@@ -471,6 +470,9 @@ def explain(
         phi = np.empty(x.shape + (len(model.classes),))
         for i, row in enumerate(x):
             phi[i], phi0 = exact_shapley(score_fn, row, bg)
+        if not len(x):  # exact_shapley's phi0: the empty coalition's value
+            empty = np.zeros((1, x.shape[1]), dtype=np.uint8)
+            phi0 = _coalition_values(score_fn, bg[0], bg, empty)[0]
     else:
         phi, phi0, meta = _kernel_rows(
             _score_fn_for(model), x, bg, n_samples, child_seed(seed, 0)

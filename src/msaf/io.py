@@ -472,8 +472,10 @@ def load_recording(path: str) -> Recording:
     """Read a recording stored by :func:`save_recording`.
 
     Channel order is taken from the sidecar verbatim; nothing is
-    reordered or dropped. The payload is widened by `widen_recording`.
-    A subject_id or label that is no file name is an IoFailure.
+    reordered or dropped. The payload is widened by `widen_recording`
+    from a view of the file's bytes, so reading holds the file and its
+    float64 recording, no third copy. A subject_id or label that is no
+    file name is an IoFailure.
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
@@ -491,14 +493,14 @@ def load_recording(path: str) -> Recording:
         provenance = tuple(str(p) for p in sidecar.get("provenance", []))
     except (KeyError, TypeError, ValueError) as e:
         raise IoFailure(f"sidecar {json_path!r} does not describe a recording: {e!r}") from e
-    raw = blob[len(MAGIC):]
+    size = len(blob) - len(MAGIC)
     expected = len(channels) * n_samples * 4
-    if len(raw) != expected:
+    if size != expected:
         raise ShapeMismatch(
-            f"{bin_path!r}: payload is {len(raw)} bytes, sidecar declares "
+            f"{bin_path!r}: payload is {size} bytes, sidecar declares "
             f"{len(channels)}x{n_samples} float32 = {expected}"
         )
-    payload = np.frombuffer(raw, dtype="<f4").reshape(len(channels), n_samples)
+    payload = np.frombuffer(blob, "<f4", offset=len(MAGIC)).reshape(len(channels), n_samples)
     if not np.all(np.isfinite(payload)):
         raise NonFiniteData(f"{bin_path!r} contains non-finite samples")
     return widen_recording(StoredRecording(

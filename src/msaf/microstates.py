@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import KMEANS, NAME, check, check_value
+from .config import BLOCK_DOUBLES, KMEANS, NAME, check, check_value
 from .errors import (
     AmbiguousLabels,
     DegenerateMap,
@@ -206,8 +206,35 @@ class Segmentation:
 
 
 def gfp(rec: Recording) -> GfpSeries:
-    """Global field power: population std across channels per sample."""
-    return GfpSeries(values=rec.data.std(axis=0), fs=rec.fs)
+    """Global field power: population std across channels per sample.
+
+    Computed by `_column_std`, one block of samples at a time.
+    """
+    return GfpSeries(values=_column_std(rec.data), fs=rec.fs)
+
+
+def _sample_blocks(n: int, n_channels: int) -> list[slice]:
+    """Consecutive slices of range(n) that hold about BLOCK_DOUBLES values of n_channels each.
+
+    No slice holds one sample unless n is 1: numpy sums a lone sample's
+    channels, and multiplies it by a matrix, in another order than it
+    does for two or more, so a one-sample block would change the bits.
+    A lone last sample joins the slice before it.
+    """
+    bounds = [*range(0, max(n - 1, 1), max(2, BLOCK_DOUBLES // n_channels)), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _column_std(data: np.ndarray) -> np.ndarray:
+    """data.std(axis=0) of a (K, T) array, one `_sample_blocks` block at a time.
+
+    Each column's std is the same reduction as the whole-array call, so
+    the bits are too; the temporaries stay near 1 MB whatever T is.
+    """
+    out = np.empty(data.shape[1])
+    for block in _sample_blocks(data.shape[1], data.shape[0]):
+        out[block] = data[:, block].std(axis=0)
+    return out
 
 
 def _samples_of_ms(ms: float, fs: float) -> int:
@@ -250,7 +277,8 @@ def find_gfp_peaks(series: GfpSeries, min_distance_ms: float = 0.0) -> np.ndarra
 
 
 def _spatial_scale(x: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    """max(1, max |x|), without forming |x|."""
+    return max(1.0, float(max(x.max(), -x.min())) if x.size else 1.0)
 
 
 def spatial_correlation(a, b) -> float:
@@ -397,6 +425,7 @@ def modified_kmeans(
         hit = sq == best[:, np.newaxis]
         if np.count_nonzero(hit) != a * n:  # an exact tie: the lower map index wins
             hit = sq.argmax(axis=1)[:, np.newaxis] == map_index
+        del sq  # not held through the compaction below
         if iteration:
             gev_now = best.sum(axis=1) / total_power
             for r, g in zip(active, gev_now):
@@ -555,18 +584,25 @@ def backfit(
     a single left-to-right pass: each sample of a short run moves to
     whichever neighboring run's state correlates better at that sample,
     and correlations are recomputed afterwards.
+
+    Samples are centred and correlated one `_sample_blocks` block at a
+    time, so beyond the (T, k) correlations the temporaries stay near
+    1 MB whatever the recording's length; every sample's value is the
+    same computation as in one whole-recording pass.
     """
     if tuple(rec.montage.names) != maps.channels:
         raise MontageMismatch("recording channels do not match the maps' channels")
     x = rec.data.T
-    xc, norms = _prepare_rows(x)
+    n = x.shape[0]
     mc, mnorms = _prepare_rows(maps.maps)
-    live = norms > 1e-12 * _spatial_scale(x)
+    floor = 1e-12 * _spatial_scale(x)
+    live = np.empty(n, dtype=bool)
+    c = np.empty((n, maps.k))
+    for block in _sample_blocks(*x.shape):
+        c[block], live[block] = _abs_correlations(x[block], mc, mnorms, floor)
     if not live[0]:
         raise DegenerateSample("first sample is spatially constant, cannot backfit")
-    c = np.zeros((x.shape[0], maps.k))
-    c[live] = np.abs(xc[live] @ mc.T) / np.outer(norms[live], mnorms)
-    c = np.minimum(c, 1.0)
+    np.minimum(c, 1.0, out=c)
     states = np.argmax(c, axis=1)
     for t in np.nonzero(~live)[0]:
         states[t] = states[t - 1]
@@ -583,15 +619,31 @@ def backfit(
             lt, rt = left[run_of[t]], right[run_of[t]]
             to_left = (rt < 0) | ((lt >= 0) & (c[t, lt] >= c[t, rt]))
             states[t] = np.where(to_left, lt, rt)
-    corr = c[np.arange(x.shape[0]), states]
+    corr = c[np.arange(n), states]
     corr[~live] = 0.0
     return Segmentation(
         states=states,
         corr=corr,
-        gfp=GfpSeries(values=x.T.std(axis=0), fs=rec.fs),
+        gfp=GfpSeries(values=_column_std(rec.data), fs=rec.fs),
         fs=rec.fs,
         maps=maps,
     )
+
+
+def _abs_correlations(
+    x: np.ndarray, mc: np.ndarray, mnorms: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """|correlation| of each sample (row of x) with each centred map, and its liveness.
+
+    A sample whose centred norm is at most floor is spatially degenerate:
+    its correlations are 0.
+    """
+    xc, norms = _prepare_rows(x)
+    live = norms > floor
+    # a degenerate sample's row is divided by 1, then zeroed
+    c = np.abs(xc @ mc.T) / np.outer(np.where(live, norms, 1.0), mnorms)
+    c[~live] = 0.0
+    return c, live
 
 
 def _run_lengths(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

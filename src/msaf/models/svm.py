@@ -15,14 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PARAMS, check
+from ..config import BLOCK_DOUBLES, PARAMS, check
 from ._common import validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
-
-# SvmModel.coalition_scores takes coalitions in chunks, and rows in blocks,
-# whose kernel buffers hold at most about this many doubles each
-COALITION_CHUNK_DOUBLES = 1 << 17
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -106,8 +102,9 @@ class SvmModel:
         xsq, bsq = squares(xs), squares(bs)
         m_total = z.shape[0]
         out = np.empty((n, m_total, len(self.machines)))
-        chunk = max(1, min(m_total, COALITION_CHUNK_DOUBLES // max(1, n_bg * n_sv)))
-        block = max(1, min(n, COALITION_CHUNK_DOUBLES // max(1, chunk * n_sv)))
+        # coalitions in chunks, rows in blocks: each kernel buffer about BLOCK_DOUBLES
+        chunk = max(1, min(m_total, BLOCK_DOUBLES // max(1, n_bg * n_sv)))
+        block = max(1, min(n, BLOCK_DOUBLES // max(1, chunk * n_sv)))
         g_buf = np.empty((chunk, n_bg * n_sv))
         k_buf = np.empty(chunk * block * n_sv)
         for start in range(0, m_total, chunk):

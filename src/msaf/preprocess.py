@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import BLOCK_DOUBLES
 from .errors import (
     DegenerateChannel,
     EmptyCrop,
@@ -177,18 +178,25 @@ def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     The FFT length is the 5-smooth one SciPy's fftconvolve uses, so the
     output bits equal scipy.signal.fftconvolve(x, taps[None], "same", axes=1).
+    Rows are transformed max(1, BLOCK_DOUBLES // fft length) at a time,
+    each by the same call as a whole-array transform, and written into one
+    output array, so the temporaries stay near 1 MB whatever x's length.
     """
     n, m = x.shape[1], taps.size
     full = n + m - 1
+    start = (full - n) // 2
     if n == 1 or m == 1:
         # a length-1 factor: SciPy multiplies directly instead of transforming
-        out = x * taps
-    else:
-        size = _fast_len(full)
-        spec = np.fft.rfft(x, size, axis=1) * np.fft.rfft(taps, size)
-        out = np.fft.irfft(spec, size, axis=1)
-    start = (full - n) // 2
-    return out[:, start:start + n].copy()
+        return (x * taps)[:, start:start + n].copy()
+    size = _fast_len(full)
+    h = np.fft.rfft(taps, size)
+    out = np.empty(x.shape)
+    rows = max(1, BLOCK_DOUBLES // size)
+    for r in range(0, x.shape[0], rows):
+        spec = np.fft.rfft(x[r:r + rows], size, axis=1)
+        spec *= h
+        out[r:r + rows] = np.fft.irfft(spec, size, axis=1)[:, start:start + n]
+    return out
 
 
 def apply_fir(rec: Recording, filt: FirFilter) -> Recording:

@@ -20,7 +20,7 @@ from msaf import (
 from msaf.explain import _coalition_values, _kernel_coalitions, _score_fn_for
 from msaf.models._common import child_seed
 import msaf.models.svm
-from msaf.models.svm import COALITION_CHUNK_DOUBLES
+from msaf.config import BLOCK_DOUBLES
 
 from oracles import exact_shapley_dense, shapley_by_permutations, tree_shap_loop
 
@@ -145,7 +145,7 @@ def test_svm_coalition_scores_match_composite_rows():
     model = train_svm_ovr(x, y, c=5.0, gamma=0.2)
     background = x[::3]
     n_sv = sum(m.dual_coef.size for m in model.machines)
-    chunk = COALITION_CHUNK_DOUBLES // (background.shape[0] * n_sv)
+    chunk = BLOCK_DOUBLES // (background.shape[0] * n_sv)
     z = (rng.random((2 * chunk + 5, 7)) < 0.5).astype(np.float64)
     assert z.shape[0] > 2 * chunk  # three chunks
     got = _coalition_values(model.decision_scores, x[4], background, z)
@@ -162,7 +162,7 @@ def test_svm_batched_coalition_scores_match_composite_rows():
     background = x[::3]
     rows = x[[4, 40, 77]]
     n_sv = sum(m.dual_coef.size for m in model.machines)
-    chunk = COALITION_CHUNK_DOUBLES // (background.shape[0] * n_sv)
+    chunk = BLOCK_DOUBLES // (background.shape[0] * n_sv)
     z = (rng.random((2 * chunk + 5, 7)) < 0.5).astype(np.float64)
     assert z.shape[0] > 2 * chunk  # three chunks
     got = model.coalition_scores(rows, background, z)
@@ -194,14 +194,30 @@ def test_explain_kernel_rows_equal_one_row_kernel_shap(kind):
     assert expl.meta["n_coalitions"] == z.shape[0]
 
 
+@pytest.mark.parametrize("kind", ["svm", "rf"])
+def test_explain_exact_without_rows_gives_the_background_mean(kind):
+    rng = np.random.default_rng(20)
+    x, y = _data(rng, d=5)
+    params = {"svm": {"c": 2.0, "gamma": 0.2}, "rf": {"n_trees": 6}}[kind]
+    model = make_trainer(kind, params)(x, y, seed=0)
+    background = x[::5]
+    exact = explain(model, x[:0], background, method="exact")
+    kernel = explain(model, x[:0], background, method="kernel")
+    assert exact.phi.shape == (0, 5, 3) and exact.phi0.shape == (3,)
+    assert np.max(np.abs(exact.phi0 - kernel.phi0)) <= 1e-12
+    # the value every row's enumeration reports
+    _, phi0_row = exact_shapley(_score_fn_for(model), x[0], background)
+    assert np.max(np.abs(exact.phi0 - phi0_row)) <= 1e-12
+
+
 def test_explain_kernel_does_not_depend_on_the_chunk_size(monkeypatch):
     rng = np.random.default_rng(18)
     x, y = _data(rng, n_per=20, d=9)
     model = train_svm_ovr(x, y, c=2.0, gamma=0.2)
     runs = []
     # 1 << 10 doubles: chunks of a few coalitions and blocks of a few rows
-    for doubles in (COALITION_CHUNK_DOUBLES, 1 << 10):
-        monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", doubles)
+    for doubles in (BLOCK_DOUBLES, 1 << 10):
+        monkeypatch.setattr(msaf.models.svm, "BLOCK_DOUBLES", doubles)
         runs.append(explain(model, x[:12], x[::4], method="kernel", n_samples=300, seed=1))
     assert np.max(np.abs(runs[0].phi - runs[1].phi)) <= 1e-12
     assert np.max(np.abs(runs[0].phi0 - runs[1].phi0)) <= 1e-12
@@ -309,7 +325,7 @@ def test_exact_is_bit_identical_to_dense_enumeration(kind, monkeypatch):
     background = x[::2]
     # several chunks of coalitions on the SVM path (the generic path takes
     # 65536 // 30 rows per chunk, two chunks of the 4096 coalitions)
-    monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", 1 << 16)
+    monkeypatch.setattr(msaf.models.svm, "BLOCK_DOUBLES", 1 << 16)
     for row in (x[0], x[31]):
         phi, phi0 = exact_shapley(fn, row, background)
         phi_d, phi0_d = exact_shapley_dense(
@@ -322,7 +338,7 @@ def test_exact_memory_is_bounded_by_the_value_table(monkeypatch):
     d = 16
     x, y = _data(rng, n_per=10, d=d)
     model = train_svm_ovr(x, y, c=2.0, gamma=0.1)
-    monkeypatch.setattr(msaf.models.svm, "COALITION_CHUNK_DOUBLES", 1 << 14)
+    monkeypatch.setattr(msaf.models.svm, "BLOCK_DOUBLES", 1 << 14)
     fn = _score_fn_for(model)
     tracemalloc.start()
     try:

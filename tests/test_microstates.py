@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+import msaf.microstates
 from msaf import (
     AmbiguousLabels,
+    DegenerateSample,
     EmptyCluster,
     GfpSeries,
     InvalidConfig,
@@ -450,6 +452,57 @@ def test_backfit_min_segment_is_a_ceiling():
     assert backfit(rec, templates, min_segment_ms=8.0).states.tolist() == truth.tolist()
     absorbed = np.where(truth == 1, 0, truth)
     assert backfit(rec, templates, min_segment_ms=10.0).states.tolist() == absorbed.tolist()
+
+
+# 3 samples of 19 channels: gfp and backfit take blocks of 3 samples
+_SEAM_DOUBLES = 3 * 19
+
+
+def _seg_bytes(seg):
+    return seg.states.tobytes(), seg.corr.tobytes(), seg.gfp.values.tobytes()
+
+
+def test_gfp_blocks_are_seamless(monkeypatch):
+    rec, _, _ = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
+    whole = gfp(rec).values.tobytes()
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
+    assert gfp(rec).values.tobytes() == whole
+
+
+def test_backfit_degenerate_samples_on_block_seams(monkeypatch):
+    rec, _, templates = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
+    # 499 samples: the lone last one joins the block before it
+    data = rec.data[:, :499].copy()
+    # sample 6 opens a block; 15 and 16 leave 17 the only live sample of its
+    # block, whose correlations must still come from a multi-row product
+    data[:, [6, 15, 16]] = 1.5
+    rec = rec.with_data(data)
+    whole = backfit(rec, templates)
+    for t in (6, 15, 16):
+        assert whole.states[t] == whole.states[t - 1] and whole.corr[t] == 0.0
+    assert whole.corr[17] > 0.0
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
+    assert _seg_bytes(backfit(rec, templates)) == _seg_bytes(whole)
+
+
+def test_backfit_short_runs_across_block_seams(monkeypatch):
+    rec, _, templates = generate(SynthConfig(seed=6, snr=4.0, duration=6.0))
+    raw = backfit(rec, templates)
+    whole = backfit(rec, templates, min_segment_ms=40.0)
+    min_len = int(round(40.0 / 1000.0 * rec.fs))
+    short = [(a, b) for a, b, _ in _runs_of(raw.states) if b - a < min_len]
+    assert any(a // 3 != (b - 1) // 3 for a, b in short), "no short run spans a seam"
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
+    assert _seg_bytes(backfit(rec, templates, min_segment_ms=40.0)) == _seg_bytes(whole)
+
+
+def test_backfit_degenerate_first_sample_raises_in_blocks(monkeypatch):
+    rec, _, templates = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
+    data = rec.data.copy()
+    data[:, 0] = 1.5
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
+    with pytest.raises(DegenerateSample):
+        backfit(rec.with_data(data), templates)
 
 
 def test_run_lengths_match_loop():

@@ -27,6 +27,7 @@ from msaf import (
     zscore_channels,
 )
 
+import msaf.preprocess
 from msaf.preprocess import _convolve_same, _fast_len
 from oracles import db, dtft_magnitude
 
@@ -239,3 +240,18 @@ def test_resample_bit_identical_to_fftconvolve(fs, new_fs):
         rec = _rec(rng.standard_normal((3, n)), fs=fs)
         out = resample(rec, new_fs)
         assert np.array_equal(out.data, _scipy_resample(rec, new_fs)), n
+
+
+@pytest.mark.parametrize("step", ["bandpass", "notch", "resample"])
+def test_fir_channel_blocks_are_seamless(step, monkeypatch):
+    rng = np.random.default_rng(11)
+    rec = _rec(rng.standard_normal((19, 1000)), fs=250.0)
+    run = {
+        "bandpass": lambda: apply_fir(rec, design_fir_bandpass(1.0, 30.0, 250.0)),
+        "notch": lambda: apply_fir(rec, design_fir_notch(50.0, 2.0, 250.0)),
+        "resample": lambda: resample(rec, 200.0),
+    }[step]
+    # the default budget filters all 19 channels at once, 1 double one at a time
+    whole = run().data.tobytes()
+    monkeypatch.setattr(msaf.preprocess, "BLOCK_DOUBLES", 1)
+    assert run().data.tobytes() == whole

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -17,7 +18,16 @@ import pytest
 
 import msaf
 import msaf.pipeline
-from msaf import canonical_templates, load_recording, standard_1020_montage
+from msaf import (
+    Recording,
+    apply_fir,
+    backfit,
+    canonical_templates,
+    design_fir_bandpass,
+    gfp,
+    load_recording,
+    standard_1020_montage,
+)
 from msaf.cli import main
 from msaf.io import save_recording
 from msaf.pipeline import PipelineConfig, run_pipeline
@@ -172,6 +182,37 @@ def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
     # does not grow
     small, large = (_run_peak_rss_mb(tmp_path, n) for n in (2, 8))
     assert large - small < 4.0, (small, large)
+
+
+# (kernel, bound in MB). Traced heap peaks above entry on a 19 x 30 000
+# recording (4.56 MB of float64), whole-recording temporaries -> 1 MB blocks:
+# apply_fir 14.0 -> 6.9, backfit 11.3 -> 3.2, gfp 5.0 -> 1.4 and
+# load_recording, whose payload was a bytes slice first, 9.7 -> 7.4.
+_KERNEL_BOUNDS_MB = [("apply_fir", 8.0), ("backfit", 4.0), ("gfp", 1.5), ("load_recording", 8.0)]
+
+
+@pytest.mark.parametrize("kernel, bound_mb", _KERNEL_BOUNDS_MB)
+def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp_path):
+    montage = standard_1020_montage()
+    data = np.random.default_rng(21).standard_normal((19, 30_000))
+    rec = Recording(montage=montage, fs=250.0, data=data, subject_id="s")
+    filt = design_fir_bandpass(1.0, 30.0, 250.0)
+    maps = canonical_templates(montage)
+    path = save_recording(rec, str(tmp_path / "s"))[0]
+    call = {
+        "apply_fir": lambda: apply_fir(rec, filt),
+        "backfit": lambda: backfit(rec, maps),
+        "gfp": lambda: gfp(rec),
+        "load_recording": lambda: load_recording(path),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / 1e6 < bound_mb, peak - entry
 
 
 def _tree_bytes(root):

@@ -38,6 +38,12 @@ for line:
   (the rf run's steps on ``data/``) must likewise reproduce the rf run's
   ``preprocessed/``, which the run writes in the same pass that clusters.
 
+The default ``--duration`` of 30 s gives each 19-channel recording 7 500
+samples at 250 Hz, more than one block of the per-recording kernels
+(``msaf.config.BLOCK_DOUBLES``, 1 MB of float64): FIR filtering, GFP and
+backfitting each cross a block seam, so the listing also shows that the
+blocks change no byte.
+
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
 parent's SRC_DIR and the change's; ``manifest.json`` also records the
@@ -167,7 +173,7 @@ def main(argv=None) -> int:
     p.add_argument("src_dir", help="directory holding the msaf package")
     p.add_argument("out_dir", help="new directory for the artifacts")
     p.add_argument("--n-per-class", type=int, default=4)
-    p.add_argument("--duration", type=float, default=10.0, help="seconds per recording")
+    p.add_argument("--duration", type=float, default=30.0, help="seconds per recording")
     p.add_argument("--threads", type=int, default=1, help="--threads of every command")
     args = p.parse_args(argv)
 
