@@ -32,6 +32,11 @@ MAX_STATES = 255
 # count.
 BLOCK_DOUBLES = 1 << 17
 
+# The most taps an FIR filter may have. A filter edge or notch width so narrow
+# that it needs more is an InvalidBand, raised before its taps are allocated;
+# the cap admits band edges down to about 8e-4 Hz at 250 Hz.
+MAX_FIR_TAPS = 1 << 20
+
 
 class Absent(enum.Enum):
     """The default of a key without one: it must be given, or it stays out."""

@@ -401,6 +401,11 @@ class StoredRecording:
     provenance: tuple[str, ...] = ()
 
 
+def _samples(rec: Recording | StoredRecording) -> np.ndarray:
+    """The (K, T) samples of a recording: float64 data, or a stored one's float32 payload."""
+    return rec.payload if isinstance(rec, StoredRecording) else rec.data
+
+
 def narrow_recording(rec: Recording) -> StoredRecording:
     """The recording with its samples narrowed to float32, as saved.
 

@@ -37,7 +37,7 @@ from .errors import (
     TooFewSamples,
     ZeroGfp,
 )
-from .io import Recording, _freeze
+from .io import Recording, StoredRecording, _freeze, _samples
 
 logger = logging.getLogger("msaf.microstates")
 
@@ -205,12 +205,14 @@ class Segmentation:
         )
 
 
-def gfp(rec: Recording) -> GfpSeries:
+def gfp(rec: Recording | StoredRecording) -> GfpSeries:
     """Global field power: population std across channels per sample.
 
-    Computed by `_column_std`, one block of samples at a time.
+    Computed by `_column_std`, one block of samples at a time. A stored
+    recording's float32 payload is widened one block at a time; widening
+    is exact, so its GFP has the same bits as its widened recording's.
     """
-    return GfpSeries(values=_column_std(rec.data), fs=rec.fs)
+    return GfpSeries(values=_column_std(_samples(rec)), fs=rec.fs)
 
 
 def _sample_blocks(n: int, n_channels: int) -> list[slice]:
@@ -226,14 +228,15 @@ def _sample_blocks(n: int, n_channels: int) -> list[slice]:
 
 
 def _column_std(data: np.ndarray) -> np.ndarray:
-    """data.std(axis=0) of a (K, T) array, one `_sample_blocks` block at a time.
+    """The float64 data.std(axis=0) of a (K, T) array, one `_sample_blocks` block at a time.
 
+    Each block is widened to float64 first (no copy if it is already).
     Each column's std is the same reduction as the whole-array call, so
     the bits are too; the temporaries stay near 1 MB whatever T is.
     """
     out = np.empty(data.shape[1])
     for block in _sample_blocks(data.shape[1], data.shape[0]):
-        out[block] = data[:, block].std(axis=0)
+        out[block] = np.asarray(data[:, block], dtype=np.float64).std(axis=0)
     return out
 
 

@@ -26,9 +26,12 @@ Recordings stream: `load_input_recordings` yields one at a time, the
 thread map keeps at most `threads` of them in flight, and each
 recording's work is done while it is in memory, so a stage holds one
 recording per worker plus small per-subject results, never the cohort.
-`run_pipeline` makes two passes. The first preprocesses each recording,
-stages its float32 file, widens that payload exactly as `load_recording`
-does and clusters its GFP peaks, keeping only the maps. The second
+`run_pipeline` makes two passes. The first hands each raw recording to
+preprocessing and keeps no other reference to it, narrows the float64
+result to its float32 payload and drops the result, stages that file
+and clusters the subject's GFP peaks from the payload, keeping only the
+maps. Only GFP blocks and peak columns are widened, exactly, so no
+float64 copy of the recording is alive during k-means. The second
 reads each published preprocessed file back, backfits it, stages its
 segmentation and keeps only its feature vector. A pass's files are
 staged (`msaf.io.staged`) and renamed into place only once every
@@ -66,6 +69,7 @@ from .io import (
     Stage,
     StoredRecording,
     _commit,
+    _samples,
     commit_segmentation,
     load_json,
     load_recording,
@@ -73,7 +77,6 @@ from .io import (
     save_recording,
     staged,
     standard_1020_montage,
-    widen_recording,
     write_json,
 )
 from .microstates import (
@@ -262,6 +265,16 @@ def load_input_recordings(
     The directory is listed at the first draw. A subject id seen before
     raises DuplicateSubject when its recording is drawn.
     """
+    for box in _input_boxes(input_dir, montage):
+        yield box.pop()
+
+
+def _input_boxes(input_dir: str, montage: Optional[Sequence[str]]) -> Iterator[list]:
+    """`load_input_recordings`' recordings, each in a one-item list for its taker to pop.
+
+    Once popped, a recording is held by its taker alone: neither this
+    generator nor a tuple it is drawn in keeps it.
+    """
     seen: set[str] = set()
     for name in _artifact_names(input_dir, ".eegb"):
         rec = load_recording(os.path.join(input_dir, name))
@@ -270,8 +283,9 @@ def load_input_recordings(
         if rec.subject_id in seen:
             raise DuplicateSubject(f"subject id {rec.subject_id!r} appears twice")
         seen.add(rec.subject_id)
-        yield rec
-        del rec  # not alive while the next one loads
+        box = [rec]
+        del rec
+        yield box
 
 
 def _numbered(items: Iterable) -> Iterator[tuple]:
@@ -317,20 +331,29 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     return rec
 
 
-def _preprocessed(rec: Recording, steps, band, out_dir: str, stage: Stage) -> StoredRecording:
-    """rec preprocessed and narrowed to its file's payload, staged as <out_dir>/<id>.eegb."""
-    stored = narrow_recording(preprocess_recording(rec, steps, band))
+def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> StoredRecording:
+    """The recording popped from box, preprocessed, narrowed and staged as <out_dir>/<id>.eegb.
+
+    Only `preprocess_recording` holds the popped recording, and its float64
+    result is released once narrowed to the file's float32 payload.
+    """
+    stored = narrow_recording(preprocess_recording(box.pop(), steps, band))
     save_recording(stored, os.path.join(out_dir, stored.subject_id), stage)
     return stored
 
 
 def _subject_maps(
-    idx: int, rec: Recording, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int
+    idx: int, rec: Recording | StoredRecording, k: int, kmeans: dict,
+    min_peak_distance_ms: float, seed: int,
 ) -> MicrostateMaps:
-    """Subject idx's GFP-peak topographies clustered into k maps with seed (seed, 100, idx)."""
+    """Subject idx's GFP-peak topographies clustered into k maps with seed (seed, 100, idx).
+
+    A stored recording's peak columns are gathered from its float32
+    payload and widened after, exactly, so both forms give the same maps.
+    """
     peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
     return modified_kmeans(
-        rec.data[:, peaks].T, k, **kmeans,
+        np.asarray(_samples(rec)[:, peaks], dtype=np.float64).T, k, **kmeans,
         seed=child_seed(seed, 100, idx), channels=rec.montage.names,
     )
 
@@ -367,7 +390,7 @@ def preprocess_stage(
     """
     with staged() as stage:
         return _ordered_map(
-            lambda r: _preprocessed(r, steps, band, out_dir, stage).subject_id, recs, threads
+            lambda r: _preprocessed([r], steps, band, out_dir, stage).subject_id, recs, threads
         )
 
 
@@ -594,21 +617,23 @@ def run_pipeline(
     pre = path("preprocessed")
 
     def cluster(item) -> tuple[str, MicrostateMaps]:
-        idx, raw = item
-        rec = widen_recording(_preprocessed(raw, cfg.steps, cfg.band, pre, stage))
-        if templates is not None and templates.channels != rec.montage.names:
+        # the raw recording lives only until preprocessed, the float64 result
+        # until narrowed: the subject is clustered from its float32 payload
+        idx, box = item
+        stored = _preprocessed(box, cfg.steps, cfg.band, pre, stage)
+        if templates is not None and templates.channels != stored.montage.names:
             raise MontageMismatch(
                 f"labeling maps have channels {list(templates.channels)}, recording "
-                f"{rec.subject_id!r} has {list(rec.montage.names)}"
+                f"{stored.subject_id!r} has {list(stored.montage.names)}"
             )
-        return rec.subject_id, _subject_maps(
-            idx, rec, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed
+        return stored.subject_id, _subject_maps(
+            idx, stored, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed
         )
 
     logger.info("preprocessing and clustering (k=%d) recordings from %s", cfg.k, cfg.input_dir)
     with staged() as stage:
         subjects = _ordered_map(
-            cluster, _numbered(load_input_recordings(cfg.input_dir, cfg.montage)), threads
+            cluster, _numbered(_input_boxes(cfg.input_dir, cfg.montage)), threads
         )
     _commit_subject_maps(path("subject_maps"), subjects)
     sids = [sid for sid, _ in subjects]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import BLOCK_DOUBLES
+from .config import BLOCK_DOUBLES, MAX_FIR_TAPS
 from .errors import (
     DegenerateChannel,
     EmptyCrop,
@@ -70,8 +70,20 @@ class FirFilter:
         return np.exp(-2j * np.pi * np.outer(f, n) / self.fs) @ self.taps
 
 
-def _odd_at_least(x: float) -> int:
-    n = int(math.ceil(x - 1e-12))
+def _n_taps(fs: float, transition: float) -> int:
+    """The smallest odd tap count >= 3.3*fs/transition, and at least 3.
+
+    Raises:
+        InvalidBand: if that count exceeds MAX_FIR_TAPS; nothing is allocated.
+    """
+    want = 3.3 * fs / transition - 1e-12
+    # counts are odd, so at most MAX_FIR_TAPS - 1; the test is false for nan
+    if not want <= MAX_FIR_TAPS - 1:
+        raise InvalidBand(
+            f"a transition of {transition:g} Hz at fs={fs:g} needs {want:.7g} FIR taps, "
+            f"more than the {MAX_FIR_TAPS - 1} allowed"
+        )
+    n = int(math.ceil(want))
     if n % 2 == 0:
         n += 1
     return max(n, 3)
@@ -115,8 +127,7 @@ def design_fir_bandpass(low: float, high: float, fs: float) -> FirFilter:
         raise InvalidBand(
             f"band ({low}, {high}) must satisfy 0 < low < high < fs/2 = {fs / 2.0}"
         )
-    tw = min(_edge_transition(low), _edge_transition(high))
-    n_taps = _odd_at_least(3.3 * fs / tw)
+    n_taps = _n_taps(fs, min(_edge_transition(low), _edge_transition(high)))
     taps = _sinc_lowpass(high, fs, n_taps) - _sinc_lowpass(low, fs, n_taps)
     return FirFilter(taps=taps, fs=fs, kind="bandpass", band=(low, high))
 
@@ -130,7 +141,7 @@ def design_fir_lowpass(
     tw = transition if transition is not None else _edge_transition(cutoff)
     if tw <= 0:
         raise InvalidBand(f"transition width must be positive, got {tw}")
-    n_taps = _odd_at_least(3.3 * fs / tw)
+    n_taps = _n_taps(fs, tw)
     return FirFilter(
         taps=_sinc_lowpass(cutoff, fs, n_taps), fs=fs, kind="lowpass", band=(cutoff,)
     )
@@ -150,7 +161,7 @@ def design_fir_notch(freq: float, width: float, fs: float) -> FirFilter:
         raise InvalidBand(
             f"notch {freq}+-{width / 2.0} must lie inside (0, fs/2) for fs={fs}"
         )
-    n_taps = _odd_at_least(3.3 * fs / (width / 2.0))
+    n_taps = _n_taps(fs, width / 2.0)
     bp = _sinc_lowpass(high, fs, n_taps) - _sinc_lowpass(low, fs, n_taps)
     taps = -bp
     taps[(n_taps - 1) // 2] += 1.0

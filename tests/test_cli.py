@@ -497,6 +497,19 @@ def test_bad_stage_values_fail_before_any_output(verb, doc, flags, work, tmp_pat
     _assert_config_error(capsys, out, error)
 
 
+# filters that would need terabytes of taps: without the tap cap numpy
+# refuses the allocation at once, an InternalError (exit 1)
+@pytest.mark.parametrize("doc", [
+    {"band": [1e-9, 2e-9]},
+    {"steps": [{"kind": "notch", "freq": 50.0, "width": 1e-9}]},
+])
+def test_run_rejects_a_filter_above_the_tap_cap(doc, work, tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = {"input_dir": str(work / "data"), "out_dir": str(out), "cv_folds": 2, **doc}
+    assert main(["run", "--config", _write(tmp_path / "c.json", doc)]) == 2
+    _assert_config_error(capsys, out, "InvalidBand")
+
+
 def test_backfit_rejects_more_maps_than_uint8_states(work, tmp_path, capsys):
     montage = standard_1020_montage()
     maps = np.random.default_rng(0).standard_normal((256, montage.n_channels))

@@ -33,6 +33,8 @@ from msaf import (
     spatial_correlation,
     standard_1020_montage,
 )
+from msaf.config import BLOCK_DOUBLES
+from msaf.io import narrow_recording, widen_recording
 from msaf.microstates import _min_cost_assignment, _run_lengths
 from oracles import (
     EmptyClusterError,
@@ -467,6 +469,16 @@ def test_gfp_blocks_are_seamless(monkeypatch):
     whole = gfp(rec).values.tobytes()
     monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
     assert gfp(rec).values.tobytes() == whole
+
+
+@pytest.mark.parametrize("doubles", [BLOCK_DOUBLES, _SEAM_DOUBLES])
+def test_gfp_of_a_stored_recording_equals_its_widened_ones(doubles, monkeypatch):
+    rec, _, _ = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
+    stored = narrow_recording(rec)
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", doubles)
+    got = gfp(stored)
+    assert got.values.tobytes() == gfp(widen_recording(stored)).values.tobytes()
+    assert got.fs == rec.fs
 
 
 def test_backfit_degenerate_samples_on_block_seams(monkeypatch):

@@ -28,6 +28,7 @@ from msaf import (
 )
 
 import msaf.preprocess
+from msaf.config import MAX_FIR_TAPS
 from msaf.preprocess import _convolve_same, _fast_len
 from oracles import db, dtft_magnitude
 
@@ -82,6 +83,21 @@ def test_bandpass_validates_band():
         design_fir_bandpass(4.0, 120.0, 200.0)  # above Nyquist
     with pytest.raises(InvalidBand):
         design_fir_bandpass(0.0, 8.0, 200.0)
+
+
+def test_filter_tap_count_is_capped():
+    # the narrowest edge at 250 Hz whose odd tap count stays under the cap
+    edge = 3.3 * 250.0 / (MAX_FIR_TAPS - 1)
+    assert design_fir_bandpass(edge * (1 + 1e-9), 30.0, 250.0).n_taps == MAX_FIR_TAPS - 1
+    with pytest.raises(InvalidBand):
+        design_fir_bandpass(edge * (1 - 1e-6), 30.0, 250.0)
+    # terabytes of taps: without the cap these fail at once in numpy, not here
+    with pytest.raises(InvalidBand):
+        design_fir_bandpass(1e-9, 2e-9, 250.0)
+    with pytest.raises(InvalidBand):
+        design_fir_notch(50.0, 1e-9, 250.0)
+    with pytest.raises(InvalidBand):
+        design_fir_lowpass(30.0, 250.0, transition=1e-300)
 
 
 def test_notch_nulls_target_keeps_neighbors():

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -29,8 +30,9 @@ from msaf import (
     standard_1020_montage,
 )
 from msaf.cli import main
-from msaf.io import save_recording
-from msaf.pipeline import PipelineConfig, run_pipeline
+from msaf.io import narrow_recording, save_recording, widen_recording
+from msaf.pipeline import PipelineConfig, _subject_maps, run_pipeline
+from msaf.synth import SynthConfig, generate
 
 # every step yields a new recording, so no output is a loaded input itself
 _STEPS = [{"kind": "bandpass", "low": 1.0, "high": 30.0}, {"kind": "average_reference"}]
@@ -108,18 +110,60 @@ def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, mon
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_run_holds_at_most_threads_float64_preprocessed_recordings(
+def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
     threads, cohort, tmp_path, monkeypatch
 ):
-    # the float64 results of preprocessing, then of widening each one's
-    # float32 payload for clustering in the same pass
-    live = _LiveRecordings(
-        monkeypatch, ["preprocess_recording", "widen_recording"],
-        ["preprocess_recording", "modified_kmeans"],
-    )
+    # every float64 Recording made, by subject; the raw recordings
+    # (load_recording's results) and the float64 results of preprocessing
+    # (narrow_recording's arguments); and, per worker thread, the subject it
+    # narrowed last, which is the one its next k-means call clusters
+    made, inputs, narrowed_by = [], [], {}
+    init = Recording.__post_init__
+    load = msaf.pipeline.load_recording
+    narrow = msaf.pipeline.narrow_recording
+    kmeans = msaf.pipeline.modified_kmeans
+    seen = []  # (inputs alive, the clustered subject's recordings alive) per k-means call
+
+    def tracked_init(rec):
+        init(rec)
+        made.append((rec.subject_id, weakref.ref(rec)))
+
+    def loaded(path):
+        rec = load(path)
+        inputs.append(weakref.ref(rec))
+        return rec
+
+    def narrowed(rec):
+        inputs.append(weakref.ref(rec))
+        narrowed_by[threading.get_ident()] = rec.subject_id
+        return narrow(rec)
+
+    def clustered(*args, **kwargs):
+        time.sleep(0.05)  # other workers preprocess meanwhile
+        gc.collect()
+        sid = narrowed_by[threading.get_ident()]
+        seen.append((sum(r() is not None for r in inputs),
+                     sum(s == sid and r() is not None for s, r in made)))
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(Recording, "__post_init__", tracked_init)
+    monkeypatch.setattr(msaf.pipeline, "load_recording", loaded)
+    monkeypatch.setattr(msaf.pipeline, "narrow_recording", narrowed)
+    monkeypatch.setattr(msaf.pipeline, "modified_kmeans", clustered)
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
-    assert len(live.counts) == 2 * 6
-    assert max(live.counts) <= threads, live.counts
+    assert len(seen) == 6
+    assert all(own == 0 for _, own in seen), seen
+    assert max(alive for alive, _ in seen) <= threads, seen
+
+
+def test_subject_maps_of_a_stored_recording_equal_its_widened_ones():
+    rec = generate(SynthConfig(seed=4, duration=6.0))[0]
+    stored = narrow_recording(rec)
+    widened = widen_recording(stored)
+    kmeans = {"n_inits": 3, "max_iter": 50}
+    maps = [_subject_maps(2, r, 4, kmeans, 10.0, 7) for r in (stored, widened)]
+    assert maps[0].maps.tobytes() == maps[1].maps.tobytes()
+    assert maps[0].to_json_dict() == maps[1].to_json_dict()
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -215,6 +259,34 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
     assert (peak - entry) / 1e6 < bound_mb, peak - entry
 
 
+# Traced heap peak above entry of `msaf run` on two 120-s and two 6-s
+# recordings, 19 channels at 250 Hz (4.56 MB of float64 for a long one), with
+# the long-recordings benchmark's bandpass and default k-means: 13.9 MB when
+# pass 1 clustered a widened copy beside the raw recording, 11.5 MB when it
+# clusters from the float32 payload and the peak moves to the FIR filter.
+_RUN_PEAK_BOUND_MB = 12.7
+
+
+def test_run_traced_heap_peak_is_bounded(tmp_path):
+    for i, (label, duration) in enumerate([("A", 120.0), ("B", 120.0), ("A", 6.0), ("B", 6.0)]):
+        rec = generate(SynthConfig(duration=duration, seed=i, subject_id=f"{label}{i}",
+                                   label=label))[0]
+        save_recording(rec, str(tmp_path / "data" / rec.subject_id))
+    cfg = PipelineConfig(
+        input_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "o"),
+        steps=[{"kind": "bandpass", "low": 2.0, "high": 20.0}], cv_folds=2,
+        classifier={"kind": "rf", "params": {"n_trees": 5}},
+    )
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / 1e6 < _RUN_PEAK_BOUND_MB, peak - entry
+
+
 def _tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -271,6 +343,12 @@ def _short_then_bad_magic(data):
     _bad_magic_last(data)
 
 
+def _short_then_repeated_id(data):
+    # at 3 threads NC_001 is still in flight when ZZ_copy's repeated id is drawn
+    _short_last(data)
+    _repeated_id_last(data)
+
+
 def _overflow_last(data):
     """Channels of alternating sign near +-3e38: finite in float32, but their
     surface Laplacian (_LAPLACIAN) is not."""
@@ -290,6 +368,7 @@ _LAPLACIAN = [{"kind": "laplacian"}]
     (_short_last, _CROP, "EmptyCrop", 2),
     # the earlier recording's fault is reported at any thread count
     (_short_then_bad_magic, _CROP, "EmptyCrop", 2),
+    (_short_then_repeated_id, _CROP, "EmptyCrop", 2),
     # narrowed to float32 before anything is committed, without a NumPy warning
     (_overflow_last, _LAPLACIAN, "NonFiniteData", 3),
 ])
