@@ -9,12 +9,12 @@ Binary recordings live in a two-file container:
   ``channels``, ``n_samples``, optional ``label``, and ``provenance``
   (a list of strings describing the operations applied so far).
 
-Values are widened to float64 on load; all in-memory computation happens
-at working precision and only the container narrows to float32. A
-`StoredRecording` holds a recording as its container does, and the two
-conversions are one function each: `narrow_recording`, which
+A `StoredRecording` holds a recording as its container does, and the
+two conversions are one function each: `narrow_recording`, which
 `save_recording` writes from, and `widen_recording`, which
-`load_recording` reads through.
+`load_recording` reads through. The pipeline reads a stored recording
+(`_load_payload`) and widens it to float64 one block at a time, so all
+arithmetic happens at working precision and only storage is float32.
 
 A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
 the header length as a little-endian uint32, a sorted-key JSON header
@@ -309,19 +309,9 @@ class Recording:
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.fs, (int, float)) and math.isfinite(self.fs) and self.fs > 0):
-            raise InvalidRate(f"sampling rate must be positive and finite, got {self.fs!r}")
-        object.__setattr__(self, "fs", float(self.fs))
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ShapeMismatch(f"data must be 2-D (channels, samples), got ndim={data.ndim}")
-        if data.shape[0] != self.montage.n_channels:
-            raise ShapeMismatch(
-                f"data has {data.shape[0]} rows but montage has "
-                f"{self.montage.n_channels} channels"
-            )
-        if data.shape[1] < 1:
-            raise ShapeMismatch("recording must contain at least one sample")
+        _check_layout(self.fs, data.shape, self.montage)
+        object.__setattr__(self, "fs", float(self.fs))
         if not np.all(np.isfinite(data)):
             raise NonFiniteData(f"recording {self.subject_id!r} contains non-finite samples")
         object.__setattr__(self, "data", _freeze(data))
@@ -362,14 +352,30 @@ class Recording:
 
     def pick(self, names: Sequence[str]) -> "Recording":
         """Select channels by name, in the requested order."""
-        idx = [self.montage.index(n) for n in names]
-        sub = Montage(
-            names=tuple(names),
-            positions=self.montage.positions[idx],
+        idx, sub, note = _picked(self.montage, names)
+        return self.with_data(self.data[idx], note=note, montage=sub)
+
+
+def _check_layout(fs, shape: tuple, montage: Montage) -> None:
+    """InvalidRate unless fs is positive and finite, ShapeMismatch unless shape is
+    (montage's channels, at least one sample): a recording's checks in either form."""
+    if not (isinstance(fs, (int, float)) and math.isfinite(fs) and fs > 0):
+        raise InvalidRate(f"sampling rate must be positive and finite, got {fs!r}")
+    if len(shape) != 2:
+        raise ShapeMismatch(f"data must be 2-D (channels, samples), got ndim={len(shape)}")
+    if shape[0] != montage.n_channels:
+        raise ShapeMismatch(
+            f"data has {shape[0]} rows but montage has {montage.n_channels} channels"
         )
-        return self.with_data(
-            self.data[idx], note=f"pick:{','.join(names)}", montage=sub
-        )
+    if shape[1] < 1:
+        raise ShapeMismatch("recording must contain at least one sample")
+
+
+def _picked(montage: Montage, names: Sequence[str]) -> tuple[list[int], Montage, str]:
+    """(row indices, montage, provenance note) of selecting channels by name, in order."""
+    idx = [montage.index(n) for n in names]
+    sub = Montage(names=tuple(names), positions=montage.positions[idx])
+    return idx, sub, f"pick:{','.join(names)}"
 
 
 def _split_stem(path: str) -> str:
@@ -385,9 +391,9 @@ class StoredRecording:
 
     Attributes:
         montage: Channel names and positions; row order matches payload.
-        fs: Sampling rate in Hz.
-        payload: (K, T) read-only little-endian float32 array, finite:
-            the bytes `save_recording` writes after the magic.
+        fs: Sampling rate in Hz, strictly positive.
+        payload: (K, T) read-only little-endian float32 array, finite,
+            T >= 1: the bytes `save_recording` writes after the magic.
         subject_id: Subject identifier.
         label: Optional class label.
         provenance: Operations applied so far.
@@ -399,6 +405,22 @@ class StoredRecording:
     subject_id: str
     label: Optional[str] = None
     provenance: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        _check_layout(self.fs, self.payload.shape, self.montage)
+
+    @property
+    def n_channels(self) -> int:
+        return self.payload.shape[0]
+
+    @property
+    def n_samples(self) -> int:
+        return self.payload.shape[1]
+
+    def pick(self, names: Sequence[str]) -> "StoredRecording":
+        """Select channels by name, in the requested order, as `Recording.pick` does."""
+        idx, sub, note = _picked(self.montage, names)
+        return _stored(self, self.payload[idx], note, montage=sub)
 
 
 def _samples(rec: Recording | StoredRecording) -> np.ndarray:
@@ -412,19 +434,25 @@ def narrow_recording(rec: Recording) -> StoredRecording:
     Raises:
         NonFiniteData: a sample overflows float32.
     """
+    return _stored(rec, rec.data)
+
+
+def _stored(rec, samples: np.ndarray, note: Optional[str] = None,
+            montage: Optional[Montage] = None) -> StoredRecording:
+    """rec with samples (and montage) as its float32 payload, note added: see narrow_recording."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        payload = rec.data.astype("<f4")
+        payload = np.asarray(samples, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise NonFiniteData(
             f"recording {rec.subject_id!r} overflows float32; rescale before saving"
         )
     return StoredRecording(
-        montage=rec.montage,
+        montage=montage if montage is not None else rec.montage,
         fs=rec.fs,
         payload=_freeze(payload),
         subject_id=rec.subject_id,
         label=rec.label,
-        provenance=rec.provenance,
+        provenance=rec.provenance + ((note,) if note else ()),
     )
 
 
@@ -474,13 +502,17 @@ def save_recording(
 
 
 def load_recording(path: str) -> Recording:
-    """Read a recording stored by :func:`save_recording`.
+    """Read a recording stored by :func:`save_recording`, widened to float64."""
+    return widen_recording(_load_payload(path))
+
+
+def _load_payload(path: str) -> StoredRecording:
+    """The StoredRecording of a recording stored by :func:`save_recording`.
 
     Channel order is taken from the sidecar verbatim; nothing is
-    reordered or dropped. The payload is widened by `widen_recording`
-    from a view of the file's bytes, so reading holds the file and its
-    float64 recording, no third copy. A subject_id or label that is no
-    file name is an IoFailure.
+    reordered or dropped. The payload is a read-only view of the file's
+    bytes, so reading holds no second copy. A subject_id or label that
+    is no file name is an IoFailure.
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
@@ -508,14 +540,14 @@ def load_recording(path: str) -> Recording:
     payload = np.frombuffer(blob, "<f4", offset=len(MAGIC)).reshape(len(channels), n_samples)
     if not np.all(np.isfinite(payload)):
         raise NonFiniteData(f"{bin_path!r} contains non-finite samples")
-    return widen_recording(StoredRecording(
+    return StoredRecording(
         montage=standard_1020_montage(channels),
         fs=fs,
         payload=payload,
         subject_id=subject_id,
         label=label,
         provenance=provenance,
-    ))
+    )
 
 
 def commit_segmentation(

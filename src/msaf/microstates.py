@@ -577,7 +577,7 @@ def group_cluster(
 
 
 def backfit(
-    rec: Recording, maps: MicrostateMaps, min_segment_ms: float = 0.0
+    rec: Recording | StoredRecording, maps: MicrostateMaps, min_segment_ms: float = 0.0
 ) -> Segmentation:
     """Assign every sample to the map with the highest |correlation|.
 
@@ -588,21 +588,22 @@ def backfit(
     whichever neighboring run's state correlates better at that sample,
     and correlations are recomputed afterwards.
 
-    Samples are centred and correlated one `_sample_blocks` block at a
-    time, so beyond the (T, k) correlations the temporaries stay near
-    1 MB whatever the recording's length; every sample's value is the
-    same computation as in one whole-recording pass.
+    Samples are widened, centred and correlated one `_sample_blocks`
+    block at a time, so beyond the (T, k) correlations the temporaries
+    stay near 1 MB whatever the recording's length; every sample's value
+    is the same computation as in one whole-recording pass.
     """
     if tuple(rec.montage.names) != maps.channels:
         raise MontageMismatch("recording channels do not match the maps' channels")
-    x = rec.data.T
-    n = x.shape[0]
+    x = _samples(rec)
+    n = x.shape[1]
     mc, mnorms = _prepare_rows(maps.maps)
     floor = 1e-12 * _spatial_scale(x)
     live = np.empty(n, dtype=bool)
     c = np.empty((n, maps.k))
-    for block in _sample_blocks(*x.shape):
-        c[block], live[block] = _abs_correlations(x[block], mc, mnorms, floor)
+    for block in _sample_blocks(n, x.shape[0]):
+        xb = np.asarray(x[:, block], dtype=np.float64).T
+        c[block], live[block] = _abs_correlations(xb, mc, mnorms, floor)
     if not live[0]:
         raise DegenerateSample("first sample is spatially constant, cannot backfit")
     np.minimum(c, 1.0, out=c)
@@ -627,7 +628,7 @@ def backfit(
     return Segmentation(
         states=states,
         corr=corr,
-        gfp=GfpSeries(values=_column_std(rec.data), fs=rec.fs),
+        gfp=GfpSeries(values=_column_std(x), fs=rec.fs),
         fs=rec.fs,
         maps=maps,
     )

@@ -26,16 +26,15 @@ Recordings stream: `load_input_recordings` yields one at a time, the
 thread map keeps at most `threads` of them in flight, and each
 recording's work is done while it is in memory, so a stage holds one
 recording per worker plus small per-subject results, never the cohort.
-`run_pipeline` makes two passes. The first hands each raw recording to
-preprocessing and keeps no other reference to it, narrows the float64
-result to its float32 payload and drops the result, stages that file
-and clusters the subject's GFP peaks from the payload, keeping only the
-maps. Only GFP blocks and peak columns are widened, exactly, so no
-float64 copy of the recording is alive during k-means. The second
-reads each published preprocessed file back, backfits it, stages its
-segmentation and keeps only its feature vector. A pass's files are
-staged (`msaf.io.staged`) and renamed into place only once every
-recording has passed, and a failed pass removes them, so a faulty
+Recordings are read as float32 StoredRecordings, which FIR filters,
+GFP and backfit widen one block at a time, exactly. `run_pipeline`
+makes two passes. The first hands each raw recording to preprocessing
+and keeps no other reference to it, stages the float32 result and
+clusters the subject's GFP peaks from it, keeping only the maps. The
+second reads each published preprocessed file back, backfits it,
+stages its segmentation and keeps only its feature vector. A pass's
+files are staged (`msaf.io.staged`) and renamed into place only once
+every recording has passed, and a failed pass removes them, so a faulty
 recording still leaves no output of its pass. The stage verbs on
 `preprocessed/` compute from the same numbers as the run.
 """
@@ -60,7 +59,7 @@ from .config import (
     CLASSIFIER, EXPLAIN, KMEANS, NAME, OBJECT, RUN, STEP_KIND, STEPS, check, check_value, require,
 )
 from .errors import (
-    AmbiguousLabels, DuplicateSubject, MontageMismatch, MsafError, UnlabeledData,
+    AmbiguousLabels, ClassTooSmall, DuplicateSubject, MontageMismatch, MsafError, UnlabeledData,
 )
 from .features import STATE_METRICS, FeatureVector, build_feature_table, extract_features
 from .io import (
@@ -69,14 +68,16 @@ from .io import (
     Stage,
     StoredRecording,
     _commit,
+    _load_payload,
     _samples,
     commit_segmentation,
     load_json,
-    load_recording,
     narrow_recording,
+    read_json,
     save_recording,
     staged,
     standard_1020_montage,
+    widen_recording,
     write_json,
 )
 from .microstates import (
@@ -94,6 +95,7 @@ from .models._common import child_seed
 from .models.evaluate import EvalReport, grid_search, stratified_kfold_cv
 from .explain import EXACT_FEATURE_LIMIT, ShapExplanation, explain, global_ranking
 from .preprocess import (
+    _fir_payload,
     apply_fir,
     average_reference,
     crop,
@@ -259,8 +261,8 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
 
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
-) -> Iterator[Recording]:
-    """The .eegb recordings in a directory, one at a time, sorted by file name.
+) -> Iterator[StoredRecording]:
+    """The .eegb recordings in a directory, as stored, one at a time, sorted by file name.
 
     The directory is listed at the first draw. A subject id seen before
     raises DuplicateSubject when its recording is drawn.
@@ -277,7 +279,7 @@ def _input_boxes(input_dir: str, montage: Optional[Sequence[str]]) -> Iterator[l
     """
     seen: set[str] = set()
     for name in _artifact_names(input_dir, ".eegb"):
-        rec = load_recording(os.path.join(input_dir, name))
+        rec = _load_payload(os.path.join(input_dir, name))
         if montage is not None:
             rec = rec.pick(montage)
         if rec.subject_id in seen:
@@ -306,19 +308,24 @@ def _numbered(items: Iterable) -> Iterator[tuple]:
 # functions below.
 
 
-def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
-    """Band selection first, then the configured steps in order."""
+def preprocess_recording(rec: Recording | StoredRecording, steps, band=None) -> StoredRecording:
+    """Band selection first, then the configured steps in order, narrowed to float32 as saved.
+
+    A FIR filter that comes last writes the payload itself; any other
+    step but a filter works on the widened recording.
+    """
     if band is not None:
-        rec = apply_fir(rec, design_fir_bandpass(band[0], band[1], rec.fs))
-    for step in steps:
+        steps = [{"kind": "bandpass", "low": band[0], "high": band[1]}, *steps]
+    for i, step in enumerate(steps):
         kind = step["kind"]
-        if kind == "bandpass":
-            rec = apply_fir(rec, design_fir_bandpass(step["low"], step["high"], rec.fs))
-        elif kind == "notch":
-            rec = apply_fir(
-                rec, design_fir_notch(step["freq"], step.get("width", 2.0), rec.fs)
-            )
-        elif kind == "zscore":
+        if kind in ("bandpass", "notch"):
+            filt = (design_fir_bandpass(step["low"], step["high"], rec.fs) if kind == "bandpass"
+                    else design_fir_notch(step["freq"], step.get("width", 2.0), rec.fs))
+            rec = (_fir_payload if i == len(steps) - 1 else apply_fir)(rec, filt)
+            continue
+        if isinstance(rec, StoredRecording):
+            rec = widen_recording(rec)
+        if kind == "zscore":
             rec = zscore_channels(rec)
         elif kind == "average_reference":
             rec = average_reference(rec)
@@ -328,16 +335,15 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
             rec = crop(rec, step["t_start"], step["t_end"])
         elif kind == "resample":
             rec = resample(rec, step["fs"])
-    return rec
+    return rec if isinstance(rec, StoredRecording) else narrow_recording(rec)
 
 
 def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> StoredRecording:
-    """The recording popped from box, preprocessed, narrowed and staged as <out_dir>/<id>.eegb.
+    """The recording popped from box, preprocessed and staged as <out_dir>/<id>.eegb.
 
-    Only `preprocess_recording` holds the popped recording, and its float64
-    result is released once narrowed to the file's float32 payload.
+    Only `preprocess_recording` holds the popped recording.
     """
-    stored = narrow_recording(preprocess_recording(box.pop(), steps, band))
+    stored = preprocess_recording(box.pop(), steps, band)
     save_recording(stored, os.path.join(out_dir, stored.subject_id), stage)
     return stored
 
@@ -359,7 +365,8 @@ def _subject_maps(
 
 
 def _segmented(
-    rec: Recording, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, stage: Stage
+    rec: Recording | StoredRecording, gmaps: MicrostateMaps, min_segment_ms: float,
+    out_dir: str, stage: Stage,
 ) -> Segmentation:
     """rec backfitted to gmaps, staged as <out_dir>/<id>.seg."""
     seg = backfit(rec, gmaps, min_segment_ms=min_segment_ms)
@@ -381,7 +388,7 @@ def subject_features(
 
 
 def preprocess_stage(
-    recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
+    recs: Iterable[Recording | StoredRecording], steps, band, out_dir: str, threads: int = 1
 ) -> list[str]:
     """Preprocess every recording and commit it as <out_dir>/<id>.eegb; returns the ids.
 
@@ -400,8 +407,8 @@ def _commit_subject_maps(out_dir: str, subjects: Iterable[tuple[str, MicrostateM
 
 
 def subject_maps_stage(
-    recs: Iterable[Recording], k: int, kmeans: dict, min_peak_distance_ms: float,
-    seed: int, out_dir: str, threads: int = 1,
+    recs: Iterable[Recording | StoredRecording], k: int, kmeans: dict,
+    min_peak_distance_ms: float, seed: int, out_dir: str, threads: int = 1,
 ) -> list[MicrostateMaps]:
     """Each subject's GFP-peak topographies clustered into k maps.
 
@@ -434,8 +441,8 @@ def group_maps_stage(
 
 
 def backfit_stage(
-    recs: Iterable[Recording], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
-    threads: int = 1,
+    recs: Iterable[Recording | StoredRecording], gmaps: MicrostateMaps, min_segment_ms: float,
+    out_dir: str, threads: int = 1,
 ) -> list[str]:
     """Every sample assigned to its best group map; commits <out_dir>/<id>.seg.
 
@@ -443,7 +450,7 @@ def backfit_stage(
     """
     check_value("the number of maps", RUN["k"], gmaps.k)
 
-    def one(rec: Recording) -> str:
+    def one(rec: Recording | StoredRecording) -> str:
         _segmented(rec, gmaps, min_segment_ms, out_dir, stage)
         return rec.subject_id
 
@@ -595,6 +602,25 @@ def _ranking_csv(expl, class_names: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_folds(input_dir: str, n_folds: int) -> None:
+    """ClassTooSmall if a class of the input sidecars' labels has fewer than n_folds recordings.
+
+    Cross-validation and a grid search both split into n_folds. A sidecar
+    that does not read or holds no label is left to the passes to report.
+    """
+    names = _artifact_names(input_dir, ".eegb")
+    try:
+        labels = collections.Counter(
+            read_json(os.path.join(input_dir, name[:-len(".eegb")] + ".json"))["label"]
+            for name in names)
+    except (MsafError, KeyError, TypeError):
+        return
+    if all(isinstance(label, str) for label in labels):
+        n, label = min((n, label) for label, n in labels.items())
+        if n < n_folds:
+            raise ClassTooSmall(f"class {label!r} has {n} recordings, fewer than {n_folds} folds")
+
+
 def run_pipeline(
     cfg: PipelineConfig, out_dir: Optional[str] = None, threads: int = 1
 ) -> dict:
@@ -614,11 +640,12 @@ def run_pipeline(
         if templates.k < cfg.k:
             raise AmbiguousLabels(f"{templates.k} templates cannot label {cfg.k} maps uniquely")
 
+    _check_folds(cfg.input_dir, cfg.cv_folds)
     pre = path("preprocessed")
 
     def cluster(item) -> tuple[str, MicrostateMaps]:
-        # the raw recording lives only until preprocessed, the float64 result
-        # until narrowed: the subject is clustered from its float32 payload
+        # the raw recording lives only until preprocessed: the subject is
+        # clustered from its float32 payload
         idx, box = item
         stored = _preprocessed(box, cfg.steps, cfg.band, pre, stage)
         if templates is not None and templates.channels != stored.montage.names:
@@ -645,14 +672,14 @@ def run_pipeline(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
 
-    def segment(rec: Recording) -> tuple[str, str, FeatureVector]:
+    def segment(rec: StoredRecording) -> tuple[str, str, FeatureVector]:
         seg = _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
         return subject_features(rec.subject_id, rec.label, seg)
 
     logger.info("backfitting and extracting features")
     with staged() as stage:
         entries = _ordered_map(
-            segment, (load_recording(os.path.join(pre, sid)) for sid in sids), threads
+            segment, (_load_payload(os.path.join(pre, sid)) for sid in sids), threads
         )
     table = feature_stage(entries, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed

@@ -4,7 +4,7 @@ All operations are pure functions Recording -> Recording: identical input
 bits give identical output bits, and every call appends one provenance
 string. Filters are linear-phase FIR (windowed sinc, Hamming), applied
 with group-delay compensation and zero-padded edges, so filtered output
-has the same length as the input.
+has the same length as the input; they also read and write StoredRecordings.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import (
     RateMismatch,
     ShapeMismatch,
 )
-from .io import Recording
+from .io import Recording, StoredRecording, _samples, _stored
 
 
 @dataclass(frozen=True)
@@ -184,44 +184,61 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Each row of x convolved with taps, centred to x's length ("same" mode).
+def _convolve_same(x: np.ndarray, taps: np.ndarray, out: Optional[np.ndarray] = None):
+    """Each row of x convolved with taps, centred to x's length ("same" mode), in out.
 
     The FFT length is the 5-smooth one SciPy's fftconvolve uses, so the
     output bits equal scipy.signal.fftconvolve(x, taps[None], "same", axes=1).
-    Rows are transformed max(1, BLOCK_DOUBLES // fft length) at a time,
-    each by the same call as a whole-array transform, and written into one
-    output array, so the temporaries stay near 1 MB whatever x's length.
+    Rows are widened and transformed max(1, BLOCK_DOUBLES // fft length) at
+    a time, each by the same call as a whole-array transform, and written
+    into out (new float64 by default; a float32 out rounds as `astype` and
+    holds inf where it overflows), so the temporaries stay near 1 MB.
     """
     n, m = x.shape[1], taps.size
     full = n + m - 1
     start = (full - n) // 2
-    if n == 1 or m == 1:
-        # a length-1 factor: SciPy multiplies directly instead of transforming
-        return (x * taps)[:, start:start + n].copy()
-    size = _fast_len(full)
-    h = np.fft.rfft(taps, size)
-    out = np.empty(x.shape)
-    rows = max(1, BLOCK_DOUBLES // size)
-    for r in range(0, x.shape[0], rows):
-        spec = np.fft.rfft(x[r:r + rows], size, axis=1)
-        spec *= h
-        out[r:r + rows] = np.fft.irfft(spec, size, axis=1)[:, start:start + n]
+    out = np.empty(x.shape) if out is None else out
+    with np.errstate(over="ignore"):
+        if n == 1 or m == 1:
+            # a length-1 factor: SciPy multiplies directly instead of transforming
+            out[...] = (np.asarray(x, dtype=np.float64) * taps)[:, start:start + n]
+            return out
+        size = _fast_len(full)
+        h = np.fft.rfft(taps, size)
+        rows = max(1, BLOCK_DOUBLES // size)
+        for r in range(0, x.shape[0], rows):
+            spec = np.fft.rfft(np.asarray(x[r:r + rows], dtype=np.float64), size, axis=1)
+            spec *= h
+            out[r:r + rows] = np.fft.irfft(spec, size, axis=1)[:, start:start + n]
     return out
 
 
-def apply_fir(rec: Recording, filt: FirFilter) -> Recording:
+def apply_fir(rec: Recording | StoredRecording, filt: FirFilter) -> Recording:
     """Filter every channel, compensating the group delay.
 
     Output length equals input length (zero-padded edges).
     """
+    out, note = _fir(rec, filt, np.float64)
+    return Recording(montage=rec.montage, fs=rec.fs, data=out, subject_id=rec.subject_id,
+                     label=rec.label, provenance=rec.provenance + (note,))
+
+
+def _fir_payload(rec: Recording | StoredRecording, filt: FirFilter) -> StoredRecording:
+    """`apply_fir` written as the float32 payload `narrow_recording` would narrow its
+    output to (NonFiniteData if it overflows)."""
+    out, note = _fir(rec, filt, "<f4")
+    return _stored(rec, out, note)
+
+
+def _fir(rec, filt: FirFilter, dtype) -> tuple[np.ndarray, str]:
+    """(rec's samples filtered into a new dtype array, provenance note) of `apply_fir`."""
     if not math.isclose(rec.fs, filt.fs, rel_tol=1e-9, abs_tol=0.0):
         raise RateMismatch(
             f"filter designed for fs={filt.fs}, recording has fs={rec.fs}"
         )
-    out = _convolve_same(rec.data, filt.taps)
-    note = f"fir_{filt.kind}:" + ",".join(format(b, "g") for b in filt.band)
-    return rec.with_data(out, note=note)
+    x = _samples(rec)
+    out = _convolve_same(x, filt.taps, np.empty(x.shape, dtype))
+    return out, f"fir_{filt.kind}:" + ",".join(format(b, "g") for b in filt.band)
 
 
 def zscore_channels(rec: Recording) -> Recording:

@@ -26,7 +26,7 @@ from msaf import (
     standard_1020_montage,
     write_json,
 )
-from msaf.io import staged
+from msaf.io import narrow_recording, staged, widen_recording
 from msaf.pipeline import load_input_recordings
 
 
@@ -113,6 +113,17 @@ def test_with_data_appends_provenance():
     out = rec.with_data(rec.data * 2.0, note="gain:2")
     assert out.provenance[-1] == "gain:2"
     assert rec.provenance == ()
+
+
+def test_stored_pick_equals_the_widened_pick():
+    stored = narrow_recording(_rec(n_ch=6, label="NC"))
+    names = ["F4", "Fp1", "F3"]
+    got, want = stored.pick(names), narrow_recording(widen_recording(stored).pick(names))
+    assert (got.n_channels, got.n_samples) == (3, stored.n_samples)
+    assert got.payload.tobytes() == want.payload.tobytes()
+    assert (got.montage.names, got.label, got.provenance) == (
+        want.montage.names, want.label, want.provenance)
+    assert got.montage.positions.tobytes() == want.montage.positions.tobytes()
 
 
 def test_feature_table_csv_roundtrip(tmp_path):

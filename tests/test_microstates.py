@@ -481,6 +481,15 @@ def test_gfp_of_a_stored_recording_equals_its_widened_ones(doubles, monkeypatch)
     assert got.fs == rec.fs
 
 
+@pytest.mark.parametrize("doubles", [BLOCK_DOUBLES, _SEAM_DOUBLES])
+def test_backfit_of_a_stored_recording_equals_its_widened_ones(doubles, monkeypatch):
+    rec, _, templates = generate(SynthConfig(seed=6, snr=4.0, duration=6.0))
+    stored = narrow_recording(rec)
+    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", doubles)
+    want = backfit(widen_recording(stored), templates, min_segment_ms=40.0)
+    assert _seg_bytes(backfit(stored, templates, min_segment_ms=40.0)) == _seg_bytes(want)
+
+
 def test_backfit_degenerate_samples_on_block_seams(monkeypatch):
     rec, _, templates = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
     # 499 samples: the lone last one joins the block before it

@@ -230,6 +230,24 @@ def test_convolve_same_even_and_short_taps():
             assert np.array_equal(_convolve_same(x, taps), _scipy_same(x, taps)), (m, n)
 
 
+@pytest.mark.parametrize("doubles", [None, 1, 5000])  # default: 1 block; 1 and 2 rows a block
+def test_convolve_same_into_float32_rounds_as_astype(doubles, monkeypatch):
+    rng = np.random.default_rng(5)
+    taps = design_fir_bandpass(1.0, 30.0, 250.0).taps
+    if doubles is not None:
+        monkeypatch.setattr(msaf.preprocess, "BLOCK_DOUBLES", doubles)
+    for n in (1, 7, 1000):
+        x64 = 1e3 * rng.standard_normal((19, n))
+        x32 = x64.astype("<f4")
+        for x in (x64, x32):
+            whole = _convolve_same(np.asarray(x, dtype=np.float64), taps)
+            out = np.empty(x.shape, "<f4")
+            assert _convolve_same(x, taps, out) is out
+            assert out.tobytes() == whole.astype("<f4").tobytes(), (n, x.dtype)
+            # float32 rows are widened exactly, so a float64 out equals the widened input's
+            assert _convolve_same(x, taps).tobytes() == whole.tobytes(), (n, x.dtype)
+
+
 def _scipy_resample(rec, new_fs):
     """resample() with scipy.signal.fftconvolve as its convolution."""
     ratio = (

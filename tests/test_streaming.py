@@ -30,8 +30,12 @@ from msaf import (
     standard_1020_montage,
 )
 from msaf.cli import main
-from msaf.io import narrow_recording, save_recording, widen_recording
-from msaf.pipeline import PipelineConfig, _subject_maps, run_pipeline
+from msaf.io import _load_payload, narrow_recording, save_recording, widen_recording
+from msaf.errors import DataError, NonFiniteData
+from msaf.preprocess import _fir_payload
+from msaf.pipeline import (
+    PipelineConfig, _subject_maps, preprocess_recording, preprocess_stage, run_pipeline,
+)
 from msaf.synth import SynthConfig, generate
 
 # every step yields a new recording, so no output is a loaded input itself
@@ -92,18 +96,18 @@ class _LiveRecordings:
 
 
 def _small_run(cohort, out, **overrides):
-    return PipelineConfig(
-        input_dir=str(cohort / "data"), out_dir=str(out), steps=_STEPS,
-        kmeans={"n_inits": 2, "max_iter": 50}, cv_folds=2,
-        classifier={"kind": "rf", "params": {"n_trees": 5}}, **overrides,
-    )
+    return PipelineConfig(**{
+        "input_dir": str(cohort / "data"), "out_dir": str(out), "steps": _STEPS,
+        "kmeans": {"n_inits": 2, "max_iter": 50}, "cv_folds": 2,
+        "classifier": {"kind": "rf", "params": {"n_trees": 5}}, **overrides,
+    })
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, monkeypatch):
     # the raw recordings of the first pass, then the preprocessed ones the
-    # second pass reads back from preprocessed/
-    live = _LiveRecordings(monkeypatch, ["load_recording"], ["preprocess_recording", "backfit"])
+    # second pass reads back from preprocessed/, both as stored
+    live = _LiveRecordings(monkeypatch, ["_load_payload"], ["preprocess_recording", "backfit"])
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
     assert len(live.counts) == 2 * 6
     assert max(live.counts) <= threads, live.counts
@@ -114,13 +118,14 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
     threads, cohort, tmp_path, monkeypatch
 ):
     # every float64 Recording made, by subject; the raw recordings
-    # (load_recording's results) and the float64 results of preprocessing
+    # (_load_payload's results) and the float64 results of preprocessing
     # (narrow_recording's arguments); and, per worker thread, the subject it
-    # narrowed last, which is the one its next k-means call clusters
-    made, inputs, narrowed_by = [], [], {}
+    # preprocessed last, which is the one its next k-means call clusters
+    made, inputs, preprocessed_by = [], [], {}
     init = Recording.__post_init__
-    load = msaf.pipeline.load_recording
+    load = msaf.pipeline._load_payload
     narrow = msaf.pipeline.narrow_recording
+    preprocess = msaf.pipeline.preprocess_recording
     kmeans = msaf.pipeline.modified_kmeans
     seen = []  # (inputs alive, the clustered subject's recordings alive) per k-means call
 
@@ -135,25 +140,65 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
 
     def narrowed(rec):
         inputs.append(weakref.ref(rec))
-        narrowed_by[threading.get_ident()] = rec.subject_id
         return narrow(rec)
+
+    def preprocessed(*args, **kwargs):
+        stored = preprocess(*args, **kwargs)
+        preprocessed_by[threading.get_ident()] = stored.subject_id
+        return stored
 
     def clustered(*args, **kwargs):
         time.sleep(0.05)  # other workers preprocess meanwhile
         gc.collect()
-        sid = narrowed_by[threading.get_ident()]
+        sid = preprocessed_by[threading.get_ident()]
         seen.append((sum(r() is not None for r in inputs),
                      sum(s == sid and r() is not None for s, r in made)))
         return kmeans(*args, **kwargs)
 
     monkeypatch.setattr(Recording, "__post_init__", tracked_init)
-    monkeypatch.setattr(msaf.pipeline, "load_recording", loaded)
+    monkeypatch.setattr(msaf.pipeline, "_load_payload", loaded)
     monkeypatch.setattr(msaf.pipeline, "narrow_recording", narrowed)
+    monkeypatch.setattr(msaf.pipeline, "preprocess_recording", preprocessed)
     monkeypatch.setattr(msaf.pipeline, "modified_kmeans", clustered)
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
     assert len(seen) == 6
+    # the steps end in average_reference: every subject was widened and narrowed
+    assert len(made) >= 6 and len(inputs) == 2 * 6 + 6, (len(made), len(inputs))
     assert all(own == 0 for _, own in seen), seen
     assert max(alive for alive, _ in seen) <= threads, seen
+
+
+_BANDPASS = {"kind": "bandpass", "low": 2.0, "high": 20.0}
+
+
+@pytest.mark.parametrize("steps, per_subject", [
+    ([_BANDPASS], 0),  # the long-recordings benchmark's steps
+    ([{"kind": "notch", "freq": 50.0}, _BANDPASS], 1),  # the notch's output
+])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_final_fir_run_makes_no_float64_recording_but_between_steps(
+    threads, steps, per_subject, cohort, tmp_path, monkeypatch
+):
+    # the final FIR writes each payload and backfit widens it block by block,
+    # so neither pass builds a float64 Recording beyond what a filter before
+    # the last one outputs; both passes read every recording
+    made, loaded = [], []
+    init = Recording.__post_init__
+    load = msaf.pipeline._load_payload
+
+    def tracked_init(rec):
+        init(rec)
+        made.append(rec.subject_id)
+
+    def tracked_load(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(Recording, "__post_init__", tracked_init)
+    monkeypatch.setattr(msaf.pipeline, "_load_payload", tracked_load)
+    run_pipeline(_small_run(cohort, tmp_path / "run", steps=steps), threads=threads)
+    assert len(loaded) == 2 * 6
+    assert len(made) == 6 * per_subject and len(set(made)) == len(made), made
 
 
 def test_subject_maps_of_a_stored_recording_equal_its_widened_ones():
@@ -166,13 +211,68 @@ def test_subject_maps_of_a_stored_recording_equal_its_widened_ones():
     assert maps[0].to_json_dict() == maps[1].to_json_dict()
 
 
+_NOTCH = {"kind": "notch", "freq": 50.0}
+
+
+@pytest.mark.parametrize("steps", [
+    [], [_BANDPASS], [_NOTCH, _BANDPASS], _STEPS, [{"kind": "zscore"}, _NOTCH],
+])
+def test_preprocessed_payload_equals_the_narrowed_float64_chain(steps):
+    # the reference: each step on the float64 recording, narrowed once at the end
+    stored = narrow_recording(generate(SynthConfig(seed=4, duration=6.0))[0])
+    want = widen_recording(stored)
+    for step in steps:
+        kind = step["kind"]
+        if kind == "bandpass":
+            want = apply_fir(want, design_fir_bandpass(step["low"], step["high"], want.fs))
+        elif kind == "notch":
+            want = apply_fir(want, msaf.design_fir_notch(step["freq"], 2.0, want.fs))
+        else:
+            want = {"zscore": msaf.zscore_channels,
+                    "average_reference": msaf.average_reference}[kind](want)
+    want = narrow_recording(want)
+    for rec in (stored, widen_recording(stored)):
+        got = preprocess_recording(rec, steps)
+        assert got.payload.dtype == np.dtype("<f4")
+        assert got.payload.tobytes() == want.payload.tobytes()
+        assert got.provenance == want.provenance
+
+
+def test_final_fir_overflowing_float32_leaves_no_output(tmp_path):
+    data = 1e39 * np.random.default_rng(2).standard_normal((19, 500))
+    rec = Recording(montage=standard_1020_montage(), fs=250.0, data=data, subject_id="big")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        with pytest.raises(NonFiniteData) as caught:
+            preprocess_stage([rec], [_BANDPASS], None, str(out))
+    assert isinstance(caught.value, DataError)  # exit 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {}, {"classifier": {"kind": "rf"}, "grid": {"n_trees": [3, 5]}},
+])
+def test_too_small_class_fails_before_any_output(extra, cohort, tmp_path, capsys):
+    # two recordings per class cannot fill three folds, nor can a grid search's
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "c.json", {"input_dir": str(cohort / "data"), "out_dir": str(out),
+                                       "cv_folds": 3, **extra})
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("ClassTooSmall", 3)
+    assert "fewer than 3 folds" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("verb", ["segment", "backfit"])
 def test_recording_verbs_hold_at_most_threads_recordings(
     verb, threads, cohort, tmp_path, monkeypatch
 ):
     live = _LiveRecordings(
-        monkeypatch, ["load_recording"], ["backfit" if verb == "backfit" else "modified_kmeans"]
+        monkeypatch, ["_load_payload"], ["backfit" if verb == "backfit" else "modified_kmeans"]
     )
     argv = [verb, str(cohort / "data")]
     if verb == "backfit":
@@ -231,8 +331,11 @@ def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
 # (kernel, bound in MB). Traced heap peaks above entry on a 19 x 30 000
 # recording (4.56 MB of float64), whole-recording temporaries -> 1 MB blocks:
 # apply_fir 14.0 -> 6.9, backfit 11.3 -> 3.2, gfp 5.0 -> 1.4 and
-# load_recording, whose payload was a bytes slice first, 9.7 -> 7.4.
-_KERNEL_BOUNDS_MB = [("apply_fir", 8.0), ("backfit", 4.0), ("gfp", 1.5), ("load_recording", 8.0)]
+# load_recording, whose payload was a bytes slice first, 9.7 -> 7.4. A final
+# FIR filter that reads a 2.28 MB float32 payload and writes another peaks at
+# 5.5, and the payload alone loads in 2.9.
+_KERNEL_BOUNDS_MB = [("apply_fir", 8.0), ("backfit", 4.0), ("gfp", 1.5), ("load_recording", 8.0),
+                     ("apply_fir_payload", 6.0), ("load_payload", 3.5)]
 
 
 @pytest.mark.parametrize("kernel, bound_mb", _KERNEL_BOUNDS_MB)
@@ -243,8 +346,11 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
     filt = design_fir_bandpass(1.0, 30.0, 250.0)
     maps = canonical_templates(montage)
     path = save_recording(rec, str(tmp_path / "s"))[0]
+    stored = narrow_recording(rec)
     call = {
         "apply_fir": lambda: apply_fir(rec, filt),
+        "apply_fir_payload": lambda: _fir_payload(stored, filt),
+        "load_payload": lambda: _load_payload(path),
         "backfit": lambda: backfit(rec, maps),
         "gfp": lambda: gfp(rec),
         "load_recording": lambda: load_recording(path),
@@ -263,8 +369,10 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
 # recordings, 19 channels at 250 Hz (4.56 MB of float64 for a long one), with
 # the long-recordings benchmark's bandpass and default k-means: 13.9 MB when
 # pass 1 clustered a widened copy beside the raw recording, 11.5 MB when it
-# clusters from the float32 payload and the peak moves to the FIR filter.
-_RUN_PEAK_BOUND_MB = 12.7
+# clustered from the float32 payload and the peak moved to the FIR filter,
+# 7.8 MB when the FIR filter reads the raw payload and writes the preprocessed
+# one (2.28 MB each) with no float64 recording beside them.
+_RUN_PEAK_BOUND_MB = 8.5
 
 
 def test_run_traced_heap_peak_is_bounded(tmp_path):
@@ -358,6 +466,31 @@ def _overflow_last(data):
                    str(data / "NC_001"))
 
 
+def _edit_sidecar(data, name, **fields):
+    path = data / (name + ".json")
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+def _no_samples_last(data):
+    """NC_001's sidecar declares 0 samples and its container holds the magic alone,
+    so the sizes agree."""
+    _edit_sidecar(data, "NC_001", n_samples=0)
+    (data / "NC_001.eegb").write_bytes(b"EEGB0001")
+
+
+def _zero_rate_last(data):
+    _edit_sidecar(data, "NC_001", fs=0)
+
+
+def _fails_with_one_error_line(argv, error, code, capsys):
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["exit_code"]) == (error, code)
+
+
 _CROP = [{"kind": "crop", "t_start": 3.0, "t_end": 5.0}]
 _LAPLACIAN = [{"kind": "laplacian"}]
 
@@ -371,6 +504,9 @@ _LAPLACIAN = [{"kind": "laplacian"}]
     (_short_then_repeated_id, _CROP, "EmptyCrop", 2),
     # narrowed to float32 before anything is committed, without a NumPy warning
     (_overflow_last, _LAPLACIAN, "NonFiniteData", 3),
+    # a final FIR writes the payload, yet an empty or rateless input is still rejected
+    (_no_samples_last, [_BANDPASS], "ShapeMismatch", 3),
+    (_zero_rate_last, [_BANDPASS], "InvalidRate", 2),
 ])
 @pytest.mark.parametrize("verb", ["run", "preprocess"])
 @pytest.mark.parametrize("threads", [1, 3])
@@ -388,16 +524,44 @@ def test_faulty_recording_fails_before_any_output(
         argv = ["preprocess", str(data), "--config", _write(tmp_path / "c.json",
                                                             {"steps": steps}),
                 "--out", str(out)]
-    capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv + ["--threads", str(threads)]) == code
+        _fails_with_one_error_line(argv + ["--threads", str(threads)], error, code, capsys)
     assert not caught, [str(w.message) for w in caught]
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert (err["error"], err["exit_code"]) == (error, code)
     # neither preprocessed/ nor any other output was written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil,error,code", [
+    (_no_samples_last, "ShapeMismatch", 3),
+    (_zero_rate_last, "InvalidRate", 2),
+])
+def test_backfit_rejects_an_empty_or_rateless_recording(spoil, error, code, cohort, tmp_path,
+                                                        capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+    spoil(data)
+    out = tmp_path / "o"
+    _fails_with_one_error_line(
+        ["backfit", str(data), str(cohort / "maps.json"), "--out", str(out)], error, code, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil,steps", [
+    (_bad_magic_last, _STEPS), (_repeated_id_last, _STEPS), (_short_last, _CROP),
+    (_overflow_last, _LAPLACIAN),
+])
+def test_too_small_class_is_reported_before_a_faulty_recording(
+    spoil, steps, cohort, tmp_path, capsys
+):
+    # the class sizes are checked from the sidecars before any recording is read
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+    spoil(data)
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "c.json", {"input_dir": str(data), "out_dir": str(out),
+                                       "steps": steps, "cv_folds": 3})
+    _fails_with_one_error_line(["run", "--config", cfg], "ClassTooSmall", 3, capsys)
     assert not out.exists()
 
 

@@ -14,9 +14,12 @@ for line:
   a band cohort (``band_data/``);
 - ``msaf run`` with notch, bandpass and average-reference steps for rf,
   gbt and svm (the svm run with a grid search), an rf run on a channel
-  subset with a band filter, and an rf run labeled against the rf run's
-  ``maps.json``;
-- ``msaf preprocess`` on the channel subset with the band filter;
+  subset with a band filter, an rf run labeled against the rf run's
+  ``maps.json``, and an rf run whose only step is the ``long-recordings``
+  benchmark's bandpass, so its FIR filter writes the float32 payload;
+- ``msaf preprocess`` on the channel subset with the band filter, and
+  with the bandpass alone, which must reproduce that run's
+  ``preprocessed/`` byte for byte (exit 1 otherwise);
 - ``msaf band-sweep`` over theta and alpha on the band cohort;
 - the verb chain over the labeled cohort, ``preprocess`` through ``stats``,
   plus ``explain-rank`` and ``topo``;
@@ -66,6 +69,7 @@ STEPS = [
     {"kind": "bandpass", "low": 1.0, "high": 30.0},
     {"kind": "average_reference"},
 ]
+BANDPASS_STEPS = [{"kind": "bandpass", "low": 2.0, "high": 20.0}]
 KMEANS = {"n_inits": 5, "max_iter": 100}
 MONTAGE = ["Fp1", "Fp2", "F3", "F4", "Fz", "C3", "C4", "Cz", "P3", "P4", "Pz", "O1", "O2"]
 BAND = [2.0, 20.0]
@@ -78,6 +82,7 @@ REPLAYS = {
     "run_rf_features.csv": "run_rf/features.csv",
     "run_rf_ranking.csv": "run_rf/ranking.csv",
     "run_svm_shap.json": "run_svm/shap.json",
+    "prep_bandpass": "run_bandpass/preprocessed",
 }
 RUNS = {
     "rf": RF,
@@ -86,6 +91,7 @@ RUNS = {
             "explain": {"n_samples": 256, "background": 8}},
     "subset": {**RF, "montage": MONTAGE, "band": BAND},
     "labeled": {**RF, "labeling": "run_rf/maps.json"},
+    "bandpass": {**RF, "steps": BANDPASS_STEPS},
 }
 
 
@@ -107,6 +113,7 @@ def _commands() -> list[list[str]]:
              ["features", "run_rf/segmentations", "--out", "run_rf_features.csv"],
              ["explain-rank", "run_rf/shap.json", "--out", "run_rf_ranking.csv"]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
+             ["preprocess", "data", "--config", "prep_bandpass.json", "--out", "prep_bandpass"],
              ["band-sweep", "--config", "sweep.json", "--bands", "theta,alpha", *seed]]
     chain = [
         ["preprocess", "data", "--config", "prep.json", "--out", "chain/pre"],
@@ -138,6 +145,7 @@ def _configs(n_per_class: int, duration: float) -> dict:
                             "duration": duration},
         "prep.json": {"steps": STEPS},
         "prep_subset.json": {"montage": MONTAGE, "band": BAND, "steps": STEPS},
+        "prep_bandpass.json": {"steps": BANDPASS_STEPS},
         "kmeans.json": {"kmeans": KMEANS},
         "sweep.json": {"input_dir": "band_data", "out_dir": "sweep", "kmeans": KMEANS,
                        "cv_folds": 2, **RF},
