@@ -9,11 +9,12 @@ Binary recordings live in a two-file container:
   ``channels``, ``n_samples``, optional ``label``, and ``provenance``
   (a list of strings describing the operations applied so far).
 
-A `StoredRecording` holds a recording as its container does, and the
-two conversions are one function each: `narrow_recording`, which
-`save_recording` writes from, and `widen_recording`, which
-`load_recording` reads through. The pipeline reads a stored recording
-(`_load_payload`) and widens it to float64 one block at a time, so all
+A `Recording` holds float64 samples, or the float32 payload of its
+container as is. The two conversions are one function each:
+`narrow_recording`, which `save_recording` writes from, and
+`widen_recording`, which `load_recording` reads through. The pipeline
+reads the float32 recording (`_load_payload`), and every kernel widens
+its samples to float64 on entry or one block at a time, so all
 arithmetic happens at working precision and only storage is float32.
 
 A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
@@ -118,7 +119,7 @@ class Stage:
         self._made: list[str] = []  # directories created, parents first
 
     def write(self, path: str, *parts: bytes) -> str:
-        """Write parts to path's partial file, parents created; returns the partial's path."""
+        """Write bytes-like parts to path's partial file, parents created; returns its path."""
         stem, ext = os.path.splitext(path)
         partial = stem + ".partial" + ext
         try:
@@ -295,7 +296,9 @@ class Recording:
     Attributes:
         montage: Channel names and positions; row order matches data.
         fs: Sampling rate in Hz, strictly positive.
-        data: (K, T) float64 array, channels by samples, finite.
+        data: (K, T) read-only array, channels by samples, finite, T >= 1.
+            A little-endian float32 array (a stored payload) is kept as
+            is, not copied; any other dtype is widened to float64.
         subject_id: Stable identifier used to join tables downstream.
         label: Optional class label (diagnostic group).
         provenance: Tuple of strings, one per operation applied.
@@ -309,11 +312,24 @@ class Recording:
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        _check_layout(self.fs, data.shape, self.montage)
+        data = self.data
+        if not (isinstance(data, np.ndarray) and data.dtype == np.dtype("<f4")):
+            data = np.asarray(data, dtype=np.float64)
+        if not (isinstance(self.fs, (int, float)) and math.isfinite(self.fs) and self.fs > 0):
+            raise InvalidRate(f"sampling rate must be positive and finite, got {self.fs!r}")
+        if data.ndim != 2:
+            raise ShapeMismatch(f"data must be 2-D (channels, samples), got ndim={data.ndim}")
+        if data.shape[0] != self.montage.n_channels:
+            raise ShapeMismatch(
+                f"data has {data.shape[0]} rows but montage has {self.montage.n_channels} channels"
+            )
+        if data.shape[1] < 1:
+            raise ShapeMismatch("recording must contain at least one sample")
         object.__setattr__(self, "fs", float(self.fs))
         if not np.all(np.isfinite(data)):
-            raise NonFiniteData(f"recording {self.subject_id!r} contains non-finite samples")
+            raise NonFiniteData(
+                f"recording {self.subject_id!r} contains non-finite {data.dtype} samples"
+            )
         object.__setattr__(self, "data", _freeze(data))
         if self.label is not None:
             object.__setattr__(self, "label", str(self.label))
@@ -352,30 +368,9 @@ class Recording:
 
     def pick(self, names: Sequence[str]) -> "Recording":
         """Select channels by name, in the requested order."""
-        idx, sub, note = _picked(self.montage, names)
-        return self.with_data(self.data[idx], note=note, montage=sub)
-
-
-def _check_layout(fs, shape: tuple, montage: Montage) -> None:
-    """InvalidRate unless fs is positive and finite, ShapeMismatch unless shape is
-    (montage's channels, at least one sample): a recording's checks in either form."""
-    if not (isinstance(fs, (int, float)) and math.isfinite(fs) and fs > 0):
-        raise InvalidRate(f"sampling rate must be positive and finite, got {fs!r}")
-    if len(shape) != 2:
-        raise ShapeMismatch(f"data must be 2-D (channels, samples), got ndim={len(shape)}")
-    if shape[0] != montage.n_channels:
-        raise ShapeMismatch(
-            f"data has {shape[0]} rows but montage has {montage.n_channels} channels"
-        )
-    if shape[1] < 1:
-        raise ShapeMismatch("recording must contain at least one sample")
-
-
-def _picked(montage: Montage, names: Sequence[str]) -> tuple[list[int], Montage, str]:
-    """(row indices, montage, provenance note) of selecting channels by name, in order."""
-    idx = [montage.index(n) for n in names]
-    sub = Montage(names=tuple(names), positions=montage.positions[idx])
-    return idx, sub, f"pick:{','.join(names)}"
+        idx = [self.montage.index(n) for n in names]
+        sub = Montage(names=tuple(names), positions=self.montage.positions[idx])
+        return self.with_data(self.data[idx], note=f"pick:{','.join(names)}", montage=sub)
 
 
 def _split_stem(path: str) -> str:
@@ -385,100 +380,31 @@ def _split_stem(path: str) -> str:
     return path
 
 
-@dataclass(frozen=True)
-class StoredRecording:
-    """A recording as its `.eegb` container holds it.
-
-    Attributes:
-        montage: Channel names and positions; row order matches payload.
-        fs: Sampling rate in Hz, strictly positive.
-        payload: (K, T) read-only little-endian float32 array, finite,
-            T >= 1: the bytes `save_recording` writes after the magic.
-        subject_id: Subject identifier.
-        label: Optional class label.
-        provenance: Operations applied so far.
-    """
-
-    montage: Montage
-    fs: float
-    payload: np.ndarray
-    subject_id: str
-    label: Optional[str] = None
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        _check_layout(self.fs, self.payload.shape, self.montage)
-
-    @property
-    def n_channels(self) -> int:
-        return self.payload.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.payload.shape[1]
-
-    def pick(self, names: Sequence[str]) -> "StoredRecording":
-        """Select channels by name, in the requested order, as `Recording.pick` does."""
-        idx, sub, note = _picked(self.montage, names)
-        return _stored(self, self.payload[idx], note, montage=sub)
-
-
-def _samples(rec: Recording | StoredRecording) -> np.ndarray:
-    """The (K, T) samples of a recording: float64 data, or a stored one's float32 payload."""
-    return rec.payload if isinstance(rec, StoredRecording) else rec.data
-
-
-def narrow_recording(rec: Recording) -> StoredRecording:
-    """The recording with its samples narrowed to float32, as saved.
+def narrow_recording(rec: Recording) -> Recording:
+    """The recording with its samples narrowed to float32, as saved; a float32 one as is.
 
     Raises:
         NonFiniteData: a sample overflows float32.
     """
-    return _stored(rec, rec.data)
+    if rec.data.dtype == np.dtype("<f4"):
+        return rec
+    with np.errstate(over="ignore"):  # the constructor reports an overflow
+        return rec.with_data(rec.data.astype("<f4"))
 
 
-def _stored(rec, samples: np.ndarray, note: Optional[str] = None,
-            montage: Optional[Montage] = None) -> StoredRecording:
-    """rec with samples (and montage) as its float32 payload, note added: see narrow_recording."""
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        payload = np.asarray(samples, dtype="<f4")
-    if not np.all(np.isfinite(payload)):
-        raise NonFiniteData(
-            f"recording {rec.subject_id!r} overflows float32; rescale before saving"
-        )
-    return StoredRecording(
-        montage=montage if montage is not None else rec.montage,
-        fs=rec.fs,
-        payload=_freeze(payload),
-        subject_id=rec.subject_id,
-        label=rec.label,
-        provenance=rec.provenance + ((note,) if note else ()),
-    )
+def widen_recording(rec: Recording) -> Recording:
+    """The recording with float64 samples; widening is exact."""
+    return rec if rec.data.dtype == np.float64 else rec.with_data(rec.data.astype(np.float64))
 
 
-def widen_recording(stored: StoredRecording) -> Recording:
-    """The float64 recording of a stored one; widening is exact."""
-    return Recording(
-        montage=stored.montage,
-        fs=stored.fs,
-        data=stored.payload.astype(np.float64),
-        subject_id=stored.subject_id,
-        label=stored.label,
-        provenance=stored.provenance,
-    )
-
-
-def save_recording(
-    rec: Recording | StoredRecording, path: str, stage: Optional[Stage] = None
-) -> tuple[str, str]:
+def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> tuple[str, str]:
     """Commit `<stem>.eegb` and its JSON sidecar, the sidecar first.
 
     Readers list `.eegb` files, so a listed recording always has its
     sidecar, even if the process dies between the two commits.
 
     Args:
-        rec: Recording to store, narrowed to float32 by
-            `narrow_recording`, or a StoredRecording, written as is.
+        rec: Recording to store, narrowed to float32 by `narrow_recording`.
         path: Target path; an `.eegb`/`.json` extension is stripped.
         stage: Stage to write through instead of committing now.
 
@@ -486,19 +412,19 @@ def save_recording(
         (binary_path, sidecar_path) as written (see `_commit`).
     """
     stem = _split_stem(path)
-    stored = rec if isinstance(rec, StoredRecording) else narrow_recording(rec)
+    stored = narrow_recording(rec)
     sidecar = {
         "subject_id": stored.subject_id,
         "fs": stored.fs,
         "channels": list(stored.montage.names),
-        "n_samples": stored.payload.shape[1],
+        "n_samples": stored.n_samples,
         "provenance": list(stored.provenance),
     }
     if stored.label is not None:
         sidecar["label"] = stored.label
     json_path = write_json(stem + ".json", sidecar, stage)
-    payload = stored.payload.tobytes(order="C")
-    return _commit(stem + ".eegb", MAGIC, payload, stage=stage), json_path
+    # the C-contiguous payload is written as a buffer, not copied
+    return _commit(stem + ".eegb", MAGIC, stored.data, stage=stage), json_path
 
 
 def load_recording(path: str) -> Recording:
@@ -506,11 +432,11 @@ def load_recording(path: str) -> Recording:
     return widen_recording(_load_payload(path))
 
 
-def _load_payload(path: str) -> StoredRecording:
-    """The StoredRecording of a recording stored by :func:`save_recording`.
+def _load_payload(path: str) -> Recording:
+    """The float32 Recording of a recording stored by :func:`save_recording`.
 
     Channel order is taken from the sidecar verbatim; nothing is
-    reordered or dropped. The payload is a read-only view of the file's
+    reordered or dropped. The samples are a read-only view of the file's
     bytes, so reading holds no second copy. A subject_id or label that
     is no file name is an IoFailure.
     """
@@ -537,13 +463,10 @@ def _load_payload(path: str) -> StoredRecording:
             f"{bin_path!r}: payload is {size} bytes, sidecar declares "
             f"{len(channels)}x{n_samples} float32 = {expected}"
         )
-    payload = np.frombuffer(blob, "<f4", offset=len(MAGIC)).reshape(len(channels), n_samples)
-    if not np.all(np.isfinite(payload)):
-        raise NonFiniteData(f"{bin_path!r} contains non-finite samples")
-    return StoredRecording(
+    return Recording(
         montage=standard_1020_montage(channels),
         fs=fs,
-        payload=payload,
+        data=np.frombuffer(blob, "<f4", offset=len(MAGIC)).reshape(len(channels), n_samples),
         subject_id=subject_id,
         label=label,
         provenance=provenance,

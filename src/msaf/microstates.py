@@ -14,6 +14,10 @@ stopping on its own objective gain. Restarts whose final objective lies
 within a relative 1e-12 of the best tie, and the earliest of them wins,
 so the choice among restarts that reached the same partition does not
 depend on the order of float summation.
+
+A recording's samples may be float32 (a stored payload): `gfp` and
+`backfit` widen them one block at a time and `gev` on entry, exactly, so
+a float32 recording and its widened copy give the same bits.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .errors import (
     TooFewSamples,
     ZeroGfp,
 )
-from .io import Recording, StoredRecording, _freeze, _samples
+from .io import Recording, _freeze
 
 logger = logging.getLogger("msaf.microstates")
 
@@ -205,14 +209,14 @@ class Segmentation:
         )
 
 
-def gfp(rec: Recording | StoredRecording) -> GfpSeries:
+def gfp(rec: Recording) -> GfpSeries:
     """Global field power: population std across channels per sample.
 
-    Computed by `_column_std`, one block of samples at a time. A stored
-    recording's float32 payload is widened one block at a time; widening
-    is exact, so its GFP has the same bits as its widened recording's.
+    Computed by `_column_std`, one block of samples at a time. A float32
+    recording is widened one block at a time; widening is exact, so its
+    GFP has the same bits as its widened copy's.
     """
-    return GfpSeries(values=_column_std(_samples(rec)), fs=rec.fs)
+    return GfpSeries(values=_column_std(rec.data), fs=rec.fs)
 
 
 def _sample_blocks(n: int, n_channels: int) -> list[slice]:
@@ -496,9 +500,8 @@ def gev(data, assignment, maps: Optional[MicrostateMaps] = None):
         ZeroGfp: if the data has no GFP power at all.
     """
     if isinstance(data, Recording):
-        x = data.data.T
-    else:
-        x = np.asarray(data, dtype=np.float64)
+        data = data.data.T
+    x = np.asarray(data, dtype=np.float64)
     if isinstance(assignment, Segmentation):
         states = assignment.states
         if maps is None:
@@ -577,7 +580,7 @@ def group_cluster(
 
 
 def backfit(
-    rec: Recording | StoredRecording, maps: MicrostateMaps, min_segment_ms: float = 0.0
+    rec: Recording, maps: MicrostateMaps, min_segment_ms: float = 0.0
 ) -> Segmentation:
     """Assign every sample to the map with the highest |correlation|.
 
@@ -595,7 +598,7 @@ def backfit(
     """
     if tuple(rec.montage.names) != maps.channels:
         raise MontageMismatch("recording channels do not match the maps' channels")
-    x = _samples(rec)
+    x = rec.data
     n = x.shape[1]
     mc, mnorms = _prepare_rows(maps.maps)
     floor = 1e-12 * _spatial_scale(x)

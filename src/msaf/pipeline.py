@@ -26,8 +26,8 @@ Recordings stream: `load_input_recordings` yields one at a time, the
 thread map keeps at most `threads` of them in flight, and each
 recording's work is done while it is in memory, so a stage holds one
 recording per worker plus small per-subject results, never the cohort.
-Recordings are read as float32 StoredRecordings, which FIR filters,
-GFP and backfit widen one block at a time, exactly. `run_pipeline`
+Recordings are read as float32 Recordings, which FIR filters, GFP and
+backfit widen one block at a time, exactly. `run_pipeline`
 makes two passes. The first hands each raw recording to preprocessing
 and keeps no other reference to it, stages the float32 result and
 clusters the subject's GFP peaks from it, keeping only the maps. The
@@ -66,10 +66,8 @@ from .io import (
     FeatureTable,
     Recording,
     Stage,
-    StoredRecording,
     _commit,
     _load_payload,
-    _samples,
     commit_segmentation,
     load_json,
     narrow_recording,
@@ -77,7 +75,6 @@ from .io import (
     save_recording,
     staged,
     standard_1020_montage,
-    widen_recording,
     write_json,
 )
 from .microstates import (
@@ -261,7 +258,7 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
 
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
-) -> Iterator[StoredRecording]:
+) -> Iterator[Recording]:
     """The .eegb recordings in a directory, as stored, one at a time, sorted by file name.
 
     The directory is listed at the first draw. A subject id seen before
@@ -308,11 +305,10 @@ def _numbered(items: Iterable) -> Iterator[tuple]:
 # functions below.
 
 
-def preprocess_recording(rec: Recording | StoredRecording, steps, band=None) -> StoredRecording:
+def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     """Band selection first, then the configured steps in order, narrowed to float32 as saved.
 
-    A FIR filter that comes last writes the payload itself; any other
-    step but a filter works on the widened recording.
+    A FIR filter that comes last writes the float32 samples itself.
     """
     if band is not None:
         steps = [{"kind": "bandpass", "low": band[0], "high": band[1]}, *steps]
@@ -322,10 +318,7 @@ def preprocess_recording(rec: Recording | StoredRecording, steps, band=None) -> 
             filt = (design_fir_bandpass(step["low"], step["high"], rec.fs) if kind == "bandpass"
                     else design_fir_notch(step["freq"], step.get("width", 2.0), rec.fs))
             rec = (_fir_payload if i == len(steps) - 1 else apply_fir)(rec, filt)
-            continue
-        if isinstance(rec, StoredRecording):
-            rec = widen_recording(rec)
-        if kind == "zscore":
+        elif kind == "zscore":
             rec = zscore_channels(rec)
         elif kind == "average_reference":
             rec = average_reference(rec)
@@ -335,10 +328,10 @@ def preprocess_recording(rec: Recording | StoredRecording, steps, band=None) -> 
             rec = crop(rec, step["t_start"], step["t_end"])
         elif kind == "resample":
             rec = resample(rec, step["fs"])
-    return rec if isinstance(rec, StoredRecording) else narrow_recording(rec)
+    return narrow_recording(rec)
 
 
-def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> StoredRecording:
+def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> Recording:
     """The recording popped from box, preprocessed and staged as <out_dir>/<id>.eegb.
 
     Only `preprocess_recording` holds the popped recording.
@@ -349,24 +342,22 @@ def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> StoredR
 
 
 def _subject_maps(
-    idx: int, rec: Recording | StoredRecording, k: int, kmeans: dict,
-    min_peak_distance_ms: float, seed: int,
+    idx: int, rec: Recording, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
 ) -> MicrostateMaps:
     """Subject idx's GFP-peak topographies clustered into k maps with seed (seed, 100, idx).
 
-    A stored recording's peak columns are gathered from its float32
-    payload and widened after, exactly, so both forms give the same maps.
+    A float32 recording's peak columns are gathered first and widened
+    after, exactly, so it gives the same maps as its widened copy.
     """
     peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
     return modified_kmeans(
-        np.asarray(_samples(rec)[:, peaks], dtype=np.float64).T, k, **kmeans,
+        np.asarray(rec.data[:, peaks], dtype=np.float64).T, k, **kmeans,
         seed=child_seed(seed, 100, idx), channels=rec.montage.names,
     )
 
 
 def _segmented(
-    rec: Recording | StoredRecording, gmaps: MicrostateMaps, min_segment_ms: float,
-    out_dir: str, stage: Stage,
+    rec: Recording, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, stage: Stage,
 ) -> Segmentation:
     """rec backfitted to gmaps, staged as <out_dir>/<id>.seg."""
     seg = backfit(rec, gmaps, min_segment_ms=min_segment_ms)
@@ -388,7 +379,7 @@ def subject_features(
 
 
 def preprocess_stage(
-    recs: Iterable[Recording | StoredRecording], steps, band, out_dir: str, threads: int = 1
+    recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
 ) -> list[str]:
     """Preprocess every recording and commit it as <out_dir>/<id>.eegb; returns the ids.
 
@@ -407,8 +398,8 @@ def _commit_subject_maps(out_dir: str, subjects: Iterable[tuple[str, MicrostateM
 
 
 def subject_maps_stage(
-    recs: Iterable[Recording | StoredRecording], k: int, kmeans: dict,
-    min_peak_distance_ms: float, seed: int, out_dir: str, threads: int = 1,
+    recs: Iterable[Recording], k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
+    out_dir: str, threads: int = 1,
 ) -> list[MicrostateMaps]:
     """Each subject's GFP-peak topographies clustered into k maps.
 
@@ -441,8 +432,8 @@ def group_maps_stage(
 
 
 def backfit_stage(
-    recs: Iterable[Recording | StoredRecording], gmaps: MicrostateMaps, min_segment_ms: float,
-    out_dir: str, threads: int = 1,
+    recs: Iterable[Recording], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
+    threads: int = 1,
 ) -> list[str]:
     """Every sample assigned to its best group map; commits <out_dir>/<id>.seg.
 
@@ -450,7 +441,7 @@ def backfit_stage(
     """
     check_value("the number of maps", RUN["k"], gmaps.k)
 
-    def one(rec: Recording | StoredRecording) -> str:
+    def one(rec: Recording) -> str:
         _segmented(rec, gmaps, min_segment_ms, out_dir, stage)
         return rec.subject_id
 
@@ -672,7 +663,7 @@ def run_pipeline(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
 
-    def segment(rec: StoredRecording) -> tuple[str, str, FeatureVector]:
+    def segment(rec: Recording) -> tuple[str, str, FeatureVector]:
         seg = _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
         return subject_features(rec.subject_id, rec.label, seg)
 

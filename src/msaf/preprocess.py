@@ -4,7 +4,9 @@ All operations are pure functions Recording -> Recording: identical input
 bits give identical output bits, and every call appends one provenance
 string. Filters are linear-phase FIR (windowed sinc, Hamming), applied
 with group-delay compensation and zero-padded edges, so filtered output
-has the same length as the input; they also read and write StoredRecordings.
+has the same length as the input. A float32 recording is widened to
+float64 on entry (the filters widen one block at a time); widening is
+exact, so it gives the same bits as its widened copy.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .errors import (
     RateMismatch,
     ShapeMismatch,
 )
-from .io import Recording, StoredRecording, _samples, _stored
+from .io import Recording
 
 
 @dataclass(frozen=True)
@@ -213,32 +215,28 @@ def _convolve_same(x: np.ndarray, taps: np.ndarray, out: Optional[np.ndarray] = 
     return out
 
 
-def apply_fir(rec: Recording | StoredRecording, filt: FirFilter) -> Recording:
+def apply_fir(rec: Recording, filt: FirFilter) -> Recording:
     """Filter every channel, compensating the group delay.
 
     Output length equals input length (zero-padded edges).
     """
-    out, note = _fir(rec, filt, np.float64)
-    return Recording(montage=rec.montage, fs=rec.fs, data=out, subject_id=rec.subject_id,
-                     label=rec.label, provenance=rec.provenance + (note,))
+    return _fir(rec, filt, np.float64)
 
 
-def _fir_payload(rec: Recording | StoredRecording, filt: FirFilter) -> StoredRecording:
-    """`apply_fir` written as the float32 payload `narrow_recording` would narrow its
+def _fir_payload(rec: Recording, filt: FirFilter) -> Recording:
+    """`apply_fir` written as the float32 recording `narrow_recording` would narrow its
     output to (NonFiniteData if it overflows)."""
-    out, note = _fir(rec, filt, "<f4")
-    return _stored(rec, out, note)
+    return _fir(rec, filt, "<f4")
 
 
-def _fir(rec, filt: FirFilter, dtype) -> tuple[np.ndarray, str]:
-    """(rec's samples filtered into a new dtype array, provenance note) of `apply_fir`."""
+def _fir(rec: Recording, filt: FirFilter, dtype) -> Recording:
+    """`apply_fir` with its samples filtered into a new dtype array."""
     if not math.isclose(rec.fs, filt.fs, rel_tol=1e-9, abs_tol=0.0):
         raise RateMismatch(
             f"filter designed for fs={filt.fs}, recording has fs={rec.fs}"
         )
-    x = _samples(rec)
-    out = _convolve_same(x, filt.taps, np.empty(x.shape, dtype))
-    return out, f"fir_{filt.kind}:" + ",".join(format(b, "g") for b in filt.band)
+    out = _convolve_same(rec.data, filt.taps, np.empty(rec.data.shape, dtype))
+    return rec.with_data(out, f"fir_{filt.kind}:" + ",".join(format(b, "g") for b in filt.band))
 
 
 def zscore_channels(rec: Recording) -> Recording:
@@ -250,10 +248,11 @@ def zscore_channels(rec: Recording) -> Recording:
     Raises:
         DegenerateChannel: if any channel has (near) zero variance.
     """
-    d = rec.data - rec.data.mean(axis=1, keepdims=True)
+    x = np.asarray(rec.data, np.float64)
+    d = x - x.mean(axis=1, keepdims=True)
     d -= d.mean(axis=1, keepdims=True)
     std = d.std(axis=1)
-    scale = np.maximum(1.0, np.abs(rec.data).max(axis=1))
+    scale = np.maximum(1.0, np.abs(x).max(axis=1))
     bad = np.nonzero(std <= 1e-12 * scale)[0]
     if bad.size:
         names = [rec.montage.names[i] for i in bad]
@@ -263,13 +262,14 @@ def zscore_channels(rec: Recording) -> Recording:
 
 def average_reference(rec: Recording) -> Recording:
     """Subtract the instantaneous mean across channels from every sample."""
-    d = rec.data - rec.data.mean(axis=0, keepdims=True)
+    x = np.asarray(rec.data, np.float64)
+    d = x - x.mean(axis=0, keepdims=True)
     d -= d.mean(axis=0, keepdims=True)
     return rec.with_data(d, note="average_reference")
 
 
 def is_average_referenced(rec: Recording, tol: float = 1e-9) -> bool:
-    return bool(np.max(np.abs(rec.data.mean(axis=0))) <= tol)
+    return bool(np.max(np.abs(np.asarray(rec.data, np.float64).mean(axis=0))) <= tol)
 
 
 def surface_laplacian(rec: Recording, n_neighbors: int = 4) -> Recording:
@@ -299,7 +299,8 @@ def surface_laplacian(rec: Recording, n_neighbors: int = 4) -> Recording:
         nbrs = [j for j in order if j != i][:n_neighbors]
         inv = 1.0 / np.maximum(dist[i, nbrs], 1e-9)
         w[i, nbrs] = inv / inv.sum()
-    return rec.with_data(rec.data - w @ rec.data, note=f"laplacian:{n_neighbors}")
+    x = np.asarray(rec.data, np.float64)
+    return rec.with_data(x - w @ x, note=f"laplacian:{n_neighbors}")
 
 
 def crop(rec: Recording, t_start: float, t_end: float) -> Recording:

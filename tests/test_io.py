@@ -10,8 +10,10 @@ from msaf import (
     DuplicateSubject,
     FeatureTable,
     InvalidConfig,
+    InvalidRate,
     IoFailure,
     Montage,
+    NonFiniteData,
     Recording,
     ShapeMismatch,
     SynthConfig,
@@ -26,7 +28,7 @@ from msaf import (
     standard_1020_montage,
     write_json,
 )
-from msaf.io import narrow_recording, staged, widen_recording
+from msaf.io import staged
 from msaf.pipeline import load_input_recordings
 
 
@@ -115,15 +117,44 @@ def test_with_data_appends_provenance():
     assert rec.provenance == ()
 
 
-def test_stored_pick_equals_the_widened_pick():
-    stored = narrow_recording(_rec(n_ch=6, label="NC"))
-    names = ["F4", "Fp1", "F3"]
-    got, want = stored.pick(names), narrow_recording(widen_recording(stored).pick(names))
-    assert (got.n_channels, got.n_samples) == (3, stored.n_samples)
-    assert got.payload.tobytes() == want.payload.tobytes()
-    assert (got.montage.names, got.label, got.provenance) == (
-        want.montage.names, want.label, want.provenance)
-    assert got.montage.positions.tobytes() == want.montage.positions.tobytes()
+def _of(data, fs=100.0):
+    montage = standard_1020_montage()
+    montage = Montage(montage.names[:data.shape[0]], montage.positions[:data.shape[0]])
+    return Recording(montage=montage, fs=fs, data=data, subject_id="s01")
+
+
+def test_little_endian_float32_data_is_kept_read_only_without_a_copy():
+    raw = np.random.default_rng(4).standard_normal((4, 50)).astype("<f4").tobytes()
+    source = np.frombuffer(raw, "<f4").reshape(4, 50)
+    rec = _of(source)
+    assert rec.data.dtype == np.dtype("<f4")
+    assert np.shares_memory(rec.data, source)
+    assert not rec.data.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.int32, ">f4"])
+def test_other_data_dtypes_become_float64(dtype):
+    data = (np.arange(200).reshape(4, 50) - 100).astype(dtype)
+    rec = _of(data)
+    assert rec.data.dtype == np.float64
+    assert np.array_equal(rec.data, data)
+    assert not rec.data.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float32_data_is_rejected(bad):
+    data = np.zeros((4, 50), "<f4")
+    data[2, 7] = bad
+    with pytest.raises(NonFiniteData):
+        _of(data)
+
+
+@pytest.mark.parametrize("dtype", ["<f4", np.float64])
+def test_zero_rate_and_zero_samples_are_rejected_in_either_dtype(dtype):
+    with pytest.raises(InvalidRate):
+        _of(np.ones((4, 50), dtype), fs=0)
+    with pytest.raises(ShapeMismatch):
+        _of(np.ones((4, 0), dtype))
 
 
 def test_feature_table_csv_roundtrip(tmp_path):

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import msaf
 import msaf.microstates
+import msaf.preprocess
 from msaf import (
     AmbiguousLabels,
     DegenerateSample,
@@ -19,6 +21,7 @@ from msaf import (
     NonFiniteData,
     NoPeaks,
     Recording,
+    Segmentation,
     SynthConfig,
     backfit,
     canonical_templates,
@@ -471,23 +474,58 @@ def test_gfp_blocks_are_seamless(monkeypatch):
     assert gfp(rec).values.tobytes() == whole
 
 
-@pytest.mark.parametrize("doubles", [BLOCK_DOUBLES, _SEAM_DOUBLES])
-def test_gfp_of_a_stored_recording_equals_its_widened_ones(doubles, monkeypatch):
-    rec, _, _ = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
-    stored = narrow_recording(rec)
-    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", doubles)
-    got = gfp(stored)
-    assert got.values.tobytes() == gfp(widen_recording(stored)).values.tobytes()
-    assert got.fs == rec.fs
+def _bits(out):
+    """Everything a consumer's output holds, as bytes where it is an array; a
+    float32 recording is widened first."""
+    if isinstance(out, Recording):
+        out = widen_recording(out)
+        return (_bits(out.data), out.fs, out.montage.names, _bits(out.montage.positions),
+                out.subject_id, out.label, out.provenance)
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    if isinstance(out, GfpSeries):
+        return _bits(out.values), out.fs
+    if isinstance(out, Segmentation):
+        return _bits(out.states), _bits(out.corr), _bits(out.gfp), out.fs
+    if isinstance(out, tuple):
+        return tuple(_bits(o) for o in out)
+    return out
+
+
+_TRUTH = generate(SynthConfig(seed=6, snr=4.0, duration=6.0))
+_STORED = narrow_recording(_TRUTH[0])
+# the widened copy's largest channel mean, and the double below it: True, then False
+_MEAN_MAX = float(np.max(np.abs(widen_recording(_STORED).data.mean(axis=0))))
+_MEAN_TOLS = (_MEAN_MAX, float(np.nextafter(_MEAN_MAX, 0.0)))
+_CONSUMERS = {
+    "apply_fir": lambda r: msaf.apply_fir(r, msaf.design_fir_bandpass(1.0, 30.0, r.fs)),
+    "zscore_channels": msaf.zscore_channels,
+    "average_reference": msaf.average_reference,
+    "surface_laplacian": msaf.surface_laplacian,
+    "crop": lambda r: msaf.crop(r, 0.5, 4.5),
+    "resample": lambda r: msaf.resample(r, 200.0),
+    "gfp": gfp,
+    "backfit": lambda r: backfit(r, _TRUTH[2], min_segment_ms=40.0),
+    "gev": lambda r: gev(r, _TRUTH[1]),
+    "is_average_referenced": lambda r: tuple(
+        msaf.is_average_referenced(r, tol=t) for t in _MEAN_TOLS),
+    "pick": lambda r: r.pick(["F4", "Fp1", "F3"]),
+}
 
 
 @pytest.mark.parametrize("doubles", [BLOCK_DOUBLES, _SEAM_DOUBLES])
-def test_backfit_of_a_stored_recording_equals_its_widened_ones(doubles, monkeypatch):
-    rec, _, templates = generate(SynthConfig(seed=6, snr=4.0, duration=6.0))
-    stored = narrow_recording(rec)
-    monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", doubles)
-    want = backfit(widen_recording(stored), templates, min_segment_ms=40.0)
-    assert _seg_bytes(backfit(stored, templates, min_segment_ms=40.0)) == _seg_bytes(want)
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_consumers_give_a_float32_recording_the_bits_of_its_widened_copy(
+    consumer, doubles, monkeypatch
+):
+    stored = _STORED
+    assert stored.data.dtype == np.dtype("<f4")
+    widened = widen_recording(stored)
+    assert widened.data.dtype == np.float64
+    for module in (msaf.microstates, msaf.preprocess):
+        monkeypatch.setattr(module, "BLOCK_DOUBLES", doubles)
+    fn = _CONSUMERS[consumer]
+    assert _bits(fn(stored)) == _bits(fn(widened))
 
 
 def test_backfit_degenerate_samples_on_block_seams(monkeypatch):

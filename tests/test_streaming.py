@@ -131,7 +131,8 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
 
     def tracked_init(rec):
         init(rec)
-        made.append((rec.subject_id, weakref.ref(rec)))
+        if rec.data.dtype == np.float64:
+            made.append((rec.subject_id, weakref.ref(rec)))
 
     def loaded(path):
         rec = load(path)
@@ -188,7 +189,8 @@ def test_final_fir_run_makes_no_float64_recording_but_between_steps(
 
     def tracked_init(rec):
         init(rec)
-        made.append(rec.subject_id)
+        if rec.data.dtype == np.float64:
+            made.append(rec.subject_id)
 
     def tracked_load(path):
         loaded.append(path)
@@ -233,8 +235,8 @@ def test_preprocessed_payload_equals_the_narrowed_float64_chain(steps):
     want = narrow_recording(want)
     for rec in (stored, widen_recording(stored)):
         got = preprocess_recording(rec, steps)
-        assert got.payload.dtype == np.dtype("<f4")
-        assert got.payload.tobytes() == want.payload.tobytes()
+        assert got.data.dtype == np.dtype("<f4")
+        assert got.data.tobytes() == want.data.tobytes()
         assert got.provenance == want.provenance
 
 
@@ -333,9 +335,10 @@ def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
 # apply_fir 14.0 -> 6.9, backfit 11.3 -> 3.2, gfp 5.0 -> 1.4 and
 # load_recording, whose payload was a bytes slice first, 9.7 -> 7.4. A final
 # FIR filter that reads a 2.28 MB float32 payload and writes another peaks at
-# 5.5, and the payload alone loads in 2.9.
+# 5.5, and the payload alone loads in 2.9. Saving a float32 recording writes its
+# payload as a buffer: 2.29 with a bytes copy of it, 0.01 without.
 _KERNEL_BOUNDS_MB = [("apply_fir", 8.0), ("backfit", 4.0), ("gfp", 1.5), ("load_recording", 8.0),
-                     ("apply_fir_payload", 6.0), ("load_payload", 3.5)]
+                     ("apply_fir_payload", 6.0), ("load_payload", 3.5), ("save_recording", 0.5)]
 
 
 @pytest.mark.parametrize("kernel, bound_mb", _KERNEL_BOUNDS_MB)
@@ -351,6 +354,7 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
         "apply_fir": lambda: apply_fir(rec, filt),
         "apply_fir_payload": lambda: _fir_payload(stored, filt),
         "load_payload": lambda: _load_payload(path),
+        "save_recording": lambda: save_recording(stored, str(tmp_path / "t")),
         "backfit": lambda: backfit(rec, maps),
         "gfp": lambda: gfp(rec),
         "load_recording": lambda: load_recording(path),
