@@ -25,12 +25,12 @@ from .errors import InvalidConfig
 # A segmentation file stores its states as uint8.
 MAX_STATES = 255
 
-# The working-set budget of the numeric kernels, in float64 values (1 MB):
+# The working-set budget of the numeric kernels, in float64 values (128 KiB):
 # FIR filtering, GFP and backfitting walk a recording in blocks of about this
 # many values, and SvmModel.coalition_scores sizes its kernel buffers to it,
 # so their temporaries do not grow with a recording's length or a coalition
 # count.
-BLOCK_DOUBLES = 1 << 17
+BLOCK_DOUBLES = 1 << 14
 
 # The most taps an FIR filter may have. A filter edge or notch width so narrow
 # that it needs more is an InvalidBand, raised before its taps are allocated;

@@ -297,8 +297,10 @@ class Recording:
         montage: Channel names and positions; row order matches data.
         fs: Sampling rate in Hz, strictly positive.
         data: (K, T) read-only array, channels by samples, finite, T >= 1.
-            A little-endian float32 array (a stored payload) is kept as
-            is, not copied; any other dtype is widened to float64.
+            A C-contiguous float64 or little-endian float32 array (a stored
+            payload) is taken over as is, not copied, and marked read-only:
+            a caller that keeps writing to it must pass a copy. Any other
+            dtype is widened to float64.
         subject_id: Stable identifier used to join tables downstream.
         label: Optional class label (diagnostic group).
         provenance: Tuple of strings, one per operation applied.

@@ -236,7 +236,7 @@ def _column_std(data: np.ndarray) -> np.ndarray:
 
     Each block is widened to float64 first (no copy if it is already).
     Each column's std is the same reduction as the whole-array call, so
-    the bits are too; the temporaries stay near 1 MB whatever T is.
+    the bits are too; the temporaries stay near 128 KiB whatever T is.
     """
     out = np.empty(data.shape[1])
     for block in _sample_blocks(data.shape[1], data.shape[0]):
@@ -593,7 +593,7 @@ def backfit(
 
     Samples are widened, centred and correlated one `_sample_blocks`
     block at a time, so beyond the (T, k) correlations the temporaries
-    stay near 1 MB whatever the recording's length; every sample's value
+    stay near 128 KiB whatever the recording's length; every sample's value
     is the same computation as in one whole-recording pass.
     """
     if tuple(rec.montage.names) != maps.channels:

@@ -191,10 +191,11 @@ def _convolve_same(x: np.ndarray, taps: np.ndarray, out: Optional[np.ndarray] = 
 
     The FFT length is the 5-smooth one SciPy's fftconvolve uses, so the
     output bits equal scipy.signal.fftconvolve(x, taps[None], "same", axes=1).
-    Rows are widened and transformed max(1, BLOCK_DOUBLES // fft length) at
-    a time, each by the same call as a whole-array transform, and written
-    into out (new float64 by default; a float32 out rounds as `astype` and
-    holds inf where it overflows), so the temporaries stay near 1 MB.
+    Rows are widened and transformed max(1, BLOCK_DOUBLES // (fft length + 2))
+    at a time (a row's complex spectrum is fft length + 2 doubles), each by
+    the same call as a whole-array transform, and written into out (new
+    float64 by default; a float32 out rounds as `astype` and holds inf where
+    it overflows), so the temporaries stay near 128 KiB.
     """
     n, m = x.shape[1], taps.size
     full = n + m - 1
@@ -207,7 +208,7 @@ def _convolve_same(x: np.ndarray, taps: np.ndarray, out: Optional[np.ndarray] = 
             return out
         size = _fast_len(full)
         h = np.fft.rfft(taps, size)
-        rows = max(1, BLOCK_DOUBLES // size)
+        rows = max(1, BLOCK_DOUBLES // (size + 2))
         for r in range(0, x.shape[0], rows):
             spec = np.fft.rfft(np.asarray(x[r:r + rows], dtype=np.float64), size, axis=1)
             spec *= h

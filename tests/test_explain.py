@@ -236,8 +236,9 @@ def test_explain_kernel_memory_on_piecewise_shapes():
     finally:
         tracemalloc.stop()
     # one coalition sample per row took 9.7 MB: its (chunk, B * SV)
-    # distance buffer alone was 8 MB
-    assert peak < 4.8e6, peak
+    # distance buffer alone was 8 MB; 4.35 MB with 1 MB kernel buffers,
+    # 2.46 MB with 128 KiB ones
+    assert peak < 3.0e6, peak
 
 
 @pytest.mark.parametrize("d, n_samples", [(9, 200), (9, 201), (70, 500)])

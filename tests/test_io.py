@@ -132,6 +132,21 @@ def test_little_endian_float32_data_is_kept_read_only_without_a_copy():
     assert not rec.data.flags.writeable
 
 
+@pytest.mark.parametrize("dtype", [np.float64, "<f4"])
+def test_a_writable_array_is_handed_over_not_copied(dtype):
+    # the recording takes the caller's array as is and freezes it; a caller
+    # that keeps writing passes a copy
+    data = np.random.default_rng(5).standard_normal((4, 50)).astype(dtype)
+    assert data.flags.writeable
+    rec = _of(data)
+    assert np.shares_memory(rec.data, data)
+    assert not data.flags.writeable and not rec.data.flags.writeable
+    with pytest.raises(ValueError):
+        data[0, 0] = 2.0
+    mine = np.ones((4, 50), dtype)
+    assert not np.shares_memory(_of(mine.copy()).data, mine) and mine.flags.writeable
+
+
 @pytest.mark.parametrize("dtype", [np.int32, ">f4"])
 def test_other_data_dtypes_become_float64(dtype):
     data = (np.arange(200).reshape(4, 50) - 100).astype(dtype)

@@ -230,7 +230,8 @@ def test_convolve_same_even_and_short_taps():
             assert np.array_equal(_convolve_same(x, taps), _scipy_same(x, taps)), (m, n)
 
 
-@pytest.mark.parametrize("doubles", [None, 1, 5000])  # default: 1 block; 1 and 2 rows a block
+# n = 1000 rows a block: 8 at the default budget, 1 and 2 at 1 and 5000 doubles
+@pytest.mark.parametrize("doubles", [None, 1, 5000])
 def test_convolve_same_into_float32_rounds_as_astype(doubles, monkeypatch):
     rng = np.random.default_rng(5)
     taps = design_fir_bandpass(1.0, 30.0, 250.0).taps
@@ -285,7 +286,7 @@ def test_fir_channel_blocks_are_seamless(step, monkeypatch):
         "notch": lambda: apply_fir(rec, design_fir_notch(50.0, 2.0, 250.0)),
         "resample": lambda: resample(rec, 200.0),
     }[step]
-    # the default budget filters all 19 channels at once, 1 double one at a time
+    # the default budget filters 8 channels a block, 1 double one at a time
     whole = run().data.tobytes()
     monkeypatch.setattr(msaf.preprocess, "BLOCK_DOUBLES", 1)
     assert run().data.tobytes() == whole

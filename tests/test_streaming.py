@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from msaf import (
     backfit,
     canonical_templates,
     design_fir_bandpass,
+    design_fir_notch,
     gfp,
     load_recording,
     standard_1020_montage,
@@ -32,7 +34,8 @@ from msaf import (
 from msaf.cli import main
 from msaf.io import _load_payload, narrow_recording, save_recording, widen_recording
 from msaf.errors import DataError, NonFiniteData
-from msaf.preprocess import _fir_payload
+from msaf.microstates import _sample_blocks
+from msaf.preprocess import _convolve_same, _fir_payload
 from msaf.pipeline import (
     PipelineConfig, _subject_maps, preprocess_recording, preprocess_stage, run_pipeline,
 )
@@ -294,6 +297,14 @@ _LAUNCH = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
+def _child_env():
+    """This process's environment with the tested msaf first on PYTHONPATH and
+    one BLAS/OpenMP thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_peak_rss_mb(root, n_per_class):
     """Peak resident memory (MB) of `msaf run` as a child process on a cohort
     of two classes, n_per_class recordings of 30 s each."""
@@ -308,12 +319,9 @@ def _run_peak_rss_mb(root, n_per_class):
         "kmeans": {"n_inits": 2, "max_iter": 20}, "cv_folds": 2,
         "classifier": {"kind": "rf", "params": {"n_trees": 5}},
     })
-    src = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCH, sys.executable, "-m", "msaf.cli", "run", "--config", cfg],
-        env=env, capture_output=True, text=True, check=True,
+        env=_child_env(), capture_output=True, text=True, check=True,
     )
     code, max_rss_kb = proc.stdout.split()[-2:]  # kilobytes on Linux
     assert code == "0", proc.stderr
@@ -331,14 +339,15 @@ def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
 
 
 # (kernel, bound in MB). Traced heap peaks above entry on a 19 x 30 000
-# recording (4.56 MB of float64), whole-recording temporaries -> 1 MB blocks:
-# apply_fir 14.0 -> 6.9, backfit 11.3 -> 3.2, gfp 5.0 -> 1.4 and
-# load_recording, whose payload was a bytes slice first, 9.7 -> 7.4. A final
-# FIR filter that reads a 2.28 MB float32 payload and writes another peaks at
-# 5.5, and the payload alone loads in 2.9. Saving a float32 recording writes its
-# payload as a buffer: 2.29 with a bytes copy of it, 0.01 without.
-_KERNEL_BOUNDS_MB = [("apply_fir", 8.0), ("backfit", 4.0), ("gfp", 1.5), ("load_recording", 8.0),
-                     ("apply_fir_payload", 6.0), ("load_payload", 3.5), ("save_recording", 0.5)]
+# recording (4.56 MB of float64), whole-recording temporaries -> 1 MB blocks
+# -> 128 KiB blocks: apply_fir 14.0 -> 6.9 -> 5.4, backfit 11.3 -> 3.2 -> 2.0,
+# gfp 5.0 -> 1.4 -> 0.5 and load_recording, whose payload was a bytes slice
+# first, 9.7 -> 7.4. A final FIR filter that reads a 2.28 MB float32 payload
+# and writes another peaks at 5.5 -> 3.3, and the payload alone loads in 2.9.
+# Saving a float32 recording writes its payload as a buffer: 2.29 with a bytes
+# copy of it, 0.01 without.
+_KERNEL_BOUNDS_MB = [("apply_fir", 6.0), ("backfit", 2.5), ("gfp", 0.75), ("load_recording", 8.0),
+                     ("apply_fir_payload", 4.0), ("load_payload", 3.5), ("save_recording", 0.5)]
 
 
 @pytest.mark.parametrize("kernel, bound_mb", _KERNEL_BOUNDS_MB)
@@ -369,14 +378,68 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
     assert (peak - entry) / 1e6 < bound_mb, peak - entry
 
 
+# tools/artifact_hashes.py's CI listing (19 channels x 30 s at 250 Hz, with its
+# notch, 1-30 Hz and 2-20 Hz filters) shows that block seams change no byte
+# only while its recordings span several blocks at the default budget: at
+# 128 KiB, 9 sample blocks and 19, 19 and 10 FIR row blocks.
+@pytest.mark.parametrize("filt", [design_fir_notch(50.0, 2.0, 250.0),
+                                  design_fir_bandpass(1.0, 30.0, 250.0),
+                                  design_fir_bandpass(2.0, 20.0, 250.0)],
+                         ids=["notch", "bandpass-1-30", "bandpass-2-20"])
+def test_hash_listing_recordings_cross_block_seams(filt, monkeypatch):
+    assert len(_sample_blocks(7500, 19)) >= 2
+    blocks = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: blocks.append(1) or irfft(*a, **k))
+    _convolve_same(np.zeros((19, 7500)), filt.taps)
+    assert len(blocks) >= 2, len(blocks)
+
+
+# Repeated kernel calls on one 8-s, 19-channel float32 recording in a fresh
+# interpreter, whose glibc mmap threshold no earlier test has raised. Block
+# temporaries under the threshold (128 KiB) are reused from the heap; 1 MB
+# ones were mapped afresh and faulted in on every call: about 2 200 faults for
+# these 15 calls, 0 with 128 KiB blocks.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from msaf import Recording, backfit, canonical_templates, design_fir_bandpass, gfp
+from msaf import standard_1020_montage
+from msaf.io import narrow_recording
+from msaf.preprocess import _fir_payload
+montage = standard_1020_montage()
+data = np.random.default_rng(3).standard_normal((19, 2000))
+rec = narrow_recording(Recording(montage=montage, fs=250.0, data=data, subject_id="s"))
+filt = design_fir_bandpass(1.0, 30.0, 250.0)
+maps = canonical_templates(montage)
+calls = [lambda: _fir_payload(rec, filt), lambda: gfp(rec), lambda: backfit(rec, maps)]
+for call in calls:
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for call in calls:
+    for _ in range(5):
+        call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the mmap threshold is glibc's")
+def test_repeated_kernel_calls_reuse_their_block_temporaries():
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout.split()[-1]) < 100, proc.stdout
+
+
 # Traced heap peak above entry of `msaf run` on two 120-s and two 6-s
 # recordings, 19 channels at 250 Hz (4.56 MB of float64 for a long one), with
 # the long-recordings benchmark's bandpass and default k-means: 13.9 MB when
 # pass 1 clustered a widened copy beside the raw recording, 11.5 MB when it
 # clustered from the float32 payload and the peak moved to the FIR filter,
 # 7.8 MB when the FIR filter reads the raw payload and writes the preprocessed
-# one (2.28 MB each) with no float64 recording beside them.
-_RUN_PEAK_BOUND_MB = 8.5
+# one (2.28 MB each) with no float64 recording beside them, 7.0 MB when the
+# kernels' blocks shrank from 1 MB to 128 KiB.
+_RUN_PEAK_BOUND_MB = 7.5
 
 
 def test_run_traced_heap_peak_is_bounded(tmp_path):

@@ -42,10 +42,11 @@ for line:
   ``preprocessed/``, which the run writes in the same pass that clusters.
 
 The default ``--duration`` of 30 s gives each 19-channel recording 7 500
-samples at 250 Hz, more than one block of the per-recording kernels
-(``msaf.config.BLOCK_DOUBLES``, 1 MB of float64): FIR filtering, GFP and
-backfitting each cross a block seam, so the listing also shows that the
-blocks change no byte.
+samples at 250 Hz, several blocks of the per-recording kernels
+(``msaf.config.BLOCK_DOUBLES``, 128 KiB of float64: 9 GFP and backfit
+blocks, 10 or 19 FIR row blocks): FIR filtering, GFP and backfitting each
+cross block seams, so the listing also shows that the blocks change no
+byte. A Tier-1 test keeps these shapes above one block.
 
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
