@@ -6,195 +6,50 @@ dynamics features, from-scratch classifiers with additive attribution,
 and nonparametric group statistics, all driven by one seed.
 """
 
+from importlib import import_module as _import_module
+
+from . import errors
+
 __version__ = "0.1.0"
 
-from .errors import (
-    AmbiguousLabels,
-    BadMagic,
-    ClassTooSmall,
-    ConfigError,
-    ConstantSample,
-    DataError,
-    DegenerateChannel,
-    DegenerateData,
-    DegenerateMap,
-    DegenerateSample,
-    DimensionMismatch,
-    DuplicateSubject,
-    EmptyBackground,
-    EmptyCluster,
-    EmptyCrop,
-    InconsistentStates,
-    InsufficientChannels,
-    InvalidBand,
-    InvalidConfig,
-    InvalidDomain,
-    InvalidRate,
-    IoFailure,
-    LengthMismatch,
-    MissingSidecar,
-    MontageMismatch,
-    MsafError,
-    NoPeaks,
-    NonFinite,
-    NonFiniteData,
-    NumericError,
-    RateMismatch,
-    SampleSizeOutOfRange,
-    ShapeMismatch,
-    SingleClass,
-    SingularSystem,
-    TooFewGroups,
-    TooFewSamples,
-    TooFewSamplesForValidation,
-    TooManyFeatures,
-    TooShort,
-    UnknownChannel,
-    UnlabeledData,
-    UnsupportedModel,
-    ZeroGfp,
-)
-from .io import (
-    FeatureTable,
-    Montage,
-    Recording,
-    STANDARD_1020_NAMES,
-    commit_segmentation,
-    load_feature_table,
-    load_recording,
-    load_segmentation,
-    read_json,
-    save_recording,
-    standard_1020_montage,
-    write_json,
-)
-from .preprocess import (
-    FirFilter,
-    apply_fir,
-    average_reference,
-    crop,
-    design_fir_bandpass,
-    design_fir_lowpass,
-    design_fir_notch,
-    is_average_referenced,
-    resample,
-    surface_laplacian,
-    zscore_channels,
-)
-from .microstates import (
-    GfpSeries,
-    MicrostateMaps,
-    Segmentation,
-    backfit,
-    find_gfp_peaks,
-    gev,
-    gfp,
-    group_cluster,
-    label_maps,
-    modified_kmeans,
-    select_k,
-    spatial_correlation,
-)
-from .features import (
-    FeatureVector,
-    STATE_METRICS,
-    build_feature_table,
-    extract_features,
-    feature_names,
-)
-from .models import (
-    DEFAULT_GRIDS,
-    EvalReport,
-    GbtModel,
-    MODEL_KINDS,
-    RfModel,
-    SvmModel,
-    evaluate,
-    grid_search,
-    make_trainer,
-    model_from_json_dict,
-    stratified_fold_indices,
-    stratified_kfold_cv,
-    train_gbt,
-    train_rf,
-    train_svm_ovr,
-)
-from .explain import (
-    GlobalRanking,
-    ShapExplanation,
-    exact_shapley,
-    explain,
-    global_ranking,
-    kernel_shap,
-    tree_shap,
-)
-from .stats import (
-    PairwiseResult,
-    TestResult,
-    chi_square_sf,
-    dunn_posthoc,
-    kruskal_wallis,
-    normal_sf,
-    shapiro_wilk,
-)
-from .synth import (
-    CANONICAL_LABELS,
-    STANDARD_BANDS,
-    SynthConfig,
-    canonical_templates,
-    default_cohort_profiles,
-    generate,
-    make_band_cohort,
-    make_cohort,
-    transition_from_weights,
-)
-from .topo import render_bar_chart, render_topomap
-from .pipeline import (
-    PipelineConfig,
-    band_sweep,
-    config_hash,
-    run_pipeline,
-)
+# Each submodule and the names it makes public, imported in this order: a name is
+# bound after its submodule loads, so `msaf.explain` is the function, not the module.
+# Every MsafError subclass in `errors` is public.
+_PUBLIC = {
+    "errors": " ".join(name for name, obj in vars(errors).items()
+                       if isinstance(obj, type) and issubclass(obj, errors.MsafError)),
+    "io": """
+        FeatureTable Montage Recording STANDARD_1020_NAMES commit_segmentation
+        load_feature_table load_recording load_segmentation read_json save_recording
+        standard_1020_montage write_json""",
+    "preprocess": """
+        FirFilter apply_fir average_reference crop design_fir_bandpass design_fir_lowpass
+        design_fir_notch is_average_referenced resample surface_laplacian zscore_channels""",
+    "microstates": """
+        GfpSeries MicrostateMaps Segmentation backfit find_gfp_peaks gev gfp group_cluster
+        label_maps modified_kmeans select_k spatial_correlation""",
+    "features": "FeatureVector STATE_METRICS build_feature_table extract_features feature_names",
+    "models": """
+        DEFAULT_GRIDS EvalReport GbtModel MODEL_KINDS RfModel SvmModel evaluate grid_search
+        make_trainer model_from_json_dict stratified_fold_indices stratified_kfold_cv
+        train_gbt train_rf train_svm_ovr""",
+    "explain": """
+        GlobalRanking ShapExplanation exact_shapley explain global_ranking kernel_shap
+        tree_shap""",
+    "stats": """
+        PairwiseResult TestResult chi_square_sf dunn_posthoc kruskal_wallis normal_sf
+        shapiro_wilk""",
+    "synth": """
+        CANONICAL_LABELS STANDARD_BANDS SynthConfig canonical_templates
+        default_cohort_profiles generate make_band_cohort make_cohort transition_from_weights""",
+    "topo": "render_bar_chart render_topomap",
+    "pipeline": "PipelineConfig band_sweep config_hash run_pipeline",
+}
 
-__all__ = [
-    "__version__",
-    "MsafError", "ConfigError", "DataError", "NumericError",
-    "AmbiguousLabels", "BadMagic", "ClassTooSmall", "ConstantSample",
-    "DegenerateChannel", "DegenerateData", "DegenerateMap",
-    "DegenerateSample", "DimensionMismatch", "DuplicateSubject",
-    "EmptyBackground", "EmptyCluster", "EmptyCrop", "InconsistentStates",
-    "InsufficientChannels", "InvalidBand", "InvalidConfig", "InvalidDomain",
-    "InvalidRate", "IoFailure", "LengthMismatch", "MissingSidecar",
-    "MontageMismatch", "NoPeaks", "NonFinite", "NonFiniteData",
-    "RateMismatch", "SampleSizeOutOfRange", "ShapeMismatch", "SingleClass",
-    "SingularSystem", "TooFewGroups", "TooFewSamples",
-    "TooFewSamplesForValidation", "TooManyFeatures", "TooShort",
-    "UnknownChannel", "UnlabeledData", "UnsupportedModel", "ZeroGfp",
-    "Montage", "Recording", "FeatureTable", "STANDARD_1020_NAMES",
-    "standard_1020_montage", "save_recording", "load_recording",
-    "commit_segmentation", "load_segmentation",
-    "load_feature_table", "read_json", "write_json",
-    "FirFilter", "design_fir_bandpass", "design_fir_lowpass",
-    "design_fir_notch", "apply_fir", "zscore_channels", "average_reference",
-    "is_average_referenced",
-    "surface_laplacian", "crop", "resample",
-    "GfpSeries", "MicrostateMaps", "Segmentation", "gfp", "find_gfp_peaks",
-    "spatial_correlation", "modified_kmeans", "gev", "select_k",
-    "group_cluster", "backfit", "label_maps",
-    "FeatureVector", "STATE_METRICS", "extract_features", "feature_names",
-    "build_feature_table",
-    "MODEL_KINDS", "DEFAULT_GRIDS", "SvmModel", "RfModel", "GbtModel",
-    "EvalReport", "train_svm_ovr", "train_rf", "train_gbt",
-    "make_trainer", "evaluate", "stratified_fold_indices",
-    "stratified_kfold_cv", "grid_search",
-    "model_from_json_dict",
-    "ShapExplanation", "GlobalRanking", "exact_shapley", "kernel_shap",
-    "tree_shap", "explain", "global_ranking",
-    "TestResult", "PairwiseResult", "shapiro_wilk", "kruskal_wallis",
-    "dunn_posthoc", "chi_square_sf", "normal_sf",
-    "CANONICAL_LABELS", "STANDARD_BANDS", "SynthConfig", "canonical_templates",
-    "transition_from_weights", "generate", "default_cohort_profiles",
-    "make_cohort", "make_band_cohort",
-    "render_topomap", "render_bar_chart",
-    "PipelineConfig", "run_pipeline", "band_sweep", "config_hash",
-]
+__all__ = ["__version__"]
+for _module, _names in _PUBLIC.items():
+    _loaded = _import_module(f".{_module}", __name__)
+    for _name in _names.split():
+        globals()[_name] = getattr(_loaded, _name)
+        __all__.append(_name)
+del _module, _names, _loaded, _name

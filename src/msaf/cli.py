@@ -28,6 +28,7 @@ from .io import (
     load_segmentation,
     read_json,
     save_recording,
+    staged,
     standard_1020_montage,
     write_json,
 )
@@ -262,11 +263,12 @@ def _cmd_synth(args) -> int:
         rec, seg, _ = generate(SynthConfig.from_json_dict({**doc, "seed": seed}))
         pairs = [(rec, seg)]
 
-    for rec, seg in pairs:
-        commit_segmentation(seg, os.path.join(out, "truth", rec.subject_id), rec.subject_id,
-                            rec.label)
-    for rec, _ in pairs:
-        save_recording(rec, os.path.join(out, rec.subject_id))
+    with staged() as stage:
+        for rec, seg in pairs:
+            commit_segmentation(seg, os.path.join(out, "truth", rec.subject_id),
+                                rec.subject_id, rec.label, stage)
+        for rec, _ in pairs:
+            save_recording(rec, os.path.join(out, rec.subject_id), stage)
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
     return 0
 
@@ -305,9 +307,12 @@ def _parse_mapping(text: str) -> dict[int, str]:
             raise InvalidConfig(f"mapping entries look like index=LABEL, got {part!r}")
         idx, label = part.split("=", 1)
         try:
-            mapping[int(idx.strip())] = check_value("--mapping label", NAME, label.strip())
+            index = int(idx.strip())
         except ValueError:
             raise InvalidConfig(f"map index must be an integer, got {idx!r}")
+        if index in mapping:
+            raise AmbiguousLabels(f"map index {index} is assigned twice in --mapping")
+        mapping[index] = check_value("--mapping label", NAME, label.strip())
     return mapping
 
 

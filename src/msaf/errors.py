@@ -47,10 +47,6 @@ class NonFiniteData(DataError):
     """NaN or infinity where finite values are required."""
 
 
-# models use the same condition under a shorter name
-NonFinite = NonFiniteData
-
-
 class UnknownChannel(ConfigError):
     """Channel name not present in the built-in montage table."""
 

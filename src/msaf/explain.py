@@ -36,7 +36,7 @@ from .config import EXPLAIN, check_value
 from .errors import (
     DimensionMismatch,
     EmptyBackground,
-    NonFinite,
+    NonFiniteData,
     ShapeMismatch,
     SingularSystem,
     TooManyFeatures,
@@ -128,7 +128,7 @@ def _validate_inputs(model, x_explain, background):
             f"{d} columns"
         )
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(bg))):
-        raise NonFinite("explanation inputs contain non-finite values")
+        raise NonFiniteData("explanation inputs contain non-finite values")
     return x, bg
 
 

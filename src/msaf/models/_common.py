@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, LengthMismatch, NonFinite, SingleClass
+from ..errors import DimensionMismatch, LengthMismatch, NonFiniteData, SingleClass
 
 
 def validate_xy(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -17,7 +17,7 @@ def validate_xy(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     if x.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{x.shape[0]} rows but {y.shape[0]} labels")
     if not np.all(np.isfinite(x)):
-        raise NonFinite("training features contain non-finite values")
+        raise NonFiniteData("training features contain non-finite values")
     classes = tuple(int(c) for c in np.unique(y))
     if len(classes) < 2:
         raise SingleClass(f"training labels contain {len(classes)} class(es)")
@@ -33,7 +33,7 @@ def validate_x(x, n_features: int) -> np.ndarray:
             f"expected (n, {n_features}) features, got shape {x.shape}"
         )
     if not np.all(np.isfinite(x)):
-        raise NonFinite("features contain non-finite values")
+        raise NonFiniteData("features contain non-finite values")
     return x
 
 

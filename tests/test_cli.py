@@ -656,16 +656,55 @@ print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_loaded_after(verbs, cwd) -> list:
+def _fresh_python(code, *args, cwd) -> str:
+    """stdout of code run in a fresh interpreter that imports the tested msaf."""
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(verbs)],
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-600:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+def _scipy_loaded_after(verbs, cwd) -> list:
+    stdout = _fresh_python(_NO_SCIPY_PROBE, json.dumps(verbs), cwd=cwd)
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+# Checks msaf's public surface after `import msaf, msaf.cli` in a fresh interpreter.
+_SURFACE_PROBE = """
+import importlib, inspect, msaf, msaf.cli, msaf.errors
+
+public = msaf.__all__
+assert len(public) == len(set(public)), "duplicate names in __all__"
+for module, names in msaf._PUBLIC.items():
+    submodule = importlib.import_module(f"msaf.{module}")
+    for name in names.split():
+        assert getattr(msaf, name) is getattr(submodule, name), name
+        assert name in public, name
+errors = {name for name, obj in vars(msaf.errors).items()
+          if inspect.isclass(obj) and issubclass(obj, msaf.errors.MsafError)}
+assert errors <= set(public), errors - set(public)
+assert msaf.explain is msaf.explain.__globals__["explain"], "msaf.explain is not the function"
+print("ok")
+"""
+
+
+def test_public_surface_in_a_fresh_interpreter(tmp_path):
+    assert _fresh_python(_SURFACE_PROBE, cwd=tmp_path).strip() == "ok"
+
+
+def test_readme_python_quick_start_runs_as_written(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Quick start (Python)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "msaf.explain(" in code
+    assert _fresh_python(code, cwd=tmp_path).strip()
 
 
 def test_cli_import_loads_no_heavy_scipy(tmp_path):
@@ -742,6 +781,23 @@ def test_synth_single_kind(tmp_path):
     rec = load_recording(str(tmp_path / "d" / "solo.eegb"))
     assert rec.subject_id == "solo"
     assert rec.data.shape == (19, 500)
+
+
+def test_failed_synth_leaves_no_output(tmp_path, capsys):
+    # the recording overflows float32 only when saved, after its truth is made
+    cfg = _write(tmp_path / "big.json", {"kind": "single", "amplitudes": 1e39, "duration": 2})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NonFiniteData"
+    assert not out.exists()
+
+
+def test_label_rejects_a_repeated_mapping_index(work, tmp_path, capsys):
+    out = tmp_path / "maps.json"
+    assert main(["label", str(work / "maps_raw.json"), "--mapping", "0=A,1=B,2=C,3=F,0=X",
+                 "--out", str(out)]) == 2
+    _assert_config_error(capsys, out, "AmbiguousLabels")
 
 
 def _not_utf8(path):
