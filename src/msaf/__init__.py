@@ -33,9 +33,7 @@ _PUBLIC = {
         DEFAULT_GRIDS EvalReport GbtModel MODEL_KINDS RfModel SvmModel evaluate grid_search
         make_trainer model_from_json_dict stratified_fold_indices stratified_kfold_cv
         train_gbt train_rf train_svm_ovr""",
-    "explain": """
-        GlobalRanking ShapExplanation exact_shapley explain global_ranking kernel_shap
-        tree_shap""",
+    "explain": "ShapExplanation explain global_ranking",
     "stats": """
         PairwiseResult TestResult chi_square_sf dunn_posthoc kruskal_wallis normal_sf
         shapiro_wilk""",

@@ -438,9 +438,7 @@ def _cmd_explain_rank(args) -> int:
     for ci, cname in enumerate(class_names):
         ranked = global_ranking(expl, class_index=ci)
         svg = render_bar_chart(
-            [n for n, _ in ranked.entries],
-            [s for _, s in ranked.entries],
-            title=f"mean |attribution|: {cname}",
+            [n for n, _ in ranked], [s for _, s in ranked], title=f"mean |attribution|: {cname}"
         )
         _commit_text(f"{base}_{cname}.svg", svg)
     _commit_text(out, _ranking_csv(expl, class_names))

@@ -36,17 +36,18 @@ from .config import EXPLAIN, check_value
 from .errors import (
     DimensionMismatch,
     EmptyBackground,
-    NonFiniteData,
     ShapeMismatch,
     SingularSystem,
     TooManyFeatures,
     UnsupportedModel,
 )
 from .models import GbtModel, RfModel, SvmModel, TrainedModel
-from .models._common import child_seed
+from .models._common import child_seed, validate_x
 from .models.forest import leaf_scores
 
 EXACT_FEATURE_LIMIT = 20
+# KernelSHAP's ridge when the plain normal system is singular
+_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,6 @@ class ShapExplanation:
         )
 
 
-@dataclass(frozen=True)
-class GlobalRanking:
-    """Features ordered by mean |attribution|, descending."""
-
-    entries: tuple[tuple[str, float], ...]
-
-
 def _score_fn_for(model: TrainedModel) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(model, GbtModel):
         return model.margins
@@ -113,41 +107,29 @@ def _score_fn_for(model: TrainedModel) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _validate_inputs(model, x_explain, background):
-    d = model.n_features
-    x = np.asarray(x_explain, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[np.newaxis, :]
-    bg = np.asarray(background, dtype=np.float64)
-    if bg.ndim == 1:
-        bg = bg[np.newaxis, :]
+    """(x, background) as float64 (n, d) and (B, d) matrices; B is at least 1."""
+    x = validate_x(x_explain, model.n_features)
+    bg = validate_x(background, model.n_features)
     if bg.shape[0] < 1:
         raise EmptyBackground("background must contain at least one row")
-    if x.ndim != 2 or bg.ndim != 2 or x.shape[1] != d or bg.shape[1] != d:
-        raise DimensionMismatch(
-            f"instances {x.shape} and background {bg.shape} must both have "
-            f"{d} columns"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(bg))):
-        raise NonFiniteData("explanation inputs contain non-finite values")
     return x, bg
 
 
 def _coalition_values(
-    score_fn, x: np.ndarray, background: np.ndarray, z: np.ndarray
+    model: TrainedModel, x: np.ndarray, background: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Mean interventional score per coalition row of z (m, d).
 
     Returns (n, m, C) for the rows of x (n, d), or (m, C) for one row x
-    (d,). For a score function bound to an SvmModel (its decision_scores)
-    the mean comes from SvmModel.coalition_scores without building
-    composite rows; any other score function scores the composite rows of
+    (d,). An SvmModel's mean comes from SvmModel.coalition_scores without
+    building composite rows; any other model scores the composite rows of
     each row of x in chunks.
     """
     rows = np.atleast_2d(x)
-    model = getattr(score_fn, "__self__", None)
     if isinstance(model, SvmModel):
         out = model.coalition_scores(rows, background, z)
         return out if x.ndim > 1 else out[0]
+    score_fn = _score_fn_for(model)
     m = z.shape[0]
     b = background.shape[0]
     out = None
@@ -185,32 +167,26 @@ class _SubsetRows:
         return ((s >> np.arange(self.shape[1], dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def exact_shapley(
-    score_fn,
-    x_row: np.ndarray,
-    background: np.ndarray,
+def _exact_row(
+    model: TrainedModel, x_row: np.ndarray, background: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Shapley values by full subset enumeration.
+    """Exact Shapley values (phi (d, C), phi0 (C,)) of one row by full subset enumeration.
 
-    Returns (phi (d, C), phi0 (C,)). Cost grows as d * 2^d; refused
-    beyond EXACT_FEATURE_LIMIT features. Memory is the (2^d, C) value
-    table plus O(2^d) indices; coalitions are generated per chunk.
+    Cost grows as d * 2^d; refused beyond EXACT_FEATURE_LIMIT features.
+    Memory is the (2^d, C) value table plus O(2^d) indices; coalitions
+    are generated per chunk.
     """
     d = x_row.size
     if d > EXACT_FEATURE_LIMIT:
         raise TooManyFeatures(
             f"exact enumeration supports d <= {EXACT_FEATURE_LIMIT}, got {d}"
         )
-    v = _coalition_values(score_fn, x_row, background, _SubsetRows(d))
+    v = _coalition_values(model, x_row, background, _SubsetRows(d))
     popcount = np.zeros(1, dtype=np.uint8)
     for _ in range(d):
         popcount = np.concatenate([popcount, popcount + 1])
-    weights = np.array(
-        [
-            math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
-            for s in range(d)
-        ]
-    )
+    f = math.factorial
+    weights = np.array([f(s) * f(d - s - 1) / f(d) for s in range(d)])
     phi = np.zeros((d, v.shape[1]))
     low = np.arange((1 << d) >> 1)
     for i in range(d):
@@ -240,12 +216,7 @@ def _kernel_coalitions(d: int, n_samples: int, seed: int):
         masks = np.arange(1, (1 << d) - 1)
         z = ((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(np.float64)
         sizes = z.sum(axis=1).astype(np.int64)
-        w = np.array(
-            [
-                (d - 1) / (math.comb(d, s) * s * (d - s))
-                for s in sizes
-            ]
-        )
+        w = np.array([(d - 1) / (math.comb(d, s) * s * (d - s)) for s in sizes])
         return z, w, True
     rng = np.random.default_rng([seed])
     sizes = np.arange(1, d)
@@ -264,41 +235,22 @@ def _kernel_coalitions(d: int, n_samples: int, seed: int):
     return z, counts.astype(np.float64), False
 
 
-def kernel_shap(
-    score_fn,
-    x_row: np.ndarray,
-    background: np.ndarray,
-    n_samples: int = 2048,
-    seed: int = 0,
-    ridge: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """KernelSHAP attributions for one instance.
-
-    Returns (phi (d, C), phi0 (C,), meta). The efficiency constraint is
-    built in by substituting the last feature, so local accuracy holds
-    for any coalition sample. On a singular normal system the solve is
-    retried with ridge regularization ridge*I and flagged in meta. This
-    is the one-row case of explain(method="kernel"), which explains
-    every row from the coalition sample drawn with child_seed(seed, 0).
-    """
-    phi, phi0, meta = _kernel_rows(
-        score_fn, x_row[np.newaxis, :], background, n_samples, seed, ridge
-    )
-    return phi[0], phi0, meta
-
-
 def _kernel_rows(
-    score_fn, x: np.ndarray, background: np.ndarray, n_samples: int, seed: int,
-    ridge: float = 1e-8,
+    model: TrainedModel, x: np.ndarray, background: np.ndarray, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """KernelSHAP (phi (n, d, C), phi0 (C,), meta) of every row of x (n, d).
 
     All rows share one coalition sample, drawn with seed, so one normal
     matrix and one solve over all n * C right-hand sides serve them; each
     row's estimate has the distribution of a one-row call with that seed.
+    The efficiency constraint is built in by substituting the last
+    feature, so local accuracy holds for any coalition sample. On a
+    singular normal system the solve is retried with _RIDGE * I and the
+    fallback is recorded in meta.
     """
     check_value("n_samples", EXPLAIN["n_samples"], n_samples)
     n, d = x.shape
+    score_fn = _score_fn_for(model)
     v0 = np.asarray(score_fn(background), dtype=np.float64).mean(axis=0)
     delta = np.asarray(score_fn(x), dtype=np.float64) - v0
     meta = {
@@ -312,7 +264,7 @@ def _kernel_rows(
         return np.repeat(delta[:, np.newaxis, :], d, axis=1), v0, meta
     z, w, _ = _kernel_coalitions(d, n_samples, seed)
     meta["n_coalitions"] = int(z.shape[0])
-    v = _coalition_values(score_fn, x, background, z)
+    v = _coalition_values(model, x, background, z)
     # substitute phi_{d-1} = delta - sum(others) into the weighted LS; the
     # target v - v0 - z_{d-1} delta is projected on aw without forming it
     v -= v0
@@ -329,15 +281,15 @@ def _kernel_rows(
             raise np.linalg.LinAlgError("non-finite solution")
     except np.linalg.LinAlgError:
         meta["ridge_fallback"] = True
-        meta["ridge"] = ridge
+        meta["ridge"] = _RIDGE
         try:
-            sol = np.linalg.solve(lhs + ridge * np.eye(d - 1), rhs)
+            sol = np.linalg.solve(lhs + _RIDGE * np.eye(d - 1), rhs)
         except np.linalg.LinAlgError as e:
             raise SingularSystem(
-                f"kernel regression singular even with ridge {ridge}"
+                f"kernel regression singular even with ridge {_RIDGE}"
             ) from e
         if not np.all(np.isfinite(sol)):
-            raise SingularSystem(f"kernel regression singular even with ridge {ridge}")
+            raise SingularSystem(f"kernel regression singular even with ridge {_RIDGE}")
     sol = sol.reshape(d - 1, n, -1).transpose(1, 0, 2)
     phi = np.concatenate([sol, (delta - sol.sum(axis=1))[:, np.newaxis, :]], axis=1)
     return phi, v0, meta
@@ -379,20 +331,12 @@ def _factorial_tables(max_n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_in, w_in.T
 
 
-def tree_shap(
-    model, x_row: np.ndarray, background: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interventional TreeSHAP for one instance.
+def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
+    """phi (n, d, C) of every row of x (n, d) and phi0, in one pass over the leaves.
 
-    Exactly matches exact_shapley on the same background (up to float
+    Matches exact enumeration on the same background (up to float
     rounding) at a cost linear in leaves and background rows.
     """
-    phi, phi0 = _tree_shap(model, np.atleast_2d(x_row), background)
-    return phi[0], phi0
-
-
-def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
-    """phi (n, d, C) of every row of x (n, d) and phi0, in one pass over the leaves."""
     leaves, offset = _model_leaf_tables(model)
     n = x.shape[0]
     b = background.shape[0]
@@ -450,14 +394,13 @@ def explain(
         n_samples: Coalition budget for the kernel method.
         seed: Seed for kernel coalition sampling: every instance is
             explained from the one coalition sample drawn with the child
-            seed (seed, 0), so row i equals kernel_shap with that seed.
+            seed (seed, 0), so row i equals a one-row call with that seed.
         feature_names: Optional names, length d.
     """
+    check_value("explain method", EXPLAIN["method"], method)
     x, bg = _validate_inputs(model, x_explain, background)
     if method == "auto":
         method = "tree" if isinstance(model, (RfModel, GbtModel)) else "kernel"
-    if method not in EXPLAIN["method"].range:
-        raise ShapeMismatch(f"unknown explanation method {method!r}")
     if feature_names is not None and len(feature_names) != x.shape[1]:
         raise DimensionMismatch(
             f"{len(feature_names)} feature names for {x.shape[1]} features"
@@ -466,17 +409,14 @@ def explain(
     if method == "tree":
         phi, phi0 = _tree_shap(model, x, bg)
     elif method == "exact":
-        score_fn = _score_fn_for(model)
         phi = np.empty(x.shape + (len(model.classes),))
         for i, row in enumerate(x):
-            phi[i], phi0 = exact_shapley(score_fn, row, bg)
-        if not len(x):  # exact_shapley's phi0: the empty coalition's value
+            phi[i], phi0 = _exact_row(model, row, bg)
+        if not len(x):  # _exact_row's phi0: the empty coalition's value
             empty = np.zeros((1, x.shape[1]), dtype=np.uint8)
-            phi0 = _coalition_values(score_fn, bg[0], bg, empty)[0]
+            phi0 = _coalition_values(model, bg[0], bg, empty)[0]
     else:
-        phi, phi0, meta = _kernel_rows(
-            _score_fn_for(model), x, bg, n_samples, child_seed(seed, 0)
-        )
+        phi, phi0, meta = _kernel_rows(model, x, bg, n_samples, child_seed(seed, 0))
     return ShapExplanation(
         method=method,
         classes=tuple(model.classes),
@@ -489,8 +429,8 @@ def explain(
 
 def global_ranking(
     explanation: ShapExplanation, class_index: Optional[int] = None
-) -> GlobalRanking:
-    """Rank features by mean |phi| over instances (and classes).
+) -> tuple[tuple[str, float], ...]:
+    """(feature, mean |phi|) pairs over instances (and classes), descending.
 
     Ties keep the original feature order.
     """
@@ -505,4 +445,4 @@ def global_ranking(
         f"x{i}" for i in range(scores.size)
     )
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    return GlobalRanking(entries=tuple((names[i], float(scores[i])) for i in order))
+    return tuple((names[i], float(scores[i])) for i in order)

@@ -42,7 +42,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -609,14 +609,17 @@ class FeatureTable:
 
     def to_csv(self, path: str) -> None:
         """Commit `subject_id,label,<features...>` with round-trip floats."""
-        text = StringIO(newline="")
-        w = csv.writer(text, lineterminator="\n")
-        w.writerow(["subject_id", "label", *self.feature_names])
-        for i, sid in enumerate(self.subject_ids):
-            row = [sid, self.class_names[self.y[i]]]
-            row.extend(repr(float(v)) for v in self.values[i])
-            w.writerow(row)
-        _commit(path, text.getvalue().encode("utf-8"))
+        rows = [["subject_id", "label", *self.feature_names]]
+        rows += [[sid, self.class_names[self.y[i]], *(repr(float(v)) for v in self.values[i])]
+                 for i, sid in enumerate(self.subject_ids)]
+        _commit(path, _csv_text(rows).encode("utf-8"))
+
+
+def _csv_text(rows: Iterable[Sequence]) -> str:
+    """rows as CSV text, quoted where a field needs it and LF-terminated."""
+    text = StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def load_feature_table(path: str) -> FeatureTable:

@@ -72,24 +72,3 @@ def model_from_json_dict(d: dict) -> TrainedModel:
         return GbtModel.from_json_dict(d)
     raise UnsupportedModel(f"cannot deserialize model kind {kind!r}")
 
-
-__all__ = [
-    "DEFAULT_GRIDS",
-    "EvalReport",
-    "GbtModel",
-    "GridSearchResult",
-    "MODEL_KINDS",
-    "RfModel",
-    "SvmModel",
-    "TrainedModel",
-    "check_params",
-    "evaluate",
-    "grid_search",
-    "make_trainer",
-    "model_from_json_dict",
-    "stratified_fold_indices",
-    "stratified_kfold_cv",
-    "train_gbt",
-    "train_rf",
-    "train_svm_ovr",
-]

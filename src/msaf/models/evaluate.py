@@ -8,6 +8,7 @@ one sample of proportional.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -208,18 +209,8 @@ def stratified_kfold_cv(
     keys = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
     mean_metrics = {k: float(np.mean([m[k] for m in fold_metrics])) for k in keys}
     std_metrics = {k: float(np.std([m[k] for m in fold_metrics])) for k in keys}
-    return EvalReport(
-        class_names=pooled.class_names,
-        confusion=pooled.confusion,
-        accuracy=pooled.accuracy,
-        precision=pooled.precision,
-        recall=pooled.recall,
-        f1=pooled.f1,
-        macro_precision=pooled.macro_precision,
-        macro_recall=pooled.macro_recall,
-        macro_f1=pooled.macro_f1,
-        fold_metrics=tuple(fold_metrics),
-        mean_metrics=mean_metrics,
+    return dataclasses.replace(
+        pooled, fold_metrics=tuple(fold_metrics), mean_metrics=mean_metrics,
         std_metrics=std_metrics,
     )
 

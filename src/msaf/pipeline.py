@@ -67,6 +67,7 @@ from .io import (
     Recording,
     Stage,
     _commit,
+    _csv_text,
     _load_payload,
     commit_segmentation,
     load_json,
@@ -582,15 +583,11 @@ def compute_stats(table: FeatureTable) -> dict:
 
 def _ranking_csv(expl, class_names: Sequence[str]) -> str:
     """ranking.csv: features by mean |attribution|, overall, then per class."""
-    lines = ["scope,rank,feature,mean_abs_shap"]
-    overall = global_ranking(expl)
-    for rank, (feat, score) in enumerate(overall.entries, start=1):
-        lines.append(f"all,{rank},{feat},{repr(float(score))}")
-    for ci, cname in enumerate(class_names):
+    rows = [("scope", "rank", "feature", "mean_abs_shap")]
+    for scope, ci in [("all", None), *((c, i) for i, c in enumerate(class_names))]:
         ranked = global_ranking(expl, class_index=ci)
-        for rank, (feat, score) in enumerate(ranked.entries, start=1):
-            lines.append(f"{cname},{rank},{feat},{repr(float(score))}")
-    return "\n".join(lines) + "\n"
+        rows += [(scope, r, f, repr(s)) for r, (f, s) in enumerate(ranked, start=1)]
+    return _csv_text(rows)
 
 
 def _check_folds(input_dir: str, n_folds: int) -> None:
@@ -754,13 +751,10 @@ def band_sweep(
     )
     ranked = [dict(rows[i], rank=r + 1) for r, i in enumerate(order)]
 
-    csv_lines = ["band,low_hz,high_hz,cv_accuracy,rank"]
-    for row in ranked:
-        csv_lines.append(
-            f"{row['band']},{row['low_hz']},{row['high_hz']},"
-            f"{repr(float(row['cv_accuracy']))},{row['rank']}"
-        )
-    _commit_text(os.path.join(out, "band_sweep.csv"), "\n".join(csv_lines) + "\n")
+    csv_rows = [("band", "low_hz", "high_hz", "cv_accuracy", "rank")]
+    csv_rows += [(r["band"], r["low_hz"], r["high_hz"], repr(float(r["cv_accuracy"])), r["rank"])
+                 for r in ranked]
+    _commit_text(os.path.join(out, "band_sweep.csv"), _csv_text(csv_rows))
     write_json(os.path.join(out, "band_sweep.json"), {"bands": ranked})
 
     in_order = [r["band"] for r in rows]

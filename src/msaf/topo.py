@@ -24,6 +24,22 @@ _NEG_RGB = (42, 76, 170)
 _MID_RGB = (247, 247, 247)
 _POS_RGB = (178, 24, 43)
 
+# interpolation grid cells per side of a topography
+_N_CELLS = 48
+# bar chart width, bar height (px) and value label format
+_CHART_WIDTH = 560
+_BAR_HEIGHT = 22
+_VALUE_FORMAT = "{:.4f}"
+
+
+def _escape(text: str) -> str:
+    """text with XML's markup characters as entities, as `xml.sax.saxutils.escape` gives.
+
+    That module imports `urllib.request` and with it `ssl` and `socket`: 3 MB more
+    peak RSS in every `msaf` process.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 def project_positions(positions: np.ndarray) -> np.ndarray:
     """Azimuthal equidistant projection of unit vectors to the unit disc.
@@ -72,10 +88,8 @@ def render_topomap(
     values: Sequence[float],
     title: str = "",
     size: int = 360,
-    n_cells: int = 48,
-    show_names: bool = True,
 ) -> str:
-    """One scalp map as an SVG string."""
+    """One scalp map as an SVG string, with channel names."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.shape != (len(montage.names),):
         raise ShapeMismatch(
@@ -83,7 +97,7 @@ def render_topomap(
         )
     xy = project_positions(montage.positions)
     vmax = float(np.max(np.abs(vals))) or 1.0
-    grid = _idw_grid(xy, vals, n_cells)
+    grid = _idw_grid(xy, vals, _N_CELLS)
 
     margin = size * 0.1
     r_head = size / 2.0 - margin
@@ -95,7 +109,7 @@ def render_topomap(
     def sy(v: float) -> float:
         return cy - v * r_head
 
-    cell = 2.0 * r_head / n_cells
+    cell = 2.0 * r_head / _N_CELLS
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size + 24}" viewBox="0 0 {size} {size + 24}">',
@@ -105,14 +119,14 @@ def render_topomap(
         "</clipPath></defs>",
         '<g clip-path="url(#head)">',
     ]
-    for iy in range(n_cells):
-        for ix in range(n_cells):
+    for iy in range(_N_CELLS):
+        for ix in range(_N_CELLS):
             z = grid[iy, ix]
             if math.isnan(z):
                 continue
             color = _diverging_color(z / vmax)
             x0 = sx(-1.0) + ix * cell
-            y0 = sy(1.0) + (n_cells - 1 - iy) * cell
+            y0 = sy(1.0) + (_N_CELLS - 1 - iy) * cell
             out.append(
                 f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cell + 0.35:.2f}" '
                 f'height="{cell + 0.35:.2f}" fill="{color}"/>'
@@ -140,17 +154,16 @@ def render_topomap(
         out.append(
             f'<circle cx="{sx(u):.1f}" cy="{sy(v):.1f}" r="2.4" fill="black"/>'
         )
-        if show_names:
-            out.append(
-                f'<text x="{sx(u):.1f}" y="{sy(v) - 4.5:.1f}" font-size="9" '
-                'font-family="sans-serif" text-anchor="middle">'
-                f"{name}</text>"
-            )
+        out.append(
+            f'<text x="{sx(u):.1f}" y="{sy(v) - 4.5:.1f}" font-size="9" '
+            'font-family="sans-serif" text-anchor="middle">'
+            f"{_escape(name)}</text>"
+        )
     if title:
         out.append(
             f'<text x="{cx:.1f}" y="{size + 16}" font-size="14" '
             'font-family="sans-serif" text-anchor="middle" '
-            f'font-weight="bold">{title}</text>'
+            f'font-weight="bold">{_escape(title)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)
@@ -160,9 +173,6 @@ def render_bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
     title: str = "",
-    width: int = 560,
-    bar_height: int = 22,
-    value_format: str = "{:.4f}",
     highlight: Optional[int] = None,
 ) -> str:
     """Horizontal bar chart as an SVG string.
@@ -178,8 +188,8 @@ def render_bar_chart(
     n = vals.size
     top, gap = 30 if title else 10, 6
     label_w, value_w = 150, 70
-    plot_w = width - label_w - value_w - 20
-    height = top + n * (bar_height + gap) + 10
+    plot_w = _CHART_WIDTH - label_w - value_w - 20
+    height = top + n * (_BAR_HEIGHT + gap) + 10
     lo, hi = min(0.0, float(vals.min())), max(0.0, float(vals.max()))
     span = (hi - lo) or 1.0
 
@@ -187,35 +197,35 @@ def render_bar_chart(
         return label_w + (v - lo) / span * plot_w
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_CHART_WIDTH} {height}">',
+        f'<rect width="{_CHART_WIDTH}" height="{height}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="19" font-size="14" '
+            f'<text x="{_CHART_WIDTH / 2:.0f}" y="19" font-size="14" '
             'font-family="sans-serif" text-anchor="middle" '
-            f'font-weight="bold">{title}</text>'
+            f'font-weight="bold">{_escape(title)}</text>'
         )
     out.append(
         f'<line x1="{px(0.0):.1f}" y1="{top - 4}" x2="{px(0.0):.1f}" '
         f'y2="{height - 6}" stroke="#888" stroke-width="1"/>'
     )
     for i, (lab, v) in enumerate(zip(labels, vals)):
-        y = top + i * (bar_height + gap)
+        y = top + i * (_BAR_HEIGHT + gap)
         x0, x1 = px(min(0.0, v)), px(max(0.0, v))
         fill = "#c0392b" if i == highlight else "#3465a4"
         out.append(
             f'<rect x="{x0:.1f}" y="{y}" width="{max(x1 - x0, 0.5):.1f}" '
-            f'height="{bar_height}" fill="{fill}"/>'
+            f'height="{_BAR_HEIGHT}" fill="{fill}"/>'
         )
         out.append(
-            f'<text x="{label_w - 8}" y="{y + bar_height - 6}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="end">{lab}</text>'
+            f'<text x="{label_w - 8}" y="{y + _BAR_HEIGHT - 6}" font-size="12" '
+            f'font-family="sans-serif" text-anchor="end">{_escape(lab)}</text>'
         )
         out.append(
-            f'<text x="{x1 + 6:.1f}" y="{y + bar_height - 6}" font-size="11" '
-            f'font-family="sans-serif">{value_format.format(float(v))}</text>'
+            f'<text x="{x1 + 6:.1f}" y="{y + _BAR_HEIGHT - 6}" font-size="11" '
+            f'font-family="sans-serif">{_VALUE_FORMAT.format(float(v))}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)

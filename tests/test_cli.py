@@ -1,4 +1,5 @@
 """End-to-end CLI verb chain plus the exit-code contract."""
+import csv
 import dataclasses
 import filecmp
 import json
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -178,6 +180,65 @@ def test_topo_verb(work):
     assert files == ["A.svg", "B.svg", "C.svg", "F.svg"]
     svg = open(work / "topos" / "A.svg").read()
     assert "<circle" in svg and "</svg>" in svg
+
+
+# names that are legal file names but markup or CSV syntax
+_MARKUP_NAMES = ("A&B", "C<D", "E,1")
+
+
+def _parse_svgs(directory):
+    """Parse every SVG under directory as XML; return their file names."""
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".svg"))
+    for name in names:
+        ET.parse(os.path.join(directory, name))
+    return names
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def test_topo_and_explain_rank_svgs_escape_names(tmp_path):
+    montage = standard_1020_montage()
+    rng = np.random.default_rng(0)
+    topographies = rng.standard_normal((3, len(montage.names)))
+    topographies -= topographies.mean(axis=1, keepdims=True)
+    topographies /= np.linalg.norm(topographies, axis=1, keepdims=True)
+    maps = MicrostateMaps(channels=montage.names, maps=topographies, labels=_MARKUP_NAMES)
+    maps_json = _write(tmp_path / "maps.json", maps.to_json_dict())
+    assert main(["topo", maps_json, "--out", str(tmp_path / "topo")]) == 0
+    assert _parse_svgs(tmp_path / "topo") == [f"{n}.svg" for n in sorted(_MARKUP_NAMES)]
+
+    expl = msaf.ShapExplanation(
+        method="kernel", classes=(0, 1), phi0=np.zeros(2),
+        phi=rng.standard_normal((4, 3, 2)),
+        feature_names=tuple(f"{n}_gev" for n in _MARKUP_NAMES),
+    )
+    (tmp_path / "rank").mkdir()
+    shap_json = _write(tmp_path / "rank" / "shap.json",
+                       {**expl.to_json_dict(), "class_names": ["N&C", "M<D"]})
+    out = str(tmp_path / "rank" / "ranking.csv")
+    assert main(["explain-rank", shap_json, "--out", out]) == 0
+    assert _parse_svgs(tmp_path / "rank") == ["ranking_M<D.svg", "ranking_N&C.svg"]
+    rows = _csv_rows(out)
+    assert rows[0] == ["scope", "rank", "feature", "mean_abs_shap"]
+    assert all(len(r) == 4 for r in rows)
+    assert {r[0] for r in rows[1:]} == {"all", "N&C", "M<D"}
+    assert {r[2] for r in rows[1:]} == {f"{n}_gev" for n in _MARKUP_NAMES}
+
+
+def test_band_sweep_csv_and_svg_hold_any_band_name(tmp_path, monkeypatch):
+    accuracy = {(1.0, 4.0): 0.5, (4.0, 8.0): 0.75}
+    monkeypatch.setattr(msaf.pipeline, "run_pipeline",
+                        lambda cfg, threads: {"cv_accuracy": accuracy[cfg.band]})
+    cfg = PipelineConfig(input_dir=str(tmp_path), out_dir=str(tmp_path / "sweep"))
+    os.mkdir(tmp_path / "sweep")
+    msaf.band_sweep(cfg, [("a,b", (1.0, 4.0)), ("c<d&e", (4.0, 8.0))])
+    rows = _csv_rows(tmp_path / "sweep" / "band_sweep.csv")
+    assert rows == [["band", "low_hz", "high_hz", "cv_accuracy", "rank"],
+                    ["c<d&e", "4.0", "8.0", "0.75", "1"], ["a,b", "1.0", "4.0", "0.5", "2"]]
+    assert _parse_svgs(tmp_path / "sweep") == ["band_sweep.svg"]
 
 
 def test_run_verb_and_rerun_identical(work, tmp_path):

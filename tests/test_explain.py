@@ -6,23 +6,33 @@ import pytest
 
 from msaf import (
     EmptyBackground,
+    InvalidConfig,
     TooManyFeatures,
-    exact_shapley,
     explain,
     global_ranking,
-    kernel_shap,
     make_trainer,
     train_gbt,
     train_rf,
     train_svm_ovr,
-    tree_shap,
 )
-from msaf.explain import _coalition_values, _kernel_coalitions, _score_fn_for
+from msaf.explain import (
+    _coalition_values,
+    _exact_row,
+    _kernel_coalitions,
+    _kernel_rows,
+    _score_fn_for,
+    _tree_shap,
+)
 from msaf.models._common import child_seed
 import msaf.models.svm
 from msaf.config import BLOCK_DOUBLES
 
 from oracles import exact_shapley_dense, shapley_by_permutations, tree_shap_loop
+
+
+def _tree_row(model, row, background):
+    phi, phi0 = _tree_shap(model, row[np.newaxis, :], background)
+    return phi[0], phi0
 
 
 def _data(rng, n_per=12, d=5):
@@ -42,7 +52,7 @@ def test_exact_matches_permutation_oracle():
     fn = _score_fn_for(model)
     background = x[::9][:4]
     for row in (x[0], x[13], x[29]):
-        phi, phi0 = exact_shapley(fn, row, background)
+        phi, phi0 = _exact_row(model, row, background)
         phi_o, phi0_o = shapley_by_permutations(fn, row, background)
         assert np.max(np.abs(phi - phi_o)) < 1e-10
         assert np.max(np.abs(phi0 - phi0_o)) < 1e-12
@@ -74,11 +84,10 @@ def test_tree_equals_exact_on_forest():
     rng = np.random.default_rng(2)
     x, y = _data(rng, d=6)
     model = train_rf(x, y, n_trees=15, max_depth=5, seed=3)
-    fn = _score_fn_for(model)
     background = x[: 10]
     for row in x[::7]:
-        phi_t, phi0_t = tree_shap(model, row, background)
-        phi_e, phi0_e = exact_shapley(fn, row, background)
+        phi_t, phi0_t = _tree_row(model, row, background)
+        phi_e, phi0_e = _exact_row(model, row, background)
         assert np.max(np.abs(phi_t - phi_e)) < 1e-9
         assert np.max(np.abs(phi0_t - phi0_e)) < 1e-9
 
@@ -88,11 +97,10 @@ def test_tree_equals_exact_on_gbt():
     x, y = _data(rng, d=5)
     model = train_gbt(x, y, n_rounds=12, learning_rate=0.3,
                       valid_fraction=0.0, seed=0)
-    fn = _score_fn_for(model)
     background = x[:10]
     for row in x[::11]:
-        phi_t, phi0_t = tree_shap(model, row, background)
-        phi_e, phi0_e = exact_shapley(fn, row, background)
+        phi_t, phi0_t = _tree_row(model, row, background)
+        phi_e, phi0_e = _exact_row(model, row, background)
         assert np.max(np.abs(phi_t - phi_e)) < 1e-9
 
 
@@ -110,15 +118,14 @@ def test_batched_tree_shap_matches_per_row_and_loop(kind):
     expl = explain(model, x, background, method="tree")
     doc = model.to_json_dict()
     for i, row in enumerate(x):
-        phi, phi0 = tree_shap(model, row, background)
+        phi, phi0 = _tree_row(model, row, background)
         phi_l, phi0_l = tree_shap_loop(doc, row, background)
         assert np.max(np.abs(expl.phi[i] - phi)) <= 1e-12
         assert np.max(np.abs(expl.phi[i] - phi_l)) <= 1e-12
         assert np.max(np.abs(expl.phi0 - phi0)) <= 1e-12
         assert np.max(np.abs(expl.phi0 - phi0_l)) <= 1e-12
-    fn = _score_fn_for(model)
     for i in (0, 17, 35):
-        phi_e, phi0_e = exact_shapley(fn, x[i], background)
+        phi_e, phi0_e = _exact_row(model, x[i], background)
         assert np.max(np.abs(expl.phi[i] - phi_e)) < 1e-9
         assert np.max(np.abs(expl.phi0 - phi0_e)) < 1e-9
 
@@ -127,16 +134,14 @@ def test_kernel_full_enumeration_equals_exact():
     rng = np.random.default_rng(4)
     x, y = _data(rng, d=5)
     model = train_svm_ovr(x, y, c=2.0, gamma=0.3)
-    fn = _score_fn_for(model)
     background = x[:6]
     # 2^5 - 2 = 30 proper coalitions; any budget >= that enumerates
-    for row in x[::13]:
-        phi_k, phi0_k, meta = kernel_shap(fn, row, background,
-                                          n_samples=64, seed=0)
-        phi_e, phi0_e = exact_shapley(fn, row, background)
-        assert meta.get("enumerated", False)
-        assert np.max(np.abs(phi_k - phi_e)) < 1e-6
-        assert np.max(np.abs(phi0_k - phi0_e)) < 1e-9
+    rows = x[::13]
+    expl = explain(model, rows, background, method="kernel", n_samples=64)
+    exact = explain(model, rows, background, method="exact")
+    assert expl.meta["enumerated"]
+    assert np.max(np.abs(expl.phi - exact.phi)) < 1e-6
+    assert np.max(np.abs(expl.phi0 - exact.phi0)) < 1e-9
 
 
 def test_svm_coalition_scores_match_composite_rows():
@@ -148,7 +153,7 @@ def test_svm_coalition_scores_match_composite_rows():
     chunk = BLOCK_DOUBLES // (background.shape[0] * n_sv)
     z = (rng.random((2 * chunk + 5, 7)) < 0.5).astype(np.float64)
     assert z.shape[0] > 2 * chunk  # three chunks
-    got = _coalition_values(model.decision_scores, x[4], background, z)
+    got = _coalition_values(model, x[4], background, z)
     composite = np.where(z.astype(bool)[:, np.newaxis, :], x[4], background[np.newaxis])
     want = model.decision_scores(composite.reshape(-1, 7))
     want = want.reshape(z.shape[0], background.shape[0], -1).mean(axis=1)
@@ -175,21 +180,22 @@ def test_svm_batched_coalition_scores_match_composite_rows():
 
 
 @pytest.mark.parametrize("kind", ["svm", "rf", "gbt"])
-def test_explain_kernel_rows_equal_one_row_kernel_shap(kind):
+def test_explain_kernel_rows_equal_one_row_calls(kind):
     rng = np.random.default_rng(17)
     x, y = _data(rng, d=9)
     params = {"svm": {"c": 2.0, "gamma": 0.2}, "rf": {"n_trees": 6},
               "gbt": {"n_rounds": 5, "valid_fraction": 0.0}}[kind]
     model = make_trainer(kind, params)(x, y, seed=0)
-    fn = _score_fn_for(model)
     background = x[::5]
     expl = explain(model, x[:6], background, method="kernel", n_samples=200, seed=5)
     for i in range(6):
-        phi, phi0, meta = kernel_shap(fn, x[i], background, n_samples=200,
-                                      seed=child_seed(5, 0))
-        assert np.max(np.abs(expl.phi[i] - phi)) <= 1e-12
-        assert np.max(np.abs(expl.phi0 - phi0)) <= 1e-12
-    assert expl.meta["n_coalitions"] == meta["n_coalitions"]
+        one = explain(model, x[i], background, method="kernel", n_samples=200, seed=5)
+        assert np.max(np.abs(expl.phi[i] - one.phi[0])) <= 1e-12
+        assert np.max(np.abs(expl.phi0 - one.phi0)) <= 1e-12
+        assert one.meta == expl.meta
+    # explain draws its coalitions with the child seed (seed, 0)
+    phi, _, _ = _kernel_rows(model, x[:6], background, 200, child_seed(5, 0))
+    assert np.array_equal(expl.phi, phi)
     z, _, _ = _kernel_coalitions(9, 200, child_seed(5, 0))
     assert expl.meta["n_coalitions"] == z.shape[0]
 
@@ -206,7 +212,7 @@ def test_explain_exact_without_rows_gives_the_background_mean(kind):
     assert exact.phi.shape == (0, 5, 3) and exact.phi0.shape == (3,)
     assert np.max(np.abs(exact.phi0 - kernel.phi0)) <= 1e-12
     # the value every row's enumeration reports
-    _, phi0_row = exact_shapley(_score_fn_for(model), x[0], background)
+    _, phi0_row = _exact_row(model, x[0], background)
     assert np.max(np.abs(exact.phi0 - phi0_row)) <= 1e-12
 
 
@@ -273,13 +279,12 @@ def test_kernel_sampled_regime_is_close_to_exact():
     rng = np.random.default_rng(12)
     x, y = _data(rng, d=9)
     model = train_svm_ovr(x, y, c=2.0, gamma=0.2)
-    fn = _score_fn_for(model)
     background = x[::6]
     for row in x[::17]:
-        phi_k, _, meta = kernel_shap(fn, row, background, n_samples=200, seed=3)
-        phi_e, _ = exact_shapley(fn, row, background)
+        phi_k, _, meta = _kernel_rows(model, row[np.newaxis, :], background, 200, 3)
+        phi_e, _ = _exact_row(model, row, background)
         assert not meta["enumerated"]
-        assert np.max(np.abs(phi_k - phi_e)) <= 0.1 * np.max(np.abs(phi_e))
+        assert np.max(np.abs(phi_k[0] - phi_e)) <= 0.1 * np.max(np.abs(phi_e))
 
 
 def test_explain_kernel_meta_enumerated():
@@ -322,15 +327,14 @@ def test_exact_is_bit_identical_to_dense_enumeration(kind, monkeypatch):
     params = {"svm": {"c": 2.0, "gamma": 0.1}, "rf": {"n_trees": 6},
               "gbt": {"n_rounds": 5, "valid_fraction": 0.0}}[kind]
     model = make_trainer(kind, params)(x, y, seed=0)
-    fn = _score_fn_for(model)
     background = x[::2]
     # several chunks of coalitions on the SVM path (the generic path takes
     # 65536 // 30 rows per chunk, two chunks of the 4096 coalitions)
     monkeypatch.setattr(msaf.models.svm, "BLOCK_DOUBLES", 1 << 16)
     for row in (x[0], x[31]):
-        phi, phi0 = exact_shapley(fn, row, background)
+        phi, phi0 = _exact_row(model, row, background)
         phi_d, phi0_d = exact_shapley_dense(
-            lambda z: _coalition_values(fn, row, background, z), 12)
+            lambda z: _coalition_values(model, row, background, z), 12)
         assert np.array_equal(phi, phi_d) and np.array_equal(phi0, phi0_d)
 
 
@@ -340,10 +344,9 @@ def test_exact_memory_is_bounded_by_the_value_table(monkeypatch):
     x, y = _data(rng, n_per=10, d=d)
     model = train_svm_ovr(x, y, c=2.0, gamma=0.1)
     monkeypatch.setattr(msaf.models.svm, "BLOCK_DOUBLES", 1 << 14)
-    fn = _score_fn_for(model)
     tracemalloc.start()
     try:
-        exact_shapley(fn, x[0], x[:4])
+        _exact_row(model, x[0], x[:4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,6 +365,14 @@ def test_exact_refuses_high_dimension():
         explain(model, x[:1], x, method="exact")
 
 
+def test_unknown_method_is_a_config_error():
+    rng = np.random.default_rng(8)
+    x, y = _data(rng, d=4)
+    model = train_svm_ovr(x, y, c=1.0, gamma=0.3)
+    with pytest.raises(InvalidConfig, match="explain method"):
+        explain(model, x[:2], x[:4], method="bogus")
+
+
 def test_empty_background_rejected():
     rng = np.random.default_rng(8)
     x, y = _data(rng, d=4)
@@ -377,8 +388,8 @@ def test_global_ranking_orders_by_mean_abs():
     expl = explain(model, x, x[:8], method="tree",
                    feature_names=("a", "b", "c", "d"))
     ranking = global_ranking(expl)
-    scores = [s for _, s in ranking.entries]
+    scores = [s for _, s in ranking]
     assert scores == sorted(scores, reverse=True)
-    assert set(n for n, _ in ranking.entries) == {"a", "b", "c", "d"}
+    assert set(n for n, _ in ranking) == {"a", "b", "c", "d"}
     by_hand = np.abs(expl.phi).mean(axis=(0, 2))
     assert max(scores) == pytest.approx(by_hand.max(), abs=1e-12)

@@ -48,6 +48,9 @@ blocks, 10 or 19 FIR row blocks): FIR filtering, GFP and backfitting each
 cross block seams, so the listing also shows that the blocks change no
 byte. A Tier-1 test keeps these shapes above one block.
 
+Every ``.svg`` it produced must parse as XML and every ``.csv`` must
+have rows of one field count (exit 1 otherwise).
+
 It prints one ``<sha256>  <path>`` line per file, sorted by path. A
 refactor that must not change behaviour shows the same listing for the
 parent's SRC_DIR and the change's; ``manifest.json`` also records the
@@ -58,11 +61,13 @@ changes an output byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 SEED = 7
 STEPS = [
@@ -177,6 +182,21 @@ def _digests(path: str) -> dict:
     }
 
 
+def _malformed(path: str) -> str:
+    """Why an .svg or .csv file is malformed, or "" when it is well-formed."""
+    if path.endswith(".svg"):
+        try:
+            ET.parse(path)
+        except ET.ParseError as e:
+            return f"not well-formed XML ({e})"
+    elif path.endswith(".csv"):
+        with open(path, newline="", encoding="utf-8") as f:
+            counts = {len(row) for row in csv.reader(f)}
+        if len(counts) > 1:
+            return f"rows with {sorted(counts)} fields"
+    return ""
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_dir", help="directory holding the msaf package")
@@ -220,6 +240,10 @@ def main(argv=None) -> int:
             path = os.path.join(root, name)
             rel = os.path.relpath(path, args.out_dir).replace(os.sep, "/")
             if rel not in configs:
+                problem = _malformed(path)
+                if problem:
+                    print(f"{rel}: {problem}", file=sys.stderr)
+                    return 1
                 lines.append(f"{_sha256(path)}  {rel}")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     return 0
