@@ -26,8 +26,8 @@ _PUBLIC = {
         FirFilter apply_fir average_reference crop design_fir_bandpass design_fir_lowpass
         design_fir_notch is_average_referenced resample surface_laplacian zscore_channels""",
     "microstates": """
-        GfpSeries MicrostateMaps Segmentation backfit find_gfp_peaks gev gfp group_cluster
-        label_maps modified_kmeans select_k spatial_correlation""",
+        MicrostateMaps Segmentation backfit find_gfp_peaks gev gfp group_cluster label_maps
+        modified_kmeans select_k spatial_correlation""",
     "features": "FeatureVector STATE_METRICS build_feature_table extract_features feature_names",
     "models": """
         DEFAULT_GRIDS EvalReport GbtModel MODEL_KINDS RfModel SvmModel evaluate grid_search

@@ -265,8 +265,7 @@ def _cmd_synth(args) -> int:
 
     with staged() as stage:
         for rec, seg in pairs:
-            commit_segmentation(seg, os.path.join(out, "truth", rec.subject_id),
-                                rec.subject_id, rec.label, stage)
+            commit_segmentation(seg, os.path.join(out, "truth", rec.subject_id), stage)
         for rec, _ in pairs:
             save_recording(rec, os.path.join(out, rec.subject_id), stage)
     print(f"wrote {len(pairs)} recordings (+truth) -> {out}")
@@ -348,7 +347,7 @@ def _cmd_features(args) -> int:
     out = _need(args, "out", "--out")
 
     entries = (
-        subject_features(*load_segmentation(os.path.join(args.seg_dir, f)),
+        subject_features(load_segmentation(os.path.join(args.seg_dir, f)),
                          gfp_aggregate=args.gfp_aggregate, trim_edge_runs=args.trim_edge_runs)
         for f in _artifact_names(args.seg_dir, ".seg")
     )

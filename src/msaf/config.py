@@ -32,6 +32,10 @@ MAX_STATES = 255
 # count.
 BLOCK_DOUBLES = 1 << 14
 
+# The most float64 channel-samples a synthetic recording may hold (1 GiB): a
+# larger SynthConfig is an InvalidConfig before any sample is drawn.
+MAX_SYNTH_VALUES = 1 << 27
+
 # The most taps an FIR filter may have. A filter edge or notch width so narrow
 # that it needs more is an InvalidBand, raised before its taps are allocated;
 # the cap admits band edges down to about 8e-4 Hz at 250 Hz.
@@ -77,6 +81,7 @@ _TYPES = {  # type -> (test, what a value of it is)
     "path": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
     "name": (_name, "a file name (not '', '.' or '..'; no '/', '\\', NUL or '.partial')"),
     "names": (lambda v: _sequence(v, lambda c: isinstance(c, str)), "a non-empty list of names"),
+    "strs": (lambda v: _sequence(v) and all(isinstance(c, str) for c in v), "a list of strings"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (_sequence, "a list"),
 }

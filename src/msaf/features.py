@@ -84,7 +84,7 @@ def extract_features(
     if gfp_aggregate not in ("mean", "median"):
         raise ShapeMismatch(f"unknown gfp aggregate {gfp_aggregate!r}")
 
-    states, corr, gfp_vals = seg.states, seg.corr, seg.gfp.values
+    states, corr, gfp_vals = seg.states, seg.corr, seg.gfp
     duration_s = t / seg.fs
     denom = math.fsum((gfp_vals * gfp_vals).tolist())
     gev_terms = gfp_vals * corr

@@ -10,18 +10,17 @@ Binary recordings live in a two-file container:
   (a list of strings describing the operations applied so far).
 
 A `Recording` holds float64 samples, or the float32 payload of its
-container as is. The two conversions are one function each:
-`narrow_recording`, which `save_recording` writes from, and
-`widen_recording`, which `load_recording` reads through. The pipeline
-reads the float32 recording (`_load_payload`), and every kernel widens
-its samples to float64 on entry or one block at a time, so all
-arithmetic happens at working precision and only storage is float32.
+container as is. `save_recording` writes `narrow_recording`'s float32
+samples and `load_recording` returns them as stored; every kernel widens
+samples to float64 on entry or one block at a time, so all arithmetic
+happens at working precision and only storage is float32.
 
 A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
 the header length as a little-endian uint32, a sorted-key JSON header
 (``fs``, ``label``, ``maps``, ``n_samples``, ``subject_id``), then the
 per-sample ``states`` as uint8 and ``corr`` and ``gfp`` as little-endian
-float64. Nothing is narrowed, so a segmentation reads back bit for bit.
+float64. Nothing is narrowed, so a `Segmentation` reads back bit for bit,
+with its subject_id and label.
 
 Every file of the package is written through a `Stage` (as
 ``<stem>.partial<ext>``) and renamed into place when its `staged` block
@@ -46,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import LABEL, MAX_STATES, NAME, check_value
+from .config import LABEL, MAX_STATES, NAME, Key, check_value
 from .errors import (
     BadMagic,
     DuplicateSubject,
@@ -394,11 +393,6 @@ def narrow_recording(rec: Recording) -> Recording:
         return rec.with_data(rec.data.astype("<f4"))
 
 
-def widen_recording(rec: Recording) -> Recording:
-    """The recording with float64 samples; widening is exact."""
-    return rec if rec.data.dtype == np.float64 else rec.with_data(rec.data.astype(np.float64))
-
-
 def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> tuple[str, str]:
     """Commit `<stem>.eegb` and its JSON sidecar, the sidecar first.
 
@@ -429,18 +423,28 @@ def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> 
     return _commit(stem + ".eegb", MAGIC, stored.data, stage=stage), json_path
 
 
+def _sidecar_fields(doc: dict) -> tuple:
+    """(channels, n_samples, fs, subject_id, label, provenance) of a sidecar.
+
+    A field of the wrong type, or a name that is no file name, is a
+    ValueError. Any number passes as fs: `Recording` checks the rate.
+    """
+    return (
+        check_value("channels", Key("names"), doc["channels"], ValueError),
+        check_value("n_samples", Key("int", "[0, inf)"), doc["n_samples"], ValueError),
+        check_value("fs", Key("real", "[-inf, inf]"), doc["fs"], ValueError),
+        *_subject(doc),
+        check_value("provenance", Key("strs"), doc.get("provenance", []), ValueError),
+    )
+
+
 def load_recording(path: str) -> Recording:
-    """Read a recording stored by :func:`save_recording`, widened to float64."""
-    return widen_recording(_load_payload(path))
-
-
-def _load_payload(path: str) -> Recording:
-    """The float32 Recording of a recording stored by :func:`save_recording`.
+    """The float32 Recording stored by :func:`save_recording`, as stored.
 
     Channel order is taken from the sidecar verbatim; nothing is
     reordered or dropped. The samples are a read-only view of the file's
-    bytes, so reading holds no second copy. A subject_id or label that
-    is no file name is an IoFailure.
+    bytes, so reading holds no second copy. A sidecar that does not
+    decode into a recording's fields is an IoFailure.
     """
     stem = _split_stem(path)
     bin_path, json_path = stem + ".eegb", stem + ".json"
@@ -449,15 +453,9 @@ def _load_payload(path: str) -> Recording:
         raise BadMagic(f"{bin_path!r} does not start with {MAGIC!r}")
     if not os.path.exists(json_path):
         raise MissingSidecar(f"no sidecar {json_path!r} for {bin_path!r}")
-    sidecar = _decode(json_path, _json, _read(json_path))
-    try:
-        channels = [str(c) for c in sidecar["channels"]]
-        n_samples = int(sidecar["n_samples"])
-        fs = float(sidecar["fs"])
-        subject_id, label = _subject(sidecar)
-        provenance = tuple(str(p) for p in sidecar.get("provenance", []))
-    except (KeyError, TypeError, ValueError) as e:
-        raise IoFailure(f"sidecar {json_path!r} does not describe a recording: {e!r}") from e
+    channels, n_samples, fs, subject_id, label, provenance = _decode(
+        json_path, _sidecar_fields, _decode(json_path, _json, _read(json_path))
+    )
     size = len(blob) - len(MAGIC)
     expected = len(channels) * n_samples * 4
     if size != expected:
@@ -475,16 +473,12 @@ def _load_payload(path: str) -> Recording:
     )
 
 
-def commit_segmentation(
-    seg, stem: str, subject_id: str, label: Optional[str], stage: Optional[Stage] = None
-) -> str:
-    """Commit `<stem>.seg`.
+def commit_segmentation(seg, stem: str, stage: Optional[Stage] = None) -> str:
+    """Commit `<stem>.seg`, its header naming seg's subject_id and label.
 
     Args:
         seg: The Segmentation to store; at most MAX_STATES maps.
         stem: Target path without the extension.
-        subject_id: Subject the segmentation belongs to.
-        label: Its class label, or None.
         stage: Stage to write through instead of committing now.
 
     Returns:
@@ -495,10 +489,10 @@ def commit_segmentation(
     header = json.dumps(
         {
             "fs": seg.fs,
-            "label": label,
+            "label": seg.label,
             "maps": seg.maps.to_json_dict(),
             "n_samples": seg.n_samples,
-            "subject_id": subject_id,
+            "subject_id": seg.subject_id,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -506,20 +500,21 @@ def commit_segmentation(
     return _commit(
         stem + ".seg", SEG_MAGIC, struct.pack("<I", len(header)), header,
         seg.states.astype(np.uint8).tobytes(), seg.corr.astype("<f8").tobytes(),
-        seg.gfp.values.astype("<f8").tobytes(), stage=stage,
+        seg.gfp.astype("<f8").tobytes(), stage=stage,
     )
 
 
 def load_segmentation(path: str):
-    """Read a `.seg` file: (subject_id, label, Segmentation).
+    """The Segmentation stored in a `.seg` file, with its subject_id and label.
 
     The header plus the decoded arrays pass through
     ``Segmentation.from_json_dict``.
 
     Raises:
         BadMagic: the file does not start with SEG_MAGIC.
-        IoFailure: the header is not the JSON object of a segmentation,
-            or its subject_id or label is no file name.
+        IoFailure: the header is not the JSON object of a segmentation:
+            its fs is no positive number, or its subject_id or label is
+            no file name.
         ShapeMismatch: the header or payload is cut short or too long.
     """
     from .microstates import Segmentation  # microstates imports this module
@@ -542,20 +537,24 @@ def load_segmentation(path: str):
     n = header["n_samples"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise IoFailure(f"{path!r}: n_samples must be a positive integer, got {n!r}")
+    check_value(f"{path!r}: fs", Key("real", "(0, inf)"), header["fs"], IoFailure)
     # one uint8 state and two float64 values per sample
     if len(blob) - body != 17 * n:
         raise ShapeMismatch(
             f"{path!r}: payload is {len(blob) - body} bytes, header declares "
             f"{n} samples = {17 * n}"
         )
+    subject_id, label = _decode(path, _subject, header)
     doc = {
         "fs": header["fs"],
         "maps": header["maps"],
         "states": np.frombuffer(blob, np.uint8, n, body),
         "corr": np.frombuffer(blob, "<f8", n, body + n).astype(np.float64),
         "gfp": np.frombuffer(blob, "<f8", n, body + 9 * n).astype(np.float64),
+        "subject_id": subject_id,
+        "label": label,
     }
-    return (*_decode(path, _subject, header), _decode(path, Segmentation.from_json_dict, doc))
+    return _decode(path, Segmentation.from_json_dict, doc)
 
 
 @dataclass(frozen=True)

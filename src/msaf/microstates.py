@@ -47,29 +47,6 @@ logger = logging.getLogger("msaf.microstates")
 
 
 @dataclass(frozen=True)
-class GfpSeries:
-    """Global field power: per-sample population std across channels."""
-
-    values: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ShapeMismatch("GFP series must be a non-empty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteData("GFP series contains non-finite values")
-        if np.any(v < 0):
-            raise ShapeMismatch("GFP values cannot be negative")
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "fs", float(self.fs))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class MicrostateMaps:
     """A set of unit-norm, average-referenced template topographies.
 
@@ -151,7 +128,7 @@ class MicrostateMaps:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Per-sample state assignment of a recording.
+    """Per-sample state assignment of a subject's recording.
 
     On disk it is one ``.seg`` file (:func:`msaf.io.commit_segmentation`).
 
@@ -159,33 +136,43 @@ class Segmentation:
         states: (T,) int array of map indices.
         corr: (T,) absolute spatial correlation with the assigned map,
             0 for spatially degenerate samples.
-        gfp: Global field power of the segmented recording.
-        fs: Sampling rate in Hz.
+        gfp: (T,) read-only float64 global field power of the segmented
+            recording, finite and non-negative.
+        fs: Sampling rate in Hz, of all three.
         maps: The maps the recording was fit against.
+        subject_id: Subject the recording belongs to.
+        label: Its class label, or None.
     """
 
     states: np.ndarray
     corr: np.ndarray
-    gfp: GfpSeries
+    gfp: np.ndarray
     fs: float
     maps: MicrostateMaps
+    subject_id: str
+    label: Optional[str] = None
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.int64)
         c = np.asarray(self.corr, dtype=np.float64)
+        g = np.asarray(self.gfp, dtype=np.float64)
         if s.ndim != 1 or s.size < 1:
             raise ShapeMismatch("states must be a non-empty 1-D array")
-        if not (s.size == c.size == self.gfp.n_samples):
+        if c.size != s.size or g.shape != s.shape:
             raise ShapeMismatch(
-                f"states ({s.size}), corr ({c.size}) and gfp "
-                f"({self.gfp.n_samples}) lengths disagree"
+                f"states ({s.size}), corr ({c.size}) and gfp ({g.size}) lengths disagree"
             )
         if s.min() < 0 or s.max() >= self.maps.k:
             raise ShapeMismatch("state index out of range")
         if not np.all(np.isfinite(c)) or c.min() < 0 or c.max() > 1.0 + 1e-12:
             raise ShapeMismatch("corr values must lie in [0, 1]")
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteData("GFP contains non-finite values")
+        if g.min() < 0:
+            raise ShapeMismatch("GFP values cannot be negative")
         object.__setattr__(self, "states", _freeze(s))
         object.__setattr__(self, "corr", _freeze(np.minimum(c, 1.0)))
+        object.__setattr__(self, "gfp", _freeze(g))
         object.__setattr__(self, "fs", float(self.fs))
 
     @property
@@ -196,27 +183,30 @@ class Segmentation:
     def from_json_dict(cls, d: dict) -> "Segmentation":
         """A segmentation from its dict form.
 
-        Keys: ``fs``, ``states``, ``corr``, ``gfp`` (sequences or arrays)
-        and ``maps`` (the dict form of MicrostateMaps). This is the form
-        :func:`msaf.io.load_segmentation` decodes a ``.seg`` file into.
+        Keys: ``fs``, ``states``, ``corr``, ``gfp`` (sequences or arrays),
+        ``maps`` (the dict form of MicrostateMaps), ``subject_id`` and
+        ``label``. This is the form :func:`msaf.io.load_segmentation`
+        decodes a ``.seg`` file into.
         """
         return cls(
             states=np.asarray(d["states"], dtype=np.int64),
             corr=np.asarray(d["corr"], dtype=np.float64),
-            gfp=GfpSeries(values=np.asarray(d["gfp"], dtype=np.float64), fs=float(d["fs"])),
+            gfp=np.asarray(d["gfp"], dtype=np.float64),
             fs=float(d["fs"]),
             maps=MicrostateMaps.from_json_dict(d["maps"]),
+            subject_id=d["subject_id"],
+            label=d.get("label"),
         )
 
 
-def gfp(rec: Recording) -> GfpSeries:
-    """Global field power: population std across channels per sample.
+def gfp(rec: Recording) -> np.ndarray:
+    """Global field power: (T,) float64 population std across channels per sample.
 
     Computed by `_column_std`, one block of samples at a time. A float32
     recording is widened one block at a time; widening is exact, so its
     GFP has the same bits as its widened copy's.
     """
-    return GfpSeries(values=_column_std(rec.data), fs=rec.fs)
+    return _column_std(rec.data)
 
 
 def _sample_blocks(n: int, n_channels: int) -> list[slice]:
@@ -253,24 +243,24 @@ def _samples_of_ms(ms: float, fs: float) -> int:
     return int(math.ceil(ms / 1000.0 * fs - 1e-9))
 
 
-def find_gfp_peaks(series: GfpSeries, min_distance_ms: float = 0.0) -> np.ndarray:
-    """Indices of strict local maxima of the GFP curve.
+def find_gfp_peaks(values: np.ndarray, fs: float, min_distance_ms: float = 0.0) -> np.ndarray:
+    """Indices of strict local maxima of a GFP curve sampled at fs.
 
     Plateaus produce no peak. With min_distance_ms > 0, peaks are kept
     greedily by descending GFP value (ties to the earlier sample) and
     any candidate closer than the distance to a kept peak is dropped.
 
     Raises:
-        NoPeaks: if the series has no strict local maximum.
+        NoPeaks: if the curve has no strict local maximum.
     """
-    v = series.values
+    v = np.asarray(values, dtype=np.float64)
     if v.size < 3:
         raise NoPeaks(f"series of {v.size} samples cannot contain a local maximum")
     inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     idx = np.nonzero(inner)[0] + 1
     if idx.size == 0:
         raise NoPeaks("GFP series has no strict local maxima")
-    d_min = _samples_of_ms(min_distance_ms, series.fs)
+    d_min = _samples_of_ms(min_distance_ms, fs)
     if d_min > 1:
         # a kept peak blocks every sample closer than d_min to it
         blocked = np.zeros(v.size, dtype=bool)
@@ -629,11 +619,8 @@ def backfit(
     corr = c[np.arange(n), states]
     corr[~live] = 0.0
     return Segmentation(
-        states=states,
-        corr=corr,
-        gfp=GfpSeries(values=_column_std(x), fs=rec.fs),
-        fs=rec.fs,
-        maps=maps,
+        states=states, corr=corr, gfp=_column_std(x), fs=rec.fs, maps=maps,
+        subject_id=rec.subject_id, label=rec.label,
     )
 
 

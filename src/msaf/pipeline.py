@@ -68,9 +68,9 @@ from .io import (
     Stage,
     _commit,
     _csv_text,
-    _load_payload,
     commit_segmentation,
     load_json,
+    load_recording,
     narrow_recording,
     read_json,
     save_recording,
@@ -277,7 +277,7 @@ def _input_boxes(input_dir: str, montage: Optional[Sequence[str]]) -> Iterator[l
     """
     seen: set[str] = set()
     for name in _artifact_names(input_dir, ".eegb"):
-        rec = _load_payload(os.path.join(input_dir, name))
+        rec = load_recording(os.path.join(input_dir, name))
         if montage is not None:
             rec = rec.pick(montage)
         if rec.subject_id in seen:
@@ -350,7 +350,7 @@ def _subject_maps(
     A float32 recording's peak columns are gathered first and widened
     after, exactly, so it gives the same maps as its widened copy.
     """
-    peaks = find_gfp_peaks(gfp(rec), min_distance_ms=min_peak_distance_ms)
+    peaks = find_gfp_peaks(gfp(rec), rec.fs, min_distance_ms=min_peak_distance_ms)
     return modified_kmeans(
         np.asarray(rec.data[:, peaks], dtype=np.float64).T, k, **kmeans,
         seed=child_seed(seed, 100, idx), channels=rec.montage.names,
@@ -362,19 +362,17 @@ def _segmented(
 ) -> Segmentation:
     """rec backfitted to gmaps, staged as <out_dir>/<id>.seg."""
     seg = backfit(rec, gmaps, min_segment_ms=min_segment_ms)
-    commit_segmentation(seg, os.path.join(out_dir, rec.subject_id), rec.subject_id, rec.label,
-                        stage)
+    commit_segmentation(seg, os.path.join(out_dir, rec.subject_id), stage)
     return seg
 
 
 def subject_features(
-    sid: str, label: Optional[str], seg: Segmentation, gfp_aggregate: str = "mean",
-    trim_edge_runs: bool = False,
+    seg: Segmentation, gfp_aggregate: str = "mean", trim_edge_runs: bool = False
 ) -> tuple[str, str, FeatureVector]:
-    """A subject's (subject_id, label, features) entry of the feature table."""
-    if label is None:
-        raise UnlabeledData(f"subject {sid!r} has no class label")
-    return sid, label, extract_features(
+    """seg's subject's (subject_id, label, features) entry of the feature table."""
+    if seg.label is None:
+        raise UnlabeledData(f"subject {seg.subject_id!r} has no class label")
+    return seg.subject_id, seg.label, extract_features(
         seg, gfp_aggregate=gfp_aggregate, trim_edge_runs=trim_edge_runs
     )
 
@@ -661,13 +659,14 @@ def run_pipeline(
     )
 
     def segment(rec: Recording) -> tuple[str, str, FeatureVector]:
-        seg = _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
-        return subject_features(rec.subject_id, rec.label, seg)
+        return subject_features(
+            _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
+        )
 
     logger.info("backfitting and extracting features")
     with staged() as stage:
         entries = _ordered_map(
-            segment, (_load_payload(os.path.join(pre, sid)) for sid in sids), threads
+            segment, (load_recording(os.path.join(pre, sid)) for sid in sids), threads
         )
     table = feature_stage(entries, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed

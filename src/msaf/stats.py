@@ -268,15 +268,13 @@ def kruskal_wallis(groups: Sequence) -> TestResult:
     )
 
 
-def dunn_posthoc(groups: Sequence, adjust: str = "bonferroni") -> list[PairwiseResult]:
+def dunn_posthoc(groups: Sequence) -> list[PairwiseResult]:
     """Dunn's pairwise z-tests on the pooled midranks.
 
     z_ij = (Rbar_i - Rbar_j) / sqrt([N(N+1)/12 - sum(t^3-t)/(12(N-1))]
     * (1/n_i + 1/n_j)); two-sided p-values, Bonferroni-multiplied by the
     number of pairs and capped at 1.
     """
-    if adjust not in ("bonferroni", "none"):
-        raise InvalidDomain(f"unknown adjustment {adjust!r}")
     gs = _validate_groups(groups)
     pooled = np.concatenate(gs)
     n_total = pooled.size
@@ -300,8 +298,7 @@ def dunn_posthoc(groups: Sequence, adjust: str = "bonferroni") -> list[PairwiseR
             se = math.sqrt(var_base * (1.0 / gs[i].size + 1.0 / gs[j].size))
             z = (mean_ranks[i] - mean_ranks[j]) / se
             p = 2.0 * normal_sf(abs(z))
-            p_adj = min(1.0, p * n_pairs) if adjust == "bonferroni" else p
-            out.append(
-                PairwiseResult(group_i=i, group_j=j, z=z, p_value=p, p_adjusted=p_adj)
-            )
+            out.append(PairwiseResult(
+                group_i=i, group_j=j, z=z, p_value=p, p_adjusted=min(1.0, p * n_pairs)
+            ))
     return out

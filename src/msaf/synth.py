@@ -19,10 +19,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import COHORT, SYNTH, check, check_value, require
+from .config import COHORT, MAX_SYNTH_VALUES, SYNTH, check, check_value, require
 from .errors import InvalidConfig
 from .io import Montage, Recording, STANDARD_1020_NAMES, standard_1020_montage
-from .microstates import GfpSeries, MicrostateMaps, Segmentation
+from .microstates import MicrostateMaps, Segmentation
 from .models._common import child_seed
 
 CANONICAL_LABELS = ("A", "B", "C", "F")
@@ -119,6 +119,10 @@ class SynthConfig:
     def __post_init__(self):
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         object.__setattr__(self, "channels", check("synth", SYNTH, fields)["channels"])
+        # channels x samples as a float: round() of an infinite duration * fs raises
+        size = len(self.channels or STANDARD_1020_NAMES) * self.duration * self.fs
+        require(size <= MAX_SYNTH_VALUES, f"a synthetic recording holds at most "
+                f"{MAX_SYNTH_VALUES} channel-samples, got {size:.4g}")
         k = self.n_states
         object.__setattr__(
             self, "mean_dwell_ms", _per_state("mean_dwell_ms", self.mean_dwell_ms, k)
@@ -230,11 +234,8 @@ def generate(cfg: SynthConfig) -> tuple[Recording, Segmentation, MicrostateMaps]
         provenance=(f"synth:seed={cfg.seed}",),
     )
     seg = Segmentation(
-        states=states,
-        corr=corr,
-        gfp=GfpSeries(values=data.std(axis=0), fs=cfg.fs),
-        fs=cfg.fs,
-        maps=templates,
+        states=states, corr=corr, gfp=data.std(axis=0), fs=cfg.fs, maps=templates,
+        subject_id=cfg.subject_id, label=cfg.label,
     )
     return rec, seg, templates
 

@@ -15,7 +15,6 @@ import numpy as np
 
 import msaf
 from msaf import (
-    GfpSeries,
     MicrostateMaps,
     PipelineConfig,
     Segmentation,
@@ -77,7 +76,7 @@ def test_c01_noiseless_recovery(capsys):
     pairs = make_cohort(1, seed=11, base={"snr": math.inf, "duration": 8.0})
     worst_corr, worst_agree, worst_gev_err = 1.0, 1.0, 0.0
     for rec, truth in pairs:
-        peaks = find_gfp_peaks(gfp(rec))
+        peaks = find_gfp_peaks(gfp(rec), rec.fs)
         maps = modified_kmeans(rec.data[:, peaks].T, 4, n_inits=10,
                                seed=child_seed(11, 100),
                                channels=rec.montage.names)
@@ -118,7 +117,7 @@ def test_c02_kmeans_trace_monotone(capsys):
     worst_drop, n_points = 0.0, 0
     for seed in range(20):
         rec, _, _ = generate(SynthConfig(seed=seed, snr=2.0, duration=4.0))
-        peaks = find_gfp_peaks(gfp(rec))
+        peaks = find_gfp_peaks(gfp(rec), rec.fs)
         trace: list = []
         modified_kmeans(rec.data[:, peaks].T, 4, n_inits=10, seed=seed,
                         channels=rec.montage.names, trace_sink=trace)
@@ -155,9 +154,10 @@ def _random_segmentation(rng) -> Segmentation:
     return Segmentation(
         states=rng.integers(0, k, size=n),
         corr=rng.random(n),
-        gfp=GfpSeries(values=rng.random(n) * 5.0, fs=fs),
+        gfp=rng.random(n) * 5.0,
         fs=fs,
         maps=mm,
+        subject_id="s",
     )
 
 
@@ -169,7 +169,7 @@ def test_c03_feature_identities_and_oracle(capsys):
         rng = np.random.default_rng(seed)
         seg = _random_segmentation(rng)
         got = extract_features(seg).to_dict()
-        want = features_brute_force(seg.states, seg.corr, seg.gfp.values,
+        want = features_brute_force(seg.states, seg.corr, seg.gfp,
                                     seg.fs, seg.maps.k, seg.maps.labels)
         if got.keys() != want.keys():
             failures.append(f"seed {seed}: key sets differ")
@@ -252,7 +252,7 @@ def test_c05_cohort_classifier_accuracy(capsys):
     pairs = make_cohort(30, seed=42)
     subj_maps = []
     for i, (rec, _) in enumerate(pairs):
-        peaks = find_gfp_peaks(gfp(rec))
+        peaks = find_gfp_peaks(gfp(rec), rec.fs)
         subj_maps.append(modified_kmeans(rec.data[:, peaks].T, 4, n_inits=10,
                                          seed=child_seed(42, 100, i),
                                          channels=rec.montage.names))

@@ -53,10 +53,8 @@ def test_synth_wrote_pairs_and_truth(work):
     ]
     rec = load_recording(str(work / "data" / eegb[0]))
     assert rec.label in ("NC", "MCI", "DEM")
-    sid, label, truth = load_segmentation(
-        str(work / "data" / "truth" / eegb[0].replace(".eegb", ".seg"))
-    )
-    assert (sid, label) == (rec.subject_id, rec.label)
+    truth = load_segmentation(str(work / "data" / "truth" / eegb[0].replace(".eegb", ".seg")))
+    assert (truth.subject_id, truth.label) == (rec.subject_id, rec.label)
     assert truth.n_samples == rec.data.shape[1]
 
 
@@ -597,10 +595,30 @@ def _truncated_payload(blob):
     return blob[:-1]
 
 
+def _nan_gfp(blob):
+    """The last GFP value, the last 8 bytes, made NaN."""
+    return blob[:-8] + np.float64(np.nan).tobytes()
+
+
+def _seg_header(**changes):
+    """A corruption that changes some keys of a .seg file's header."""
+    def corrupt(blob):
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.dumps({**json.loads(blob[12:12 + n]), **changes},
+                            sort_keys=True, separators=(",", ":")).encode()
+        return blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:]
+    corrupt.__name__ = "header_" + ",".join(f"{k}={v!r}" for k, v in changes.items())
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,error", [
     (_bad_magic, "BadMagic"),
     (_header_past_end, "ShapeMismatch"),
     (_truncated_payload, "ShapeMismatch"),
+    (_nan_gfp, "NonFiniteData"),
+    (_seg_header(fs=0), "IoFailure"),
+    (_seg_header(fs=-250), "IoFailure"),
+    (_seg_header(fs="250"), "IoFailure"),
 ])
 def test_corrupt_segmentation_is_one_data_error(corrupt, error, work, tmp_path, capsys):
     segs = tmp_path / "segs"
@@ -717,15 +735,20 @@ print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
 """
 
 
-def _fresh_python(code, *args, cwd) -> str:
-    """stdout of code run in a fresh interpreter that imports the tested msaf."""
+def _child(code, *args, cwd) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports the tested msaf."""
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(msaf.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def _fresh_python(code, *args, cwd) -> str:
+    """stdout of code run in a fresh interpreter that imports the tested msaf; it must exit 0."""
+    proc = _child(code, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr[-600:]
     return proc.stdout
 
@@ -854,6 +877,33 @@ def test_failed_synth_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# a verb run under a 2 GiB address-space cap: a bound it misses shows as a
+# MemoryError (exit 1), not as a host out of memory
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from msaf.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# each asks for far more than 1 GiB of float64 channel-samples
+@pytest.mark.parametrize("doc", [
+    {"kind": "single", "fs": 1e9, "duration": 1},
+    {"kind": "single", "duration": 1e7},
+    {"kind": "cohort", "n_per_class": 1, "base": {"duration": 1e6}},
+])
+def test_oversized_synth_is_a_config_error_before_it_allocates(doc, tmp_path):
+    out = tmp_path / "out"
+    proc = _child(_CAPPED_MAIN, "synth", "--config", _write(tmp_path / "c.json", doc),
+                  "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr[-600:]
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidConfig"
+    assert not out.exists()
+
+
 def test_label_rejects_a_repeated_mapping_index(work, tmp_path, capsys):
     out = tmp_path / "maps.json"
     assert main(["label", str(work / "maps_raw.json"), "--mapping", "0=A,1=B,2=C,3=F,0=X",
@@ -886,24 +936,20 @@ def _blocked(tmp_path):
     return str(tmp_path / "file" / "o")
 
 
-def _sidecar_id(work, tmp_path, subject_id):
-    """A directory holding NC_000 of the work cohort under another subject id."""
+def _sidecar_with(work, tmp_path, **fields):
+    """A directory holding NC_000 of the work cohort, some sidecar fields changed."""
     data = _one_recording(work, tmp_path)
     sidecar = os.path.join(data, "NC_000.json")
-    _write(sidecar, {**read_json(sidecar), "subject_id": subject_id})
+    _write(sidecar, {**read_json(sidecar), **fields})
     return data
 
 
 def _seg_id(work, tmp_path, subject_id):
     """A directory holding NC_000's .seg of the work cohort under another subject id."""
-    blob = (work / "segs" / "NC_000.seg").read_bytes()
-    n = int.from_bytes(blob[8:12], "little")
-    header = json.dumps({**json.loads(blob[12:12 + n]), "subject_id": subject_id},
-                        sort_keys=True, separators=(",", ":")).encode()
     segs = tmp_path / "segs"
     segs.mkdir()
-    (segs / "NC_000.seg").write_bytes(
-        blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:])
+    blob = (work / "segs" / "NC_000.seg").read_bytes()
+    (segs / "NC_000.seg").write_bytes(_seg_header(subject_id=subject_id)(blob))
     return str(segs)
 
 
@@ -937,6 +983,12 @@ _IO_FAULTS = {
                                             "--out", o], "IoFailure", 3),
     "segment-sidecar-not-utf8": (lambda w, t, o: ["segment", _one_recording(w, t, True),
                                                   "--out", o], "IoFailure", 3),
+    # sidecar fields of the wrong type; NC_000 holds 1500 samples
+    **{f"preprocess-sidecar-{field}-{value!r}": (
+        lambda w, t, o, field=field, value=value: [
+            "preprocess", _sidecar_with(w, t, **{field: value}), "--out", o], "IoFailure", 3)
+       for field, value in [("n_samples", 1500.9), ("n_samples", "1500"), ("fs", "250"),
+                            ("provenance", "abc")]},
     "explain-rank-bad-shap": (lambda w, t, o: ["explain-rank", _write(
         t / "s.json", {"method": "kernel"}), "--out", o], "IoFailure", 3),
     "explain-rank-class-names-mismatch": (lambda w, t, o: ["explain-rank", _write(
@@ -979,8 +1031,8 @@ _IO_FAULTS = {
                                           "labeling": _write(t / "k3.json", {"k": 3})})],
         "IoFailure", 3),
     # names read from files that would become file names
-    "segment-sidecar-id-with-slash": (lambda w, t, o: ["segment", _sidecar_id(w, t, "a/b"),
-                                                       "--out", o], "IoFailure", 3),
+    "segment-sidecar-id-with-slash": (lambda w, t, o: ["segment", _sidecar_with(
+        w, t, subject_id="a/b"), "--out", o], "IoFailure", 3),
     "features-seg-id-with-slash": (lambda w, t, o: ["features", _seg_id(w, t, "../x"),
                                                     "--out", o], "IoFailure", 3),
     "topo-map-label-with-slash": (lambda w, t, o: ["topo", _changed(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from msaf import (
-    GfpSeries,
     MicrostateMaps,
     Segmentation,
     SynthConfig,
@@ -38,15 +37,16 @@ def _random_segmentation(rng, k=None, fs=None, n=None):
     return Segmentation(
         states=states,
         corr=corr,
-        gfp=GfpSeries(values=gfp_vals, fs=fs),
+        gfp=gfp_vals,
         fs=fs,
         maps=mm,
+        subject_id="s",
     )
 
 
 def _oracle_dict(seg, **kw):
     return features_brute_force(
-        seg.states, seg.corr, seg.gfp.values, seg.fs, seg.maps.k,
+        seg.states, seg.corr, seg.gfp, seg.fs, seg.maps.k,
         seg.maps.labels, **kw,
     )
 
@@ -105,7 +105,7 @@ def test_absent_state_gets_zeros():
     # rebuild with state 4 never used
     states = np.where(seg.states == 4, 0, seg.states)
     seg2 = Segmentation(states=states, corr=seg.corr, gfp=seg.gfp,
-                        fs=seg.fs, maps=seg.maps)
+                        fs=seg.fs, maps=seg.maps, subject_id=seg.subject_id)
     fv = extract_features(seg2)
     i = 4
     assert fv.gev[i] == fv.meancorr[i] == fv.occurrence[i] == 0.0
@@ -114,7 +114,7 @@ def test_absent_state_gets_zeros():
 
 def _with_states(seg, states):
     return Segmentation(states=np.asarray(states), corr=seg.corr, gfp=seg.gfp,
-                        fs=seg.fs, maps=seg.maps)
+                        fs=seg.fs, maps=seg.maps, subject_id=seg.subject_id)
 
 
 @pytest.mark.parametrize("trim", [False, True])

@@ -94,17 +94,18 @@ def test_eegb_roundtrip_without_label(tmp_path):
 
 @pytest.mark.parametrize("label", ["NC", None])
 def test_segmentation_roundtrip_exact(tmp_path, label):
-    _, seg, _ = generate(SynthConfig(seed=9, duration=2.0, snr=3.0))
-    path = commit_segmentation(seg, str(tmp_path / "s07"), "s07", label)
+    _, seg, _ = generate(SynthConfig(seed=9, duration=2.0, snr=3.0, subject_id="s07",
+                                     label=label))
+    path = commit_segmentation(seg, str(tmp_path / "s07"))
     assert path == str(tmp_path / "s07.seg")
     assert os.listdir(tmp_path) == ["s07.seg"]
-    sid, back_label, back = load_segmentation(path)
-    assert (sid, back_label) == ("s07", label)
+    back = load_segmentation(path)
+    assert (back.subject_id, back.label) == ("s07", label)
     assert np.array_equal(back.states, seg.states)
     # float64 on disk: bit for bit, not merely close
     assert back.corr.tobytes() == seg.corr.tobytes()
-    assert back.gfp.values.tobytes() == seg.gfp.values.tobytes()
-    assert back.fs == seg.fs and back.gfp.fs == seg.gfp.fs
+    assert back.gfp.tobytes() == seg.gfp.tobytes()
+    assert back.fs == seg.fs
     assert back.maps.maps.tobytes() == seg.maps.maps.tobytes()
     assert (back.maps.labels, back.maps.channels) == (seg.maps.labels, seg.maps.channels)
     assert back.maps.gev_total == seg.maps.gev_total

@@ -14,7 +14,6 @@ from msaf import (
     AmbiguousLabels,
     DegenerateSample,
     EmptyCluster,
-    GfpSeries,
     InvalidConfig,
     MicrostateMaps,
     Montage,
@@ -37,7 +36,7 @@ from msaf import (
     standard_1020_montage,
 )
 from msaf.config import BLOCK_DOUBLES
-from msaf.io import narrow_recording, widen_recording
+from msaf.io import narrow_recording
 from msaf.microstates import _min_cost_assignment, _run_lengths
 from oracles import (
     EmptyClusterError,
@@ -49,6 +48,11 @@ from oracles import (
     run_groups,
     run_lengths_loop,
 )
+
+
+def widen_recording(rec):
+    """The recording with float64 samples; widening is exact."""
+    return rec if rec.data.dtype == np.float64 else rec.with_data(rec.data.astype(np.float64))
 
 
 def _unit_maps(rng, k, n_ch):
@@ -63,39 +67,37 @@ def test_gfp_is_population_std():
     m = standard_1020_montage()
     data = rng.standard_normal((19, 40))
     rec = Recording(montage=m, fs=100.0, data=data, subject_id="t")
-    series = gfp(rec)
+    values = gfp(rec)
+    assert values.shape == (40,) and values.dtype == np.float64
     # hand formula: sqrt(mean((x - xbar)^2)) per sample
     for t in (0, 17, 39):
         col = data[:, t]
         hand = math.sqrt(sum((v - col.mean()) ** 2 for v in col) / 19)
-        assert abs(series.values[t] - hand) < 1e-12
+        assert abs(values[t] - hand) < 1e-12
 
 
 def test_find_peaks_strict_maxima():
     v = np.array([0.0, 1.0, 0.5, 2.0, 2.0, 1.0, 3.0, 0.0])
-    idx = find_gfp_peaks(GfpSeries(values=v, fs=100.0))
+    idx = find_gfp_peaks(v, 100.0)
     # the plateau at 2.0 produces no peak
     assert list(idx) == [1, 6]
 
 
 def test_find_peaks_min_distance_keeps_larger():
     v = np.array([0.0, 5.0, 0.1, 4.0, 0.0, 3.0, 0.0])
-    series = GfpSeries(values=v, fs=1000.0)
-    assert list(find_gfp_peaks(series)) == [1, 3, 5]
+    assert list(find_gfp_peaks(v, 1000.0)) == [1, 3, 5]
     # 3 ms at 1 kHz = 3 samples: the peak at 3 is within 2 of the
     # larger peak at 1 and gets dropped; 5 is far enough from 1
-    assert list(find_gfp_peaks(series, min_distance_ms=3.0)) == [1, 5]
+    assert list(find_gfp_peaks(v, 1000.0, min_distance_ms=3.0)) == [1, 5]
 
 
 def test_find_peaks_min_distance_is_a_ceiling():
     # at 250 Hz, 10 ms is 2.5 samples: peaks 2 samples (8 ms) apart are too close
     v = np.array([0.0, 5.0, 0.0, 4.0, 0.0, 0.0, 0.0, 3.0, 0.0])
-    series = GfpSeries(values=v, fs=250.0)
-    assert list(find_gfp_peaks(series, min_distance_ms=8.0)) == [1, 3, 7]
-    assert list(find_gfp_peaks(series, min_distance_ms=10.0)) == [1, 7]
+    assert list(find_gfp_peaks(v, 250.0, min_distance_ms=8.0)) == [1, 3, 7]
+    assert list(find_gfp_peaks(v, 250.0, min_distance_ms=10.0)) == [1, 7]
     # 10 ms at 200 Hz is exactly 2 samples
-    assert list(find_gfp_peaks(GfpSeries(values=v, fs=200.0), min_distance_ms=10.0)) == \
-        [1, 3, 7]
+    assert list(find_gfp_peaks(v, 200.0, min_distance_ms=10.0)) == [1, 3, 7]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -104,20 +106,19 @@ def test_find_peaks_min_distance_matches_greedy_loop(seed):
     # few distinct values: many tied peaks and flat plateaus
     v = rng.integers(0, 4 + seed, 600).astype(np.float64)
     v[100:110] = 9.0
-    series = GfpSeries(values=v, fs=250.0)
     for ms in (0.0, 4.0, 8.0, 10.0, 30.0, 250.0, 5000.0):
-        assert list(find_gfp_peaks(series, min_distance_ms=ms)) == \
+        assert list(find_gfp_peaks(v, 250.0, min_distance_ms=ms)) == \
             gfp_peaks_min_distance_loop(v, 250.0, ms)
 
 
 def test_find_peaks_min_distance_on_a_long_recording_is_fast():
     cfg = SynthConfig(duration=120.0, fs=250.0, seed=3)
-    series = gfp(generate(cfg)[0])
-    expected = gfp_peaks_min_distance_loop(series.values, series.fs, 10.0)
+    values = gfp(generate(cfg)[0])
+    expected = gfp_peaks_min_distance_loop(values, cfg.fs, 10.0)
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()
-        idx = find_gfp_peaks(series, min_distance_ms=10.0)
+        idx = find_gfp_peaks(values, cfg.fs, min_distance_ms=10.0)
         best = min(best, time.perf_counter() - start)
     assert list(idx) == expected
     assert best < 0.05
@@ -125,7 +126,7 @@ def test_find_peaks_min_distance_on_a_long_recording_is_fast():
 
 def test_find_peaks_none():
     with pytest.raises(NoPeaks):
-        find_gfp_peaks(GfpSeries(values=np.linspace(0, 1, 50), fs=100.0))
+        find_gfp_peaks(np.linspace(0, 1, 50), 100.0)
 
 
 def test_spatial_correlation_polarity_and_scale():
@@ -200,7 +201,7 @@ def _assert_same_maps(a, b, atol):
 def test_modified_kmeans_matches_loop_reference(n_peaks, seconds):
     for seed in range(5):
         rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
-        x = rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+        x = rec.data[:, find_gfp_peaks(gfp(rec), rec.fs)].T[:n_peaks]
         assert x.shape == (n_peaks, 19)
         trace: list = []
         got = modified_kmeans(x, 4, seed=seed, trace_sink=trace)
@@ -231,7 +232,7 @@ def test_modified_kmeans_close_to_eigen_update(n_peaks, seconds):
     # ends, up to the bounds below
     for seed in range(5):
         rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
-        x = rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+        x = rec.data[:, find_gfp_peaks(gfp(rec), rec.fs)].T[:n_peaks]
         got = modified_kmeans(x, 4, seed=seed)
         ref = modified_kmeans_eigen_loop(x, 4, seed=seed)
         assert got.gev_total >= max(ref["restart_gev"]) - 1e-4
@@ -326,7 +327,7 @@ def test_modified_kmeans_warns_at_iteration_cap(caplog):
 
 def _synth_peaks(n_peaks, seconds, seed):
     rec, _, _ = generate(SynthConfig(seed=seed, duration=seconds))
-    return rec.data[:, find_gfp_peaks(gfp(rec))].T[:n_peaks]
+    return rec.data[:, find_gfp_peaks(gfp(rec), rec.fs)].T[:n_peaks]
 
 
 # (rows, k, settings): synthetic GFP peaks, exact Hadamard ties, reseeds
@@ -464,14 +465,14 @@ _SEAM_DOUBLES = 3 * 19
 
 
 def _seg_bytes(seg):
-    return seg.states.tobytes(), seg.corr.tobytes(), seg.gfp.values.tobytes()
+    return seg.states.tobytes(), seg.corr.tobytes(), seg.gfp.tobytes()
 
 
 def test_gfp_blocks_are_seamless(monkeypatch):
     rec, _, _ = generate(SynthConfig(seed=9, snr=4.0, duration=2.0))
-    whole = gfp(rec).values.tobytes()
+    whole = gfp(rec).tobytes()
     monkeypatch.setattr(msaf.microstates, "BLOCK_DOUBLES", _SEAM_DOUBLES)
-    assert gfp(rec).values.tobytes() == whole
+    assert gfp(rec).tobytes() == whole
 
 
 def _bits(out):
@@ -483,10 +484,9 @@ def _bits(out):
                 out.subject_id, out.label, out.provenance)
     if isinstance(out, np.ndarray):
         return out.dtype.str, out.shape, out.tobytes()
-    if isinstance(out, GfpSeries):
-        return _bits(out.values), out.fs
     if isinstance(out, Segmentation):
-        return _bits(out.states), _bits(out.corr), _bits(out.gfp), out.fs
+        return (_bits(out.states), _bits(out.corr), _bits(out.gfp), out.fs, out.subject_id,
+                out.label)
     if isinstance(out, tuple):
         return tuple(_bits(o) for o in out)
     return out

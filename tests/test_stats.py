@@ -210,13 +210,6 @@ def test_dunn_bonferroni_bounds_and_sign():
     assert pairs[(0, 2)].z < pairs[(0, 1)].z < 0
 
 
-def test_dunn_unadjusted_option():
-    groups = [[1.0, 2.0, 5.0], [2.5, 3.0, 7.0], [8.0, 9.0, 10.0]]
-    raw = dunn_posthoc(groups, adjust="none")
-    for p in raw:
-        assert p.p_adjusted == p.p_value
-
-
 def test_results_serialize():
     res = kruskal_wallis([[1, 2, 3], [4, 5, 6]])
     d = res.to_json_dict()

@@ -32,7 +32,7 @@ from msaf import (
     standard_1020_montage,
 )
 from msaf.cli import main
-from msaf.io import _load_payload, narrow_recording, save_recording, widen_recording
+from msaf.io import narrow_recording, save_recording
 from msaf.errors import DataError, NonFiniteData
 from msaf.microstates import _sample_blocks
 from msaf.preprocess import _convolve_same, _fir_payload
@@ -49,6 +49,11 @@ def _write(path, doc):
     with open(path, "w") as f:
         json.dump(doc, f)
     return str(path)
+
+
+def widen_recording(rec):
+    """The recording with float64 samples; widening is exact."""
+    return rec if rec.data.dtype == np.float64 else rec.with_data(rec.data.astype(np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +115,7 @@ def _small_run(cohort, out, **overrides):
 def test_run_holds_at_most_threads_raw_recordings(threads, cohort, tmp_path, monkeypatch):
     # the raw recordings of the first pass, then the preprocessed ones the
     # second pass reads back from preprocessed/, both as stored
-    live = _LiveRecordings(monkeypatch, ["_load_payload"], ["preprocess_recording", "backfit"])
+    live = _LiveRecordings(monkeypatch, ["load_recording"], ["preprocess_recording", "backfit"])
     run_pipeline(_small_run(cohort, tmp_path / "run"), threads=threads)
     assert len(live.counts) == 2 * 6
     assert max(live.counts) <= threads, live.counts
@@ -121,12 +126,12 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
     threads, cohort, tmp_path, monkeypatch
 ):
     # every float64 Recording made, by subject; the raw recordings
-    # (_load_payload's results) and the float64 results of preprocessing
+    # (load_recording's results) and the float64 results of preprocessing
     # (narrow_recording's arguments); and, per worker thread, the subject it
     # preprocessed last, which is the one its next k-means call clusters
     made, inputs, preprocessed_by = [], [], {}
     init = Recording.__post_init__
-    load = msaf.pipeline._load_payload
+    load = msaf.pipeline.load_recording
     narrow = msaf.pipeline.narrow_recording
     preprocess = msaf.pipeline.preprocess_recording
     kmeans = msaf.pipeline.modified_kmeans
@@ -160,7 +165,7 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
         return kmeans(*args, **kwargs)
 
     monkeypatch.setattr(Recording, "__post_init__", tracked_init)
-    monkeypatch.setattr(msaf.pipeline, "_load_payload", loaded)
+    monkeypatch.setattr(msaf.pipeline, "load_recording", loaded)
     monkeypatch.setattr(msaf.pipeline, "narrow_recording", narrowed)
     monkeypatch.setattr(msaf.pipeline, "preprocess_recording", preprocessed)
     monkeypatch.setattr(msaf.pipeline, "modified_kmeans", clustered)
@@ -188,7 +193,7 @@ def test_final_fir_run_makes_no_float64_recording_but_between_steps(
     # the last one outputs; both passes read every recording
     made, loaded = [], []
     init = Recording.__post_init__
-    load = msaf.pipeline._load_payload
+    load = msaf.pipeline.load_recording
 
     def tracked_init(rec):
         init(rec)
@@ -200,7 +205,7 @@ def test_final_fir_run_makes_no_float64_recording_but_between_steps(
         return load(path)
 
     monkeypatch.setattr(Recording, "__post_init__", tracked_init)
-    monkeypatch.setattr(msaf.pipeline, "_load_payload", tracked_load)
+    monkeypatch.setattr(msaf.pipeline, "load_recording", tracked_load)
     run_pipeline(_small_run(cohort, tmp_path / "run", steps=steps), threads=threads)
     assert len(loaded) == 2 * 6
     assert len(made) == 6 * per_subject and len(set(made)) == len(made), made
@@ -277,7 +282,7 @@ def test_recording_verbs_hold_at_most_threads_recordings(
     verb, threads, cohort, tmp_path, monkeypatch
 ):
     live = _LiveRecordings(
-        monkeypatch, ["_load_payload"], ["backfit" if verb == "backfit" else "modified_kmeans"]
+        monkeypatch, ["load_recording"], ["backfit" if verb == "backfit" else "modified_kmeans"]
     )
     argv = [verb, str(cohort / "data")]
     if verb == "backfit":
@@ -341,13 +346,14 @@ def test_run_peak_memory_does_not_grow_with_the_cohort(tmp_path):
 # (kernel, bound in MB). Traced heap peaks above entry on a 19 x 30 000
 # recording (4.56 MB of float64), whole-recording temporaries -> 1 MB blocks
 # -> 128 KiB blocks: apply_fir 14.0 -> 6.9 -> 5.4, backfit 11.3 -> 3.2 -> 2.0,
-# gfp 5.0 -> 1.4 -> 0.5 and load_recording, whose payload was a bytes slice
+# gfp 5.0 -> 1.4 -> 0.5 and a widened load, whose payload was a bytes slice
 # first, 9.7 -> 7.4. A final FIR filter that reads a 2.28 MB float32 payload
-# and writes another peaks at 5.5 -> 3.3, and the payload alone loads in 2.9.
+# and writes another peaks at 5.5 -> 3.3, and load_recording, which returns
+# the payload as stored, loads it in 2.9.
 # Saving a float32 recording writes its payload as a buffer: 2.29 with a bytes
 # copy of it, 0.01 without.
-_KERNEL_BOUNDS_MB = [("apply_fir", 6.0), ("backfit", 2.5), ("gfp", 0.75), ("load_recording", 8.0),
-                     ("apply_fir_payload", 4.0), ("load_payload", 3.5), ("save_recording", 0.5)]
+_KERNEL_BOUNDS_MB = [("apply_fir", 6.0), ("backfit", 2.5), ("gfp", 0.75), ("load_recording", 3.5),
+                     ("apply_fir_payload", 4.0), ("save_recording", 0.5)]
 
 
 @pytest.mark.parametrize("kernel, bound_mb", _KERNEL_BOUNDS_MB)
@@ -362,7 +368,6 @@ def test_kernel_temporaries_do_not_grow_with_the_recording(kernel, bound_mb, tmp
     call = {
         "apply_fir": lambda: apply_fir(rec, filt),
         "apply_fir_payload": lambda: _fir_payload(stored, filt),
-        "load_payload": lambda: _load_payload(path),
         "save_recording": lambda: save_recording(stored, str(tmp_path / "t")),
         "backfit": lambda: backfit(rec, maps),
         "gfp": lambda: gfp(rec),

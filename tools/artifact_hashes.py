@@ -11,7 +11,9 @@ relative and two listings made in different directories compare line
 for line:
 
 - ``msaf synth``: a fixed labeled cohort (``data/``, ``data/truth/``) and
-  a band cohort (``band_data/``);
+  a band cohort (``band_data/``), and ``msaf features`` on the cohort's
+  truth segmentations (``truth_features.csv``), which reads each
+  subject's id and label back from its ``.seg`` file;
 - ``msaf run`` with notch, bandpass and average-reference steps for rf,
   gbt and svm (the svm run with a grid search), an rf run on a channel
   subset with a band filter, an rf run labeled against the rf run's
@@ -105,7 +107,8 @@ def _commands() -> list[list[str]]:
     """msaf argument lists, in order, relative to the output directory."""
     seed = ["--seed", str(SEED)]
     cmds = [["synth", "--config", "synth.json", "--out", "data", *seed],
-            ["synth", "--config", "synth_band.json", "--out", "band_data", *seed]]
+            ["synth", "--config", "synth_band.json", "--out", "band_data", *seed],
+            ["features", "data/truth", "--out", "truth_features.csv"]]
     cmds += [["run", "--config", f"run_{name}.json", *seed] for name in RUNS]
     cmds += [["explain", "run_rf/model.json", "run_rf/features.csv", "--method", "kernel",
               "--background", "8", "--n-samples", "256", "--out", "run_rf_kernel_shap.json",
