@@ -39,6 +39,7 @@ from .pipeline import (
     backfit_stage,
     band_sweep,
     check_band,
+    check_montage,
     check_steps,
     compute_stats,
     cv_stage,
@@ -216,8 +217,9 @@ def _cmd_preprocess(args) -> int:
     out = _need(args, "out", "--out")
     doc = _verb_config(args, "preprocess")
     steps, band = check_steps(doc["steps"]), check_band(doc["band"])
+    montage = check_montage(doc["montage"])
     done = preprocess_stage(
-        load_input_recordings(args.input_dir, doc["montage"]), steps, band, out, args.threads,
+        load_input_recordings(args.input_dir, montage), steps, band, out, args.threads,
     )
     print(f"preprocessed {len(done)} recordings -> {out}")
     return 0

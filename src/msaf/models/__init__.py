@@ -39,11 +39,13 @@ def check_params(kind: str, params: dict, grid: dict | None = None) -> None:
     """Raise a ConfigError unless params and every grid value suit kind.
 
     Each given key, and each value of a grid entry (a non-empty list),
-    is checked against the kind's `msaf.config.PARAMS` table.
+    is checked against the kind's `msaf.config.PARAMS` table; a grid
+    names at least one entry.
     """
     if kind not in _TRAINERS:
         raise UnsupportedModel(f"unknown model kind {kind!r}, expected {MODEL_KINDS}")
     check(f"{kind} parameters", PARAMS[kind], params)
+    require(grid != {}, "grid must be a non-empty object of lists")
     for name, values in (grid or {}).items():
         require(isinstance(values, (list, tuple)) and values,
                 f"grid entry {name!r} must be a non-empty list, got {values!r}")

@@ -22,16 +22,17 @@ choice (per-subject seeds are derived, never shared), and per-subject
 work runs through an order-preserving thread map, so the thread count
 can change wall time but never a single output byte.
 
-Recordings stream: `load_input_recordings` yields one at a time, the
-thread map keeps at most `threads` of them in flight, and each
-recording's work is done while it is in memory, so a stage holds one
-recording per worker plus small per-subject results, never the cohort.
+Recordings stream: `load_input_recordings` reads only the sidecars and
+returns one loader per recording, and each worker of the thread map
+loads the recording it processes and does its work while it is in
+memory, so a stage holds one recording per worker plus small
+per-subject results, never the cohort.
 Recordings are read as float32 Recordings, which FIR filters, GFP and
 backfit widen one block at a time, exactly. `run_pipeline`
-makes two passes. The first hands each raw recording to preprocessing
+makes two passes. The first hands each loaded recording to preprocessing
 and keeps no other reference to it, stages the float32 result and
 clusters the subject's GFP peaks from it, keeping only the maps. The
-second reads each published preprocessed file back, backfits it,
+second loads each published preprocessed file back, backfits it,
 stages its segmentation and keeps only its feature vector. A pass's
 files are staged (`msaf.io.staged`) and renamed into place only once
 every recording has passed, and a failed pass removes them, so a faulty
@@ -50,7 +51,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -131,6 +132,16 @@ def check_band(band) -> Optional[tuple[float, float]]:
     return band
 
 
+def check_montage(montage) -> Optional[tuple[str, ...]]:
+    """Two or more distinct channel names of the built-in 10-20 table to pick, or None for all."""
+    montage = check_value("montage", RUN["montage"], montage)
+    if montage is not None:
+        require(len(set(montage)) == len(montage) > 1,
+                f"montage must name two or more distinct channels, got {list(montage)!r}")
+        standard_1020_montage(montage)  # an unknown name is UnknownChannel
+    return montage
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated description of one full pipeline run.
@@ -161,6 +172,7 @@ class PipelineConfig:
         require(os.path.isdir(cfg["input_dir"]), f"input_dir does not exist: {cfg['input_dir']!r}")
         cfg["steps"] = check_steps(cfg["steps"])
         check_band(cfg["band"])
+        check_montage(cfg["montage"])
         cfg["kmeans"] = check("kmeans", KMEANS, cfg["kmeans"] or {})
         require(
             cfg["labeling"] == "template" or os.path.isfile(cfg["labeling"]),
@@ -168,7 +180,6 @@ class PipelineConfig:
         )
         clf = cfg["classifier"] = check("classifier", CLASSIFIER, cfg["classifier"] or {})
         grid = cfg["grid"]
-        require(grid != {}, "grid must be a non-empty object of lists")
         check_params(clf["kind"], clf["params"], grid)
         # the feature table has 5k + 1 columns
         k, width = cfg["k"], len(STATE_METRICS) * cfg["k"] + 1
@@ -205,41 +216,15 @@ def _commit_text(path: str, text: str) -> None:
     _commit(path, text.encode("utf-8"))
 
 
-def _call_popped(fn: Callable, box: list):
-    """fn of the box's one item; the item is released when fn returns."""
-    return fn(box.pop())
-
-
 def _ordered_map(fn: Callable, items: Iterable, threads: int) -> list:
-    """Map preserving input order; thread count never changes results.
+    """fn of each item, in order, on `threads` workers; the thread count never changes results.
 
-    Items are drawn from the iterable only while fewer than `threads`
-    are in flight, and each is released once fn returns, so a generator
-    of recordings has at most `threads` of them alive, counting the one
-    being drawn. The error raised is the earliest item's, whether fn or
-    the draw raised it, as with one thread.
+    The error raised is the earliest item's, as with one thread.
     """
-    out = []
     if threads <= 1:
-        for item in items:
-            out.append(fn(item))
-            del item
-        return out
-    pending: collections.deque = collections.deque()
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            for item in items:
-                pending.append(pool.submit(_call_popped, fn, [item]))
-                del item
-                if len(pending) == threads:
-                    out.append(pending[0].result())
-                    pending.popleft()
-        except Exception:
-            for f in pending:  # items drawn before the failure fail first
-                f.result()
-            raise
-        out.extend(f.result() for f in pending)
-    return out
+        return list(pool.map(fn, items))
 
 
 def _artifact_names(directory: str, suffix: str) -> list[str]:
@@ -259,48 +244,50 @@ def _artifact_names(directory: str, suffix: str) -> list[str]:
 
 def load_input_recordings(
     input_dir: str, montage: Optional[Sequence[str]] = None
-) -> Iterator[Recording]:
-    """The .eegb recordings in a directory, as stored, one at a time, sorted by file name.
+) -> list[Callable[[], Recording]]:
+    """A loader of each .eegb recording in a directory, sorted by file name.
 
-    The directory is listed at the first draw. A subject id seen before
-    raises DuplicateSubject when its recording is drawn.
+    Only the sidecars are read here. A loader returns its recording as
+    stored, with montage's channels picked; one whose subject id an
+    earlier sidecar names raises DuplicateSubject.
     """
-    for box in _input_boxes(input_dir, montage):
-        yield box.pop()
+    return _inputs(input_dir, montage)[0]
 
 
-def _input_boxes(input_dir: str, montage: Optional[Sequence[str]]) -> Iterator[list]:
-    """`load_input_recordings`' recordings, each in a one-item list for its taker to pop.
+def _inputs(input_dir: str, montage) -> tuple[list, list[Optional[str]]]:
+    """`load_input_recordings`' loaders and each sidecar's label (None unless a string).
 
-    Once popped, a recording is held by its taker alone: neither this
-    generator nor a tuple it is drawn in keeps it.
+    A sidecar that does not read is left to its loader to report.
     """
-    seen: set[str] = set()
+    loads, labels, seen = [], [], set()
     for name in _artifact_names(input_dir, ".eegb"):
-        rec = load_recording(os.path.join(input_dir, name))
-        if montage is not None:
-            rec = rec.pick(montage)
-        if rec.subject_id in seen:
-            raise DuplicateSubject(f"subject id {rec.subject_id!r} appears twice")
-        seen.add(rec.subject_id)
-        box = [rec]
-        del rec
-        yield box
+        path = os.path.join(input_dir, name)
+        try:
+            doc = read_json(path[:-len(".eegb")] + ".json")
+        except MsafError:
+            doc = None
+        sid, label = (doc[k] if isinstance(doc, dict) and isinstance(doc.get(k), str) else None
+                      for k in ("subject_id", "label"))
+        loads.append(functools.partial(_load_input, path, montage, sid in seen))
+        labels.append(label)
+        seen.add(sid)
+    return loads, labels
 
 
-def _numbered(items: Iterable) -> Iterator[tuple]:
-    """(index, item) pairs; unlike enumerate, no item outlives its draw."""
-    i = 0
-    for item in items:
-        yield i, item
-        del item
-        i += 1
+def _load_input(path: str, montage, duplicate: bool) -> Recording:
+    """One loader's recording; a read or pick fault is reported before a repeated id."""
+    rec = load_recording(path)
+    if montage is not None:
+        rec = rec.pick(montage)
+    if duplicate:
+        raise DuplicateSubject(f"subject id {rec.subject_id!r} appears twice")
+    return rec
 
 
 # --- stages: each computes from in-memory inputs and explicit settings
 # and derives its own seeds from the run seed. A stage over recordings
-# takes any iterable of them, does each recording's work while that
-# recording is in memory and keeps only small results; its files are
+# takes a loader of each, loads each recording in the worker that
+# processes it and keeps only small results; its files are
 # staged as they are written and renamed into place when every recording
 # has passed. `run_pipeline` and the stage verbs share the per-recording
 # functions below.
@@ -332,12 +319,12 @@ def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
     return narrow_recording(rec)
 
 
-def _preprocessed(box: list, steps, band, out_dir: str, stage: Stage) -> Recording:
-    """The recording popped from box, preprocessed and staged as <out_dir>/<id>.eegb.
+def _preprocessed(load: Callable, steps, band, out_dir: str, stage: Stage) -> Recording:
+    """The loaded recording preprocessed and staged as <out_dir>/<id>.eegb.
 
-    Only `preprocess_recording` holds the popped recording.
+    Only `preprocess_recording` holds the loaded recording.
     """
-    stored = preprocess_recording(box.pop(), steps, band)
+    stored = preprocess_recording(load(), steps, band)
     save_recording(stored, os.path.join(out_dir, stored.subject_id), stage)
     return stored
 
@@ -378,7 +365,7 @@ def subject_features(
 
 
 def preprocess_stage(
-    recs: Iterable[Recording], steps, band, out_dir: str, threads: int = 1
+    loads: Sequence[Callable], steps, band, out_dir: str, threads: int = 1
 ) -> list[str]:
     """Preprocess every recording and commit it as <out_dir>/<id>.eegb; returns the ids.
 
@@ -387,7 +374,7 @@ def preprocess_stage(
     """
     with staged() as stage:
         return _ordered_map(
-            lambda r: _preprocessed([r], steps, band, out_dir, stage).subject_id, recs, threads
+            lambda ld: _preprocessed(ld, steps, band, out_dir, stage).subject_id, loads, threads
         )
 
 
@@ -397,7 +384,7 @@ def _commit_subject_maps(out_dir: str, subjects: Iterable[tuple[str, MicrostateM
 
 
 def subject_maps_stage(
-    recs: Iterable[Recording], k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
+    loads: Sequence[Callable], k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
     out_dir: str, threads: int = 1,
 ) -> list[MicrostateMaps]:
     """Each subject's GFP-peak topographies clustered into k maps.
@@ -407,10 +394,11 @@ def subject_maps_stage(
     """
 
     def one(item) -> tuple[str, MicrostateMaps]:
-        idx, rec = item
+        idx, load = item
+        rec = load()
         return rec.subject_id, _subject_maps(idx, rec, k, kmeans, min_peak_distance_ms, seed)
 
-    done = _ordered_map(one, _numbered(recs), threads)
+    done = _ordered_map(one, enumerate(loads), threads)
     _commit_subject_maps(out_dir, done)
     return [m for _, m in done]
 
@@ -431,7 +419,7 @@ def group_maps_stage(
 
 
 def backfit_stage(
-    recs: Iterable[Recording], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
+    loads: Sequence[Callable], gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str,
     threads: int = 1,
 ) -> list[str]:
     """Every sample assigned to its best group map; commits <out_dir>/<id>.seg.
@@ -440,12 +428,11 @@ def backfit_stage(
     """
     check_value("the number of maps", RUN["k"], gmaps.k)
 
-    def one(rec: Recording) -> str:
-        _segmented(rec, gmaps, min_segment_ms, out_dir, stage)
-        return rec.subject_id
+    def one(load: Callable) -> str:
+        return _segmented(load(), gmaps, min_segment_ms, out_dir, stage).subject_id
 
     with staged() as stage:
-        return _ordered_map(one, recs, threads)
+        return _ordered_map(one, loads, threads)
 
 
 def feature_stage(
@@ -588,21 +575,14 @@ def _ranking_csv(expl, class_names: Sequence[str]) -> str:
     return _csv_text(rows)
 
 
-def _check_folds(input_dir: str, n_folds: int) -> None:
+def _check_folds(labels: Sequence[Optional[str]], n_folds: int) -> None:
     """ClassTooSmall if a class of the input sidecars' labels has fewer than n_folds recordings.
 
     Cross-validation and a grid search both split into n_folds. A sidecar
-    that does not read or holds no label is left to the passes to report.
+    that does not read or holds no label (None) is left to the passes to report.
     """
-    names = _artifact_names(input_dir, ".eegb")
-    try:
-        labels = collections.Counter(
-            read_json(os.path.join(input_dir, name[:-len(".eegb")] + ".json"))["label"]
-            for name in names)
-    except (MsafError, KeyError, TypeError):
-        return
-    if all(isinstance(label, str) for label in labels):
-        n, label = min((n, label) for label, n in labels.items())
+    if None not in labels:
+        n, label = min((n, label) for label, n in collections.Counter(labels).items())
         if n < n_folds:
             raise ClassTooSmall(f"class {label!r} has {n} recordings, fewer than {n_folds} folds")
 
@@ -626,14 +606,15 @@ def run_pipeline(
         if templates.k < cfg.k:
             raise AmbiguousLabels(f"{templates.k} templates cannot label {cfg.k} maps uniquely")
 
-    _check_folds(cfg.input_dir, cfg.cv_folds)
+    loads, labels = _inputs(cfg.input_dir, cfg.montage)
+    _check_folds(labels, cfg.cv_folds)
     pre = path("preprocessed")
 
     def cluster(item) -> tuple[str, MicrostateMaps]:
         # the raw recording lives only until preprocessed: the subject is
         # clustered from its float32 payload
-        idx, box = item
-        stored = _preprocessed(box, cfg.steps, cfg.band, pre, stage)
+        idx, load = item
+        stored = _preprocessed(load, cfg.steps, cfg.band, pre, stage)
         if templates is not None and templates.channels != stored.montage.names:
             raise MontageMismatch(
                 f"labeling maps have channels {list(templates.channels)}, recording "
@@ -645,9 +626,7 @@ def run_pipeline(
 
     logger.info("preprocessing and clustering (k=%d) recordings from %s", cfg.k, cfg.input_dir)
     with staged() as stage:
-        subjects = _ordered_map(
-            cluster, _numbered(_input_boxes(cfg.input_dir, cfg.montage)), threads
-        )
+        subjects = _ordered_map(cluster, enumerate(loads), threads)
     _commit_subject_maps(path("subject_maps"), subjects)
     sids = [sid for sid, _ in subjects]
     subj_maps = [m for _, m in subjects]
@@ -658,16 +637,15 @@ def run_pipeline(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
 
-    def segment(rec: Recording) -> tuple[str, str, FeatureVector]:
+    def segment(sid: str) -> tuple[str, str, FeatureVector]:
+        rec = load_recording(os.path.join(pre, sid))
         return subject_features(
             _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
         )
 
     logger.info("backfitting and extracting features")
     with staged() as stage:
-        entries = _ordered_map(
-            segment, (load_recording(os.path.join(pre, sid)) for sid in sids), threads
-        )
+        entries = _ordered_map(segment, sids, threads)
     table = feature_stage(entries, path("features.csv"))
     kind, seed = cfg.classifier["kind"], cfg.seed
     model, params = fit_stage(

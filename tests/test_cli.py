@@ -99,7 +99,7 @@ def test_partial_leftovers_are_not_inputs(work, tmp_path):
     # what an interrupted write leaves behind
     for ext in (".eegb", ".json"):
         shutil.copy(work / "data" / ("DEM_000" + ext), data / ("DEM_000.partial" + ext))
-    assert [r.subject_id for r in load_input_recordings(str(data))] == [
+    assert [load().subject_id for load in load_input_recordings(str(data))] == [
         "MCI_000", "NC_000"
     ]
     for verb, src, ext, out in (("group-maps", "subj", ".json", "g.json"),
@@ -393,6 +393,8 @@ def test_unknown_classifier_params_fail_before_any_output(
 @pytest.mark.parametrize("verb,model,flags", [
     ("train", "rf", ["--params", '{"foo": 1}']),
     ("train", "svm", ["--grid", '{"depth": [1, 2]}']),
+    # an empty grid is rejected as a run config's is, not trained without a search
+    ("train", "svm", ["--grid", "{}"]),
     ("evaluate", "gbt", ["--params", '{"n_trees": 3}']),
     ("train", "svm", ["--params", '{"gamma": -1.0}']),
     ("evaluate", "svm", ["--params", '{"c": 0}']),

@@ -228,7 +228,7 @@ def test_failed_recording_commit_leaves_no_listed_eegb_without_sidecar(tmp_path,
     # the sidecar is committed first, so no .eegb is listed without one
     assert calls == [str(tmp_path / "b.json"), str(tmp_path / "b.eegb")]
     assert (tmp_path / "b.json").exists() and not (tmp_path / "b.eegb").exists()
-    assert [r.subject_id for r in load_input_recordings(str(tmp_path))] == ["a"]
+    assert [load().subject_id for load in load_input_recordings(str(tmp_path))] == ["a"]
 
 
 def test_write_json_creates_parents_and_leaves_no_partial(tmp_path):
@@ -252,7 +252,7 @@ def test_staged_renames_every_file_in_write_order_on_success(tmp_path, monkeypat
             list(load_input_recordings(str(out)))
     assert written[0] == (str(out / "a.partial.eegb"), str(out / "a.partial.json"))
     assert calls == [str(out / n) for n in ("a.json", "a.eegb", "b.json", "b.eegb")]
-    assert [r.subject_id for r in load_input_recordings(str(out))] == ["a", "b"]
+    assert [load().subject_id for load in load_input_recordings(str(out))] == ["a", "b"]
 
 
 def test_staged_failure_removes_its_partials_and_only_the_directories_it_made(tmp_path):

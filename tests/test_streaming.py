@@ -37,7 +37,8 @@ from msaf.errors import DataError, NonFiniteData
 from msaf.microstates import _sample_blocks
 from msaf.preprocess import _convolve_same, _fir_payload
 from msaf.pipeline import (
-    PipelineConfig, _subject_maps, preprocess_recording, preprocess_stage, run_pipeline,
+    PipelineConfig, _subject_maps, load_input_recordings, preprocess_recording, preprocess_stage,
+    run_pipeline,
 )
 from msaf.synth import SynthConfig, generate
 
@@ -177,6 +178,32 @@ def test_run_clusters_with_no_float64_recording_of_the_subject_alive(
     assert max(alive for alive, _ in seen) <= threads, seen
 
 
+def test_loaders_read_no_recording_until_called(cohort, monkeypatch):
+    loaded = []
+    load = msaf.pipeline.load_recording
+    monkeypatch.setattr(msaf.pipeline, "load_recording",
+                        lambda path: loaded.append(path) or load(path))
+    loads = load_input_recordings(str(cohort / "data"))
+    assert len(loads) == 6 and loaded == []
+    assert loads[-1]().subject_id == "NC_001"
+    assert loaded == [str(cohort / "data" / "NC_001.eegb")]
+
+
+def test_run_reads_each_input_sidecar_once_before_its_passes(cohort, tmp_path, monkeypatch):
+    # one scan of the sidecars serves the class-size check and the repeated-id check
+    events = []
+    read, load = msaf.pipeline.read_json, msaf.pipeline.load_recording
+    monkeypatch.setattr(msaf.pipeline, "read_json",
+                        lambda path: events.append(("read", path)) or read(path))
+    monkeypatch.setattr(msaf.pipeline, "load_recording",
+                        lambda path: events.append(("load", path)) or load(path))
+    run_pipeline(_small_run(cohort, tmp_path / "run"))
+    sidecars = [("read", str(p)) for p in sorted((cohort / "data").glob("*.json"))]
+    assert len(sidecars) == 6 and events[:6] == sidecars
+    assert [e for e in events if e[0] == "read"] == sidecars
+    assert len(events) == 6 + 2 * 6
+
+
 _BANDPASS = {"kind": "bandpass", "low": 2.0, "high": 20.0}
 
 
@@ -255,7 +282,7 @@ def test_final_fir_overflowing_float32_leaves_no_output(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflow is reported, not warned about
         with pytest.raises(NonFiniteData) as caught:
-            preprocess_stage([rec], [_BANDPASS], None, str(out))
+            preprocess_stage([lambda: rec], [_BANDPASS], None, str(out))
     assert isinstance(caught.value, DataError)  # exit 3
     assert not out.exists()
 
@@ -601,6 +628,30 @@ def test_faulty_recording_fails_before_any_output(
         _fails_with_one_error_line(argv + ["--threads", str(threads)], error, code, capsys)
     assert not caught, [str(w.message) for w in caught]
     # neither preprocessed/ nor any other output was written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("montage,error", [
+    (["Cz", "Cz", "Pz"], "InvalidConfig"), (["Cz"], "InvalidConfig"),
+    (["Cz", "XX"], "UnknownChannel"),
+])
+@pytest.mark.parametrize("verb", ["run", "preprocess"])
+def test_bad_montage_fails_before_any_recording_is_read(
+    verb, montage, error, cohort, tmp_path, capsys
+):
+    # every recording is spoiled, so only the config check can report first
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+    for path in data.glob("*.eegb"):
+        path.write_bytes(b"XXXXXXXX" + path.read_bytes()[8:])
+    out = tmp_path / "o"
+    if verb == "run":
+        doc = {"input_dir": str(data), "out_dir": str(out), "montage": montage, "cv_folds": 2}
+        argv = ["run", "--config", _write(tmp_path / "c.json", doc)]
+    else:
+        argv = ["preprocess", str(data), "--config",
+                _write(tmp_path / "c.json", {"montage": montage}), "--out", str(out)]
+    _fails_with_one_error_line(argv, error, 2, capsys)
     assert not out.exists()
 
 
