@@ -28,7 +28,7 @@ _PUBLIC = {
     "microstates": """
         MicrostateMaps Segmentation backfit find_gfp_peaks gev gfp group_cluster label_maps
         modified_kmeans select_k spatial_correlation""",
-    "features": "FeatureVector STATE_METRICS build_feature_table extract_features feature_names",
+    "features": "STATE_METRICS build_feature_table extract_features",
     "models": """
         DEFAULT_GRIDS EvalReport GbtModel MODEL_KINDS RfModel SvmModel evaluate grid_search
         make_trainer model_from_json_dict stratified_fold_indices stratified_kfold_cv

@@ -1,6 +1,6 @@
-"""Per-subject tabular features from a segmentation.
+"""Per-subject feature rows from a segmentation.
 
-For each state the five metrics are, in canonical column order:
+For each state the row holds five metrics:
 
     gev         sum over the state's samples of (gfp*corr)^2, divided
                 by the total sum of gfp^2
@@ -10,7 +10,7 @@ For each state the five metrics are, in canonical column order:
     meandur     mean run duration in ms, run length computed as
                 (samples/fs)*1000
 
-plus one global column, the GFP aggregate (mean by default). Each
+plus one global column, `gfp`, the GFP aggregate (mean by default). Each
 state's samples and runs are selected with boolean masks over the
 sequence, and every sum is exactly rounded (math.fsum), so results do
 not depend on vectorization or summation order. By construction
@@ -20,7 +20,6 @@ never occur get 0 for all five metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,39 +31,16 @@ from .microstates import Segmentation, _run_lengths
 STATE_METRICS = ("gev", "meancorr", "occurrence", "timecov", "meandur")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values for one subject, indexed by state label."""
-
-    state_labels: tuple[str, ...]
-    gev: tuple[float, ...]
-    meancorr: tuple[float, ...]
-    occurrence: tuple[float, ...]
-    timecov: tuple[float, ...]
-    meandur: tuple[float, ...]
-    gfp: float
-
-    def __post_init__(self):
-        n = len(self.state_labels)
-        for metric in STATE_METRICS:
-            if len(getattr(self, metric)) != n:
-                raise ShapeMismatch(f"{metric} has wrong length")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for i, s in enumerate(self.state_labels):
-            for metric in STATE_METRICS:
-                out[f"{s}_{metric}"] = getattr(self, metric)[i]
-        out["gfp"] = self.gfp
-        return out
-
-
 def extract_features(
     seg: Segmentation,
     gfp_aggregate: str = "mean",
     trim_edge_runs: bool = False,
-) -> FeatureVector:
-    """Compute the per-state metrics and the GFP aggregate.
+) -> dict[str, float]:
+    """The subject's feature row: the per-state metrics and the GFP aggregate.
+
+    The row is keyed by column, in the feature table's column order:
+    `<state>_<metric>` for each state label in sorted order, with the
+    metrics in STATE_METRICS order, then `gfp`.
 
     Args:
         seg: Segmentation to summarize. Must cover at least 1 second.
@@ -95,86 +71,59 @@ def extract_features(
         starts, stops, run_states = starts[1:-1], stops[1:-1], run_states[1:-1]
     durations = ((stops - starts) / seg.fs) * 1000.0
 
-    gev_v, meancorr_v, occurrence_v, timecov_v, meandur_v = [], [], [], [], []
-    for c in range(seg.maps.k):
+    row = {}
+    for label, c in sorted(zip(seg.maps.labels, range(seg.maps.k))):
         assigned = states == c
         n_assigned = int(np.count_nonzero(assigned))
         my_runs = run_states == c
         n_runs = int(np.count_nonzero(my_runs))
-        if denom > 0.0 and n_assigned:
-            gev_v.append(math.fsum(gev_terms[assigned].tolist()) / denom)
-        else:
-            gev_v.append(0.0)
-        meancorr_v.append(
-            math.fsum(corr[assigned].tolist()) / n_assigned if n_assigned else 0.0
+        gev = math.fsum(gev_terms[assigned].tolist()) / denom if denom > 0 and n_assigned else 0.0
+        metrics = (
+            gev,
+            math.fsum(corr[assigned].tolist()) / n_assigned if n_assigned else 0.0,
+            n_runs / duration_s if n_runs else 0.0,
+            n_assigned / t if n_assigned else 0.0,
+            math.fsum(durations[my_runs].tolist()) / n_runs if n_runs else 0.0,
         )
-        occurrence_v.append(n_runs / duration_s if n_runs else 0.0)
-        timecov_v.append(n_assigned / t if n_assigned else 0.0)
-        meandur_v.append(
-            math.fsum(durations[my_runs].tolist()) / n_runs if n_runs else 0.0
-        )
+        row.update(zip((f"{label}_{m}" for m in STATE_METRICS), metrics))
 
     if gfp_aggregate == "mean":
-        gfp_agg = math.fsum(gfp_vals.tolist()) / t
+        row["gfp"] = math.fsum(gfp_vals.tolist()) / t
     else:
-        gfp_agg = float(np.median(gfp_vals))
-
-    return FeatureVector(
-        state_labels=seg.maps.labels,
-        gev=tuple(gev_v),
-        meancorr=tuple(meancorr_v),
-        occurrence=tuple(occurrence_v),
-        timecov=tuple(timecov_v),
-        meandur=tuple(meandur_v),
-        gfp=gfp_agg,
-    )
-
-
-def feature_names(state_labels: Sequence[str]) -> tuple[str, ...]:
-    """Canonical column order: states sorted, five metrics each, then gfp."""
-    names = []
-    for s in sorted(state_labels):
-        names.extend(f"{s}_{m}" for m in STATE_METRICS)
-    names.append("gfp")
-    return tuple(names)
+        row["gfp"] = float(np.median(gfp_vals))
+    return row
 
 
 def build_feature_table(
-    entries: Sequence[tuple[str, str, FeatureVector]],
+    entries: Sequence[tuple[str, str, dict[str, float]]],
 ) -> FeatureTable:
-    """Stack per-subject feature vectors into a table.
+    """Stack per-subject feature rows into a table.
 
     Args:
-        entries: (subject_id, class_label, features) triples. All
-            subjects must share the same state label set.
+        entries: (subject_id, class_label, row) triples, each row an
+            `extract_features` result. All subjects must share the same
+            state label set.
 
     Returns:
-        FeatureTable with class names sorted alphabetically and columns
-        in canonical order.
+        FeatureTable with the first row's columns and sorted class names.
 
     Raises:
         InconsistentStates: if subjects disagree on state labels.
     """
     if not entries:
         raise ShapeMismatch("cannot build a feature table from zero subjects")
-    label_set = frozenset(entries[0][2].state_labels)
-    for sid, _, fv in entries:
-        if frozenset(fv.state_labels) != label_set:
+    names = tuple(entries[0][2])
+    for sid, _, row in entries:
+        if tuple(row) != names:
             raise InconsistentStates(
-                f"subject {sid!r} has states {sorted(fv.state_labels)}, "
-                f"expected {sorted(label_set)}"
+                f"subject {sid!r} has feature columns {list(row)}, expected {list(names)}"
             )
-    names = feature_names(sorted(label_set))
     class_names = tuple(sorted({cls for _, cls, _ in entries}))
     lut = {c: i for i, c in enumerate(class_names)}
-    rows = []
-    for _, _, fv in entries:
-        d = fv.to_dict()
-        rows.append([d[name] for name in names])
     return FeatureTable(
         subject_ids=tuple(sid for sid, _, _ in entries),
         y=np.array([lut[cls] for _, cls, _ in entries], dtype=np.int64),
         class_names=class_names,
         feature_names=names,
-        values=np.array(rows, dtype=np.float64),
+        values=np.array([list(row.values()) for _, _, row in entries], dtype=np.float64),
     )

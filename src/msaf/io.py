@@ -581,6 +581,10 @@ class FeatureTable:
         if len(set(ids)) != len(ids):
             dupes = sorted({s for s in ids if ids.count(s) > 1})
             raise DuplicateSubject(f"duplicate subject ids: {dupes}")
+        names = tuple(str(f) for f in self.feature_names)
+        if len(set(names)) != len(names):
+            dupes = sorted({f for f in names if names.count(f) > 1})
+            raise ShapeMismatch(f"duplicate feature names: {dupes}")
         y = np.asarray(self.y, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
@@ -589,10 +593,8 @@ class FeatureTable:
             raise LengthMismatch(
                 f"{len(ids)} subjects, {y.shape[0]} labels, {vals.shape[0]} rows"
             )
-        if vals.shape[1] != len(self.feature_names):
-            raise ShapeMismatch(
-                f"{vals.shape[1]} columns but {len(self.feature_names)} feature names"
-            )
+        if vals.shape[1] != len(names):
+            raise ShapeMismatch(f"{vals.shape[1]} columns but {len(names)} feature names")
         if y.size and (y.min() < 0 or y.max() >= len(self.class_names)):
             raise ShapeMismatch("class index out of range")
         if not np.all(np.isfinite(vals)):
@@ -600,7 +602,7 @@ class FeatureTable:
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "class_names", tuple(str(c) for c in self.class_names))
-        object.__setattr__(self, "feature_names", tuple(str(f) for f in self.feature_names))
+        object.__setattr__(self, "feature_names", names)
 
     @property
     def n_rows(self) -> int:

@@ -33,7 +33,7 @@ makes two passes. The first hands each loaded recording to preprocessing
 and keeps no other reference to it, stages the float32 result and
 clusters the subject's GFP peaks from it, keeping only the maps. The
 second loads each published preprocessed file back, backfits it,
-stages its segmentation and keeps only its feature vector. A pass's
+stages its segmentation and keeps only its feature row. A pass's
 files are staged (`msaf.io.staged`) and renamed into place only once
 every recording has passed, and a failed pass removes them, so a faulty
 recording still leaves no output of its pass. The stage verbs on
@@ -62,7 +62,7 @@ from .config import (
 from .errors import (
     AmbiguousLabels, ClassTooSmall, DuplicateSubject, MontageMismatch, MsafError, UnlabeledData,
 )
-from .features import STATE_METRICS, FeatureVector, build_feature_table, extract_features
+from .features import STATE_METRICS, build_feature_table, extract_features
 from .io import (
     FeatureTable,
     Recording,
@@ -355,8 +355,8 @@ def _segmented(
 
 def subject_features(
     seg: Segmentation, gfp_aggregate: str = "mean", trim_edge_runs: bool = False
-) -> tuple[str, str, FeatureVector]:
-    """seg's subject's (subject_id, label, features) entry of the feature table."""
+) -> tuple[str, str, dict]:
+    """seg's subject's (subject_id, label, feature row) entry of the feature table."""
     if seg.label is None:
         raise UnlabeledData(f"subject {seg.subject_id!r} has no class label")
     return seg.subject_id, seg.label, extract_features(
@@ -436,7 +436,7 @@ def backfit_stage(
 
 
 def feature_stage(
-    entries: Iterable[tuple[str, str, FeatureVector]], out_path: str
+    entries: Iterable[tuple[str, str, dict]], out_path: str
 ) -> FeatureTable:
     """The feature table of `subject_features` entries, committed as CSV."""
     table = build_feature_table(list(entries))
@@ -637,7 +637,7 @@ def run_pipeline(
         subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
     )
 
-    def segment(sid: str) -> tuple[str, str, FeatureVector]:
+    def segment(sid: str) -> tuple[str, str, dict]:
         rec = load_recording(os.path.join(pre, sid))
         return subject_features(
             _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)

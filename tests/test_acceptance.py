@@ -168,7 +168,7 @@ def test_c03_feature_identities_and_oracle(capsys):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         seg = _random_segmentation(rng)
-        got = extract_features(seg).to_dict()
+        got = extract_features(seg)
         want = features_brute_force(seg.states, seg.corr, seg.gfp,
                                     seg.fs, seg.maps.k, seg.maps.labels)
         if got.keys() != want.keys():

@@ -846,6 +846,19 @@ def test_exit_code_3_on_unlabeled_stats(tmp_path, capsys):
     assert doc["category"] == "DataError"
 
 
+@pytest.mark.parametrize("verb", ["stats", "train"])
+def test_repeated_feature_names_are_one_data_error(verb, tmp_path, capsys):
+    rows = [f"s{i},{'DEM' if i % 2 else 'NC'},{i % 5}.0,{i % 3}.5" for i in range(20)]
+    path = tmp_path / "repeated.csv"
+    path.write_text("\n".join(["subject_id,label,x,x", *rows]) + "\n")
+    out = tmp_path / "o"
+    assert main([verb, str(path), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ShapeMismatch"
+    assert not out.exists()
+
+
 def test_missing_out_is_config_error(work):
     assert main(["topo", str(work / "maps.json")]) == 2
 

@@ -1,4 +1,5 @@
 """Feature extraction against the brute-force oracle, plus identities."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from msaf import (
     MicrostateMaps,
     Segmentation,
     SynthConfig,
+    InconsistentStates,
     TooShort,
     build_feature_table,
     extract_features,
-    feature_names,
     generate,
 )
 
@@ -56,7 +57,7 @@ def test_matches_oracle_bit_for_bit_100_seeds():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         seg = _random_segmentation(rng)
-        got = extract_features(seg).to_dict()
+        got = extract_features(seg)
         want = _oracle_dict(seg)
         assert got.keys() == want.keys()
         for key in want:
@@ -68,7 +69,7 @@ def test_matches_oracle_bit_for_bit_100_seeds():
 def test_matches_oracle_median_aggregate():
     rng = np.random.default_rng(1234)
     seg = _random_segmentation(rng)
-    got = extract_features(seg, gfp_aggregate="median").to_dict()
+    got = extract_features(seg, gfp_aggregate="median")
     want = _oracle_dict(seg, gfp_aggregate="median")
     assert got == want
 
@@ -77,7 +78,7 @@ def test_matches_oracle_with_trimmed_edges():
     for seed in (7, 21, 63):
         rng = np.random.default_rng(seed)
         seg = _random_segmentation(rng)
-        got = extract_features(seg, trim_edge_runs=True).to_dict()
+        got = extract_features(seg, trim_edge_runs=True)
         want = _oracle_dict(seg, trim_edge_runs=True)
         assert got == want
 
@@ -86,16 +87,18 @@ def test_coverage_sums_to_one():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         seg = _random_segmentation(rng)
-        fv = extract_features(seg)
-        assert math.fsum(fv.timecov) == pytest.approx(1.0, abs=1e-9)
+        row = extract_features(seg)
+        cov = [row[f"{s}_timecov"] for s in seg.maps.labels]
+        assert math.fsum(cov) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_occurrence_times_duration_equals_coverage():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         seg = _random_segmentation(rng)
-        fv = extract_features(seg)
-        for occ, dur, cov in zip(fv.occurrence, fv.meandur, fv.timecov):
+        row = extract_features(seg)
+        for s in seg.maps.labels:
+            occ, dur, cov = (row[f"{s}_{m}"] for m in ("occurrence", "meandur", "timecov"))
             assert occ * dur / 1000.0 == pytest.approx(cov, abs=1e-9)
 
 
@@ -106,10 +109,10 @@ def test_absent_state_gets_zeros():
     states = np.where(seg.states == 4, 0, seg.states)
     seg2 = Segmentation(states=states, corr=seg.corr, gfp=seg.gfp,
                         fs=seg.fs, maps=seg.maps, subject_id=seg.subject_id)
-    fv = extract_features(seg2)
-    i = 4
-    assert fv.gev[i] == fv.meancorr[i] == fv.occurrence[i] == 0.0
-    assert fv.timecov[i] == fv.meandur[i] == 0.0
+    row = extract_features(seg2)
+    s = seg.maps.labels[4]
+    assert row[f"{s}_gev"] == row[f"{s}_meancorr"] == row[f"{s}_occurrence"] == 0.0
+    assert row[f"{s}_timecov"] == row[f"{s}_meandur"] == 0.0
 
 
 def _with_states(seg, states):
@@ -127,7 +130,7 @@ def test_edge_sequences_match_oracle(trim, aggregate):
     for states in (np.full(n, 3), two, np.where(seg.states == 1, 0, seg.states)):
         seg2 = _with_states(seg, states)
         kw = {"gfp_aggregate": aggregate, "trim_edge_runs": trim}
-        assert extract_features(seg2, **kw).to_dict() == _oracle_dict(seg2, **kw)
+        assert extract_features(seg2, **kw) == _oracle_dict(seg2, **kw)
 
 
 def test_too_short_raises():
@@ -138,26 +141,50 @@ def test_too_short_raises():
 
 
 def test_feature_names_order():
-    names = feature_names(("C", "A", "B"))
+    seg = _random_segmentation(np.random.default_rng(3), k=3)
+    seg = dataclasses.replace(seg, maps=seg.maps.relabeled(("C", "A", "B")))
+    names = tuple(extract_features(seg))
     assert names[0:5] == (
         "A_gev", "A_meancorr", "A_occurrence", "A_timecov", "A_meandur"
     )
+    assert names[5] == "B_gev" and names[10] == "C_gev"
     assert names[-1] == "gfp"
     assert len(names) == 16
 
 
 def test_feature_table_column_order_matches_names():
     _, seg, _ = generate(SynthConfig(seed=3, duration=3.0))
-    fv = extract_features(seg)
-    table = build_feature_table([("s1", "NC", fv), ("s2", "DEM", fv)])
-    assert table.feature_names == feature_names(fv.state_labels)
-    d = fv.to_dict()
+    row = extract_features(seg)
+    table = build_feature_table([("s1", "NC", row), ("s2", "DEM", row)])
+    assert table.feature_names == tuple(row)
     for j, name in enumerate(table.feature_names):
-        assert table.values[0, j] == d[name]
+        assert table.values[0, j] == row[name]
+
+
+def test_rows_of_other_state_labels_are_inconsistent_states():
+    seg = _random_segmentation(np.random.default_rng(5), k=4)
+    other = dataclasses.replace(seg, maps=seg.maps.relabeled(("A", "B", "C", "E")))
+    rows = [("s1", "NC", extract_features(seg)), ("s2", "DEM", extract_features(other))]
+    with pytest.raises(InconsistentStates):
+        build_feature_table(rows)
+
+
+def test_permuted_maps_land_in_the_same_columns():
+    """Maps listing the same labels in another order give the same row."""
+    seg = _random_segmentation(np.random.default_rng(6), k=4)
+    perm = np.array([2, 0, 3, 1])  # map i of the permuted set is map perm[i] of seg's
+    permuted = MicrostateMaps(channels=seg.maps.channels, maps=seg.maps.maps[perm],
+                              labels=("1", "2", "3", "4"))
+    permuted = permuted.relabeled([seg.maps.labels[p] for p in perm])
+    seg2 = dataclasses.replace(seg, maps=permuted, states=np.argsort(perm)[seg.states])
+    table = build_feature_table([("s1", "NC", extract_features(seg)),
+                                 ("s2", "DEM", extract_features(seg2))])
+    assert table.feature_names == tuple(extract_features(seg))
+    assert table.values[0].tobytes() == table.values[1].tobytes()
 
 
 def test_synthetic_segmentation_against_oracle():
     _, seg, _ = generate(SynthConfig(seed=11, duration=4.0))
-    got = extract_features(seg).to_dict()
+    got = extract_features(seg)
     want = _oracle_dict(seg)
     assert got == want

@@ -41,7 +41,9 @@ for line:
   files lose no bit between ``backfit`` and ``features``, and
   ``shap.json`` names the run's classes. The chain's ``msaf preprocess``
   (the rf run's steps on ``data/``) must likewise reproduce the rf run's
-  ``preprocessed/``, which the run writes in the same pass that clusters.
+  ``preprocessed/``, which the run writes in the same pass that clusters;
+- ``msaf features --gfp-aggregate median --trim-edge-runs`` on the rf
+  run's ``segmentations/``, so the listing covers both feature options.
 
 The default ``--duration`` of 30 s gives each 19-channel recording 7 500
 samples at 250 Hz, several blocks of the per-recording kernels
@@ -120,6 +122,8 @@ def _commands() -> list[list[str]]:
              ["backfit", "run_rf/preprocessed", "run_rf/maps.json",
               "--out", "run_rf_segmentations"],
              ["features", "run_rf/segmentations", "--out", "run_rf_features.csv"],
+             ["features", "run_rf/segmentations", "--gfp-aggregate", "median",
+              "--trim-edge-runs", "--out", "run_rf_features_median_trimmed.csv"],
              ["explain-rank", "run_rf/shap.json", "--out", "run_rf_ranking.csv"]]
     cmds += [["preprocess", "data", "--config", "prep_subset.json", "--out", "prep_subset"],
              ["preprocess", "data", "--config", "prep_bandpass.json", "--out", "prep_bandpass"],
