@@ -2,8 +2,8 @@
 
 Every stochastic verb honors --seed, every stage writes file artifacts,
 and failures exit with a machine-readable JSON line on stderr using the
-taxonomy's exit codes: 2 config, 3 data, 4 numeric, and 1 for an
-internal error (any other exception).
+taxonomy's exit codes: 2 config (usage errors too), 3 data, 4 numeric,
+and 1 for an internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -70,6 +70,13 @@ from .topo import render_bar_chart, render_topomap
 logger = logging.getLogger("msaf.cli")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are InvalidConfig, not an exit."""
+
+    def error(self, message):
+        raise InvalidConfig(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -81,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="msaf",
         description="EEG microstate analysis: segmentation, features, "
                     "classification, attribution, statistics.",
@@ -513,12 +520,12 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper()),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=getattr(logging, args.log_level.upper()),
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         for flag, key in FLAGS.items():
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is not None:  # the verb has the flag

@@ -31,10 +31,6 @@ class IoFailure(DataError):
     """Underlying file operation failed."""
 
 
-class MissingSidecar(DataError):
-    """Binary payload present but its JSON sidecar is not."""
-
-
 class BadMagic(DataError):
     """File does not start with the expected magic bytes."""
 

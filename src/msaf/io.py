@@ -1,34 +1,31 @@
 """Recording, segmentation and feature-table I/O.
 
-Binary recordings live in a two-file container:
+A recording and a segmentation are each one framed file, laid out as
+NumPy's ``.npy`` is: 8 magic bytes, the header length as a little-endian
+uint32, a compact sorted-key JSON header of exactly the format's keys,
+then the payload. `_commit_frame` writes and `_framed` reads both.
 
-* ``<stem>.eegb``   8 magic bytes ``EEGB0001`` followed by the sample
-  payload as little-endian 32-bit floats in channel-major order
-  (channel 0's samples first, then channel 1's, ...).
-* ``<stem>.json``   sidecar with keys ``subject_id``, ``fs``,
-  ``channels``, ``n_samples``, optional ``label``, and ``provenance``
-  (a list of strings describing the operations applied so far).
+* ``<stem>.eegb``: ``EEGB0002``; ``channels``, ``fs``, ``label``,
+  ``n_samples``, ``provenance`` (the operations applied so far) and
+  ``subject_id``; the samples as little-endian float32, channel-major.
+* ``<stem>.seg``: ``MSAFSEG1``; ``fs``, ``label``, ``maps``,
+  ``n_samples`` and ``subject_id``; the per-sample ``states`` as uint8,
+  then ``corr`` and ``gfp`` as little-endian float64, so a
+  `Segmentation` reads back bit for bit.
 
 A `Recording` holds float64 samples, or the float32 payload of its
-container as is. `save_recording` writes `narrow_recording`'s float32
+file as is. `save_recording` writes `narrow_recording`'s float32
 samples and `load_recording` returns them as stored; every kernel widens
 samples to float64 on entry or one block at a time, so all arithmetic
 happens at working precision and only storage is float32.
 
-A segmentation is one file, ``<stem>.seg``: 8 magic bytes ``MSAFSEG1``,
-the header length as a little-endian uint32, a sorted-key JSON header
-(``fs``, ``label``, ``maps``, ``n_samples``, ``subject_id``), then the
-per-sample ``states`` as uint8 and ``corr`` and ``gfp`` as little-endian
-float64. Nothing is narrowed, so a `Segmentation` reads back bit for bit,
-with its subject_id and label.
-
 Every file of the package is written through a `Stage` (as
 ``<stem>.partial<ext>``) and renamed into place when its `staged` block
 succeeds; `_commit` is the one-file case. On a failure the block removes
-its partial files and the directories it created. Every file is read by
-`_read`; the writers and readers encode and decode around these. An OS
-fault in either, or bytes that do not decode as expected, is an
-IoFailure.
+its partial files and the directories it created. A framed file is read
+by `_framed`, any other by `_read`; the writers and readers encode and
+decode around these. An OS fault in either, or bytes that do not decode
+as expected, is an IoFailure.
 """
 from __future__ import annotations
 
@@ -41,7 +38,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,13 +49,13 @@ from .errors import (
     InvalidRate,
     IoFailure,
     LengthMismatch,
-    MissingSidecar,
     NonFiniteData,
     ShapeMismatch,
     UnknownChannel,
 )
 
-MAGIC = b"EEGB0001"
+MAGIC = b"EEGB0002"
+_HEADER_KEYS = ("channels", "fs", "label", "n_samples", "provenance", "subject_id")
 SEG_MAGIC = b"MSAFSEG1"
 _SEG_HEADER_KEYS = ("fs", "label", "maps", "n_samples", "subject_id")
 
@@ -203,12 +200,50 @@ def _json(blob: bytes):
     return json.loads(blob.decode("utf-8"))
 
 
-def _subject(doc: dict) -> tuple[str, Optional[str]]:
-    """The subject_id and label of a sidecar or .seg header; a ValueError unless file names."""
+def _subject(header: dict) -> tuple[str, Optional[str]]:
+    """The subject_id and label of a header; a ValueError unless file names."""
     return (
-        check_value("subject_id", NAME, doc["subject_id"], ValueError),
-        check_value("label", LABEL, doc.get("label"), ValueError),
+        check_value("subject_id", NAME, header["subject_id"], ValueError),
+        check_value("label", LABEL, header["label"], ValueError),
     )
+
+
+def _commit_frame(path: str, magic: bytes, header: dict, *payload, stage=None) -> str:
+    """Commit magic, the header's length and compact sorted-key JSON, then the payload."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _commit(path, magic, struct.pack("<I", len(blob)), blob, *payload, stage=stage)
+
+
+@contextlib.contextmanager
+def _framed(path: str, magic: bytes, keys: tuple[str, ...]) -> Iterator[tuple[dict, BinaryIO]]:
+    """A framed file's header, a JSON object of exactly keys, and the file, unbuffered, at
+    its payload; BadMagic, ShapeMismatch (a cut header) or IoFailure otherwise."""
+    try:
+        with open(path, "rb", buffering=0) as f:
+            head = f.read(len(magic) + 4)
+            if head[: len(magic)] != magic:
+                raise BadMagic(f"{path!r} does not start with {magic!r}")
+            if len(head) < len(magic) + 4:
+                raise ShapeMismatch(f"{path!r} ends inside the header length")
+            (header_len,) = struct.unpack_from("<I", head, len(magic))
+            blob = f.read(header_len)
+            if len(blob) != header_len:
+                raise ShapeMismatch(f"{path!r}: header of {header_len} bytes runs past the end")
+            header = _decode(path, _json, blob)
+            if not isinstance(header, dict) or sorted(header) != list(keys):
+                raise IoFailure(f"{path!r}: header must hold exactly the keys {keys}")
+            yield header, f
+    except OSError as e:
+        raise IoFailure(f"could not read {path!r}: {e}") from e
+
+
+def _payload(path: str, f: BinaryIO, size: int) -> np.ndarray:
+    """The rest of f, which must be size bytes, in a fresh (so aligned) read-only uint8 array."""
+    out = np.fromfile(f, np.uint8)
+    if out.size != size:
+        raise ShapeMismatch(f"{path!r}: payload is {out.size} bytes, header declares {size}")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -374,13 +409,6 @@ class Recording:
         return self.with_data(self.data[idx], note=f"pick:{','.join(names)}", montage=sub)
 
 
-def _split_stem(path: str) -> str:
-    base, ext = os.path.splitext(path)
-    if ext in (".eegb", ".json"):
-        return base
-    return path
-
-
 def narrow_recording(rec: Recording) -> Recording:
     """The recording with its samples narrowed to float32, as saved; a float32 one as is.
 
@@ -393,83 +421,71 @@ def narrow_recording(rec: Recording) -> Recording:
         return rec.with_data(rec.data.astype("<f4"))
 
 
-def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> tuple[str, str]:
-    """Commit `<stem>.eegb` and its JSON sidecar, the sidecar first.
-
-    Readers list `.eegb` files, so a listed recording always has its
-    sidecar, even if the process dies between the two commits.
+def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> tuple[str]:
+    """Commit `<stem>.eegb`: its header, then its float32 samples.
 
     Args:
         rec: Recording to store, narrowed to float32 by `narrow_recording`.
-        path: Target path; an `.eegb`/`.json` extension is stripped.
+        path: The `.eegb` path, or that path without its extension.
         stage: Stage to write through instead of committing now.
 
     Returns:
-        (binary_path, sidecar_path) as written (see `_commit`).
+        (path,) as written (see `_commit`).
     """
-    stem = _split_stem(path)
     stored = narrow_recording(rec)
-    sidecar = {
-        "subject_id": stored.subject_id,
-        "fs": stored.fs,
+    header = {
         "channels": list(stored.montage.names),
+        "fs": stored.fs,
+        "label": stored.label,
         "n_samples": stored.n_samples,
         "provenance": list(stored.provenance),
+        "subject_id": stored.subject_id,
     }
-    if stored.label is not None:
-        sidecar["label"] = stored.label
-    json_path = write_json(stem + ".json", sidecar, stage)
+    path = path if path.endswith(".eegb") else path + ".eegb"
     # the C-contiguous payload is written as a buffer, not copied
-    return _commit(stem + ".eegb", MAGIC, stored.data, stage=stage), json_path
+    return (_commit_frame(path, MAGIC, header, stored.data, stage=stage),)
 
 
-def _sidecar_fields(doc: dict) -> tuple:
-    """(channels, n_samples, fs, subject_id, label, provenance) of a sidecar.
+def _recording_header(header: dict) -> dict:
+    """header with each field checked: a wrong type, or a name that is no file name, is a
+    ValueError. Any number passes as fs: `Recording` checks the rate."""
+    subject_id, label = _subject(header)
+    return {
+        "channels": check_value("channels", Key("names"), header["channels"], ValueError),
+        "fs": check_value("fs", Key("real", "[-inf, inf]"), header["fs"], ValueError),
+        "label": label,
+        "n_samples": check_value("n_samples", Key("int", "[0, inf)"), header["n_samples"],
+                                 ValueError),
+        "provenance": check_value("provenance", Key("strs"), header["provenance"], ValueError),
+        "subject_id": subject_id,
+    }
 
-    A field of the wrong type, or a name that is no file name, is a
-    ValueError. Any number passes as fs: `Recording` checks the rate.
-    """
-    return (
-        check_value("channels", Key("names"), doc["channels"], ValueError),
-        check_value("n_samples", Key("int", "[0, inf)"), doc["n_samples"], ValueError),
-        check_value("fs", Key("real", "[-inf, inf]"), doc["fs"], ValueError),
-        *_subject(doc),
-        check_value("provenance", Key("strs"), doc.get("provenance", []), ValueError),
-    )
+
+def read_recording_header(path: str) -> dict:
+    """The checked header of the `.eegb` file at path, read without its payload."""
+    with _framed(path, MAGIC, _HEADER_KEYS) as (header, _):
+        return _decode(path, _recording_header, header)
 
 
 def load_recording(path: str) -> Recording:
-    """The float32 Recording stored by :func:`save_recording`, as stored.
+    """The float32 Recording stored by :func:`save_recording` at path, as stored.
 
-    Channel order is taken from the sidecar verbatim; nothing is
-    reordered or dropped. The samples are a read-only view of the file's
-    bytes, so reading holds no second copy. A sidecar that does not
-    decode into a recording's fields is an IoFailure.
+    Channel order is taken from the header verbatim. The samples are a
+    read-only view of the one buffer the payload is read into. A file that
+    does not start with MAGIC is BadMagic, a header cut short or a payload
+    of another size than declared ShapeMismatch, any other header IoFailure.
     """
-    stem = _split_stem(path)
-    bin_path, json_path = stem + ".eegb", stem + ".json"
-    blob = _read(bin_path)
-    if blob[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{bin_path!r} does not start with {MAGIC!r}")
-    if not os.path.exists(json_path):
-        raise MissingSidecar(f"no sidecar {json_path!r} for {bin_path!r}")
-    channels, n_samples, fs, subject_id, label, provenance = _decode(
-        json_path, _sidecar_fields, _decode(json_path, _json, _read(json_path))
-    )
-    size = len(blob) - len(MAGIC)
-    expected = len(channels) * n_samples * 4
-    if size != expected:
-        raise ShapeMismatch(
-            f"{bin_path!r}: payload is {size} bytes, sidecar declares "
-            f"{len(channels)}x{n_samples} float32 = {expected}"
-        )
+    with _framed(path, MAGIC, _HEADER_KEYS) as (header, f):
+        header = _decode(path, _recording_header, header)
+        shape = (len(header["channels"]), header["n_samples"])
+        payload = _payload(path, f, 4 * shape[0] * shape[1])
     return Recording(
-        montage=standard_1020_montage(channels),
-        fs=fs,
-        data=np.frombuffer(blob, "<f4", offset=len(MAGIC)).reshape(len(channels), n_samples),
-        subject_id=subject_id,
-        label=label,
-        provenance=provenance,
+        montage=standard_1020_montage(header["channels"]),
+        fs=header["fs"],
+        data=payload.view("<f4").reshape(shape),
+        subject_id=header["subject_id"],
+        label=header["label"],
+        provenance=header["provenance"],
     )
 
 
@@ -486,21 +502,16 @@ def commit_segmentation(seg, stem: str, stage: Optional[Stage] = None) -> str:
     """
     if seg.maps.k > MAX_STATES:
         raise ShapeMismatch(f"a .seg file holds at most {MAX_STATES} maps, got {seg.maps.k}")
-    header = json.dumps(
-        {
-            "fs": seg.fs,
-            "label": seg.label,
-            "maps": seg.maps.to_json_dict(),
-            "n_samples": seg.n_samples,
-            "subject_id": seg.subject_id,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return _commit(
-        stem + ".seg", SEG_MAGIC, struct.pack("<I", len(header)), header,
-        seg.states.astype(np.uint8).tobytes(), seg.corr.astype("<f8").tobytes(),
-        seg.gfp.astype("<f8").tobytes(), stage=stage,
+    header = {
+        "fs": seg.fs,
+        "label": seg.label,
+        "maps": seg.maps.to_json_dict(),
+        "n_samples": seg.n_samples,
+        "subject_id": seg.subject_id,
+    }
+    return _commit_frame(
+        stem + ".seg", SEG_MAGIC, header, seg.states.astype(np.uint8).tobytes(),
+        seg.corr.astype("<f8").tobytes(), seg.gfp.astype("<f8").tobytes(), stage=stage,
     )
 
 
@@ -519,38 +530,19 @@ def load_segmentation(path: str):
     """
     from .microstates import Segmentation  # microstates imports this module
 
-    blob = _read(path)
-    if blob[: len(SEG_MAGIC)] != SEG_MAGIC:
-        raise BadMagic(f"{path!r} does not start with {SEG_MAGIC!r}")
-    start = len(SEG_MAGIC) + 4
-    if len(blob) < start:
-        raise ShapeMismatch(f"{path!r} ends inside the header length")
-    (header_len,) = struct.unpack_from("<I", blob, len(SEG_MAGIC))
-    body = start + header_len
-    if body > len(blob):
-        raise ShapeMismatch(
-            f"{path!r}: header of {header_len} bytes runs past the end of the file"
-        )
-    header = _decode(path, json.loads, blob[start:body])
-    if not isinstance(header, dict) or sorted(header) != list(_SEG_HEADER_KEYS):
-        raise IoFailure(f"{path!r}: header must hold exactly the keys {_SEG_HEADER_KEYS}")
-    n = header["n_samples"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise IoFailure(f"{path!r}: n_samples must be a positive integer, got {n!r}")
-    check_value(f"{path!r}: fs", Key("real", "(0, inf)"), header["fs"], IoFailure)
-    # one uint8 state and two float64 values per sample
-    if len(blob) - body != 17 * n:
-        raise ShapeMismatch(
-            f"{path!r}: payload is {len(blob) - body} bytes, header declares "
-            f"{n} samples = {17 * n}"
-        )
+    with _framed(path, SEG_MAGIC, _SEG_HEADER_KEYS) as (header, f):
+        n = check_value(f"{path!r}: n_samples", Key("int", "[1, inf)"), header["n_samples"],
+                        IoFailure)
+        check_value(f"{path!r}: fs", Key("real", "(0, inf)"), header["fs"], IoFailure)
+        # one uint8 state and two float64 values per sample
+        payload = _payload(path, f, 17 * n)
     subject_id, label = _decode(path, _subject, header)
     doc = {
         "fs": header["fs"],
         "maps": header["maps"],
-        "states": np.frombuffer(blob, np.uint8, n, body),
-        "corr": np.frombuffer(blob, "<f8", n, body + n).astype(np.float64),
-        "gfp": np.frombuffer(blob, "<f8", n, body + 9 * n).astype(np.float64),
+        "states": payload[:n],
+        "corr": np.frombuffer(payload, "<f8", n, n).astype(np.float64),
+        "gfp": np.frombuffer(payload, "<f8", n, 9 * n).astype(np.float64),
         "subject_id": subject_id,
         "label": label,
     }

@@ -22,7 +22,7 @@ choice (per-subject seeds are derived, never shared), and per-subject
 work runs through an order-preserving thread map, so the thread count
 can change wall time but never a single output byte.
 
-Recordings stream: `load_input_recordings` reads only the sidecars and
+Recordings stream: `load_input_recordings` reads only the headers and
 returns one loader per recording, and each worker of the thread map
 loads the recording it processes and does its work while it is in
 memory, so a stage holds one recording per worker plus small
@@ -73,7 +73,7 @@ from .io import (
     load_json,
     load_recording,
     narrow_recording,
-    read_json,
+    read_recording_header,
     save_recording,
     staged,
     standard_1020_montage,
@@ -247,27 +247,24 @@ def load_input_recordings(
 ) -> list[Callable[[], Recording]]:
     """A loader of each .eegb recording in a directory, sorted by file name.
 
-    Only the sidecars are read here. A loader returns its recording as
+    Only the headers are read here. A loader returns its recording as
     stored, with montage's channels picked; one whose subject id an
-    earlier sidecar names raises DuplicateSubject.
+    earlier header names raises DuplicateSubject.
     """
     return _inputs(input_dir, montage)[0]
 
 
 def _inputs(input_dir: str, montage) -> tuple[list, list[Optional[str]]]:
-    """`load_input_recordings`' loaders and each sidecar's label (None unless a string).
-
-    A sidecar that does not read is left to its loader to report.
-    """
+    """`load_input_recordings`' loaders and each label: None where a header holds none or does
+    not read, which its loader reports."""
     loads, labels, seen = [], [], set()
     for name in _artifact_names(input_dir, ".eegb"):
         path = os.path.join(input_dir, name)
         try:
-            doc = read_json(path[:-len(".eegb")] + ".json")
+            header = read_recording_header(path)
         except MsafError:
-            doc = None
-        sid, label = (doc[k] if isinstance(doc, dict) and isinstance(doc.get(k), str) else None
-                      for k in ("subject_id", "label"))
+            header = {"subject_id": None, "label": None}
+        sid, label = header["subject_id"], header["label"]
         loads.append(functools.partial(_load_input, path, montage, sid in seen))
         labels.append(label)
         seen.add(sid)
@@ -576,15 +573,19 @@ def _ranking_csv(expl, class_names: Sequence[str]) -> str:
 
 
 def _check_folds(labels: Sequence[Optional[str]], n_folds: int) -> None:
-    """ClassTooSmall if a class of the input sidecars' labels has fewer than n_folds recordings.
+    """ClassTooSmall if a class of the input labels has fewer than n_folds recordings.
 
-    Cross-validation and a grid search both split into n_folds. A sidecar
-    that does not read or holds no label (None) is left to the passes to report.
+    Cross-validation and a grid search both split into n_folds. A
+    recording whose header does not read or holds no label (None) counts
+    for every class; its fault is left to the passes to report.
     """
-    if None not in labels:
-        n, label = min((n, label) for label, n in collections.Counter(labels).items())
+    known = collections.Counter(label for label in labels if label is not None)
+    if known:
+        n, label = min((n, label) for label, n in known.items())
+        n += labels.count(None)
         if n < n_folds:
-            raise ClassTooSmall(f"class {label!r} has {n} recordings, fewer than {n_folds} folds")
+            raise ClassTooSmall(f"class {label!r} has at most {n} recordings, "
+                                f"fewer than {n_folds} folds")
 
 
 def run_pipeline(
@@ -638,7 +639,7 @@ def run_pipeline(
     )
 
     def segment(sid: str) -> tuple[str, str, dict]:
-        rec = load_recording(os.path.join(pre, sid))
+        rec = load_recording(os.path.join(pre, sid + ".eegb"))
         return subject_features(
             _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
         )

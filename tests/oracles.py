@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -746,3 +747,20 @@ def tree_shap_loop(model_doc: dict, x_row, background) -> tuple[np.ndarray, np.n
                         w = math.factorial(a) * math.factorial(c - 1) / math.factorial(a + c)
                         phi[f] -= w * value / b_count
     return phi, phi0
+
+
+# --- framed files (.eegb, .seg), taken apart by hand ---
+
+def with_header(blob: bytes, edit) -> bytes:
+    """blob, a framed file's bytes, with its header replaced by edit(header).
+
+    The frame is 8 magic bytes, the header length as a little-endian
+    uint32, the JSON header, then the payload. edit takes the header as a
+    dict and returns a dict, written as compact sorted-key JSON, or raw
+    bytes.
+    """
+    n = int.from_bytes(blob[8:12], "little")
+    header = edit(json.loads(blob[12:12 + n]))
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:]

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import filecmp
+import functools
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from msaf import (
 )
 from msaf.cli import main
 from msaf.pipeline import PipelineConfig, config_hash, load_input_recordings
+from oracles import with_header
 
 
 def _write(path, doc):
@@ -34,13 +36,30 @@ def _write(path, doc):
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """Synth a tiny labeled cohort once and chain every stage off it."""
+    """Synth a tiny labeled cohort once and chain every stage off it.
+
+    Each test that reads an artifact of the chain finds it here, whatever
+    tests run before it.
+    """
     root = tmp_path_factory.mktemp("cli")
     synth_cfg = _write(root / "synth.json",
                        {"kind": "cohort", "n_per_class": 2, "seed": 5,
                         "base": {"duration": 6.0}})
-    rc = main(["synth", "--config", synth_cfg, "--out", str(root / "data")])
-    assert rc == 0
+    w = functools.partial(os.path.join, root)
+    rf = ["--model", "rf", "--params", '{"n_trees": 10}', "--seed", "5"]
+    for argv in (
+        ["synth", "--config", synth_cfg, "--out", w("data")],
+        ["segment", w("data"), "--k", "4", "--out", w("subj"), "--seed", "5"],
+        ["group-maps", w("subj"), "--k", "4", "--out", w("maps_raw.json"), "--seed", "5"],
+        ["label", w("maps_raw.json"), "--out", w("maps.json")],
+        ["backfit", w("data"), w("maps.json"), "--out", w("segs")],
+        ["features", w("segs"), "--out", w("features.csv")],
+        ["train", w("features.csv"), *rf, "--out", w("model.json")],
+        ["evaluate", w("features.csv"), *rf, "--folds", "2", "--out", w("eval.json")],
+        ["explain", w("model.json"), w("features.csv"), "--method", "tree",
+         "--out", w("shap.json"), "--seed", "5"],
+    ):
+        assert main(argv) == 0, argv
     return root
 
 
@@ -68,22 +87,14 @@ def test_preprocess_verb(work):
 
 
 def test_segment_group_label_chain(work):
-    assert main(["segment", str(work / "data"), "--k", "4",
-                 "--out", str(work / "subj"), "--seed", "5"]) == 0
     assert len(os.listdir(work / "subj")) == 6
-    assert main(["group-maps", str(work / "subj"), "--k", "4",
-                 "--out", str(work / "maps_raw.json"), "--seed", "5"]) == 0
-    assert main(["label", str(work / "maps_raw.json"),
-                 "--out", str(work / "maps.json")]) == 0
+    assert read_json(str(work / "maps_raw.json"))["k"] == 4
     doc = read_json(str(work / "maps.json"))
     assert sorted(doc["labels"]) == ["A", "B", "C", "F"]
 
 
 def test_backfit_and_features(work):
-    assert main(["backfit", str(work / "data"), str(work / "maps.json"),
-                 "--out", str(work / "segs")]) == 0
-    assert main(["features", str(work / "segs"),
-                 "--out", str(work / "features.csv")]) == 0
+    assert len(os.listdir(work / "segs")) == 6
     table = load_feature_table(str(work / "features.csv"))
     assert table.n_rows == 6
     assert len(table.feature_names) == 21
@@ -94,11 +105,9 @@ def test_partial_leftovers_are_not_inputs(work, tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     for name in ("NC_000", "MCI_000"):
-        for ext in (".eegb", ".json"):
-            shutil.copy(work / "data" / (name + ext), data)
+        shutil.copy(work / "data" / (name + ".eegb"), data)
     # what an interrupted write leaves behind
-    for ext in (".eegb", ".json"):
-        shutil.copy(work / "data" / ("DEM_000" + ext), data / ("DEM_000.partial" + ext))
+    shutil.copy(work / "data" / "DEM_000.eegb", data / "DEM_000.partial.eegb")
     assert [load().subject_id for load in load_input_recordings(str(data))] == [
         "MCI_000", "NC_000"
     ]
@@ -112,21 +121,12 @@ def test_partial_leftovers_are_not_inputs(work, tmp_path):
 
 
 def test_train_evaluate_explain_chain(work):
-    assert main(["train", str(work / "features.csv"), "--model", "rf",
-                 "--params", '{"n_trees": 10}',
-                 "--out", str(work / "model.json"), "--seed", "5"]) == 0
     doc = read_json(str(work / "model.json"))
     assert doc["kind"] == "rf"
     assert len(doc["feature_names"]) == 21
-    assert main(["evaluate", str(work / "features.csv"), "--model", "rf",
-                 "--params", '{"n_trees": 10}', "--folds", "2",
-                 "--out", str(work / "eval.json"), "--seed", "5"]) == 0
     ev = read_json(str(work / "eval.json"))
     assert 0.0 <= ev["accuracy"] <= 1.0
     assert len(ev["fold_metrics"]) == 2
-    assert main(["explain", str(work / "model.json"),
-                 str(work / "features.csv"), "--method", "tree",
-                 "--out", str(work / "shap.json"), "--seed", "5"]) == 0
     shap = read_json(str(work / "shap.json"))
     assert shap["method"] == "tree"
     assert len(shap["subject_ids"]) == 6
@@ -605,10 +605,7 @@ def _nan_gfp(blob):
 def _seg_header(**changes):
     """A corruption that changes some keys of a .seg file's header."""
     def corrupt(blob):
-        n = int.from_bytes(blob[8:12], "little")
-        header = json.dumps({**json.loads(blob[12:12 + n]), **changes},
-                            sort_keys=True, separators=(",", ":")).encode()
-        return blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:]
+        return with_header(blob, lambda h: {**h, **changes})
     corrupt.__name__ = "header_" + ",".join(f"{k}={v!r}" for k, v in changes.items())
     return corrupt
 
@@ -706,16 +703,35 @@ def test_unexpected_exception_is_one_internal_error_line(work, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_interrupt_and_usage_errors_are_not_caught(work, tmp_path, monkeypatch):
+def test_interrupt_is_not_caught(work, tmp_path, monkeypatch):
     def interrupted(table):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(msaf.cli, "compute_stats", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["stats", str(work / "features.csv"), "--out", str(tmp_path / "s.json")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-verb"], [], ["run", "--threads", "abc"], ["run", "--no-such-flag"],
+    ["features"], ["features", "segs", "--gfp-aggregate", "mode"],
+])
+def test_usage_errors_are_one_config_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and not captured.out
+    err = json.loads(lines[0])
+    assert (err["error"], err["category"], err["exit_code"]) == (
+        "InvalidConfig", "ConfigError", 2)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"], ["run", "-h"]])
+def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-verb"])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 # Runs msaf verbs in a fresh interpreter in which `import scipy` fails,
@@ -933,15 +949,14 @@ def _not_utf8(path):
     return spoiled
 
 
-def _one_recording(work, tmp_path, spoil_sidecar=False):
-    """A directory holding NC_000 of the work cohort."""
+def _one_recording(work, tmp_path, edit=None):
+    """A directory holding NC_000 of the work cohort, its header replaced by edit(header)."""
     data = tmp_path / "one"
     data.mkdir()
-    for ext in (".eegb", ".json"):
-        shutil.copy(work / "data" / ("NC_000" + ext), data)
-    if spoil_sidecar:
-        sidecar = data / "NC_000.json"
-        sidecar.write_bytes(b"\xff" + sidecar.read_bytes())
+    path = data / "NC_000.eegb"
+    shutil.copy(work / "data" / "NC_000.eegb", path)
+    if edit is not None:
+        path.write_bytes(with_header(path.read_bytes(), edit))
     return str(data)
 
 
@@ -951,12 +966,9 @@ def _blocked(tmp_path):
     return str(tmp_path / "file" / "o")
 
 
-def _sidecar_with(work, tmp_path, **fields):
-    """A directory holding NC_000 of the work cohort, some sidecar fields changed."""
-    data = _one_recording(work, tmp_path)
-    sidecar = os.path.join(data, "NC_000.json")
-    _write(sidecar, {**read_json(sidecar), **fields})
-    return data
+def _header_with(work, tmp_path, **fields):
+    """A directory holding NC_000 of the work cohort, some header fields changed."""
+    return _one_recording(work, tmp_path, lambda h: {**h, **fields})
 
 
 def _seg_id(work, tmp_path, subject_id):
@@ -996,12 +1008,12 @@ _IO_FAULTS = {
                                             "--out", o], "IoFailure", 3),
     "topo-json-not-utf8": (lambda w, t, o: ["topo", str(_not_utf8(w / "maps.json")),
                                             "--out", o], "IoFailure", 3),
-    "segment-sidecar-not-utf8": (lambda w, t, o: ["segment", _one_recording(w, t, True),
-                                                  "--out", o], "IoFailure", 3),
-    # sidecar fields of the wrong type; NC_000 holds 1500 samples
-    **{f"preprocess-sidecar-{field}-{value!r}": (
+    "segment-header-not-utf8": (lambda w, t, o: ["segment", _one_recording(
+        w, t, lambda h: b"\xff" + json.dumps(h).encode()), "--out", o], "IoFailure", 3),
+    # header fields of the wrong type; NC_000 holds 1500 samples
+    **{f"preprocess-header-{field}-{value!r}": (
         lambda w, t, o, field=field, value=value: [
-            "preprocess", _sidecar_with(w, t, **{field: value}), "--out", o], "IoFailure", 3)
+            "preprocess", _header_with(w, t, **{field: value}), "--out", o], "IoFailure", 3)
        for field, value in [("n_samples", 1500.9), ("n_samples", "1500"), ("fs", "250"),
                             ("provenance", "abc")]},
     "explain-rank-bad-shap": (lambda w, t, o: ["explain-rank", _write(
@@ -1046,7 +1058,7 @@ _IO_FAULTS = {
                                           "labeling": _write(t / "k3.json", {"k": 3})})],
         "IoFailure", 3),
     # names read from files that would become file names
-    "segment-sidecar-id-with-slash": (lambda w, t, o: ["segment", _sidecar_with(
+    "segment-header-id-with-slash": (lambda w, t, o: ["segment", _header_with(
         w, t, subject_id="a/b"), "--out", o], "IoFailure", 3),
     "features-seg-id-with-slash": (lambda w, t, o: ["features", _seg_id(w, t, "../x"),
                                                     "--out", o], "IoFailure", 3),

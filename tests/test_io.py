@@ -1,4 +1,5 @@
 """Recording container, .eegb and .seg round-trips, montage, feature table CSV."""
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,6 @@ from msaf import (
     FeatureTable,
     InvalidConfig,
     InvalidRate,
-    IoFailure,
     Montage,
     NonFiniteData,
     Recording,
@@ -28,8 +28,10 @@ from msaf import (
     standard_1020_montage,
     write_json,
 )
-from msaf.io import staged
+from msaf.cli import main
+from msaf.io import read_recording_header, staged
 from msaf.pipeline import load_input_recordings
+from oracles import with_header
 
 
 def _rec(n_ch=4, n_t=50, fs=100.0, **kw):
@@ -72,8 +74,8 @@ def test_recording_shape_validation():
 
 def test_eegb_roundtrip_exact(tmp_path):
     rec = _rec(label="NC", provenance=("synth",))
-    eegb, sidecar = save_recording(rec, str(tmp_path / "s01.eegb"))
-    assert os.path.exists(eegb) and os.path.exists(sidecar)
+    (eegb,) = save_recording(rec, str(tmp_path / "s01.eegb"))
+    assert os.listdir(tmp_path) == ["s01.eegb"]
     back = load_recording(eegb)
     assert back.subject_id == "s01"
     assert back.label == "NC"
@@ -90,6 +92,77 @@ def test_eegb_roundtrip_without_label(tmp_path):
     save_recording(rec, str(tmp_path / "anon"))
     back = load_recording(str(tmp_path / "anon.eegb"))
     assert back.label is None
+
+
+def test_eegb_is_magic_header_length_header_then_payload(tmp_path):
+    rec = _rec(provenance=("synth",))
+    save_recording(rec, str(tmp_path / "s01"))
+    blob = (tmp_path / "s01.eegb").read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = {"channels": list(rec.montage.names), "fs": 100.0, "label": None,
+              "n_samples": 50, "provenance": ["synth"], "subject_id": "s01"}
+    assert blob[:8] == b"EEGB0002"
+    assert blob[12:12 + n] == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert blob[12 + n:] == rec.data.astype("<f4").tobytes()
+    assert read_recording_header(str(tmp_path / "s01.eegb")) == {
+        **header, "channels": rec.montage.names}
+
+
+def test_load_recording_returns_a_read_only_aligned_float32_view(tmp_path):
+    # subject ids of 1 to 4 characters put the payload at each offset mod 4
+    for sid in ("a", "ab", "abc", "abcd"):
+        (path,) = save_recording(_rec(subject_id=sid), str(tmp_path / sid))
+        data = load_recording(path).data
+        assert data.dtype == np.dtype("<f4") and data.shape == (4, 50)
+        assert data.flags.aligned and data.flags.c_contiguous
+        assert not data.flags.writeable and not data.flags.owndata, sid
+
+
+def test_a_payload_cut_short_fails_only_when_its_loader_runs(tmp_path):
+    # the scan reads headers alone
+    for sid in ("a", "b"):
+        save_recording(_rec(subject_id=sid), str(tmp_path / sid))
+    path = tmp_path / "b.eegb"
+    path.write_bytes(path.read_bytes()[:-4])
+    loads = load_input_recordings(str(tmp_path))
+    assert loads[0]().subject_id == "a"
+    with pytest.raises(ShapeMismatch, match="payload is 796 bytes, header declares 800"):
+        loads[1]()
+
+
+def _two_file_recording(path):
+    """A recording in the EEGB0001 layout: magic and payload, fields in a JSON sidecar."""
+    (path.parent / (path.stem + ".json")).write_text(json.dumps(
+        {"subject_id": "s01", "fs": 100.0, "channels": ["Fp1", "Fp2"], "n_samples": 3}))
+    path.write_bytes(b"EEGB0001" + np.zeros(6, "<f4").tobytes())
+
+
+def _header_edit(edit):
+    def spoil(path):
+        save_recording(_rec(), str(path))
+        path.write_bytes(with_header(path.read_bytes(), edit))
+    return spoil
+
+
+@pytest.mark.parametrize("spoil,error", [
+    (_two_file_recording, "BadMagic"),
+    (_header_edit(lambda h: {k: v for k, v in h.items() if k != "label"}), "IoFailure"),
+    (_header_edit(lambda h: {k: v for k, v in h.items() if k != "provenance"}), "IoFailure"),
+    (_header_edit(lambda h: {**h, "units": "uV"}), "IoFailure"),
+    (_header_edit(lambda h: json.dumps([h]).encode()), "IoFailure"),
+], ids=["eegb0001", "no-label", "no-provenance", "extra-key", "not-an-object"])
+def test_a_recording_not_in_the_container_layout_is_one_data_error(spoil, error, tmp_path,
+                                                                    capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    spoil(data / "s01.eegb")
+    out = tmp_path / "o"
+    assert main(["preprocess", str(data), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["category"], err["exit_code"]) == (error, "DataError", 3)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["NC", None])
@@ -211,26 +284,6 @@ def test_write_json_deterministic(tmp_path):
     assert read_json(p1) == {"a": [1.5, 2], "b": 1}
 
 
-def test_failed_recording_commit_leaves_no_listed_eegb_without_sidecar(tmp_path, monkeypatch):
-    save_recording(_rec(subject_id="a"), str(tmp_path / "a"))
-    real_replace, calls = os.replace, []
-
-    def replace_once(src, dst):
-        calls.append(dst)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(msaf.io.os, "replace", replace_once)
-    with pytest.raises(IoFailure):
-        save_recording(_rec(subject_id="b"), str(tmp_path / "b"))
-    monkeypatch.undo()
-    # the sidecar is committed first, so no .eegb is listed without one
-    assert calls == [str(tmp_path / "b.json"), str(tmp_path / "b.eegb")]
-    assert (tmp_path / "b.json").exists() and not (tmp_path / "b.eegb").exists()
-    assert [load().subject_id for load in load_input_recordings(str(tmp_path))] == ["a"]
-
-
 def test_write_json_creates_parents_and_leaves_no_partial(tmp_path):
     path = tmp_path / "new" / "dir" / "x.json"
     assert write_json(str(path), {"a": 1}) == str(path)
@@ -246,12 +299,11 @@ def test_staged_renames_every_file_in_write_order_on_success(tmp_path, monkeypat
     with staged() as stage:
         written = [save_recording(_rec(subject_id=s), str(out / s), stage) for s in "ab"]
         # nothing is in place yet, and listings skip the partial files
-        assert sorted(os.listdir(out)) == ["a.partial.eegb", "a.partial.json",
-                                           "b.partial.eegb", "b.partial.json"]
+        assert sorted(os.listdir(out)) == ["a.partial.eegb", "b.partial.eegb"]
         with pytest.raises(InvalidConfig, match="no .eegb files"):
             list(load_input_recordings(str(out)))
-    assert written[0] == (str(out / "a.partial.eegb"), str(out / "a.partial.json"))
-    assert calls == [str(out / n) for n in ("a.json", "a.eegb", "b.json", "b.eegb")]
+    assert written == [(str(out / "a.partial.eegb"),), (str(out / "b.partial.eegb"),)]
+    assert calls == [str(out / "a.eegb"), str(out / "b.eegb")]
     assert [load().subject_id for load in load_input_recordings(str(out))] == ["a", "b"]
 
 

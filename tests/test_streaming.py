@@ -41,6 +41,7 @@ from msaf.pipeline import (
     run_pipeline,
 )
 from msaf.synth import SynthConfig, generate
+from oracles import with_header
 
 # every step yields a new recording, so no output is a loaded input itself
 _STEPS = [{"kind": "bandpass", "low": 1.0, "high": 30.0}, {"kind": "average_reference"}]
@@ -189,18 +190,18 @@ def test_loaders_read_no_recording_until_called(cohort, monkeypatch):
     assert loaded == [str(cohort / "data" / "NC_001.eegb")]
 
 
-def test_run_reads_each_input_sidecar_once_before_its_passes(cohort, tmp_path, monkeypatch):
-    # one scan of the sidecars serves the class-size check and the repeated-id check
+def test_run_reads_each_input_header_once_before_its_passes(cohort, tmp_path, monkeypatch):
+    # one scan of the headers serves the class-size check and the repeated-id check
     events = []
-    read, load = msaf.pipeline.read_json, msaf.pipeline.load_recording
-    monkeypatch.setattr(msaf.pipeline, "read_json",
+    read, load = msaf.pipeline.read_recording_header, msaf.pipeline.load_recording
+    monkeypatch.setattr(msaf.pipeline, "read_recording_header",
                         lambda path: events.append(("read", path)) or read(path))
     monkeypatch.setattr(msaf.pipeline, "load_recording",
                         lambda path: events.append(("load", path)) or load(path))
     run_pipeline(_small_run(cohort, tmp_path / "run"))
-    sidecars = [("read", str(p)) for p in sorted((cohort / "data").glob("*.json"))]
-    assert len(sidecars) == 6 and events[:6] == sidecars
-    assert [e for e in events if e[0] == "read"] == sidecars
+    headers = [("read", str(p)) for p in sorted((cohort / "data").glob("*.eegb"))]
+    assert len(headers) == 6 and events[:6] == headers
+    assert [e for e in events if e[0] == "read"] == headers
     assert len(events) == 6 + 2 * 6
 
 
@@ -519,7 +520,7 @@ def test_streamed_verbs_are_thread_independent(verb, cohort, tmp_path):
         out = tmp_path / f"t{threads}"
         assert main(argv + ["--out", str(out), "--threads", str(threads)]) == 0
         trees.append(_tree_bytes(out))
-    assert len(trees[0]) == 6 * (2 if verb == "preprocess" else 1)
+    assert len(trees[0]) == 6
     assert trees[0] == trees[1]
 
 
@@ -530,8 +531,7 @@ def _bad_magic_last(data):
 
 def _repeated_id_last(data):
     # sorts after NC_001 and carries DEM_000's subject id
-    for ext in (".eegb", ".json"):
-        shutil.copy(data / ("DEM_000" + ext), data / ("ZZ_copy" + ext))
+    shutil.copy(data / "DEM_000.eegb", data / "ZZ_copy.eegb")
 
 
 def _shorten(data, name):
@@ -565,20 +565,22 @@ def _overflow_last(data):
                    str(data / "NC_001"))
 
 
-def _edit_sidecar(data, name, **fields):
-    path = data / (name + ".json")
-    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+def _edit_header(data, name, **fields):
+    path = data / (name + ".eegb")
+    path.write_bytes(with_header(path.read_bytes(), lambda h: {**h, **fields}))
 
 
 def _no_samples_last(data):
-    """NC_001's sidecar declares 0 samples and its container holds the magic alone,
+    """NC_001's header declares 0 samples and its file ends with the header,
     so the sizes agree."""
-    _edit_sidecar(data, "NC_001", n_samples=0)
-    (data / "NC_001.eegb").write_bytes(b"EEGB0001")
+    path = data / "NC_001.eegb"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:12 + int.from_bytes(blob[8:12], "little")])
+    _edit_header(data, "NC_001", n_samples=0)
 
 
 def _zero_rate_last(data):
-    _edit_sidecar(data, "NC_001", fs=0)
+    _edit_header(data, "NC_001", fs=0)
 
 
 def _fails_with_one_error_line(argv, error, code, capsys):
@@ -677,7 +679,7 @@ def test_backfit_rejects_an_empty_or_rateless_recording(spoil, error, code, coho
 def test_too_small_class_is_reported_before_a_faulty_recording(
     spoil, steps, cohort, tmp_path, capsys
 ):
-    # the class sizes are checked from the sidecars before any recording is read
+    # the class sizes are checked from the headers before any recording is read
     data = tmp_path / "data"
     shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
     spoil(data)
@@ -703,7 +705,7 @@ def test_second_pass_fault_keeps_the_first_pass_and_leaves_no_segmentation(
     assert json.loads(capsys.readouterr().err)["error"] == "UnlabeledData"
     # the first pass and the group maps were published, the second pass not at all
     assert sorted(os.listdir(out)) == ["maps.json", "preprocessed", "subject_maps"]
-    assert len(os.listdir(out / "preprocessed")) == 2 * 6
+    assert len(os.listdir(out / "preprocessed")) == 6
     assert not [f for _, _, files in os.walk(out) for f in files if ".partial." in f]
 
 
