@@ -447,11 +447,16 @@ def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> 
 
 
 def _recording_header(header: dict) -> dict:
-    """header with each field checked: a wrong type, or a name that is no file name, is a
-    ValueError. Any number passes as fs: `Recording` checks the rate."""
+    """header with each field checked: a wrong type, a name that is no file name or a channel
+    outside the built-in 10-20 table is a ValueError. Any number passes as fs: `Recording`
+    checks the rate."""
     subject_id, label = _subject(header)
+    channels = check_value("channels", Key("names"), header["channels"], ValueError)
+    unknown = [c for c in channels if _ALIASES.get(c, c) not in _BESA_1020]
+    if unknown:
+        raise ValueError(f"channels {unknown} are not in the built-in 10-20 table")
     return {
-        "channels": check_value("channels", Key("names"), header["channels"], ValueError),
+        "channels": channels,
         "fs": check_value("fs", Key("real", "[-inf, inf]"), header["fs"], ValueError),
         "label": label,
         "n_samples": check_value("n_samples", Key("int", "[0, inf)"), header["n_samples"],

@@ -26,18 +26,16 @@ Recordings stream: `load_input_recordings` reads only the headers and
 returns one loader per recording, and each worker of the thread map
 loads the recording it processes and does its work while it is in
 memory, so a stage holds one recording per worker plus small
-per-subject results, never the cohort.
-Recordings are read as float32 Recordings, which FIR filters, GFP and
-backfit widen one block at a time, exactly. `run_pipeline`
-makes two passes. The first hands each loaded recording to preprocessing
-and keeps no other reference to it, stages the float32 result and
-clusters the subject's GFP peaks from it, keeping only the maps. The
-second loads each published preprocessed file back, backfits it,
-stages its segmentation and keeps only its feature row. A pass's
-files are staged (`msaf.io.staged`) and renamed into place only once
-every recording has passed, and a failed pass removes them, so a faulty
-recording still leaves no output of its pass. The stage verbs on
-`preprocessed/` compute from the same numbers as the run.
+per-subject results, never the cohort. Recordings are read as float32
+Recordings, which FIR filters, GFP and backfit widen one block at a
+time, exactly. `run_pipeline` checks the headers (class sizes, then
+labels and channels) before it reads any recording, then calls the
+stages in order: `subject_maps_stage` over loaders that preprocess and
+stage each recording, so a subject is clustered from its float32
+result; `backfit_stage` over the committed preprocessed files; and
+`feature_stage` over the committed segmentations. A pass's files are
+staged (`msaf.io.staged`) and renamed into place once every recording
+has passed, so a faulty recording leaves no output of its pass.
 """
 from __future__ import annotations
 
@@ -72,6 +70,7 @@ from .io import (
     commit_segmentation,
     load_json,
     load_recording,
+    load_segmentation,
     narrow_recording,
     read_recording_header,
     save_recording,
@@ -247,28 +246,40 @@ def load_input_recordings(
 ) -> list[Callable[[], Recording]]:
     """A loader of each .eegb recording in a directory, sorted by file name.
 
-    Only the headers are read here. A loader returns its recording as
-    stored, with montage's channels picked; one whose subject id an
-    earlier header names raises DuplicateSubject.
+    Only the headers are read here; one that lacks a channel of montage
+    is MontageMismatch. A loader returns its recording as stored, with
+    montage's channels picked; one whose subject id an earlier header
+    names raises DuplicateSubject.
     """
-    return _inputs(input_dir, montage)[0]
+    loads, headers = _inputs(input_dir, montage)
+    for header in filter(None, headers):
+        _picked(header, montage)
+    return loads
 
 
-def _inputs(input_dir: str, montage) -> tuple[list, list[Optional[str]]]:
-    """`load_input_recordings`' loaders and each label: None where a header holds none or does
-    not read, which its loader reports."""
-    loads, labels, seen = [], [], set()
+def _inputs(input_dir: str, montage) -> tuple[list, list[Optional[dict]]]:
+    """`load_input_recordings`' loaders and each checked header: None where it does not read,
+    which its loader reports."""
+    loads, headers, seen = [], [], set()
     for name in _artifact_names(input_dir, ".eegb"):
         path = os.path.join(input_dir, name)
         try:
             header = read_recording_header(path)
         except MsafError:
-            header = {"subject_id": None, "label": None}
-        sid, label = header["subject_id"], header["label"]
+            header = None
+        sid = header and header["subject_id"]
         loads.append(functools.partial(_load_input, path, montage, sid in seen))
-        labels.append(label)
+        headers.append(header)
         seen.add(sid)
-    return loads, labels
+    return loads, headers
+
+
+def _picked(header: dict, montage) -> tuple[str, ...]:
+    """A header's channels after the montage pick; MontageMismatch if it lacks one."""
+    missing = [c for c in montage or () if c not in header["channels"]]
+    if missing:
+        raise MontageMismatch(f"recording {header['subject_id']!r} lacks channels {missing}")
+    return montage or header["channels"]
 
 
 def _load_input(path: str, montage, duplicate: bool) -> Recording:
@@ -286,8 +297,7 @@ def _load_input(path: str, montage, duplicate: bool) -> Recording:
 # takes a loader of each, loads each recording in the worker that
 # processes it and keeps only small results; its files are
 # staged as they are written and renamed into place when every recording
-# has passed. `run_pipeline` and the stage verbs share the per-recording
-# functions below.
+# has passed. `run_pipeline` and the stage verbs call the same stages.
 
 
 def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
@@ -341,15 +351,6 @@ def _subject_maps(
     )
 
 
-def _segmented(
-    rec: Recording, gmaps: MicrostateMaps, min_segment_ms: float, out_dir: str, stage: Stage,
-) -> Segmentation:
-    """rec backfitted to gmaps, staged as <out_dir>/<id>.seg."""
-    seg = backfit(rec, gmaps, min_segment_ms=min_segment_ms)
-    commit_segmentation(seg, os.path.join(out_dir, rec.subject_id), stage)
-    return seg
-
-
 def subject_features(
     seg: Segmentation, gfp_aggregate: str = "mean", trim_edge_runs: bool = False
 ) -> tuple[str, str, dict]:
@@ -375,16 +376,11 @@ def preprocess_stage(
         )
 
 
-def _commit_subject_maps(out_dir: str, subjects: Iterable[tuple[str, MicrostateMaps]]) -> None:
-    for sid, m in subjects:
-        write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
-
-
 def subject_maps_stage(
     loads: Sequence[Callable], k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
     out_dir: str, threads: int = 1,
-) -> list[MicrostateMaps]:
-    """Each subject's GFP-peak topographies clustered into k maps.
+) -> dict[str, MicrostateMaps]:
+    """Each subject's GFP-peak topographies clustered into k maps, by subject id in input order.
 
     Subject i (in file-name order) uses seed (seed, 100, i). Commits
     <out_dir>/<id>.json.
@@ -395,9 +391,10 @@ def subject_maps_stage(
         rec = load()
         return rec.subject_id, _subject_maps(idx, rec, k, kmeans, min_peak_distance_ms, seed)
 
-    done = _ordered_map(one, enumerate(loads), threads)
-    _commit_subject_maps(out_dir, done)
-    return [m for _, m in done]
+    done = dict(_ordered_map(one, enumerate(loads), threads))
+    for sid, m in done.items():
+        write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
+    return done
 
 
 def group_maps_stage(
@@ -426,7 +423,9 @@ def backfit_stage(
     check_value("the number of maps", RUN["k"], gmaps.k)
 
     def one(load: Callable) -> str:
-        return _segmented(load(), gmaps, min_segment_ms, out_dir, stage).subject_id
+        seg = backfit(load(), gmaps, min_segment_ms=min_segment_ms)
+        commit_segmentation(seg, os.path.join(out_dir, seg.subject_id), stage)
+        return seg.subject_id
 
     with staged() as stage:
         return _ordered_map(one, loads, threads)
@@ -572,13 +571,19 @@ def _ranking_csv(expl, class_names: Sequence[str]) -> str:
     return _csv_text(rows)
 
 
-def _check_folds(labels: Sequence[Optional[str]], n_folds: int) -> None:
-    """ClassTooSmall if a class of the input labels has fewer than n_folds recordings.
+def _check_cohort(
+    headers: Sequence[Optional[dict]], n_folds: int, montage, channels: Optional[tuple]
+) -> None:
+    """A run's checks of its input headers, made before any recording is read.
 
-    Cross-validation and a grid search both split into n_folds. A
-    recording whose header does not read or holds no label (None) counts
-    for every class; its fault is left to the passes to report.
+    ClassTooSmall if a class has fewer than n_folds recordings (cross-validation
+    and a grid search both split into n_folds); a header that does not read (None)
+    or holds no label counts for every class. Then UnlabeledData for a header with
+    no label, and MontageMismatch for one whose channels after the montage pick
+    are not channels (a labeling file's) or else the first header's. A header
+    that does not read is left to its loader.
     """
+    labels = [header and header["label"] for header in headers]
     known = collections.Counter(label for label in labels if label is not None)
     if known:
         n, label = min((n, label) for label, n in known.items())
@@ -586,6 +591,15 @@ def _check_folds(labels: Sequence[Optional[str]], n_folds: int) -> None:
         if n < n_folds:
             raise ClassTooSmall(f"class {label!r} has at most {n} recordings, "
                                 f"fewer than {n_folds} folds")
+    for header in filter(None, headers):
+        sid = header["subject_id"]
+        if header["label"] is None:
+            raise UnlabeledData(f"subject {sid!r} has no class label")
+        picked = _picked(header, montage)
+        channels = channels or picked
+        if picked != channels:
+            raise MontageMismatch(f"recording {sid!r} has channels {list(picked)}, "
+                                  f"not {list(channels)}")
 
 
 def run_pipeline(
@@ -599,55 +613,41 @@ def run_pipeline(
     """
     out = out_dir or cfg.out_dir
     path = functools.partial(os.path.join, out)
-    # a labeling file that does not decode or has too few maps fails before any
-    # output, one for other channels fails pass 1
+    # a labeling file that does not decode or has too few maps fails before any output
     templates = None
     if cfg.labeling != "template":
         templates = load_json(cfg.labeling, MicrostateMaps.from_json_dict)
         if templates.k < cfg.k:
             raise AmbiguousLabels(f"{templates.k} templates cannot label {cfg.k} maps uniquely")
 
-    loads, labels = _inputs(cfg.input_dir, cfg.montage)
-    _check_folds(labels, cfg.cv_folds)
+    loads, headers = _inputs(cfg.input_dir, cfg.montage)
+    _check_cohort(headers, cfg.cv_folds, cfg.montage, templates and templates.channels)
     pre = path("preprocessed")
-
-    def cluster(item) -> tuple[str, MicrostateMaps]:
-        # the raw recording lives only until preprocessed: the subject is
-        # clustered from its float32 payload
-        idx, load = item
-        stored = _preprocessed(load, cfg.steps, cfg.band, pre, stage)
-        if templates is not None and templates.channels != stored.montage.names:
-            raise MontageMismatch(
-                f"labeling maps have channels {list(templates.channels)}, recording "
-                f"{stored.subject_id!r} has {list(stored.montage.names)}"
-            )
-        return stored.subject_id, _subject_maps(
-            idx, stored, cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed
-        )
-
     logger.info("preprocessing and clustering (k=%d) recordings from %s", cfg.k, cfg.input_dir)
     with staged() as stage:
-        subjects = _ordered_map(cluster, enumerate(loads), threads)
-    _commit_subject_maps(path("subject_maps"), subjects)
-    sids = [sid for sid, _ in subjects]
-    subj_maps = [m for _, m in subjects]
+        # the raw recording lives only until preprocessed: each subject is
+        # clustered from its float32 payload
+        subjects = subject_maps_stage(
+            [functools.partial(_preprocessed, load, cfg.steps, cfg.band, pre, stage)
+             for load in loads],
+            cfg.k, cfg.kmeans, cfg.min_peak_distance_ms, cfg.seed, path("subject_maps"), threads,
+        )
     logger.info("group clustering and labeling")
+    subj_maps = list(subjects.values())
     if templates is None:
         templates = canonical_templates(standard_1020_montage(subj_maps[0].channels))
-    gmaps = group_maps_stage(
-        subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates
-    )
-
-    def segment(sid: str) -> tuple[str, str, dict]:
-        rec = load_recording(os.path.join(pre, sid + ".eegb"))
-        return subject_features(
-            _segmented(rec, gmaps, cfg.min_segment_ms, path("segmentations"), stage)
-        )
+    gmaps = group_maps_stage(subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates)
 
     logger.info("backfitting and extracting features")
-    with staged() as stage:
-        entries = _ordered_map(segment, sids, threads)
-    table = feature_stage(entries, path("features.csv"))
+    backfit_stage(
+        [functools.partial(load_recording, os.path.join(pre, sid + ".eegb")) for sid in subjects],
+        gmaps, cfg.min_segment_ms, path("segmentations"), threads,
+    )
+    table = feature_stage(
+        (subject_features(load_segmentation(path("segmentations", sid + ".seg")))
+         for sid in subjects),
+        path("features.csv"),
+    )
     kind, seed = cfg.classifier["kind"], cfg.seed
     model, params = fit_stage(
         table, kind, cfg.classifier["params"], cfg.grid, cfg.cv_folds, seed,
@@ -663,12 +663,10 @@ def run_pipeline(
     logger.info("group statistics")
     write_json(path("stats.json"), compute_stats(table))
 
-    def per_subject(directory: str, ext: str) -> list[str]:
-        return [os.path.join(directory, sid + ext) for sid in sids]
-
     artifacts = [
-        *per_subject("preprocessed", ".eegb"), *per_subject("subject_maps", ".json"),
-        "maps.json", *per_subject("segmentations", ".seg"), "features.csv",
+        *(os.path.join("preprocessed", sid + ".eegb") for sid in subjects),
+        *(os.path.join("subject_maps", sid + ".json") for sid in subjects), "maps.json",
+        *(os.path.join("segmentations", sid + ".seg") for sid in subjects), "features.csv",
         "model.json", "eval.json", "shap.json", "ranking.csv", "stats.json",
     ]
     manifest = {
@@ -680,7 +678,7 @@ def run_pipeline(
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
-        "n_subjects": len(sids),
+        "n_subjects": len(subjects),
         "class_names": list(table.class_names),
         "cv_accuracy": report.accuracy,
         "artifacts": artifacts,

@@ -219,7 +219,15 @@ def shapiro_wilk(sample) -> TestResult:
     return TestResult(method="shapiro-wilk", statistic=w, p_value=p, n=n)
 
 
-def _validate_groups(groups: Sequence) -> list[np.ndarray]:
+def _group_ranks(groups: Sequence) -> tuple[list[np.ndarray], int, int]:
+    """Each group's midranks in the pooled sample, the pooled size, and sum(t^3 - t) over
+    its tie groups.
+
+    Raises:
+        TooFewGroups, TooFewSamples, NonFiniteData: fewer than 2 groups, an
+            empty group or fewer than 3 observations, a non-finite value.
+        DegenerateData: if every observation is identical.
+    """
     gs = [np.asarray(g, dtype=np.float64).ravel() for g in groups]
     if len(gs) < 2:
         raise TooFewGroups(f"need at least 2 groups, got {len(gs)}")
@@ -228,9 +236,14 @@ def _validate_groups(groups: Sequence) -> list[np.ndarray]:
             raise TooFewSamples(f"group {i} is empty")
         if not np.all(np.isfinite(g)):
             raise NonFiniteData(f"group {i} contains non-finite values")
-    if sum(g.size for g in gs) < 3:
+    pooled = np.concatenate(gs)
+    if pooled.size < 3:
         raise TooFewSamples("need at least 3 observations in total")
-    return gs
+    if np.all(pooled == pooled[0]):
+        raise DegenerateData("all observations tied, ranks carry no information")
+    ranks, ties = _midranks(pooled)
+    per_group = np.split(ranks, np.cumsum([g.size for g in gs])[:-1])
+    return per_group, pooled.size, sum(t**3 - t for t in ties)
 
 
 def kruskal_wallis(groups: Sequence) -> TestResult:
@@ -243,28 +256,20 @@ def kruskal_wallis(groups: Sequence) -> TestResult:
     Raises:
         DegenerateData: if every observation is identical.
     """
-    gs = _validate_groups(groups)
-    pooled = np.concatenate(gs)
-    n_total = pooled.size
-    if np.all(pooled == pooled[0]):
-        raise DegenerateData("all observations tied, ranks carry no information")
-    ranks, ties = _midranks(pooled)
+    ranks, n_total, tie_sum = _group_ranks(groups)
     h = 0.0
-    offset = 0
-    for g in gs:
-        r_sum = float(ranks[offset : offset + g.size].sum())
-        h += r_sum * r_sum / g.size
-        offset += g.size
+    for r in ranks:
+        r_sum = float(r.sum())
+        h += r_sum * r_sum / r.size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
-    tie_sum = sum(t**3 - t for t in ties)
     h /= 1.0 - tie_sum / (n_total**3 - n_total)
     return TestResult(
         method="kruskal-wallis",
         statistic=h,
-        p_value=chi_square_sf(h, len(gs) - 1),
+        p_value=chi_square_sf(h, len(ranks) - 1),
         n=n_total,
-        df=len(gs) - 1,
-        tie_corrected=bool(ties),
+        df=len(ranks) - 1,
+        tie_corrected=tie_sum > 0,
     )
 
 
@@ -275,27 +280,17 @@ def dunn_posthoc(groups: Sequence) -> list[PairwiseResult]:
     * (1/n_i + 1/n_j)); two-sided p-values, Bonferroni-multiplied by the
     number of pairs and capped at 1.
     """
-    gs = _validate_groups(groups)
-    pooled = np.concatenate(gs)
-    n_total = pooled.size
-    if np.all(pooled == pooled[0]):
-        raise DegenerateData("all observations tied, ranks carry no information")
-    ranks, ties = _midranks(pooled)
-    tie_sum = sum(t**3 - t for t in ties)
+    ranks, n_total, tie_sum = _group_ranks(groups)
     var_base = n_total * (n_total + 1.0) / 12.0 - tie_sum / (12.0 * (n_total - 1.0))
     if var_base <= 0.0:
         raise DegenerateData("rank variance is zero")
-    mean_ranks = []
-    offset = 0
-    for g in gs:
-        mean_ranks.append(float(ranks[offset : offset + g.size].mean()))
-        offset += g.size
-    k = len(gs)
+    mean_ranks = [float(r.mean()) for r in ranks]
+    k = len(ranks)
     n_pairs = k * (k - 1) // 2
     out = []
     for i in range(k):
         for j in range(i + 1, k):
-            se = math.sqrt(var_base * (1.0 / gs[i].size + 1.0 / gs[j].size))
+            se = math.sqrt(var_base * (1.0 / ranks[i].size + 1.0 / ranks[j].size))
             z = (mean_ranks[i] - mean_ranks[j]) / se
             p = 2.0 * normal_sf(abs(z))
             out.append(PairwiseResult(

@@ -1016,6 +1016,10 @@ _IO_FAULTS = {
             "preprocess", _header_with(w, t, **{field: value}), "--out", o], "IoFailure", 3)
        for field, value in [("n_samples", 1500.9), ("n_samples", "1500"), ("fs", "250"),
                             ("provenance", "abc")]},
+    # a header channel outside the built-in 10-20 table is a fault of the file
+    "preprocess-header-unknown-channel": (lambda w, t, o: ["preprocess", _one_recording(
+        w, t, lambda h: {**h, "channels": ["XX", *h["channels"][1:]]}), "--out", o],
+        "IoFailure", 3),
     "explain-rank-bad-shap": (lambda w, t, o: ["explain-rank", _write(
         t / "s.json", {"method": "kernel"}), "--out", o], "IoFailure", 3),
     "explain-rank-class-names-mismatch": (lambda w, t, o: ["explain-rank", _write(
@@ -1046,7 +1050,7 @@ _IO_FAULTS = {
                        "labeling": _write(t / "m.json", msaf.canonical_templates(
                            standard_1020_montage()).to_json_dict())})], "AmbiguousLabels", 2),
     # and one for other channels than the recordings' (19 against 13) fails
-    # in the first pass, before its files are committed
+    # in the header scan, before any recording is read
     "run-labeling-other-channels": (lambda w, t, o: ["run", "--config", _write(
         t / "c.json", {"input_dir": str(w / "data"), "out_dir": o, "cv_folds": 2,
                        "montage": list(standard_1020_montage().names[:13]),

@@ -690,22 +690,77 @@ def test_too_small_class_is_reported_before_a_faulty_recording(
     assert not out.exists()
 
 
-def test_second_pass_fault_keeps_the_first_pass_and_leaves_no_segmentation(
-    cohort, tmp_path, capsys
-):
-    data = tmp_path / "data"
-    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+def _unlabeled_last(data):
     rec = load_recording(str(data / "NC_001.eegb"))
     save_recording(dataclasses.replace(rec, label=None), str(data / "NC_001"))
+
+
+def _without_fz_last(data):
+    rec = load_recording(str(data / "NC_001.eegb"))
+    save_recording(rec.pick([c for c in rec.montage.names if c != "Fz"]), str(data / "NC_001"))
+
+
+def _fails_before_any_recording_is_read(verb, spoil, doc, error, cohort, tmp_path, capsys,
+                                        monkeypatch):
+    """verb on a spoiled copy of the cohort fails with error (exit 3) in its header scan: no
+    recording is loaded and no output is written."""
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data, ignore=shutil.ignore_patterns("truth"))
+    spoil(data)
+    loaded = []
+    load = msaf.pipeline.load_recording
+    monkeypatch.setattr(msaf.pipeline, "load_recording",
+                        lambda path: loaded.append(path) or load(path))
     out = tmp_path / "o"
-    cfg = _write(tmp_path / "c.json", {"input_dir": str(data), "out_dir": str(out),
-                                       "steps": _STEPS, "cv_folds": 2})
-    capsys.readouterr()
-    assert main(["run", "--config", cfg, "--threads", "3"]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "UnlabeledData"
-    # the first pass and the group maps were published, the second pass not at all
-    assert sorted(os.listdir(out)) == ["maps.json", "preprocessed", "subject_maps"]
-    assert len(os.listdir(out / "preprocessed")) == 6
+    if verb == "preprocess":
+        argv = [verb, str(data), "--config", _write(tmp_path / "c.json", doc), "--out", str(out)]
+    else:
+        argv = [verb, "--config", _write(tmp_path / "c.json", {
+            "input_dir": str(data), "out_dir": str(out), "steps": _STEPS, "cv_folds": 2, **doc})]
+        argv += ["--bands", "alpha"] if verb == "band-sweep" else []
+    _fails_with_one_error_line(argv + ["--threads", "3"], error, 3, capsys)
+    assert loaded == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "band-sweep"])
+def test_unlabeled_recording_fails_before_any_output(verb, cohort, tmp_path, capsys,
+                                                     monkeypatch):
+    _fails_before_any_recording_is_read(verb, _unlabeled_last, {}, "UnlabeledData",
+                                        cohort, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("verb", ["run", "band-sweep"])
+def test_recording_with_other_channels_fails_before_any_output(verb, cohort, tmp_path, capsys,
+                                                               monkeypatch):
+    # 18 of the 19 channels: its subject maps could not be clustered with the others'
+    _fails_before_any_recording_is_read(verb, _without_fz_last, {}, "MontageMismatch",
+                                        cohort, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("verb", ["run", "band-sweep", "preprocess"])
+def test_recording_lacking_a_montage_channel_fails_before_any_output(
+    verb, cohort, tmp_path, capsys, monkeypatch
+):
+    # a data fault (exit 3); an unknown name in the montage itself is a config one
+    _fails_before_any_recording_is_read(verb, _without_fz_last,
+                                        {"montage": ["Cz", "Pz", "Fz", "O1"]},
+                                        "MontageMismatch", cohort, tmp_path, capsys, monkeypatch)
+
+
+def test_too_short_segmentation_leaves_the_stages_before_features(cohort, tmp_path, capsys):
+    # features need 1 s of segmentation; the stages before them were committed,
+    # as `msaf backfit` then `msaf features` would leave them
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "c.json", {
+        "input_dir": str(cohort / "data"), "out_dir": str(out), "cv_folds": 2,
+        "steps": [{"kind": "crop", "t_start": 0.0, "t_end": 0.8}],
+        "kmeans": {"n_inits": 2, "max_iter": 50},
+    })
+    _fails_with_one_error_line(["run", "--config", cfg], "TooShort", 3, capsys)
+    assert sorted(os.listdir(out)) == ["maps.json", "preprocessed", "segmentations",
+                                       "subject_maps"]
+    assert [len(os.listdir(out / d)) for d in ("preprocessed", "segmentations")] == [6, 6]
     assert not [f for _, _, files in os.walk(out) for f in files if ".partial." in f]
 
 
