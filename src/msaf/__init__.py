@@ -4,6 +4,10 @@ Resting-state EEG in, diagnosis-ready artifacts out: deterministic
 preprocessing, polarity-invariant microstate segmentation, temporal
 dynamics features, from-scratch classifiers with additive attribution,
 and nonparametric group statistics, all driven by one seed.
+
+`import msaf` loads `errors`, `io`, `preprocess`, `microstates`,
+`features`, `models` and `explain` at once. `stats`, `synth`, `topo` and
+`pipeline`, and the names they make public, load on first use.
 """
 
 from importlib import import_module as _import_module
@@ -44,10 +48,27 @@ _PUBLIC = {
     "pipeline": "PipelineConfig band_sweep config_hash run_pipeline",
 }
 
+# name -> the submodule that defines it, for the submodules loaded on first use
+# (the submodule's own name included)
+_LAZY = {name: module for module in ("stats", "synth", "topo", "pipeline")
+         for name in [module, *_PUBLIC[module].split()]}
+
 __all__ = ["__version__"]
 for _module, _names in _PUBLIC.items():
-    _loaded = _import_module(f".{_module}", __name__)
-    for _name in _names.split():
-        globals()[_name] = getattr(_loaded, _name)
-        __all__.append(_name)
+    __all__ += _names.split()
+    if _module not in _LAZY:
+        _loaded = _import_module(f".{_module}", __name__)
+        for _name in _names.split():
+            globals()[_name] = getattr(_loaded, _name)
 del _module, _names, _loaded, _name
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

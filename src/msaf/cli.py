@@ -54,16 +54,6 @@ from .pipeline import (
     _commit_text,
     _ranking_csv,
 )
-from .synth import (
-    STANDARD_BANDS,
-    SynthConfig,
-    canonical_templates,
-    generate,
-    make_band_cohort,
-    make_cohort,
-    transition_from_weights,
-)
-from .topo import render_bar_chart, render_topomap
 
 logger = logging.getLogger("msaf.cli")
 
@@ -227,6 +217,7 @@ def _cmd_preprocess(args) -> int:
 
 def _normalize_profiles(doc) -> dict:
     """Class label -> SynthConfig overrides, with weights made a transition matrix."""
+    from .synth import transition_from_weights
     profiles = {}
     for label, fields in check_value("synth profiles", OBJECT, doc).items():
         check_value("synth profile label", NAME, label)
@@ -241,6 +232,7 @@ def _normalize_profiles(doc) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate, make_band_cohort, make_cohort
     doc = _load_config(args, "synth")
     kind = check_value("synth kind", SYNTH_KIND, doc.get("kind", SYNTH_KIND.default))
     doc = check(f"synth {kind} config", SYNTH_KINDS[kind], doc)
@@ -321,6 +313,7 @@ def _cmd_label(args) -> int:
             raise AmbiguousLabels("give --mapping or --templates, not both")
         labeled = label_maps(maps, mapping=_parse_mapping(args.mapping))
     elif args.templates == "auto":
+        from .synth import canonical_templates
         montage = standard_1020_montage(maps.channels)
         labeled = label_maps(maps, templates=canonical_templates(montage))
     else:
@@ -422,6 +415,7 @@ def _cmd_explain_rank(args) -> int:
     expl, class_names = load_json(
         args.shap_json, _with_class_names(ShapExplanation.from_json_dict)
     )
+    from .topo import render_bar_chart
     base = os.path.splitext(args.out)[0]
     for ci, cname in enumerate(class_names):
         ranked = global_ranking(expl, class_index=ci)
@@ -442,6 +436,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_topo(args) -> int:
+    from .topo import render_topomap
     maps = load_json(args.maps_json, MicrostateMaps.from_json_dict)
     montage = standard_1020_montage(maps.channels)
     for i, label in enumerate(maps.labels):
@@ -454,6 +449,7 @@ def _cmd_topo(args) -> int:
 
 
 def _parse_bands(text: str) -> list[tuple[str, tuple[float, float]]]:
+    from .synth import STANDARD_BANDS
     bands = []
     for part in text.split(","):
         part = part.strip()

@@ -112,8 +112,10 @@ class GbtModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GbtModel":
+        """The model of a `to_json_dict` form; a ValueError unless it holds one base score
+        per class and one tree per class in every round."""
         n_features = int(d["n_features"])
-        return cls(
+        model = cls(
             classes=tuple(int(c) for c in d["classes"]),
             n_features=n_features,
             base_scores=np.asarray(d["base_scores"], dtype=np.float64),
@@ -127,6 +129,10 @@ class GbtModel:
             valid_loss_trace=tuple(d.get("valid_loss_trace", ())),
             params=dict(d.get("params", {})),
         )
+        n = len(model.classes)
+        if model.base_scores.shape != (n,) or any(len(row) != n for row in model.trees):
+            raise ValueError(f"gbt base scores and rounds need one entry per class, {n} classes")
+        return model
 
 
 def _cross_entropy(probs: np.ndarray, y_idx: np.ndarray) -> float:

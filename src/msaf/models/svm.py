@@ -153,7 +153,8 @@ class SvmModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SvmModel":
-        """The model of a `to_json_dict` form; a ValueError unless its arrays fit its mean."""
+        """The model of a `to_json_dict` form; a ValueError unless its arrays fit its mean
+        and it holds one machine per class."""
         model = cls(
             classes=tuple(int(c) for c in d["classes"]),
             mean=np.asarray(d["mean"], dtype=np.float64),
@@ -177,6 +178,9 @@ class SvmModel:
             for m in model.machines
         ):
             raise ValueError(f"svm scale or support vectors do not fit {width[0]} features")
+        n_machines, n_classes = len(model.machines), len(model.classes)
+        if n_machines != n_classes:
+            raise ValueError(f"{n_machines} svm machines for {n_classes} classes")
         return model
 
 

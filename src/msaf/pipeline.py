@@ -25,14 +25,15 @@ can change wall time but never a single output byte.
 
 Recordings stream: `load_input_recordings` reads only the headers and
 returns one loader per recording, and each worker of the thread map
-loads the recording it processes and does its work while it is in
-memory, so a stage holds one recording per worker plus small
-per-subject results, never the cohort. Recordings are read as float32
-Recordings, which FIR filters, GFP and backfit widen one block at a
-time, exactly. `run_pipeline` checks the headers (class sizes, then
+loads the recording it processes and holds it only while it needs its
+samples (`subject_maps_stage` frees it after peak picking, before the
+peaks are clustered), so a stage holds at most one recording per worker
+plus small per-subject results, never the cohort. Recordings are read as
+float32 Recordings, which FIR filters, GFP and backfit widen one block
+at a time, exactly. `run_pipeline` checks the headers (class sizes, then
 labels and channels) before it reads any recording, then calls the
 stages in order: `subject_maps_stage` over loaders that preprocess and
-stage each recording, so a subject is clustered from its float32
+stage each recording, so a subject's peaks come from its float32
 result; `backfit_stage` over the committed preprocessed files; and
 `feature_stage`, which loads each committed segmentation. A pass's
 files are staged (`msaf.io.staged`) and renamed into place once every
@@ -43,12 +44,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import hashlib
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -103,9 +102,6 @@ from .preprocess import (
     surface_laplacian,
     zscore_channels,
 )
-from .stats import dunn_posthoc, kruskal_wallis, shapiro_wilk
-from .synth import CANONICAL_LABELS, canonical_templates
-from .topo import render_bar_chart
 
 logger = logging.getLogger("msaf.pipeline")
 
@@ -187,6 +183,7 @@ class PipelineConfig:
                       *(grid or {}).get("n_features_per_split", [])]:
                 require(m is None or m <= width,
                         f"rf n_features_per_split must be <= {width} for k={k}, got {m}")
+        from .synth import CANONICAL_LABELS
         require(cfg["labeling"] != "template" or k <= len(CANONICAL_LABELS),
                 f"template labeling names at most {len(CANONICAL_LABELS)} maps, got k={k}")
         cfg["explain"] = check("explain", EXPLAIN, cfg["explain"] or {})
@@ -207,6 +204,7 @@ class PipelineConfig:
 
 def config_hash(cfg: PipelineConfig) -> str:
     """sha256 over the canonical JSON form of the config."""
+    import hashlib
     blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -222,6 +220,7 @@ def _ordered_map(fn: Callable, items: Iterable, threads: int) -> list:
     """
     if threads <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -295,9 +294,10 @@ def _load_input(path: str, montage, duplicate: bool) -> Recording:
 # --- stages: each computes from in-memory inputs and explicit settings
 # and derives its own seeds from the run seed. A stage over recordings
 # takes a loader of each, loads each recording in the worker that
-# processes it and keeps only small results; its files are
-# staged as they are written and renamed into place when every recording
-# has passed. `run_pipeline` and the stage verbs call the same stages.
+# processes it, drops it once it has what it needs (the peak topographies,
+# for subject maps) and keeps only small results; its files are staged as
+# they are written and renamed into place when every recording has passed.
+# `run_pipeline` and the stage verbs call the same stages.
 
 
 def preprocess_recording(rec: Recording, steps, band=None) -> Recording:
@@ -336,19 +336,26 @@ def _preprocessed(load: Callable, steps, band, out_dir: str, stage: Stage) -> Re
     return stored
 
 
-def _subject_maps(
-    idx: int, rec: Recording, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
-) -> MicrostateMaps:
-    """Subject idx's GFP-peak topographies clustered into k maps with seed (seed, 100, idx).
+def _peak_maps(rec: Recording, min_peak_distance_ms: float) -> tuple[str, tuple, np.ndarray]:
+    """A recording's subject id, channel names and float64 GFP-peak topographies (one row each).
 
     A float32 recording's peak columns are gathered first and widened
-    after, exactly, so it gives the same maps as its widened copy.
+    after, exactly, so it gives the same rows as its widened copy.
     """
     peaks = find_gfp_peaks(gfp(rec), rec.fs, min_distance_ms=min_peak_distance_ms)
-    return modified_kmeans(
-        np.asarray(rec.data[:, peaks], dtype=np.float64).T, k, **kmeans,
-        seed=child_seed(seed, 100, idx), channels=rec.montage.names,
-    )
+    return rec.subject_id, rec.montage.names, np.asarray(rec.data[:, peaks], dtype=np.float64).T
+
+
+def _subject_maps(
+    idx: int, load: Callable, k: int, kmeans: dict, min_peak_distance_ms: float, seed: int,
+) -> tuple[str, MicrostateMaps]:
+    """Subject idx's id and its peak topographies clustered into k maps with seed (seed, 100, idx).
+
+    The loaded recording is an argument of `_peak_maps` alone, so it is
+    freed before the subject is clustered.
+    """
+    sid, names, x = _peak_maps(load(), min_peak_distance_ms)
+    return sid, modified_kmeans(x, k, **kmeans, seed=child_seed(seed, 100, idx), channels=names)
 
 
 def preprocess_stage(
@@ -371,16 +378,14 @@ def subject_maps_stage(
 ) -> dict[str, MicrostateMaps]:
     """Each subject's GFP-peak topographies clustered into k maps, by subject id in input order.
 
-    Subject i (in file-name order) uses seed (seed, 100, i). Commits
-    <out_dir>/<id>.json.
+    Subject i (in file-name order) uses seed (seed, 100, i). A worker
+    holds a recording through GFP and peak picking only: it is freed
+    before its peak topographies are clustered. Commits <out_dir>/<id>.json.
     """
-
-    def one(item) -> tuple[str, MicrostateMaps]:
-        idx, load = item
-        rec = load()
-        return rec.subject_id, _subject_maps(idx, rec, k, kmeans, min_peak_distance_ms, seed)
-
-    done = dict(_ordered_map(one, enumerate(loads), threads))
+    done = dict(_ordered_map(
+        lambda item: _subject_maps(*item, k, kmeans, min_peak_distance_ms, seed),
+        enumerate(loads), threads,
+    ))
     for sid, m in done.items():
         write_json(os.path.join(out_dir, sid + ".json"), m.to_json_dict())
     return done
@@ -527,6 +532,7 @@ def compute_stats(table: FeatureTable) -> dict:
     per-class Shapiro-Wilk normality check. Features a test cannot
     handle record the error name instead of numbers.
     """
+    from .stats import dunn_posthoc, kruskal_wallis, shapiro_wilk
     if len(table.class_names) < 2:
         raise UnlabeledData("statistics need at least two classes")
     out: dict = {"class_names": list(table.class_names), "features": {}}
@@ -617,8 +623,8 @@ def run_pipeline(cfg: PipelineConfig, threads: int = 1) -> dict:
     pre = path("preprocessed")
     logger.info("preprocessing and clustering (k=%d) recordings from %s", cfg.k, cfg.input_dir)
     with staged() as stage:
-        # the raw recording lives only until preprocessed: each subject is
-        # clustered from its float32 payload
+        # the raw recording lives only until preprocessed, and the float32
+        # payload only until its GFP peaks are picked
         subjects = subject_maps_stage(
             [functools.partial(_preprocessed, load, cfg.steps, cfg.band, pre, stage)
              for load in loads],
@@ -627,6 +633,7 @@ def run_pipeline(cfg: PipelineConfig, threads: int = 1) -> dict:
     logger.info("group clustering and labeling")
     subj_maps = list(subjects.values())
     if templates is None:
+        from .synth import canonical_templates
         templates = canonical_templates(standard_1020_montage(subj_maps[0].channels))
     gmaps = group_maps_stage(subj_maps, cfg.k, cfg.kmeans, cfg.seed, path("maps.json"), templates)
 
@@ -721,6 +728,7 @@ def band_sweep(
     in_order = [r["band"] for r in rows]
     accs = [r["cv_accuracy"] for r in rows]
     best = int(np.argmax(accs))
+    from .topo import render_bar_chart
     svg = render_bar_chart(
         in_order, accs, title="CV accuracy by frequency band", highlight=best
     )

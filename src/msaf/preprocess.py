@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -330,6 +329,7 @@ def resample(rec: Recording, new_fs: float) -> Recording:
     """
     if not (isinstance(new_fs, (int, float)) and math.isfinite(new_fs) and new_fs > 0):
         raise InvalidRate(f"target rate must be positive and finite, got {new_fs!r}")
+    from fractions import Fraction
     ratio = (
         Fraction(new_fs).limit_denominator(10**6)
         / Fraction(rec.fs).limit_denominator(10**6)

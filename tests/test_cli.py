@@ -999,12 +999,22 @@ def _relabeled_table(work, tmp_path, label):
     return str(path)
 
 
+def _fit_model(work, tmp_path, train, edit):
+    """A model.json that train(x, y) fits to the work feature table, changed by edit."""
+    table = load_feature_table(str(work / "features.csv"))
+    return _write(tmp_path / "model.json", edit(train(table.values, table.y).to_json_dict()))
+
+
 def _svm_machine(work, tmp_path, edit):
     """An svm model.json fit to the work feature table, its first machine changed by edit."""
-    table = load_feature_table(str(work / "features.csv"))
-    doc = msaf.train_svm_ovr(table.values, table.y).to_json_dict()
-    doc["machines"][0] = edit(doc["machines"][0])
-    return _write(tmp_path / "svm.json", doc)
+    return _fit_model(work, tmp_path, msaf.train_svm_ovr,
+                      lambda d: {**d, "machines": [edit(d["machines"][0]), *d["machines"][1:]]})
+
+
+def _gbt(work, tmp_path, edit):
+    """A 2-round gbt model.json fit to the work feature table (3 classes), changed by edit."""
+    train = functools.partial(msaf.train_gbt, n_rounds=2, valid_fraction=0)
+    return _fit_model(work, tmp_path, train, edit)
 
 
 def _split_on(work, tmp_path, feature):
@@ -1058,6 +1068,16 @@ _IO_FAULTS = {
         str(w / "features.csv"), "--out", o], "IoFailure", 3),
     "explain-svm-too-few-dual-coefs": (lambda w, t, o: ["explain", _svm_machine(
         w, t, lambda m: {**m, "dual_coef": m["dual_coef"][1:]}),
+        str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    # the class axis: one svm machine, gbt base score and tree per round for each class
+    "explain-svm-2-of-3-machines": (lambda w, t, o: ["explain", _fit_model(
+        w, t, msaf.train_svm_ovr, lambda d: {**d, "machines": d["machines"][:2]}),
+        str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    "explain-gbt-2-base-scores-for-3-classes": (lambda w, t, o: ["explain", _gbt(
+        w, t, lambda d: {**d, "base_scores": d["base_scores"][:2]}),
+        str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    "explain-gbt-rounds-of-2-trees": (lambda w, t, o: ["explain", _gbt(
+        w, t, lambda d: {**d, "trees": [row[:2] for row in d["trees"]]}),
         str(w / "features.csv"), "--out", o], "IoFailure", 3),
     **{f"explain-rf-split-on-feature-{f}": (lambda w, t, o, f=f: [
         "explain", _split_on(w, t, f), str(w / "features.csv"), "--out", o], "IoFailure", 3)
