@@ -143,6 +143,10 @@ class TooFewSamplesForValidation(DataError):
     """Not enough rows to carve out an early-stopping validation split."""
 
 
+class Diverged(NumericError):
+    """A boosted fit's margins grew past any usable score."""
+
+
 # --- explanations ---
 
 class TooManyFeatures(ConfigError):

@@ -27,6 +27,7 @@ Methods:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -340,11 +341,52 @@ def _factorial_tables(max_n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_in, w_in.T
 
 
+# TreeSHAP holds the weights of boxes with leaves still to come up to
+# this many floats per cell of the explained (n, d) table
+_BOX_FLOATS_PER_CELL = 32
+
+
+def _box_weights(x, background, feats, lo, hi, w_in, w_out):
+    """(n_base, contrib) of one leaf box lo < x[feats] <= hi.
+
+    n_base counts the background rows inside the box; contrib (n, p, 1)
+    is each row's Shapley weight per path feature, to be multiplied by
+    the leaf's value, or None when no (row, background row) pair reaches
+    the box.
+    """
+    b = background.shape[0]
+    bf = background[:, feats].T
+    b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
+    n_base = int(b_ok.all(axis=0).sum())
+    xf = x[:, feats]
+    x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
+    alive = ~np.any(~x_ok & ~b_ok, axis=1)
+    if not alive.any():
+        return n_base, None
+    in_mask = x_ok & ~b_ok
+    out_mask = ~x_ok & b_ok
+    a_count = in_mask.sum(axis=1)
+    c_count = out_mask.sum(axis=1)
+    win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
+    wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
+    # a matrix-vector product per row: each row sums as a one-row call
+    in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
+    out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
+    return n_base, (in_total - out_total) / b
+
+
 def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
     """phi (n, d, C) of every row of x (n, d) and phi0, in one pass over the leaves.
 
     Matches exact enumeration on the same background (up to float
-    rounding) at a cost linear in leaves and background rows.
+    rounding) at a cost linear in distinct leaf boxes and background
+    rows. Leaves of one box (the same path features and bounds) share
+    its _box_weights: a box is weighed once, held while leaves of it are
+    still to come, and dropped after its last one. Held weights stay
+    within _BOX_FLOATS_PER_CELL * n * d floats; a box beyond that is
+    weighed again at its next leaf. The leaves still add in their own
+    order, so phi and phi0 are the same bit for bit as with every leaf
+    weighed afresh.
     """
     leaves, offset = _model_leaf_tables(model)
     n = x.shape[0]
@@ -353,31 +395,28 @@ def _tree_shap(model, x, background) -> tuple[np.ndarray, np.ndarray]:
     w_in, w_out = _factorial_tables(max(max_path, 1))
     phi = np.zeros((n, model.n_features, len(model.classes)))
     phi0 = np.zeros(len(model.classes))
-    for feats, lo, hi, value in leaves:
+    keys = [(feats.tobytes(), lo.tobytes(), hi.tobytes()) for feats, lo, hi, _ in leaves]
+    uses = Counter(keys)
+    held: dict = {}
+    room = _BOX_FLOATS_PER_CELL * n * model.n_features
+    for (feats, lo, hi, value), key in zip(leaves, keys):
         if feats.size == 0:
             phi0 += value
             continue
-        bf = background[:, feats].T
-        b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
-        n_base = int(b_ok.all(axis=0).sum())
+        uses[key] -= 1
+        box = held.get(key) or _box_weights(x, background, feats, lo, hi, w_in, w_out)
+        n_base, contrib = box
+        size = 0 if contrib is None else contrib.size
+        if key in held and not uses[key]:
+            del held[key]
+            room += size
+        elif key not in held and uses[key] and size <= room:
+            held[key] = box
+            room -= size
         if n_base:
             phi0 += value * (n_base / b)
-        xf = x[:, feats]
-        x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
-        alive = ~np.any(~x_ok & ~b_ok, axis=1)
-        if not alive.any():
-            continue
-        in_mask = x_ok & ~b_ok
-        out_mask = ~x_ok & b_ok
-        a_count = in_mask.sum(axis=1)
-        c_count = out_mask.sum(axis=1)
-        win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
-        wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
-        # a matrix-vector product per row: each row sums as a one-row call
-        in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
-        out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
-        contrib = (in_total - out_total) / b
-        phi[:, feats] += contrib * value
+        if contrib is not None:
+            phi[:, feats] += contrib * value
     phi0 += offset
     return phi, phi0
 

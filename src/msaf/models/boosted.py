@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import PARAMS, check
-from ..errors import TooFewSamplesForValidation
+from ..errors import Diverged, TooFewSamplesForValidation
 from ._common import Tree, first_best_split, validate_x, validate_xy
 
 
@@ -33,8 +33,49 @@ def _score_term(g_sum, h_sum, lam):
     return g_sum * g_sum / np.maximum(h_sum + lam, 1e-12)
 
 
-def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
-    """The regression tree grown on rows, as model.json's nested dict."""
+# a margin past this magnitude means the fit diverged: softmax saturates
+# past about 745 already, and scoring, TreeSHAP and rankings sum
+# margin-sized terms, which would overflow near the float maximum
+_MARGIN_LIMIT = 1e300
+# a fit's node cache stops taking nodes once it holds this many row ids
+# per cell of the (n, d) table
+_CACHE_IDS_PER_CELL = 32
+
+
+class _NodeCache(dict):
+    """One fit's presorted nodes, keyed by ``rows.tobytes()``.
+
+    An entry is the node's rows sorted by each column, (m, d), and x's
+    values in that order: neither depends on g or h, and the trees of one
+    fit split the same row sets again and again. A node is added only
+    while its row ids fit in ``room``, the ids still free; a node that
+    does not fit is sorted afresh each time.
+    """
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room = room
+
+    def presorted(self, x, rows):
+        key = rows.tobytes()
+        node = self.get(key)
+        if node is None:
+            xr = x[rows]
+            order = np.argsort(xr, axis=0, kind="stable")
+            node = rows[order], np.take_along_axis(xr, order, axis=0)
+            if node[0].size <= self.room:
+                self[key] = node
+                self.room -= node[0].size
+        return node
+
+
+def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache):
+    """The regression tree grown on rows, as model.json's nested dict.
+
+    Each node's sort comes from cache (a _NodeCache); only the g/h prefix
+    sums, the gains and the split choice are computed per tree, so a
+    cached node gives the same split bit for bit.
+    """
     g_total = float(g[rows].sum())
     h_total = float(h[rows].sum())
     leaf = {"weight": _leaf_weight(g_total, h_total, lam)}
@@ -42,10 +83,9 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
         return leaf
     # prefix sums over every presorted column at once: cumsum adds in
     # sorted order, so each left sum is the running sum of a scan
-    order = np.argsort(x[rows], axis=0, kind="stable")
-    sv = np.take_along_axis(x[rows], order, axis=0)
-    gl = np.cumsum(g[rows][order], axis=0)[:-1]
-    hl = np.cumsum(h[rows][order], axis=0)[:-1]
+    sorted_rows, sv = cache.presorted(x, rows)
+    gl = np.cumsum(g[sorted_rows], axis=0)[:-1]
+    hl = np.cumsum(h[sorted_rows], axis=0)[:-1]
     gains = 0.5 * (
         _score_term(gl, hl, lam)
         + _score_term(g_total - gl, h_total - hl, lam)
@@ -58,8 +98,8 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf):
     return {
         "feature": best_feature,
         "threshold": best_threshold,
-        "left": _grow(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf),
-        "right": _grow(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf),
+        "left": _grow(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf, cache),
+        "right": _grow(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf, cache),
     }
 
 
@@ -161,8 +201,15 @@ def train_gbt(
     truncated to the best round. Base scores are the log class priors
     of the full input.
 
+    One node cache serves the whole fit: a node whose rows an earlier
+    tree already sorted reuses that sort, so the trees are the same bit
+    for bit as with every node sorted afresh. The cache takes nodes until
+    it holds 32 * n * d row ids (_CACHE_IDS_PER_CELL per cell of x), then
+    sorts the rest afresh.
+
     Raises:
         TooFewSamplesForValidation: early stopping requested with n < 4.
+        Diverged: a round left a margin beyond _MARGIN_LIMIT (1e300) or NaN.
     """
     x, y, classes = validate_xy(x, y)
     n, d = x.shape
@@ -195,17 +242,24 @@ def train_gbt(
     valid_trace: list[float] = []
     best_loss, best_round, since_best = np.inf, 0, 0
 
-    for _ in range(n_rounds):
+    cache = _NodeCache(_CACHE_IDS_PER_CELL * n * d)
+    for r in range(n_rounds):
         probs = _softmax(margins)
         round_trees = []
         for c in range(n_classes):
             g = probs[:, c] - (y_idx == c)
             h = probs[:, c] * (1.0 - probs[:, c])
             tree = Tree.from_json_dict(
-                _grow(x, g, h, train_rows, 0, max_depth, lam, gamma_leaf), "weight", d
+                _grow(x, g, h, train_rows, 0, max_depth, lam, gamma_leaf, cache), "weight", d
             )
             round_trees.append(tree)
-            margins[:, c] += learning_rate * tree.value[tree.apply(x)]
+            with np.errstate(over="ignore"):
+                margins[:, c] += learning_rate * tree.value[tree.apply(x)]
+        if not (np.abs(margins) <= _MARGIN_LIMIT).all():  # NaN fails too
+            raise Diverged(
+                f"gbt margins left [-{_MARGIN_LIMIT:g}, {_MARGIN_LIMIT:g}] in round {r + 1}; "
+                "lower learning_rate or raise lam"
+            )
         all_trees.append(tuple(round_trees))
         probs = _softmax(margins)
         train_trace.append(_cross_entropy(probs[train_rows], y_idx[train_rows]))

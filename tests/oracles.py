@@ -568,8 +568,10 @@ def _newton_score(g_sum, h_sum, lam):
     return g_sum * g_sum / max(h_sum + lam, 1e-12)
 
 
-def gbt_grow_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf) -> dict:
+def gbt_grow_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache=None) -> dict:
     """Newton regression tree by an exhaustive scan of every sorted cut.
+
+    cache, the fit's node cache, is ignored: every node is sorted afresh.
 
     Features in order, cuts in sorted order (stable argsort), skipping
     cuts between equal values; a cut wins when its gain beats the best
@@ -746,6 +748,49 @@ def tree_shap_loop(model_doc: dict, x_row, background) -> tuple[np.ndarray, np.n
                     elif b_ok[j] and not x_ok[j]:
                         w = math.factorial(a) * math.factorial(c - 1) / math.factorial(a + c)
                         phi[f] -= w * value / b_count
+    return phi, phi0
+
+
+def tree_shap_per_leaf(model, x, background) -> tuple[np.ndarray, np.ndarray]:
+    """Batched interventional TreeSHAP with every leaf's box weighed afresh.
+
+    msaf's `_tree_shap` as it was before boxes were shared between
+    leaves: the same leaf tables and weight tables, one pass per leaf, in
+    leaf order. Returns (phi (n, d, C), phi0 (C,)).
+    """
+    from msaf.explain import _factorial_tables, _model_leaf_tables
+
+    leaves, offset = _model_leaf_tables(model)
+    n = x.shape[0]
+    b = background.shape[0]
+    max_path = max((len(leaf[0]) for leaf in leaves), default=1)
+    w_in, w_out = _factorial_tables(max(max_path, 1))
+    phi = np.zeros((n, model.n_features, len(model.classes)))
+    phi0 = np.zeros(len(model.classes))
+    for feats, lo, hi, value in leaves:
+        if feats.size == 0:
+            phi0 += value
+            continue
+        bf = background[:, feats].T
+        b_ok = (bf > lo[:, np.newaxis]) & (bf <= hi[:, np.newaxis])
+        n_base = int(b_ok.all(axis=0).sum())
+        if n_base:
+            phi0 += value * (n_base / b)
+        xf = x[:, feats]
+        x_ok = ((xf > lo) & (xf <= hi))[:, :, np.newaxis]
+        alive = ~np.any(~x_ok & ~b_ok, axis=1)
+        if not alive.any():
+            continue
+        in_mask = x_ok & ~b_ok
+        out_mask = ~x_ok & b_ok
+        a_count = in_mask.sum(axis=1)
+        c_count = out_mask.sum(axis=1)
+        win_rows = np.where(alive, w_in[a_count, c_count], 0.0)
+        wout_rows = np.where(alive, w_out[a_count, c_count], 0.0)
+        in_total = np.matmul(in_mask.astype(np.float64), win_rows[:, :, np.newaxis])
+        out_total = np.matmul(out_mask.astype(np.float64), wout_rows[:, :, np.newaxis])
+        phi[:, feats] += (in_total - out_total) / b * value
+    phi0 += offset
     return phi, phi0
 
 

@@ -1147,6 +1147,37 @@ def test_io_and_decode_faults_are_one_error_line(case, work, tmp_path, capsys):
     assert not out.exists()
 
 
+_DIVERGING_GBT = {"learning_rate": 1e308, "n_rounds": 5, "valid_fraction": 0.0}
+
+
+def _diverging_train(w, out):
+    return ["train", str(w / "features.csv"), "--model", "gbt",
+            "--params", json.dumps(_DIVERGING_GBT), "--out", str(out)]
+
+
+def _diverging_run(w, out):
+    cfg = _write(out.parent / "diverging.json", {
+        "input_dir": str(w / "data"), "out_dir": str(out), "cv_folds": 2,
+        "classifier": {"kind": "gbt", "params": _DIVERGING_GBT},
+    })
+    return ["run", "--config", cfg]
+
+
+@pytest.mark.parametrize("argv", [_diverging_train, _diverging_run])
+def test_a_diverging_boosted_fit_is_one_numeric_error_line(argv, work, tmp_path):
+    # a fresh interpreter: outside pytest a NumPy overflow warning would
+    # print on stderr rather than raise
+    out = tmp_path / "o"
+    proc = _child("import sys, msaf.cli; sys.exit(msaf.cli.main(sys.argv[1:]))",
+                  *argv(work, out), cwd=tmp_path)
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 4 and len(lines) == 1, proc.stderr[-600:]
+    err = json.loads(lines[0])
+    assert (err["error"], err["category"], err["exit_code"]) == ("Diverged", "NumericError", 4)
+    assert "round 1" in err["message"]
+    assert not (out / "model.json").exists() if argv is _diverging_run else not out.exists()
+
+
 def test_explain_rank_replays_run_ranking(work, tmp_path):
     run = tmp_path / "run"
     cfg = _write(tmp_path / "run.json", {

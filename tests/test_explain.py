@@ -1,5 +1,7 @@
 """Attribution engines against each other and a permutation oracle."""
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from msaf.explain import (
     _exact_row,
     _kernel_coalitions,
     _kernel_rows,
+    _model_leaf_tables,
     _score_fn_for,
     _tree_shap,
 )
@@ -27,7 +30,15 @@ from msaf.models._common import child_seed
 import msaf.models.svm
 from msaf.config import BLOCK_DOUBLES
 
-from oracles import exact_shapley_dense, shapley_by_permutations, tree_shap_loop
+from oracles import (
+    exact_shapley_dense,
+    shapley_by_permutations,
+    tree_shap_loop,
+    tree_shap_per_leaf,
+)
+
+# the module: the package binds `msaf.explain` to the function
+explain_module = sys.modules["msaf.explain"]
 
 
 def _tree_row(model, row, background):
@@ -102,6 +113,70 @@ def test_tree_equals_exact_on_gbt():
         phi_t, phi0_t = _tree_row(model, row, background)
         phi_e, phi0_e = _exact_row(model, row, background)
         assert np.max(np.abs(phi_t - phi_e)) < 1e-9
+
+
+def _boxes(model):
+    """The (features, lo, hi) key of every leaf box with a path, in leaf order."""
+    leaves, _ = _model_leaf_tables(model)
+    return [(f.tobytes(), lo.tobytes(), hi.tobytes()) for f, lo, hi, _ in leaves if f.size]
+
+
+def _repeating_gbt(rng):
+    """A boosted model whose 527 leaves hold 90 distinct boxes, and its 90 x 4 table."""
+    x = rng.standard_normal((90, 4))
+    x[:, ::2] = np.round(2.0 * x[:, ::2])
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + 0.5 * rng.standard_normal(90) > 0).astype(int)
+    model = train_gbt(x, y + (x[:, 3] > 0.8), n_rounds=30, valid_fraction=0.0, seed=0)
+    return model, x
+
+
+@pytest.mark.parametrize("kind", ["gbt", "rf"])
+def test_tree_shap_equals_the_per_leaf_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    if kind == "gbt":
+        model, x = _repeating_gbt(rng)
+        assert len(set(_boxes(model))) < len(_boxes(model)) / 2
+    else:
+        x, y = _data(rng, n_per=10, d=8)
+        model = train_rf(x, y, n_trees=20, seed=3)
+    background = x[::3]
+    phi, phi0 = _tree_shap(model, x, background)
+    want_phi, want_phi0 = tree_shap_per_leaf(model, x, background)
+    assert phi.tobytes() == want_phi.tobytes()
+    assert phi0.tobytes() == want_phi0.tobytes()
+
+
+def test_tree_shap_weighs_each_box_once_within_its_budget(monkeypatch):
+    model, x = _repeating_gbt(np.random.default_rng(22))
+    background = x[::3]
+    boxes = _boxes(model)
+    made, live_peak = [], []
+    weigh = explain_module._box_weights
+
+    def recorded(*args):
+        # live weights: those held for later leaves, and the last leaf's
+        live_peak.append(sum(c.size for c in (r() for r in made) if c is not None))
+        n_base, contrib = weigh(*args)
+        if contrib is not None:
+            made.append(weakref.ref(contrib))
+        return n_base, contrib
+
+    monkeypatch.setattr(explain_module, "_box_weights", recorded)
+    want = tree_shap_per_leaf(model, x, background)
+    peaks, weighed = {}, {}
+    for floats_per_cell in (32, 1, 0):
+        monkeypatch.setattr(explain_module, "_BOX_FLOATS_PER_CELL", floats_per_cell)
+        made.clear()
+        live_peak.clear()
+        phi, phi0 = _tree_shap(model, x, background)
+        assert (phi.tobytes(), phi0.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        # a box holds (n, p, 1) floats, p <= max_depth = 3
+        peaks[floats_per_cell], weighed[floats_per_cell] = max(live_peak), len(live_peak)
+        assert peaks[floats_per_cell] <= floats_per_cell * x.size + 3 * len(x)
+    assert weighed[32] == len(set(boxes)) < weighed[1] < weighed[0] == len(boxes)
+    # the default budget holds every box until its last leaf, which the
+    # one-float budget could not
+    assert peaks[32] > x.size + 3 * len(x)
 
 
 @pytest.mark.parametrize("kind", ["rf", "gbt"])

@@ -1,5 +1,6 @@
 """Classifiers against closed-form and hand-counted oracles."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from msaf import (
     train_gbt,
     train_rf,
     train_svm_ovr,
+    write_json,
 )
 
 from msaf.models import boosted, forest
@@ -164,6 +166,63 @@ def test_gbt_trees_match_loop_reference(monkeypatch, max_depth, valid_fraction):
     assert any("feature" in t for row in fast["trees"] for t in row)
     if valid_fraction:
         assert len(fast["valid_loss_trace"]) < kw["n_rounds"]  # stopped early
+
+
+def _wide(n=450, d=21, seed=5):
+    """n rows of 3 classes set by a feature interaction, tied in every third column."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x[:, ::3] = np.round(2.0 * x[:, ::3])
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + 0.5 * rng.standard_normal(n) > 0).astype(int)
+    return x, y + (x[:, 3] > 0.8)
+
+
+@pytest.mark.parametrize("valid_fraction", [0.0, 0.25])
+def test_gbt_node_cache_changes_no_model_json_byte(monkeypatch, tmp_path, valid_fraction):
+    x, y = _wide(n=90)
+    kw = dict(n_rounds=40, learning_rate=0.4, max_depth=4,
+              valid_fraction=valid_fraction, patience=3, seed=2)
+    paths = []
+    for ids_per_cell in (boosted._CACHE_IDS_PER_CELL, 0):
+        monkeypatch.setattr(boosted, "_CACHE_IDS_PER_CELL", ids_per_cell)
+        model = train_gbt(x, y, **kw)
+        paths.append(write_json(str(tmp_path / f"{ids_per_cell}.json"), model.to_json_dict()))
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    if valid_fraction:
+        assert len(model.valid_loss_trace) < kw["n_rounds"]  # stopped early
+
+
+def test_gbt_node_cache_stays_within_its_budget(monkeypatch):
+    caches = []
+
+    class Recorded(boosted._NodeCache):
+        def __init__(self, room):
+            super().__init__(room)
+            self.budget, self.calls = room, 0
+            caches.append(self)
+
+        def presorted(self, x, rows):
+            self.calls += 1
+            return super().presorted(x, rows)
+
+    monkeypatch.setattr(boosted, "_NodeCache", Recorded)
+    x, y = _wide()
+    tracemalloc.start()
+    try:
+        train_gbt(x, y, n_rounds=100, max_depth=6, valid_fraction=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (cache,) = caches
+    held = sum(sorted_rows.size for sorted_rows, _ in cache.values())
+    assert cache.budget == 32 * x.size and held + cache.room == cache.budget
+    assert cache.room < 450 * 21  # full: later nodes are sorted afresh
+    assert cache.calls > 2 * len(cache)
+    # the cache's ids and values take 4.8 MB at the budget; the fit alone
+    # peaked at 2.5 MB and an unbounded cache at 37 MB
+    assert peak < 10e6, peak
+    train_rf(x, y, n_trees=4, seed=0)
+    assert len(caches) == 1  # the forest's nodes do not repeat: no cache
 
 
 @pytest.mark.parametrize("bootstrap,max_depth,mtry", [

@@ -34,6 +34,11 @@ for line:
 - ``msaf train`` on the svm run's ``features.csv`` with that run's grid,
   folds and seed, which must reproduce its ``model.json`` byte for byte,
   ``grid_best_params`` included (exit 1 otherwise);
+- ``msaf train --model gbt`` on the gbt run's ``features.csv`` with the
+  ``many-subjects`` benchmark's boosting (30 rounds, no early stopping),
+  then ``msaf explain --method tree`` on that model
+  (``run_gbt_fixed_model.json``, ``run_gbt_fixed_shap.json``), so the
+  listing covers boosting that runs every round, not only early stopping;
 - ``msaf segment`` (with the rf run's k-means settings and seed) and
   ``msaf backfit`` (against its ``maps.json``) on the rf run's
   ``preprocessed/``, ``msaf features`` on its ``segmentations/`` and
@@ -98,6 +103,8 @@ REPLAYS = {
     "run_svm_model.json": "run_svm/model.json",
     "prep_bandpass": "run_bandpass/preprocessed",
 }
+# the many-subjects benchmark's boosting: fixed rounds, no early stopping
+GBT_FIXED_ROUNDS = {"n_rounds": 30, "valid_fraction": 0.0}
 RUNS = {
     "rf": RF,
     "gbt": {"classifier": {"kind": "gbt"}},
@@ -123,7 +130,12 @@ def _commands() -> list[list[str]]:
               "--n-samples", "256", "--out", "run_svm_shap.json", *seed],
              ["train", "run_svm/features.csv", "--model", "svm",
               "--grid", json.dumps(RUNS["svm"]["grid"]), "--folds", "2",
-              "--out", "run_svm_model.json", *seed]]
+              "--out", "run_svm_model.json", *seed],
+             ["train", "run_gbt/features.csv", "--model", "gbt",
+              "--params", json.dumps(GBT_FIXED_ROUNDS), "--out", "run_gbt_fixed_model.json",
+              *seed],
+             ["explain", "run_gbt_fixed_model.json", "run_gbt/features.csv", "--method", "tree",
+              "--background", "32", "--out", "run_gbt_fixed_shap.json", *seed]]
     cmds += [["segment", "run_rf/preprocessed", "--config", "kmeans.json",
               "--out", "run_rf_subject_maps", *seed],
              ["backfit", "run_rf/preprocessed", "run_rf/maps.json",
