@@ -16,10 +16,11 @@ from typing import Optional
 
 from . import __version__
 from .config import (
-    CLASSIFIER, EXPLAIN, FLAGS, KMEANS, NAME, OBJECT, PROFILE, RUN, SYNTH_KIND, SYNTH_KINDS,
-    VERBS, check, check_value, require,
+    CLASS_NAMES, CLASSIFIER, EXPLAIN, FLAGS, KMEANS, NAME, OBJECT, PROFILE, RUN, SYNTH_KIND,
+    SYNTH_KINDS, VERBS, check, check_value, decode, require,
 )
-from .errors import AmbiguousLabels, ConfigError, DataError, InvalidConfig, MsafError
+from .errors import (AmbiguousLabels, ConfigError, DataError, DimensionMismatch,
+                     InvalidConfig, MsafError)
 from .explain import ShapExplanation, global_ranking
 from .io import (
     commit_segmentation,
@@ -376,20 +377,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _with_class_names(decode):
-    """decode, and the object's class_names (else its classes as strings).
-
-    A name that is no file name is a ValueError, as a length mismatch is.
-    """
+def _with_names(decode_object):
+    """decode_object, then its `CLASS_NAMES`: the class names (else the object's classes as
+    strings) and the feature names, or None, that the same JSON object lists."""
     def both(doc: dict) -> tuple:
-        obj = decode(doc)
-        names = [
-            check_value("class name", NAME, str(c), ValueError)
-            for c in doc.get("class_names", obj.classes)
-        ]
-        if len(names) != len(obj.classes):
-            raise ValueError(f"{len(names)} class names for {len(obj.classes)} classes")
-        return obj, names
+        obj = decode_object(doc)
+        names = decode("names", CLASS_NAMES, doc, {"n_classes": len(obj.classes)})
+        return (obj, names["class_names"] or [str(c) for c in obj.classes],
+                names["feature_names"])
     return both
 
 
@@ -399,10 +394,17 @@ def _cmd_explain(args) -> int:
         {"method": args.method, "n_samples": args.n_samples, "background": args.background},
     )
     seed = _seed_of(args)
-    model, class_names = load_json(args.model_json, _with_class_names(model_from_json_dict))
+    model, class_names, feature_names = load_json(
+        args.model_json, _with_names(model_from_json_dict)
+    )
     require(args.class_name is None or args.class_name in class_names,
             f"--class {args.class_name!r} not in {class_names}")
     table = load_feature_table(args.features_csv)
+    if feature_names is not None and feature_names != table.feature_names:
+        raise DimensionMismatch(
+            f"{args.features_csv!r} has the columns {list(table.feature_names)}, but "
+            f"{args.model_json!r} was trained on {list(feature_names)}"
+        )
     expl = explain_stage(
         model, table, settings, seed, args.out,
         class_names=class_names, only_class=args.class_name,
@@ -412,9 +414,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_explain_rank(args) -> int:
-    expl, class_names = load_json(
-        args.shap_json, _with_class_names(ShapExplanation.from_json_dict)
-    )
+    expl, class_names, _ = load_json(args.shap_json, _with_names(ShapExplanation.from_json_dict))
     from .topo import render_bar_chart
     base = os.path.splitext(args.out)[0]
     for ci, cname in enumerate(class_names):

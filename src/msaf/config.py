@@ -1,9 +1,13 @@
-"""Every setting's type, range and default: one table per settings block.
+"""Every setting's and stored format's type, range and default: one table per block.
 
 A table maps each key of a block to its `Key`. `check` checks a whole
 block against its table and `check_value` one value against one Key;
 both raise InvalidConfig (exit 2). A rule that spans several keys
 (``low < high``) stays one `require` call in the block that owns it.
+
+The tables from `SVM_MACHINE` on are stored formats: `decode` checks a
+file's object against one and raises ValueError, an IoFailure (exit 3)
+to the readers.
 
 A table holds the defaults its block fills in. Where a Python signature
 takes the key (the trainers, `SynthConfig`, `make_band_cohort`), the
@@ -18,7 +22,9 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Optional, Union
+
+import numpy as np
 
 from .errors import InvalidConfig
 
@@ -57,11 +63,23 @@ def _number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _integer(v) -> bool:
+    return _number(v) and isinstance(v, numbers.Integral)
+
+
 def _sequence(v, item=None) -> bool:
     """A list, tuple or array (no string or object); with item, non-empty, all passing it."""
     if isinstance(v, (str, bytes, dict)) or not hasattr(v, "__len__"):
         return False
     return hasattr(v, "__getitem__") and (item is None or (len(v) > 0 and all(map(item, v))))
+
+
+def _array(v) -> bool:
+    """A list of numbers, or of such lists of equal lengths, or an array of numbers."""
+    try:
+        return _sequence(v) and np.asarray(v).dtype.kind in "iuf"
+    except ValueError:  # lists of unequal lengths
+        return False
 
 
 def _name(v) -> bool:
@@ -71,7 +89,7 @@ def _name(v) -> bool:
 
 
 _TYPES = {  # type -> (test, what a value of it is)
-    "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "int": (_integer, "an integer"),
     "real": (_number, "a number"),
     "reals": (lambda v: _number(v) or _sequence(v, _number), "a number or a list of numbers"),
     "band": (lambda v: _sequence(v, lambda e: _number(e) and 0 < e < math.inf) and len(v) == 2,
@@ -81,6 +99,9 @@ _TYPES = {  # type -> (test, what a value of it is)
     "path": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
     "name": (_name, "a file name (not '', '.' or '..'; no '/', '\\', NUL or '.partial')"),
     "names": (lambda v: _sequence(v, lambda c: isinstance(c, str)), "a non-empty list of names"),
+    "filenames": (lambda v: _sequence(v, _name), "a non-empty list of file names"),
+    "ints": (lambda v: _sequence(v, _integer), "a non-empty list of integers"),
+    "array": (_array, "a list of numbers, or of such lists"),
     "strs": (lambda v: _sequence(v) and all(isinstance(c, str) for c in v), "a list of strings"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (_sequence, "a list"),
@@ -94,7 +115,8 @@ class Key:
     type names an entry of `_TYPES`. range is, for "int", "real" and
     each number of "reals", an interval such as "[0, 1)" or "(0, inf]",
     each end closed or open (None: any finite number); for "str", the
-    tuple of allowed values. default is a value, REQUIRED or OPTIONAL.
+    tuple of allowed values; for a list, the names of its axes (`decode`).
+    default is a value, REQUIRED or OPTIONAL.
     """
 
     type: str
@@ -110,9 +132,9 @@ class Key:
         return low, high, text[0] == "(", text[-1] == ")"
 
     def holds(self, value) -> bool:
-        """Whether value, of the key's type, lies in its range."""
+        """Whether value, of the key's type, lies in its range (axes aside)."""
         if isinstance(self.range, tuple):
-            return value in self.range
+            return self.type != "str" or value in self.range
         if self.type not in _NUMERIC:
             return True
         low, high, open_low, open_high = self.bounds
@@ -124,7 +146,7 @@ class Key:
     def describe(self) -> str:
         """What a value of the key is, as error messages say it."""
         what = _TYPES[self.type][1]
-        if isinstance(self.range, tuple):
+        if isinstance(self.range, tuple) and self.type == "str":
             what += f" in {list(self.range)}"
         elif self.type in _NUMERIC:
             what += f" in {self.range or '(-inf, inf)'}"
@@ -132,36 +154,59 @@ class Key:
 
 
 def check_value(name: str, key: Key, value, error: type = InvalidConfig):
-    """value if it suits key, else error; "names" and "band" values become tuples."""
+    """value if it suits key, else error; "names", "ints" and "band" values become tuples."""
     if value is None and key.nullable:
         return None
     if not (_TYPES[key.type][0](value) and key.holds(value)):
         raise error(f"{name} must be {key.describe()}, got {value!r}")
-    if key.type == "names":
+    if key.type in ("names", "ints"):
         return tuple(value)
     if key.type == "band":
         return (float(value[0]), float(value[1]))
     return value
 
 
-def check(name: str, table: dict, doc) -> dict:
+def check(name: str, table: dict, doc, error: type = InvalidConfig) -> dict:
     """doc, an object of table's keys, checked, with the table's defaults filled in.
 
     A non-object, an unknown key, a missing required key or a bad value
-    raises InvalidConfig. Values come back as `check_value` returns them.
+    raises error. Values come back as `check_value` returns them.
     """
     if not isinstance(doc, dict):
-        raise InvalidConfig(f"{name} must be an object, got {doc!r}")
+        raise error(f"{name} must be an object, got {doc!r}")
     unknown = [k for k in doc if k not in table]
     if unknown:
-        raise InvalidConfig(f"unknown {name} keys {unknown}; accepted: {list(table)}")
-    out = {k: check_value(f"{name} {k}", table[k], v) for k, v in doc.items()}
+        raise error(f"unknown {name} keys {unknown}; accepted: {list(table)}")
+    out = {k: check_value(f"{name} {k}", table[k], v, error) for k, v in doc.items()}
     missing = [k for k, key in table.items() if k not in out and key.default is REQUIRED]
     if missing:
-        raise InvalidConfig(f"{name} is missing {missing}")
+        raise error(f"{name} is missing {missing}")
     for k, key in table.items():
         if k not in out and not isinstance(key.default, Absent):
             out[k] = copy.copy(key.default)
+    return out
+
+
+def decode(name: str, table: dict, doc, sizes: Optional[dict] = None) -> dict:
+    """The keys of table in doc, a stored object, checked by `check`; a ValueError if not.
+
+    Other keys are dropped; "array" values become float64 arrays. An axis
+    that a list key's range names is bound where it first appears (or in
+    sizes, for a nested object) and checked wherever it appears again.
+    """
+    doc = {k: v for k, v in doc.items() if k in table} if isinstance(doc, dict) else doc
+    out, sizes = check(name, table, doc, ValueError), dict(sizes or {})
+    for k, key in table.items():
+        if key.type == "array" and k in out:
+            out[k] = np.asarray(out[k], dtype=np.float64)
+        if key.type == "str" or not isinstance(key.range, tuple) or out.get(k) is None:
+            continue
+        shape = np.shape(out[k])  # a list of objects stops at the objects
+        if len(shape) != len(key.range):
+            raise ValueError(f"{name} {k} must have the axes {key.range}, got {shape}")
+        for axis, n in zip(key.range, shape):
+            if sizes.setdefault(axis, n) != n:
+                raise ValueError(f"{name} {k} holds {n} along {axis}, not {sizes[axis]}")
     return out
 
 
@@ -311,3 +356,47 @@ BAND_COHORT = {
 SYNTH_KINDS = {
     "cohort": COHORT, "band_cohort": BAND_COHORT, "single": {"kind": SYNTH_KIND, **SYNTH},
 }
+
+# Stored formats. A list key's range names its axes; a missing key fails
+# the constructor that reads it.
+_CLASSES, _POSITIVE = Key("ints", ("n_classes",)), Key("real", "(0, inf)")
+SVM_MACHINE = {  # one of an svm model.json's one-vs-rest machines
+    "support_vectors": Key("array", ("n_sv", "n_features")), "dual_coef": Key("array", ("n_sv",)),
+    "bias": Key("real"), "kkt_gap": Key("real"), "n_iter": Key("int", "[0, inf)"),
+}
+SVM_MODEL = {
+    "classes": _CLASSES, "mean": Key("array", ("n_features",)),
+    "scale": Key("array", ("n_features",)), "c": _POSITIVE, "gamma": _POSITIVE,
+    "machines": Key("list", ("n_classes",)),
+}
+# trees are nested nodes, which Tree.from_json_dict numbers and checks
+RF_MODEL = {"classes": _CLASSES, "n_features": Key("int", "[1, inf)"), "trees": Key("list"),
+            "params": Key("object", default={})}
+GBT_MODEL = {
+    **{k: RF_MODEL[k] for k in ("classes", "n_features", "params")},
+    "base_scores": Key("array", ("n_classes",)), "learning_rate": _POSITIVE,
+    "best_round": Key("int", "[0, inf)"), "trees": Key("list", ("n_rounds", "n_classes")),
+    "train_loss_trace": Key("array", ("n_trained",), ()),
+    "valid_loss_trace": Key("array", ("n_validated",), ()),
+}
+SHAP = {
+    "method": Key("str", ("exact", "kernel", "tree")), "classes": _CLASSES,
+    "phi0": Key("array", ("n_classes",)),
+    "phi": Key("array", ("n_instances", "n_features", "n_classes")),
+    "feature_names": Key("names", ("n_features",), None, nullable=True),
+    "meta": Key("object", default={}),
+}
+CLASS_NAMES = {  # the names model.json and shap.json may give their classes and columns
+    "class_names": Key("filenames", ("n_classes",), None, nullable=True),
+    "feature_names": SHAP["feature_names"],
+}
+MAPS = {"labels": Key("filenames", ("k",)), "channels": Key("names", ("n_channels",)),
+        "maps": Key("array", ("k", "n_channels")),
+        "gev_total": Key("real", default=None, nullable=True)}
+# A framed file's header holds exactly its table's keys, so these are sorted.
+EEGB_HEADER = {  # any number passes as fs: `Recording` checks the rate
+    "channels": Key("names"), "fs": Key("real", "[-inf, inf]"), "label": LABEL,
+    "n_samples": Key("int", "[0, inf)"), "provenance": Key("strs"), "subject_id": NAME,
+}
+SEG_HEADER = {"fs": _POSITIVE, "label": LABEL, "maps": OBJECT,
+              "n_samples": Key("int", "[1, inf)"), "subject_id": NAME}

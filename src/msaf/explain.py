@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import EXPLAIN, check_value
+from .config import EXPLAIN, SHAP, check_value, decode
 from .errors import (
     DimensionMismatch,
     EmptyBackground,
@@ -88,24 +88,8 @@ class ShapExplanation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ShapExplanation":
-        """The explanation of a `to_json_dict` form; other keys are ignored.
-
-        A ValueError unless phi is (n >= 1, d, C), phi0 and classes hold C
-        values and feature_names, if given, d."""
-        expl = cls(
-            method=d["method"],
-            classes=tuple(d["classes"]),
-            phi0=np.asarray(d["phi0"], dtype=np.float64),
-            phi=np.asarray(d["phi"], dtype=np.float64),
-            feature_names=tuple(d["feature_names"]) if d.get("feature_names") else None,
-            meta=d.get("meta", {}),
-        )
-        shape, names = expl.phi.shape, expl.feature_names
-        if (len(shape) != 3 or shape[0] < 1 or expl.phi0.shape != shape[2:]
-                or len(expl.classes) != shape[2]
-                or (names is not None and len(names) != shape[1])):
-            raise ValueError(f"phi of shape {shape} does not fit its phi0, classes or names")
-        return expl
+        """The explanation of a `to_json_dict` form, decoded by `SHAP`."""
+        return cls(**decode("shap", SHAP, d))
 
 
 def _score_fn_for(model: TrainedModel) -> Callable[[np.ndarray], np.ndarray]:

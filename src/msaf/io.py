@@ -42,7 +42,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import LABEL, MAX_STATES, NAME, Key, check_value
+from .config import EEGB_HEADER, MAX_STATES, NAME, SEG_HEADER, check_value, decode
 from .errors import (
     BadMagic,
     DuplicateSubject,
@@ -55,9 +55,7 @@ from .errors import (
 )
 
 MAGIC = b"EEGB0002"
-_HEADER_KEYS = ("channels", "fs", "label", "n_samples", "provenance", "subject_id")
 SEG_MAGIC = b"MSAFSEG1"
-_SEG_HEADER_KEYS = ("fs", "label", "maps", "n_samples", "subject_id")
 
 # Idealized spherical 10-20 coordinates, BESA convention: (theta, phi) in
 # degrees, theta signed toward the right ear, phi counterclockwise from
@@ -200,14 +198,6 @@ def _json(blob: bytes):
     return json.loads(blob.decode("utf-8"))
 
 
-def _subject(header: dict) -> tuple[str, Optional[str]]:
-    """The subject_id and label of a header; a ValueError unless file names."""
-    return (
-        check_value("subject_id", NAME, header["subject_id"], ValueError),
-        check_value("label", LABEL, header["label"], ValueError),
-    )
-
-
 def _commit_frame(path: str, magic: bytes, header: dict, *payload, stage=None) -> str:
     """Commit magic, the header's length and compact sorted-key JSON, then the payload."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -215,9 +205,9 @@ def _commit_frame(path: str, magic: bytes, header: dict, *payload, stage=None) -
 
 
 @contextlib.contextmanager
-def _framed(path: str, magic: bytes, keys: tuple[str, ...]) -> Iterator[tuple[dict, BinaryIO]]:
-    """A framed file's header, a JSON object of exactly keys, and the file, unbuffered, at
-    its payload; BadMagic, ShapeMismatch (a cut header) or IoFailure otherwise."""
+def _framed(path: str, magic: bytes, table: dict) -> Iterator[tuple[dict, BinaryIO]]:
+    """A framed file's header, exactly table's keys decoded by table, and the file, unbuffered,
+    at its payload; BadMagic, ShapeMismatch (a cut header) or IoFailure otherwise."""
     try:
         with open(path, "rb", buffering=0) as f:
             head = f.read(len(magic) + 4)
@@ -230,9 +220,9 @@ def _framed(path: str, magic: bytes, keys: tuple[str, ...]) -> Iterator[tuple[di
             if len(blob) != header_len:
                 raise ShapeMismatch(f"{path!r}: header of {header_len} bytes runs past the end")
             header = _decode(path, _json, blob)
-            if not isinstance(header, dict) or sorted(header) != list(keys):
-                raise IoFailure(f"{path!r}: header must hold exactly the keys {keys}")
-            yield header, f
+            if not isinstance(header, dict) or sorted(header) != list(table):
+                raise IoFailure(f"{path!r}: header must hold exactly the keys {list(table)}")
+            yield _decode(path, lambda h: decode("header", table, h), header), f
     except OSError as e:
         raise IoFailure(f"could not read {path!r}: {e}") from e
 
@@ -446,30 +436,18 @@ def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> 
     return (_commit_frame(path, MAGIC, header, stored.data, stage=stage),)
 
 
-def _recording_header(header: dict) -> dict:
-    """header with each field checked: a wrong type, a name that is no file name or a channel
-    outside the built-in 10-20 table is a ValueError. Any number passes as fs: `Recording`
-    checks the rate."""
-    subject_id, label = _subject(header)
-    channels = check_value("channels", Key("names"), header["channels"], ValueError)
-    unknown = [c for c in channels if _ALIASES.get(c, c) not in _BESA_1020]
+def _recording_header(path: str, header: dict) -> dict:
+    """header, unless a channel lies outside the built-in 10-20 table (IoFailure)."""
+    unknown = [c for c in header["channels"] if _ALIASES.get(c, c) not in _BESA_1020]
     if unknown:
-        raise ValueError(f"channels {unknown} are not in the built-in 10-20 table")
-    return {
-        "channels": channels,
-        "fs": check_value("fs", Key("real", "[-inf, inf]"), header["fs"], ValueError),
-        "label": label,
-        "n_samples": check_value("n_samples", Key("int", "[0, inf)"), header["n_samples"],
-                                 ValueError),
-        "provenance": check_value("provenance", Key("strs"), header["provenance"], ValueError),
-        "subject_id": subject_id,
-    }
+        raise IoFailure(f"{path!r}: channels {unknown} are not in the built-in 10-20 table")
+    return header
 
 
 def read_recording_header(path: str) -> dict:
     """The checked header of the `.eegb` file at path, read without its payload."""
-    with _framed(path, MAGIC, _HEADER_KEYS) as (header, _):
-        return _decode(path, _recording_header, header)
+    with _framed(path, MAGIC, EEGB_HEADER) as (header, _):
+        return _recording_header(path, header)
 
 
 def load_recording(path: str) -> Recording:
@@ -480,8 +458,8 @@ def load_recording(path: str) -> Recording:
     does not start with MAGIC is BadMagic, a header cut short or a payload
     of another size than declared ShapeMismatch, any other header IoFailure.
     """
-    with _framed(path, MAGIC, _HEADER_KEYS) as (header, f):
-        header = _decode(path, _recording_header, header)
+    with _framed(path, MAGIC, EEGB_HEADER) as (header, f):
+        header = _recording_header(path, header)
         shape = (len(header["channels"]), header["n_samples"])
         payload = _payload(path, f, 4 * shape[0] * shape[1])
     return Recording(
@@ -523,34 +501,22 @@ def commit_segmentation(seg, stem: str, stage: Optional[Stage] = None) -> str:
 def load_segmentation(path: str):
     """The Segmentation stored in a `.seg` file, with its subject_id and label.
 
-    The header plus the decoded arrays pass through
-    ``Segmentation.from_json_dict``.
+    The header, decoded by `SEG_HEADER`, plus the payload's arrays pass
+    through ``Segmentation.from_json_dict``.
 
     Raises:
         BadMagic: the file does not start with SEG_MAGIC.
-        IoFailure: the header is not the JSON object of a segmentation:
-            its fs is no positive number, or its subject_id or label is
-            no file name.
+        IoFailure: the header or the segmentation does not decode.
         ShapeMismatch: the header or payload is cut short or too long.
     """
     from .microstates import Segmentation  # microstates imports this module
 
-    with _framed(path, SEG_MAGIC, _SEG_HEADER_KEYS) as (header, f):
-        n = check_value(f"{path!r}: n_samples", Key("int", "[1, inf)"), header["n_samples"],
-                        IoFailure)
-        check_value(f"{path!r}: fs", Key("real", "(0, inf)"), header["fs"], IoFailure)
+    with _framed(path, SEG_MAGIC, SEG_HEADER) as (header, f):
+        n = header["n_samples"]
         # one uint8 state and two float64 values per sample
         payload = _payload(path, f, 17 * n)
-    subject_id, label = _decode(path, _subject, header)
-    doc = {
-        "fs": header["fs"],
-        "maps": header["maps"],
-        "states": payload[:n],
-        "corr": np.frombuffer(payload, "<f8", n, n).astype(np.float64),
-        "gfp": np.frombuffer(payload, "<f8", n, 9 * n).astype(np.float64),
-        "subject_id": subject_id,
-        "label": label,
-    }
+    corr, gfp = (np.frombuffer(payload, "<f8", n, at).astype(np.float64) for at in (n, 9 * n))
+    doc = {**header, "states": payload[:n], "corr": corr, "gfp": gfp}
     return _decode(path, Segmentation.from_json_dict, doc)
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import BLOCK_DOUBLES, KMEANS, NAME, check, check_value
+from .config import BLOCK_DOUBLES, KMEANS, MAPS, SEG_HEADER, check, decode
 from .errors import (
     AmbiguousLabels,
     DegenerateMap,
@@ -116,14 +116,8 @@ class MicrostateMaps:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MicrostateMaps":
-        """The maps of a `to_json_dict` form; a label that is no file name is a ValueError."""
-        labels = [check_value("map label", NAME, label, ValueError) for label in d["labels"]]
-        return cls(
-            channels=tuple(d["channels"]),
-            maps=np.asarray(d["maps"], dtype=np.float64),
-            labels=tuple(labels),
-            gev_total=d.get("gev_total"),
-        )
+        """The maps of a `to_json_dict` form, decoded by `MAPS`."""
+        return cls(**decode("maps", MAPS, d))
 
 
 @dataclass(frozen=True)
@@ -181,22 +175,12 @@ class Segmentation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Segmentation":
-        """A segmentation from its dict form.
-
-        Keys: ``fs``, ``states``, ``corr``, ``gfp`` (sequences or arrays),
-        ``maps`` (the dict form of MicrostateMaps), ``subject_id`` and
-        ``label``. This is the form :func:`msaf.io.load_segmentation`
-        decodes a ``.seg`` file into.
-        """
-        return cls(
-            states=np.asarray(d["states"], dtype=np.int64),
-            corr=np.asarray(d["corr"], dtype=np.float64),
-            gfp=np.asarray(d["gfp"], dtype=np.float64),
-            fs=float(d["fs"]),
-            maps=MicrostateMaps.from_json_dict(d["maps"]),
-            subject_id=d["subject_id"],
-            label=d.get("label"),
-        )
+        """A segmentation from a `.seg` header's fields, decoded by `SEG_HEADER`, and its
+        ``states``, ``corr`` and ``gfp`` arrays: the form `msaf.io.load_segmentation` reads."""
+        h = decode("segmentation", SEG_HEADER, d)
+        return cls(states=d["states"], corr=d["corr"], gfp=d["gfp"], fs=h["fs"],
+                   maps=MicrostateMaps.from_json_dict(h["maps"]), subject_id=h["subject_id"],
+                   label=h.get("label"))
 
 
 def gfp(rec: Recording) -> np.ndarray:

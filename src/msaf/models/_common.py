@@ -126,10 +126,12 @@ class Tree:
         return node(0)
 
     @classmethod
-    def from_json_dict(cls, d: dict, leaf_key: str, n_features: int) -> "Tree":
+    def from_json_dict(cls, d: dict, leaf_key: str, n_features: int, leaf_shape=()) -> "Tree":
         """Number model.json's nested nodes depth first, left before right.
 
-        A split on a feature outside [0, n_features) is a ValueError."""
+        A ValueError unless each split feature is an integer in [0, n_features),
+        each threshold and leaf value a finite number and each leaf of leaf_shape,
+        checked over the tree's arrays, not node by node."""
         nodes, children = [], []
 
         def add(node) -> int:
@@ -142,16 +144,21 @@ class Tree:
 
         add(d)
         left, right = np.array(children, dtype=np.intp).T
-        leaves = np.array([n[leaf_key] for n in nodes if leaf_key in n], dtype=np.float64)
-        value = np.zeros((len(nodes),) + leaves.shape[1:])
-        value[left < 0] = leaves
-        feature = np.array([n.get("feature", -1) for n in nodes], dtype=np.intp)
+        leaves = np.array([n[leaf_key] for n in nodes if leaf_key in n])
+        feature = np.array([n.get("feature", -1) for n in nodes])
+        threshold = np.array([n.get("threshold", 0.0) for n in nodes])
         split = feature[left >= 0]
-        if np.any((split < 0) | (split >= n_features)):
-            raise ValueError(f"a split feature lies outside [0, {n_features})")
+        if (feature.dtype.kind != "i" or threshold.dtype.kind not in "if"
+                or leaves.dtype.kind not in "if" or leaves.shape[1:] != leaf_shape
+                or np.any((split < 0) | (split >= n_features))
+                or not (np.isfinite(threshold).all() and np.isfinite(leaves).all())):
+            raise ValueError(f"tree nodes need integer split features in [0, {n_features}), "
+                             f"finite thresholds and finite leaf {leaf_key} of shape {leaf_shape}")
+        value = np.zeros((len(nodes),) + leaf_shape)
+        value[left < 0] = leaves
         return cls(
-            feature=feature,
-            threshold=np.array([n.get("threshold", 0.0) for n in nodes], dtype=np.float64),
+            feature=feature.astype(np.intp, copy=False),
+            threshold=threshold.astype(np.float64, copy=False),
             left=left,
             right=right,
             value=value,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from ..config import PARAMS, check
+from ..config import GBT_MODEL, PARAMS, check, decode
 from ..errors import Diverged, TooFewSamplesForValidation
 from ._common import Tree, first_best_split, validate_x, validate_xy
 
@@ -152,27 +152,19 @@ class GbtModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GbtModel":
-        """The model of a `to_json_dict` form; a ValueError unless it holds one base score
-        per class and one tree per class in every round."""
-        n_features = int(d["n_features"])
-        model = cls(
-            classes=tuple(int(c) for c in d["classes"]),
-            n_features=n_features,
-            base_scores=np.asarray(d["base_scores"], dtype=np.float64),
-            learning_rate=float(d["learning_rate"]),
-            trees=tuple(
-                tuple(Tree.from_json_dict(t, "weight", n_features) for t in row)
-                for row in d["trees"]
-            ),
-            best_round=int(d["best_round"]),
-            train_loss_trace=tuple(d.get("train_loss_trace", ())),
-            valid_loss_trace=tuple(d.get("valid_loss_trace", ())),
-            params=dict(d.get("params", {})),
-        )
-        n = len(model.classes)
-        if model.base_scores.shape != (n,) or any(len(row) != n for row in model.trees):
-            raise ValueError(f"gbt base scores and rounds need one entry per class, {n} classes")
-        return model
+        """The model of a `to_json_dict` form, decoded by `GBT_MODEL`; a ValueError, too, if a
+        class's |base score| plus learning_rate times the sum of each round's largest |leaf
+        weight| passes _MARGIN_LIMIT, the margin a fit diverges at."""
+        d = decode("gbt model", GBT_MODEL, d)
+        trees = tuple(tuple(Tree.from_json_dict(t, "weight", d["n_features"]) for t in row)
+                      for row in d["trees"])
+        with np.errstate(over="ignore"):  # an overflow to inf fails the bound
+            reach = np.abs(d["base_scores"]) + d["learning_rate"] * np.sum(
+                [[np.abs(t.value).max() for t in row] for row in trees], axis=0)
+        if not (reach <= _MARGIN_LIMIT).all():
+            raise ValueError(f"gbt margins could reach {reach.max():g}, past {_MARGIN_LIMIT:g}")
+        traces = {k: tuple(d[k].tolist()) for k in ("train_loss_trace", "valid_loss_trace")}
+        return cls(**{**d, **traces, "trees": trees})
 
 
 def _cross_entropy(probs: np.ndarray, y_idx: np.ndarray) -> float:
@@ -275,8 +267,6 @@ def train_gbt(
         else:
             best_round = len(all_trees)
 
-    if early_stopping and best_round == 0:
-        best_round = 1
     return GbtModel(
         classes=classes,
         n_features=d,

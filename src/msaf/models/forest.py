@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import PARAMS, check, require
+from ..config import PARAMS, RF_MODEL, check, decode, require
 from ._common import Tree, child_seed, first_best_split, validate_x, validate_xy
 
 
@@ -63,7 +63,7 @@ def _grow(x, y_idx, rows, n_classes, depth, max_depth, min_samples_split, mtry, 
     ):
         return leaf
     gain, feature, threshold = _best_split(x, y_idx, rows, n_classes, mtry, rng)
-    if feature < 0 or gain <= 0.0:
+    if feature < 0:
         return leaf
     go_left = x[rows, feature] <= threshold
     left, right = (
@@ -110,13 +110,11 @@ class RfModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RfModel":
-        n_features = int(d["n_features"])
-        return cls(
-            classes=tuple(int(c) for c in d["classes"]),
-            n_features=n_features,
-            trees=tuple(Tree.from_json_dict(t, "counts", n_features) for t in d["trees"]),
-            params=dict(d.get("params", {})),
-        )
+        """The model of a `to_json_dict` form, decoded by `RF_MODEL`; a leaf counts each class."""
+        d = decode("rf model", RF_MODEL, d)
+        leaf = (len(d["classes"]),)
+        return cls(**{**d, "trees": tuple(
+            Tree.from_json_dict(t, "counts", d["n_features"], leaf) for t in d["trees"])})
 
 
 def train_rf(
@@ -159,7 +157,7 @@ def train_rf(
         grown = _grow(
             x, y_idx, rows, len(classes), 0, max_depth, min_samples_split, mtry, rng
         )
-        trees.append(Tree.from_json_dict(grown, "counts", d))
+        trees.append(Tree.from_json_dict(grown, "counts", d, (len(classes),)))
     return RfModel(
         classes=classes,
         n_features=d,

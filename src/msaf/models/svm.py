@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import BLOCK_DOUBLES, PARAMS, check
+from ..config import BLOCK_DOUBLES, PARAMS, SVM_MACHINE, SVM_MODEL, check, decode
 from ._common import validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
@@ -153,35 +153,12 @@ class SvmModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SvmModel":
-        """The model of a `to_json_dict` form; a ValueError unless its arrays fit its mean
-        and it holds one machine per class."""
-        model = cls(
-            classes=tuple(int(c) for c in d["classes"]),
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-            c=float(d["c"]),
-            gamma=float(d["gamma"]),
-            machines=tuple(
-                BinarySvm(
-                    support_vectors=np.asarray(m["support_vectors"], dtype=np.float64),
-                    dual_coef=np.asarray(m["dual_coef"], dtype=np.float64),
-                    bias=float(m["bias"]),
-                    kkt_gap=float(m["kkt_gap"]),
-                    n_iter=int(m["n_iter"]),
-                )
-                for m in d["machines"]
-            ),
-        )
-        width = (model.n_features,)
-        if model.mean.shape != width or model.scale.shape != width or any(
-            m.support_vectors.shape != (m.dual_coef.size, *width) or m.dual_coef.ndim != 1
-            for m in model.machines
-        ):
-            raise ValueError(f"svm scale or support vectors do not fit {width[0]} features")
-        n_machines, n_classes = len(model.machines), len(model.classes)
-        if n_machines != n_classes:
-            raise ValueError(f"{n_machines} svm machines for {n_classes} classes")
-        return model
+        """The model of a `to_json_dict` form, decoded by `SVM_MODEL` and `SVM_MACHINE`."""
+        d = decode("svm model", SVM_MODEL, d)
+        width = {"n_features": d["mean"].size}
+        machines = [BinarySvm(**decode("svm machine", SVM_MACHINE, m, width))
+                    for m in d["machines"]]
+        return cls(**{**d, "machines": tuple(machines)})
 
 
 def _smo(

@@ -1017,11 +1017,52 @@ def _gbt(work, tmp_path, edit):
     return _fit_model(work, tmp_path, train, edit)
 
 
-def _split_on(work, tmp_path, feature):
-    """A copy of the work rf model.json whose first split reads column feature."""
+def _split_with(work, tmp_path, **changes):
+    """A copy of the work rf model.json whose first split has some keys changed."""
     doc = read_json(str(work / "model.json"))
-    next(tree for tree in doc["trees"] if "feature" in tree)["feature"] = feature
+    next(tree for tree in doc["trees"] if "feature" in tree).update(changes)
     return _write(tmp_path / "split.json", doc)
+
+
+def _leaves(trees, edit):
+    """trees, nested lists of model.json trees, with each leaf replaced by edit(leaf)."""
+    if isinstance(trees, list):
+        return [_leaves(t, edit) for t in trees]
+    if "feature" not in trees:
+        return edit(trees)
+    return {**trees, "left": _leaves(trees["left"], edit), "right": _leaves(trees["right"], edit)}
+
+
+def _rf_leaves(work, tmp_path, edit):
+    """A copy of the work rf model.json with each leaf replaced by edit(leaf)."""
+    doc = read_json(str(work / "model.json"))
+    return _write(tmp_path / "leaves.json", {**doc, "trees": _leaves(doc["trees"], edit)})
+
+
+def _gbt_leaves(work, tmp_path, edit):
+    """A 2-round gbt model.json fit to the work feature table, each leaf weight w made edit(w)."""
+    return _gbt(work, tmp_path, lambda d: {
+        **d, "trees": _leaves(d["trees"], lambda leaf: {"weight": edit(leaf["weight"])})})
+
+
+def _swapped_columns(work, tmp_path, a="A_gev", b="A_meancorr"):
+    """A copy of the work feature table with columns a and b swapped, names and values."""
+    rows = list(csv.reader((work / "features.csv").read_text().splitlines()))
+    i, j = rows[0].index(a), rows[0].index(b)
+    for row in rows:
+        row[i], row[j] = row[j], row[i]
+    path = tmp_path / "swapped.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+def _renamed_columns(work, tmp_path):
+    """A copy of the work feature table with every feature column renamed."""
+    header, rest = (work / "features.csv").read_text().split("\n", 1)
+    names = header.split(",")
+    path = tmp_path / "renamed.csv"
+    path.write_text(",".join(names[:2] + ["x" + n for n in names[2:]]) + "\n" + rest)
+    return str(path)
 
 
 # (argv given the work fixture, a scratch dir and an --out path) -> error, exit code
@@ -1080,8 +1121,28 @@ _IO_FAULTS = {
         w, t, lambda d: {**d, "trees": [row[:2] for row in d["trees"]]}),
         str(w / "features.csv"), "--out", o], "IoFailure", 3),
     **{f"explain-rf-split-on-feature-{f}": (lambda w, t, o, f=f: [
-        "explain", _split_on(w, t, f), str(w / "features.csv"), "--out", o], "IoFailure", 3)
-       for f in (99, -3)},
+        "explain", _split_with(w, t, feature=f), str(w / "features.csv"), "--out", o],
+        "IoFailure", 3)
+       for f in (99, -3, 1.5)},
+    # nodes that decoded to a broadcast error (exit 1), or to NaN or a coerced value (exit 0)
+    "explain-rf-leaves-of-2-counts-for-3-classes": (lambda w, t, o: ["explain", _rf_leaves(
+        w, t, lambda leaf: {"counts": leaf["counts"][:2]}), str(w / "features.csv"),
+        "--out", o], "IoFailure", 3),
+    "explain-rf-null-threshold": (lambda w, t, o: ["explain", _split_with(
+        w, t, threshold=None), str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    "explain-gbt-nan-leaf-weights": (lambda w, t, o: ["explain", _gbt_leaves(
+        w, t, lambda _: float("nan")), str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    "explain-gbt-learning-rate-a-string": (lambda w, t, o: ["explain", _gbt(
+        w, t, lambda d: {**d, "learning_rate": "0.05"}), str(w / "features.csv"),
+        "--out", o], "IoFailure", 3),
+    # margins that could pass the bound a boosted fit diverges at (Infinity in shap.json)
+    "explain-gbt-leaf-weights-near-the-float-maximum": (lambda w, t, o: ["explain", _gbt_leaves(
+        w, t, lambda v: 1.7e308 if v > 0 else -1.7e308), str(w / "features.csv"),
+        "--out", o], "IoFailure", 3),
+    # a table whose columns are not the ones model.json was trained on, in order
+    **{f"explain-columns-{how}": (lambda w, t, o, table=table: [
+        "explain", str(w / "model.json"), table(w, t), "--out", o], "DimensionMismatch", 3)
+       for how, table in [("swapped", _swapped_columns), ("renamed", _renamed_columns)]},
     "topo-bad-maps": (lambda w, t, o: ["topo", _write(t / "m.json", {"k": 2}), "--out", o],
                       "IoFailure", 3),
     "label-maps-not-object": (lambda w, t, o: ["label", _write(t / "m.json", [1, 2]),

@@ -1,8 +1,9 @@
-"""The settings tables of msaf.config: every key rejects bad values, defaults agree."""
+"""The tables of msaf.config: every key rejects bad values, defaults agree, axes bind once."""
 import dataclasses
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from msaf import config, explain, modified_kmeans, train_gbt, train_rf, train_svm_ovr
@@ -132,3 +133,22 @@ def test_synth_table_names_the_synth_fields():
     assert config.SYNTH["n_states"].bounds[:2] == (1, len(CANONICAL_LABELS))
     defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
     config.check("synth", config.SYNTH, defaults)
+
+
+_STORED = {"classes": config.Key("ints", ("n",)), "w": config.Key("array", ("n", "d")),
+           "rows": config.Key("list", ("r", "n"))}
+
+
+def test_decode_binds_each_axis_once_and_keeps_only_its_keys():
+    doc = {"classes": [0, 1], "w": [[1, 2.5], [3, 4]], "rows": [[{}, {}]], "other": "x"}
+    out = config.decode("t", _STORED, doc)
+    assert sorted(out) == ["classes", "rows", "w"] and out["classes"] == (0, 1)
+    assert out["w"].dtype == np.float64 and out["w"].shape == (2, 2)
+    for bad in ({"classes": [0, 1, 2]}, {"w": [[1, 2], [3]]}, {"w": [1, 2]},
+                {"rows": [[{}], [{}, {}]]}, {"classes": ["0", "1"]}, {"w": [["1", "2"]] * 2},
+                {"classes": [0.0, 1.0]}, []):
+        with pytest.raises(ValueError):
+            config.decode("t", _STORED, {**doc, **bad} if isinstance(bad, dict) else bad)
+    # a nested object's axes bound by its parent
+    with pytest.raises(ValueError, match="along d"):
+        config.decode("t", {"w": _STORED["w"]}, {"w": [[1, 2]]}, {"d": 3})
