@@ -28,10 +28,10 @@ _PUBLIC = {
         standard_1020_montage write_json""",
     "preprocess": """
         FirFilter apply_fir average_reference crop design_fir_bandpass design_fir_lowpass
-        design_fir_notch is_average_referenced resample surface_laplacian zscore_channels""",
+        design_fir_notch resample surface_laplacian zscore_channels""",
     "microstates": """
         MicrostateMaps Segmentation backfit find_gfp_peaks gev gfp group_cluster label_maps
-        modified_kmeans select_k spatial_correlation""",
+        modified_kmeans spatial_correlation""",
     "features": "STATE_METRICS build_feature_table extract_features",
     "models": """
         DEFAULT_GRIDS EvalReport GbtModel MODEL_KINDS RfModel SvmModel evaluate grid_search

@@ -42,6 +42,11 @@ BLOCK_DOUBLES = 1 << 14
 # larger SynthConfig is an InvalidConfig before any sample is drawn.
 MAX_SYNTH_VALUES = 1 << 27
 
+# The deepest tree a forest or booster grows (rf max_depth null grows to it):
+# model.json nests each level one object deeper, and its writer and reader
+# take each level as one Python call, under the interpreter's limit of 1000.
+MAX_TREE_DEPTH = 512
+
 # The most taps an FIR filter may have. A filter edge or notch width so narrow
 # that it needs more is an InvalidBand, raised before its taps are allocated;
 # the cap admits band edges down to about 8e-4 Hz at 250 Hz.
@@ -241,7 +246,7 @@ PARAMS = {  # trainer hyperparameters by model kind
     },
     "rf": {
         "n_trees": Key("int", "[1, inf)"),
-        "max_depth": Key("int", "[1, inf)", nullable=True),
+        "max_depth": Key("int", f"[1, {MAX_TREE_DEPTH}]", nullable=True),
         "min_samples_split": Key("int", "[2, inf)"),
         "bootstrap": Key("bool"),
         # at most the table width, checked when training starts
@@ -250,7 +255,7 @@ PARAMS = {  # trainer hyperparameters by model kind
     "gbt": {
         "n_rounds": Key("int", "[1, inf)"),
         "learning_rate": Key("real", "(0, inf)"),
-        "max_depth": Key("int", "[1, inf)"),
+        "max_depth": Key("int", f"[1, {MAX_TREE_DEPTH}]"),
         "lam": Key("real", "[0, inf)"),
         "gamma_leaf": Key("real", "[0, inf)"),
         "valid_fraction": Key("real", "[0, 1)"),

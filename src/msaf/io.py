@@ -187,10 +187,10 @@ def _read(path: str) -> bytes:
 
 
 def _decode(path: str, decode: Callable, data):
-    """decode(data); data of the wrong encoding or shape is an IoFailure."""
+    """decode(data); data of the wrong encoding or shape, or nested too deep, is an IoFailure."""
     try:
         return decode(data)
-    except (IndexError, KeyError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise IoFailure(f"{path!r} does not hold what was expected: {e!r}") from e
 
 

@@ -507,32 +507,6 @@ def gev(data, assignment, maps: Optional[MicrostateMaps] = None):
     return float(per_state.sum()), per_state
 
 
-def select_k(
-    peak_maps: np.ndarray,
-    k_range: Sequence[int],
-    threshold: float = 0.01,
-    **kmeans_kwargs,
-) -> tuple[int, dict[int, float]]:
-    """Pick k by the explained-variance elbow.
-
-    Scans k_range in ascending order and returns the last k before the
-    marginal GEV gain first drops below the threshold; if the gain never
-    drops, returns the largest k. Also returns the full GEV curve.
-    """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ShapeMismatch(f"invalid k range {k_range!r}")
-    curve: dict[int, float] = {}
-    for k in ks:
-        curve[k] = float(modified_kmeans(peak_maps, k, **kmeans_kwargs).gev_total)
-    chosen = ks[-1]
-    for i in range(1, len(ks)):
-        if curve[ks[i]] - curve[ks[i - 1]] < threshold:
-            chosen = ks[i - 1]
-            break
-    return chosen, curve
-
-
 def group_cluster(
     subject_maps: Sequence[MicrostateMaps], k: int, **kmeans_kwargs
 ) -> MicrostateMaps:

@@ -110,6 +110,36 @@ class Tree:
             if lo < t:
                 stack.append((self.left[i], {**bounds, f: (lo, min(hi, t))}))
 
+    @classmethod
+    def grow(cls, x: np.ndarray, rows: np.ndarray, node) -> "Tree":
+        """The tree grown from rows, numbered as `from_json_dict` numbers its JSON.
+
+        node(rows, depth) gives a node's (leaf value, feature, threshold), feature
+        -1 and threshold 0.0 for a leaf; the rows with x[rows, feature] <= threshold
+        go left. A stack visits each node before its children and the left subtree
+        before the right, as a recursion would; internal nodes keep value 0.
+        """
+        nodes, left, right = [], [], []  # nodes[i] is node's (value, feature, threshold)
+        stack = [(rows, 0, -1)]  # (rows, depth, the node this is the right child of)
+        while stack:
+            rows, depth, parent = stack.pop()
+            if parent >= 0:
+                right[parent] = len(nodes)
+            nodes.append(node(rows, depth))
+            _, f, t = nodes[-1]
+            left.append(len(nodes) if f >= 0 else -1)
+            right.append(-1)
+            if f >= 0:
+                go_left = x[rows, f] <= t
+                stack += [(rows[~go_left], depth + 1, len(nodes) - 1),
+                          (rows[go_left], depth + 1, -1)]
+        values, feature, threshold = zip(*nodes)
+        left = np.array(left, dtype=np.intp)
+        value = np.array(values, dtype=np.float64)
+        value[left >= 0] = 0.0
+        return cls(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+                   left, np.array(right, dtype=np.intp), value)
+
     def to_json_dict(self, leaf_encoder) -> dict:
         """model.json's nested form; leaf_encoder(value[i]) gives a leaf's dict."""
 

@@ -69,18 +69,18 @@ class _NodeCache(dict):
         return node
 
 
-def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache):
-    """The regression tree grown on rows, as model.json's nested dict.
+def _node(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache):
+    """The (leaf weight, split feature, threshold) of the regression tree node on rows.
 
-    Each node's sort comes from cache (a _NodeCache); only the g/h prefix
+    The node's sort comes from cache (a _NodeCache); only the g/h prefix
     sums, the gains and the split choice are computed per tree, so a
     cached node gives the same split bit for bit.
     """
     g_total = float(g[rows].sum())
     h_total = float(h[rows].sum())
-    leaf = {"weight": _leaf_weight(g_total, h_total, lam)}
+    weight = _leaf_weight(g_total, h_total, lam)
     if depth >= max_depth or rows.size < 2:
-        return leaf
+        return weight, -1, 0.0
     # prefix sums over every presorted column at once: cumsum adds in
     # sorted order, so each left sum is the running sum of a scan
     sorted_rows, sv = cache.presorted(x, rows)
@@ -91,16 +91,7 @@ def _grow(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache):
         + _score_term(g_total - gl, h_total - hl, lam)
         - _score_term(g_total, h_total, lam)
     ) - gamma_leaf
-    _, best_feature, best_threshold = first_best_split(gains, sv)
-    if best_feature < 0:
-        return leaf
-    go_left = x[rows, best_feature] <= best_threshold
-    return {
-        "feature": best_feature,
-        "threshold": best_threshold,
-        "left": _grow(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf, cache),
-        "right": _grow(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf, cache),
-    }
+    return (weight, *first_best_split(gains, sv)[1:])
 
 
 @dataclass(frozen=True)
@@ -241,9 +232,8 @@ def train_gbt(
         for c in range(n_classes):
             g = probs[:, c] - (y_idx == c)
             h = probs[:, c] * (1.0 - probs[:, c])
-            tree = Tree.from_json_dict(
-                _grow(x, g, h, train_rows, 0, max_depth, lam, gamma_leaf, cache), "weight", d
-            )
+            tree = Tree.grow(x, train_rows, lambda rows, depth: _node(
+                x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache))
             round_trees.append(tree)
             with np.errstate(over="ignore"):
                 margins[:, c] += learning_rate * tree.value[tree.apply(x)]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import PARAMS, RF_MODEL, check, decode, require
+from ..config import MAX_TREE_DEPTH, PARAMS, RF_MODEL, check, decode, require
 from ._common import Tree, child_seed, first_best_split, validate_x, validate_xy
 
 
@@ -46,32 +46,6 @@ def _best_split(x, y_idx, rows, n_classes, mtry, rng):
     ) / n
     gain, col, threshold = first_best_split(gains, sv)
     return gain, (int(feats[col]) if col >= 0 else -1), threshold
-
-
-def _leaf_json(counts: np.ndarray) -> dict:
-    return {"counts": [int(v) for v in counts]}
-
-
-def _grow(x, y_idx, rows, n_classes, depth, max_depth, min_samples_split, mtry, rng):
-    """The tree grown on rows, as model.json's nested dict."""
-    counts = np.bincount(y_idx[rows], minlength=n_classes)
-    leaf = _leaf_json(counts)
-    if (
-        rows.size < min_samples_split
-        or (max_depth is not None and depth >= max_depth)
-        or np.count_nonzero(counts) <= 1
-    ):
-        return leaf
-    gain, feature, threshold = _best_split(x, y_idx, rows, n_classes, mtry, rng)
-    if feature < 0:
-        return leaf
-    go_left = x[rows, feature] <= threshold
-    left, right = (
-        _grow(x, y_idx, rows[side], n_classes, depth + 1, max_depth,
-              min_samples_split, mtry, rng)
-        for side in (go_left, ~go_left)
-    )
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 def leaf_scores(tree: Tree) -> np.ndarray:
@@ -105,16 +79,22 @@ class RfModel:
             "classes": list(self.classes),
             "n_features": self.n_features,
             "params": self.params,
-            "trees": [t.to_json_dict(_leaf_json) for t in self.trees],
+            "trees": [t.to_json_dict(lambda c: {"counts": [int(v) for v in c]})
+                      for t in self.trees],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RfModel":
-        """The model of a `to_json_dict` form, decoded by `RF_MODEL`; a leaf counts each class."""
+        """The model of a `to_json_dict` form, decoded by `RF_MODEL`; a ValueError, too, without
+        a tree or with a leaf whose counts of each class are not >= 0 with a positive sum."""
         d = decode("rf model", RF_MODEL, d)
         leaf = (len(d["classes"]),)
-        return cls(**{**d, "trees": tuple(
-            Tree.from_json_dict(t, "counts", d["n_features"], leaf) for t in d["trees"])})
+        trees = tuple(Tree.from_json_dict(t, "counts", d["n_features"], leaf) for t in d["trees"])
+        counts = [t.value[t.left < 0] for t in trees]
+        if not trees or any((c < 0).any() or (c.sum(axis=1) <= 0).any() for c in counts):
+            raise ValueError("an rf model needs a tree, and leaves counting >= 0 rows of "
+                             "each class and some row")
+        return cls(**{**d, "trees": trees})
 
 
 def train_rf(
@@ -133,7 +113,7 @@ def train_rf(
         x: (n, d) feature matrix.
         y: (n,) integer class labels, at least two distinct.
         n_trees: Number of trees.
-        max_depth: Depth cap, None for unlimited.
+        max_depth: Depth cap, None for MAX_TREE_DEPTH.
         min_samples_split: Smallest node that may still split.
         seed: Master seed; tree t derives its own child seed.
         bootstrap: Resample n rows with replacement per tree.
@@ -150,14 +130,19 @@ def train_rf(
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
     require(mtry <= d, f"features per split must be in [1, {d}], got {mtry}")
     y_idx = np.searchsorted(classes, y)
+    depth_cap = MAX_TREE_DEPTH if max_depth is None else max_depth
+
+    def node(rows, depth):  # rng is the generator of the tree being grown
+        counts = np.bincount(y_idx[rows], minlength=len(classes))
+        if rows.size < min_samples_split or depth >= depth_cap or np.count_nonzero(counts) <= 1:
+            return counts, -1, 0.0
+        return (counts, *_best_split(x, y_idx, rows, len(classes), mtry, rng)[1:])
+
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(child_seed(seed, t))
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        grown = _grow(
-            x, y_idx, rows, len(classes), 0, max_depth, min_samples_split, mtry, rng
-        )
-        trees.append(Tree.from_json_dict(grown, "counts", d, (len(classes),)))
+        trees.append(Tree.grow(x, rows, node))
     return RfModel(
         classes=classes,
         n_features=d,

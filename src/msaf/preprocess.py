@@ -268,10 +268,6 @@ def average_reference(rec: Recording) -> Recording:
     return rec.with_data(d, note="average_reference")
 
 
-def is_average_referenced(rec: Recording, tol: float = 1e-9) -> bool:
-    return bool(np.max(np.abs(np.asarray(rec.data, np.float64).mean(axis=0))) <= tol)
-
-
 def surface_laplacian(rec: Recording, n_neighbors: int = 4) -> Recording:
     """Spatial sharpening: subtract a distance-weighted neighbor average.
 

@@ -568,20 +568,21 @@ def _newton_score(g_sum, h_sum, lam):
     return g_sum * g_sum / max(h_sum + lam, 1e-12)
 
 
-def gbt_grow_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache=None) -> dict:
-    """Newton regression tree by an exhaustive scan of every sorted cut.
+def gbt_node_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache=None):
+    """(leaf weight, feature, threshold) of a Newton regression tree node, one cut at a time.
 
     cache, the fit's node cache, is ignored: every node is sorted afresh.
 
     Features in order, cuts in sorted order (stable argsort), skipping
     cuts between equal values; a cut wins when its gain beats the best
-    so far by more than 1e-15, and its threshold is the midpoint.
+    so far by more than 1e-15, and its threshold is the midpoint. No cut
+    wins: feature -1, threshold 0.0, a leaf.
     """
     g_total = float(g[rows].sum())
     h_total = float(h[rows].sum())
-    leaf = {"weight": -g_total / max(h_total + lam, 1e-12)}
+    weight = -g_total / max(h_total + lam, 1e-12)
     if depth >= max_depth or rows.size < 2:
-        return leaf
+        return weight, -1, 0.0
     parent_term = _newton_score(g_total, h_total, lam)
     best_gain, best_feature, best_threshold = 0.0, -1, 0.0
     for f in range(x.shape[1]):
@@ -604,15 +605,7 @@ def gbt_grow_loop(x, g, h, rows, depth, max_depth, lam, gamma_leaf, cache=None) 
             if gain > best_gain + 1e-15:
                 best_gain, best_feature = gain, int(f)
                 best_threshold = float((sv[pos] + sv[pos + 1]) / 2.0)
-    if best_feature < 0:
-        return leaf
-    go_left = x[rows, best_feature] <= best_threshold
-    return {
-        "feature": best_feature,
-        "threshold": best_threshold,
-        "left": gbt_grow_loop(x, g, h, rows[go_left], depth + 1, max_depth, lam, gamma_leaf),
-        "right": gbt_grow_loop(x, g, h, rows[~go_left], depth + 1, max_depth, lam, gamma_leaf),
-    }
+    return weight, best_feature, best_threshold
 
 
 def _gini_loop(counts) -> float:

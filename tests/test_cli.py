@@ -20,10 +20,12 @@ from msaf import (
     load_feature_table,
     load_recording,
     load_segmentation,
+    model_from_json_dict,
     read_json,
     standard_1020_montage,
 )
 from msaf.cli import main
+from msaf.config import MAX_TREE_DEPTH
 from msaf.pipeline import PipelineConfig, config_hash, load_input_recordings
 from oracles import with_header
 
@@ -400,6 +402,8 @@ def test_unknown_classifier_params_fail_before_any_output(
     ("evaluate", "svm", ["--params", '{"c": 0}']),
     ("train", "gbt", ["--params", '{"n_rounds": 0}']),
     ("train", "gbt", ["--params", '{"max_depth": 0, "valid_fraction": 0}']),
+    ("train", "gbt", ["--params", '{"max_depth": 513, "valid_fraction": 0}']),
+    ("train", "rf", ["--params", '{"max_depth": 513}']),
     ("evaluate", "gbt", ["--params", '{"lam": -1.0}']),
     ("train", "gbt", ["--params", '{"learning_rate": 0}']),
     ("train", "rf", ["--params", '{"n_trees": 0}']),
@@ -1045,6 +1049,20 @@ def _gbt_leaves(work, tmp_path, edit):
         **d, "trees": _leaves(d["trees"], lambda leaf: {"weight": edit(leaf["weight"])})})
 
 
+def _nested_rf(work, tmp_path, depth):
+    """A copy of the work rf model.json whose one tree is a chain of depth splits.
+
+    The text is built by hand: json.dump takes one Python call per level.
+    """
+    doc = read_json(str(work / "model.json"))
+    leaf = json.dumps({"counts": [1] * len(doc["classes"])})
+    tree = ('{"feature": 0, "threshold": 0.5, "left": ' * depth + leaf
+            + f', "right": {leaf}}}' * depth)
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({**doc, "trees": ["TREE"]}).replace('"TREE"', tree))
+    return str(path)
+
+
 def _swapped_columns(work, tmp_path, a="A_gev", b="A_meancorr"):
     """A copy of the work feature table with columns a and b swapped, names and values."""
     rows = list(csv.reader((work / "features.csv").read_text().splitlines()))
@@ -1139,6 +1157,17 @@ _IO_FAULTS = {
     "explain-gbt-leaf-weights-near-the-float-maximum": (lambda w, t, o: ["explain", _gbt_leaves(
         w, t, lambda v: 1.7e308 if v > 0 else -1.7e308), str(w / "features.csv"),
         "--out", o], "IoFailure", 3),
+    # a forest without a tree, or with a leaf that counts a class negatively or no row
+    # (each exit 0 before), and a tree nested deeper than the reader recurses (exit 1)
+    "explain-rf-no-trees": (lambda w, t, o: ["explain", _changed(
+        w / "model.json", t, trees=[]), str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    **{f"explain-rf-leaf-counts-{how}": (lambda w, t, o, edit=edit: ["explain", _rf_leaves(
+        w, t, lambda leaf: {"counts": edit(leaf["counts"])}), str(w / "features.csv"),
+        "--out", o], "IoFailure", 3)
+       for how, edit in [("negative", lambda c: [-1, *(v + 2 for v in c[1:])]),
+                         ("all-0", lambda c: [0] * len(c))]},
+    "explain-rf-tree-nested-1200-deep": (lambda w, t, o: ["explain", _nested_rf(
+        w, t, 1200), str(w / "features.csv"), "--out", o], "IoFailure", 3),
     # a table whose columns are not the ones model.json was trained on, in order
     **{f"explain-columns-{how}": (lambda w, t, o, table=table: [
         "explain", str(w / "model.json"), table(w, t), "--out", o], "DimensionMismatch", 3)
@@ -1237,6 +1266,25 @@ def test_a_diverging_boosted_fit_is_one_numeric_error_line(argv, work, tmp_path)
     assert (err["error"], err["category"], err["exit_code"]) == ("Diverged", "NumericError", 4)
     assert "round 1" in err["message"]
     assert not (out / "model.json").exists() if argv is _diverging_run else not out.exists()
+
+
+def test_an_unbounded_forest_tree_grows_to_the_depth_bound(tmp_path):
+    # one feature equal to the row index and alternating labels: each split
+    # peels off few rows, so the tree is a chain (training recursed past the
+    # interpreter's limit at about 450 rows)
+    table = tmp_path / "chain.csv"
+    table.write_text("subject_id,label,x\n" + "".join(
+        f"s{i},{'AB'[i % 2]},{i}\n" for i in range(600)))
+    model = tmp_path / "model.json"
+    assert main(["train", str(table), "--model", "rf", "--out", str(model), "--params",
+                 '{"max_depth": null, "bootstrap": false, "n_trees": 1}']) == 0
+    (tree,) = model_from_json_dict(read_json(str(model))).trees
+    depth = np.zeros(tree.left.size, dtype=int)
+    for i in np.flatnonzero(tree.left >= 0):  # parents come before their children
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    assert depth.max() == MAX_TREE_DEPTH
+    assert main(["explain", str(model), str(table), "--method", "tree",
+                 "--out", str(tmp_path / "shap.json")]) == 0
 
 
 def test_explain_rank_replays_run_ranking(work, tmp_path):

@@ -31,7 +31,6 @@ from msaf import (
     group_cluster,
     label_maps,
     modified_kmeans,
-    select_k,
     spatial_correlation,
     standard_1020_montage,
 )
@@ -395,17 +394,6 @@ def test_gev_bounds_and_sum():
     assert per_state.sum() == pytest.approx(total, abs=1e-12)
 
 
-def test_select_k_finds_planted_count():
-    rng = np.random.default_rng(10)
-    true = _unit_maps(rng, 3, 16)
-    labels = rng.integers(0, 3, size=500)
-    x = true[labels] * rng.choice([-1.0, 1.0], size=(500, 1))
-    x += 0.02 * rng.standard_normal(x.shape)
-    chosen, curve = select_k(x, range(1, 6), threshold=0.01, n_inits=6, seed=1)
-    assert chosen == 3
-    assert sorted(curve) == [1, 2, 3, 4, 5]
-
-
 def test_backfit_label_agreement_and_polarity():
     rec, seg, templates = generate(SynthConfig(seed=5, snr=math.inf, duration=4.0))
     out = backfit(rec, templates)
@@ -494,9 +482,6 @@ def _bits(out):
 
 _TRUTH = generate(SynthConfig(seed=6, snr=4.0, duration=6.0))
 _STORED = narrow_recording(_TRUTH[0])
-# the widened copy's largest channel mean, and the double below it: True, then False
-_MEAN_MAX = float(np.max(np.abs(widen_recording(_STORED).data.mean(axis=0))))
-_MEAN_TOLS = (_MEAN_MAX, float(np.nextafter(_MEAN_MAX, 0.0)))
 _CONSUMERS = {
     "apply_fir": lambda r: msaf.apply_fir(r, msaf.design_fir_bandpass(1.0, 30.0, r.fs)),
     "zscore_channels": msaf.zscore_channels,
@@ -507,8 +492,6 @@ _CONSUMERS = {
     "gfp": gfp,
     "backfit": lambda r: backfit(r, _TRUTH[2], min_segment_ms=40.0),
     "gev": lambda r: gev(r, _TRUTH[1]),
-    "is_average_referenced": lambda r: tuple(
-        msaf.is_average_referenced(r, tol=t) for t in _MEAN_TOLS),
     "pick": lambda r: r.pick(["F4", "Fp1", "F3"]),
 }
 

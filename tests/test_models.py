@@ -20,14 +20,14 @@ from msaf import (
 )
 
 from msaf.models import boosted, forest
-from msaf.models._common import first_best_split
+from msaf.models._common import Tree, first_best_split
 
 from oracles import (
     XOR_X,
     XOR_Y,
     accuracy_by_hand,
     ensemble_scores_loop,
-    gbt_grow_loop,
+    gbt_node_loop,
     macro_f1_by_hand,
     rf_best_split_loop,
     xor_alpha_star,
@@ -161,7 +161,7 @@ def test_gbt_trees_match_loop_reference(monkeypatch, max_depth, valid_fraction):
     kw = dict(n_rounds=12, learning_rate=0.4, max_depth=max_depth,
               valid_fraction=valid_fraction, patience=3, seed=max_depth)
     fast = train_gbt(x, y, **kw).to_json_dict()
-    monkeypatch.setattr(boosted, "_grow", gbt_grow_loop)
+    monkeypatch.setattr(boosted, "_node", gbt_node_loop)
     assert fast == train_gbt(x, y, **kw).to_json_dict()
     assert any("feature" in t for row in fast["trees"] for t in row)
     if valid_fraction:
@@ -302,6 +302,26 @@ def test_tree_model_json_bytes_survive_load_and_save(kind, params):
     stump = model_from_json_dict(doc)
     score = stump.margins if kind == "gbt" else stump.decision_scores
     assert np.array_equal(score(x[:, :2]), ensemble_scores_loop(doc, x[:, :2]))
+
+
+@pytest.mark.parametrize("kind,params", [
+    *(("rf", {"n_trees": 4, "max_depth": depth, "bootstrap": bootstrap})
+      for depth in (None, 3) for bootstrap in (True, False)),
+    ("gbt", {"n_rounds": 6, "learning_rate": 0.4, "max_depth": 4}),
+])
+def test_grown_trees_equal_their_decoded_json(kind, params):
+    x, y = _tied(60)
+    model = make_trainer(kind, params)(x, y, 7)
+    trees = list(np.ravel(model.trees))
+    assert any(t.left[0] >= 0 for t in trees)
+    leaf, leaf_key, leaf_shape = (
+        (lambda c: {"counts": [int(v) for v in c]}, "counts", (3,)) if kind == "rf"
+        else (lambda w: {"weight": float(w)}, "weight", ()))
+    for tree in trees:
+        back = Tree.from_json_dict(tree.to_json_dict(leaf), leaf_key, x.shape[1], leaf_shape)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            got, want = getattr(tree, name), getattr(back, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_svm_warns_when_a_machine_stops_at_max_iter(caplog):

@@ -397,10 +397,10 @@ UnlabeledData UnsupportedModel ZeroGfp __version__ apply_fir average_reference b
 band_sweep build_feature_table canonical_templates chi_square_sf commit_segmentation
 config_hash crop default_cohort_profiles design_fir_bandpass design_fir_lowpass
 design_fir_notch dunn_posthoc evaluate explain extract_features find_gfp_peaks generate
-gev gfp global_ranking grid_search group_cluster is_average_referenced kruskal_wallis
+gev gfp global_ranking grid_search group_cluster kruskal_wallis
 label_maps load_feature_table load_recording load_segmentation make_band_cohort
 make_cohort make_trainer model_from_json_dict modified_kmeans normal_sf read_json
-render_bar_chart render_topomap resample run_pipeline save_recording select_k
+render_bar_chart render_topomap resample run_pipeline save_recording
 shapiro_wilk spatial_correlation standard_1020_montage stratified_fold_indices
 stratified_kfold_cv surface_laplacian train_gbt train_rf train_svm_ovr
 transition_from_weights write_json zscore_channels
@@ -415,7 +415,7 @@ def test_cli_import_loads_the_traced_modules_and_not_the_periphery():
     assert not modules & set(_LOADED_ON_FIRST_USE), sorted(modules & set(_LOADED_ON_FIRST_USE))
     assert modules >= set(_TRACED_MODULES), sorted(set(_TRACED_MODULES) - modules)
     assert got["explain"] is True
-    assert len(_PUBLIC_NAMES) == 121 and got["public"] == _PUBLIC_NAMES
+    assert len(_PUBLIC_NAMES) == 119 and got["public"] == _PUBLIC_NAMES
 
 
 def _run_peak_rss_mb(root, n_per_class):
