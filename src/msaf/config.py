@@ -21,6 +21,7 @@ import enum
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -41,11 +42,6 @@ BLOCK_DOUBLES = 1 << 14
 # The most float64 channel-samples a synthetic recording may hold (1 GiB): a
 # larger SynthConfig is an InvalidConfig before any sample is drawn.
 MAX_SYNTH_VALUES = 1 << 27
-
-# The deepest tree a forest or booster grows (rf max_depth null grows to it):
-# model.json nests each level one object deeper, and its writer and reader
-# take each level as one Python call, under the interpreter's limit of 1000.
-MAX_TREE_DEPTH = 512
 
 # The most taps an FIR filter may have. A filter edge or notch width so narrow
 # that it needs more is an InvalidBand, raised before its taps are allocated;
@@ -80,11 +76,12 @@ def _sequence(v, item=None) -> bool:
 
 
 def _array(v) -> bool:
-    """A list of numbers, or of such lists of equal lengths, or an array of numbers."""
+    """A list of finite numbers, or of such lists of equal lengths, or an array of them."""
     try:
-        return _sequence(v) and np.asarray(v).dtype.kind in "iuf"
+        a = np.asarray(v)
     except ValueError:  # lists of unequal lengths
         return False
+    return _sequence(v) and a.dtype.kind in "iuf" and bool(np.isfinite(a).all())
 
 
 def _name(v) -> bool:
@@ -106,7 +103,7 @@ _TYPES = {  # type -> (test, what a value of it is)
     "names": (lambda v: _sequence(v, lambda c: isinstance(c, str)), "a non-empty list of names"),
     "filenames": (lambda v: _sequence(v, _name), "a non-empty list of file names"),
     "ints": (lambda v: _sequence(v, _integer), "a non-empty list of integers"),
-    "array": (_array, "a list of numbers, or of such lists"),
+    "array": (_array, "a list of finite numbers, or of such lists"),
     "strs": (lambda v: _sequence(v) and all(isinstance(c, str) for c in v), "a list of strings"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (_sequence, "a list"),
@@ -163,7 +160,7 @@ def check_value(name: str, key: Key, value, error: type = InvalidConfig):
     if value is None and key.nullable:
         return None
     if not (_TYPES[key.type][0](value) and key.holds(value)):
-        raise error(f"{name} must be {key.describe()}, got {value!r}")
+        raise error(f"{name} must be {key.describe()}, got {reprlib.repr(value)}")
     if key.type in ("names", "ints"):
         return tuple(value)
     if key.type == "band":
@@ -246,7 +243,7 @@ PARAMS = {  # trainer hyperparameters by model kind
     },
     "rf": {
         "n_trees": Key("int", "[1, inf)"),
-        "max_depth": Key("int", f"[1, {MAX_TREE_DEPTH}]", nullable=True),
+        "max_depth": Key("int", "[1, inf)", nullable=True),
         "min_samples_split": Key("int", "[2, inf)"),
         "bootstrap": Key("bool"),
         # at most the table width, checked when training starts
@@ -255,7 +252,7 @@ PARAMS = {  # trainer hyperparameters by model kind
     "gbt": {
         "n_rounds": Key("int", "[1, inf)"),
         "learning_rate": Key("real", "(0, inf)"),
-        "max_depth": Key("int", f"[1, {MAX_TREE_DEPTH}]"),
+        "max_depth": Key("int", "[1, inf)"),
         "lam": Key("real", "[0, inf)"),
         "gamma_leaf": Key("real", "[0, inf)"),
         "valid_fraction": Key("real", "[0, 1)"),
@@ -374,7 +371,7 @@ SVM_MODEL = {
     "scale": Key("array", ("n_features",)), "c": _POSITIVE, "gamma": _POSITIVE,
     "machines": Key("list", ("n_classes",)),
 }
-# trees are nested nodes, which Tree.from_json_dict numbers and checks
+# each tree is a GBT_TREE or RF_TREE, which Tree.from_json_dict decodes and links
 RF_MODEL = {"classes": _CLASSES, "n_features": Key("int", "[1, inf)"), "trees": Key("list"),
             "params": Key("object", default={})}
 GBT_MODEL = {
@@ -384,6 +381,11 @@ GBT_MODEL = {
     "train_loss_trace": Key("array", ("n_trained",), ()),
     "valid_loss_trace": Key("array", ("n_validated",), ()),
 }
+GBT_TREE = {  # a tree's nodes in preorder: node i's split, children and leaf value
+    **{k: Key("ints", ("n_nodes",)) for k in ("feature", "left", "right")},
+    **{k: Key("array", ("n_nodes",)) for k in ("threshold", "value")},
+}
+RF_TREE = {**GBT_TREE, "value": Key("array", ("n_nodes", "n_classes"))}
 SHAP = {
     "method": Key("str", ("exact", "kernel", "tree")), "classes": _CLASSES,
     "phi0": Key("array", ("n_classes",)),

@@ -187,10 +187,11 @@ def _read(path: str) -> bytes:
 
 
 def _decode(path: str, decode: Callable, data):
-    """decode(data); data of the wrong encoding or shape, or nested too deep, is an IoFailure."""
+    """decode(data); data of the wrong encoding or shape, nested too deep or holding an integer
+    too large for its array, is an IoFailure."""
     try:
         return decode(data)
-    except (IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise IoFailure(f"{path!r} does not hold what was expected: {e!r}") from e
 
 

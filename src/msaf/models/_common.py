@@ -1,10 +1,11 @@
 """Shared input validation, seed derivation and the tree of both ensembles."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..config import decode
 from ..errors import DimensionMismatch, LengthMismatch, NonFiniteData, SingleClass
 
 
@@ -112,7 +113,7 @@ class Tree:
 
     @classmethod
     def grow(cls, x: np.ndarray, rows: np.ndarray, node) -> "Tree":
-        """The tree grown from rows, numbered as `from_json_dict` numbers its JSON.
+        """The tree grown from rows, its nodes numbered in preorder.
 
         node(rows, depth) gives a node's (leaf value, feature, threshold), feature
         -1 and threshold 0.0 for a leaf; the rows with x[rows, feature] <= threshold
@@ -140,56 +141,28 @@ class Tree:
         return cls(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
                    left, np.array(right, dtype=np.intp), value)
 
-    def to_json_dict(self, leaf_encoder) -> dict:
-        """model.json's nested form; leaf_encoder(value[i]) gives a leaf's dict."""
-
-        def node(i):
-            if self.left[i] < 0:
-                return leaf_encoder(self.value[i])
-            return {
-                "feature": int(self.feature[i]),
-                "threshold": float(self.threshold[i]),
-                "left": node(self.left[i]),
-                "right": node(self.right[i]),
-            }
-
-        return node(0)
+    def to_json_dict(self) -> dict:
+        """model.json's form of the tree: its five arrays as lists."""
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
-    def from_json_dict(cls, d: dict, leaf_key: str, n_features: int, leaf_shape=()) -> "Tree":
-        """Number model.json's nested nodes depth first, left before right.
+    def from_json_dict(cls, d: dict, table: dict, n_features: int, sizes=None) -> "Tree":
+        """The tree of a `to_json_dict` form, decoded by table (`GBT_TREE` or `RF_TREE`).
 
-        A ValueError unless each split feature is an integer in [0, n_features),
-        each threshold and leaf value a finite number and each leaf of leaf_shape,
-        checked over the tree's arrays, not node by node."""
-        nodes, children = [], []
-
-        def add(node) -> int:
-            nodes.append(node)
-            children.append([-1, -1])
-            i = len(nodes) - 1
-            if "feature" in node:
-                children[i] = [add(node["left"]), add(node["right"])]
-            return i
-
-        add(d)
-        left, right = np.array(children, dtype=np.intp).T
-        leaves = np.array([n[leaf_key] for n in nodes if leaf_key in n])
-        feature = np.array([n.get("feature", -1) for n in nodes])
-        threshold = np.array([n.get("threshold", 0.0) for n in nodes])
-        split = feature[left >= 0]
-        if (feature.dtype.kind != "i" or threshold.dtype.kind not in "if"
-                or leaves.dtype.kind not in "if" or leaves.shape[1:] != leaf_shape
-                or np.any((split < 0) | (split >= n_features))
-                or not (np.isfinite(threshold).all() and np.isfinite(leaves).all())):
-            raise ValueError(f"tree nodes need integer split features in [0, {n_features}), "
-                             f"finite thresholds and finite leaf {leaf_key} of shape {leaf_shape}")
-        value = np.zeros((len(nodes),) + leaf_shape)
-        value[left < 0] = leaves
-        return cls(
-            feature=feature.astype(np.intp, copy=False),
-            threshold=threshold.astype(np.float64, copy=False),
-            left=left,
-            right=right,
-            value=value,
-        )
+        A ValueError, too, unless the nodes link as `grow` numbers them: an
+        internal node i splits on a feature in [0, n_features) and has
+        left[i] == i + 1 and i + 1 < right[i] < n_nodes, a leaf has
+        feature, left and right -1, and every node but the root is the
+        child of exactly one node. Ids then grow along every path, so
+        `apply` and `leaf_boxes` end."""
+        d = decode("tree", table, d, sizes)
+        feature, left, right = (np.array(d[k], np.intp) for k in ("feature", "left", "right"))
+        i, inner = np.arange(feature.size), left >= 0
+        linked = np.where(inner, (left == i + 1) & (i + 1 < right) & (right < feature.size)
+                          & (feature >= 0) & (feature < n_features),
+                          (left == -1) & (right == -1) & (feature == -1))
+        children = np.sort(np.concatenate([left[inner], right[inner]]))
+        if not (linked.all() and np.array_equal(children, i[1:])):
+            raise ValueError(f"tree nodes must link as grown, in preorder, with split features "
+                             f"in [0, {n_features})")
+        return cls(feature, d["threshold"], left, right, d["value"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from ..config import GBT_MODEL, PARAMS, check, decode
+from ..config import GBT_MODEL, GBT_TREE, PARAMS, check, decode
 from ..errors import Diverged, TooFewSamplesForValidation
 from ._common import Tree, first_best_split, validate_x, validate_xy
 
@@ -135,10 +135,7 @@ class GbtModel:
             "train_loss_trace": [float(v) for v in self.train_loss_trace],
             "valid_loss_trace": [float(v) for v in self.valid_loss_trace],
             "params": self.params,
-            "trees": [
-                [t.to_json_dict(lambda w: {"weight": float(w)}) for t in row]
-                for row in self.trees
-            ],
+            "trees": [[t.to_json_dict() for t in row] for row in self.trees],
         }
 
     @classmethod
@@ -147,7 +144,7 @@ class GbtModel:
         class's |base score| plus learning_rate times the sum of each round's largest |leaf
         weight| passes _MARGIN_LIMIT, the margin a fit diverges at."""
         d = decode("gbt model", GBT_MODEL, d)
-        trees = tuple(tuple(Tree.from_json_dict(t, "weight", d["n_features"]) for t in row)
+        trees = tuple(tuple(Tree.from_json_dict(t, GBT_TREE, d["n_features"]) for t in row)
                       for row in d["trees"])
         with np.errstate(over="ignore"):  # an overflow to inf fails the bound
             reach = np.abs(d["base_scores"]) + d["learning_rate"] * np.sum(

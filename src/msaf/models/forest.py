@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import MAX_TREE_DEPTH, PARAMS, RF_MODEL, check, decode, require
+from ..config import PARAMS, RF_MODEL, RF_TREE, check, decode, require
 from ._common import Tree, child_seed, first_best_split, validate_x, validate_xy
 
 
@@ -79,8 +79,7 @@ class RfModel:
             "classes": list(self.classes),
             "n_features": self.n_features,
             "params": self.params,
-            "trees": [t.to_json_dict(lambda c: {"counts": [int(v) for v in c]})
-                      for t in self.trees],
+            "trees": [t.to_json_dict() for t in self.trees],
         }
 
     @classmethod
@@ -88,8 +87,8 @@ class RfModel:
         """The model of a `to_json_dict` form, decoded by `RF_MODEL`; a ValueError, too, without
         a tree or with a leaf whose counts of each class are not >= 0 with a positive sum."""
         d = decode("rf model", RF_MODEL, d)
-        leaf = (len(d["classes"]),)
-        trees = tuple(Tree.from_json_dict(t, "counts", d["n_features"], leaf) for t in d["trees"])
+        sizes = {"n_classes": len(d["classes"])}
+        trees = tuple(Tree.from_json_dict(t, RF_TREE, d["n_features"], sizes) for t in d["trees"])
         counts = [t.value[t.left < 0] for t in trees]
         if not trees or any((c < 0).any() or (c.sum(axis=1) <= 0).any() for c in counts):
             raise ValueError("an rf model needs a tree, and leaves counting >= 0 rows of "
@@ -113,7 +112,7 @@ def train_rf(
         x: (n, d) feature matrix.
         y: (n,) integer class labels, at least two distinct.
         n_trees: Number of trees.
-        max_depth: Depth cap, None for MAX_TREE_DEPTH.
+        max_depth: Depth cap; None grows each node until it stops splitting.
         min_samples_split: Smallest node that may still split.
         seed: Master seed; tree t derives its own child seed.
         bootstrap: Resample n rows with replacement per tree.
@@ -130,7 +129,7 @@ def train_rf(
     mtry = n_features_per_split if n_features_per_split else math.ceil(math.sqrt(d))
     require(mtry <= d, f"features per split must be in [1, {d}], got {mtry}")
     y_idx = np.searchsorted(classes, y)
-    depth_cap = MAX_TREE_DEPTH if max_depth is None else max_depth
+    depth_cap = math.inf if max_depth is None else max_depth
 
     def node(rows, depth):  # rng is the generator of the tree being grown
         counts = np.bincount(y_idx[rows], minlength=len(classes))

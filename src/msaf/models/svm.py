@@ -153,8 +153,11 @@ class SvmModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SvmModel":
-        """The model of a `to_json_dict` form, decoded by `SVM_MODEL` and `SVM_MACHINE`."""
+        """The model of a `to_json_dict` form, decoded by `SVM_MODEL` and `SVM_MACHINE`; a
+        ValueError, too, unless each scale is positive."""
         d = decode("svm model", SVM_MODEL, d)
+        if not (d["scale"] > 0).all():
+            raise ValueError("svm model scale entries must be > 0")
         width = {"n_features": d["mean"].size}
         machines = [BinarySvm(**decode("svm machine", SVM_MACHINE, m, width))
                     for m in d["machines"]]

@@ -560,9 +560,10 @@ def exact_shapley_dense(value_fn, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 # --- tree ensembles, one split position and one row at a time ---
 #
-# Trees are the nested dicts of model.json: an internal node is
-# {"feature", "threshold", "left", "right"}, a leaf {"weight"} (boosting)
-# or {"counts"} (forest). A row goes left when x[feature] <= threshold.
+# Trees are the flat dicts of model.json: node i splits on feature[i] at
+# threshold[i] into nodes left[i] and right[i], or is a leaf (left[i] == -1)
+# whose value[i] is a weight (boosting) or class counts (forest). Node 0 is
+# the root, and a row goes left when x[feature] <= threshold.
 
 def _newton_score(g_sum, h_sum, lam):
     return g_sum * g_sum / max(h_sum + lam, 1e-12)
@@ -650,11 +651,13 @@ def rf_best_split_loop(x, y_idx, rows, n_classes, mtry, rng):
     return best
 
 
-def leaf_of(tree: dict, row) -> dict:
-    """The leaf dict a row reaches."""
-    while "feature" in tree:
-        tree = tree["left"] if row[tree["feature"]] <= tree["threshold"] else tree["right"]
-    return tree
+def leaf_of(tree: dict, row):
+    """The value of the leaf a row reaches."""
+    i = 0
+    while tree["left"][i] >= 0:
+        go_left = row[tree["feature"][i]] <= tree["threshold"][i]
+        i = tree["left"][i] if go_left else tree["right"][i]
+    return tree["value"][i]
 
 
 def ensemble_scores_loop(model_doc: dict, x) -> np.ndarray:
@@ -665,7 +668,7 @@ def ensemble_scores_loop(model_doc: dict, x) -> np.ndarray:
     for i, row in enumerate(x):
         if model_doc["kind"] == "rf":
             for tree in model_doc["trees"]:
-                counts = np.asarray(leaf_of(tree, row)["counts"], dtype=np.float64)
+                counts = np.asarray(leaf_of(tree, row), dtype=np.float64)
                 if counts.sum() > 0:
                     out[i] += counts / counts.sum()
             out[i] /= len(model_doc["trees"])
@@ -673,23 +676,23 @@ def ensemble_scores_loop(model_doc: dict, x) -> np.ndarray:
             out[i] = model_doc["base_scores"]
             for round_trees in model_doc["trees"]:
                 for c, tree in enumerate(round_trees):
-                    out[i, c] += model_doc["learning_rate"] * leaf_of(tree, row)["weight"]
+                    out[i, c] += model_doc["learning_rate"] * leaf_of(tree, row)
     return out
 
 
-def _leaf_boxes(tree: dict, bounds: dict, out: list) -> None:
-    """(features, lo, hi, leaf) for every reachable leaf: lo < x[f] <= hi."""
-    if "feature" not in tree:
+def _leaf_boxes(tree: dict, i: int, bounds: dict, out: list) -> None:
+    """(features, lo, hi, leaf value) for every reachable leaf below node i: lo < x[f] <= hi."""
+    if tree["left"][i] < 0:
         feats = sorted(bounds)
         out.append((np.array(feats, dtype=np.int64),
                     np.array([bounds[f][0] for f in feats]),
-                    np.array([bounds[f][1] for f in feats]), tree))
+                    np.array([bounds[f][1] for f in feats]), tree["value"][i]))
         return
-    f, t = tree["feature"], tree["threshold"]
+    f, t = tree["feature"][i], tree["threshold"][i]
     lo, hi = bounds.get(f, (-np.inf, np.inf))
-    for child, box in ((tree["left"], (lo, min(hi, t))), (tree["right"], (max(lo, t), hi))):
+    for child, box in ((tree["left"][i], (lo, min(hi, t))), (tree["right"][i], (max(lo, t), hi))):
         if box[0] < box[1]:
-            _leaf_boxes(child, {**bounds, f: box}, out)
+            _leaf_boxes(tree, child, {**bounds, f: box}, out)
 
 
 def tree_shap_loop(model_doc: dict, x_row, background) -> tuple[np.ndarray, np.ndarray]:
@@ -717,14 +720,14 @@ def tree_shap_loop(model_doc: dict, x_row, background) -> tuple[np.ndarray, np.n
     b_count = background.shape[0]
     for tree, cls in trees:
         leaves: list = []
-        _leaf_boxes(tree, {}, leaves)
+        _leaf_boxes(tree, 0, {}, leaves)
         for feats, lo, hi, leaf in leaves:
             if cls is None:
-                counts = np.asarray(leaf["counts"], dtype=np.float64)
+                counts = np.asarray(leaf, dtype=np.float64)
                 value = counts / counts.sum() / n_trees if counts.sum() > 0 else 0 * counts
             else:
                 value = np.zeros(n_classes)
-                value[cls] = model_doc["learning_rate"] * leaf["weight"]
+                value[cls] = model_doc["learning_rate"] * leaf
             x_ok = [lo[j] < x_row[f] <= hi[j] for j, f in enumerate(feats)]
             for brow in background:
                 b_ok = [lo[j] < brow[f] <= hi[j] for j, f in enumerate(feats)]

@@ -25,7 +25,6 @@ from msaf import (
     standard_1020_montage,
 )
 from msaf.cli import main
-from msaf.config import MAX_TREE_DEPTH
 from msaf.pipeline import PipelineConfig, config_hash, load_input_recordings
 from oracles import with_header
 
@@ -402,8 +401,6 @@ def test_unknown_classifier_params_fail_before_any_output(
     ("evaluate", "svm", ["--params", '{"c": 0}']),
     ("train", "gbt", ["--params", '{"n_rounds": 0}']),
     ("train", "gbt", ["--params", '{"max_depth": 0, "valid_fraction": 0}']),
-    ("train", "gbt", ["--params", '{"max_depth": 513, "valid_fraction": 0}']),
-    ("train", "rf", ["--params", '{"max_depth": 513}']),
     ("evaluate", "gbt", ["--params", '{"lam": -1.0}']),
     ("train", "gbt", ["--params", '{"learning_rate": 0}']),
     ("train", "rf", ["--params", '{"n_trees": 0}']),
@@ -1021,36 +1018,54 @@ def _gbt(work, tmp_path, edit):
     return _fit_model(work, tmp_path, train, edit)
 
 
-def _split_with(work, tmp_path, **changes):
-    """A copy of the work rf model.json whose first split has some keys changed."""
+def _replaced(values, i, value):
+    """A copy of the list values with entry i replaced by value."""
+    return [value if j == i else v for j, v in enumerate(values)]
+
+
+def _first_nan(values):
+    """A copy of values, nested lists of numbers, whose first number is NaN."""
+    head = _first_nan(values[0]) if isinstance(values[0], list) else float("nan")
+    return [head, *values[1:]]
+
+
+def _tree_with(work, tmp_path, edit):
+    """A copy of the work rf model.json whose first tree of two or more splits is updated by
+    edit(tree, i), a dict of changed keys; i is the tree's second split, after the root."""
     doc = read_json(str(work / "model.json"))
-    next(tree for tree in doc["trees"] if "feature" in tree).update(changes)
-    return _write(tmp_path / "split.json", doc)
+    tree = next(t for t in doc["trees"] if sum(c >= 0 for c in t["left"]) >= 2)
+    tree.update(edit(tree, [i for i, c in enumerate(tree["left"]) if c >= 0][1]))
+    return _write(tmp_path / "tree.json", doc)
+
+
+def _split_with(work, tmp_path, **changes):
+    """A copy of the work rf model.json whose root split has some entries changed."""
+    return _tree_with(work, tmp_path, lambda tree, i: {
+        k: _replaced(tree[k], 0, v) for k, v in changes.items()})
 
 
 def _leaves(trees, edit):
-    """trees, nested lists of model.json trees, with each leaf replaced by edit(leaf)."""
+    """trees, nested lists of model.json trees, with each leaf's value v replaced by edit(v)."""
     if isinstance(trees, list):
         return [_leaves(t, edit) for t in trees]
-    if "feature" not in trees:
-        return edit(trees)
-    return {**trees, "left": _leaves(trees["left"], edit), "right": _leaves(trees["right"], edit)}
+    return {**trees, "value": [edit(v) if child < 0 else v
+                               for child, v in zip(trees["left"], trees["value"])]}
 
 
 def _rf_leaves(work, tmp_path, edit):
-    """A copy of the work rf model.json with each leaf replaced by edit(leaf)."""
+    """A copy of the work rf model.json with each leaf's counts c replaced by edit(c)."""
     doc = read_json(str(work / "model.json"))
     return _write(tmp_path / "leaves.json", {**doc, "trees": _leaves(doc["trees"], edit)})
 
 
 def _gbt_leaves(work, tmp_path, edit):
     """A 2-round gbt model.json fit to the work feature table, each leaf weight w made edit(w)."""
-    return _gbt(work, tmp_path, lambda d: {
-        **d, "trees": _leaves(d["trees"], lambda leaf: {"weight": edit(leaf["weight"])})})
+    return _gbt(work, tmp_path, lambda d: {**d, "trees": _leaves(d["trees"], edit)})
 
 
 def _nested_rf(work, tmp_path, depth):
-    """A copy of the work rf model.json whose one tree is a chain of depth splits.
+    """A copy of the work rf model.json whose one tree is a chain of depth splits, nested
+    {"feature", "threshold", "left", "right"} nodes down to {"counts"} leaves.
 
     The text is built by hand: json.dump takes one Python call per level.
     """
@@ -1141,11 +1156,10 @@ _IO_FAULTS = {
     **{f"explain-rf-split-on-feature-{f}": (lambda w, t, o, f=f: [
         "explain", _split_with(w, t, feature=f), str(w / "features.csv"), "--out", o],
         "IoFailure", 3)
-       for f in (99, -3, 1.5)},
+       for f in (99, -3, 1.5, 2 ** 70)},
     # nodes that decoded to a broadcast error (exit 1), or to NaN or a coerced value (exit 0)
     "explain-rf-leaves-of-2-counts-for-3-classes": (lambda w, t, o: ["explain", _rf_leaves(
-        w, t, lambda leaf: {"counts": leaf["counts"][:2]}), str(w / "features.csv"),
-        "--out", o], "IoFailure", 3),
+        w, t, lambda c: c[:2]), str(w / "features.csv"), "--out", o], "IoFailure", 3),
     "explain-rf-null-threshold": (lambda w, t, o: ["explain", _split_with(
         w, t, threshold=None), str(w / "features.csv"), "--out", o], "IoFailure", 3),
     "explain-gbt-nan-leaf-weights": (lambda w, t, o: ["explain", _gbt_leaves(
@@ -1158,16 +1172,39 @@ _IO_FAULTS = {
         w, t, lambda v: 1.7e308 if v > 0 else -1.7e308), str(w / "features.csv"),
         "--out", o], "IoFailure", 3),
     # a forest without a tree, or with a leaf that counts a class negatively or no row
-    # (each exit 0 before), and a tree nested deeper than the reader recurses (exit 1)
+    # (each exit 0 before), and a file nested deeper than the JSON parser recurses
     "explain-rf-no-trees": (lambda w, t, o: ["explain", _changed(
         w / "model.json", t, trees=[]), str(w / "features.csv"), "--out", o], "IoFailure", 3),
     **{f"explain-rf-leaf-counts-{how}": (lambda w, t, o, edit=edit: ["explain", _rf_leaves(
-        w, t, lambda leaf: {"counts": edit(leaf["counts"])}), str(w / "features.csv"),
-        "--out", o], "IoFailure", 3)
+        w, t, edit), str(w / "features.csv"), "--out", o], "IoFailure", 3)
        for how, edit in [("negative", lambda c: [-1, *(v + 2 for v in c[1:])]),
                          ("all-0", lambda c: [0] * len(c))]},
     "explain-rf-tree-nested-1200-deep": (lambda w, t, o: ["explain", _nested_rf(
         w, t, 1200), str(w / "features.csv"), "--out", o], "IoFailure", 3),
+    # trees whose nodes do not link as grown: a cycle (checked before any row descends),
+    # a child past the last node or of two nodes, arrays of other lengths, and the
+    # nested nodes model.json held before its trees were stored as arrays
+    **{f"explain-rf-tree-{how}": (lambda w, t, o, edit=edit: ["explain", _tree_with(
+        w, t, edit), str(w / "features.csv"), "--out", o], "IoFailure", 3)
+       for how, edit in [
+           ("left-back-to-the-root", lambda tree, i: {"left": _replaced(tree["left"], i, 0)}),
+           ("right-past-the-last-node", lambda tree, i: {
+               "right": _replaced(tree["right"], 0, len(tree["right"]))}),
+           ("node-the-child-of-two", lambda tree, i: {
+               "right": _replaced(tree["right"], 0, tree["right"][i])}),
+           ("threshold-one-short", lambda tree, i: {"threshold": tree["threshold"][:-1]})]},
+    "explain-rf-tree-nested": (lambda w, t, o: ["explain", _nested_rf(w, t, 3),
+                                                str(w / "features.csv"), "--out", o],
+                               "IoFailure", 3),
+    # stored numbers that are not finite (NaN phi ranked as nan, exit 0; a NaN svm mean
+    # was a SingularSystem, exit 4), and a zero svm scale (exit 4)
+    "explain-rank-nan-phi": (lambda w, t, o: ["explain-rank", _changed(
+        w / "shap.json", t, phi=_first_nan(read_json(str(w / "shap.json"))["phi"])),
+        "--out", o], "IoFailure", 3),
+    **{f"explain-svm-{how}": (lambda w, t, o, edit=edit: ["explain", _fit_model(
+        w, t, msaf.train_svm_ovr, edit), str(w / "features.csv"), "--out", o], "IoFailure", 3)
+       for how, edit in [("nan-mean", lambda d: {**d, "mean": _first_nan(d["mean"])}),
+                         ("scale-0", lambda d: {**d, "scale": _replaced(d["scale"], 0, 0.0)})]},
     # a table whose columns are not the ones model.json was trained on, in order
     **{f"explain-columns-{how}": (lambda w, t, o, table=table: [
         "explain", str(w / "model.json"), table(w, t), "--out", o], "DimensionMismatch", 3)
@@ -1268,10 +1305,9 @@ def test_a_diverging_boosted_fit_is_one_numeric_error_line(argv, work, tmp_path)
     assert not (out / "model.json").exists() if argv is _diverging_run else not out.exists()
 
 
-def test_an_unbounded_forest_tree_grows_to_the_depth_bound(tmp_path):
+def test_an_unbounded_forest_tree_grows_until_its_nodes_stop_splitting(tmp_path):
     # one feature equal to the row index and alternating labels: each split
-    # peels off few rows, so the tree is a chain (training recursed past the
-    # interpreter's limit at about 450 rows)
+    # peels off one row, so the tree is a chain 599 deep
     table = tmp_path / "chain.csv"
     table.write_text("subject_id,label,x\n" + "".join(
         f"s{i},{'AB'[i % 2]},{i}\n" for i in range(600)))
@@ -1282,7 +1318,7 @@ def test_an_unbounded_forest_tree_grows_to_the_depth_bound(tmp_path):
     depth = np.zeros(tree.left.size, dtype=int)
     for i in np.flatnonzero(tree.left >= 0):  # parents come before their children
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
-    assert depth.max() == MAX_TREE_DEPTH
+    assert depth.max() == 599
     assert main(["explain", str(model), str(table), "--method", "tree",
                  "--out", str(tmp_path / "shap.json")]) == 0
 

@@ -19,6 +19,7 @@ from msaf import (
     write_json,
 )
 
+from msaf.config import GBT_TREE, RF_TREE
 from msaf.models import boosted, forest
 from msaf.models._common import Tree, first_best_split
 
@@ -163,7 +164,7 @@ def test_gbt_trees_match_loop_reference(monkeypatch, max_depth, valid_fraction):
     fast = train_gbt(x, y, **kw).to_json_dict()
     monkeypatch.setattr(boosted, "_node", gbt_node_loop)
     assert fast == train_gbt(x, y, **kw).to_json_dict()
-    assert any("feature" in t for row in fast["trees"] for t in row)
+    assert any(t["left"][0] >= 0 for row in fast["trees"] for t in row)
     if valid_fraction:
         assert len(fast["valid_loss_trace"]) < kw["n_rounds"]  # stopped early
 
@@ -256,14 +257,12 @@ def test_vectorized_traversal_matches_per_row_walk():
     rng = np.random.default_rng(31)
     on_cut = []
     for model in (rf, gbt):
-        stack = list(np.ravel(model.to_json_dict()["trees"]))
-        while stack:
-            node = stack.pop()
-            if "feature" in node:
-                row = x[len(on_cut) % len(x)].copy()
-                row[node["feature"]] = node["threshold"]
-                on_cut.append(row)
-                stack += [node["left"], node["right"]]
+        for tree in np.ravel(model.to_json_dict()["trees"]):
+            for f, t in zip(tree["feature"], tree["threshold"]):
+                if f >= 0:
+                    row = x[len(on_cut) % len(x)].copy()
+                    row[f] = t
+                    on_cut.append(row)
     xq = np.vstack([x, rng.standard_normal((20, x.shape[1])), on_cut])
     assert np.array_equal(rf.decision_scores(xq),
                           ensemble_scores_loop(rf.to_json_dict(), xq))
@@ -297,7 +296,7 @@ def test_tree_model_json_bytes_survive_load_and_save(kind, params):
     assert json.dumps(model_from_json_dict(doc).to_json_dict()) == json.dumps(doc)
     # trees that are a single leaf survive too, and score every row from it
     doc = make_trainer(kind, params)(np.zeros((6, 2)), [0, 1] * 3, 5).to_json_dict()
-    assert all("feature" not in t for t in np.ravel(doc["trees"]))
+    assert all(t["left"] == [-1] for t in np.ravel(doc["trees"]))
     assert json.dumps(model_from_json_dict(doc).to_json_dict()) == json.dumps(doc)
     stump = model_from_json_dict(doc)
     score = stump.margins if kind == "gbt" else stump.decision_scores
@@ -314,11 +313,10 @@ def test_grown_trees_equal_their_decoded_json(kind, params):
     model = make_trainer(kind, params)(x, y, 7)
     trees = list(np.ravel(model.trees))
     assert any(t.left[0] >= 0 for t in trees)
-    leaf, leaf_key, leaf_shape = (
-        (lambda c: {"counts": [int(v) for v in c]}, "counts", (3,)) if kind == "rf"
-        else (lambda w: {"weight": float(w)}, "weight", ()))
+    table, sizes = (RF_TREE, {"n_classes": 3}) if kind == "rf" else (GBT_TREE, None)
     for tree in trees:
-        back = Tree.from_json_dict(tree.to_json_dict(leaf), leaf_key, x.shape[1], leaf_shape)
+        doc = json.loads(json.dumps(tree.to_json_dict()))
+        back = Tree.from_json_dict(doc, table, x.shape[1], sizes)
         for name in ("feature", "threshold", "left", "right", "value"):
             got, want = getattr(tree, name), getattr(back, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
