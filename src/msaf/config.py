@@ -5,9 +5,11 @@ block against its table and `check_value` one value against one Key;
 both raise InvalidConfig (exit 2). A rule that spans several keys
 (``low < high``) stays one `require` call in the block that owns it.
 
-The tables from `SVM_MACHINE` on are stored formats: `decode` checks a
-file's object against one and raises ValueError, an IoFailure (exit 3)
-to the readers.
+The tables from `SVM_MACHINE` on are stored formats, and each both
+writes and reads its format: `encode` builds the stored object of a
+value from the table's keys, and `decode` checks a file's object
+against the same table and raises ValueError, an IoFailure (exit 3) to
+the readers.
 
 A table holds the defaults its block fills in. Where a Python signature
 takes the key (the trainers, `SynthConfig`, `make_band_cohort`), the
@@ -65,7 +67,8 @@ def _number(v) -> bool:
 
 
 def _integer(v) -> bool:
-    return _number(v) and isinstance(v, numbers.Integral)
+    # concrete types, not the numbers ABCs: an "ints" list tests every entry
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _sequence(v, item=None) -> bool:
@@ -155,12 +158,18 @@ class Key:
         return what + (" or null" if self.nullable else "")
 
 
+# how a bad value is echoed: the first entry of each list, three levels deep, so an
+# array's first number shows and the one error line stays short
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxlist = 3, 1
+
+
 def check_value(name: str, key: Key, value, error: type = InvalidConfig):
     """value if it suits key, else error; "names", "ints" and "band" values become tuples."""
     if value is None and key.nullable:
         return None
     if not (_TYPES[key.type][0](value) and key.holds(value)):
-        raise error(f"{name} must be {key.describe()}, got {reprlib.repr(value)}")
+        raise error(f"{name} must be {key.describe()}, got {_ECHO.repr(value)}")
     if key.type in ("names", "ints"):
         return tuple(value)
     if key.type == "band":
@@ -210,6 +219,24 @@ def decode(name: str, table: dict, doc, sizes: Optional[dict] = None) -> dict:
             if sizes.setdefault(axis, n) != n:
                 raise ValueError(f"{name} {k} holds {n} along {axis}, not {sizes[axis]}")
     return out
+
+
+def _stored(v):
+    """v as a stored value: an array or tuple a list, a value with a to_json_dict its object."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (tuple, list)):
+        return [_stored(e) for e in v]
+    return v.to_json_dict() if hasattr(v, "to_json_dict") else v
+
+
+def encode(table: dict, obj) -> dict:
+    """The stored object that `decode` reads back through table: each key of table off obj.
+
+    Values pass through `_stored`, and nothing else: no number is coerced,
+    so an int stays an int and a float a float.
+    """
+    return {k: _stored(getattr(obj, k)) for k in table}
 
 
 def require(ok, message: str) -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import EXPLAIN, SHAP, check_value, decode
+from .config import EXPLAIN, SHAP, check_value, decode, encode
 from .errors import (
     DimensionMismatch,
     EmptyBackground,
@@ -73,18 +73,7 @@ class ShapExplanation:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "classes": list(self.classes),
-            "phi0": [float(v) for v in self.phi0],
-            "phi": [
-                [[float(v) for v in feat] for feat in inst] for inst in self.phi
-            ],
-            "feature_names": (
-                list(self.feature_names) if self.feature_names else None
-            ),
-            "meta": dict(self.meta),
-        }
+        return encode(SHAP, self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ShapExplanation":

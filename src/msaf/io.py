@@ -24,8 +24,9 @@ Every file of the package is written through a `Stage` (as
 succeeds; `_commit` is the one-file case. On a failure the block removes
 its partial files and the directories it created. A framed file is read
 by `_framed`, any other by `_read`; the writers and readers encode and
-decode around these. An OS fault in either, or bytes that do not decode
-as expected, is an IoFailure.
+decode around these, a header through its table (`EEGB_HEADER`,
+`SEG_HEADER`) with `msaf.config.encode` and `decode`. An OS fault in
+either, or bytes that do not decode as expected, is an IoFailure.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import EEGB_HEADER, MAX_STATES, NAME, SEG_HEADER, check_value, decode
+from .config import EEGB_HEADER, MAX_STATES, NAME, SEG_HEADER, check_value, decode, encode
 from .errors import (
     BadMagic,
     DuplicateSubject,
@@ -363,6 +364,10 @@ class Recording:
         object.__setattr__(self, "provenance", tuple(str(p) for p in self.provenance))
 
     @property
+    def channels(self) -> tuple[str, ...]:
+        return self.montage.names
+
+    @property
     def n_channels(self) -> int:
         return self.data.shape[0]
 
@@ -424,17 +429,9 @@ def save_recording(rec: Recording, path: str, stage: Optional[Stage] = None) -> 
         (path,) as written (see `_commit`).
     """
     stored = narrow_recording(rec)
-    header = {
-        "channels": list(stored.montage.names),
-        "fs": stored.fs,
-        "label": stored.label,
-        "n_samples": stored.n_samples,
-        "provenance": list(stored.provenance),
-        "subject_id": stored.subject_id,
-    }
     path = path if path.endswith(".eegb") else path + ".eegb"
     # the C-contiguous payload is written as a buffer, not copied
-    return (_commit_frame(path, MAGIC, header, stored.data, stage=stage),)
+    return (_commit_frame(path, MAGIC, encode(EEGB_HEADER, stored), stored.data, stage=stage),)
 
 
 def _recording_header(path: str, header: dict) -> dict:
@@ -486,15 +483,8 @@ def commit_segmentation(seg, stem: str, stage: Optional[Stage] = None) -> str:
     """
     if seg.maps.k > MAX_STATES:
         raise ShapeMismatch(f"a .seg file holds at most {MAX_STATES} maps, got {seg.maps.k}")
-    header = {
-        "fs": seg.fs,
-        "label": seg.label,
-        "maps": seg.maps.to_json_dict(),
-        "n_samples": seg.n_samples,
-        "subject_id": seg.subject_id,
-    }
     return _commit_frame(
-        stem + ".seg", SEG_MAGIC, header, seg.states.astype(np.uint8).tobytes(),
+        stem + ".seg", SEG_MAGIC, encode(SEG_HEADER, seg), seg.states.astype(np.uint8).tobytes(),
         seg.corr.astype("<f8").tobytes(), seg.gfp.astype("<f8").tobytes(), stage=stage,
     )
 

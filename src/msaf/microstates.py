@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import BLOCK_DOUBLES, KMEANS, MAPS, SEG_HEADER, check, decode
+from .config import BLOCK_DOUBLES, KMEANS, MAPS, SEG_HEADER, check, decode, encode
 from .errors import (
     AmbiguousLabels,
     DegenerateMap,
@@ -106,13 +106,7 @@ class MicrostateMaps:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "labels": list(self.labels),
-            "channels": list(self.channels),
-            "maps": [[float(v) for v in row] for row in self.maps],
-            "gev_total": (None if self.gev_total is None else float(self.gev_total)),
-        }
+        return {"k": self.k, **encode(MAPS, self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MicrostateMaps":

@@ -1,11 +1,11 @@
 """Shared input validation, seed derivation and the tree of both ensembles."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import decode
+from ..config import GBT_TREE, decode, encode
 from ..errors import DimensionMismatch, LengthMismatch, NonFiniteData, SingleClass
 
 
@@ -142,8 +142,8 @@ class Tree:
                    left, np.array(right, dtype=np.intp), value)
 
     def to_json_dict(self) -> dict:
-        """model.json's form of the tree: its five arrays as lists."""
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        """model.json's form of the tree: its five arrays as lists (RF_TREE's keys are these)."""
+        return encode(GBT_TREE, self)
 
     @classmethod
     def from_json_dict(cls, d: dict, table: dict, n_features: int, sizes=None) -> "Tree":

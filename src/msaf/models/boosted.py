@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from ..config import GBT_MODEL, GBT_TREE, PARAMS, check, decode
+from ..config import GBT_MODEL, GBT_TREE, PARAMS, check, decode, encode
 from ..errors import Diverged, TooFewSamplesForValidation
 from ._common import Tree, first_best_split, validate_x, validate_xy
 
@@ -125,18 +125,7 @@ class GbtModel:
         return np.asarray(self.classes)[np.argmax(self.margins(x), axis=1)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "gbt",
-            "classes": list(self.classes),
-            "n_features": self.n_features,
-            "base_scores": [float(v) for v in self.base_scores],
-            "learning_rate": self.learning_rate,
-            "best_round": self.best_round,
-            "train_loss_trace": [float(v) for v in self.train_loss_trace],
-            "valid_loss_trace": [float(v) for v in self.valid_loss_trace],
-            "params": self.params,
-            "trees": [[t.to_json_dict() for t in row] for row in self.trees],
-        }
+        return {"kind": "gbt", **encode(GBT_MODEL, self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GbtModel":

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import PARAMS, RF_MODEL, RF_TREE, check, decode, require
+from ..config import PARAMS, RF_MODEL, RF_TREE, check, decode, encode, require
 from ._common import Tree, child_seed, first_best_split, validate_x, validate_xy
 
 
@@ -74,13 +74,7 @@ class RfModel:
         return np.asarray(self.classes)[np.argmax(self.decision_scores(x), axis=1)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "rf",
-            "classes": list(self.classes),
-            "n_features": self.n_features,
-            "params": self.params,
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
+        return {"kind": "rf", **encode(RF_MODEL, self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RfModel":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import BLOCK_DOUBLES, PARAMS, SVM_MACHINE, SVM_MODEL, check, decode
+from ..config import BLOCK_DOUBLES, PARAMS, SVM_MACHINE, SVM_MODEL, check, decode, encode
 from ._common import validate_x, validate_xy
 
 logger = logging.getLogger("msaf.models.svm")
@@ -40,6 +40,9 @@ class BinarySvm:
     bias: float
     kkt_gap: float
     n_iter: int
+
+    def to_json_dict(self) -> dict:
+        return encode(SVM_MACHINE, self)
 
 
 @dataclass(frozen=True)
@@ -132,24 +135,7 @@ class SvmModel:
         return np.asarray(self.classes)[np.argmax(scores, axis=1)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "svm",
-            "classes": list(self.classes),
-            "mean": [float(v) for v in self.mean],
-            "scale": [float(v) for v in self.scale],
-            "c": self.c,
-            "gamma": self.gamma,
-            "machines": [
-                {
-                    "support_vectors": [[float(v) for v in row] for row in m.support_vectors],
-                    "dual_coef": [float(v) for v in m.dual_coef],
-                    "bias": m.bias,
-                    "kkt_gap": m.kkt_gap,
-                    "n_iter": m.n_iter,
-                }
-                for m in self.machines
-            ],
-        }
+        return {"kind": "svm", **encode(SVM_MODEL, self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SvmModel":

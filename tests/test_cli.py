@@ -1156,7 +1156,7 @@ _IO_FAULTS = {
     **{f"explain-rf-split-on-feature-{f}": (lambda w, t, o, f=f: [
         "explain", _split_with(w, t, feature=f), str(w / "features.csv"), "--out", o],
         "IoFailure", 3)
-       for f in (99, -3, 1.5, 2 ** 70)},
+       for f in (99, -3, 1.5, 2 ** 70, True)},
     # nodes that decoded to a broadcast error (exit 1), or to NaN or a coerced value (exit 0)
     "explain-rf-leaves-of-2-counts-for-3-classes": (lambda w, t, o: ["explain", _rf_leaves(
         w, t, lambda c: c[:2]), str(w / "features.csv"), "--out", o], "IoFailure", 3),
@@ -1272,6 +1272,8 @@ def test_io_and_decode_faults_are_one_error_line(case, work, tmp_path, capsys):
     err = json.loads(lines[0])
     assert (err["error"], err["exit_code"]) == (error, code)
     assert not out.exists()
+    if case == "explain-rank-nan-phi":  # the bad value's echo is cut short
+        assert len(lines[0].encode()) <= 400 and "[[[nan, " in lines[0]
 
 
 _DIVERGING_GBT = {"learning_rate": 1e308, "n_rounds": 5, "valid_fraction": 0.0}

@@ -1,12 +1,17 @@
-"""The tables of msaf.config: every key rejects bad values, defaults agree, axes bind once."""
+"""The tables of msaf.config: every key rejects bad values, defaults agree, axes bind once,
+and each stored format's table writes what it reads."""
 import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
-from msaf import config, explain, modified_kmeans, train_gbt, train_rf, train_svm_ovr
+from msaf import (
+    MicrostateMaps, ShapExplanation, canonical_templates, config, explain, modified_kmeans,
+    standard_1020_montage, train_gbt, train_rf, train_svm_ovr,
+)
 from msaf.errors import InvalidConfig
 from msaf.pipeline import PipelineConfig
 from msaf.synth import CANONICAL_LABELS, SynthConfig
@@ -146,9 +151,54 @@ def test_decode_binds_each_axis_once_and_keeps_only_its_keys():
     assert out["w"].dtype == np.float64 and out["w"].shape == (2, 2)
     for bad in ({"classes": [0, 1, 2]}, {"w": [[1, 2], [3]]}, {"w": [1, 2]},
                 {"rows": [[{}], [{}, {}]]}, {"classes": ["0", "1"]}, {"w": [["1", "2"]] * 2},
-                {"classes": [0.0, 1.0]}, []):
+                {"classes": [0.0, 1.0]}, {"classes": [0, True]}, {"classes": []}, []):
         with pytest.raises(ValueError):
             config.decode("t", _STORED, {**doc, **bad} if isinstance(bad, dict) else bad)
     # a nested object's axes bound by its parent
     with pytest.raises(ValueError, match="along d"):
         config.decode("t", {"w": _STORED["w"]}, {"w": [[1, 2]]}, {"d": 3})
+    # an "ints" entry may be any integer, a NumPy one too, but not a bool
+    assert config.decode("t", _STORED, {**doc, "classes": [np.int64(0), 1]})["classes"] == (0, 1)
+
+
+def _stored_maps(gev: bool):
+    montage = standard_1020_montage()
+    if not gev:
+        return canonical_templates(montage)
+    peaks = np.random.default_rng(3).standard_normal((40, montage.n_channels))
+    return modified_kmeans(peaks, 3, n_inits=2, channels=montage.names)
+
+
+def _stored_shap():
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((12, 3)), np.repeat([0, 1, 2], 4)
+    return explain(train_rf(x, y, n_trees=3), x[:2], x, method="tree",
+                   feature_names=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("stored,decoder", [
+    (lambda: _stored_maps(gev=True), MicrostateMaps.from_json_dict),
+    (lambda: _stored_maps(gev=False), MicrostateMaps.from_json_dict),
+    (_stored_shap, ShapExplanation.from_json_dict),
+], ids=["maps", "maps-without-gev", "shap"])
+def test_stored_json_bytes_survive_decode_and_encode(stored, decoder):
+    text = json.dumps(stored().to_json_dict(), sort_keys=True)
+    assert json.dumps(decoder(json.loads(text)).to_json_dict(), sort_keys=True) == text
+
+
+def test_encode_takes_the_table_keys_and_coerces_no_number():
+    @dataclasses.dataclass
+    class Stored:
+        classes: tuple
+        w: np.ndarray
+        rows: list
+        other: str = "x"
+
+    class Inner:
+        def to_json_dict(self):
+            return {"n": 1}
+
+    # the key outside the table stays out; ints stay ints and floats floats
+    stored = Stored((0, 1), np.array([[1, 2.5], [3, 4]]), [(Inner(), 1.0)])
+    assert json.dumps(config.encode(_STORED, stored)) == (
+        '{"classes": [0, 1], "w": [[1.0, 2.5], [3.0, 4.0]], "rows": [[{"n": 1}, 1.0]]}')
